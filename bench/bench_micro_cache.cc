@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark): throughput of the primitives the
 // simulator's inner loops live on - placement functions, cache accesses,
-// Benes permutation construction, PRNG steps.
+// Benes permutation construction, PRNG steps - and of the key-rank scorers
+// every attack cell ends in.
 //
 // These are engineering benchmarks for the library itself (the paper's
 // hardware latencies are modeled, not measured); they guard against
@@ -11,10 +12,15 @@
 #include <string>
 #include <vector>
 
+#include "attack/evicttime.h"
+#include "attack/flushreload.h"
+#include "attack/metrics.h"
+#include "attack/primeprobe.h"
 #include "cache/benes.h"
 #include "cache/builder.h"
 #include "cache/placement.h"
 #include "core/policy.h"
+#include "crypto/sim_aes.h"
 #include "isa/assembler.h"
 #include "isa/interpreter.h"
 #include "isa/kernels.h"
@@ -161,6 +167,67 @@ void BM_MachineReset(benchmark::State& state, core::PlacementPolicy policy) {
 }
 BENCHMARK_CAPTURE(BM_MachineReset, rm, core::PlacementPolicy::kRandomModulo);
 BENCHMARK_CAPTURE(BM_MachineReset, rpcache, core::PlacementPolicy::kRpCache);
+
+// Key-rank scoring of one attack cell shaped like a golden one: 1200
+// trials of synthetic observations (a few probe misses per set, re-run
+// cycle counts, sparse touched bits) on the paper L1, over its 128 sets for
+// Prime+Probe / Evict+Time and the 128 monitored table lines for Flush.
+// The profile is filled once, outside the timed loop.
+constexpr std::size_t kScoreTrials = 1200;
+
+void BM_ScorePrimeProbe(benchmark::State& state) {
+  const cache::Geometry l1 = cache::l1_geometry_arm920t();
+  rng::XorShift64Star r(1);
+  attack::PrimeProbeProfile profile(l1.sets());
+  std::vector<std::uint32_t> misses(l1.sets());
+  for (std::size_t t = 0; t < kScoreTrials; ++t) {
+    for (std::uint32_t& m : misses) {
+      m = static_cast<std::uint32_t>(r.next_below(4));
+    }
+    profile.add(crypto::random_block(r), misses);
+  }
+  const crypto::Key key = crypto::random_block(r);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(attack::score_prime_probe(
+        profile, l1, crypto::SimAesLayout{}.tables, key));
+  }
+}
+BENCHMARK(BM_ScorePrimeProbe);
+
+void BM_ScoreEvictTime(benchmark::State& state) {
+  const cache::Geometry l1 = cache::l1_geometry_arm920t();
+  rng::XorShift64Star r(2);
+  attack::EvictTimeProfile profile(l1.sets());
+  for (std::size_t t = 0; t < kScoreTrials; ++t) {
+    profile.add(crypto::random_block(r),
+                static_cast<std::uint32_t>(t % l1.sets()),
+                900 + r.next_below(300));
+  }
+  const crypto::Key key = crypto::random_block(r);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(attack::score_evict_time(
+        profile, l1, crypto::SimAesLayout{}.tables, key));
+  }
+}
+BENCHMARK(BM_ScoreEvictTime);
+
+void BM_ScoreFlush(benchmark::State& state) {
+  const cache::Geometry l1 = cache::l1_geometry_arm920t();
+  const std::uint32_t lines =
+      4 * (crypto::SimAesLayout::kTableBytes / l1.line_bytes());
+  rng::XorShift64Star r(3);
+  attack::FlushProfile profile(lines);
+  std::vector<std::uint8_t> touched(lines);
+  for (std::size_t t = 0; t < kScoreTrials; ++t) {
+    for (std::uint8_t& b : touched) b = r.next_bool(0.3) ? 1 : 0;
+    profile.add(crypto::random_block(r), touched);
+  }
+  const crypto::Key key = crypto::random_block(r);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(attack::score_flush(profile, l1, key));
+  }
+}
+BENCHMARK(BM_ScoreFlush);
 
 void BM_BenesPermutation(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -15,9 +15,13 @@
 // precisely the model randomized placement invalidates.
 //
 // Because placement functions never see the low offset bits, both attacks
-// resolve key bytes at cache-line granularity only: with 8 table entries
-// per 32B line the best possible true rank is bounded by 7, and a "leaky"
-// verdict is mean rank far below chance (127.5), not rank 0.
+// resolve key bytes at cache-line granularity only.  The entries_per_line
+// guesses of one LINE CLASS (the table entries a line holds: 8 with the
+// paper's 32B lines) predict the same observables for every value, so they
+// always share one score - the scorers compute it once per class.  Ties
+// keep value order, so even a perfectly resolved byte ranks anywhere in
+// [0, entries_per_line), and a "leaky" verdict is mean rank far below
+// chance (127.5), not rank 0.
 #pragma once
 
 #include <array>
@@ -48,15 +52,18 @@ struct ByteRanking {
 struct MatrixRanking {
   std::array<ByteRanking, 16> bytes{};
   crypto::Key victim_key{};
+  /// Guesses per line class (table entries per cache line of the scored
+  /// geometry), set by the scorer.
+  int entries_per_line = 0;
 
   /// Mean true rank across the 16 positions (the cell's headline number;
   /// chance level is 127.5).
   [[nodiscard]] double mean_true_rank() const;
   /// Best (lowest) true rank across positions.
   [[nodiscard]] int best_true_rank() const;
-  /// Positions resolved to cache-line granularity (true rank < 256 / line
-  /// candidates is the theoretical floor; this counts true_rank < 8, the
-  /// 32B-line success criterion the Bernstein analysis also uses).
+  /// Positions resolved to cache-line granularity: the true byte's line
+  /// class ranked first, i.e. true_rank < entries_per_line (8 for the
+  /// paper's 32B lines, the criterion the Bernstein analysis also uses).
   [[nodiscard]] int line_resolved_bytes() const;
 };
 
@@ -70,6 +77,11 @@ struct MatrixRanking {
 /// architectural model of the victim binary).  The score is the
 /// trial-weighted mean excess of observed probe misses in that predicted
 /// set over the set's overall mean.
+///
+/// All three scorers throw std::invalid_argument when `l1`'s line size is
+/// below 4 B or above SimAesLayout::kTableBytes (no line class to index),
+/// or when the profile holds fewer sets / monitored lines than `l1`
+/// addresses.
 [[nodiscard]] MatrixRanking score_prime_probe(const PrimeProbeProfile& profile,
                                               const cache::Geometry& l1,
                                               Addr tables_base,

@@ -1,0 +1,310 @@
+// Differential tests for the key-rank scorers (attack/metrics.h).
+//
+// The production kernel scores one guess per LINE CLASS and hoists the
+// set / line marginals out of the guess loop.  Both are exact rewrites, so
+// every score must equal the naive guess x value loops of
+// reference_scoring.h bit for bit - compared with memcmp, never with a
+// tolerance - on seeded random Prime+Probe, Evict+Time and Flush profiles:
+//
+//   * empty, sparse (most (pos, value) cells empty), golden-sized and
+//     merged multi-shard profiles;
+//   * the paper L1 and non-paper geometries: 4 B to 1 KB lines, 16 to 256
+//     sets;
+//   * the line-class invariant itself: every guess of a class scores the
+//     same double;
+//   * the class width reaching line_resolved_bytes() (pinned on 64 B lines,
+//     where the old hard-coded 8 undercounted), and the geometries the
+//     class loop cannot index being rejected.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstring>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
+#include "attack/evicttime.h"
+#include "attack/flushreload.h"
+#include "attack/metrics.h"
+#include "attack/primeprobe.h"
+#include "cache/geometry.h"
+#include "crypto/aes.h"
+#include "crypto/sim_aes.h"
+#include "reference_scoring.h"
+#include "rng/rng.h"
+
+namespace tsc::attack {
+namespace {
+
+const Addr kTables = crypto::SimAesLayout{}.tables;
+
+/// A 4-way L1 with `sets` sets of `line_bytes` lines.
+cache::Geometry l1_with(std::uint32_t line_bytes, std::uint32_t sets) {
+  return cache::Geometry(sets * 4 * line_bytes, 4, line_bytes);
+}
+
+std::uint32_t monitored_lines(const cache::Geometry& l1) {
+  return 4 * (crypto::SimAesLayout::kTableBytes / l1.line_bytes());
+}
+
+crypto::Key random_key(std::uint64_t seed) {
+  rng::XorShift64Star r(seed);
+  return crypto::random_block(r);
+}
+
+// Observables are small integers, as in the real campaigns: a few probe
+// misses per set, cycle counts around a base, sparse touched bits.
+
+PrimeProbeProfile random_pp(std::uint32_t sets, std::size_t trials,
+                            std::uint64_t seed) {
+  rng::XorShift64Star r(seed);
+  PrimeProbeProfile profile(sets);
+  std::vector<std::uint32_t> misses(sets);
+  for (std::size_t t = 0; t < trials; ++t) {
+    for (std::uint32_t& m : misses) {
+      m = static_cast<std::uint32_t>(r.next_below(4));
+    }
+    profile.add(crypto::random_block(r), misses);
+  }
+  return profile;
+}
+
+EvictTimeProfile random_et(std::uint32_t sets, std::size_t trials,
+                           std::uint64_t seed) {
+  rng::XorShift64Star r(seed);
+  EvictTimeProfile profile(sets);
+  for (std::size_t t = 0; t < trials; ++t) {
+    profile.add(crypto::random_block(r), static_cast<std::uint32_t>(t % sets),
+                900 + r.next_below(300));
+  }
+  return profile;
+}
+
+FlushProfile random_flush(std::uint32_t lines, std::size_t trials,
+                          std::uint64_t seed) {
+  rng::XorShift64Star r(seed);
+  FlushProfile profile(lines);
+  std::vector<std::uint8_t> touched(lines);
+  for (std::size_t t = 0; t < trials; ++t) {
+    for (std::uint8_t& b : touched) b = r.next_bool(0.3) ? 1 : 0;
+    profile.add(crypto::random_block(r), touched);
+  }
+  return profile;
+}
+
+void expect_bit_identical(const MatrixRanking& fast, const MatrixRanking& ref,
+                          const std::string& what) {
+  for (std::size_t pos = 0; pos < 16; ++pos) {
+    const ByteRanking& f = fast.bytes[pos];
+    const ByteRanking& r = ref.bytes[pos];
+    EXPECT_EQ(std::memcmp(f.score.data(), r.score.data(), sizeof f.score), 0)
+        << what << ": scores differ at position " << pos;
+    EXPECT_EQ(f.ranking, r.ranking) << what << ": position " << pos;
+    EXPECT_EQ(f.true_rank, r.true_rank) << what << ": position " << pos;
+  }
+}
+
+void expect_line_classes_share_scores(const MatrixRanking& ranking,
+                                      const cache::Geometry& l1,
+                                      const std::string& what) {
+  const int width = static_cast<int>(l1.line_bytes() / 4);
+  ASSERT_EQ(ranking.entries_per_line, width) << what;
+  for (const ByteRanking& b : ranking.bytes) {
+    for (int g = 0; g < 256; ++g) {
+      const auto first = static_cast<std::size_t>(g - g % width);
+      ASSERT_EQ(std::memcmp(&b.score[static_cast<std::size_t>(g)],
+                            &b.score[first], sizeof(double)),
+                0)
+          << what << ": guess " << g << " leaves its class";
+    }
+  }
+}
+
+struct GeometryCase {
+  std::uint32_t line_bytes;
+  std::uint32_t sets;
+};
+
+std::string case_name(const testing::TestParamInfo<GeometryCase>& info) {
+  return "line" + std::to_string(info.param.line_bytes) + "_sets" +
+         std::to_string(info.param.sets);
+}
+
+class ScoringDifferential : public testing::TestWithParam<GeometryCase> {
+ protected:
+  [[nodiscard]] cache::Geometry l1() const {
+    return l1_with(GetParam().line_bytes, GetParam().sets);
+  }
+
+  void check_prime_probe(const PrimeProbeProfile& profile,
+                         const std::string& what) const {
+    const crypto::Key key = random_key(GetParam().line_bytes + 1);
+    const MatrixRanking fast = score_prime_probe(profile, l1(), kTables, key);
+    expect_bit_identical(
+        fast, reference::score_prime_probe(profile, l1(), kTables, key),
+        "prime+probe " + what);
+    expect_line_classes_share_scores(fast, l1(), "prime+probe " + what);
+  }
+
+  void check_evict_time(const EvictTimeProfile& profile,
+                        const std::string& what) const {
+    const crypto::Key key = random_key(GetParam().sets + 2);
+    const MatrixRanking fast = score_evict_time(profile, l1(), kTables, key);
+    expect_bit_identical(
+        fast, reference::score_evict_time(profile, l1(), kTables, key),
+        "evict+time " + what);
+    expect_line_classes_share_scores(fast, l1(), "evict+time " + what);
+  }
+
+  void check_flush(const FlushProfile& profile,
+                   const std::string& what) const {
+    const crypto::Key key = random_key(3);
+    const MatrixRanking fast = score_flush(profile, l1(), key);
+    expect_bit_identical(fast, reference::score_flush(profile, l1(), key),
+                         "flush " + what);
+    expect_line_classes_share_scores(fast, l1(), "flush " + what);
+  }
+};
+
+TEST_P(ScoringDifferential, ZeroTrialProfiles) {
+  check_prime_probe(PrimeProbeProfile(l1().sets()), "empty");
+  check_evict_time(EvictTimeProfile(l1().sets()), "empty");
+  check_flush(FlushProfile(monitored_lines(l1())), "empty");
+}
+
+// 40 trials leave most of each position's 256 value cells (and nearly all
+// Evict+Time (value, set) cells) empty: the kernel must skip exactly the
+// cells the reference skips.
+TEST_P(ScoringDifferential, SparseProfiles) {
+  check_prime_probe(random_pp(l1().sets(), 40, 11), "sparse");
+  check_evict_time(random_et(l1().sets(), 40, 12), "sparse");
+  check_flush(random_flush(monitored_lines(l1()), 40, 13), "sparse");
+}
+
+TEST_P(ScoringDifferential, DenseProfiles) {
+  check_prime_probe(random_pp(l1().sets(), 300, 21), "dense");
+  check_evict_time(random_et(l1().sets(), 3000, 22), "dense");
+  check_flush(random_flush(monitored_lines(l1()), 300, 23), "dense");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, ScoringDifferential,
+    testing::Values(GeometryCase{32, 128},  // the paper's L1
+                    GeometryCase{4, 128}, GeometryCase{16, 128},
+                    GeometryCase{64, 128}, GeometryCase{128, 128},
+                    GeometryCase{1024, 16}, GeometryCase{32, 64},
+                    GeometryCase{32, 256}),
+    case_name);
+
+// A golden cell's shape: 1200 trials on the paper L1, merged from three
+// 400-trial shards as the campaign runner merges them.
+TEST(ScoringGoldenShape, MergedShardsMatchReference) {
+  const cache::Geometry l1 = cache::l1_geometry_arm920t();
+  const crypto::Key key = random_key(2018);
+
+  PrimeProbeProfile pp = random_pp(l1.sets(), 400, 100);
+  EvictTimeProfile et = random_et(l1.sets(), 400, 200);
+  FlushProfile fl = random_flush(monitored_lines(l1), 400, 300);
+  for (std::uint64_t shard = 1; shard < 3; ++shard) {
+    pp.merge(random_pp(l1.sets(), 400, 100 + shard));
+    et.merge(random_et(l1.sets(), 400, 200 + shard));
+    fl.merge(random_flush(monitored_lines(l1), 400, 300 + shard));
+  }
+  ASSERT_EQ(pp.samples(), 1200u);
+
+  expect_bit_identical(score_prime_probe(pp, l1, kTables, key),
+                       reference::score_prime_probe(pp, l1, kTables, key),
+                       "merged prime+probe");
+  expect_bit_identical(score_evict_time(et, l1, kTables, key),
+                       reference::score_evict_time(et, l1, kTables, key),
+                       "merged evict+time");
+  expect_bit_identical(score_flush(fl, l1, key),
+                       reference::score_flush(fl, l1, key), "merged flush");
+}
+
+// Plant a noise-free Prime+Probe channel on 64 B lines (16 guesses per
+// class): every trial misses exactly in the modulo set of each position's
+// true round-1 line.  The true class then ranks first, and ties keep value
+// order, so the true byte ranks at key % 16 - resolved to its line even
+// when that rank is 8..15, which the old `true_rank < 8` criterion missed.
+TEST(LineResolvedBytes, CountsTheWholeClassOn64ByteLines) {
+  const cache::Geometry l1 = l1_with(64, 128);
+  const std::uint32_t width = l1.line_bytes() / 4;
+  const std::uint32_t lines_per_table =
+      crypto::SimAesLayout::kTableBytes / l1.line_bytes();
+  const Addr tables_line = kTables >> l1.offset_bits();
+
+  crypto::Key key{};
+  for (std::size_t pos = 0; pos < 16; ++pos) {
+    key[pos] = static_cast<std::uint8_t>(17 * pos);  // key[pos] % 16 == pos
+  }
+
+  rng::XorShift64Star r(64);
+  PrimeProbeProfile profile(l1.sets());
+  std::vector<std::uint32_t> misses(l1.sets());
+  for (int t = 0; t < 4000; ++t) {
+    const crypto::Block pt = crypto::random_block(r);
+    std::fill(misses.begin(), misses.end(), 0u);
+    for (std::size_t pos = 0; pos < 16; ++pos) {
+      const Addr line = tables_line + (pos % 4) * lines_per_table +
+                        static_cast<std::uint32_t>(pt[pos] ^ key[pos]) / width;
+      misses[static_cast<std::size_t>(line & (l1.sets() - 1))] = 1;
+    }
+    profile.add(pt, misses);
+  }
+
+  const MatrixRanking ranking = score_prime_probe(profile, l1, kTables, key);
+  EXPECT_EQ(ranking.entries_per_line, 16);
+  for (std::size_t pos = 0; pos < 16; ++pos) {
+    EXPECT_EQ(ranking.bytes[pos].true_rank, static_cast<int>(pos))
+        << "position " << pos;
+  }
+  EXPECT_EQ(ranking.line_resolved_bytes(), 16);
+  EXPECT_EQ(std::count_if(ranking.bytes.begin(), ranking.bytes.end(),
+                          [](const ByteRanking& b) { return b.true_rank < 8; }),
+            8)
+      << "half the bytes rank in the upper half of their class";
+}
+
+TEST(LineResolvedBytes, PaperGeometryClassIsEight) {
+  const cache::Geometry l1 = cache::l1_geometry_arm920t();
+  const MatrixRanking ranking = score_prime_probe(
+      random_pp(l1.sets(), 40, 5), l1, kTables, random_key(5));
+  EXPECT_EQ(ranking.entries_per_line, 8);
+}
+
+// Line sizes with no line class to index: under one 4 B table entry (class
+// width 0) or over one 1 KB table (class wider than the 256 guesses).
+TEST(ScoringPreconditions, RejectsUnindexableLineSizes) {
+  for (const cache::Geometry& l1 :
+       {cache::Geometry(2 * 128, 1, 2), cache::Geometry(2048 * 8, 1, 2048)}) {
+    const crypto::Key key{};
+    EXPECT_THROW((void)score_prime_probe(PrimeProbeProfile(l1.sets()), l1,
+                                         kTables, key),
+                 std::invalid_argument)
+        << l1.line_bytes() << " B lines";
+    EXPECT_THROW((void)score_evict_time(EvictTimeProfile(l1.sets()), l1,
+                                        kTables, key),
+                 std::invalid_argument)
+        << l1.line_bytes() << " B lines";
+    EXPECT_THROW((void)score_flush(FlushProfile(128), l1, key),
+                 std::invalid_argument)
+        << l1.line_bytes() << " B lines";
+  }
+}
+
+TEST(ScoringPreconditions, RejectsProfilesSmallerThanTheGeometry) {
+  const cache::Geometry l1 = cache::l1_geometry_arm920t();
+  const crypto::Key key{};
+  EXPECT_THROW(
+      (void)score_prime_probe(PrimeProbeProfile(64), l1, kTables, key),
+      std::invalid_argument);
+  EXPECT_THROW(
+      (void)score_evict_time(EvictTimeProfile(64), l1, kTables, key),
+      std::invalid_argument);
+  EXPECT_THROW((void)score_flush(FlushProfile(64), l1, key),
+               std::invalid_argument);
+}
+
+}  // namespace
+}  // namespace tsc::attack
