@@ -9,7 +9,6 @@
 #include <cstring>
 #include <deque>
 #include <fstream>
-#include <sstream>
 #include <thread>
 
 namespace tsc::runner {
@@ -21,6 +20,55 @@ constexpr char kMagic[6] = {'T', 'S', 'C', 'K', 'P', 'T'};
 constexpr std::size_t kVersionOffset = sizeof(kMagic);
 
 using Clock = std::chrono::steady_clock;
+
+/// write(2) all of `n` bytes, retrying short writes and EINTR.  False (with
+/// errno set) on failure.
+bool write_fully(int fd, const std::uint8_t* data, std::size_t n) {
+  std::size_t written = 0;
+  while (written < n) {
+    const ssize_t k = ::write(fd, data + written, n - written);
+    if (k < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    written += static_cast<std::size_t>(k);
+  }
+  return true;
+}
+
+/// One journal record: stage, task count, task, length-prefixed payload,
+/// then an FNV-1a checksum over every byte of the record before it.
+void put_record(ByteWriter& w, const std::string& stage,
+                std::size_t task_count, std::size_t task,
+                const std::vector<std::uint8_t>& payload) {
+  const std::size_t start = w.bytes().size();
+  w.put_string(stage);
+  w.put_varint(task_count);
+  w.put_varint(task);
+  w.put_varint(payload.size());
+  w.put_bytes(payload.data(), payload.size());
+  w.put_fixed64(fnv1a64(w.bytes().data() + start, w.bytes().size() - start));
+}
+
+/// Append `bytes` to the existing file at `path` and fsync it: once this
+/// returns the records survive power loss (the file's directory entry was
+/// made durable by the snapshot that created it).
+void append_durably(const std::string& path,
+                    const std::vector<std::uint8_t>& bytes) {
+  const auto fail = [&](const std::string& what, int fd) {
+    const int err = errno;
+    if (fd >= 0) (void)::close(fd);
+    throw CheckpointError(what + " ('" + path + "'): " +
+                          (err != 0 ? std::strerror(err) : "unknown error"));
+  };
+  const int fd = ::open(path.c_str(), O_WRONLY | O_APPEND);
+  if (fd < 0) fail("cannot open checkpoint journal for appending", fd);
+  if (!write_fully(fd, bytes.data(), bytes.size())) {
+    fail("short append to checkpoint journal", fd);
+  }
+  if (::fsync(fd) != 0) fail("fsync of checkpoint journal failed", fd);
+  if (::close(fd) != 0) fail("close of checkpoint journal failed", -1);
+}
 
 }  // namespace
 
@@ -48,16 +96,10 @@ void atomic_write_file(const std::string& path, std::string_view contents) {
   };
   const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) fail("cannot open temp file for writing");
-  std::size_t written = 0;
-  while (written < contents.size()) {
-    const ssize_t n =
-        ::write(fd, contents.data() + written, contents.size() - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      (void)::close(fd);
-      fail("short write to temp file");
-    }
-    written += static_cast<std::size_t>(n);
+  if (!write_fully(fd, reinterpret_cast<const std::uint8_t*>(contents.data()),
+                   contents.size())) {
+    (void)::close(fd);
+    fail("short write to temp file");
   }
   if (::fsync(fd) != 0) {
     (void)::close(fd);
@@ -91,18 +133,21 @@ void atomic_write_file(const std::string& path, std::string_view contents) {
 // --- Checkpoint --------------------------------------------------------------
 
 Checkpoint Checkpoint::load(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.good()) {
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
+  const std::streamoff file_size = in.good() ? std::streamoff(in.tellg()) : -1;
+  if (file_size < 0) {
     throw CheckpointError("cannot read checkpoint '" + path + "'");
   }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const std::string raw = buf.str();
-  const auto* data = reinterpret_cast<const std::uint8_t*>(raw.data());
+  std::vector<std::uint8_t> raw(static_cast<std::size_t>(file_size));
+  in.seekg(0);
+  if (!in.read(reinterpret_cast<char*>(raw.data()),
+               static_cast<std::streamsize>(raw.size()))) {
+    throw CheckpointError("cannot read checkpoint '" + path + "'");
+  }
+  const std::uint8_t* data = raw.data();
 
   if (raw.size() < kVersionOffset + 4 ||
-      std::char_traits<char>::compare(raw.data(), kMagic, sizeof(kMagic)) !=
-          0) {
+      std::memcmp(data, kMagic, sizeof(kMagic)) != 0) {
     throw CheckpointError("'" + path + "' is not a tsc checkpoint");
   }
   std::uint32_t version = 0;
@@ -118,69 +163,91 @@ Checkpoint Checkpoint::load(const std::string& path) {
 
   ByteReader reader(data + kVersionOffset + 4, raw.size() - kVersionOffset - 4);
   Checkpoint out;
-  out.experiment_ = reader.string();
-  out.fingerprint_ = reader.string();
-  const std::uint64_t stage_count = reader.varint();
-  for (std::uint64_t s = 0; s < stage_count; ++s) {
-    const std::string name = reader.string();
-    Stage& stage = out.stages_[name];
-    stage.task_count = static_cast<std::size_t>(reader.varint());
-    const std::uint64_t records = reader.varint();
-    for (std::uint64_t r = 0; r < records; ++r) {
-      const auto task = static_cast<std::size_t>(reader.varint());
-      const auto size = static_cast<std::size_t>(reader.varint());
-      const std::uint8_t* payload = reader.bytes(size);
-      const std::uint64_t stored_sum = reader.fixed64();
-      if (fnv1a64(payload, size) != stored_sum) {
-        // A torn or corrupted record: drop it (the shard re-runs) but keep
-        // the rest of the checkpoint usable.
-        std::fprintf(stderr,
-                     "[checkpoint] dropping corrupt record %s/%zu from %s\n",
-                     name.c_str(), task, path.c_str());
-        continue;
-      }
-      stage.records[task].assign(payload, payload + size);
-    }
+  try {
+    out.experiment_ = reader.string();
+    out.fingerprint_ = reader.string();
+  } catch (const CheckpointError&) {
+    // The header is written once, atomically: damage here is not a torn
+    // append, and without it nothing else can be trusted.
+    throw CheckpointError("checkpoint '" + path + "' has a damaged header");
   }
+  while (reader.remaining() > 0) {
+    const std::size_t offset = raw.size() - reader.remaining();
+    std::string stage;
+    std::uint64_t task_count = 0;
+    std::uint64_t task = 0;
+    std::size_t size = 0;
+    const std::uint8_t* payload = nullptr;
+    std::uint64_t stored_sum = 0;
+    try {
+      stage = reader.string();
+      task_count = reader.varint();
+      task = reader.varint();
+      size = static_cast<std::size_t>(reader.varint());
+      payload = reader.bytes(size);
+      stored_sum = reader.fixed64();
+    } catch (const CheckpointError&) {
+      // A torn append (crash mid-flush) or a damaged length: nothing after
+      // this point can be framed, so drop it; those shards re-run.
+      std::fprintf(stderr,
+                   "[checkpoint] dropping torn tail of %s: %zu byte(s) from "
+                   "offset %zu\n",
+                   path.c_str(), raw.size() - offset, offset);
+      break;
+    }
+    const std::size_t end = raw.size() - reader.remaining() - 8;
+    if (fnv1a64(data + offset, end - offset) != stored_sum) {
+      // A corrupted record: drop it (the shard re-runs) but keep the rest
+      // of the journal usable.
+      std::fprintf(stderr,
+                   "[checkpoint] dropping corrupt record at offset %zu of %s\n",
+                   offset, path.c_str());
+      continue;
+    }
+    out.put(stage, static_cast<std::size_t>(task_count),
+            static_cast<std::size_t>(task),
+            std::vector<std::uint8_t>(payload, payload + size));
+  }
+  out.unsaved_.clear();  // loaded, not new: the next save is a snapshot
   return out;
 }
 
-void Checkpoint::save(const std::string& path) const {
-  ByteWriter writer;
-  writer.put_bytes(reinterpret_cast<const std::uint8_t*>(kMagic),
-                   sizeof(kMagic));
-  writer.put_fixed64(0);  // placeholder; rewritten below
-  // put_fixed64 wrote 8 bytes; the format wants a fixed u32 version at
-  // kVersionOffset followed directly by the body, so build the header by
-  // hand instead.
-  std::vector<std::uint8_t> head = std::move(writer).take();
-  head.resize(kVersionOffset);
-  for (int i = 0; i < 4; ++i) {
-    head.push_back(
-        static_cast<std::uint8_t>(kCheckpointVersion >> (8 * i)));
-  }
-
-  ByteWriter body;
-  body.put_string(experiment_);
-  body.put_string(fingerprint_);
-  body.put_varint(stages_.size());
-  for (const auto& [name, stage] : stages_) {
-    body.put_string(name);
-    body.put_varint(stage.task_count);
-    body.put_varint(stage.records.size());
-    for (const auto& [task, payload] : stage.records) {
-      body.put_varint(task);
-      body.put_varint(payload.size());
-      body.put_bytes(payload.data(), payload.size());
-      body.put_fixed64(fnv1a64(payload.data(), payload.size()));
+std::size_t Checkpoint::save(const std::string& path) {
+  ByteWriter w;
+  if (path != journal_path_) {
+    // Snapshot: header plus every record, written atomically.  The only
+    // way a journal starts, so appends never follow a torn tail.
+    w.put_bytes(reinterpret_cast<const std::uint8_t*>(kMagic), sizeof(kMagic));
+    for (int i = 0; i < 4; ++i) {
+      w.put_u8(static_cast<std::uint8_t>(kCheckpointVersion >> (8 * i)));
+    }
+    w.put_string(experiment_);
+    w.put_string(fingerprint_);
+    for (const auto& [name, stage] : stages_) {
+      for (const auto& [task, payload] : stage.records) {
+        put_record(w, name, stage.task_count, task, payload);
+      }
+    }
+    const std::vector<std::uint8_t>& bytes = w.bytes();
+    atomic_write_file(
+        path, std::string_view(reinterpret_cast<const char*>(bytes.data()),
+                               bytes.size()));
+    journal_path_ = path;
+  } else {
+    if (unsaved_.empty()) return 0;
+    for (const auto& [name, task] : unsaved_) {
+      const Stage& stage = stages_.at(name);
+      put_record(w, name, stage.task_count, task, stage.records.at(task));
+    }
+    try {
+      append_durably(path, w.bytes());
+    } catch (const CheckpointError&) {
+      journal_path_.clear();  // the tail may be torn: next save snapshots
+      throw;
     }
   }
-
-  std::string contents(reinterpret_cast<const char*>(head.data()),
-                       head.size());
-  contents.append(reinterpret_cast<const char*>(body.bytes().data()),
-                  body.bytes().size());
-  atomic_write_file(path, contents);
+  unsaved_.clear();
+  return w.bytes().size();
 }
 
 void Checkpoint::check_task_count(const Stage& stage,
@@ -202,6 +269,7 @@ void Checkpoint::put(const std::string& stage_name, std::size_t task_count,
   }
   check_task_count(stage, task_count);
   stage.records[task] = std::move(payload);
+  unsaved_.emplace(stage_name, task);
 }
 
 const std::vector<std::uint8_t>* Checkpoint::find(const std::string& stage_name,
@@ -257,7 +325,7 @@ FtSession::FtSession(FtOptions options, std::string experiment,
 
 void FtSession::flush() {
   if (options_.checkpoint_path.empty()) return;
-  checkpoint_.save(options_.checkpoint_path);
+  checkpoint_bytes_written_ += checkpoint_.save(options_.checkpoint_path);
   unflushed_ = 0;
   ++flush_count_;
   last_flush_ = std::chrono::steady_clock::now();

@@ -5,14 +5,16 @@
 // campaign could be interrupted, resumed and distributed.  This layer makes
 // that real:
 //
-//   * Checkpoint - a versioned binary file of completed shard payloads,
-//     keyed by (stage, task index).  Payloads are the EXACT encoded task
-//     results (doubles as IEEE bit patterns, integers varint-packed), so a
-//     resumed campaign merges byte-identically with an uninterrupted one.
-//     Every record carries an FNV-1a checksum; load drops corrupt records
-//     (they simply re-run) but REJECTS version or fingerprint mismatches
-//     outright.  Writes are atomic (temp file + rename), so a crash
-//     mid-flush leaves the previous checkpoint intact.
+//   * Checkpoint - a versioned, append-only journal of completed shard
+//     payloads, keyed by (stage, task index).  Payloads are the EXACT
+//     encoded task results (doubles as IEEE bit patterns, integers
+//     varint-packed), so a resumed campaign merges byte-identically with an
+//     uninterrupted one.  Every record carries an FNV-1a checksum over the
+//     whole record; load drops corrupt records and a torn tail (their
+//     shards simply re-run) but REJECTS version or fingerprint mismatches
+//     outright.  The first save writes a snapshot atomically (temp file +
+//     rename); later saves append only the new records and fsync, so a
+//     campaign's checkpoint I/O is linear in its length.
 //
 //   * FtSession::run_stage / ft_parallel_map - parallel_map with fault
 //     handling: per-shard retry with a bounded attempt budget, a watchdog
@@ -36,6 +38,7 @@
 #include <functional>
 #include <map>
 #include <optional>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -162,14 +165,20 @@ void atomic_write_file(const std::string& path, std::string_view contents);
 // --- checkpoint file ---------------------------------------------------------
 
 /// Supported checkpoint format version.  Load rejects any other version -
-/// a stale file must be regenerated, never half-interpreted.
-inline constexpr std::uint32_t kCheckpointVersion = 1;
+/// a stale file must be regenerated, never half-interpreted.  Version 2 is
+/// the append-only journal (docs/fault_tolerance.md).
+inline constexpr std::uint32_t kCheckpointVersion = 2;
 
 /// In-memory checkpoint: completed task payloads keyed by (stage, task),
 /// bound to one (experiment, fingerprint) pair.  The fingerprint encodes
 /// every option that shapes the shard plan (samples, seed, shard size - but
 /// NEVER the worker count), so a checkpoint cannot silently resume into a
 /// differently-sharded campaign.
+///
+/// On disk it is a header followed by self-framed records, one per put().
+/// The first save() to a path writes a compacted snapshot atomically; each
+/// later save() to the same path appends just the records put since the
+/// previous save, then fsyncs.
 class Checkpoint {
  public:
   Checkpoint() = default;
@@ -178,13 +187,19 @@ class Checkpoint {
         fingerprint_(std::move(fingerprint)) {}
 
   /// Parse `path`.  Throws CheckpointError on a missing/unreadable file,
-  /// bad magic, version mismatch or structural corruption.  Records whose
-  /// checksum does not match their payload are dropped with a note on
-  /// stderr (their shards re-run on resume).
+  /// bad magic, version mismatch, damaged header, or two records of one
+  /// stage with different task counts.  A record whose checksum fails is
+  /// dropped; a truncated or structurally broken tail is dropped.  Either
+  /// way a note goes to stderr and the lost shards re-run on resume.  The
+  /// last record of each (stage, task) wins.
   [[nodiscard]] static Checkpoint load(const std::string& path);
 
-  /// Serialize and write atomically.
-  void save(const std::string& path) const;
+  /// Make every record durable in `path` and return the bytes written.  If
+  /// this object's previous save went to `path`, appends the records put
+  /// since then and fsyncs; otherwise (first save, or first save after a
+  /// load) writes a compacted snapshot atomically, so a torn tail is never
+  /// appended to.
+  std::size_t save(const std::string& path);
 
   /// Record one completed task payload (replaces any previous record).
   void put(const std::string& stage, std::size_t task_count, std::size_t task,
@@ -211,6 +226,8 @@ class Checkpoint {
   std::string experiment_;
   std::string fingerprint_;
   std::map<std::string, Stage> stages_;
+  std::string journal_path_;  ///< where the last save went ("" = none)
+  std::set<std::pair<std::string, std::size_t>> unsaved_;  ///< put since
 };
 
 // --- fault-tolerant shard runner ---------------------------------------------
@@ -291,6 +308,11 @@ class FtSession {
   /// Checkpoint flushes performed (telemetry; the time-based cadence test
   /// observes mid-stage flushes through this).
   [[nodiscard]] std::size_t flush_count() const { return flush_count_; }
+  /// Checkpoint bytes actually written across all flushes (telemetry; the
+  /// journal keeps this linear in the campaign, about its final file size).
+  [[nodiscard]] std::size_t checkpoint_bytes_written() const {
+    return checkpoint_bytes_written_;
+  }
 
   [[nodiscard]] const FtOptions& options() const { return options_; }
 
@@ -315,6 +337,7 @@ class FtSession {
   std::size_t failed_attempts_ = 0;
   std::size_t unflushed_ = 0;
   std::size_t flush_count_ = 0;
+  std::size_t checkpoint_bytes_written_ = 0;
   std::chrono::steady_clock::time_point last_flush_ =
       std::chrono::steady_clock::now();
 };

@@ -5,9 +5,14 @@
 // resumed alike), so any lossy step would break the byte-identity contract
 // between interrupted and uninterrupted campaigns.  Doubles are therefore
 // stored as IEEE-754 bit patterns and integer accumulators as LEB128
-// varints (profile arrays are mostly zeros and small counts - a dense
-// attack-matrix record is megabytes, varint-packed it is a few percent of
-// that).
+// varints.  The dense per-slot sums of the three attack profiles, and the
+// per-cell Evict+Time counts, are mostly zeros, so they are zero-run
+// encoded: a nonzero cell is its varint, a zero is `0` followed by the
+// varint count of further zeros.
+//
+// Decoders treat their input as untrusted: every length is checked against
+// the bytes left (or, for zero-run arrays, a dry pass and a slot cap)
+// before anything is allocated from it, and damage throws CheckpointError.
 //
 // ProfileCodec is befriended by the attack profiles so their private
 // accumulator state serializes without widening their public API.

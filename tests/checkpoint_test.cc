@@ -264,16 +264,21 @@ TEST(CheckpointTest, RejectsVersionMismatch) {
   ckpt.save(path);
 
   // The format version is a fixed little-endian u32 right after the 6-byte
-  // magic; bump it and the load must refuse outright.
-  std::string raw = read_file(path);
+  // magic.  Both a newer version and the old rewrite-whole-file format
+  // (version 1) must be refused outright, never reinterpreted.
+  const std::string raw = read_file(path);
   ASSERT_GT(raw.size(), 10u);
-  raw[6] = static_cast<char>(raw[6] + 1);
-  std::ofstream(path, std::ios::binary | std::ios::trunc) << raw;
-  try {
-    (void)Checkpoint::load(path);
-    FAIL() << "expected CheckpointError";
-  } catch (const CheckpointError& e) {
-    EXPECT_NE(std::string(e.what()).find("version"), std::string::npos);
+  ASSERT_EQ(raw.substr(6, 4), std::string("\x02\x00\x00\x00", 4));
+  for (const char version : {'\x03', '\x01'}) {
+    std::string patched = raw;
+    patched[6] = version;
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << patched;
+    try {
+      (void)Checkpoint::load(path);
+      FAIL() << "expected CheckpointError for version " << int{version};
+    } catch (const CheckpointError& e) {
+      EXPECT_NE(std::string(e.what()).find("version"), std::string::npos);
+    }
   }
   std::remove(path.c_str());
 }
@@ -294,17 +299,99 @@ TEST(CheckpointTest, DropsChecksumCorruptRecordsKeepsRest) {
 
   // Flip one payload byte on disk: that record's checksum no longer
   // matches, so load drops it (the shard re-runs) but keeps the other.
-  std::string raw = read_file(path);
+  const std::string raw = read_file(path);
   const std::size_t at = raw.find(std::string("\x0a\x14\x1e\x28", 4));
   ASSERT_NE(at, std::string::npos);
-  raw[at + 1] = static_cast<char>(0x7F);
-  std::ofstream(path, std::ios::binary | std::ios::trunc) << raw;
-
-  const Checkpoint loaded = Checkpoint::load(path);
+  std::string flipped = raw;
+  flipped[at + 1] = static_cast<char>(0x7F);
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << flipped;
+  Checkpoint loaded = Checkpoint::load(path);
   EXPECT_EQ(loaded.record_count(), 1u);
   EXPECT_EQ(loaded.find("stage", 2, 0), nullptr);
   EXPECT_NE(loaded.find("stage", 2, 1), nullptr);
+
+  // The checksum covers the whole record, not just the payload: a flipped
+  // task index is caught too, instead of filing the payload under the
+  // wrong shard.  Record 0 is framed "stage", task count 2, task 0, length
+  // 4, so its task byte sits two bytes before the payload.
+  ASSERT_EQ(raw[at - 2], '\x00');
+  std::string retasked = raw;
+  retasked[at - 2] = '\x01';
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << retasked;
+  loaded = Checkpoint::load(path);
+  EXPECT_EQ(loaded.record_count(), 1u);
+  EXPECT_EQ(loaded.find("stage", 2, 0), nullptr);
+  ASSERT_NE(loaded.find("stage", 2, 1), nullptr);
+  EXPECT_EQ(*loaded.find("stage", 2, 1),
+            (std::vector<std::uint8_t>{50, 60, 70, 80}));
   std::remove(path.c_str());
+}
+
+TEST(CheckpointTest, SavesAppendOnlyNewRecords) {
+  const std::string path = temp_path("append.bin");
+  std::remove(path.c_str());
+  Checkpoint ckpt("fig5", "fp");
+  ckpt.put("stage", 3, 0, std::vector<std::uint8_t>(100, 1));
+  const std::size_t first = ckpt.save(path);
+  EXPECT_EQ(read_file(path).size(), first);
+
+  // A later save appends just the new record; a save with nothing new
+  // writes nothing.
+  ckpt.put("stage", 3, 1, std::vector<std::uint8_t>(100, 2));
+  const std::size_t second = ckpt.save(path);
+  EXPECT_LT(second, first);
+  EXPECT_EQ(read_file(path).size(), first + second);
+  EXPECT_EQ(ckpt.save(path), 0u);
+
+  // Saving elsewhere starts a fresh snapshot there.
+  const std::string other = temp_path("append_other.bin");
+  EXPECT_EQ(ckpt.save(other), first + second);
+  EXPECT_EQ(read_file(other), read_file(path));
+  std::remove(path.c_str());
+  std::remove(other.c_str());
+}
+
+TEST(CheckpointTest, TornTailIsDroppedAndCompactedAwayOnNextSave) {
+  const std::string path = temp_path("torn.bin");
+  const auto record = [](std::size_t task) {
+    return std::vector<std::uint8_t>(50, static_cast<std::uint8_t>(task + 1));
+  };
+  Checkpoint ckpt("fig5", "fp");
+  for (std::size_t task = 0; task < 3; ++task) {
+    ckpt.put("stage", 4, task, record(task));
+    (void)ckpt.save(path);
+  }
+  const std::string whole = read_file(path);
+
+  // A crash mid-append: the last record is cut short.  Load keeps the two
+  // whole records and drops the tail, whose shard re-runs.
+  std::ofstream(path, std::ios::binary | std::ios::trunc)
+      << whole.substr(0, whole.size() - 7);
+  Checkpoint resumed = Checkpoint::load(path);
+  EXPECT_EQ(resumed.record_count(), 2u);
+  EXPECT_EQ(resumed.find("stage", 4, 2), nullptr);
+
+  // The first save after a load is a compacted snapshot, never an append
+  // after the torn bytes: every record survives the reload, and the file
+  // is exactly what a fresh save of the same records writes.
+  resumed.put("stage", 4, 2, record(2));
+  resumed.put("stage", 4, 3, record(3));
+  (void)resumed.save(path);
+  const Checkpoint reloaded = Checkpoint::load(path);
+  EXPECT_EQ(reloaded.record_count(), 4u);
+  for (std::size_t task = 0; task < 4; ++task) {
+    ASSERT_NE(reloaded.find("stage", 4, task), nullptr) << task;
+    EXPECT_EQ(*reloaded.find("stage", 4, task), record(task));
+  }
+  const std::string fresh_path = temp_path("torn_fresh.bin");
+  Checkpoint fresh("fig5", "fp");
+  for (std::size_t task = 0; task < 4; ++task) {
+    fresh.put("stage", 4, task, record(task));
+  }
+  (void)fresh.save(fresh_path);
+  EXPECT_EQ(read_file(path), read_file(fresh_path));
+  std::remove(path.c_str());
+  std::remove(fresh_path.c_str());
 }
 
 TEST(CheckpointTest, AtomicWriteReplacesExistingFile) {
@@ -397,6 +484,39 @@ TEST(FtSessionTest, TimeBasedCadenceFlushesMidStage) {
   (void)ft_parallel_map<std::uint64_t>(plain, "s", pool, 6, slow_task,
                                        u64_codec());
   EXPECT_EQ(plain.flush_count(), 1u);
+  std::remove(path.c_str());
+}
+
+TEST(FtSessionTest, FlushingEveryCompletionWritesAboutTheFileOnce) {
+  clear_interrupt();
+  const std::string path = temp_path("linear.bin");
+  std::remove(path.c_str());
+
+  // The journal appends each flush's new records, so a stage flushed after
+  // every one of its k completions writes its file about once.  Rewriting
+  // the whole file per flush would write it about k/2 times.
+  FtOptions options;
+  options.checkpoint_path = path;
+  options.checkpoint_every = 1;
+  FtSession session(options, "toy", "fp");
+  ThreadPool pool(2);
+  const TaskCodec<std::uint64_t> wide{
+      [](const std::uint64_t& v, ByteWriter& w) {
+        for (int i = 0; i < 64; ++i) w.put_varint(v);
+      },
+      [](ByteReader& r) {
+        std::uint64_t v = 0;
+        for (int i = 0; i < 64; ++i) v = r.varint();
+        return v;
+      }};
+  constexpr std::size_t kTasks = 40;
+  (void)ft_parallel_map<std::uint64_t>(session, "s", pool, kTasks, toy_task,
+                                       wide);
+  EXPECT_EQ(session.flush_count(), kTasks);
+  const std::size_t file_size = read_file(path).size();
+  EXPECT_EQ(Checkpoint::load(path).record_count(), kTasks);
+  EXPECT_GE(session.checkpoint_bytes_written(), file_size);
+  EXPECT_LE(session.checkpoint_bytes_written(), 2 * file_size);
   std::remove(path.c_str());
 }
 
@@ -568,10 +688,14 @@ std::string run_ft_json(const std::string& name, std::size_t samples,
 /// The tentpole contract, end to end: run with a checkpoint and an
 /// interrupt after `stop_after` completed shards, then resume (with a
 /// DIFFERENT worker count) and demand byte-identity with `expected`.
+/// With `chop_bytes` > 0 the journal also loses that many bytes off its
+/// end before the resume, as if the process died mid-append: the torn
+/// record is dropped and its shard re-runs.
 void check_interrupt_resume(const std::string& name, std::size_t samples,
                             std::size_t shard_size,
                             std::size_t stop_after,
-                            const std::string& expected) {
+                            const std::string& expected,
+                            std::size_t chop_bytes = 0) {
   const std::string path =
       temp_path(name + "_k" + std::to_string(stop_after) + ".bin");
   std::remove(path.c_str());
@@ -585,6 +709,16 @@ void check_interrupt_resume(const std::string& name, std::size_t samples,
       (void)run_ft_json(name, samples, shard_size, /*workers=*/2, interrupted),
       Interrupted)
       << name << " k=" << stop_after;
+
+  if (chop_bytes > 0) {
+    const std::size_t whole = Checkpoint::load(path).record_count();
+    const std::string raw = read_file(path);
+    ASSERT_GT(raw.size(), chop_bytes);
+    std::ofstream(path, std::ios::binary | std::ios::trunc)
+        << raw.substr(0, raw.size() - chop_bytes);
+    EXPECT_EQ(Checkpoint::load(path).record_count(), whole - 1)
+        << "the chop must tear exactly the last record";
+  }
 
   clear_interrupt();
   FtOptions resume;
@@ -609,9 +743,13 @@ TEST(ResumeBitIdentityTest, Fig5MatchesGoldenFixtureAfterInterrupts) {
 }
 
 TEST(ResumeBitIdentityTest, AttackMatrixMatchesGoldenFixtureAfterInterrupt) {
+  // Interrupted, then its journal torn mid-record (attack_matrix records
+  // are tens of KB or more, so 1000 bytes cut only the last one), then
+  // resumed with a different worker count: still the golden bytes.
   const std::string expected =
       read_fixture("tests/golden/attack_matrix_s1200_ss400.json");
-  check_interrupt_resume("attack_matrix", 1200, 400, 3, expected);
+  check_interrupt_resume("attack_matrix", 1200, 400, 3, expected,
+                         /*chop_bytes=*/1000);
 }
 
 TEST(ResumeBitIdentityTest, FlushMatrixMatchesGoldenFixtureAfterInterrupt) {
