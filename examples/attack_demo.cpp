@@ -11,7 +11,7 @@ int main() {
   using namespace tsc;
 
   std::printf("Bernstein attack demo (40k samples/side - the full-scale\n"
-              "experiment lives in bench_fig5_bernstein)\n\n");
+              "experiment is tsc_run --experiment fig5)\n\n");
 
   core::CampaignConfig cfg;
   cfg.samples = 40'000;

@@ -333,13 +333,9 @@ void FtSession::flush() {
 
 void FtSession::note_completed(const std::string& stage, std::size_t count,
                                std::size_t task,
-                               const std::vector<std::uint8_t>& payload,
-                               bool keep_record) {
-  const bool checkpointing = !options_.checkpoint_path.empty();
-  if (checkpointing || keep_record) {
+                               const std::vector<std::uint8_t>& payload) {
+  if (!options_.checkpoint_path.empty()) {
     checkpoint_.put(stage, count, task, payload);
-  }
-  if (checkpointing) {
     ++unflushed_;
     const bool count_due = unflushed_ >= options_.checkpoint_every;
     const bool time_due =
@@ -354,21 +350,56 @@ void FtSession::note_completed(const std::string& stage, std::size_t count,
   }
 }
 
-std::vector<std::optional<std::vector<std::uint8_t>>> FtSession::run_stage(
-    const std::string& stage, ThreadPool& pool, std::size_t count,
-    const std::function<std::vector<std::uint8_t>(std::size_t)>&
-        run_encoded) {
-  std::vector<std::optional<std::vector<std::uint8_t>>> payloads(count);
+bool FtSession::charge_failure(const std::string& stage, std::size_t task,
+                               int attempt, const std::string& why,
+                               std::exception_ptr& abort_error) {
+  ++failed_attempts_;
+  if (attempt + 1 < options_.max_attempts) return true;
+  if (options_.allow_partial) {
+    std::fprintf(stderr,
+                 "[fault] %s/%zu exhausted %d attempts (%s); recording as "
+                 "incomplete\n",
+                 stage.c_str(), task, options_.max_attempts, why.c_str());
+    incomplete_.push_back({stage, task, why});
+  } else if (!abort_error) {
+    abort_error = std::make_exception_ptr(CampaignAborted(
+        "shard " + stage + "/" + std::to_string(task) + " failed after " +
+        std::to_string(options_.max_attempts) + " attempts: " + why));
+  }
+  return false;
+}
 
-  // Shards already completed by a previous (interrupted) run.
-  std::deque<std::pair<std::size_t, int>> queue;  // (task, attempt)
+void FtSession::end_stage(const std::exception_ptr& abort_error) {
+  if (unflushed_ > 0) flush();
+  if (abort_error) std::rethrow_exception(abort_error);
+  if (interrupt_requested()) {
+    throw Interrupted(
+        !options_.checkpoint_path.empty()
+            ? "campaign interrupted; checkpoint flushed, rerun with --resume"
+            : "campaign interrupted (no --checkpoint: progress discarded)");
+  }
+}
+
+StagePayloads FtSession::resumed(const std::string& stage,
+                                 std::size_t count) const {
+  StagePayloads payloads(count);
   for (std::size_t i = 0; i < count; ++i) {
     if (const std::vector<std::uint8_t>* rec =
             checkpoint_.find(stage, count, i)) {
       payloads[i] = *rec;
-    } else {
-      queue.emplace_back(i, 0);
     }
+  }
+  return payloads;
+}
+
+StagePayloads FtSession::run_in_process(
+    const std::string& stage, ThreadPool& pool, StagePayloads payloads,
+    const std::function<std::vector<std::uint8_t>(std::size_t)>&
+        run_encoded) {
+  const std::size_t count = payloads.size();
+  std::deque<std::pair<std::size_t, int>> queue;  // (task, attempt)
+  for (std::size_t i = 0; i < count; ++i) {
+    if (!payloads[i]) queue.emplace_back(i, 0);
   }
 
   struct InFlight {
@@ -400,27 +431,13 @@ std::vector<std::optional<std::vector<std::uint8_t>>> FtSession::run_stage(
   // shard (--allow-partial) or aborts the stage with the checkpoint flushed.
   const auto attempt_failed = [&](std::size_t task, int attempt,
                                   const std::string& why) {
-    ++failed_attempts_;
-    if (attempt + 1 < options_.max_attempts) {
+    if (charge_failure(stage, task, attempt, why, abort_error)) {
       std::fprintf(stderr, "[fault] %s/%zu attempt %d failed (%s); retrying\n",
                    stage.c_str(), task, attempt, why.c_str());
       queue.emplace_front(task, attempt + 1);
-      return;
+    } else if (abort_error) {
+      draining = true;  // finish in-flight shards, flush, then throw
     }
-    if (options_.allow_partial) {
-      std::fprintf(stderr,
-                   "[fault] %s/%zu exhausted %d attempts (%s); recording as "
-                   "incomplete\n",
-                   stage.c_str(), task, options_.max_attempts, why.c_str());
-      incomplete_.push_back({stage, task, why});
-      return;
-    }
-    if (!abort_error) {
-      abort_error = std::make_exception_ptr(CampaignAborted(
-          "shard " + stage + "/" + std::to_string(task) + " failed after " +
-          std::to_string(options_.max_attempts) + " attempts: " + why));
-    }
-    draining = true;  // finish in-flight shards, flush, then throw
   };
 
   while (!inflight.empty() || (!queue.empty() && !draining)) {
@@ -448,7 +465,7 @@ std::vector<std::optional<std::vector<std::uint8_t>>> FtSession::run_stage(
             attempt_failed(task, attempt, "payload checksum mismatch");
             continue;
           }
-          note_completed(stage, count, task, payload, /*keep_record=*/false);
+          note_completed(stage, count, task, payload);
           payloads[task] = std::move(payload);
         } catch (const std::exception& e) {
           attempt_failed(task, attempt, e.what());
@@ -484,16 +501,7 @@ std::vector<std::optional<std::vector<std::uint8_t>>> FtSession::run_stage(
     }
   }
 
-  if (unflushed_ > 0) flush();
-  if (abort_error) {
-    std::rethrow_exception(abort_error);
-  }
-  if (interrupt_requested()) {
-    throw Interrupted(
-        !options_.checkpoint_path.empty()
-            ? "campaign interrupted; checkpoint flushed, rerun with --resume"
-            : "campaign interrupted (no --checkpoint: progress discarded)");
-  }
+  end_stage(abort_error);
   return payloads;
 }
 

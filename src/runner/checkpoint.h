@@ -16,25 +16,27 @@
 //     rename); later saves append only the new records and fsync, so a
 //     campaign's checkpoint I/O is linear in its length.
 //
-//   * FtSession::run_stage / ft_parallel_map - parallel_map with fault
-//     handling: per-shard retry with a bounded attempt budget, a watchdog
-//     that abandons and re-queues shards that exceed a deadline, periodic
-//     checkpoint flushes, cooperative interrupt draining (flush, then throw
-//     Interrupted), and an opt-in allow-partial mode that records exhausted
-//     shards in an incomplete manifest instead of failing the campaign.
+//   * FtSession::run_stage - the byte-level stage engine behind
+//     runner/campaign.h: per-shard retry with a bounded attempt budget, a
+//     watchdog that abandons and re-queues shards that exceed a deadline,
+//     periodic checkpoint flushes, cooperative interrupt draining (flush,
+//     then throw Interrupted), and an opt-in allow-partial mode that
+//     records exhausted shards in an incomplete manifest instead of failing
+//     the campaign.
 //
 // Determinism: shard tasks stay pure functions of their index, completed
 // payloads are bit-exact round-trips, and merges remain in shard-index
 // order - so for ANY interruption point, retry history or worker count the
 // final JSON is byte-identical to an uninterrupted run.  The disabled path
-// costs nothing: experiments without fault-tolerance options run the plain
-// parallel_map exactly as before.
+// costs nothing: without fault-tolerance options a Campaign runs its
+// stages on the plain parallel_map and never encodes a payload.
 #pragma once
 
 #include <bit>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <map>
 #include <optional>
@@ -248,17 +250,13 @@ struct FtOptions {
                                   ///< session-wide completions (0 = off)
   FaultSpec fault;                ///< injected fault (kind == kNone: none)
   BackoffSpec backoff;            ///< retry backoff (dispatch mode)
-  /// Set by --dispatch / --dispatch-worker: the session is a multi-process
-  /// dispatch participant, so experiments must route through it even when
-  /// no other fault-tolerance flag is present.
-  bool dispatch = false;
 
   /// Whether any fault-tolerance machinery is requested.  False keeps
-  /// experiments on the plain parallel_map path - zero added cost.
+  /// in-process campaigns on the plain parallel_map path - zero added cost.
   [[nodiscard]] bool enabled() const {
     return !checkpoint_path.empty() || resume || allow_partial ||
            watchdog_ms > 0 || stop_after > 0 ||
-           fault.kind != FaultKind::kNone || dispatch;
+           fault.kind != FaultKind::kNone;
   }
 };
 
@@ -268,6 +266,10 @@ struct IncompleteShard {
   std::size_t task = 0;
   std::string reason;
 };
+
+/// A stage's encoded task payloads in task order; nullopt = not (yet)
+/// completed.
+using StagePayloads = std::vector<std::optional<std::vector<std::uint8_t>>>;
 
 /// A fault-tolerant campaign session: owns the checkpoint state, the fault
 /// injector and the incomplete-shard manifest across every stage of one
@@ -291,11 +293,13 @@ class FtSession {
   /// entries in the returned vector are exhausted shards (allow_partial
   /// only).  Throws Interrupted or CampaignAborted after flushing.
   /// Virtual so the multi-process dispatcher (runner/dispatcher.h) can
-  /// substitute its supervisor/worker protocol behind the same call sites.
-  [[nodiscard]] virtual std::vector<std::optional<std::vector<std::uint8_t>>>
-  run_stage(const std::string& stage, ThreadPool& pool, std::size_t count,
-            const std::function<std::vector<std::uint8_t>(std::size_t)>&
-                run_encoded);
+  /// lease the tasks to worker subprocesses instead of pool threads.
+  [[nodiscard]] virtual StagePayloads run_stage(
+      const std::string& stage, ThreadPool& pool, std::size_t count,
+      const std::function<std::vector<std::uint8_t>(std::size_t)>&
+          run_encoded) {
+    return run_in_process(stage, pool, resumed(stage, count), run_encoded);
+  }
 
   /// Shards that exhausted their retries across all stages so far.
   [[nodiscard]] const std::vector<IncompleteShard>& incomplete() const {
@@ -314,20 +318,39 @@ class FtSession {
     return checkpoint_bytes_written_;
   }
 
-  [[nodiscard]] const FtOptions& options() const { return options_; }
-
   /// Flush the checkpoint now (no-op without a checkpoint path).
   void flush();
 
  protected:
-  /// Record a completed payload: store it in the in-memory checkpoint (when
-  /// a checkpoint path is configured, or unconditionally with `keep_record`
-  /// - the dispatch supervisor keeps every payload so a degraded fallback
-  /// or a respawned worker can replay completed work), apply the count- and
-  /// time-based flush cadences, and honor the stop_after test seam.
+  /// The payloads of `stage` already in the checkpoint (a resumed run).
+  [[nodiscard]] StagePayloads resumed(const std::string& stage,
+                                      std::size_t count) const;
+
+  /// Run every task of `stage` whose entry in `payloads` is still empty on
+  /// `pool`, in process; `payloads.size()` is the stage's task count.  The
+  /// dispatch supervisor's degraded fallback continues a half-leased stage
+  /// through this.
+  [[nodiscard]] StagePayloads run_in_process(
+      const std::string& stage, ThreadPool& pool, StagePayloads payloads,
+      const std::function<std::vector<std::uint8_t>(std::size_t)>&
+          run_encoded);
+
+  /// Book a failed attempt of `stage`/`task`.  True when the task has
+  /// attempts left and the caller should retry it; otherwise the task is
+  /// recorded incomplete (allow_partial) or `abort_error` is set.
+  bool charge_failure(const std::string& stage, std::size_t task, int attempt,
+                      const std::string& why, std::exception_ptr& abort_error);
+
+  /// End a stage: flush, then rethrow `abort_error`, or throw Interrupted
+  /// if an interrupt arrived.
+  void end_stage(const std::exception_ptr& abort_error);
+
+  /// Record a completed payload: store it in the checkpoint (when a
+  /// checkpoint path is configured), apply the count- and time-based flush
+  /// cadences, and honor the stop_after test seam.
   void note_completed(const std::string& stage, std::size_t count,
-                      std::size_t task, const std::vector<std::uint8_t>& payload,
-                      bool keep_record);
+                      std::size_t task,
+                      const std::vector<std::uint8_t>& payload);
 
   FtOptions options_;
   FaultInjector injector_;
@@ -341,46 +364,5 @@ class FtSession {
   std::chrono::steady_clock::time_point last_flush_ =
       std::chrono::steady_clock::now();
 };
-
-/// Typed task codec: encode must write the EXACT state of R (its decode
-/// must reproduce R bit-for-bit) - the runner decodes every result from
-/// its encoded payload, so fresh and resumed shards take the identical
-/// path to the merge.
-template <typename R>
-struct TaskCodec {
-  std::function<void(const R&, ByteWriter&)> encode;
-  std::function<R(ByteReader&)> decode;
-};
-
-template <typename R>
-struct FtStageResult {
-  std::vector<std::optional<R>> results;  ///< nullopt = exhausted shard
-  std::vector<std::size_t> incomplete;    ///< indices of exhausted shards
-};
-
-/// Typed wrapper over FtSession::run_stage: parallel_map with fault
-/// tolerance.  fn(i) must be a pure function of i.
-template <typename R, typename Fn>
-FtStageResult<R> ft_parallel_map(FtSession& session, const std::string& stage,
-                                 ThreadPool& pool, std::size_t count, Fn&& fn,
-                                 const TaskCodec<R>& codec) {
-  auto payloads =
-      session.run_stage(stage, pool, count, [&](std::size_t i) {
-        ByteWriter writer;
-        codec.encode(fn(i), writer);
-        return std::move(writer).take();
-      });
-  FtStageResult<R> out;
-  out.results.resize(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    if (payloads[i]) {
-      ByteReader reader(*payloads[i]);
-      out.results[i] = codec.decode(reader);
-    } else {
-      out.incomplete.push_back(i);
-    }
-  }
-  return out;
-}
 
 }  // namespace tsc::runner

@@ -7,18 +7,37 @@
 
 #include <cerrno>
 #include <chrono>
+#include <climits>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <thread>
+#include <utility>
 
 namespace tsc::runner {
 namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// The body of a message that carries no fields (Heartbeat, Shutdown).
 std::vector<std::uint8_t> make_msg(MsgType type) {
   return {static_cast<std::uint8_t>(type)};
+}
+
+std::string describe(const Lease& lease) {
+  return lease.stage + "/" + std::to_string(lease.task) + " attempt " +
+         std::to_string(lease.attempt);
+}
+
+/// Wait up to `budget` for child `pid` to exit; true once it is reaped.
+bool reap(pid_t pid, Clock::duration budget) {
+  const Clock::time_point deadline = Clock::now() + budget;
+  pid_t r = 0;
+  while ((r = ::waitpid(pid, nullptr, WNOHANG)) == 0 &&
+         Clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  return r != 0;
 }
 
 std::string describe_exit(int status) {
@@ -94,29 +113,136 @@ bool FrameParser::next(std::vector<std::uint8_t>& body) {
   return true;
 }
 
+// --- messages ----------------------------------------------------------------
+
+std::vector<std::uint8_t> encode_message(const Message& msg) {
+  ByteWriter w;
+  w.put_u8(static_cast<std::uint8_t>(msg.type));
+  switch (msg.type) {
+    case MsgType::kHello:
+      w.put_varint(msg.worker_id);
+      break;
+    case MsgType::kLease:
+    case MsgType::kResult:
+    case MsgType::kTaskFailed:
+      w.put_string(msg.lease.stage);
+      if (msg.type != MsgType::kLease) w.put_varint(msg.count);
+      w.put_varint(msg.lease.task);
+      w.put_varint(static_cast<std::uint64_t>(msg.lease.attempt));
+      if (msg.type == MsgType::kResult) {
+        w.put_varint(msg.payload.size());
+        w.put_bytes(msg.payload.data(), msg.payload.size());
+        w.put_fixed64(msg.checksum);
+      } else if (msg.type == MsgType::kTaskFailed) {
+        w.put_string(msg.reason);
+      }
+      break;
+    case MsgType::kHeartbeat:
+    case MsgType::kShutdown:
+      break;
+  }
+  return std::move(w).take();
+}
+
+Message decode_message(const std::vector<std::uint8_t>& body,
+                       const StagePlan& plan) {
+  Message msg;
+  try {
+    ByteReader r(body);
+    const std::uint8_t type = r.u8();
+    msg.type = static_cast<MsgType>(type);
+    switch (msg.type) {
+      case MsgType::kHello:
+        msg.worker_id = r.varint();
+        break;
+      case MsgType::kHeartbeat:
+      case MsgType::kShutdown:
+        break;
+      case MsgType::kLease:
+      case MsgType::kResult:
+      case MsgType::kTaskFailed: {
+        const bool answer = msg.type != MsgType::kLease;
+        msg.lease.stage = r.string();
+        if (answer) msg.count = static_cast<std::size_t>(r.varint());
+        msg.lease.task = static_cast<std::size_t>(r.varint());
+        const std::uint64_t attempt = r.varint();
+        if (attempt > INT_MAX) throw DispatchError("attempt out of range");
+        msg.lease.attempt = static_cast<int>(attempt);
+        if (msg.type == MsgType::kResult) {
+          const auto size = static_cast<std::size_t>(r.varint());
+          const std::uint8_t* data = r.bytes(size);
+          msg.payload.assign(data, data + size);
+          msg.checksum = r.fixed64();
+        } else if (answer) {
+          msg.reason = r.string();
+        }
+        const auto planned = plan.find(msg.lease.stage);
+        if (planned == plan.end()) {
+          throw DispatchError("message for unplanned stage '" +
+                              msg.lease.stage + "'");
+        }
+        if (answer && msg.count != planned->second) {
+          throw DispatchError("task count " + std::to_string(msg.count) +
+                              " disagrees with the plan's " +
+                              std::to_string(planned->second));
+        }
+        if (msg.lease.task >= planned->second) {
+          throw DispatchError("task " + describe(msg.lease) +
+                              " is outside the stage");
+        }
+        break;
+      }
+      default:
+        throw DispatchError("unknown message type " + std::to_string(type));
+    }
+    if (r.remaining() != 0) {
+      throw DispatchError("trailing bytes after the message");
+    }
+  } catch (const CheckpointError& e) {
+    throw DispatchError(std::string("malformed message: ") + e.what());
+  }
+  return msg;
+}
+
+Lease settle_lease(const std::optional<Lease>& held, const Message& msg) {
+  if (!held) {
+    throw DispatchError("answer for " + describe(msg.lease) +
+                        " from a worker holding no lease");
+  }
+  if (msg.lease != *held) {
+    throw DispatchError("answer for " + describe(msg.lease) +
+                        " from the holder of " + describe(*held));
+  }
+  return *held;
+}
+
 // --- supervisor --------------------------------------------------------------
 
 struct DispatchSupervisorSession::Worker {
   pid_t pid = -1;
   int rfd = -1;  ///< supervisor reads the worker's output here
-  int wfd = -1;  ///< supervisor writes leases / broadcasts here
+  int wfd = -1;  ///< supervisor writes leases here
   int id = -1;
   FrameParser parser;
   bool alive = true;
   bool hello = false;        ///< handshake received (spawn succeeded)
-  bool ready = false;        ///< announced a stage and awaits lease/StageDone
-  std::string ready_stage;
-  bool has_lease = false;
-  std::size_t lease_task = 0;
-  int lease_attempt = 0;
+  std::optional<Lease> lease;  ///< the shard it holds, if any
   Clock::time_point lease_deadline = Clock::time_point::max();
   Clock::time_point last_seen = Clock::now();
+
+  void close_pipes() {
+    for (int* fd : {&rfd, &wfd}) {
+      if (*fd >= 0) (void)::close(*fd);
+      *fd = -1;
+    }
+  }
 };
 
 struct DispatchSupervisorSession::StageState {
   std::string name;
   std::size_t count = 0;
-  std::vector<std::optional<std::vector<std::uint8_t>>>* payloads = nullptr;
+  StagePlan plan;  ///< {name: count}: what workers may answer for
+  StagePayloads* payloads = nullptr;
   struct Pending {
     std::size_t task = 0;
     int attempt = 0;
@@ -158,19 +284,19 @@ std::size_t DispatchSupervisorSession::alive_count() const {
 bool DispatchSupervisorSession::spawn_worker() {
   int to_worker[2] = {-1, -1};    // supervisor -> worker
   int from_worker[2] = {-1, -1};  // worker -> supervisor
-  if (::pipe2(to_worker, O_CLOEXEC) != 0) {
+  const auto fail = [&](const char* what) {
     ++consecutive_spawn_failures_;
-    std::fprintf(stderr, "[dispatch] pipe for worker failed: %s\n",
+    std::fprintf(stderr, "[dispatch] %s for worker failed: %s\n", what,
                  std::strerror(errno));
+    for (const int fd : {to_worker[0], to_worker[1], from_worker[0],
+                         from_worker[1]}) {
+      if (fd >= 0) (void)::close(fd);
+    }
     return false;
-  }
-  if (::pipe2(from_worker, O_CLOEXEC) != 0) {
-    ++consecutive_spawn_failures_;
-    std::fprintf(stderr, "[dispatch] pipe for worker failed: %s\n",
-                 std::strerror(errno));
-    (void)::close(to_worker[0]);
-    (void)::close(to_worker[1]);
-    return false;
+  };
+  if (::pipe2(to_worker, O_CLOEXEC) != 0 ||
+      ::pipe2(from_worker, O_CLOEXEC) != 0) {
+    return fail("pipe");
   }
 
   const int id = next_worker_id_++;
@@ -194,15 +320,7 @@ bool DispatchSupervisorSession::spawn_worker() {
   argv.push_back(nullptr);
 
   const pid_t pid = ::fork();
-  if (pid < 0) {
-    ++consecutive_spawn_failures_;
-    std::fprintf(stderr, "[dispatch] fork failed: %s\n", std::strerror(errno));
-    (void)::close(to_worker[0]);
-    (void)::close(to_worker[1]);
-    (void)::close(from_worker[0]);
-    (void)::close(from_worker[1]);
-    return false;
-  }
+  if (pid < 0) return fail("fork");
   if (pid == 0) {
     // Child: hand the two pipe ends across exec (everything else is
     // O_CLOEXEC), then become the worker.  exec failure -> _exit(127),
@@ -254,7 +372,6 @@ void DispatchSupervisorSession::enter_degraded(const std::string& why) {
                  "[dispatch] disarming process-fatal --inject-fault kind=%s "
                  "for the in-process fallback\n",
                  to_string(options_.fault.kind));
-    options_.fault = FaultSpec{};
     injector_.disarm();
   }
 }
@@ -264,8 +381,7 @@ void DispatchSupervisorSession::task_attempt_failed(std::size_t task,
                                                     const std::string& why) {
   if (stage_ == nullptr) return;
   StageState& st = *stage_;
-  ++failed_attempts_;
-  if (attempt + 1 < options_.max_attempts) {
+  if (charge_failure(st.name, task, attempt, why, st.abort_error)) {
     const std::uint64_t delay =
         backoff_delay_ms(options_.backoff, task, attempt + 1);
     std::fprintf(stderr,
@@ -276,22 +392,15 @@ void DispatchSupervisorSession::task_attempt_failed(std::size_t task,
     st.pending.push_back(
         {task, attempt + 1,
          Clock::now() + std::chrono::milliseconds(delay)});
-    return;
+  } else if (st.abort_error) {
+    start_draining(st);
+  } else {
+    --st.unresolved;  // given up on, under --allow-partial
   }
-  if (options_.allow_partial) {
-    std::fprintf(stderr,
-                 "[dispatch] %s/%zu exhausted %d attempts (%s); recording as "
-                 "incomplete\n",
-                 st.name.c_str(), task, options_.max_attempts, why.c_str());
-    incomplete_.push_back({st.name, task, why});
-    --st.unresolved;
-    return;
-  }
-  if (!st.abort_error) {
-    st.abort_error = std::make_exception_ptr(CampaignAborted(
-        "shard " + st.name + "/" + std::to_string(task) + " failed after " +
-        std::to_string(options_.max_attempts) + " attempts: " + why));
-  }
+}
+
+void DispatchSupervisorSession::start_draining(StageState& st) const {
+  if (st.draining) return;
   st.draining = true;
   st.drain_deadline =
       Clock::now() + std::chrono::milliseconds(
@@ -302,37 +411,17 @@ void DispatchSupervisorSession::task_attempt_failed(std::size_t task,
 void DispatchSupervisorSession::kill_worker(Worker& w, const std::string& why) {
   if (!w.alive) return;
   if (w.pid > 0) (void)::kill(w.pid, SIGKILL);
-  lose_worker(w, why, /*killed=*/true);
+  lose_worker(w, why);
 }
 
-void DispatchSupervisorSession::lose_worker(Worker& w, const std::string& why,
-                                            bool killed) {
+void DispatchSupervisorSession::lose_worker(Worker& w,
+                                            const std::string& why) {
   if (!w.alive) return;
   w.alive = false;
-  w.ready = false;
-  if (w.rfd >= 0) {
-    (void)::close(w.rfd);
-    w.rfd = -1;
-  }
-  if (w.wfd >= 0) {
-    (void)::close(w.wfd);
-    w.wfd = -1;
-  }
-  if (w.pid > 0) {
-    // Bounded reap: pipe EOF can precede process exit by a moment.
-    int status = 0;
-    for (int i = 0; i < 400; ++i) {
-      const pid_t r = ::waitpid(w.pid, &status, WNOHANG);
-      if (r == w.pid || (r < 0 && errno == ECHILD)) break;
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
-    w.pid = -1;
-  }
-  if (killed) {
-    ++workers_killed_;
-  } else {
-    ++workers_lost_;
-  }
+  w.close_pipes();
+  // Bounded reap: pipe EOF can precede process exit by a moment.
+  if (w.pid > 0) (void)reap(w.pid, std::chrono::seconds(2));
+  w.pid = -1;
   if (!w.hello) {
     ++consecutive_spawn_failures_;
     std::fprintf(stderr,
@@ -342,106 +431,54 @@ void DispatchSupervisorSession::lose_worker(Worker& w, const std::string& why,
   } else {
     std::fprintf(stderr, "[dispatch] worker %d lost: %s\n", w.id, why.c_str());
   }
-  if (w.has_lease) {
-    const std::size_t task = w.lease_task;
-    const int attempt = w.lease_attempt;
-    w.has_lease = false;
-    task_attempt_failed(task, attempt, "worker " + std::to_string(w.id) +
-                                           " " + why);
+  if (w.lease) {
+    const Lease lease = *w.lease;
+    w.lease.reset();
+    task_attempt_failed(lease.task, lease.attempt,
+                        "worker " + std::to_string(w.id) + " " + why);
   }
   if (degraded_) return;
-  if (consecutive_spawn_failures_ >= 3) {
-    enter_degraded("worker spawn failed 3 times in a row");
-    return;
-  }
-  if (respawns_left_ > 0) {
+  if (consecutive_spawn_failures_ < 3 && respawns_left_ > 0) {
     --respawns_left_;
     (void)spawn_worker();
-    if (consecutive_spawn_failures_ >= 3) {
-      enter_degraded("worker spawn failed 3 times in a row");
-      return;
-    }
   }
-  if (alive_count() == 0) {
+  if (consecutive_spawn_failures_ >= 3) {
+    enter_degraded("worker spawn failed 3 times in a row");
+  } else if (alive_count() == 0) {
     enter_degraded("no live workers remain and the respawn budget is spent");
   }
 }
 
 void DispatchSupervisorSession::handle_frame(
     Worker& w, const std::vector<std::uint8_t>& body) {
-  if (body.empty()) throw DispatchError("empty control frame from worker");
-  ByteReader r(body);
-  const auto type = static_cast<MsgType>(r.u8());
+  Message msg = decode_message(body, stage_ ? stage_->plan : StagePlan{});
   w.last_seen = Clock::now();
-  switch (type) {
-    case MsgType::kHello: {
-      (void)r.varint();  // worker id, also carried in the argv we built
+  switch (msg.type) {
+    case MsgType::kHello:
       w.hello = true;
       consecutive_spawn_failures_ = 0;
       return;
-    }
     case MsgType::kHeartbeat:
       return;
-    case MsgType::kStageReady: {
-      const std::string stage = r.string();
-      (void)r.varint();  // count; re-validated against Result frames
-      const auto done = stage_done_frames_.find(stage);
-      if (done != stage_done_frames_.end()) {
-        // A respawned worker re-running the experiment from the top:
-        // replay the completed stage so it catches up without recompute.
-        send_frame(w.wfd, done->second);
-        w.ready = false;
-        return;
-      }
-      w.ready = true;
-      w.ready_stage = stage;
-      return;
-    }
-    case MsgType::kResult: {
-      const std::string stage = r.string();
-      const auto count = static_cast<std::size_t>(r.varint());
-      const auto task = static_cast<std::size_t>(r.varint());
-      const auto attempt = static_cast<int>(r.varint());
-      const auto size = static_cast<std::size_t>(r.varint());
-      const std::uint8_t* data = r.bytes(size);
-      std::vector<std::uint8_t> payload(data, data + size);
-      const std::uint64_t sum = r.fixed64();
-      if (w.has_lease && w.lease_task == task) {
-        w.has_lease = false;
-        w.lease_deadline = Clock::time_point::max();
-      }
-      if (stage_ == nullptr || stage != stage_->name) return;  // stale
-      if (count != stage_->count || task >= stage_->count) {
-        throw DispatchError("result outside the stage's shard plan");
-      }
-      if (fnv1a64(payload.data(), payload.size()) != sum) {
-        task_attempt_failed(task, attempt, "payload checksum mismatch");
-        return;
-      }
-      auto& slot = (*stage_->payloads)[task];
-      if (slot) return;  // duplicate: leases are exclusive, but be safe
-      note_completed(stage_->name, stage_->count, task, payload,
-                     /*keep_record=*/true);
-      slot = std::move(payload);
-      --stage_->unresolved;
-      return;
-    }
+    case MsgType::kResult:
     case MsgType::kTaskFailed: {
-      const std::string stage = r.string();
-      (void)r.varint();  // count
-      const auto task = static_cast<std::size_t>(r.varint());
-      const auto attempt = static_cast<int>(r.varint());
-      const std::string reason = r.string();
-      if (w.has_lease && w.lease_task == task) {
-        w.has_lease = false;
-        w.lease_deadline = Clock::time_point::max();
+      const Lease lease = settle_lease(w.lease, msg);
+      w.lease.reset();
+      w.lease_deadline = Clock::time_point::max();
+      if (msg.type == MsgType::kTaskFailed) {
+        task_attempt_failed(lease.task, lease.attempt, msg.reason);
+      } else if (fnv1a64(msg.payload.data(), msg.payload.size()) !=
+                 msg.checksum) {
+        task_attempt_failed(lease.task, lease.attempt,
+                            "payload checksum mismatch");
+      } else {
+        note_completed(stage_->name, stage_->count, lease.task, msg.payload);
+        (*stage_->payloads)[lease.task] = std::move(msg.payload);
+        --stage_->unresolved;
       }
-      if (stage_ == nullptr || stage != stage_->name) return;
-      task_attempt_failed(task, attempt, reason);
       return;
     }
     case MsgType::kLease:
-    case MsgType::kStageDone:
     case MsgType::kShutdown:
       break;
   }
@@ -452,15 +489,14 @@ void DispatchSupervisorSession::read_worker(Worker& w) {
   std::uint8_t buf[16384];
   const ssize_t n = ::read(w.rfd, buf, sizeof(buf));
   if (n == 0) {
-    lose_worker(w, "closed its control channel", /*killed=*/false);
+    lose_worker(w, "closed its control channel");
     return;
   }
   if (n < 0) {
     if (errno == EINTR || errno == EAGAIN) return;
     lose_worker(w,
                 std::string("control-channel read failed: ") +
-                    std::strerror(errno),
-                /*killed=*/false);
+                    std::strerror(errno));
     return;
   }
   w.parser.feed(buf, static_cast<std::size_t>(n));
@@ -474,41 +510,7 @@ void DispatchSupervisorSession::read_worker(Worker& w) {
   }
 }
 
-void DispatchSupervisorSession::broadcast_stage_done(const std::string& stage) {
-  if (stage_ == nullptr) return;
-  ByteWriter msg;
-  msg.put_u8(static_cast<std::uint8_t>(MsgType::kStageDone));
-  msg.put_string(stage);
-  msg.put_varint(stage_->count);
-  std::size_t records = 0;
-  for (const auto& p : *stage_->payloads) {
-    if (p) ++records;
-  }
-  msg.put_varint(records);
-  for (std::size_t i = 0; i < stage_->count; ++i) {
-    const auto& p = (*stage_->payloads)[i];
-    if (!p) continue;
-    msg.put_varint(i);
-    msg.put_varint(p->size());
-    msg.put_bytes(p->data(), p->size());
-  }
-  const std::vector<std::uint8_t>& frame =
-      stage_done_frames_.emplace(stage, msg.bytes()).first->second;
-  for (auto& wp : workers_) {
-    Worker& w = *wp;
-    if (!w.alive || !w.ready || w.ready_stage != stage) continue;
-    try {
-      send_frame(w.wfd, frame);
-      w.ready = false;
-    } catch (const DispatchError& e) {
-      lose_worker(w, std::string("StageDone write failed: ") + e.what(),
-                  /*killed=*/false);
-    }
-  }
-}
-
-std::vector<std::optional<std::vector<std::uint8_t>>>
-DispatchSupervisorSession::run_stage(
+StagePayloads DispatchSupervisorSession::run_stage(
     const std::string& stage, ThreadPool& pool, std::size_t count,
     const std::function<std::vector<std::uint8_t>(std::size_t)>&
         run_encoded) {
@@ -516,16 +518,14 @@ DispatchSupervisorSession::run_stage(
   ensure_workers();
   if (degraded_) return FtSession::run_stage(stage, pool, count, run_encoded);
 
-  std::vector<std::optional<std::vector<std::uint8_t>>> payloads(count);
+  StagePayloads payloads = resumed(stage, count);
   StageState st;
   st.name = stage;
   st.count = count;
+  st.plan = {{stage, count}};
   st.payloads = &payloads;
   for (std::size_t i = 0; i < count; ++i) {
-    if (const std::vector<std::uint8_t>* rec =
-            checkpoint_.find(stage, count, i)) {
-      payloads[i] = *rec;
-    } else {
+    if (!payloads[i]) {
       st.pending.push_back({i, 0, Clock::time_point::min()});
       ++st.unresolved;
     }
@@ -534,34 +534,29 @@ DispatchSupervisorSession::run_stage(
 
   while (true) {
     if (degraded_) {
+      // Continue in process from the payloads already collected; shards
+      // given up on under --allow-partial get a fresh in-process try.
       stage_ = nullptr;
-      return FtSession::run_stage(stage, pool, count, run_encoded);
+      std::erase_if(incomplete_, [&](const IncompleteShard& shard) {
+        return shard.stage == stage;
+      });
+      return run_in_process(stage, pool, std::move(payloads), run_encoded);
     }
-    if (interrupt_requested() && !st.draining) {
-      st.draining = true;
-      st.drain_deadline =
-          Clock::now() + std::chrono::milliseconds(
-                             options_.watchdog_ms > 0
-                                 ? 2 * options_.watchdog_ms
-                                 : 10'000);
-    }
+    if (interrupt_requested()) start_draining(st);
     bool any_lease = false;
     for (const auto& wp : workers_) {
-      if (wp->alive && wp->has_lease) any_lease = true;
+      if (wp->alive && wp->lease) any_lease = true;
     }
     if (!st.draining && st.unresolved == 0) break;
     if (st.draining && !any_lease) break;
 
     const Clock::time_point now = Clock::now();
 
-    // Lease eligible shards (lowest index first) to idle, ready workers.
+    // Lease eligible shards (lowest index first) to idle workers.
     if (!st.draining) {
       for (std::size_t wi = 0; wi < workers_.size(); ++wi) {
         Worker& w = *workers_[wi];
-        if (!w.alive || !w.hello || !w.ready || w.ready_stage != stage ||
-            w.has_lease) {
-          continue;
-        }
+        if (!w.alive || !w.hello || w.lease) continue;
         std::size_t best = st.pending.size();
         for (std::size_t j = 0; j < st.pending.size(); ++j) {
           if (st.pending[j].eligible <= now &&
@@ -574,22 +569,17 @@ DispatchSupervisorSession::run_stage(
         const StageState::Pending p = st.pending[best];
         st.pending.erase(st.pending.begin() +
                          static_cast<std::ptrdiff_t>(best));
-        ByteWriter msg;
-        msg.put_u8(static_cast<std::uint8_t>(MsgType::kLease));
-        msg.put_string(stage);
-        msg.put_varint(p.task);
-        msg.put_varint(static_cast<std::uint64_t>(p.attempt));
+        Message lease;
+        lease.type = MsgType::kLease;
+        lease.lease = {stage, p.task, p.attempt};
         try {
-          send_frame(w.wfd, msg.bytes());
+          send_frame(w.wfd, encode_message(lease));
         } catch (const DispatchError& e) {
           st.pending.push_back(p);  // not the shard's fault: same attempt
-          lose_worker(w, std::string("lease write failed: ") + e.what(),
-                      /*killed=*/false);
+          lose_worker(w, std::string("lease write failed: ") + e.what());
           continue;
         }
-        w.has_lease = true;
-        w.lease_task = p.task;
-        w.lease_attempt = p.attempt;
+        w.lease = std::move(lease.lease);
         w.lease_deadline =
             options_.watchdog_ms > 0
                 ? now + std::chrono::milliseconds(options_.watchdog_ms)
@@ -597,7 +587,7 @@ DispatchSupervisorSession::run_stage(
       }
     }
 
-    // Poll worker pipes for results, failures, announcements, heartbeats.
+    // Poll worker pipes for handshakes, results, failures, heartbeats.
     std::vector<pollfd> fds;
     std::vector<Worker*> fd_workers;
     for (const auto& wp : workers_) {
@@ -625,7 +615,7 @@ DispatchSupervisorSession::run_stage(
       int status = 0;
       if (::waitpid(w.pid, &status, WNOHANG) == w.pid) {
         w.pid = -1;
-        lose_worker(w, describe_exit(status), /*killed=*/false);
+        lose_worker(w, describe_exit(status));
       }
     }
 
@@ -634,7 +624,7 @@ DispatchSupervisorSession::run_stage(
     for (std::size_t wi = 0; wi < workers_.size(); ++wi) {
       Worker& w = *workers_[wi];
       if (!w.alive) continue;
-      if (w.has_lease && after >= w.lease_deadline) {
+      if (w.lease && after >= w.lease_deadline) {
         kill_worker(w, "watchdog: lease deadline exceeded (" +
                            std::to_string(options_.watchdog_ms) + " ms)");
         continue;
@@ -649,29 +639,17 @@ DispatchSupervisorSession::run_stage(
     if (st.draining && after >= st.drain_deadline) {
       for (std::size_t wi = 0; wi < workers_.size(); ++wi) {
         Worker& w = *workers_[wi];
-        if (w.alive && w.has_lease) {
-          w.has_lease = false;  // drop, don't requeue: we are leaving
+        if (w.alive && w.lease) {
+          w.lease.reset();  // drop, don't requeue: we are leaving
           kill_worker(w, "drain deadline exceeded");
         }
       }
     }
   }
 
-  const std::exception_ptr abort_error = st.abort_error;
-  if (abort_error || interrupt_requested()) {
-    stage_ = nullptr;
-    if (unflushed_ > 0) flush();
-    shutdown_workers();
-    if (abort_error) std::rethrow_exception(abort_error);
-    throw Interrupted(
-        !options_.checkpoint_path.empty()
-            ? "campaign interrupted; checkpoint flushed, rerun with --resume"
-            : "campaign interrupted (no --checkpoint: progress discarded)");
-  }
-
-  broadcast_stage_done(stage);
   stage_ = nullptr;
-  if (unflushed_ > 0) flush();
+  if (st.abort_error || interrupt_requested()) shutdown_workers();
+  end_stage(st.abort_error);
   return payloads;
 }
 
@@ -691,47 +669,27 @@ void DispatchSupervisorSession::shutdown_workers() {
   for (auto& wp : workers_) {
     Worker& w = *wp;
     if (!w.alive) continue;
-    int status = 0;
-    bool reaped = false;
-    while (Clock::now() < deadline) {
-      const pid_t r = ::waitpid(w.pid, &status, WNOHANG);
-      if (r == w.pid || (r < 0 && errno == ECHILD)) {
-        reaped = true;
-        break;
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
-    if (!reaped && w.pid > 0) {
+    if (!reap(w.pid, deadline - Clock::now())) {
       (void)::kill(w.pid, SIGKILL);
-      (void)::waitpid(w.pid, &status, 0);
+      (void)::waitpid(w.pid, nullptr, 0);
     }
-    if (w.rfd >= 0) (void)::close(w.rfd);
-    if (w.wfd >= 0) (void)::close(w.wfd);
-    w.rfd = w.wfd = -1;
+    w.close_pipes();
     w.pid = -1;
     w.alive = false;
-    w.has_lease = false;
+    w.lease.reset();
   }
 }
 
 // --- worker ------------------------------------------------------------------
 
-DispatchWorkerSession::DispatchWorkerSession(FtOptions options,
-                                             std::string experiment,
-                                             std::string fingerprint,
-                                             int read_fd, int write_fd,
-                                             int worker_id,
-                                             std::uint64_t heartbeat_ms)
-    : FtSession(std::move(options), std::move(experiment),
-                std::move(fingerprint)),
-      read_fd_(read_fd),
-      write_fd_(write_fd),
-      worker_id_(worker_id) {
+DispatchWorker::DispatchWorker(int read_fd, int write_fd, int worker_id,
+                               std::uint64_t heartbeat_ms, FaultSpec fault)
+    : read_fd_(read_fd), write_fd_(write_fd), injector_(fault) {
   (void)std::signal(SIGPIPE, SIG_IGN);
-  ByteWriter hello;
-  hello.put_u8(static_cast<std::uint8_t>(MsgType::kHello));
-  hello.put_varint(static_cast<std::uint64_t>(worker_id_));
-  send_locked(hello.bytes());
+  Message hello;
+  hello.type = MsgType::kHello;
+  hello.worker_id = static_cast<std::uint64_t>(worker_id);
+  send_locked(encode_message(hello));
   if (heartbeat_ms > 0) {
     heartbeat_ = std::thread([this, heartbeat_ms] {
       const std::vector<std::uint8_t> beat = make_msg(MsgType::kHeartbeat);
@@ -753,7 +711,7 @@ DispatchWorkerSession::DispatchWorkerSession(FtOptions options,
   }
 }
 
-DispatchWorkerSession::~DispatchWorkerSession() {
+DispatchWorker::~DispatchWorker() {
   {
     const std::lock_guard<std::mutex> lock(hb_mutex_);
     stopping_ = true;
@@ -764,20 +722,23 @@ DispatchWorkerSession::~DispatchWorkerSession() {
   if (write_fd_ >= 0) (void)::close(write_fd_);
 }
 
-void DispatchWorkerSession::send_locked(const std::vector<std::uint8_t>& body) {
+void DispatchWorker::declare(
+    const std::string& name, std::size_t count,
+    std::function<std::vector<std::uint8_t>(std::size_t)> run_encoded) {
+  plan_[name] = count;
+  stages_[name] = std::move(run_encoded);
+}
+
+void DispatchWorker::send_locked(const std::vector<std::uint8_t>& body) {
   const std::lock_guard<std::mutex> lock(write_mutex_);
   send_frame(write_fd_, body);
 }
 
-std::vector<std::uint8_t> DispatchWorkerSession::read_frame() {
-  std::vector<std::uint8_t> body;
-  while (true) {
-    if (parser_.next(body)) return body;
+bool DispatchWorker::read_frame(std::vector<std::uint8_t>& body) {
+  while (!parser_.next(body)) {
     std::uint8_t buf[16384];
     const ssize_t n = ::read(read_fd_, buf, sizeof(buf));
-    if (n == 0) {
-      throw WorkerShutdown("supervisor closed the control channel");
-    }
+    if (n == 0) return false;
     if (n < 0) {
       if (errno == EINTR) continue;
       throw DispatchError(std::string("control-channel read failed: ") +
@@ -785,100 +746,35 @@ std::vector<std::uint8_t> DispatchWorkerSession::read_frame() {
     }
     parser_.feed(buf, static_cast<std::size_t>(n));
   }
+  return true;
 }
 
-std::vector<std::optional<std::vector<std::uint8_t>>>
-DispatchWorkerSession::run_stage(
-    const std::string& stage, ThreadPool& /*pool*/, std::size_t count,
-    const std::function<std::vector<std::uint8_t>(std::size_t)>&
-        run_encoded) {
-  {
-    ByteWriter msg;
-    msg.put_u8(static_cast<std::uint8_t>(MsgType::kStageReady));
-    msg.put_string(stage);
-    msg.put_varint(count);
-    send_locked(msg.bytes());
-  }
-  while (true) {
-    const std::vector<std::uint8_t> body = read_frame();
-    if (body.empty()) throw DispatchError("empty control frame");
-    ByteReader r(body);
-    const auto type = static_cast<MsgType>(r.u8());
-    switch (type) {
-      case MsgType::kLease: {
-        const std::string lease_stage = r.string();
-        const auto task = static_cast<std::size_t>(r.varint());
-        const auto attempt = static_cast<int>(r.varint());
-        if (lease_stage != stage || task >= count) {
-          throw DispatchError("lease outside the announced stage");
-        }
-        try {
-          injector_.on_task_start(task, attempt);
-          std::vector<std::uint8_t> payload = run_encoded(task);
-          // Checksum the pristine payload FIRST: an injected corruption
-          // then guarantees a supervisor-side verification failure.
-          const std::uint64_t sum =
-              fnv1a64(payload.data(), payload.size());
-          (void)injector_.maybe_corrupt(task, attempt, payload);
-          ByteWriter msg;
-          msg.put_u8(static_cast<std::uint8_t>(MsgType::kResult));
-          msg.put_string(stage);
-          msg.put_varint(count);
-          msg.put_varint(task);
-          msg.put_varint(static_cast<std::uint64_t>(attempt));
-          msg.put_varint(payload.size());
-          msg.put_bytes(payload.data(), payload.size());
-          msg.put_fixed64(sum);
-          send_locked(msg.bytes());
-          ++completed_;
-        } catch (const WorkerShutdown&) {
-          throw;
-        } catch (const DispatchError&) {
-          throw;
-        } catch (const std::exception& e) {
-          ++failed_attempts_;
-          ByteWriter msg;
-          msg.put_u8(static_cast<std::uint8_t>(MsgType::kTaskFailed));
-          msg.put_string(stage);
-          msg.put_varint(count);
-          msg.put_varint(task);
-          msg.put_varint(static_cast<std::uint64_t>(attempt));
-          msg.put_string(e.what());
-          send_locked(msg.bytes());
-        }
-        break;
-      }
-      case MsgType::kStageDone: {
-        const std::string done_stage = r.string();
-        if (done_stage != stage) {
-          throw DispatchError("StageDone for a stage we did not announce");
-        }
-        const auto done_count = static_cast<std::size_t>(r.varint());
-        if (done_count != count) {
-          throw DispatchError("StageDone count does not match the plan");
-        }
-        std::vector<std::optional<std::vector<std::uint8_t>>> out(count);
-        const std::uint64_t records = r.varint();
-        for (std::uint64_t k = 0; k < records; ++k) {
-          const auto task = static_cast<std::size_t>(r.varint());
-          const auto size = static_cast<std::size_t>(r.varint());
-          const std::uint8_t* data = r.bytes(size);
-          if (task >= count) {
-            throw DispatchError("StageDone record outside the shard plan");
-          }
-          out[task].emplace(data, data + size);
-        }
-        return out;
-      }
-      case MsgType::kShutdown:
-        throw WorkerShutdown("supervisor ordered shutdown");
-      case MsgType::kHello:
-      case MsgType::kStageReady:
-      case MsgType::kResult:
-      case MsgType::kTaskFailed:
-      case MsgType::kHeartbeat:
-        throw DispatchError("unexpected message type from supervisor");
+void DispatchWorker::serve() {
+  std::vector<std::uint8_t> body;
+  while (read_frame(body)) {
+    const Message msg = decode_message(body, plan_);
+    if (msg.type == MsgType::kShutdown) return;
+    if (msg.type != MsgType::kLease) {
+      throw DispatchError("unexpected message type from supervisor");
     }
+    const Lease& lease = msg.lease;
+    Message reply;
+    reply.lease = lease;
+    reply.count = plan_.at(lease.stage);
+    try {
+      injector_.on_task_start(lease.task, lease.attempt);
+      std::vector<std::uint8_t> payload = stages_.at(lease.stage)(lease.task);
+      // Checksum the pristine payload FIRST: an injected corruption then
+      // guarantees a supervisor-side verification failure.
+      reply.checksum = fnv1a64(payload.data(), payload.size());
+      (void)injector_.maybe_corrupt(lease.task, lease.attempt, payload);
+      reply.type = MsgType::kResult;
+      reply.payload = std::move(payload);
+    } catch (const std::exception& e) {
+      reply.type = MsgType::kTaskFailed;
+      reply.reason = e.what();
+    }
+    send_locked(encode_message(reply));
   }
 }
 

@@ -1,17 +1,17 @@
 // Multi-process shard dispatcher: the supervisor/worker execution mode
 // behind `tsc_run --dispatch N`.
 //
-// PR 7's in-process fault tolerance has one structural hole, documented in
-// docs/fault_tolerance.md: a genuinely wedged shard THREAD cannot be killed
-// portably, so a pathological cell surrenders pool workers until the pool
-// starves.  Process isolation closes it the way real measurement fleets do:
+// Process isolation closes the in-process path's structural hole (a
+// wedged shard THREAD cannot be killed portably; docs/fault_tolerance.md):
 //
 //   * The supervisor (`tsc_run --dispatch N`) forks N worker subprocesses
 //     of the same binary and leases shards to them over pipes, one lease
-//     per worker at a time.  Workers run the experiment code themselves -
-//     that is how they possess the shard closures - and stream each
-//     completed shard's exact encoded payload (the ProfileCodec checkpoint
-//     bytes, FNV-1a checksummed) back over their pipe.
+//     per worker at a time.
+//   * A worker runs the experiment only to build its PLAN - the stages it
+//     declares on its Campaign (runner/campaign.h) - then serves leases
+//     for any planned stage, streaming back each shard's exact encoded
+//     payload (the checkpoint bytes, FNV-1a checksummed), until Shutdown.
+//     It never merges, scores or builds JSON; the supervisor reduces once.
 //   * A worker past its `--watchdog-ms` lease deadline is SIGKILLed - the
 //     kill-based watchdog the in-process path cannot have - and its shard
 //     re-queued.  A crashed worker (SIGSEGV / SIGABRT / OOM kill) becomes a
@@ -19,32 +19,38 @@
 //     deterministic exponential backoff (runner/fault.h, a pure function of
 //     shard and attempt).  Heartbeats over the control channel track
 //     liveness; a worker silent past the heartbeat budget is reclaimed too.
+//     A respawned worker rebuilds the plan and is leasable at once.
 //   * When worker processes repeatedly fail to spawn, the supervisor
-//     degrades gracefully: it falls back to the in-process FtSession path
-//     with a warning instead of dying.
+//     degrades gracefully: it continues the stage in process, from the
+//     payloads it already holds, with a warning instead of dying.
 //
 // Byte-identity invariant: the merged output equals a single-process run
 // BIT FOR BIT, for any worker count, crash pattern or retry history.  The
 // shard planner's splittable seeds make every shard a pure function of its
 // index; payloads round-trip exactly; the supervisor merges in shard-index
-// order.  At the end of each stage the supervisor broadcasts the complete
-// payload vector to every worker, so workers continue into the next stage
-// exactly like a resumed single-process run would.
+// order.
 //
 // Wire protocol (little-endian, layered on ByteWriter/ByteReader):
 //
 //   frame    := u32 length, body[length]
-//   body     := u8 MsgType, fields...
+//   body     := u8 MsgType, fields...   (no trailing bytes)
 //   worker -> supervisor:
-//     Hello      worker_id
-//     StageReady stage, count          (worker reached run_stage(stage))
+//     Hello      worker_id             (once, at startup)
 //     Result     stage, count, task, attempt, payload, fnv1a64(payload)
 //     TaskFailed stage, count, task, attempt, reason
 //     Heartbeat  (empty; from a dedicated thread every heartbeat_ms)
 //   supervisor -> worker:
 //     Lease      stage, task, attempt
-//     StageDone  stage, count, records[(task, payload)...]
-//     Shutdown   (empty; worker exits 0)
+//     Shutdown   (empty; the worker exits 0)
+//
+// Strings and the payload are varint-length-prefixed; integers are
+// varints; the checksum is a fixed 64-bit word.  Every decoded message is
+// checked against the receiver's plan (decode_message): a planned stage,
+// the plan's task count, a task inside it.  A Result or TaskFailed must
+// also echo exactly the lease the supervisor recorded for its sender
+// (settle_lease) - the supervisor charges the outcome to its own record,
+// never to the wire.  Any violation is a protocol error that kills the
+// worker; its lease is retried like a crash.
 #pragma once
 
 #include <condition_variable>
@@ -71,22 +77,12 @@ class DispatchError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Thrown inside a worker when the supervisor orders Shutdown or its pipe
-/// reaches EOF (supervisor death).  The worker entry point in tsc_run
-/// catches it and exits 0 - it is an orderly end, not a failure.
-class WorkerShutdown : public std::runtime_error {
- public:
-  using std::runtime_error::runtime_error;
-};
-
 enum class MsgType : std::uint8_t {
   kHello = 1,
-  kStageReady = 2,
   kResult = 3,
   kTaskFailed = 4,
   kHeartbeat = 5,
   kLease = 6,
-  kStageDone = 7,
   kShutdown = 8,
 };
 
@@ -111,9 +107,52 @@ class FrameParser {
   std::size_t consumed_ = 0;
 };
 
-/// Supervisor-side dispatch configuration, assembled by tsc_run.
+/// One shard lease: task `task` of stage `stage`, attempt `attempt`.
+struct Lease {
+  std::string stage;
+  std::size_t task = 0;
+  int attempt = 0;
+  bool operator==(const Lease&) const = default;
+};
+
+/// One control-channel message.  Fields its type does not carry stay
+/// default (see the grammar above).
+struct Message {
+  MsgType type = MsgType::kHeartbeat;
+  std::uint64_t worker_id = 0;        ///< Hello
+  Lease lease;                        ///< Lease, Result, TaskFailed
+  std::size_t count = 0;              ///< Result, TaskFailed: stage size
+  std::vector<std::uint8_t> payload;  ///< Result
+  std::uint64_t checksum = 0;         ///< Result: the sender's fnv1a64
+  std::string reason;                 ///< TaskFailed
+};
+
+/// The stages a process knows, by name, with their task counts.
+using StagePlan = std::map<std::string, std::size_t>;
+
+/// Encode `msg` as a frame body.
+[[nodiscard]] std::vector<std::uint8_t> encode_message(const Message& msg);
+
+/// Decode one frame body.  Throws DispatchError on an unknown type, a
+/// truncated body or trailing bytes, and on a Lease, Result or TaskFailed
+/// that names a stage outside `plan`, a task outside the stage, or (Result,
+/// TaskFailed) a task count that disagrees with the plan's.
+[[nodiscard]] Message decode_message(const std::vector<std::uint8_t>& body,
+                                     const StagePlan& plan);
+
+/// Match a worker's Result or TaskFailed against the lease the supervisor
+/// recorded for that worker (`held`, nullopt when it holds none) and
+/// return that lease.  Throws DispatchError when there is no lease or the
+/// message names another stage, task or attempt: a stray or forged frame
+/// must never requeue, charge or resolve a shard.
+[[nodiscard]] Lease settle_lease(const std::optional<Lease>& held,
+                                 const Message& msg);
+
+/// How a process takes part in dispatch, assembled by tsc_run: not at all
+/// (the default), as the supervisor of `processes` workers, or as the
+/// worker on pipe fds `read_fd`/`write_fd`.
 struct DispatchOptions {
-  int processes = 2;              ///< worker subprocess count (--dispatch N)
+  int processes = 0;              ///< worker subprocess count (--dispatch N)
   std::uint64_t heartbeat_ms = 250;  ///< worker heartbeat cadence; 0 = off
   std::string exe;                ///< worker executable (self, or the
                                   ///< TSC_DISPATCH_EXE test override)
@@ -122,6 +161,10 @@ struct DispatchOptions {
   /// 2*processes+6.  Once spent, lost workers stay lost; at zero live
   /// workers the supervisor degrades to the in-process path.
   int max_respawns = -1;
+  int read_fd = -1;   ///< worker: --dispatch-worker R,W
+  int write_fd = -1;
+  int worker_id = 0;  ///< worker: --worker-id, for Hello and logs
+  [[nodiscard]] bool worker() const { return read_fd >= 0; }
 };
 
 /// The supervisor: an FtSession whose run_stage leases shards to worker
@@ -135,17 +178,13 @@ class DispatchSupervisorSession : public FtSession {
                             std::string fingerprint, DispatchOptions dispatch);
   ~DispatchSupervisorSession() override;
 
-  [[nodiscard]] std::vector<std::optional<std::vector<std::uint8_t>>>
-  run_stage(const std::string& stage, ThreadPool& pool, std::size_t count,
-            const std::function<std::vector<std::uint8_t>(std::size_t)>&
-                run_encoded) override;
+  [[nodiscard]] StagePayloads run_stage(
+      const std::string& stage, ThreadPool& pool, std::size_t count,
+      const std::function<std::vector<std::uint8_t>(std::size_t)>&
+          run_encoded) override;
 
   /// True once repeated spawn failures forced the in-process fallback.
   [[nodiscard]] bool degraded() const { return degraded_; }
-  /// Workers SIGKILLed by the watchdog / heartbeat monitor (telemetry).
-  [[nodiscard]] std::size_t workers_killed() const { return workers_killed_; }
-  /// Workers that died on their own - crash, OOM kill, spawn failure.
-  [[nodiscard]] std::size_t workers_lost() const { return workers_lost_; }
 
  private:
   struct Worker;
@@ -154,16 +193,15 @@ class DispatchSupervisorSession : public FtSession {
   [[nodiscard]] bool spawn_worker();
   /// SIGKILL `w`, then take the lose_worker path.
   void kill_worker(Worker& w, const std::string& why);
-  /// A worker is gone (EOF, reaped, killed, write failure): reap it, count
-  /// it, requeue its lease as a failed attempt, respawn while the budget
-  /// lasts, and degrade when workers cannot be kept alive.
-  void lose_worker(Worker& w, const std::string& why, bool killed);
+  /// A worker is gone (EOF, reaped, killed, write failure): reap it,
+  /// requeue its lease as a failed attempt, respawn while the budget lasts,
+  /// and degrade when workers cannot be kept alive.
+  void lose_worker(Worker& w, const std::string& why);
   /// Drain one read's worth of frames from `w`; protocol errors kill it.
   void read_worker(Worker& w);
   void shutdown_workers();
   void enter_degraded(const std::string& why);
   void handle_frame(Worker& w, const std::vector<std::uint8_t>& body);
-  void broadcast_stage_done(const std::string& stage);
   /// Retry bookkeeping for one failed shard attempt: requeue after the
   /// deterministic backoff, record incomplete (--allow-partial), or set the
   /// stage's abort error and start draining.
@@ -171,51 +209,55 @@ class DispatchSupervisorSession : public FtSession {
                            const std::string& why);
   [[nodiscard]] std::size_t alive_count() const;
 
+  // Per-stage state, owned by the active run_stage call and routed to
+  // handle_frame through these members (the event loop is single-threaded).
+  struct StageState;
+  /// Stop leasing; leases still out get until the drain deadline.
+  void start_draining(StageState& st) const;
+  StageState* stage_ = nullptr;
+
   DispatchOptions dispatch_;
   std::vector<std::unique_ptr<Worker>> workers_;
-  /// Completed stages' StageDone frame bodies, replayed to respawned
-  /// workers as they re-run the experiment from the top.
-  std::map<std::string, std::vector<std::uint8_t>> stage_done_frames_;
   int respawns_left_ = 0;
   int consecutive_spawn_failures_ = 0;
   int next_worker_id_ = 0;
   bool degraded_ = false;
   bool spawned_once_ = false;
-  std::size_t workers_killed_ = 0;
-  std::size_t workers_lost_ = 0;
-
-  // Per-stage state, owned by the active run_stage call and routed to
-  // handle_frame through these members (the event loop is single-threaded).
-  struct StageState;
-  StageState* stage_ = nullptr;
 };
 
-/// The worker: an FtSession whose run_stage is a lease client.  It
-/// announces each stage, computes leased shards via `run_encoded`, streams
-/// payloads back, and returns the supervisor's broadcast payload vector so
-/// the experiment code proceeds exactly as in a resumed single-process
-/// run.  Runs a heartbeat thread for the life of the session.
-class DispatchWorkerSession : public FtSession {
+/// The worker side: a lease server over the stages its Campaign declared.
+/// Sends Hello on construction and runs a heartbeat thread for its life.
+class DispatchWorker {
  public:
-  /// `read_fd`/`write_fd` are the pipe ends passed via --dispatch-worker.
-  DispatchWorkerSession(FtOptions options, std::string experiment,
-                        std::string fingerprint, int read_fd, int write_fd,
-                        int worker_id, std::uint64_t heartbeat_ms);
-  ~DispatchWorkerSession() override;
+  /// `read_fd`/`write_fd` are the pipe ends passed via --dispatch-worker;
+  /// `fault` is the supervisor's forwarded --inject-fault.
+  DispatchWorker(int read_fd, int write_fd, int worker_id,
+                 std::uint64_t heartbeat_ms, FaultSpec fault);
+  ~DispatchWorker();
 
-  [[nodiscard]] std::vector<std::optional<std::vector<std::uint8_t>>>
-  run_stage(const std::string& stage, ThreadPool& pool, std::size_t count,
-            const std::function<std::vector<std::uint8_t>(std::size_t)>&
-                run_encoded) override;
+  /// Add stage `name` to the plan: `count` tasks, task i's payload being
+  /// run_encoded(i).
+  void declare(const std::string& name, std::size_t count,
+               std::function<std::vector<std::uint8_t>(std::size_t)>
+                   run_encoded);
+
+  /// Serve leases for the planned stages until Shutdown or the supervisor
+  /// closes the channel.  A task that throws is reported as TaskFailed.
+  /// Throws DispatchError on a malformed or unplanned frame.
+  void serve();
 
  private:
   void send_locked(const std::vector<std::uint8_t>& body);
-  /// Block until one complete frame arrives; throws WorkerShutdown on EOF.
-  [[nodiscard]] std::vector<std::uint8_t> read_frame();
+  /// Block until one complete frame arrives; false on EOF.
+  [[nodiscard]] bool read_frame(std::vector<std::uint8_t>& body);
 
   int read_fd_;
   int write_fd_;
-  int worker_id_;
+  FaultInjector injector_;
+  StagePlan plan_;
+  std::map<std::string,
+           std::function<std::vector<std::uint8_t>(std::size_t)>>
+      stages_;
   FrameParser parser_;
   std::mutex write_mutex_;  ///< serializes heartbeats against results
   std::thread heartbeat_;

@@ -14,8 +14,8 @@
 #include <optional>
 #include <string>
 
+#include "runner/campaign.h"
 #include "runner/dispatcher.h"
-#include "runner/fault.h"
 
 namespace tsc::runner {
 
@@ -124,8 +124,6 @@ std::string resolve_dispatch_exe(const char* argv0) {
   return argv0 != nullptr ? argv0 : "";
 }
 
-}  // namespace
-
 std::string ft_fingerprint(const RunOptions& options) {
   // Every knob that shapes the shard plan or the computed numbers - and
   // NEVER the worker count, which is a pure throughput choice.  The
@@ -145,17 +143,90 @@ std::string ft_fingerprint(const RunOptions& options) {
   return fp;
 }
 
-int experiment_main(const std::string& name, int argc, char** argv) {
+}  // namespace
+
+ExperimentRun run_experiment(const Experiment& experiment,
+                             const RunOptions& options,
+                             const DispatchOptions& dispatch, bool compact) {
+  const auto failed = [](const std::string& what) {
+    std::fprintf(stderr, "[tsc_run] %s\n", what.c_str());
+    return ExperimentRun{kExitFailure, {}};
+  };
+  // A stale flag from a previous in-process run must not abort this one;
+  // handlers are installed only when interruption has somewhere to resume
+  // from (otherwise SIGINT keeps its default kill semantics).
+  clear_interrupt();
+  try {
+    std::unique_ptr<FtSession> session;
+    std::unique_ptr<DispatchWorker> worker;
+    if (dispatch.worker()) {
+      // A lease server: the supervisor owns durability, interruption and
+      // the stop_after seam.  SIGINT is ignored: a terminal ^C reaches the
+      // whole process group, and the supervisor coordinates shutdown.
+      (void)std::signal(SIGINT, SIG_IGN);
+      worker = std::make_unique<DispatchWorker>(
+          dispatch.read_fd, dispatch.write_fd, dispatch.worker_id,
+          dispatch.heartbeat_ms, options.ft.fault);
+    } else if (dispatch.processes > 0 || options.ft.enabled()) {
+      if (!options.ft.checkpoint_path.empty()) install_interrupt_handlers();
+      const std::string fp = ft_fingerprint(options);
+      session = dispatch.processes > 0
+                    ? std::make_unique<DispatchSupervisorSession>(
+                          options.ft, experiment.name, fp, dispatch)
+                    : std::make_unique<FtSession>(options.ft,
+                                                  experiment.name, fp);
+    }
+    Campaign campaign(options.workers, session.get(), worker.get());
+    Json results = experiment.run(options, campaign);
+    // The supervisor merges and emits the JSON; a worker's stdout must stay
+    // silent so it can never interleave with the real artifact.
+    if (worker) return {};
+
+    // The envelope stays a pure function of the experiment inputs: worker
+    // count and wall-clock go to stderr only.  A complete fault-tolerant
+    // run adds nothing to it - byte-identity with the plain path is the
+    // whole point - while a partial run appends an explicit manifest of
+    // the shards that never completed.
+    Json doc = Json::object();
+    doc.set("experiment", experiment.name)
+        .set("description", experiment.description)
+        .set("seed", options.master_seed)
+        .set("results", std::move(results));
+    const bool partial = session && !session->incomplete().empty();
+    if (partial) {
+      Json manifest = Json::array();
+      for (const IncompleteShard& shard : session->incomplete()) {
+        manifest.push(Json::object()
+                          .set("stage", shard.stage)
+                          .set("task", static_cast<std::uint64_t>(shard.task))
+                          .set("reason", shard.reason));
+      }
+      doc.set("incomplete_shards", std::move(manifest));
+    }
+    ExperimentRun run{partial ? kExitPartial : kExitOk,
+                      doc.dump(compact ? -1 : 2)};
+    if (compact) run.json += '\n';
+    return run;
+  } catch (const Interrupted& e) {
+    std::fprintf(stderr, "[tsc_run] %s\n", e.what());
+    return {kExitInterrupted, {}};
+  } catch (const CampaignAborted& e) {
+    return failed(e.what());
+  } catch (const CheckpointError& e) {
+    return failed(std::string("checkpoint error: ") + e.what());
+  } catch (const DispatchError& e) {
+    return failed(std::string("dispatch error: ") + e.what());
+  } catch (const std::exception& e) {
+    return failed("experiment '" + experiment.name + "' failed: " + e.what());
+  }
+}
+
+int experiment_main(int argc, char** argv) {
   RunOptions options;
-  std::string experiment_name = name;
+  DispatchOptions dispatch;
+  std::string experiment_name;
   std::string output_path;
   bool compact = false;
-  int dispatch_processes = 0;  // 0 = no supervisor mode
-  std::uint64_t heartbeat_ms = 250;
-  int worker_id = 0;
-  int worker_rfd = -1;
-  int worker_wfd = -1;
-  bool dispatch_worker = false;
 
   // CLI contract: EVERY malformed or unknown flag exits 2 with the usage
   // text on stderr (pinned by the CLI-contract tests).
@@ -213,9 +284,8 @@ int experiment_main(const std::string& name, int argc, char** argv) {
             !parse_u64(pair.substr(comma + 1).c_str(), w)) {
           return usage_error("--dispatch-worker needs R,W pipe fds");
         }
-        worker_rfd = static_cast<int>(r);
-        worker_wfd = static_cast<int>(w);
-        dispatch_worker = true;
+        dispatch.read_fd = static_cast<int>(r);
+        dispatch.write_fd = static_cast<int>(w);
       } else {
         std::string error;
         const std::optional<FaultSpec> spec = parse_fault_spec(val, &error);
@@ -262,15 +332,15 @@ int experiment_main(const std::string& name, int argc, char** argv) {
         if (v > 256) {
           return usage_error("--dispatch supports at most 256 workers");
         }
-        dispatch_processes = static_cast<int>(v);
+        dispatch.processes = static_cast<int>(v);
       } else if (arg == "--heartbeat-ms") {
-        heartbeat_ms = v;
+        dispatch.heartbeat_ms = v;
       } else if (arg == "--backoff-ms") {
         options.ft.backoff.base_ms = v;
       } else if (arg == "--backoff-cap-ms") {
         options.ft.backoff.cap_ms = v;
       } else if (arg == "--worker-id") {
-        worker_id = static_cast<int>(v);
+        dispatch.worker_id = static_cast<int>(v);
       } else {
         options.ft.watchdog_ms = v;
       }
@@ -282,7 +352,7 @@ int experiment_main(const std::string& name, int argc, char** argv) {
   if (options.ft.resume && options.ft.checkpoint_path.empty()) {
     return usage_error("--resume needs --checkpoint FILE");
   }
-  if (dispatch_processes > 0 && dispatch_worker) {
+  if (dispatch.processes > 0 && dispatch.worker()) {
     return usage_error("--dispatch and --dispatch-worker are exclusive");
   }
 
@@ -304,7 +374,7 @@ int experiment_main(const std::string& name, int argc, char** argv) {
   // Process-fatal fault kinds really abort or spin: only a --dispatch
   // worker subprocess can contain that, so the in-process paths refuse.
   if (fault_kind_is_process_fatal(options.ft.fault.kind) &&
-      dispatch_processes == 0 && !dispatch_worker) {
+      dispatch.processes == 0 && !dispatch.worker()) {
     return usage_error(std::string("--inject-fault kind=") +
                        to_string(options.ft.fault.kind) +
                        " is process-fatal and needs --dispatch N");
@@ -324,138 +394,42 @@ int experiment_main(const std::string& name, int argc, char** argv) {
     return kExitUsage;
   }
 
-  // A stale flag from a previous in-process run must not abort this one;
-  // handlers are installed only when interruption has somewhere to resume
-  // from (otherwise SIGINT keeps its default kill semantics).
-  clear_interrupt();
-  std::unique_ptr<FtSession> session;
-  try {
-    if (dispatch_worker) {
-      // Worker subprocess: a lease client.  The supervisor owns
-      // durability, interruption and the stop_after seam - a worker that
-      // honored the inherited TSC_STOP_AFTER would kill itself over and
-      // over after each respawn.  SIGINT is ignored: a terminal ^C reaches
-      // the whole process group, and the supervisor coordinates shutdown.
-      options.ft.dispatch = true;
-      options.ft.checkpoint_path.clear();
-      options.ft.resume = false;
-      options.ft.stop_after = 0;
-      (void)std::signal(SIGINT, SIG_IGN);
-      session = std::make_unique<DispatchWorkerSession>(
-          options.ft, experiment_name, ft_fingerprint(options), worker_rfd,
-          worker_wfd, worker_id, heartbeat_ms);
-    } else if (dispatch_processes > 0) {
-      options.ft.dispatch = true;
-      if (!options.ft.checkpoint_path.empty()) install_interrupt_handlers();
-      DispatchOptions dispatch;
-      dispatch.processes = dispatch_processes;
-      dispatch.heartbeat_ms = heartbeat_ms;
-      dispatch.exe = resolve_dispatch_exe(argc > 0 ? argv[0] : nullptr);
-      // Workers recompute the identical shard plan from the identical
-      // scale knobs; worker count and checkpointing stay supervisor-side.
-      dispatch.worker_args = {
-          "--experiment", experiment_name,
-          "--samples", std::to_string(options.samples),
-          "--seed", std::to_string(options.master_seed),
-          "--shard-size", std::to_string(options.shard_size),
-          "--shards", "1",
-          "--heartbeat-ms", std::to_string(heartbeat_ms)};
-      if (options.fast) dispatch.worker_args.emplace_back("--fast");
-      if (options.ft.fault.kind != FaultKind::kNone) {
-        dispatch.worker_args.emplace_back("--inject-fault");
-        dispatch.worker_args.push_back(to_spec_string(options.ft.fault));
-      }
-      session = std::make_unique<DispatchSupervisorSession>(
-          options.ft, experiment_name, ft_fingerprint(options),
-          std::move(dispatch));
-    } else if (options.ft.enabled()) {
-      if (!options.ft.checkpoint_path.empty()) install_interrupt_handlers();
-      session = std::make_unique<FtSession>(options.ft, experiment_name,
-                                            ft_fingerprint(options));
+  if (dispatch.processes > 0) {
+    // Workers recompute the identical shard plan from the identical scale
+    // knobs; checkpointing stays supervisor-side.
+    dispatch.exe = resolve_dispatch_exe(argc > 0 ? argv[0] : nullptr);
+    dispatch.worker_args = {
+        "--experiment", experiment->name,
+        "--samples", std::to_string(options.samples),
+        "--seed", std::to_string(options.master_seed),
+        "--shard-size", std::to_string(options.shard_size),
+        "--heartbeat-ms", std::to_string(dispatch.heartbeat_ms)};
+    if (options.fast) dispatch.worker_args.emplace_back("--fast");
+    if (options.ft.fault.kind != FaultKind::kNone) {
+      dispatch.worker_args.emplace_back("--inject-fault");
+      dispatch.worker_args.push_back(to_spec_string(options.ft.fault));
     }
-  } catch (const CheckpointError& e) {
-    std::fprintf(stderr, "[tsc_run] checkpoint error: %s\n", e.what());
-    return kExitFailure;
-  } catch (const DispatchError& e) {
-    std::fprintf(stderr, "[tsc_run] dispatch error: %s\n", e.what());
-    return kExitFailure;
-  } catch (const WorkerShutdown&) {
-    return kExitOk;  // the supervisor shut us down before we even started
   }
-  options.ft_session = session.get();
-
   const auto t0 = std::chrono::steady_clock::now();
-  Json results;
-  try {
-    results = experiment->run(options);
-  } catch (const WorkerShutdown& e) {
-    // Orderly worker end: the supervisor is done with us (or gone).
-    std::fprintf(stderr, "[tsc_run] worker %d: %s\n", worker_id, e.what());
-    return kExitOk;
-  } catch (const Interrupted& e) {
-    std::fprintf(stderr, "[tsc_run] %s\n", e.what());
-    return kExitInterrupted;
-  } catch (const CampaignAborted& e) {
-    std::fprintf(stderr, "[tsc_run] %s\n", e.what());
-    return kExitFailure;
-  } catch (const CheckpointError& e) {
-    std::fprintf(stderr, "[tsc_run] checkpoint error: %s\n", e.what());
-    return kExitFailure;
-  } catch (const DispatchError& e) {
-    std::fprintf(stderr, "[tsc_run] dispatch error: %s\n", e.what());
-    return kExitFailure;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "[tsc_run] experiment '%s' failed: %s\n",
-                 experiment->name.c_str(), e.what());
-    return kExitFailure;
-  }
-  if (dispatch_worker) {
-    // The supervisor merges and emits the JSON; a worker's stdout must
-    // stay silent so it can never interleave with the real artifact.
-    return kExitOk;
-  }
+  const ExperimentRun run =
+      run_experiment(*experiment, options, dispatch, compact);
+  if (run.json.empty()) return run.exit_code;
   const double elapsed =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
-
-  // The envelope stays a pure function of the experiment inputs: worker
-  // count and wall-clock go to stderr only.  A complete fault-tolerant run
-  // adds nothing to it - byte-identity with the plain path is the whole
-  // point - while a partial run appends an explicit manifest of the shards
-  // that never completed.
-  Json doc = Json::object();
-  doc.set("experiment", experiment->name)
-      .set("description", experiment->description)
-      .set("seed", options.master_seed)
-      .set("results", std::move(results));
-  const bool partial = session && !session->incomplete().empty();
-  if (partial) {
-    Json manifest = Json::array();
-    for (const IncompleteShard& shard : session->incomplete()) {
-      manifest.push(Json::object()
-                        .set("stage", shard.stage)
-                        .set("task", static_cast<std::uint64_t>(shard.task))
-                        .set("reason", shard.reason));
-    }
-    doc.set("incomplete_shards", std::move(manifest));
-  }
-
-  std::string text = doc.dump(compact ? -1 : 2);
-  if (compact) text += '\n';
   if (output_path.empty()) {
-    std::fputs(text.c_str(), stdout);
+    std::fputs(run.json.c_str(), stdout);
   } else {
     try {
-      atomic_write_file(output_path, text);
+      atomic_write_file(output_path, run.json);
     } catch (const CheckpointError& e) {
       std::fprintf(stderr, "[tsc_run] --output: %s\n", e.what());
       return kExitFailure;
     }
   }
   std::fprintf(stderr, "[tsc_run] %s finished in %.2fs (workers=%u)\n",
-               experiment->name.c_str(), elapsed,
-               options.workers);
-  return partial ? kExitPartial : kExitOk;
+               experiment->name.c_str(), elapsed, options.workers);
+  return run.exit_code;
 }
 
 }  // namespace tsc::runner

@@ -1,10 +1,11 @@
-// The registered experiments: every bench/ scenario, expressed once as a
-// RunOptions -> Json function.  Campaign-shaped experiments run on the
-// sharded engine (runner/sharded.h); per-run protocols (MBPTA collection,
-// contention trials, miss-rate sweeps) fan out over parallel_map with
-// index-derived seeds.  Either way the JSON is a pure function of
-// (options.samples, options.master_seed, options.shard_size) - never of the
-// worker count.
+// The registered experiments: every tsc_run scenario, expressed once as a
+// RunOptions -> Json function.  Campaign-shaped experiments declare their
+// shard stages on the Campaign and reduce once (runner/campaign.h), so
+// they checkpoint, resume and dispatch; per-run protocols (MBPTA
+// collection, contention trials, miss-rate sweeps) fan out over
+// parallel_map with index-derived seeds.  Either way the JSON is a pure
+// function of (options.samples, options.master_seed, options.shard_size) -
+// never of the worker count.
 #include <algorithm>
 #include <cmath>
 #include <memory>
@@ -29,6 +30,7 @@
 #include "isa/kernels.h"
 #include "mbpta/analysis.h"
 #include "os/autosar.h"
+#include "runner/campaign.h"
 #include "runner/codecs.h"
 #include "runner/experiment.h"
 #include "runner/machine_pool.h"
@@ -99,8 +101,7 @@ Json campaign_json(const ShardedCampaignResult& r) {
 /// per campaign, not per run.  Collection goes through the sharded path
 /// (run_sharded_times), so the merged sample is bit-identical for any
 /// shard size and worker count.  (pwcet_matrix uses the same per-run
-/// protocol but slices its cells itself, inside one matrix-wide
-/// parallel_map.)
+/// protocol but slices its cells itself, inside one matrix-wide stage.)
 std::vector<double> mbpta_sample(core::SetupKind kind, std::size_t runs,
                                  std::uint64_t seed_base,
                                  const RunOptions& options) {
@@ -134,7 +135,7 @@ Json iid_json(const stats::IidVerdict& v, double alpha) {
 
 // --- fig1: MBPTA process and pWCET curve -----------------------------------
 
-Json run_fig1(const RunOptions& options) {
+Json run_fig1(const RunOptions& options, Campaign&) {
   const std::size_t runs =
       std::max<std::size_t>(400, options.resolve_samples(1000));
   const std::vector<double> times = mbpta_sample(
@@ -176,7 +177,7 @@ Json run_fig1(const RunOptions& options) {
 
 // --- fig2: placement-function properties -----------------------------------
 
-Json run_fig2(const RunOptions& options) {
+Json run_fig2(const RunOptions& options, Campaign&) {
   using cache::PlacementKind;
   const cache::Geometry l1 = cache::l1_geometry_arm920t();
   const unsigned kSeeds = 512;
@@ -238,7 +239,7 @@ Json run_fig2(const RunOptions& options) {
 
 // --- fig3: AUTOSAR app and seed management ---------------------------------
 
-Json run_fig3(const RunOptions& options) {
+Json run_fig3(const RunOptions& options, Campaign&) {
   sim::Machine machine(
       sim::arm920t_config(cache::MapperKind::kRandomModulo,
                           cache::MapperKind::kHashRp,
@@ -273,7 +274,7 @@ Json run_fig3(const RunOptions& options) {
 
 // --- fig4: per-value timing variation --------------------------------------
 
-Json run_fig4(const RunOptions& options) {
+Json run_fig4(const RunOptions& options, Campaign&) {
   Json setups = Json::array();
   for (const core::SetupKind kind :
        {core::SetupKind::kDeterministic, core::SetupKind::kTsCache}) {
@@ -317,30 +318,33 @@ Json run_fig4(const RunOptions& options) {
 
 // --- fig5: Bernstein attack effectiveness ----------------------------------
 
-Json run_fig5(const RunOptions& options) {
-  Json setups = Json::array();
-  // One fault-tolerance stage per setup ("fig5/<setup>"): each is an
-  // independent shard fan-out, checkpointed and resumed separately.
+Json run_fig5(const RunOptions& options, Campaign& campaign) {
+  // One stage per setup ("fig5/<setup>"): each is an independent shard
+  // fan-out, checkpointed and resumed separately.
+  std::vector<std::function<ShardedCampaignResult()>> setups;
   for (const core::SetupKind kind : core::all_setups()) {
-    const ShardedCampaignResult r = run_sharded_bernstein(
-        kind, sharded_config(options, 200'000), options.ft_session,
-        std::string("fig5/") + core::to_string(kind));
-    setups.push(campaign_json(r));
+    setups.push_back(declare_sharded_bernstein(
+        campaign, kind, sharded_config(options, 200'000),
+        std::string("fig5/") + core::to_string(kind)));
   }
-  Json j = Json::object();
-  j.set("paper_log2_remaining",
-        Json::object()
-            .set("deterministic", 80)
-            .set("RPCache", 108)
-            .set("MBPTACache", 104)
-            .set("TSCache", 128))
-      .set("setups", std::move(setups));
-  return j;
+  return campaign.finish([&] {
+    Json rows = Json::array();
+    for (const auto& reduce : setups) rows.push(campaign_json(reduce()));
+    Json j = Json::object();
+    j.set("paper_log2_remaining",
+          Json::object()
+              .set("deterministic", 80)
+              .set("RPCache", 108)
+              .set("MBPTACache", 104)
+              .set("TSCache", 128))
+        .set("setups", std::move(rows));
+    return j;
+  });
 }
 
 // --- sec6.2.1: Prime+Probe / Evict+Time generalization ---------------------
 
-Json run_sec621(const RunOptions& options) {
+Json run_sec621(const RunOptions& options, Campaign&) {
   attack::ContentionConfig cfg;
   cfg.candidates = 32;
   cfg.trials = static_cast<unsigned>(options.resolve_samples(192));
@@ -393,7 +397,7 @@ Json run_sec621(const RunOptions& options) {
 
 // --- sec6.2.2: MBPTA compliance --------------------------------------------
 
-Json run_sec622(const RunOptions& options) {
+Json run_sec622(const RunOptions& options, Campaign&) {
   const std::size_t runs = options.resolve_samples(800);
   Json rows = Json::array();
   for (const core::SetupKind kind : core::all_setups()) {
@@ -454,7 +458,7 @@ double miss_rate_for(cache::MapperKind mapper, const Kernel& kernel,
   return machine.hierarchy().l1d().stats().miss_rate();
 }
 
-Json run_sec623(const RunOptions& options) {
+Json run_sec623(const RunOptions& options, Campaign&) {
   const std::vector<Kernel> kernels = kernel_suite();
   const std::vector<cache::MapperKind> mappers{
       cache::MapperKind::kModulo, cache::MapperKind::kXorIndex,
@@ -544,7 +548,7 @@ Json run_sec623(const RunOptions& options) {
 
 // --- ablation: attack strength vs sample count -----------------------------
 
-Json run_ablation_samples(const RunOptions& options) {
+Json run_ablation_samples(const RunOptions& options, Campaign&) {
   const std::size_t top = options.resolve_samples(200'000);
   const std::vector<std::size_t> sweep{top / 8, top / 4, top / 2, top};
 
@@ -571,7 +575,7 @@ Json run_ablation_samples(const RunOptions& options) {
 
 // --- ablation: seed-change granularity -------------------------------------
 
-Json run_ablation_seedpolicy(const RunOptions& options) {
+Json run_ablation_seedpolicy(const RunOptions& options, Campaign&) {
   const std::vector<std::uint64_t> hyperperiods{
       1, 64, 1024, 8192, std::uint64_t{1} << 40};
 
@@ -603,7 +607,7 @@ Json run_ablation_seedpolicy(const RunOptions& options) {
 
 // --- ablation: way-partitioning vs TSCache ---------------------------------
 
-Json run_ablation_partitioning(const RunOptions& options) {
+Json run_ablation_partitioning(const RunOptions& options, Campaign&) {
   struct Config {
     std::string label;
     core::SetupKind kind;
@@ -716,6 +720,16 @@ std::vector<std::size_t> matrix_shards(std::size_t samples,
   return out;
 }
 
+/// Fold one shard's outcome into a cell's running merge (in shard order).
+template <typename Outcome>
+void merge_into(std::optional<Outcome>& acc, const Outcome& part) {
+  if (acc) {
+    acc->merge(part);
+  } else {
+    acc.emplace(part);
+  }
+}
+
 Json ranking_json(const attack::MatrixRanking& ranking,
                   const stats::JointHistogram& channel) {
   Json ranks = Json::array();
@@ -733,7 +747,7 @@ Json ranking_json(const attack::MatrixRanking& ranking,
   return j;
 }
 
-Json run_attack_matrix(const RunOptions& options) {
+Json run_attack_matrix(const RunOptions& options, Campaign& campaign) {
   const std::size_t samples = options.resolve_samples(20'000);
   const std::size_t shard_size = std::max<std::size_t>(1, options.shard_size);
   const std::vector<MatrixCell> cells = matrix_cells();
@@ -748,10 +762,8 @@ Json run_attack_matrix(const RunOptions& options) {
   const crypto::SimAesLayout layout{};
   const cache::Geometry l1 = cache::l1_geometry_arm920t();
 
-  ThreadPool pool(options.workers);
-
-  // One task per (attack, cell, shard), all in a single parallel_map so
-  // the two attacks' sessions overlap instead of running as two barriers.
+  // One task per (attack, cell, shard), all in a single stage so the two
+  // attacks' sessions overlap instead of running as two barriers.
   // Each task is a pure function of (master seed, attack, cell, shard):
   // fresh machine, the cell's deployment seed, the shard's plaintext
   // stream - so the fan-out order cannot affect results.  Evict+Time
@@ -794,113 +806,95 @@ Json run_attack_matrix(const RunOptions& options) {
     return result;
   };
 
-  std::vector<std::optional<TaskResult>> parts;
-  if (options.ft_session != nullptr && options.ft.enabled()) {
-    const TaskCodec<TaskResult> codec{
-        [](const TaskResult& t, ByteWriter& w) {
-          w.put_u8(t.pp ? 1 : 2);
-          if (t.pp) {
-            put_pp_outcome(w, *t.pp);
-          } else {
-            put_et_outcome(w, *t.et);
-          }
-        },
-        [](ByteReader& r) {
-          TaskResult t;
-          if (r.u8() == 1) {
-            t.pp = get_pp_outcome(r);
-          } else {
-            t.et = get_et_outcome(r);
-          }
-          return t;
-        }};
-    parts = ft_parallel_map<TaskResult>(*options.ft_session, "attack_matrix",
-                                        pool, 2 * per_attack, run_task, codec)
-                .results;
-  } else {
-    std::vector<TaskResult> plain =
-        parallel_map(pool, 2 * per_attack, run_task);
-    parts.reserve(plain.size());
-    for (TaskResult& part : plain) parts.emplace_back(std::move(part));
-  }
-
-  // Merge in (cell, shard) order - exact integer sums, so the result is
-  // identical for every worker count - then score each cell once.  Shards
-  // missing under --allow-partial contribute nothing; a cell with NO
-  // completed shard for an attack reports null for that attack.
-  Json rows = Json::array();
-  std::vector<double> pp_unpartitioned_rank;
-  for (std::size_t c = 0; c < cells.size(); ++c) {
-    std::optional<attack::PrimeProbeOutcome> pp;
-    std::optional<attack::EvictTimeOutcome> et;
-    for (std::size_t s = 0; s < n_shards; ++s) {
-      const std::optional<TaskResult>& pp_part = parts[2 * (c * n_shards + s)];
-      const std::optional<TaskResult>& et_part =
-          parts[2 * (c * n_shards + s) + 1];
-      if (pp_part && pp_part->pp) {
-        if (pp) {
-          pp->merge(*pp_part->pp);
+  static const TaskCodec<TaskResult> codec{
+      [](const TaskResult& t, ByteWriter& w) {
+        w.put_u8(t.pp ? 1 : 2);
+        if (t.pp) {
+          put_pp_outcome(w, *t.pp);
         } else {
-          pp.emplace(*pp_part->pp);
+          put_et_outcome(w, *t.et);
         }
-      }
-      if (et_part && et_part->et) {
-        if (et) {
-          et->merge(*et_part->et);
+      },
+      [](ByteReader& r) {
+        TaskResult t;
+        if (r.u8() == 1) {
+          t.pp = get_pp_outcome(r);
         } else {
-          et.emplace(*et_part->et);
+          t.et = get_et_outcome(r);
         }
+        return t;
+      }};
+  const StageResults<TaskResult> parts =
+      campaign.stage("attack_matrix", 2 * per_attack, run_task, codec);
+
+  return campaign.finish([&] {
+    // Merge in (cell, shard) order - exact integer sums, so the result is
+    // identical for every worker count - then score each cell once.  Shards
+    // missing under --allow-partial contribute nothing; a cell with NO
+    // completed shard for an attack reports null for that attack.
+    Json rows = Json::array();
+    std::vector<double> pp_unpartitioned_rank;
+    for (std::size_t c = 0; c < cells.size(); ++c) {
+      std::optional<attack::PrimeProbeOutcome> pp;
+      std::optional<attack::EvictTimeOutcome> et;
+      for (std::size_t s = 0; s < n_shards; ++s) {
+        const std::optional<TaskResult>& pp_part =
+            parts[2 * (c * n_shards + s)];
+        const std::optional<TaskResult>& et_part =
+            parts[2 * (c * n_shards + s) + 1];
+        if (pp_part && pp_part->pp) merge_into(pp, *pp_part->pp);
+        if (et_part && et_part->et) merge_into(et, *et_part->et);
+      }
+
+      Json pp_json;  // null when the cell's attack never completed a shard
+      Json et_json;
+      double pp_mean_rank = 127.5;  // chance: an unmeasured cell leaks nothing
+      if (pp) {
+        const attack::MatrixRanking pp_rank = attack::score_prime_probe(
+            pp->profile, l1, layout.tables, victim_key);
+        pp_mean_rank = pp_rank.mean_true_rank();
+        pp_json = ranking_json(pp_rank, pp->channel);
+      }
+      if (et) {
+        const attack::MatrixRanking et_rank = attack::score_evict_time(
+            et->profile, l1, layout.tables, victim_key);
+        et_json = ranking_json(et_rank, et->channel);
+      }
+      if (!cells[c].partitioned) {
+        pp_unpartitioned_rank.push_back(pp_mean_rank);
+      }
+
+      Json row = Json::object();
+      row.set("policy", core::to_string(cells[c].policy))
+          .set("partitioned", cells[c].partitioned)
+          .set("samples", pp ? pp->profile.samples() : 0)
+          .set("prime_probe", std::move(pp_json))
+          .set("evict_time", std::move(et_json));
+      rows.push(std::move(row));
+    }
+
+    // Headline ordering: Prime+Probe mean true rank, unpartitioned cells.
+    // The paper's qualitative claim is modulo leaks (low rank) while the
+    // randomized policies degrade the channel towards chance (127.5).
+    Json ordering = Json::object();
+    bool modulo_strictly_best = true;
+    for (std::size_t p = 0; p < core::all_policies().size(); ++p) {
+      ordering.set(core::to_string(core::all_policies()[p]),
+                   pp_unpartitioned_rank[p]);
+      if (p > 0 && pp_unpartitioned_rank[p] <= pp_unpartitioned_rank[0]) {
+        modulo_strictly_best = false;
       }
     }
 
-    Json pp_json;  // null when the cell's attack never completed a shard
-    Json et_json;
-    double pp_mean_rank = 127.5;  // chance: an unmeasured cell leaks nothing
-    if (pp) {
-      const attack::MatrixRanking pp_rank = attack::score_prime_probe(
-          pp->profile, l1, layout.tables, victim_key);
-      pp_mean_rank = pp_rank.mean_true_rank();
-      pp_json = ranking_json(pp_rank, pp->channel);
-    }
-    if (et) {
-      const attack::MatrixRanking et_rank = attack::score_evict_time(
-          et->profile, l1, layout.tables, victim_key);
-      et_json = ranking_json(et_rank, et->channel);
-    }
-    if (!cells[c].partitioned) {
-      pp_unpartitioned_rank.push_back(pp_mean_rank);
-    }
-
-    Json row = Json::object();
-    row.set("policy", core::to_string(cells[c].policy))
-        .set("partitioned", cells[c].partitioned)
-        .set("samples", pp ? pp->profile.samples() : 0)
-        .set("prime_probe", std::move(pp_json))
-        .set("evict_time", std::move(et_json));
-    rows.push(std::move(row));
-  }
-
-  // Headline ordering: Prime+Probe mean true rank, unpartitioned cells.
-  // The paper's qualitative claim is modulo leaks (low rank) while the
-  // randomized policies degrade the channel towards chance (127.5).
-  Json ordering = Json::object();
-  bool modulo_strictly_best = true;
-  for (std::size_t p = 0; p < core::all_policies().size(); ++p) {
-    ordering.set(core::to_string(core::all_policies()[p]),
-                 pp_unpartitioned_rank[p]);
-    if (p > 0 && pp_unpartitioned_rank[p] <= pp_unpartitioned_rank[0]) {
-      modulo_strictly_best = false;
-    }
-  }
-
-  Json j = Json::object();
-  j.set("samples_per_cell", samples)
-      .set("shards_per_cell", n_shards)
-      .set("chance_mean_rank", 127.5)
-      .set("prime_probe_mean_rank_by_policy", std::move(ordering))
-      .set("modulo_strictly_most_leaky", modulo_strictly_best)
-      .set("cells", std::move(rows));
-  return j;
+    Json j = Json::object();
+    j.set("samples_per_cell", samples)
+        .set("shards_per_cell", n_shards)
+        .set("chance_mean_rank", 127.5)
+        .set("prime_probe_mean_rank_by_policy", std::move(ordering))
+        .set("modulo_strictly_most_leaky", modulo_strictly_best)
+        .set("cells", std::move(rows));
+    return j;
+  });
 }
 
 // --- flush_matrix: flush-channel attacks x placement policy x partitioning -
@@ -917,7 +911,7 @@ Json run_attack_matrix(const RunOptions& options) {
 // Clepsydra's TTL expiry, whose lifetimes outlive the attacker's
 // flush -> encrypt -> probe round trip (see the claims block).
 
-Json run_flush_matrix(const RunOptions& options) {
+Json run_flush_matrix(const RunOptions& options, Campaign& campaign) {
   const std::size_t samples = options.resolve_samples(20'000);
   const std::size_t shard_size = std::max<std::size_t>(1, options.shard_size);
   const std::vector<MatrixCell> cells = matrix_cells();
@@ -928,8 +922,6 @@ Json run_flush_matrix(const RunOptions& options) {
       core::campaign_victim_key(options.master_seed);
   const crypto::SimAesLayout layout{};
   const cache::Geometry l1 = cache::l1_geometry_arm920t();
-
-  ThreadPool pool(options.workers);
 
   // One task per (attack, cell, shard), mirroring attack_matrix: each task
   // is a pure function of (master seed, attack, cell, shard), so the
@@ -972,150 +964,132 @@ Json run_flush_matrix(const RunOptions& options) {
     return result;
   };
 
-  std::vector<std::optional<TaskResult>> parts;
-  if (options.ft_session != nullptr && options.ft.enabled()) {
-    const TaskCodec<TaskResult> codec{
-        [](const TaskResult& t, ByteWriter& w) {
-          w.put_u8(t.fr ? 1 : 2);
-          put_flush_outcome(w, t.fr ? *t.fr : *t.ff);
-        },
-        [](ByteReader& r) {
-          TaskResult t;
-          const bool reload = r.u8() == 1;
-          if (reload) {
-            t.fr = get_flush_outcome(r);
-          } else {
-            t.ff = get_flush_outcome(r);
-          }
-          return t;
-        }};
-    parts = ft_parallel_map<TaskResult>(*options.ft_session, "flush_matrix",
-                                        pool, 2 * per_attack, run_task, codec)
-                .results;
-  } else {
-    std::vector<TaskResult> plain =
-        parallel_map(pool, 2 * per_attack, run_task);
-    parts.reserve(plain.size());
-    for (TaskResult& part : plain) parts.emplace_back(std::move(part));
-  }
-
-  // Merge in (cell, shard) order - exact integer sums, worker-count
-  // invariant - then score each cell once per attack.
-  Json rows = Json::array();
-  std::vector<double> fr_rank(cells.size(), 127.5);
-  std::vector<double> ff_rank(cells.size(), 127.5);
-  for (std::size_t c = 0; c < cells.size(); ++c) {
-    std::optional<attack::FlushOutcome> fr;
-    std::optional<attack::FlushOutcome> ff;
-    for (std::size_t s = 0; s < n_shards; ++s) {
-      const std::optional<TaskResult>& fr_part = parts[2 * (c * n_shards + s)];
-      const std::optional<TaskResult>& ff_part =
-          parts[2 * (c * n_shards + s) + 1];
-      if (fr_part && fr_part->fr) {
-        if (fr) {
-          fr->merge(*fr_part->fr);
+  static const TaskCodec<TaskResult> codec{
+      [](const TaskResult& t, ByteWriter& w) {
+        w.put_u8(t.fr ? 1 : 2);
+        put_flush_outcome(w, t.fr ? *t.fr : *t.ff);
+      },
+      [](ByteReader& r) {
+        TaskResult t;
+        const bool reload = r.u8() == 1;
+        if (reload) {
+          t.fr = get_flush_outcome(r);
         } else {
-          fr.emplace(*fr_part->fr);
+          t.ff = get_flush_outcome(r);
         }
-      }
-      if (ff_part && ff_part->ff) {
-        if (ff) {
-          ff->merge(*ff_part->ff);
-        } else {
-          ff.emplace(*ff_part->ff);
-        }
-      }
-    }
+        return t;
+      }};
+  const StageResults<TaskResult> parts =
+      campaign.stage("flush_matrix", 2 * per_attack, run_task, codec);
 
-    Json fr_json;  // null when the cell's attack never completed a shard
-    Json ff_json;
-    if (fr) {
-      const attack::MatrixRanking rank =
-          attack::score_flush(fr->profile, l1, victim_key);
-      fr_rank[c] = rank.mean_true_rank();
-      fr_json = ranking_json(rank, fr->channel);
-    }
-    if (ff) {
-      const attack::MatrixRanking rank =
-          attack::score_flush(ff->profile, l1, victim_key);
-      ff_rank[c] = rank.mean_true_rank();
-      ff_json = ranking_json(rank, ff->channel);
-    }
-
-    Json row = Json::object();
-    row.set("policy", core::to_string(cells[c].policy))
-        .set("partitioned", cells[c].partitioned)
-        .set("samples", fr ? fr->profile.samples() : 0)
-        .set("flush_reload", std::move(fr_json))
-        .set("flush_flush", std::move(ff_json));
-    rows.push(std::move(row));
-  }
-
-  // Headline orderings: mean true rank per policy, unpartitioned cells
-  // (cells alternate unpartitioned/partitioned in policy order).
-  Json fr_ordering = Json::object();
-  Json ff_ordering = Json::object();
-  const auto rank_of = [&](core::PlacementPolicy policy, bool partitioned,
-                           const std::vector<double>& ranks) {
+  return campaign.finish([&] {
+    // Merge in (cell, shard) order - exact integer sums, worker-count
+    // invariant - then score each cell once per attack.
+    Json rows = Json::array();
+    std::vector<double> fr_rank(cells.size(), 127.5);
+    std::vector<double> ff_rank(cells.size(), 127.5);
     for (std::size_t c = 0; c < cells.size(); ++c) {
-      if (cells[c].policy == policy && cells[c].partitioned == partitioned) {
-        return ranks[c];
+      std::optional<attack::FlushOutcome> fr;
+      std::optional<attack::FlushOutcome> ff;
+      for (std::size_t s = 0; s < n_shards; ++s) {
+        const std::optional<TaskResult>& fr_part =
+            parts[2 * (c * n_shards + s)];
+        const std::optional<TaskResult>& ff_part =
+            parts[2 * (c * n_shards + s) + 1];
+        if (fr_part && fr_part->fr) merge_into(fr, *fr_part->fr);
+        if (ff_part && ff_part->ff) merge_into(ff, *ff_part->ff);
       }
+
+      Json fr_json;  // null when the cell's attack never completed a shard
+      Json ff_json;
+      if (fr) {
+        const attack::MatrixRanking rank =
+            attack::score_flush(fr->profile, l1, victim_key);
+        fr_rank[c] = rank.mean_true_rank();
+        fr_json = ranking_json(rank, fr->channel);
+      }
+      if (ff) {
+        const attack::MatrixRanking rank =
+            attack::score_flush(ff->profile, l1, victim_key);
+        ff_rank[c] = rank.mean_true_rank();
+        ff_json = ranking_json(rank, ff->channel);
+      }
+
+      Json row = Json::object();
+      row.set("policy", core::to_string(cells[c].policy))
+          .set("partitioned", cells[c].partitioned)
+          .set("samples", fr ? fr->profile.samples() : 0)
+          .set("flush_reload", std::move(fr_json))
+          .set("flush_flush", std::move(ff_json));
+      rows.push(std::move(row));
     }
-    return 127.5;
-  };
-  for (const core::PlacementPolicy policy : core::all_policies()) {
-    fr_ordering.set(core::to_string(policy), rank_of(policy, false, fr_rank));
-    ff_ordering.set(core::to_string(policy), rank_of(policy, false, ff_rank));
-  }
 
-  // The experiment's qualitative claims, as booleans the CI gate asserts.
-  // "Line resolved" means the mean true rank beats the 8-entries-per-line
-  // granularity floor; "blinded" means at or indistinguishable from chance
-  // scoring (a flat profile ranks every guess equal).
-  constexpr double kLineResolved = 8.0;
-  const double placement_worst_fr = std::max(
-      {rank_of(core::PlacementPolicy::kModulo, false, fr_rank),
-       rank_of(core::PlacementPolicy::kHashRp, false, fr_rank),
-       rank_of(core::PlacementPolicy::kRpCache, false, fr_rank),
-       rank_of(core::PlacementPolicy::kRandomModulo, false, fr_rank)});
-  Json claims = Json::object();
-  claims
-      .set("flush_reload_defeats_placement_randomization",
-           placement_worst_fr < kLineResolved)
-      .set("partitioning_does_not_stop_flush_reload",
-           rank_of(core::PlacementPolicy::kModulo, true, fr_rank) <
-               kLineResolved)
-      .set("flush_flush_line_resolves_modulo",
-           rank_of(core::PlacementPolicy::kModulo, false, ff_rank) <
-               kLineResolved)
-      // Negative result, pinned on purpose: Clepsydra's TTLs (512-4096 L1
-      // accesses) comfortably outlive the flush -> encrypt -> reload
-      // window (~hundreds of accesses), so unlike the eviction channel
-      // the flush channel sails through TTL expiry - a lifetime defense
-      // only helps if lifetimes are shorter than the attacker's round
-      // trip.
-      .set("clepsydra_ttls_outlive_flush_window",
-           rank_of(core::PlacementPolicy::kClepsydra, false, fr_rank) <
-               kLineResolved)
-      .set("random_fill_blinds_flush_reload",
-           rank_of(core::PlacementPolicy::kRandomAndSafe, false, fr_rank) >=
-               4 * kLineResolved)
-      .set("quantization_blinds_flush_channel",
-           rank_of(core::PlacementPolicy::kTimeCache, false, fr_rank) >=
-                   4 * kLineResolved &&
-               rank_of(core::PlacementPolicy::kTimeCache, false, ff_rank) >=
-                   4 * kLineResolved);
+    // Headline orderings: mean true rank per policy, unpartitioned cells
+    // (cells alternate unpartitioned/partitioned in policy order).
+    Json fr_ordering = Json::object();
+    Json ff_ordering = Json::object();
+    const auto rank_of = [&](core::PlacementPolicy policy, bool partitioned,
+                             const std::vector<double>& ranks) {
+      for (std::size_t c = 0; c < cells.size(); ++c) {
+        if (cells[c].policy == policy && cells[c].partitioned == partitioned) {
+          return ranks[c];
+        }
+      }
+      return 127.5;
+    };
+    for (const core::PlacementPolicy policy : core::all_policies()) {
+      fr_ordering.set(core::to_string(policy), rank_of(policy, false, fr_rank));
+      ff_ordering.set(core::to_string(policy), rank_of(policy, false, ff_rank));
+    }
 
-  Json j = Json::object();
-  j.set("samples_per_cell", samples)
-      .set("shards_per_cell", n_shards)
-      .set("chance_mean_rank", 127.5)
-      .set("flush_reload_mean_rank_by_policy", std::move(fr_ordering))
-      .set("flush_flush_mean_rank_by_policy", std::move(ff_ordering))
-      .set("claims", std::move(claims))
-      .set("cells", std::move(rows));
-  return j;
+    // The experiment's qualitative claims, as booleans the CI gate asserts.
+    // "Line resolved" means the mean true rank beats the 8-entries-per-line
+    // granularity floor; "blinded" means at or indistinguishable from chance
+    // scoring (a flat profile ranks every guess equal).
+    constexpr double kLineResolved = 8.0;
+    const double placement_worst_fr = std::max(
+        {rank_of(core::PlacementPolicy::kModulo, false, fr_rank),
+         rank_of(core::PlacementPolicy::kHashRp, false, fr_rank),
+         rank_of(core::PlacementPolicy::kRpCache, false, fr_rank),
+         rank_of(core::PlacementPolicy::kRandomModulo, false, fr_rank)});
+    Json claims = Json::object();
+    claims
+        .set("flush_reload_defeats_placement_randomization",
+             placement_worst_fr < kLineResolved)
+        .set("partitioning_does_not_stop_flush_reload",
+             rank_of(core::PlacementPolicy::kModulo, true, fr_rank) <
+                 kLineResolved)
+        .set("flush_flush_line_resolves_modulo",
+             rank_of(core::PlacementPolicy::kModulo, false, ff_rank) <
+                 kLineResolved)
+        // Negative result, pinned on purpose: Clepsydra's TTLs (512-4096 L1
+        // accesses) comfortably outlive the flush -> encrypt -> reload
+        // window (~hundreds of accesses), so unlike the eviction channel
+        // the flush channel sails through TTL expiry - a lifetime defense
+        // only helps if lifetimes are shorter than the attacker's round
+        // trip.
+        .set("clepsydra_ttls_outlive_flush_window",
+             rank_of(core::PlacementPolicy::kClepsydra, false, fr_rank) <
+                 kLineResolved)
+        .set("random_fill_blinds_flush_reload",
+             rank_of(core::PlacementPolicy::kRandomAndSafe, false, fr_rank) >=
+                 4 * kLineResolved)
+        .set("quantization_blinds_flush_channel",
+             rank_of(core::PlacementPolicy::kTimeCache, false, fr_rank) >=
+                     4 * kLineResolved &&
+                 rank_of(core::PlacementPolicy::kTimeCache, false, ff_rank) >=
+                     4 * kLineResolved);
+
+    Json j = Json::object();
+    j.set("samples_per_cell", samples)
+        .set("shards_per_cell", n_shards)
+        .set("chance_mean_rank", 127.5)
+        .set("flush_reload_mean_rank_by_policy", std::move(fr_ordering))
+        .set("flush_flush_mean_rank_by_policy", std::move(ff_ordering))
+        .set("claims", std::move(claims))
+        .set("cells", std::move(rows));
+    return j;
+  });
 }
 
 // --- pwcet_matrix: MBPTA x kernels x placement policies --------------------
@@ -1262,7 +1236,7 @@ Json convergence_json(const mbpta::ConvergenceCurve& curve) {
   return j;
 }
 
-Json run_pwcet_matrix(const RunOptions& options) {
+Json run_pwcet_matrix(const RunOptions& options, Campaign& campaign) {
   const std::size_t runs =
       std::max<std::size_t>(120, options.resolve_samples(500));
   const std::size_t pp_samples = runs * 2;  // leakage-side budget per platform
@@ -1292,10 +1266,9 @@ Json run_pwcet_matrix(const RunOptions& options) {
     std::optional<attack::PrimeProbeOutcome> pp;
   };
 
-  ThreadPool pool(options.workers);
   // One task per (cell, timing shard) plus one per (platform, attack
-  // shard), in a single parallel_map so the leakage campaigns overlap the
-  // timing collection.  Every task is a pure function of (master seed,
+  // shard), in a single stage so the leakage campaigns overlap the timing
+  // collection.  Every task is a pure function of (master seed,
   // cell, shard); merges below are in-order concatenations / exact integer
   // sums, so the JSON is worker-count invariant.
   const auto run_task = [&](std::size_t task) {
@@ -1327,270 +1300,259 @@ Json run_pwcet_matrix(const RunOptions& options) {
     return out;
   };
 
-  std::vector<std::optional<PwcetTask>> parts;
-  if (options.ft_session != nullptr && options.ft.enabled()) {
-    const TaskCodec<PwcetTask> codec{
-        [](const PwcetTask& t, ByteWriter& w) {
-          w.put_u8(t.pp ? 2 : 1);
-          if (t.pp) {
-            put_pp_outcome(w, *t.pp);
-          } else {
-            put_doubles(w, t.times);
-          }
-        },
-        [](ByteReader& r) {
-          PwcetTask t;
-          if (r.u8() == 2) {
-            t.pp = get_pp_outcome(r);
-          } else {
-            t.times = get_doubles(r);
-          }
-          return t;
-        }};
-    parts = ft_parallel_map<PwcetTask>(*options.ft_session, "pwcet_matrix",
-                                       pool, total_tasks, run_task, codec)
-                .results;
-  } else {
-    std::vector<PwcetTask> plain = parallel_map(pool, total_tasks, run_task);
-    parts.reserve(plain.size());
-    for (PwcetTask& part : plain) parts.emplace_back(std::move(part));
-  }
+  static const TaskCodec<PwcetTask> codec{
+      [](const PwcetTask& t, ByteWriter& w) {
+        w.put_u8(t.pp ? 2 : 1);
+        if (t.pp) {
+          put_pp_outcome(w, *t.pp);
+        } else {
+          put_doubles(w, t.times);
+        }
+      },
+      [](ByteReader& r) {
+        PwcetTask t;
+        if (r.u8() == 2) {
+          t.pp = get_pp_outcome(r);
+        } else {
+          t.times = get_doubles(r);
+        }
+        return t;
+      }};
+  const StageResults<PwcetTask> parts =
+      campaign.stage("pwcet_matrix", total_tasks, run_task, codec);
 
-  // Merge the timing shards in (cell, shard) order.  A shard missing under
-  // --allow-partial contributes nothing; its cell just has fewer runs (and
-  // flips to the "incomplete" verdict below the analysis minimum).
-  static const std::vector<double> kNoTimes;
-  std::vector<std::vector<double>> flat_times = merge_cell_times(
-      platforms.size() * n_kernels, time_shards.size(), runs,
-      [&](std::size_t i) -> const std::vector<double>& {
-        return parts[i] ? parts[i]->times : kNoTimes;
-      });
-  std::vector<std::vector<std::vector<double>>> cell_times(
-      platforms.size(), std::vector<std::vector<double>>(n_kernels));
-  for (std::size_t p = 0; p < platforms.size(); ++p) {
-    for (std::size_t k = 0; k < n_kernels; ++k) {
-      cell_times[p][k] = std::move(flat_times[p * n_kernels + k]);
-    }
-  }
-
-  // The overhead baseline: modulo, unpartitioned (platform 0 by
-  // construction - all_policies() leads with modulo, matrix_cells() with
-  // partitioning off).
-  std::vector<double> baseline_mean(n_kernels, 0);
-  for (std::size_t k = 0; k < n_kernels; ++k) {
-    // An empty baseline cell (possible only under --allow-partial) leaves
-    // the overhead column zeroed rather than dividing by garbage.
-    baseline_mean[k] = cell_times[0][k].empty()
-                           ? 0.0
-                           : stats::summarize(cell_times[0][k]).mean;
-  }
-
-  // The paper applies alpha = 0.05 to four samples; this matrix tests ~40.
-  // Gating every cell at the raw per-sample level would reject a handful
-  // of genuinely i.i.d. cells by multiple testing alone, so the matrix
-  // verdict controls the FAMILY-WISE error rate: Bonferroni over the
-  // timing-variable cells (each cell's two tests gate at alpha / m).  Raw
-  // p-values are reported per cell so any other level can be re-applied.
-  std::size_t variable_cells = 0;
-  for (std::size_t p = 0; p < platforms.size(); ++p) {
-    for (std::size_t k = 0; k < n_kernels; ++k) {
-      if (cell_times[p][k].size() >= 2 &&
-          stats::summarize(cell_times[p][k]).stddev > 0) {
-        ++variable_cells;
+  return campaign.finish([&] {
+    // Merge the timing shards in (cell, shard) order.  A shard missing under
+    // --allow-partial contributes nothing; its cell just has fewer runs (and
+    // flips to the "incomplete" verdict below the analysis minimum).
+    static const std::vector<double> kNoTimes;
+    std::vector<std::vector<double>> flat_times = merge_cell_times(
+        platforms.size() * n_kernels, time_shards.size(), runs,
+        [&](std::size_t i) -> const std::vector<double>& {
+          return parts[i] ? parts[i]->times : kNoTimes;
+        });
+    std::vector<std::vector<std::vector<double>>> cell_times(
+        platforms.size(), std::vector<std::vector<double>>(n_kernels));
+    for (std::size_t p = 0; p < platforms.size(); ++p) {
+      for (std::size_t k = 0; k < n_kernels; ++k) {
+        cell_times[p][k] = std::move(flat_times[p * n_kernels + k]);
       }
     }
-  }
-  const double gate_alpha =
-      cfg.alpha / static_cast<double>(std::max<std::size_t>(1, variable_cells));
 
-  struct PlatformAgg {
-    int applicable = 0;
-    int degenerate = 0;
-    int iid_fail = 0;
-    int converged = 0;
-    double overhead_sum = 0;
-    double vecsum_pwcet = 0;
-    bool all_ok = true;  // every cell degenerate or applicable + converged
-  };
-  std::vector<PlatformAgg> agg(platforms.size());
-
-  Json cells = Json::array();
-  for (std::size_t p = 0; p < platforms.size(); ++p) {
+    // The overhead baseline: modulo, unpartitioned (platform 0 by
+    // construction - all_policies() leads with modulo, matrix_cells() with
+    // partitioning off).
+    std::vector<double> baseline_mean(n_kernels, 0);
     for (std::size_t k = 0; k < n_kernels; ++k) {
-      const std::vector<double>& times = cell_times[p][k];
+      // An empty baseline cell (possible only under --allow-partial) leaves
+      // the overhead column zeroed rather than dividing by garbage.
+      baseline_mean[k] = cell_times[0][k].empty()
+                             ? 0.0
+                             : stats::summarize(cell_times[0][k]).mean;
+    }
 
-      // A cell left below the analysis minimum by missing shards (reachable
-      // only under --allow-partial: complete runs collect >= 120 >= min_runs
-      // everywhere) gets no statistics, just an explicit verdict.
-      if (times.size() < cfg.min_runs) {
+    // The paper applies alpha = 0.05 to four samples; this matrix tests ~40.
+    // Gating every cell at the raw per-sample level would reject a handful
+    // of genuinely i.i.d. cells by multiple testing alone, so the matrix
+    // verdict controls the FAMILY-WISE error rate: Bonferroni over the
+    // timing-variable cells (each cell's two tests gate at alpha / m).  Raw
+    // p-values are reported per cell so any other level can be re-applied.
+    std::size_t variable_cells = 0;
+    for (std::size_t p = 0; p < platforms.size(); ++p) {
+      for (std::size_t k = 0; k < n_kernels; ++k) {
+        if (cell_times[p][k].size() >= 2 &&
+            stats::summarize(cell_times[p][k]).stddev > 0) {
+          ++variable_cells;
+        }
+      }
+    }
+    const double gate_alpha =
+        cfg.alpha /
+        static_cast<double>(std::max<std::size_t>(1, variable_cells));
+
+    struct PlatformAgg {
+      int applicable = 0;
+      int degenerate = 0;
+      int iid_fail = 0;
+      int converged = 0;
+      double overhead_sum = 0;
+      double vecsum_pwcet = 0;
+      bool all_ok = true;  // every cell degenerate or applicable + converged
+    };
+    std::vector<PlatformAgg> agg(platforms.size());
+
+    Json cells = Json::array();
+    for (std::size_t p = 0; p < platforms.size(); ++p) {
+      for (std::size_t k = 0; k < n_kernels; ++k) {
+        const std::vector<double>& times = cell_times[p][k];
+
+        // A cell left below the analysis minimum by missing shards (reachable
+        // only under --allow-partial: complete runs collect >= 120 >= min_runs
+        // everywhere) gets no statistics, just an explicit verdict.
+        if (times.size() < cfg.min_runs) {
+          Json cell = Json::object();
+          cell.set("kernel", kernels[k].name)
+              .set("policy", core::to_string(platforms[p].policy))
+              .set("partitioned", platforms[p].partitioned)
+              .set("runs", static_cast<std::uint64_t>(times.size()))
+              .set("verdict", "incomplete");
+          agg[p].all_ok = false;
+          cells.push(std::move(cell));
+          continue;
+        }
+
+        const stats::Summary summary = stats::summarize(times);
+        const double overhead =
+            baseline_mean[k] > 0 ? summary.mean / baseline_mean[k] : 0.0;
+        agg[p].overhead_sum += overhead;
+
         Json cell = Json::object();
         cell.set("kernel", kernels[k].name)
             .set("policy", core::to_string(platforms[p].policy))
             .set("partitioned", platforms[p].partitioned)
             .set("runs", static_cast<std::uint64_t>(times.size()))
-            .set("verdict", "incomplete");
-        agg[p].all_ok = false;
-        cells.push(std::move(cell));
-        continue;
-      }
+            .set("mean_cycles", summary.mean)
+            .set("stddev_cycles", summary.stddev)
+            .set("max_cycles", summary.max)
+            .set("overhead_vs_modulo", overhead);
 
-      const stats::Summary summary = stats::summarize(times);
-      const double overhead =
-          baseline_mean[k] > 0 ? summary.mean / baseline_mean[k] : 0.0;
-      agg[p].overhead_sum += overhead;
-
-      Json cell = Json::object();
-      cell.set("kernel", kernels[k].name)
-          .set("policy", core::to_string(platforms[p].policy))
-          .set("partitioned", platforms[p].partitioned)
-          .set("runs", static_cast<std::uint64_t>(times.size()))
-          .set("mean_cycles", summary.mean)
-          .set("stddev_cycles", summary.stddev)
-          .set("max_cycles", summary.max)
-          .set("overhead_vs_modulo", overhead);
-
-      std::string verdict;
-      bool cell_converged = false;
-      if (summary.stddev == 0) {
-        verdict = "degenerate";
-        ++agg[p].degenerate;
-      } else {
-        const stats::IidVerdict v = stats::iid_check(times, cfg.lags);
-        cell.set("iid", iid_json(v, gate_alpha));
-        if (!v.passed(gate_alpha)) {
-          verdict = "iid_fail";
-          ++agg[p].iid_fail;
+        std::string verdict;
+        bool cell_converged = false;
+        if (summary.stddev == 0) {
+          verdict = "degenerate";
+          ++agg[p].degenerate;
         } else {
-          verdict = "applicable";
-          ++agg[p].applicable;
-          Json tails = Json::array();
-          for (const stats::TailModel tail :
-               {stats::TailModel::kGumbelBlockMaxima,
-                stats::TailModel::kGpdPot}) {
-            mbpta::AnalysisConfig tail_cfg = cfg;
-            tail_cfg.tail = tail;
-            const stats::PwcetModel model(times, tail, cfg.block);
-            const stats::GofResult gof = stats::gof_pwcet_fit(times, model);
-            const mbpta::ConvergenceCurve conv = mbpta::pwcet_convergence(
-                times, tail_cfg, kPwcetTargetProb, 6, kConvergenceTol);
-            // A cell's bound is stable when at least one tail estimator has
-            // settled - an analyst deploys the stable one.  (The GPD-POT
-            // bound at 1e-10 oscillates whenever the CV gate flips between
-            // the exponential and PWM arms; the block-maxima curve is the
-            // steadier of the two at campaign sample sizes.)
-            cell_converged = cell_converged || conv.converged;
-            const double bound = model.pwcet(kPwcetTargetProb);
-            if (k == 0 && tail == stats::TailModel::kGpdPot) {
-              agg[p].vecsum_pwcet = bound;
+          const stats::IidVerdict v = stats::iid_check(times, cfg.lags);
+          cell.set("iid", iid_json(v, gate_alpha));
+          if (!v.passed(gate_alpha)) {
+            verdict = "iid_fail";
+            ++agg[p].iid_fail;
+          } else {
+            verdict = "applicable";
+            ++agg[p].applicable;
+            Json tails = Json::array();
+            for (const stats::TailModel tail :
+                 {stats::TailModel::kGumbelBlockMaxima,
+                  stats::TailModel::kGpdPot}) {
+              mbpta::AnalysisConfig tail_cfg = cfg;
+              tail_cfg.tail = tail;
+              const stats::PwcetModel model(times, tail, cfg.block);
+              const stats::GofResult gof = stats::gof_pwcet_fit(times, model);
+              const mbpta::ConvergenceCurve conv = mbpta::pwcet_convergence(
+                  times, tail_cfg, kPwcetTargetProb, 6, kConvergenceTol);
+              // A cell's bound is stable when at least one tail estimator has
+              // settled - an analyst deploys the stable one.  (The GPD-POT
+              // bound at 1e-10 oscillates whenever the CV gate flips between
+              // the exponential and PWM arms; the block-maxima curve is the
+              // steadier of the two at campaign sample sizes.)
+              cell_converged = cell_converged || conv.converged;
+              const double bound = model.pwcet(kPwcetTargetProb);
+              if (k == 0 && tail == stats::TailModel::kGpdPot) {
+                agg[p].vecsum_pwcet = bound;
+              }
+              Json t = Json::object();
+              t.set("model", tail == stats::TailModel::kGumbelBlockMaxima
+                                 ? "gumbel_block_maxima"
+                                 : "gpd_pot")
+                  .set("pwcet_1e-10", bound)
+                  .set("gof", gof_json(gof))
+                  .set("convergence", convergence_json(conv));
+              tails.push(std::move(t));
             }
-            Json t = Json::object();
-            t.set("model", tail == stats::TailModel::kGumbelBlockMaxima
-                               ? "gumbel_block_maxima"
-                               : "gpd_pot")
-                .set("pwcet_1e-10", bound)
-                .set("gof", gof_json(gof))
-                .set("convergence", convergence_json(conv));
-            tails.push(std::move(t));
+            cell.set("tails", std::move(tails));
+            if (cell_converged) ++agg[p].converged;
           }
-          cell.set("tails", std::move(tails));
-          if (cell_converged) ++agg[p].converged;
         }
-      }
-      cell.set("verdict", verdict);
-      agg[p].all_ok =
-          agg[p].all_ok &&
-          (verdict == "degenerate" ||
-           (verdict == "applicable" && cell_converged));
-      cells.push(std::move(cell));
-    }
-  }
-
-  // Tradeoff table: the leakage half merged per platform, joined with the
-  // predictability aggregates - the paper's headline claim in one table.
-  Json tradeoff = Json::array();
-  bool modulo_never_applicable = true;
-  bool randomized_ok = true;
-  int randomized_applicable = 0;
-  for (std::size_t p = 0; p < platforms.size(); ++p) {
-    std::optional<attack::PrimeProbeOutcome> pp;
-    for (std::size_t s = 0; s < pp_shards.size(); ++s) {
-      const std::optional<PwcetTask>& part =
-          parts[timing_tasks + p * pp_shards.size() + s];
-      if (part && part->pp) {
-        if (pp) {
-          pp->merge(*part->pp);
-        } else {
-          pp.emplace(*part->pp);
-        }
+        cell.set("verdict", verdict);
+        agg[p].all_ok =
+            agg[p].all_ok &&
+            (verdict == "degenerate" ||
+             (verdict == "applicable" && cell_converged));
+        cells.push(std::move(cell));
       }
     }
 
-    const bool is_random = core::randomized(platforms[p].policy);
-    if (!is_random && agg[p].applicable > 0) modulo_never_applicable = false;
-    if (is_random && !agg[p].all_ok) randomized_ok = false;
-    randomized_applicable += is_random ? agg[p].applicable : 0;
+    // Tradeoff table: the leakage half merged per platform, joined with the
+    // predictability aggregates - the paper's headline claim in one table.
+    Json tradeoff = Json::array();
+    bool modulo_never_applicable = true;
+    bool randomized_ok = true;
+    int randomized_applicable = 0;
+    for (std::size_t p = 0; p < platforms.size(); ++p) {
+      std::optional<attack::PrimeProbeOutcome> pp;
+      for (std::size_t s = 0; s < pp_shards.size(); ++s) {
+        const std::optional<PwcetTask>& part =
+            parts[timing_tasks + p * pp_shards.size() + s];
+        if (part && part->pp) merge_into(pp, *part->pp);
+      }
 
-    // Leakage columns are null for a platform whose campaign never
-    // completed a shard (--allow-partial only).
-    Json rank_json;
-    Json resolved_json;
-    Json mi_json;
-    if (pp) {
-      const attack::MatrixRanking rank = attack::score_prime_probe(
-          pp->profile, l1, layout.tables, victim_key);
-      rank_json = rank.mean_true_rank();
-      resolved_json = rank.line_resolved_bytes();
-      mi_json = pp->channel.mi_bits_corrected();
+      const bool is_random = core::randomized(platforms[p].policy);
+      if (!is_random && agg[p].applicable > 0) modulo_never_applicable = false;
+      if (is_random && !agg[p].all_ok) randomized_ok = false;
+      randomized_applicable += is_random ? agg[p].applicable : 0;
+
+      // Leakage columns are null for a platform whose campaign never
+      // completed a shard (--allow-partial only).
+      Json rank_json;
+      Json resolved_json;
+      Json mi_json;
+      if (pp) {
+        const attack::MatrixRanking rank = attack::score_prime_probe(
+            pp->profile, l1, layout.tables, victim_key);
+        rank_json = rank.mean_true_rank();
+        resolved_json = rank.line_resolved_bytes();
+        mi_json = pp->channel.mi_bits_corrected();
+      }
+
+      Json row = Json::object();
+      row.set("policy", core::to_string(platforms[p].policy))
+          .set("partitioned", platforms[p].partitioned)
+          .set("randomized", is_random)
+          .set("prime_probe_mean_true_rank", std::move(rank_json))
+          .set("prime_probe_line_resolved_bytes", std::move(resolved_json))
+          .set("channel_mi_bits_corrected", std::move(mi_json))
+          .set("kernels_applicable", agg[p].applicable)
+          .set("kernels_degenerate", agg[p].degenerate)
+          .set("kernels_iid_fail", agg[p].iid_fail)
+          .set("kernels_converged", agg[p].converged)
+          .set("mean_overhead_vs_modulo",
+               agg[p].overhead_sum / static_cast<double>(n_kernels))
+          .set("vecsum_pwcet_1e-10", agg[p].vecsum_pwcet);
+      tradeoff.push(std::move(row));
     }
 
-    Json row = Json::object();
-    row.set("policy", core::to_string(platforms[p].policy))
-        .set("partitioned", platforms[p].partitioned)
-        .set("randomized", is_random)
-        .set("prime_probe_mean_true_rank", std::move(rank_json))
-        .set("prime_probe_line_resolved_bytes", std::move(resolved_json))
-        .set("channel_mi_bits_corrected", std::move(mi_json))
-        .set("kernels_applicable", agg[p].applicable)
-        .set("kernels_degenerate", agg[p].degenerate)
-        .set("kernels_iid_fail", agg[p].iid_fail)
-        .set("kernels_converged", agg[p].converged)
-        .set("mean_overhead_vs_modulo",
-             agg[p].overhead_sum / static_cast<double>(n_kernels))
-        .set("vecsum_pwcet_1e-10", agg[p].vecsum_pwcet);
-    tradeoff.push(std::move(row));
-  }
+    // The paper's qualitative claim, quantified over the matrix:
+    //  * the deterministic baseline never yields an analyzable distribution -
+    //    its cells are constant, WCET hostage to the one layout;
+    //  * on every randomized platform each cell is either degenerate
+    //    (constant timing = trivially predictable; RPCache lands here
+    //    everywhere because permuting set labels preserves the intra-process
+    //    conflict structure) or passes the i.i.d. gate with a converged
+    //    bound, with at least one genuinely modelled (applicable) randomized
+    //    cell so the second verdict is not vacuous.
+    Json claim = Json::object();
+    claim
+        .set("deterministic_modulo_never_mbpta_applicable",
+             modulo_never_applicable)
+        .set("randomized_platforms_pass_with_converged_pwcet",
+             randomized_ok && randomized_applicable > 0)
+        .set("randomized_applicable_cells", randomized_applicable);
 
-  // The paper's qualitative claim, quantified over the matrix:
-  //  * the deterministic baseline never yields an analyzable distribution -
-  //    its cells are constant, WCET hostage to the one layout;
-  //  * on every randomized platform each cell is either degenerate
-  //    (constant timing = trivially predictable; RPCache lands here
-  //    everywhere because permuting set labels preserves the intra-process
-  //    conflict structure) or passes the i.i.d. gate with a converged
-  //    bound, with at least one genuinely modelled (applicable) randomized
-  //    cell so the second verdict is not vacuous.
-  Json claim = Json::object();
-  claim
-      .set("deterministic_modulo_never_mbpta_applicable",
-           modulo_never_applicable)
-      .set("randomized_platforms_pass_with_converged_pwcet",
-           randomized_ok && randomized_applicable > 0)
-      .set("randomized_applicable_cells", randomized_applicable);
-
-  Json j = Json::object();
-  j.set("runs_per_cell", static_cast<std::uint64_t>(runs))
-      .set("pp_samples_per_platform", static_cast<std::uint64_t>(pp_samples))
-      .set("alpha", kPwcetAlpha)
-      .set("gate_alpha", gate_alpha)
-      .set("variable_cells", static_cast<std::uint64_t>(variable_cells))
-      .set("target_exceedance", kPwcetTargetProb)
-      .set("block", static_cast<std::uint64_t>(cfg.block))
-      .set("chance_mean_rank", 127.5)
-      .set("shards_per_cell", static_cast<std::uint64_t>(time_shards.size()))
-      .set("cells", std::move(cells))
-      .set("tradeoff", std::move(tradeoff))
-      .set("claim", std::move(claim));
-  return j;
+    Json j = Json::object();
+    j.set("runs_per_cell", static_cast<std::uint64_t>(runs))
+        .set("pp_samples_per_platform", static_cast<std::uint64_t>(pp_samples))
+        .set("alpha", kPwcetAlpha)
+        .set("gate_alpha", gate_alpha)
+        .set("variable_cells", static_cast<std::uint64_t>(variable_cells))
+        .set("target_exceedance", kPwcetTargetProb)
+        .set("block", static_cast<std::uint64_t>(cfg.block))
+        .set("chance_mean_rank", 127.5)
+        .set("shards_per_cell", static_cast<std::uint64_t>(time_shards.size()))
+        .set("cells", std::move(cells))
+        .set("tradeoff", std::move(tradeoff))
+        .set("claim", std::move(claim));
+    return j;
+  });
 }
 
 // --- pwcet_exceedance: plotting JSON for the pWCET matrix ------------------
@@ -1605,7 +1567,7 @@ Json run_pwcet_matrix(const RunOptions& options) {
 // per-decade pWCET curve down to 1e-12.  Verdicts and the Bonferroni
 // family-wise i.i.d. gate mirror pwcet_matrix, so a plotted curve always
 // corresponds to a cell the matrix would actually model.
-Json run_pwcet_exceedance(const RunOptions& options) {
+Json run_pwcet_exceedance(const RunOptions& options, Campaign&) {
   const std::size_t runs =
       std::max<std::size_t>(120, options.resolve_samples(240));
   const std::size_t shard_size = std::max<std::size_t>(1, options.shard_size);
@@ -1751,7 +1713,7 @@ Json static_leak_json(const analysis::Leak& leak) {
   return j;
 }
 
-Json run_ct_audit(const RunOptions&) {
+Json run_ct_audit(const RunOptions&, Campaign&) {
   // Static verdicts are a pure function of the kernel sources and the
   // secret spec: samples, master seed and worker count play no role, so
   // this JSON is trivially deterministic and golden-pinnable.  The secret

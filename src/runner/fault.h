@@ -144,8 +144,6 @@ class FaultInjector {
   /// only ever legal inside a worker subprocess.
   void disarm() { spec_ = FaultSpec{}; }
 
-  [[nodiscard]] const FaultSpec& spec() const { return spec_; }
-
  private:
   [[nodiscard]] bool targets(std::size_t task, int attempt) const {
     return spec_.kind != FaultKind::kNone && task == spec_.shard &&

@@ -49,8 +49,6 @@ class Json {
   /// object.
   Json& set(std::string key, Json value);
 
-  [[nodiscard]] Kind kind() const { return kind_; }
-
   /// Serialize.  indent < 0: compact single line; otherwise pretty-print
   /// with `indent` spaces per level.
   [[nodiscard]] std::string dump(int indent = -1) const;

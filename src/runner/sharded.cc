@@ -1,7 +1,6 @@
 #include "runner/sharded.h"
 
 #include <algorithm>
-#include <optional>
 #include <utility>
 
 #include "rng/rng.h"
@@ -113,63 +112,56 @@ std::vector<double> run_sharded_times(
   return merged;
 }
 
-ShardedCampaignResult run_sharded_bernstein(core::SetupKind kind,
-                                            const ShardedConfig& config,
-                                            FtSession* ft,
-                                            const std::string& stage) {
+std::function<ShardedCampaignResult()> declare_sharded_bernstein(
+    Campaign& campaign, core::SetupKind kind, const ShardedConfig& config,
+    const std::string& stage) {
   const std::vector<core::CampaignConfig> shards =
       plan_shards(config.base, config.shard_size);
   const crypto::Key victim_key =
       core::campaign_victim_key(config.base.master_seed);
   const crypto::Key attacker_key{};  // all-zero: Bernstein's known key
 
-  ThreadPool pool(config.workers);
-  // One task per (shard, party): the two sides of a shard are themselves
-  // independent sessions, so they parallelize too.
-  const auto run_task = [&](std::size_t task) {
+  // The task owns its plan: a dispatch worker runs it after this returns.
+  const auto run_task = [kind, shards, victim_key,
+                         attacker_key](std::size_t task) {
     const std::size_t shard = task / 2;
     const bool is_victim = task % 2 == 0;
     return core::run_victim_side(kind, shards[shard],
                                  /*party_tag=*/is_victim ? 1 : 2,
                                  is_victim ? victim_key : attacker_key);
   };
+  static const TaskCodec<core::SideResult> codec{
+      [](const core::SideResult& s, ByteWriter& w) { put_side_result(w, s); },
+      [](ByteReader& r) { return get_side_result(r); }};
+  StageResults<core::SideResult> sides =
+      campaign.stage(stage, shards.size() * 2, run_task, codec);
 
-  std::vector<std::optional<core::SideResult>> sides;
-  if (ft != nullptr && ft->options().enabled()) {
-    static const TaskCodec<core::SideResult> codec{
-        [](const core::SideResult& s, ByteWriter& w) { put_side_result(w, s); },
-        [](ByteReader& r) { return get_side_result(r); }};
-    sides = ft_parallel_map<core::SideResult>(*ft, stage, pool,
-                                              shards.size() * 2, run_task,
-                                              codec)
-                .results;
-  } else {
-    std::vector<core::SideResult> plain =
-        parallel_map(pool, shards.size() * 2, run_task);
-    sides.reserve(plain.size());
-    for (core::SideResult& side : plain) sides.emplace_back(std::move(side));
-  }
+  return [kind, shard_count = shards.size(), victim_key, attacker_key,
+          sides = std::move(sides)]() mutable {
+    std::vector<core::SideResult> victims;
+    std::vector<core::SideResult> attackers;
+    victims.reserve(shard_count);
+    attackers.reserve(shard_count);
+    for (std::size_t i = 0; i < sides.size(); ++i) {
+      if (!sides[i]) continue;
+      (i % 2 == 0 ? victims : attackers).push_back(std::move(*sides[i]));
+    }
+    ShardedCampaignResult result;
+    result.kind = kind;
+    result.shard_count = shard_count;
+    result.victim = merge_sides(std::move(victims), victim_key);
+    result.attacker = merge_sides(std::move(attackers), attacker_key);
+    result.attack = attack::bernstein_attack(
+        result.victim.profile, result.attacker.profile, attacker_key,
+        victim_key);
+    return result;
+  };
+}
 
-  // In-order merge per party; exhausted shards (allow-partial only) simply
-  // contribute nothing.
-  std::vector<core::SideResult> victims;
-  std::vector<core::SideResult> attackers;
-  victims.reserve(shards.size());
-  attackers.reserve(shards.size());
-  for (std::size_t i = 0; i < sides.size(); ++i) {
-    if (!sides[i]) continue;
-    (i % 2 == 0 ? victims : attackers).push_back(std::move(*sides[i]));
-  }
-
-  ShardedCampaignResult result;
-  result.kind = kind;
-  result.shard_count = shards.size();
-  result.victim = merge_sides(std::move(victims), victim_key);
-  result.attacker = merge_sides(std::move(attackers), attacker_key);
-  result.attack =
-      attack::bernstein_attack(result.victim.profile, result.attacker.profile,
-                               attacker_key, victim_key);
-  return result;
+ShardedCampaignResult run_sharded_bernstein(core::SetupKind kind,
+                                            const ShardedConfig& config) {
+  Campaign campaign(config.workers);
+  return declare_sharded_bernstein(campaign, kind, config, "bernstein")();
 }
 
 }  // namespace tsc::runner

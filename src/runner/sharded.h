@@ -44,7 +44,7 @@
 #include "attack/profile.h"
 #include "core/campaign.h"
 #include "core/setup.h"
-#include "runner/checkpoint.h"
+#include "runner/campaign.h"
 #include "runner/thread_pool.h"
 #include "stats/descriptive.h"
 
@@ -88,19 +88,19 @@ struct ShardedCampaignResult {
   attack::AttackResult attack;
 };
 
-/// Run the sharded campaign: plan shards, execute them on `workers`
-/// threads, merge in shard order, correlate once on the merged profiles.
-///
-/// With a fault-tolerance session (`ft` non-null and enabled), the shard
-/// fan-out runs through FtSession::run_stage under `stage`: completed
-/// shards checkpoint and resume, faulted shards retry, and - because every
-/// payload codec is a bit-exact round-trip and merges stay in shard-index
-/// order - the merged result is byte-identical to the plain path.  Shards
-/// that exhaust their retries under allow-partial are simply absent from
-/// the merge (and listed in the session's incomplete manifest).
+/// Declare the sharded campaign on `campaign` as stage `stage`: one task
+/// per (shard, party), since a shard's two sides are themselves independent
+/// sessions.  Returns the reduce, for the campaign's finish(): the in-order
+/// merge per party, then one correlation on the merged profiles.  Shards
+/// that exhausted their retries under --allow-partial contribute nothing.
+[[nodiscard]] std::function<ShardedCampaignResult()> declare_sharded_bernstein(
+    Campaign& campaign, core::SetupKind kind, const ShardedConfig& config,
+    const std::string& stage);
+
+/// The same campaign on a plain campaign of `config.workers` threads,
+/// reduced at once.
 [[nodiscard]] ShardedCampaignResult run_sharded_bernstein(
-    core::SetupKind kind, const ShardedConfig& config,
-    FtSession* ft = nullptr, const std::string& stage = "bernstein");
+    core::SetupKind kind, const ShardedConfig& config);
 
 /// Sharded single-side run (victim only): merged profile + timing stats for
 /// analyses that do not need the attacker (Fig. 4, MBPTA overhead sweeps).

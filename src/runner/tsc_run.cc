@@ -18,5 +18,5 @@
 #include "runner/experiment.h"
 
 int main(int argc, char** argv) {
-  return tsc::runner::experiment_main("", argc, argv);
+  return tsc::runner::experiment_main(argc, argv);
 }

@@ -8,13 +8,11 @@
 // reproduces exactly.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <functional>
 #include <map>
-#include <new>
 #include <random>
 #include <sstream>
 #include <string>
@@ -24,42 +22,12 @@
 #include "attack/evicttime.h"
 #include "attack/flushreload.h"
 #include "attack/primeprobe.h"
+#include "fuzz_support.h"
 #include "runner/checkpoint.h"
 #include "runner/codecs.h"
 
-// --- allocation high-water mark ----------------------------------------------
-//
-// The binary replaces the global allocation functions so a test can ask for
-// the largest single request made while it parsed damaged bytes.
-
-namespace {
-std::atomic<std::size_t> g_largest_alloc{0};
-
-void* tracked_alloc(std::size_t n) {
-  std::size_t seen = g_largest_alloc.load(std::memory_order_relaxed);
-  while (n > seen && !g_largest_alloc.compare_exchange_weak(
-                         seen, n, std::memory_order_relaxed)) {
-  }
-  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
-  throw std::bad_alloc();
-}
-}  // namespace
-
-void* operator new(std::size_t n) { return tracked_alloc(n); }
-void* operator new[](std::size_t n) { return tracked_alloc(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-
 namespace tsc::runner {
 namespace {
-
-/// No damaged input of the sizes used here may make a parser ask for more
-/// than this in one allocation; the honest inputs need well under 1 MB.
-constexpr std::size_t kAllocLimit = std::size_t{8} << 20;
-
-using Bytes = std::vector<std::uint8_t>;
 
 std::string temp_path(const std::string& name) {
   return ::testing::TempDir() + "tsc_fuzz_" + name;
@@ -77,30 +45,6 @@ void write_file(const std::string& path, const Bytes& bytes) {
   std::ofstream(path, std::ios::binary | std::ios::trunc)
       .write(reinterpret_cast<const char*>(bytes.data()),
              static_cast<std::streamsize>(bytes.size()));
-}
-
-/// A few thousand byte flips, inserts and deletes, 1-3 per mutant.
-Bytes mutate(const Bytes& in, std::mt19937_64& rng) {
-  Bytes out = in;
-  const int ops = 1 + static_cast<int>(rng() % 3);
-  for (int k = 0; k < ops; ++k) {
-    const std::size_t at = out.empty() ? 0 : rng() % out.size();
-    switch (rng() % 3) {
-      case 0:
-        if (!out.empty()) out[at] ^= static_cast<std::uint8_t>(1 + rng() % 255);
-        break;
-      case 1:
-        out.insert(out.begin() + static_cast<std::ptrdiff_t>(at),
-                   static_cast<std::uint8_t>(rng()));
-        break;
-      default:
-        if (!out.empty()) {
-          out.erase(out.begin() + static_cast<std::ptrdiff_t>(at));
-        }
-        break;
-    }
-  }
-  return out;
 }
 
 // --- realistic payloads ------------------------------------------------------
@@ -275,7 +219,7 @@ TEST(CheckpointFuzzTest, DamagedJournalThrowsOrReturnsOnlySavedRecords) {
   std::size_t partial = 0;
   for (int iter = 0; iter < 2500; ++iter) {
     write_file(path, mutate(journal, rng));
-    g_largest_alloc = 0;
+    reset_largest_alloc();
     try {
       const Checkpoint loaded = Checkpoint::load(path);
       // Whatever survives must be a saved record, byte for byte, and its
@@ -296,7 +240,7 @@ TEST(CheckpointFuzzTest, DamagedJournalThrowsOrReturnsOnlySavedRecords) {
     } catch (const CheckpointError&) {
       ++rejected;
     }
-    ASSERT_LE(g_largest_alloc.load(), kAllocLimit) << "mutant " << iter;
+    ASSERT_LE(largest_alloc(), kAllocLimit) << "mutant " << iter;
   }
   // Both outcomes must actually occur, or the test exercises nothing.
   EXPECT_GT(rejected, 0u);
@@ -317,14 +261,14 @@ TEST(CheckpointFuzzTest, DecodersRejectDamagedPayloadsWithoutHugeAllocations) {
     std::size_t rejected = 0;
     for (int iter = 0; iter < 1500; ++iter) {
       const Bytes bytes = mutate(kind.payload, rng);
-      g_largest_alloc = 0;
+      reset_largest_alloc();
       try {
         ByteReader r(bytes);
         kind.decode(r);
       } catch (const CheckpointError&) {
         ++rejected;
       }
-      ASSERT_LE(g_largest_alloc.load(), kAllocLimit)
+      ASSERT_LE(largest_alloc(), kAllocLimit)
           << kind.stage << " mutant " << iter;
     }
     EXPECT_GT(rejected, 0u) << kind.stage;
@@ -335,10 +279,10 @@ TEST(CheckpointFuzzTest, DecodersRejectDamagedPayloadsWithoutHugeAllocations) {
 TEST(CheckpointFuzzTest, DecodersRejectLengthsTheBytesCannotHold) {
   const auto rejects = [](const Bytes& bytes,
                           const std::function<void(ByteReader&)>& decode) {
-    g_largest_alloc = 0;
+    reset_largest_alloc();
     ByteReader r(bytes);
     EXPECT_THROW(decode(r), CheckpointError);
-    EXPECT_LE(g_largest_alloc.load(), std::size_t{1} << 16);
+    EXPECT_LE(largest_alloc(), std::size_t{1} << 16);
   };
   ByteWriter doubles;
   doubles.put_varint(std::uint64_t{1} << 40);  // 2^40 doubles, 8 bytes given

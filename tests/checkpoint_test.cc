@@ -1,9 +1,10 @@
 // Tests for the fault-tolerance layer: exact byte codecs, checkpoint
 // save/load (including version and shard-plan rejection and corrupt-record
 // dropping), fault-spec parsing, the FtSession retry/watchdog/partial
-// orchestration, and the tentpole contract - interrupt-at-shard-k + resume
-// yields JSON byte-identical to an uninterrupted run, against the committed
-// golden fixtures, for several k and differing worker counts.
+// orchestration behind Campaign stages, and the tentpole contract -
+// interrupt-at-shard-k + resume yields JSON byte-identical to an
+// uninterrupted run, against the committed golden fixtures, for several k
+// and differing worker counts.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -19,6 +20,7 @@
 #include "attack/flushreload.h"
 #include "attack/primeprobe.h"
 #include "attack/profile.h"
+#include "runner/campaign.h"
 #include "runner/checkpoint.h"
 #include "runner/codecs.h"
 #include "runner/experiment.h"
@@ -421,7 +423,7 @@ TEST(CheckpointTest, AtomicWriteFailsLoudlyAndLeavesNoTempFile) {
   EXPECT_TRUE(read_file(path + ".tmp").empty());
 }
 
-// --- FtSession orchestration (toy stage functions) ---------------------------
+// --- FtSession orchestration through Campaign stages (toy tasks) -----------
 
 const TaskCodec<std::uint64_t>& u64_codec() {
   static const TaskCodec<std::uint64_t> codec{
@@ -439,13 +441,11 @@ TEST(FtSessionTest, InjectedThrowIsRetriedAndRecovered) {
   FtOptions options;
   options.fault = {2, FaultKind::kThrow, 1};
   FtSession session(options, "toy", "fp");
-  ThreadPool pool(2);
-  const auto out = ft_parallel_map<std::uint64_t>(session, "s", pool, 8,
-                                                  toy_task, u64_codec());
-  EXPECT_TRUE(out.incomplete.empty());
+  Campaign campaign(2, &session);
+  const auto out = campaign.stage("s", 8, toy_task, u64_codec());
   for (std::size_t i = 0; i < 8; ++i) {
-    ASSERT_TRUE(out.results[i].has_value());
-    EXPECT_EQ(*out.results[i], toy_task(i));
+    ASSERT_TRUE(out[i].has_value());
+    EXPECT_EQ(*out[i], toy_task(i));
   }
   EXPECT_EQ(session.failed_attempts(), 1u);
 }
@@ -462,13 +462,12 @@ TEST(FtSessionTest, TimeBasedCadenceFlushesMidStage) {
   options.checkpoint_every = 1000;
   options.checkpoint_interval_ms = 1;
   FtSession timed(options, "toy", "fp");
-  ThreadPool pool(1);
+  Campaign campaign(1, &timed);
   const auto slow_task = [](std::size_t i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
     return toy_task(i);
   };
-  (void)ft_parallel_map<std::uint64_t>(timed, "s", pool, 6, slow_task,
-                                       u64_codec());
+  (void)campaign.stage("s", 6, slow_task, u64_codec());
   // 6 completions at >= 1 ms apart with a 1 ms budget: every completion is
   // flush-due, and the final stage flush rides on top.
   EXPECT_GE(timed.flush_count(), 3u);
@@ -481,8 +480,7 @@ TEST(FtSessionTest, TimeBasedCadenceFlushesMidStage) {
   FtOptions counted = options;
   counted.checkpoint_interval_ms = 0;
   FtSession plain(counted, "toy", "fp");
-  (void)ft_parallel_map<std::uint64_t>(plain, "s", pool, 6, slow_task,
-                                       u64_codec());
+  (void)Campaign(1, &plain).stage("s", 6, slow_task, u64_codec());
   EXPECT_EQ(plain.flush_count(), 1u);
   std::remove(path.c_str());
 }
@@ -499,7 +497,7 @@ TEST(FtSessionTest, FlushingEveryCompletionWritesAboutTheFileOnce) {
   options.checkpoint_path = path;
   options.checkpoint_every = 1;
   FtSession session(options, "toy", "fp");
-  ThreadPool pool(2);
+  Campaign campaign(2, &session);
   const TaskCodec<std::uint64_t> wide{
       [](const std::uint64_t& v, ByteWriter& w) {
         for (int i = 0; i < 64; ++i) w.put_varint(v);
@@ -510,8 +508,7 @@ TEST(FtSessionTest, FlushingEveryCompletionWritesAboutTheFileOnce) {
         return v;
       }};
   constexpr std::size_t kTasks = 40;
-  (void)ft_parallel_map<std::uint64_t>(session, "s", pool, kTasks, toy_task,
-                                       wide);
+  (void)campaign.stage("s", kTasks, toy_task, wide);
   EXPECT_EQ(session.flush_count(), kTasks);
   const std::size_t file_size = read_file(path).size();
   EXPECT_EQ(Checkpoint::load(path).record_count(), kTasks);
@@ -525,12 +522,10 @@ TEST(FtSessionTest, InjectedCorruptionIsCaughtByChecksumAndRetried) {
   FtOptions options;
   options.fault = {4, FaultKind::kCorrupt, 1};
   FtSession session(options, "toy", "fp");
-  ThreadPool pool(2);
-  const auto out = ft_parallel_map<std::uint64_t>(session, "s", pool, 8,
-                                                  toy_task, u64_codec());
-  EXPECT_TRUE(out.incomplete.empty());
-  ASSERT_TRUE(out.results[4].has_value());
-  EXPECT_EQ(*out.results[4], toy_task(4));
+  Campaign campaign(2, &session);
+  const auto out = campaign.stage("s", 8, toy_task, u64_codec());
+  ASSERT_TRUE(out[4].has_value());
+  EXPECT_EQ(*out[4], toy_task(4));
   EXPECT_EQ(session.failed_attempts(), 1u);
 }
 
@@ -540,13 +535,11 @@ TEST(FtSessionTest, InjectedHangIsAbandonedByWatchdogAndRequeued) {
   options.fault = {1, FaultKind::kHang, 1};
   options.watchdog_ms = 100;
   FtSession session(options, "toy", "fp");
-  ThreadPool pool(2);
-  const auto out = ft_parallel_map<std::uint64_t>(session, "s", pool, 6,
-                                                  toy_task, u64_codec());
-  EXPECT_TRUE(out.incomplete.empty());
+  Campaign campaign(2, &session);
+  const auto out = campaign.stage("s", 6, toy_task, u64_codec());
   for (std::size_t i = 0; i < 6; ++i) {
-    ASSERT_TRUE(out.results[i].has_value());
-    EXPECT_EQ(*out.results[i], toy_task(i));
+    ASSERT_TRUE(out[i].has_value());
+    EXPECT_EQ(*out[i], toy_task(i));
   }
   EXPECT_GE(session.failed_attempts(), 1u);
 }
@@ -557,9 +550,8 @@ TEST(FtSessionTest, ExhaustedRetriesAbortWithoutAllowPartial) {
   options.fault = {3, FaultKind::kThrow, 10};  // outlives the budget
   options.max_attempts = 2;
   FtSession session(options, "toy", "fp");
-  ThreadPool pool(2);
-  EXPECT_THROW((void)ft_parallel_map<std::uint64_t>(session, "s", pool, 8,
-                                                    toy_task, u64_codec()),
+  Campaign campaign(2, &session);
+  EXPECT_THROW((void)campaign.stage("s", 8, toy_task, u64_codec()),
                CampaignAborted);
 }
 
@@ -570,15 +562,12 @@ TEST(FtSessionTest, AllowPartialRecordsExhaustedShardInManifest) {
   options.max_attempts = 2;
   options.allow_partial = true;
   FtSession session(options, "toy", "fp");
-  ThreadPool pool(2);
-  const auto out = ft_parallel_map<std::uint64_t>(session, "s", pool, 8,
-                                                  toy_task, u64_codec());
-  ASSERT_EQ(out.incomplete.size(), 1u);
-  EXPECT_EQ(out.incomplete[0], 3u);
-  EXPECT_FALSE(out.results[3].has_value());
+  Campaign campaign(2, &session);
+  const auto out = campaign.stage("s", 8, toy_task, u64_codec());
+  EXPECT_FALSE(out[3].has_value());
   for (std::size_t i = 0; i < 8; ++i) {
     if (i != 3) {
-      EXPECT_TRUE(out.results[i].has_value());
+      EXPECT_TRUE(out[i].has_value());
     }
   }
   ASSERT_EQ(session.incomplete().size(), 1u);
@@ -597,9 +586,8 @@ TEST(FtSessionTest, StopAfterInterruptsWithCheckpointThenResumes) {
   options.stop_after = 3;
   {
     FtSession session(options, "toy", "fp");
-    ThreadPool pool(2);
-    EXPECT_THROW((void)ft_parallel_map<std::uint64_t>(session, "s", pool, 10,
-                                                      toy_task, u64_codec()),
+    Campaign campaign(2, &session);
+    EXPECT_THROW((void)campaign.stage("s", 10, toy_task, u64_codec()),
                  Interrupted);
   }
   const Checkpoint flushed = Checkpoint::load(path);
@@ -611,12 +599,11 @@ TEST(FtSessionTest, StopAfterInterruptsWithCheckpointThenResumes) {
   resume.stop_after = 0;
   resume.resume = true;
   FtSession session(resume, "toy", "fp");
-  ThreadPool pool(4);  // a different worker count must not matter
-  const auto out = ft_parallel_map<std::uint64_t>(session, "s", pool, 10,
-                                                  toy_task, u64_codec());
+  Campaign campaign(4, &session);  // a different worker count: no matter
+  const auto out = campaign.stage("s", 10, toy_task, u64_codec());
   for (std::size_t i = 0; i < 10; ++i) {
-    ASSERT_TRUE(out.results[i].has_value());
-    EXPECT_EQ(*out.results[i], toy_task(i));
+    ASSERT_TRUE(out[i].has_value());
+    EXPECT_EQ(*out[i], toy_task(i));
   }
   std::remove(path.c_str());
 }
@@ -646,11 +633,29 @@ TEST(FtSessionTest, ResumeWithMissingFileStartsFresh) {
   options.checkpoint_path = temp_path("never_written.bin");
   options.resume = true;
   FtSession session(options, "toy", "fp");
-  ThreadPool pool(2);
-  const auto out = ft_parallel_map<std::uint64_t>(session, "s", pool, 4,
-                                                  toy_task, u64_codec());
-  for (std::size_t i = 0; i < 4; ++i) EXPECT_TRUE(out.results[i].has_value());
+  Campaign campaign(2, &session);
+  const auto out = campaign.stage("s", 4, toy_task, u64_codec());
+  for (std::size_t i = 0; i < 4; ++i) EXPECT_TRUE(out[i].has_value());
   std::remove(options.checkpoint_path.c_str());
+}
+
+TEST(CampaignTest, PlainStagesNeverEncodeAndFinishReducesOnce) {
+  // Without a session a stage is a typed parallel_map: the codec must not
+  // run at all, and finish() hands back exactly what the reduce builds.
+  const TaskCodec<std::uint64_t> refuses{
+      [](const std::uint64_t&, ByteWriter&) { FAIL() << "encoded"; },
+      [](ByteReader&) -> std::uint64_t { throw CheckpointError("decoded"); }};
+  Campaign campaign(3);
+  const auto out = campaign.stage("s", 7, toy_task, refuses);
+  ASSERT_EQ(out.size(), 7u);
+  for (std::size_t i = 0; i < 7; ++i) EXPECT_EQ(out[i], toy_task(i));
+  int reduces = 0;
+  const Json doc = campaign.finish([&] {
+    ++reduces;
+    return Json(static_cast<std::uint64_t>(*out[6]));
+  });
+  EXPECT_EQ(reduces, 1);
+  EXPECT_EQ(doc.dump(-1), std::to_string(toy_task(6)));
 }
 
 // --- resume bit-identity against the golden fixtures -------------------------
@@ -662,12 +667,11 @@ std::string read_fixture(const std::string& relative) {
   return text;
 }
 
-/// Render an experiment through a fault-tolerance session, exactly as
-/// `tsc_run --json` does.  Throws Interrupted/CampaignAborted like the CLI
-/// path would.
-std::string run_ft_json(const std::string& name, std::size_t samples,
-                        std::size_t shard_size, unsigned workers,
-                        const FtOptions& ft) {
+/// Run an experiment with fault-tolerance options `ft` through the same
+/// entry point as `tsc_run --json`.
+ExperimentRun run_ft(const std::string& name, std::size_t samples,
+                     std::size_t shard_size, unsigned workers,
+                     const FtOptions& ft) {
   const Experiment* experiment = find_experiment(name);
   EXPECT_NE(experiment, nullptr);
   RunOptions options;
@@ -675,14 +679,7 @@ std::string run_ft_json(const std::string& name, std::size_t samples,
   options.shard_size = shard_size;
   options.workers = workers;
   options.ft = ft;
-  FtSession session(ft, experiment->name, "test-fingerprint");
-  options.ft_session = &session;
-  Json doc = Json::object();
-  doc.set("experiment", experiment->name)
-      .set("description", experiment->description)
-      .set("seed", options.master_seed)
-      .set("results", experiment->run(options));
-  return doc.dump(-1) + "\n";
+  return run_experiment(*experiment, options);
 }
 
 /// The tentpole contract, end to end: run with a checkpoint and an
@@ -705,9 +702,9 @@ void check_interrupt_resume(const std::string& name, std::size_t samples,
   interrupted.checkpoint_path = path;
   interrupted.checkpoint_every = 1;
   interrupted.stop_after = stop_after;
-  EXPECT_THROW(
-      (void)run_ft_json(name, samples, shard_size, /*workers=*/2, interrupted),
-      Interrupted)
+  EXPECT_EQ(
+      run_ft(name, samples, shard_size, /*workers=*/2, interrupted).exit_code,
+      kExitInterrupted)
       << name << " k=" << stop_after;
 
   if (chop_bytes > 0) {
@@ -724,9 +721,10 @@ void check_interrupt_resume(const std::string& name, std::size_t samples,
   FtOptions resume;
   resume.checkpoint_path = path;
   resume.resume = true;
-  const std::string out =
-      run_ft_json(name, samples, shard_size, /*workers=*/5, resume);
-  EXPECT_EQ(out, expected)
+  const ExperimentRun out =
+      run_ft(name, samples, shard_size, /*workers=*/5, resume);
+  EXPECT_EQ(out.exit_code, kExitOk);
+  EXPECT_EQ(out.json, expected)
       << name << ": resume after " << stop_after
       << " shards diverged from the uninterrupted run";
   std::remove(path.c_str());
@@ -777,7 +775,7 @@ TEST(ResumeBitIdentityTest, PwcetMatrixMatchesGoldenFixtureAfterInterrupt) {
 TEST(ResumeBitIdentityTest, AttackMatrixSelfConsistentAcrossManyCutPoints) {
   clear_interrupt();
   const std::string reference =
-      run_ft_json("attack_matrix", 400, 200, /*workers=*/4, FtOptions{});
+      run_ft("attack_matrix", 400, 200, /*workers=*/4, FtOptions{}).json;
   for (const std::size_t k : {1u, 5u, 13u, 20u}) {
     check_interrupt_resume("attack_matrix", 400, 200, k, reference);
   }

@@ -1,6 +1,6 @@
 // Tests for the core setups and a small-scale end-to-end Bernstein check.
 //
-// The full-scale reproduction of Figure 5 lives in bench_fig5_bernstein;
+// The full-scale reproduction of Figure 5 is `tsc_run --experiment fig5`;
 // here we assert the structural properties and the qualitative security
 // ordering at a sample count small enough for CI.
 #include <gtest/gtest.h>
@@ -114,7 +114,7 @@ CampaignConfig small_campaign() {
   // function of the AES index trace - the Bonneau-Mironov channel, paper
   // ref [8]), which pollutes both parties' profiles identically and is not
   // the contention channel under test.  It averages out at the full
-  // bench_fig5 sample count; CI avoids it by staying inside one epoch.
+  // full fig5 sample count; CI avoids it by staying inside one epoch.
   cfg.hyperperiod_jobs = std::uint64_t{1} << 30;
   return cfg;
 }

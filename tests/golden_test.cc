@@ -59,8 +59,9 @@ std::string read_fixture(const std::string& relative) {
   return buf.str();
 }
 
-/// Render an experiment exactly as `tsc_run --json` does (compact dump plus
-/// trailing newline), so the fixture can be regenerated with the CLI.
+/// Render an experiment through the same entry point as `tsc_run --json`
+/// (compact dump plus trailing newline), so the fixture can be regenerated
+/// with the CLI.
 std::string run_experiment_json(const std::string& name, std::size_t samples,
                                 std::size_t shard_size, unsigned workers) {
   const Experiment* experiment = find_experiment(name);
@@ -69,12 +70,9 @@ std::string run_experiment_json(const std::string& name, std::size_t samples,
   options.samples = samples;
   options.shard_size = shard_size;
   options.workers = workers;
-  Json doc = Json::object();
-  doc.set("experiment", experiment->name)
-      .set("description", experiment->description)
-      .set("seed", options.master_seed)
-      .set("results", experiment->run(options));
-  return doc.dump(-1) + "\n";
+  const ExperimentRun run = run_experiment(*experiment, options);
+  EXPECT_EQ(run.exit_code, kExitOk) << name;
+  return run.json;
 }
 
 std::string run_fig5_json(unsigned workers) {

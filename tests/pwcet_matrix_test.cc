@@ -130,9 +130,9 @@ TEST(PwcetExceedance, WorkerCountInvariantAndWellFormed) {
   options.samples = 120;
   options.shard_size = 40;
   options.workers = 1;
-  const std::string w1 = experiment->run(options).dump(-1);
+  const std::string w1 = run_experiment(*experiment, options).json;
   options.workers = 3;
-  EXPECT_EQ(experiment->run(options).dump(-1), w1)
+  EXPECT_EQ(run_experiment(*experiment, options).json, w1)
       << "exceedance JSON must be worker-count invariant";
   // The plotting contract: empirical tails everywhere, fitted + extrapolated
   // curves on at least one applicable cell, both tail models present.
