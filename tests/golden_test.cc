@@ -35,6 +35,17 @@
 // (each command on one line) and say so loudly in the commit message - this
 // file is the contract that performance work does not move simulation
 // results.
+//
+// tests/golden/paper/ pins, at a CI-sized scale, the paper experiments that
+// have no golden of their own: every row built from the paper's four setups
+// (deterministic, RPCache, MBPTACache, TSCache), including TSCache's
+// per-trial reseeds (sec621) and the mid-hyperperiod reseed replay of
+// shards that start inside a hyperperiod (ablation_seedpolicy at
+// hyperperiods 1 and 64 with 100-run shards).  Each fixture is checked on
+// 1 and 4 workers.  Regenerate them with, for each EXP in fig1 fig4 sec621
+// sec622 sec623 ablation_samples ablation_seedpolicy ablation_partitioning:
+//   tsc_run --experiment EXP --samples 200 --shard-size 100 --json
+//       > tests/golden/paper/EXP_s200_ss100.json
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -204,6 +215,28 @@ TEST(GoldenPwcetMatrix, MatchesFixtureAndAssertsThePapersClaim) {
       std::string::npos)
       << "fixture lost the randomized-converged verdict";
 }
+
+class GoldenPaperRow : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(GoldenPaperRow, MatchesCommittedFixtureOnOneAndFourWorkers) {
+  const std::string name = GetParam();
+  const std::string expected =
+      read_fixture("tests/golden/paper/" + name + "_s200_ss100.json");
+  ASSERT_FALSE(expected.empty());
+  for (const unsigned workers : {1u, 4u}) {
+    EXPECT_EQ(run_experiment_json(name, 200, 100, workers), expected)
+        << name << " diverged from its fixture on " << workers << " workers";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PaperSetups, GoldenPaperRow,
+    ::testing::Values("fig1", "fig4", "sec621", "sec622", "sec623",
+                      "ablation_samples", "ablation_seedpolicy",
+                      "ablation_partitioning"),
+    [](const ::testing::TestParamInfo<const char*>& info) {
+      return std::string(info.param);
+    });
 
 }  // namespace
 }  // namespace tsc::runner
