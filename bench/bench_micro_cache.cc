@@ -160,8 +160,8 @@ void BM_MachineReset(benchmark::State& state, core::PlacementPolicy policy) {
   auto machine = core::build_policy_machine(policy, 0, false);
   std::uint64_t seed = 1;
   for (auto _ : state) {
-    machine->reset(core::policy_machine_rng_seed(seed));
-    core::configure_policy_machine(*machine, seed++, false);
+    core::deploy(*machine, {policy, seed++},
+                 {core::kMatrixVictim, core::kMatrixAttacker});
     benchmark::DoNotOptimize(machine->now());
   }
 }

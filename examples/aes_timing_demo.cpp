@@ -25,7 +25,8 @@ int main() {
 
   for (const core::SetupKind kind :
        {core::SetupKind::kDeterministic, core::SetupKind::kTsCache}) {
-    const core::SideResult side = core::run_victim_side(kind, cfg, 1, key);
+    const core::SideResult side =
+        core::run_victim_side(core::paper_platform(kind), cfg, 1, key);
 
     const double lo = stats::quantile(side.timings, 0.001);
     const double hi = stats::quantile(side.timings, 0.999);

@@ -19,7 +19,10 @@ int main() {
 
   for (const core::SetupKind kind :
        {core::SetupKind::kDeterministic, core::SetupKind::kTsCache}) {
-    const core::CampaignResult r = core::run_bernstein_campaign(kind, cfg);
+    // A paper setup is a point of the platform axis: placement policy x
+    // seed policy (TSCache = random-modulo + per-process reseeding).
+    const core::CampaignResult r =
+        core::run_bernstein_campaign(core::paper_platform(kind), cfg);
     std::printf("--- %s ---\n", core::to_string(kind).c_str());
     std::printf("victim key     : ");
     for (int i = 0; i < 16; ++i) std::printf("%02x ", r.victim.key[i]);

@@ -8,10 +8,11 @@
 #include <cstdio>
 #include <vector>
 
-#include "core/setup.h"
+#include "core/policy.h"
 #include "isa/interpreter.h"
 #include "isa/kernels.h"
 #include "mbpta/analysis.h"
+#include "rng/rng.h"
 
 int main() {
   using namespace tsc;
@@ -26,11 +27,13 @@ int main() {
     // MBPTA protocol (paper section 2.1): every run observes a fresh random
     // cache layout, making analysis-time measurements probabilistically
     // representative of any deployment-time memory placement.
-    core::Setup setup(core::SetupKind::kTsCache, rng::derive_seed(99, r));
-    setup.register_process(ProcId{1});
-    setup.machine().set_process(ProcId{1});
+    const auto machine = core::build_machine(
+        {core::paper_platform(core::SetupKind::kTsCache),
+         rng::derive_seed(99, r)},
+        {ProcId{1}});
+    machine->set_process(ProcId{1});
 
-    isa::Interpreter interp(setup.machine());
+    isa::Interpreter interp(*machine);
     interp.load_program(isa::assemble(
         isa::stride_walk_source(0x40000, 8192, 64, 32 * 1024), 0x1000));
     const isa::RunResult result = interp.run(0x1000, 50'000'000);

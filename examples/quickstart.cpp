@@ -6,7 +6,7 @@
 #include <cstdio>
 #include <memory>
 
-#include "core/setup.h"
+#include "core/policy.h"
 
 int main() {
   using namespace tsc;
@@ -19,10 +19,11 @@ int main() {
   std::printf("%-14s %12s %12s %14s\n", "setup", "cycles", "L1D-miss%",
               "cycles-after-reseed");
   for (const core::SetupKind kind : core::all_setups()) {
-    // A Setup bundles the machine with the design's seed policy.
-    core::Setup setup(kind, /*master_seed=*/42);
-    setup.register_process(kTask);
-    sim::Machine& m = setup.machine();
+    // Each setup is a platform - placement policy x seed policy - built
+    // with the task's initial seed installed.
+    const auto machine =
+        core::build_machine({core::paper_platform(kind), /*seed=*/42}, {kTask});
+    sim::Machine& m = *machine;
     m.set_process(kTask);
 
     // A toy task: walk 24KB of data three times (capacity pressure in L1),

@@ -1,5 +1,9 @@
 #include "core/campaign.h"
 
+#include <memory>
+
+#include "rng/rng.h"
+
 namespace tsc::core {
 namespace {
 
@@ -13,21 +17,21 @@ crypto::Key random_key(rng::Rng& rng) {
 
 }  // namespace
 
-SideResult run_victim_side(SetupKind kind, const CampaignConfig& config,
+SideResult run_victim_side(const Platform& platform,
+                           const CampaignConfig& config,
                            std::uint64_t party_tag, const crypto::Key& key) {
   // The shared layout seed is derived from the campaign master WITHOUT the
-  // party tag: under MBPTACache both parties therefore share one layout,
-  // which is the attack scenario the paper demonstrates.  All other random
-  // streams are party-specific.
+  // party tag: under kShared (MBPTACache) both parties therefore share one
+  // layout, which is the attack scenario the paper demonstrates.  All other
+  // random streams are party-specific.
   const std::uint64_t party_seed =
       rng::derive_seed(config.master_seed, party_tag);
-  Setup setup(kind, party_seed,
-              rng::derive_seed(config.master_seed, 0x1A707));
-  setup.set_hyperperiod_jobs(config.hyperperiod_jobs);
-  sim::Machine& m = setup.machine();
-
-  setup.register_process(kCryptoProc);
-  setup.register_process(kOsProc);
+  const Deployment deployment{platform, party_seed,
+                              rng::derive_seed(config.master_seed, 0x1A707),
+                              config.hyperperiod_jobs};
+  const std::unique_ptr<sim::Machine> machine =
+      build_machine(deployment, {kCryptoProc, kOsProc});
+  sim::Machine& m = *machine;
   m.set_process(kCryptoProc);
 
   crypto::SimAes aes(m, config.aes_layout, key);
@@ -73,13 +77,13 @@ SideResult run_victim_side(SetupKind kind, const CampaignConfig& config,
   // continuous campaign would; replay that boundary's reseed first.  The
   // loop itself triggers the boundary when job_offset is aligned.
   if (config.job_offset % config.hyperperiod_jobs != 0) {
-    setup.before_job(kCryptoProc,
-                     config.job_offset -
-                         config.job_offset % config.hyperperiod_jobs);
+    deployment.before_job(
+        m, kCryptoProc,
+        config.job_offset - config.job_offset % config.hyperperiod_jobs);
   }
 
   for (std::size_t j = 0; j < config.warmup + config.samples; ++j) {
-    setup.before_job(kCryptoProc, config.job_offset + j);
+    deployment.before_job(m, kCryptoProc, config.job_offset + j);
 
     // OS tick: background kernel activity under the OS identity.
     m.set_process(kOsProc);
@@ -105,17 +109,17 @@ crypto::Key campaign_victim_key(std::uint64_t master_seed) {
   return random_key(key_rng);
 }
 
-CampaignResult run_bernstein_campaign(SetupKind kind,
+CampaignResult run_bernstein_campaign(const Platform& platform,
                                       const CampaignConfig& config) {
   CampaignResult result;
-  result.kind = kind;
 
   const crypto::Key victim_key = campaign_victim_key(config.master_seed);
   const crypto::Key attacker_key{};  // all-zero: Bernstein's known key
 
-  result.victim = run_victim_side(kind, config, /*party_tag=*/1, victim_key);
+  result.victim =
+      run_victim_side(platform, config, /*party_tag=*/1, victim_key);
   result.attacker =
-      run_victim_side(kind, config, /*party_tag=*/2, attacker_key);
+      run_victim_side(platform, config, /*party_tag=*/2, attacker_key);
 
   result.attack = attack::bernstein_attack(
       result.victim.profile, result.attacker.profile, attacker_key,

@@ -8,7 +8,7 @@
 // perform a statistical correlation on the timing profiles of attacker and
 // victim to find the secret victim's key."
 //
-// Each side runs on its own Machine built from the same SetupKind.  Between
+// Each side runs on its own Machine built for the same Platform.  Between
 // encryptions the victim process touches a "noise" buffer (the stand-in for
 // the packet-processing work Bernstein's server did per request) and a
 // lightweight OS tick runs under the OS process identity; both provide the
@@ -23,7 +23,7 @@
 
 #include "attack/bernstein.h"
 #include "attack/profile.h"
-#include "core/setup.h"
+#include "core/policy.h"
 #include "crypto/sim_aes.h"
 
 namespace tsc::core {
@@ -67,10 +67,11 @@ struct CampaignConfig {
   Addr os_base = 0x0005'0000;
   unsigned os_lines = 8;
 
-  /// Jobs per hyperperiod: TSCache renews seeds and flushes at this
-  /// granularity (paper section 5: "whenever the whole hyperperiod elapses,
-  /// the OS needs to set new random seeds and flush cache contents").
-  std::uint64_t hyperperiod_jobs = 4096;
+  /// Jobs per hyperperiod: kPerProcessReseed platforms (TSCache) renew
+  /// seeds and flush at this granularity (paper section 5: "whenever the
+  /// whole hyperperiod elapses, the OS needs to set new random seeds and
+  /// flush cache contents").
+  std::uint64_t hyperperiod_jobs = kDefaultHyperperiodJobs;
 };
 
 /// One party's measurements.
@@ -82,7 +83,6 @@ struct SideResult {
 
 /// Everything the figures/benches need from one campaign.
 struct CampaignResult {
-  SetupKind kind{};
   SideResult victim;
   SideResult attacker;
   attack::AttackResult attack;
@@ -93,14 +93,14 @@ struct CampaignResult {
 /// run_bernstein_campaign would generate.
 [[nodiscard]] crypto::Key campaign_victim_key(std::uint64_t master_seed);
 
-/// Run victim + attacker campaigns on `kind` and correlate them.
+/// Run victim + attacker campaigns on `platform` and correlate them.
 [[nodiscard]] CampaignResult run_bernstein_campaign(
-    SetupKind kind, const CampaignConfig& config);
+    const Platform& platform, const CampaignConfig& config);
 
 /// Run only one side (used by the MBPTA analyses, which need victim timing
 /// series without the attack).  `party_tag` decorrelates the party's RNG
 /// streams from the other side's.
-[[nodiscard]] SideResult run_victim_side(SetupKind kind,
+[[nodiscard]] SideResult run_victim_side(const Platform& platform,
                                          const CampaignConfig& config,
                                          std::uint64_t party_tag,
                                          const crypto::Key& key);

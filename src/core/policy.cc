@@ -113,21 +113,25 @@ const std::vector<PlacementPolicy>& all_policies() {
   return policies;
 }
 
-std::uint64_t policy_machine_rng_seed(std::uint64_t deployment_seed) {
-  return rng::derive_seed(deployment_seed, 0xF00D);
-}
+namespace {
 
-void configure_policy_machine(sim::Machine& machine,
-                              std::uint64_t deployment_seed,
-                              bool partitioned) {
-  // Per-process unique seeds, fixed for the run (every design's strongest
-  // non-reseeding configuration; modulo ignores them).
-  for (const ProcId proc : {kMatrixVictim, kMatrixAttacker}) {
-    machine.hierarchy().set_seed(
-        proc, Seed{rng::derive_seed(deployment_seed, 0xA7C0 + proc.value)});
+// Seed salts.  Every value is golden-visible: changing one moves the bytes
+// of every experiment that deploys its seed policy.
+constexpr std::uint64_t kMachineRngSalt = 0xF00D;  // machine rng, all
+constexpr std::uint64_t kSharedSalt = 0x3EED;      // kShared, of layout_seed
+constexpr std::uint64_t kPerProcessSalt = 0xA7C0;  // kPerProcess, + proc
+constexpr std::uint64_t kReseedSalt = 0xD15C;  // kPerProcessReseed, + proc
+// The paper's RPCache row is the same (kRpCache, kPerProcess) triple as the
+// matrix's unpartitioned RPCache cell, salted apart for golden identity
+// only: sharing kPerProcessSalt would move the fig5/sec62x bytes.
+constexpr std::uint64_t kPaperRpCacheSalt = 0x9100;  // kPerProcess, + proc
+
+void install(sim::Machine& machine, const Deployment& deployment,
+             std::initializer_list<ProcId> procs) {
+  for (const ProcId proc : procs) {
+    machine.hierarchy().set_seed(proc, deployment.initial_seed(proc));
   }
-
-  if (partitioned) {
+  if (deployment.platform.partitioned) {
     sim::Hierarchy& h = machine.hierarchy();
     for (cache::Cache* level : {&h.l1d(), &h.l2()}) {
       const std::uint32_t half = level->geometry().ways() / 2;
@@ -138,14 +142,96 @@ void configure_policy_machine(sim::Machine& machine,
   }
 }
 
+}  // namespace
+
+std::string to_string(SetupKind kind) {
+  switch (kind) {
+    case SetupKind::kDeterministic:
+      return "deterministic";
+    case SetupKind::kRpCache:
+      return "RPCache";
+    case SetupKind::kMbptaCache:
+      return "MBPTACache";
+    case SetupKind::kTsCache:
+      return "TSCache";
+  }
+  return "?";
+}
+
+const std::vector<SetupKind>& all_setups() {
+  static const std::vector<SetupKind> kinds{
+      SetupKind::kDeterministic, SetupKind::kRpCache, SetupKind::kMbptaCache,
+      SetupKind::kTsCache};
+  return kinds;
+}
+
+Platform paper_platform(SetupKind kind) {
+  switch (kind) {
+    case SetupKind::kDeterministic:
+      return {PlacementPolicy::kModulo};
+    case SetupKind::kRpCache: {
+      Platform platform(PlacementPolicy::kRpCache);
+      platform.paper_rpcache_salt_ = true;
+      return platform;
+    }
+    // Section 6.1.2: "For MBPTACache and TSCache, the L1 caches implement
+    // RM while the shared L2 cache HashRP."
+    case SetupKind::kMbptaCache:
+      return {PlacementPolicy::kRandomModulo, SeedPolicy::kShared};
+    case SetupKind::kTsCache:
+      return {PlacementPolicy::kRandomModulo, SeedPolicy::kPerProcessReseed};
+  }
+  return {PlacementPolicy::kModulo};
+}
+
+Seed Deployment::initial_seed(ProcId proc) const {
+  switch (platform.seeds) {
+    case SeedPolicy::kShared:
+      return Seed{rng::derive_seed(layout_seed, kSharedSalt)};
+    case SeedPolicy::kPerProcess:
+      return Seed{rng::derive_seed(
+          seed, (platform.paper_rpcache_salt_ ? kPaperRpCacheSalt
+                                              : kPerProcessSalt) +
+                    proc.value)};
+    case SeedPolicy::kPerProcessReseed:
+      return Seed{rng::derive_seed(seed, kReseedSalt + proc.value)};
+  }
+  return Seed{0};
+}
+
+void Deployment::before_job(sim::Machine& machine, ProcId proc,
+                            std::uint64_t job) const {
+  if (platform.seeds != SeedPolicy::kPerProcessReseed) return;
+  if (job % hyperperiod_jobs != 0) return;
+  // Hyperperiod boundary: fresh random layout; flushing keeps contents
+  // consistent (section 5: "either cache contents need to be flushed or the
+  // seed used in the previous job of the task has to be used again").
+  machine.set_seed(proc,
+                   Seed{rng::derive_seed(initial_seed(proc).value, job)});
+  machine.flush_caches();
+}
+
+std::unique_ptr<sim::Machine> build_machine(
+    const Deployment& deployment, std::initializer_list<ProcId> procs) {
+  auto machine = std::make_unique<sim::Machine>(
+      policy_hierarchy_config(deployment.platform.policy),
+      std::make_shared<rng::XorShift64Star>(
+          rng::derive_seed(deployment.seed, kMachineRngSalt)));
+  install(*machine, deployment, procs);
+  return machine;
+}
+
+void deploy(sim::Machine& machine, const Deployment& deployment,
+            std::initializer_list<ProcId> procs) {
+  machine.reset(rng::derive_seed(deployment.seed, kMachineRngSalt));
+  install(machine, deployment, procs);
+}
+
 std::unique_ptr<sim::Machine> build_policy_machine(
     PlacementPolicy policy, std::uint64_t deployment_seed, bool partitioned) {
-  auto rng = std::make_shared<rng::XorShift64Star>(
-      policy_machine_rng_seed(deployment_seed));
-  auto machine = std::make_unique<sim::Machine>(
-      policy_hierarchy_config(policy), std::move(rng));
-  configure_policy_machine(*machine, deployment_seed, partitioned);
-  return machine;
+  return build_machine(
+      {{policy, SeedPolicy::kPerProcess, partitioned}, deployment_seed},
+      {kMatrixVictim, kMatrixAttacker});
 }
 
 }  // namespace tsc::core

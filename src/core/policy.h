@@ -1,17 +1,18 @@
-// The attack-matrix platform axis: one machine per placement POLICY.
+// The platform axis: a platform is (placement policy, seed policy,
+// partitioned), and one builder (build_machine / deploy) deploys any of them.
 //
-// The paper's Setup (setup.h) bundles placement with the seed-management
-// story of its four processor designs.  The attack matrix needs the
-// orthogonal cut the related work evaluates ("Random and Safe Cache
-// Architecture", arXiv:2309.16172): the same platform and protocol under
-// each placement/defense policy with per-process unique seeds (the
-// strongest non-reseeding configuration of each design) and optionally way
-// partitioning layered on top.  This module builds those machines so the
-// experiment, the benches and the tests agree on what "the hashRP cell"
-// means.
-//
-// Beyond the paper's four placement policies the axis carries three
-// modern secure-cache designs from the related work:
+// The paper's four processor designs (section 6.1.2) differ in exactly two
+// ways - the placement policy and how seeds are managed (section 5) - so
+// each is a named point on this axis (paper_platform):
+//   deterministic = kModulo;  RPCache = kRpCache;
+//   MBPTACache    = kRandomModulo + kShared (MBPTA sets no constraint on
+//                   seeds, which is exactly the vulnerability the paper shows);
+//   TSCache       = kRandomModulo + kPerProcessReseed (the paper's proposal).
+// The attack and pWCET matrices sweep the placement policies with
+// per-process seeds and optional way partitioning: the orthogonal cut the
+// related work evaluates ("Random and Safe Cache Architecture",
+// arXiv:2309.16172).  Beyond the paper's placements the axis carries three
+// modern secure-cache designs:
 //  * ClepsydraCache (arXiv:2104.11469) - randomized placement plus
 //    per-line randomized TTLs with time-based eviction;
 //  * Random-and-Safe (arXiv:2309.16172) - random-fill on miss (the
@@ -25,6 +26,7 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <string>
 #include <vector>
@@ -66,9 +68,75 @@ inline constexpr std::size_t kPolicyCount = 7;
 /// All policies, in presentation order (deterministic baseline first).
 [[nodiscard]] const std::vector<PlacementPolicy>& all_policies();
 
-/// Processes of an attack-matrix cell.
+/// How a platform manages its placement seeds (paper section 5).
+enum class SeedPolicy {
+  kShared,            ///< one seed for every process, kept for the run
+  kPerProcess,        ///< a unique seed per process, kept for the run
+  kPerProcessReseed,  ///< unique seeds, renewed with a flush each hyperperiod
+};
+
+/// The paper's four evaluated designs: the rows of fig4/fig5/sec62x.
+enum class SetupKind { kDeterministic, kRpCache, kMbptaCache, kTsCache };
+
+[[nodiscard]] std::string to_string(SetupKind kind);
+
+/// All four kinds, in the paper's presentation order.
+[[nodiscard]] const std::vector<SetupKind>& all_setups();
+
+/// One point of the platform axis.
+struct Platform {
+  constexpr Platform(PlacementPolicy policy,
+                     SeedPolicy seeds = SeedPolicy::kPerProcess,
+                     bool partitioned = false)
+      : policy(policy), seeds(seeds), partitioned(partitioned) {}
+
+  PlacementPolicy policy;
+  SeedPolicy seeds;
+  /// Split the L1D and L2 ways evenly between kMatrixVictim (lower half)
+  /// and kMatrixAttacker (upper half): the isolation baseline the matrices
+  /// compare the randomized policies against.
+  bool partitioned;
+
+ private:
+  friend Platform paper_platform(SetupKind kind);
+  friend struct Deployment;
+  bool paper_rpcache_salt_ = false;  ///< golden identity only (policy.cc)
+};
+
+/// The platform of one paper design.
+[[nodiscard]] Platform paper_platform(SetupKind kind);
+
+/// Processes of an attack-matrix cell (and the halves of a partition).
 inline constexpr ProcId kMatrixVictim{1};
 inline constexpr ProcId kMatrixAttacker{2};
+
+/// Default TSCache reseed cadence (jobs per hyperperiod).
+inline constexpr std::uint64_t kDefaultHyperperiodJobs = 4096;
+
+/// A platform deployed from seeds: every random decision (machine rng,
+/// placement seeds, reseeds) derives from these, so a deployment replays
+/// bit-identically.  A plain value: building, pooled re-deployment and the
+/// per-job schedule read it without allocating.
+struct Deployment {
+  Platform platform;
+  /// Drives the machine rng and the per-process seeds.
+  std::uint64_t seed = 0;
+  /// kShared only: machines deployed with the same value share one layout
+  /// whatever their `seed` - the "same seed" attack scenario of section 5.
+  std::uint64_t layout_seed = 0;
+  /// kPerProcessReseed only: jobs per hyperperiod.
+  std::uint64_t hyperperiod_jobs = kDefaultHyperperiodJobs;
+
+  /// The seed `proc` starts the run with.
+  [[nodiscard]] Seed initial_seed(ProcId proc) const;
+
+  /// Apply the seed policy for `proc` before job number `job`: under
+  /// kPerProcessReseed, at every hyperperiod boundary (job %
+  /// hyperperiod_jobs == 0) install a fresh seed and flush the caches, as
+  /// the paper's OS does (section 5), charging the machine for both.
+  /// Other seed policies: no action.
+  void before_job(sim::Machine& machine, ProcId proc, std::uint64_t job) const;
+};
 
 /// The paper platform (ARM920T-like L1s + L2) configured for one policy:
 ///  * kModulo        - modulo L1/L2, LRU (the deterministic baseline);
@@ -92,34 +160,22 @@ inline constexpr ProcId kMatrixAttacker{2};
 [[nodiscard]] sim::HierarchyConfig policy_hierarchy_config(
     PlacementPolicy policy);
 
-/// Build the platform machine for one policy (policy_hierarchy_config).
-///
-/// `deployment_seed` drives every random decision (machine RNG, per-process
-/// placement seeds), so a cell replays bit-identically from one integer.
-/// Victim and attacker get unique seeds derived from it; seeds stay fixed
-/// for the machine's lifetime (the strongest stable-layout configuration -
-/// reseeding policies are Setup's axis, not this one).
-///
-/// `partitioned` additionally splits L1D and L2 ways evenly between victim
-/// (lower half) and attacker (upper half) - the related-work isolation
-/// baseline the matrix compares the randomized policies against.
+/// Build a machine for `deployment.platform`, with the initial seeds of
+/// `procs` installed (free of timing cost: this happens before the system
+/// starts) and the optional way partition applied.
+[[nodiscard]] std::unique_ptr<sim::Machine> build_machine(
+    const Deployment& deployment, std::initializer_list<ProcId> procs);
+
+/// Re-deploy a machine built for the same (policy, partitioned) in place:
+/// reset it (empty caches, reseeded rng, time zero, no seeds) and install
+/// `deployment` exactly as build_machine would - bit-exact with a fresh
+/// build, whatever seed policy the machine ran under before.
+void deploy(sim::Machine& machine, const Deployment& deployment,
+            std::initializer_list<ProcId> procs);
+
+/// The attack-matrix cell: build_machine of (policy, kPerProcess,
+/// partitioned) for kMatrixVictim and kMatrixAttacker.
 [[nodiscard]] std::unique_ptr<sim::Machine> build_policy_machine(
     PlacementPolicy policy, std::uint64_t deployment_seed, bool partitioned);
-
-/// The machine-rng seed build_policy_machine derives from a deployment
-/// seed.  Exposed so pooled reuse (runner::MachinePool) can reset a machine
-/// to exactly the state construction would produce.
-[[nodiscard]] std::uint64_t policy_machine_rng_seed(
-    std::uint64_t deployment_seed);
-
-/// Apply the deployment configuration of build_policy_machine to an
-/// existing machine of the matching policy: per-process unique seeds
-/// derived from `deployment_seed`, then the optional way partitioning.
-/// Precondition for bit-exact fresh semantics: the machine was just
-/// constructed for this policy, or Machine::reset(
-/// policy_machine_rng_seed(deployment_seed)) ran first.
-void configure_policy_machine(sim::Machine& machine,
-                              std::uint64_t deployment_seed,
-                              bool partitioned);
 
 }  // namespace tsc::core

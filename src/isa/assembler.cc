@@ -84,12 +84,18 @@ std::optional<std::int64_t> parse_number(const std::string& token) {
   return negative ? -value : value;
 }
 
+/// Images must end within the 32-bit address space `la` can reach.
+constexpr Addr kAddressSpaceEnd = Addr{1} << 32;
+
 // First pass produces statements + symbol table; sizes are fixed per head.
 std::size_t words_for(const Statement& st) {
   if (st.head == ".word") return 1;
   if (st.head == ".space") {
     const auto n = parse_number(st.operands.empty() ? "" : st.operands[0]);
     if (!n.has_value() || *n < 0) fail(st.line, ".space needs a byte count");
+    if (static_cast<Addr>(*n) > kAddressSpaceEnd) {
+      fail(st.line, ".space exceeds the 32-bit address space");
+    }
     return static_cast<std::size_t>((*n + 3) / 4);
   }
   if (st.head == "la" || st.head == "li") return 2;  // lui + ori
@@ -309,7 +315,11 @@ Program assemble(const std::string& source, Addr base) {
     }
     if (text.empty()) continue;
     Statement st = split_statement(line_no, text);
-    pc += 4 * words_for(st);
+    const Addr bytes = 4 * words_for(st);
+    if (pc > kAddressSpaceEnd || bytes > kAddressSpaceEnd - pc) {
+      fail(line_no, "image would end past the 32-bit address space");
+    }
+    pc += bytes;
     statements.push_back(std::move(st));
   }
 

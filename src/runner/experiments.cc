@@ -24,7 +24,6 @@
 #include "cache/placement.h"
 #include "core/campaign.h"
 #include "core/policy.h"
-#include "core/setup.h"
 #include "crypto/sim_aes.h"
 #include "isa/interpreter.h"
 #include "isa/kernels.h"
@@ -82,9 +81,9 @@ Json attack_json(const attack::AttackResult& attack) {
   return j;
 }
 
-Json campaign_json(const ShardedCampaignResult& r) {
+Json campaign_json(core::SetupKind kind, const ShardedCampaignResult& r) {
   Json j = Json::object();
-  j.set("setup", core::to_string(r.kind))
+  j.set("setup", core::to_string(kind))
       .set("samples_per_side", r.victim.profile.samples())
       .set("shards", r.shard_count)
       .set("victim_mean_cycles", r.victim.time_stats.mean())
@@ -94,12 +93,12 @@ Json campaign_json(const ShardedCampaignResult& r) {
   return j;
 }
 
-/// Per-run MBPTA measurement: one fresh-semantics Setup per run (fresh
-/// random layout, the section 2.1 protocol - served from the worker's
-/// MachinePool, which reproduces fresh construction bit-exactly), timing
-/// the second pass of a 20KB vector sum.  The program is assembled once
-/// per campaign, not per run.  Collection goes through the sharded path
-/// (run_sharded_times), so the merged sample is bit-identical for any
+/// Per-run MBPTA measurement: one fresh deployment of the paper platform
+/// per run (fresh random layout, the section 2.1 protocol - served from the
+/// worker's MachinePool, which reproduces fresh construction bit-exactly),
+/// timing the second pass of a 20KB vector sum.  The program is assembled
+/// once per campaign, not per run.  Collection goes through the sharded
+/// path (run_sharded_times), so the merged sample is bit-identical for any
 /// shard size and worker count.  (pwcet_matrix uses the same per-run
 /// protocol but slices its cells itself, inside one matrix-wide stage.)
 std::vector<double> mbpta_sample(core::SetupKind kind, std::size_t runs,
@@ -109,11 +108,11 @@ std::vector<double> mbpta_sample(core::SetupKind kind, std::size_t runs,
       isa::assemble(isa::vector_sum_source(0x40000, 5120), 0x1000);
   return run_sharded_times(
       runs, options.shard_size, options.workers,
-      [kind, seed_base, &program](std::size_t r) {
-        const PooledSetup lease =
-            MachinePool::local().setup(kind, rng::derive_seed(seed_base, r));
-        lease.setup.register_process(kVictim);
-        lease.setup.machine().set_process(kVictim);
+      [platform = core::paper_platform(kind), seed_base,
+       &program](std::size_t r) {
+        const PooledMachine lease = MachinePool::local().lease(
+            {platform, rng::derive_seed(seed_base, r)}, {kVictim});
+        lease.machine.set_process(kVictim);
         lease.interpreter.load_program(program);
         (void)lease.interpreter.run(0x1000);  // warm pass
         return static_cast<double>(lease.interpreter.run(0x1000).cycles);
@@ -285,9 +284,10 @@ Json run_fig4(const RunOptions& options, Campaign&) {
     ShardedConfig half = sharded_config(options, 200'000);
     half.base.samples /= 2;
     half.base.plaintext_stream = 1;
-    const MergedSide a = run_sharded_victim(kind, half, 1, key);
+    const core::Platform platform = core::paper_platform(kind);
+    const MergedSide a = run_sharded_victim(platform, half, 1, key);
     half.base.plaintext_stream = 2;
-    const MergedSide b = run_sharded_victim(kind, half, 1, key);
+    const MergedSide b = run_sharded_victim(platform, half, 1, key);
 
     Json groups = Json::array();
     double spread = 0;
@@ -321,15 +321,18 @@ Json run_fig4(const RunOptions& options, Campaign&) {
 Json run_fig5(const RunOptions& options, Campaign& campaign) {
   // One stage per setup ("fig5/<setup>"): each is an independent shard
   // fan-out, checkpointed and resumed separately.
+  const std::vector<core::SetupKind>& kinds = core::all_setups();
   std::vector<std::function<ShardedCampaignResult()>> setups;
-  for (const core::SetupKind kind : core::all_setups()) {
+  for (const core::SetupKind kind : kinds) {
     setups.push_back(declare_sharded_bernstein(
-        campaign, kind, sharded_config(options, 200'000),
+        campaign, core::paper_platform(kind), sharded_config(options, 200'000),
         std::string("fig5/") + core::to_string(kind)));
   }
   return campaign.finish([&] {
     Json rows = Json::array();
-    for (const auto& reduce : setups) rows.push(campaign_json(reduce()));
+    for (std::size_t i = 0; i < kinds.size(); ++i) {
+      rows.push(campaign_json(kinds[i], setups[i]()));
+    }
     Json j = Json::object();
     j.set("paper_log2_remaining",
           Json::object()
@@ -355,27 +358,27 @@ Json run_sec621(const RunOptions& options, Campaign&) {
   // One task per (setup, attack) pair; each builds its own platform.
   const std::vector<double> accuracy = parallel_map(
       pool, kinds.size() * 2, [&](std::size_t task) {
-        const core::SetupKind kind = kinds[task / 2];
         const bool prime_probe = task % 2 == 0;
-        core::Setup setup(kind, options.master_seed,
-                          /*shared_layout_seed=*/4242);
-        setup.register_process(kVictim);
-        setup.register_process(kAttacker);
-        setup.set_hyperperiod_jobs(1);  // TSCache: reseed every trial
+        // TSCache reseeds every trial (one-job hyperperiods).
+        const core::Deployment deployment{
+            core::paper_platform(kinds[task / 2]), options.master_seed,
+            /*layout_seed=*/4242, /*hyperperiod_jobs=*/1};
+        const std::unique_ptr<sim::Machine> machine =
+            core::build_machine(deployment, {kVictim, kAttacker});
         std::uint64_t job = 0;
         const attack::TrialHook hook = [&] {
-          setup.before_job(kVictim, job);
-          setup.before_job(kAttacker, job);
+          deployment.before_job(*machine, kVictim, job);
+          deployment.before_job(*machine, kAttacker, job);
           ++job;
         };
         rng::XorShift64Star rng(
             rng::derive_seed(options.master_seed, prime_probe ? 1 : 2));
         const attack::ContentionOutcome outcome =
             prime_probe
-                ? attack::run_prime_probe(setup.machine(), kVictim, kAttacker,
-                                          cfg, rng, hook)
-                : attack::run_evict_time(setup.machine(), kVictim, kAttacker,
-                                         cfg, rng, hook);
+                ? attack::run_prime_probe(*machine, kVictim, kAttacker, cfg,
+                                          rng, hook)
+                : attack::run_evict_time(*machine, kVictim, kAttacker, cfg,
+                                         rng, hook);
         return outcome.accuracy();
       });
 
@@ -558,7 +561,8 @@ Json run_ablation_samples(const RunOptions& options, Campaign&) {
          {core::SetupKind::kDeterministic, core::SetupKind::kTsCache}) {
       ShardedConfig config = sharded_config(options, samples);
       config.base.samples = std::max<std::size_t>(1, samples);
-      const ShardedCampaignResult r = run_sharded_bernstein(kind, config);
+      const ShardedCampaignResult r =
+          run_sharded_bernstein(core::paper_platform(kind), config);
       Json row = Json::object();
       row.set("samples", r.victim.profile.samples())
           .set("setup", core::to_string(kind))
@@ -583,8 +587,8 @@ Json run_ablation_seedpolicy(const RunOptions& options, Campaign&) {
   for (const std::uint64_t hp : hyperperiods) {
     ShardedConfig config = sharded_config(options, 100'000);
     config.base.hyperperiod_jobs = hp;
-    const ShardedCampaignResult r =
-        run_sharded_bernstein(core::SetupKind::kTsCache, config);
+    const ShardedCampaignResult r = run_sharded_bernstein(
+        core::paper_platform(core::SetupKind::kTsCache), config);
     int significant = 0;
     for (int i = 0; i < 16; ++i) {
       if (r.attack.bytes[static_cast<std::size_t>(i)].significant_count > 0) {
@@ -623,9 +627,11 @@ Json run_ablation_partitioning(const RunOptions& options, Campaign&) {
   };
   const auto trials = static_cast<unsigned>(options.resolve_samples(192));
 
-  const auto apply_partition = [](core::Setup& setup) {
-    setup.machine().hierarchy().l1d().set_way_partition(kVictim, 0, 2);
-    setup.machine().hierarchy().l1d().set_way_partition(kAttacker, 2, 2);
+  // This experiment's own split: L1D only, 2+2 ways (not the platform's
+  // L1D+L2 halves).
+  const auto apply_partition = [](sim::Machine& machine) {
+    machine.hierarchy().l1d().set_way_partition(kVictim, 0, 2);
+    machine.hierarchy().l1d().set_way_partition(kAttacker, 2, 2);
   };
 
   ThreadPool pool(options.workers);
@@ -633,32 +639,33 @@ Json run_ablation_partitioning(const RunOptions& options, Campaign&) {
   const std::vector<double> metrics = parallel_map(
       pool, configs.size() * 2, [&](std::size_t task) {
         const Config& cfg = configs[task / 2];
+        const core::Platform platform = core::paper_platform(cfg.kind);
         if (task % 2 == 0) {  // Prime+Probe accuracy
-          core::Setup setup(cfg.kind, 77);
-          setup.register_process(kVictim);
-          setup.register_process(kAttacker);
-          if (cfg.partition) apply_partition(setup);
-          setup.set_hyperperiod_jobs(1);
+          const core::Deployment deployment{platform, 77, 0,
+                                            /*hyperperiod_jobs=*/1};
+          const std::unique_ptr<sim::Machine> machine =
+              core::build_machine(deployment, {kVictim, kAttacker});
+          if (cfg.partition) apply_partition(*machine);
           std::uint64_t job = 0;
           const attack::TrialHook hook = [&] {
             if (!cfg.reseed) return;
-            setup.before_job(kVictim, job);
-            setup.before_job(kAttacker, job);
+            deployment.before_job(*machine, kVictim, job);
+            deployment.before_job(*machine, kAttacker, job);
             ++job;
           };
           attack::ContentionConfig attack_cfg;
           attack_cfg.candidates = 32;
           attack_cfg.trials = trials;
           rng::XorShift64Star rng(4321);
-          return attack::run_prime_probe(setup.machine(), kVictim, kAttacker,
+          return attack::run_prime_probe(*machine, kVictim, kAttacker,
                                          attack_cfg, rng, hook)
               .accuracy();
         }
         // Victim miss rate on a working set sized for the full cache.
-        core::Setup setup(cfg.kind, 78);
-        setup.register_process(kVictim);
-        if (cfg.partition) apply_partition(setup);
-        sim::Machine& m = setup.machine();
+        const std::unique_ptr<sim::Machine> machine =
+            core::build_machine({platform, 78}, {kVictim});
+        if (cfg.partition) apply_partition(*machine);
+        sim::Machine& m = *machine;
         m.set_process(kVictim);
         isa::Interpreter interp(m);
         interp.load_program(isa::assemble(

@@ -2,39 +2,27 @@
 
 namespace tsc::runner {
 
-PooledMachine MachinePool::policy_machine(core::PlacementPolicy policy,
-                                          std::uint64_t deployment_seed,
-                                          bool partitioned) {
-  const std::size_t index =
-      static_cast<std::size_t>(policy) * 2 + (partitioned ? 1 : 0);
-  PolicySlot& slot = policy_.at(index);
+PooledMachine MachinePool::lease(const core::Deployment& deployment,
+                                 std::initializer_list<ProcId> procs) {
+  const core::Platform& platform = deployment.platform;
+  Slot& slot = slots_.at(static_cast<std::size_t>(platform.policy) * 2 +
+                         (platform.partitioned ? 1 : 0));
   if (slot.machine == nullptr) {
-    slot.machine = core::build_policy_machine(policy, deployment_seed,
-                                              partitioned);
+    slot.machine = core::build_machine(deployment, procs);
     slot.interpreter = std::make_unique<isa::Interpreter>(*slot.machine);
   } else {
-    slot.machine->reset(core::policy_machine_rng_seed(deployment_seed));
-    core::configure_policy_machine(*slot.machine, deployment_seed,
-                                   partitioned);
+    core::deploy(*slot.machine, deployment, procs);
     slot.interpreter->reset();
   }
   return {*slot.machine, *slot.interpreter};
 }
 
-PooledSetup MachinePool::setup(core::SetupKind kind,
-                               std::uint64_t master_seed,
-                               std::uint64_t shared_layout_seed) {
-  SetupSlot& slot = setups_.at(static_cast<std::size_t>(kind));
-  if (slot.setup == nullptr) {
-    slot.setup = std::make_unique<core::Setup>(kind, master_seed,
-                                               shared_layout_seed);
-    slot.interpreter =
-        std::make_unique<isa::Interpreter>(slot.setup->machine());
-  } else {
-    slot.setup->reset(master_seed, shared_layout_seed);
-    slot.interpreter->reset();
-  }
-  return {*slot.setup, *slot.interpreter};
+PooledMachine MachinePool::policy_machine(core::PlacementPolicy policy,
+                                          std::uint64_t deployment_seed,
+                                          bool partitioned) {
+  return lease({{policy, core::SeedPolicy::kPerProcess, partitioned},
+                deployment_seed},
+               {core::kMatrixVictim, core::kMatrixAttacker});
 }
 
 MachinePool& MachinePool::local() {

@@ -7,54 +7,47 @@
 // the campaign's tens of thousands of runs - allocation work that rivals
 // the simulation itself now that the access path is fast (PR 2).
 //
-// MachinePool keeps one machine + interpreter per platform configuration
-// PER WORKER THREAD and re-deploys it with reset(seed) instead of
-// reconstruction.  The contract is bit-exactness, not approximation:
-// Machine::reset + rng reseed + the same configure/seed calls reproduce a
-// freshly constructed machine's behavior exactly (the golden campaign
-// fixtures pin this end to end; tests/machine_pool_test.cc pins it
-// per-slot).  Workers never share a pool - local() hands each thread its
-// own - so no synchronization exists anywhere on the run path.
+// MachinePool keeps one machine + interpreter per (placement policy,
+// partitioned) PER WORKER THREAD and re-deploys it with core::deploy
+// instead of reconstruction.  The seed policy is not part of the key: a
+// deployment resets every seed, so MBPTACache, TSCache and the matrix's
+// random-modulo cell all lease the same slot.  The contract is
+// bit-exactness, not approximation: the re-deployed machine behaves
+// exactly like core::build_machine's (the golden campaign fixtures pin
+// this end to end; tests/machine_pool_test.cc pins it per slot).  Workers
+// never share a pool - local() hands each thread its own - so no
+// synchronization exists anywhere on the run path.
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
 
 #include "core/policy.h"
-#include "core/setup.h"
 #include "isa/interpreter.h"
 
 namespace tsc::runner {
 
-/// A leased policy machine: reset to the fresh-deployment state of
-/// core::build_policy_machine(policy, seed, partitioned), with a pooled
-/// interpreter (zeroed registers/memory) bound to it.  Valid until the
-/// same pool leases the same (policy, partitioned) slot again.
+/// A leased machine, in the fresh-deployment state of core::build_machine,
+/// with a pooled interpreter (zeroed registers/memory) bound to it.  Valid
+/// until the same pool leases the same (policy, partitioned) slot again.
 struct PooledMachine {
   sim::Machine& machine;
   isa::Interpreter& interpreter;
 };
 
-/// A leased Setup, reset to fresh-construction semantics (setup.h).
-struct PooledSetup {
-  core::Setup& setup;
-  isa::Interpreter& interpreter;
-};
-
 class MachinePool {
  public:
-  /// Lease the (policy, partitioned) machine, re-deployed for
-  /// `deployment_seed` - bit-exact with a freshly built policy machine.
+  /// Lease the slot of (deployment.platform.policy, .partitioned),
+  /// re-deployed - bit-exact with core::build_machine(deployment, procs).
+  PooledMachine lease(const core::Deployment& deployment,
+                      std::initializer_list<ProcId> procs);
+
+  /// The attack-matrix cell: lease core::build_policy_machine's deployment.
   PooledMachine policy_machine(core::PlacementPolicy policy,
                                std::uint64_t deployment_seed,
                                bool partitioned);
-
-  /// Lease the Setup of `kind`, re-deployed for the given seeds - bit-exact
-  /// with core::Setup(kind, master_seed, shared_layout_seed).  The caller
-  /// re-registers processes, exactly as with a fresh Setup.
-  PooledSetup setup(core::SetupKind kind, std::uint64_t master_seed,
-                    std::uint64_t shared_layout_seed = 0);
 
   /// The calling thread's pool.  Campaign tasks run on ThreadPool workers,
   /// so each worker reuses its own machines across the tasks it executes
@@ -62,18 +55,12 @@ class MachinePool {
   static MachinePool& local();
 
  private:
-  struct PolicySlot {
+  struct Slot {
     std::unique_ptr<sim::Machine> machine;
     std::unique_ptr<isa::Interpreter> interpreter;
   };
-  struct SetupSlot {
-    std::unique_ptr<core::Setup> setup;
-    std::unique_ptr<isa::Interpreter> interpreter;
-  };
 
-  std::array<PolicySlot, 2 * core::kPolicyCount>
-      policy_;                        ///< [policy * 2 + partitioned]
-  std::array<SetupSlot, 4> setups_;   ///< [SetupKind]
+  std::array<Slot, 2 * core::kPolicyCount> slots_;  ///< [policy*2 + partitioned]
 };
 
 }  // namespace tsc::runner

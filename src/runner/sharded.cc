@@ -65,7 +65,7 @@ std::vector<core::CampaignConfig> plan_shards(const core::CampaignConfig& base,
   return shards;
 }
 
-MergedSide run_sharded_victim(core::SetupKind kind,
+MergedSide run_sharded_victim(const core::Platform& platform,
                               const ShardedConfig& config,
                               std::uint64_t party_tag,
                               const crypto::Key& key) {
@@ -74,7 +74,7 @@ MergedSide run_sharded_victim(core::SetupKind kind,
   ThreadPool pool(config.workers);
   std::vector<core::SideResult> results = parallel_map(
       pool, shards.size(), [&](std::size_t i) {
-        return core::run_victim_side(kind, shards[i], party_tag, key);
+        return core::run_victim_side(platform, shards[i], party_tag, key);
       });
   return merge_sides(std::move(results), key);
 }
@@ -113,8 +113,8 @@ std::vector<double> run_sharded_times(
 }
 
 std::function<ShardedCampaignResult()> declare_sharded_bernstein(
-    Campaign& campaign, core::SetupKind kind, const ShardedConfig& config,
-    const std::string& stage) {
+    Campaign& campaign, const core::Platform& platform,
+    const ShardedConfig& config, const std::string& stage) {
   const std::vector<core::CampaignConfig> shards =
       plan_shards(config.base, config.shard_size);
   const crypto::Key victim_key =
@@ -122,11 +122,11 @@ std::function<ShardedCampaignResult()> declare_sharded_bernstein(
   const crypto::Key attacker_key{};  // all-zero: Bernstein's known key
 
   // The task owns its plan: a dispatch worker runs it after this returns.
-  const auto run_task = [kind, shards, victim_key,
+  const auto run_task = [platform, shards, victim_key,
                          attacker_key](std::size_t task) {
     const std::size_t shard = task / 2;
     const bool is_victim = task % 2 == 0;
-    return core::run_victim_side(kind, shards[shard],
+    return core::run_victim_side(platform, shards[shard],
                                  /*party_tag=*/is_victim ? 1 : 2,
                                  is_victim ? victim_key : attacker_key);
   };
@@ -136,7 +136,7 @@ std::function<ShardedCampaignResult()> declare_sharded_bernstein(
   StageResults<core::SideResult> sides =
       campaign.stage(stage, shards.size() * 2, run_task, codec);
 
-  return [kind, shard_count = shards.size(), victim_key, attacker_key,
+  return [shard_count = shards.size(), victim_key, attacker_key,
           sides = std::move(sides)]() mutable {
     std::vector<core::SideResult> victims;
     std::vector<core::SideResult> attackers;
@@ -147,7 +147,6 @@ std::function<ShardedCampaignResult()> declare_sharded_bernstein(
       (i % 2 == 0 ? victims : attackers).push_back(std::move(*sides[i]));
     }
     ShardedCampaignResult result;
-    result.kind = kind;
     result.shard_count = shard_count;
     result.victim = merge_sides(std::move(victims), victim_key);
     result.attacker = merge_sides(std::move(attackers), attacker_key);
@@ -158,10 +157,10 @@ std::function<ShardedCampaignResult()> declare_sharded_bernstein(
   };
 }
 
-ShardedCampaignResult run_sharded_bernstein(core::SetupKind kind,
+ShardedCampaignResult run_sharded_bernstein(const core::Platform& platform,
                                             const ShardedConfig& config) {
   Campaign campaign(config.workers);
-  return declare_sharded_bernstein(campaign, kind, config, "bernstein")();
+  return declare_sharded_bernstein(campaign, platform, config, "bernstein")();
 }
 
 }  // namespace tsc::runner

@@ -43,7 +43,7 @@
 #include "attack/bernstein.h"
 #include "attack/profile.h"
 #include "core/campaign.h"
-#include "core/setup.h"
+#include "core/policy.h"
 #include "runner/campaign.h"
 #include "runner/thread_pool.h"
 #include "stats/descriptive.h"
@@ -81,7 +81,6 @@ struct MergedSide {
 
 /// A full sharded Bernstein campaign result.
 struct ShardedCampaignResult {
-  core::SetupKind kind{};
   std::size_t shard_count = 0;
   MergedSide victim;
   MergedSide attacker;
@@ -94,18 +93,18 @@ struct ShardedCampaignResult {
 /// merge per party, then one correlation on the merged profiles.  Shards
 /// that exhausted their retries under --allow-partial contribute nothing.
 [[nodiscard]] std::function<ShardedCampaignResult()> declare_sharded_bernstein(
-    Campaign& campaign, core::SetupKind kind, const ShardedConfig& config,
-    const std::string& stage);
+    Campaign& campaign, const core::Platform& platform,
+    const ShardedConfig& config, const std::string& stage);
 
 /// The same campaign on a plain campaign of `config.workers` threads,
 /// reduced at once.
 [[nodiscard]] ShardedCampaignResult run_sharded_bernstein(
-    core::SetupKind kind, const ShardedConfig& config);
+    const core::Platform& platform, const ShardedConfig& config);
 
 /// Sharded single-side run (victim only): merged profile + timing stats for
 /// analyses that do not need the attacker (Fig. 4, MBPTA overhead sweeps).
 /// `party_tag` and `key` are forwarded to core::run_victim_side per shard.
-[[nodiscard]] MergedSide run_sharded_victim(core::SetupKind kind,
+[[nodiscard]] MergedSide run_sharded_victim(const core::Platform& platform,
                                             const ShardedConfig& config,
                                             std::uint64_t party_tag,
                                             const crypto::Key& key);

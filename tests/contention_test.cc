@@ -5,7 +5,7 @@
 #include <memory>
 
 #include "attack/contention.h"
-#include "core/setup.h"
+#include "core/policy.h"
 
 namespace tsc::attack {
 namespace {
@@ -48,54 +48,54 @@ TEST(EvictTime, PerfectOnDeterministicCache) {
 
 TEST(PrimeProbe, ChanceLevelUnderPerTrialReseed) {
   // The TSCache discipline: fresh seeds + flush before every trial.
-  core::Setup setup(core::SetupKind::kTsCache, 99);
-  setup.register_process(kVictim);
-  setup.register_process(kAttacker);
-  setup.set_hyperperiod_jobs(1);
+  const core::Deployment tscache{
+      core::paper_platform(core::SetupKind::kTsCache), 99, 0,
+      /*hyperperiod_jobs=*/1};
+  const auto machine = core::build_machine(tscache, {kVictim, kAttacker});
   std::uint64_t job = 0;
   const TrialHook hook = [&] {
-    setup.before_job(kVictim, job);
-    setup.before_job(kAttacker, job);
+    tscache.before_job(*machine, kVictim, job);
+    tscache.before_job(*machine, kAttacker, job);
     ++job;
   };
   rng::XorShift64Star rng(5);
   ContentionConfig cfg = small_config();
   cfg.trials = 128;
   const ContentionOutcome outcome =
-      run_prime_probe(setup.machine(), kVictim, kAttacker, cfg, rng, hook);
+      run_prime_probe(*machine, kVictim, kAttacker, cfg, rng, hook);
   // Chance is 1/16; with 128 trials a binomial 99.9% bound is ~20 hits.
   EXPECT_LT(outcome.correct, 21u)
       << "reseeded TSCache must not beat chance meaningfully";
 }
 
 TEST(EvictTime, ChanceLevelUnderPerTrialReseed) {
-  core::Setup setup(core::SetupKind::kTsCache, 98);
-  setup.register_process(kVictim);
-  setup.register_process(kAttacker);
-  setup.set_hyperperiod_jobs(1);
+  const core::Deployment tscache{
+      core::paper_platform(core::SetupKind::kTsCache), 98, 0,
+      /*hyperperiod_jobs=*/1};
+  const auto machine = core::build_machine(tscache, {kVictim, kAttacker});
   std::uint64_t job = 0;
   const TrialHook hook = [&] {
-    setup.before_job(kVictim, job);
-    setup.before_job(kAttacker, job);
+    tscache.before_job(*machine, kVictim, job);
+    tscache.before_job(*machine, kAttacker, job);
     ++job;
   };
   rng::XorShift64Star rng(6);
   ContentionConfig cfg = small_config();
   cfg.trials = 128;
   const ContentionOutcome outcome =
-      run_evict_time(setup.machine(), kVictim, kAttacker, cfg, rng, hook);
+      run_evict_time(*machine, kVictim, kAttacker, cfg, rng, hook);
   EXPECT_LT(outcome.correct, 21u);
 }
 
 TEST(PrimeProbe, RpCacheContentionRuleDefeatsIt) {
-  core::Setup setup(core::SetupKind::kRpCache, 55);
-  setup.register_process(kVictim);
-  setup.register_process(kAttacker);
+  const auto machine = core::build_machine(
+      {core::paper_platform(core::SetupKind::kRpCache), 55},
+      {kVictim, kAttacker});
   rng::XorShift64Star rng(7);
   ContentionConfig cfg = small_config();
   cfg.trials = 128;
   const ContentionOutcome outcome =
-      run_prime_probe(setup.machine(), kVictim, kAttacker, cfg, rng, [] {});
+      run_prime_probe(*machine, kVictim, kAttacker, cfg, rng, [] {});
   EXPECT_LT(outcome.correct, 21u)
       << "RPCache randomizes cross-process evictions by design";
 }

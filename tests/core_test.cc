@@ -1,4 +1,5 @@
-// Tests for the core setups and a small-scale end-to-end Bernstein check.
+// Tests for the platform axis (the paper setups as platforms) and a
+// small-scale end-to-end Bernstein check.
 //
 // The full-scale reproduction of Figure 5 is `tsc_run --experiment fig5`;
 // here we assert the structural properties and the qualitative security
@@ -6,7 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "core/campaign.h"
-#include "core/setup.h"
+#include "core/policy.h"
 
 namespace tsc::core {
 namespace {
@@ -14,90 +15,104 @@ namespace {
 constexpr ProcId kP1{1};
 constexpr ProcId kP2{2};
 
-TEST(SetupTest, AllKindsConstructThePaperPlatform) {
+Seed l1d_seed(sim::Machine& m, ProcId proc) {
+  return m.hierarchy().l1d().seed(proc);
+}
+
+TEST(PlatformTest, EveryPaperSetupBuildsThePaperHierarchy) {
   for (const SetupKind kind : all_setups()) {
-    tsc::core::Setup s(kind, 42);
-    EXPECT_EQ(s.machine().hierarchy().l1d().geometry().sets(), 128u)
-        << to_string(kind);
-    EXPECT_TRUE(s.machine().hierarchy().has_l2());
-    EXPECT_EQ(s.machine().hierarchy().l2().geometry().sets(), 2048u);
+    const auto m = build_machine({paper_platform(kind), 42}, {kP1});
+    EXPECT_EQ(m->hierarchy().l1d().geometry().sets(), 128u) << to_string(kind);
+    EXPECT_TRUE(m->hierarchy().has_l2());
+    EXPECT_EQ(m->hierarchy().l2().geometry().sets(), 2048u);
   }
 }
 
-TEST(SetupTest, KindNames) {
+TEST(PlatformTest, PaperSetupsAreNamedPlatforms) {
   EXPECT_EQ(to_string(SetupKind::kDeterministic), "deterministic");
   EXPECT_EQ(to_string(SetupKind::kRpCache), "RPCache");
   EXPECT_EQ(to_string(SetupKind::kMbptaCache), "MBPTACache");
   EXPECT_EQ(to_string(SetupKind::kTsCache), "TSCache");
   EXPECT_EQ(all_setups().size(), 4u);
+
+  const Platform det = paper_platform(SetupKind::kDeterministic);
+  const Platform rp = paper_platform(SetupKind::kRpCache);
+  const Platform mbpta = paper_platform(SetupKind::kMbptaCache);
+  const Platform ts = paper_platform(SetupKind::kTsCache);
+  EXPECT_EQ(det.policy, PlacementPolicy::kModulo);
+  EXPECT_EQ(rp.policy, PlacementPolicy::kRpCache);
+  EXPECT_EQ(rp.seeds, SeedPolicy::kPerProcess);
+  EXPECT_EQ(mbpta.policy, PlacementPolicy::kRandomModulo);
+  EXPECT_EQ(mbpta.seeds, SeedPolicy::kShared);
+  EXPECT_EQ(ts.policy, PlacementPolicy::kRandomModulo);
+  EXPECT_EQ(ts.seeds, SeedPolicy::kPerProcessReseed);
+  for (const SetupKind kind : all_setups()) {
+    EXPECT_FALSE(paper_platform(kind).partitioned) << to_string(kind);
+  }
 }
 
-TEST(SetupTest, TsCacheGivesProcessesDistinctSeeds) {
-  tsc::core::Setup s(SetupKind::kTsCache, 7);
-  s.register_process(kP1);
-  s.register_process(kP2);
-  EXPECT_NE(s.machine().hierarchy().l1d().seed(kP1),
-            s.machine().hierarchy().l1d().seed(kP2))
-      << "per-process unique seeds are TSCache's defining feature";
+TEST(PlatformTest, PerProcessSeedsAreDistinct) {
+  for (const SeedPolicy seeds :
+       {SeedPolicy::kPerProcess, SeedPolicy::kPerProcessReseed}) {
+    const auto m =
+        build_machine({{PlacementPolicy::kRandomModulo, seeds}, 7}, {kP1, kP2});
+    EXPECT_NE(l1d_seed(*m, kP1), l1d_seed(*m, kP2))
+        << "per-process unique seeds are TSCache's defining feature";
+  }
 }
 
-TEST(SetupTest, MbptaCacheSharesSeedAcrossProcesses) {
-  tsc::core::Setup s(SetupKind::kMbptaCache, 7, /*shared_layout_seed=*/99);
-  s.register_process(kP1);
-  s.register_process(kP2);
-  EXPECT_EQ(s.machine().hierarchy().l1d().seed(kP1),
-            s.machine().hierarchy().l1d().seed(kP2))
+TEST(PlatformTest, SharedSeedIsCommonToAllProcesses) {
+  const auto m =
+      build_machine({paper_platform(SetupKind::kMbptaCache), 7,
+                     /*layout_seed=*/99},
+                    {kP1, kP2});
+  EXPECT_EQ(l1d_seed(*m, kP1), l1d_seed(*m, kP2))
       << "MBPTA sets no per-process seed constraint (the vulnerability)";
 }
 
-TEST(SetupTest, MbptaCacheLayoutSharedAcrossPartiesWithSameLayoutSeed) {
-  tsc::core::Setup a(SetupKind::kMbptaCache, 1, 555);
-  tsc::core::Setup b(SetupKind::kMbptaCache, 2, 555);
-  a.register_process(kP1);
-  b.register_process(kP1);
-  EXPECT_EQ(a.machine().hierarchy().l1d().seed(kP1),
-            b.machine().hierarchy().l1d().seed(kP1))
-      << "same shared_layout_seed -> same layout: the attack scenario";
-  tsc::core::Setup c(SetupKind::kTsCache, 1, 555);
-  tsc::core::Setup d(SetupKind::kTsCache, 2, 555);
-  c.register_process(kP1);
-  d.register_process(kP1);
-  EXPECT_NE(c.machine().hierarchy().l1d().seed(kP1),
-            d.machine().hierarchy().l1d().seed(kP1))
+TEST(PlatformTest, SharedLayoutAcrossPartiesWithSameLayoutSeed) {
+  const Platform mbpta = paper_platform(SetupKind::kMbptaCache);
+  const auto a = build_machine({mbpta, 1, 555}, {kP1});
+  const auto b = build_machine({mbpta, 2, 555}, {kP1});
+  EXPECT_EQ(l1d_seed(*a, kP1), l1d_seed(*b, kP1))
+      << "same layout seed -> same layout: the attack scenario";
+  const Platform ts = paper_platform(SetupKind::kTsCache);
+  const auto c = build_machine({ts, 1, 555}, {kP1});
+  const auto d = build_machine({ts, 2, 555}, {kP1});
+  EXPECT_NE(l1d_seed(*c, kP1), l1d_seed(*d, kP1))
       << "TSCache parties must not share layouts";
 }
 
-TEST(SetupTest, TsCacheReseedsOncePerHyperperiod) {
-  tsc::core::Setup s(SetupKind::kTsCache, 7);
-  s.set_hyperperiod_jobs(100);
-  s.register_process(kP1);
-  const Seed seed0 = s.machine().hierarchy().l1d().seed(kP1);
-  s.before_job(kP1, 0);  // boundary
-  const Seed seed1 = s.machine().hierarchy().l1d().seed(kP1);
+TEST(PlatformTest, ReseedingPolicyReseedsOncePerHyperperiod) {
+  const Deployment ts{paper_platform(SetupKind::kTsCache), 7, 0,
+                      /*hyperperiod_jobs=*/100};
+  const auto m = build_machine(ts, {kP1});
+  const Seed seed0 = l1d_seed(*m, kP1);
+  ts.before_job(*m, kP1, 0);  // boundary
+  const Seed seed1 = l1d_seed(*m, kP1);
   EXPECT_NE(seed0, seed1);
-  const auto flushes = s.machine().stats().flushes;
-  EXPECT_EQ(flushes, 1u);
-  for (std::uint64_t j = 1; j < 100; ++j) s.before_job(kP1, j);
-  EXPECT_EQ(s.machine().hierarchy().l1d().seed(kP1), seed1)
-      << "no reseed inside the hyperperiod";
-  EXPECT_EQ(s.machine().stats().flushes, 1u);
-  s.before_job(kP1, 100);  // next boundary
-  EXPECT_NE(s.machine().hierarchy().l1d().seed(kP1), seed1);
-  EXPECT_EQ(s.machine().stats().flushes, 2u);
+  EXPECT_EQ(m->stats().flushes, 1u);
+  EXPECT_EQ(m->stats().seed_changes, 1u);
+  for (std::uint64_t j = 1; j < 100; ++j) ts.before_job(*m, kP1, j);
+  EXPECT_EQ(l1d_seed(*m, kP1), seed1) << "no reseed inside the hyperperiod";
+  EXPECT_EQ(m->stats().flushes, 1u);
+  ts.before_job(*m, kP1, 100);  // next boundary
+  EXPECT_NE(l1d_seed(*m, kP1), seed1);
+  EXPECT_EQ(m->stats().flushes, 2u);
 }
 
-TEST(SetupTest, NonTsCacheSetupsNeverReseed) {
+TEST(PlatformTest, NonReseedingPoliciesNeverReseed) {
   for (const SetupKind kind :
        {SetupKind::kDeterministic, SetupKind::kRpCache,
         SetupKind::kMbptaCache}) {
-    tsc::core::Setup s(kind, 7);
-    s.register_process(kP1);
-    const Seed before = s.machine().hierarchy().l1d().seed(kP1);
-    s.before_job(kP1, 0);
-    s.before_job(kP1, 4096);
-    EXPECT_EQ(s.machine().hierarchy().l1d().seed(kP1), before)
-        << to_string(kind);
-    EXPECT_EQ(s.machine().stats().flushes, 0u);
+    const Deployment d{paper_platform(kind), 7};
+    const auto m = build_machine(d, {kP1});
+    const Seed before = l1d_seed(*m, kP1);
+    d.before_job(*m, kP1, 0);
+    d.before_job(*m, kP1, kDefaultHyperperiodJobs);
+    EXPECT_EQ(l1d_seed(*m, kP1), before) << to_string(kind);
+    EXPECT_EQ(m->stats().flushes, 0u);
+    EXPECT_EQ(m->stats().seed_changes, 0u);
   }
 }
 
@@ -121,9 +136,11 @@ CampaignConfig small_campaign() {
 
 TEST(CampaignTest, DeterministicSetupLeaksTscacheDoesNot) {
   const CampaignResult det =
-      run_bernstein_campaign(SetupKind::kDeterministic, small_campaign());
+      run_bernstein_campaign(paper_platform(SetupKind::kDeterministic),
+                             small_campaign());
   const CampaignResult tsc =
-      run_bernstein_campaign(SetupKind::kTsCache, small_campaign());
+      run_bernstein_campaign(paper_platform(SetupKind::kTsCache),
+                             small_campaign());
 
   // Even at CI scale the deterministic cache shows significant correlations
   // on several bytes; TSCache must show none at all.
@@ -150,8 +167,10 @@ TEST(CampaignTest, VictimSideIsDeterministicGivenSeeds) {
   }();
   crypto::Key key{};
   key[0] = 0x42;
-  const SideResult a = run_victim_side(SetupKind::kTsCache, cfg, 1, key);
-  const SideResult b = run_victim_side(SetupKind::kTsCache, cfg, 1, key);
+  const SideResult a =
+      run_victim_side(paper_platform(SetupKind::kTsCache), cfg, 1, key);
+  const SideResult b =
+      run_victim_side(paper_platform(SetupKind::kTsCache), cfg, 1, key);
   ASSERT_EQ(a.timings.size(), b.timings.size());
   for (std::size_t i = 0; i < a.timings.size(); ++i) {
     ASSERT_DOUBLE_EQ(a.timings[i], b.timings[i]) << "sample " << i;
@@ -166,8 +185,10 @@ TEST(CampaignTest, PartiesDiffer) {
     return c;
   }();
   crypto::Key key{};
-  const SideResult a = run_victim_side(SetupKind::kMbptaCache, cfg, 1, key);
-  const SideResult b = run_victim_side(SetupKind::kMbptaCache, cfg, 2, key);
+  const SideResult a =
+      run_victim_side(paper_platform(SetupKind::kMbptaCache), cfg, 1, key);
+  const SideResult b =
+      run_victim_side(paper_platform(SetupKind::kMbptaCache), cfg, 2, key);
   // Same layout (shared seed), but different plaintext streams.
   bool any_different = false;
   for (std::size_t i = 0; i < a.timings.size() && !any_different; ++i) {
@@ -182,7 +203,7 @@ TEST(CampaignTest, RecordsRequestedSampleCount) {
   cfg.warmup = 8;
   crypto::Key key{};
   const SideResult side =
-      run_victim_side(SetupKind::kDeterministic, cfg, 1, key);
+      run_victim_side(paper_platform(SetupKind::kDeterministic), cfg, 1, key);
   EXPECT_EQ(side.timings.size(), 100u);
   EXPECT_EQ(side.profile.samples(), 100u);
 }

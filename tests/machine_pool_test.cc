@@ -4,7 +4,8 @@
 //    constructed machine bit-exactly (cycles, stats, rng draw order) - the
 //    MachinePool contract the MBPTA fresh-layout protocols rely on.
 //  * MachinePool reuse-vs-fresh equality on seeded layouts, for policy
-//    machines (all policies x partitioning) and Setups.
+//    machines (all policies x partitioning), and for one slot leased in
+//    turn under every seed policy (TSCache, MBPTACache, a matrix cell).
 //  * Machine::instr_block's same-line batching must yield exactly the
 //    cycles and stats of per-instruction calls, on hit-friendly and
 //    allocation-refusing (random-fill) configurations alike.
@@ -14,7 +15,6 @@
 #include <vector>
 
 #include "core/policy.h"
-#include "core/setup.h"
 #include "isa/assembler.h"
 #include "isa/interpreter.h"
 #include "isa/kernels.h"
@@ -32,6 +32,8 @@ void expect_same_machine_state(sim::Machine& a, sim::Machine& b) {
   EXPECT_EQ(a.stats().stores, b.stats().stores);
   EXPECT_EQ(a.stats().branches, b.stats().branches);
   EXPECT_EQ(a.stats().taken_branches, b.stats().taken_branches);
+  EXPECT_EQ(a.stats().seed_changes, b.stats().seed_changes);
+  EXPECT_EQ(a.stats().flushes, b.stats().flushes);
   for (auto level : {0, 1, 2}) {
     cache::Cache& ca = level == 0   ? a.hierarchy().l1i()
                        : level == 1 ? a.hierarchy().l1d()
@@ -74,9 +76,9 @@ TEST(MachineReset, ReplaysFreshConstructionBitExactly) {
     // A machine that already simulated a full (different-seed) deployment...
     auto reused = core::build_policy_machine(policy, 111, /*partitioned=*/false);
     drive(*reused);
-    // ...reset + reconfigured must match a genuinely fresh twin exactly.
-    reused->reset(core::policy_machine_rng_seed(222));
-    core::configure_policy_machine(*reused, 222, /*partitioned=*/false);
+    // ...re-deployed must match a genuinely fresh twin exactly.
+    core::deploy(*reused, {policy, 222},
+                 {core::kMatrixVictim, core::kMatrixAttacker});
     auto fresh = core::build_policy_machine(policy, 222, /*partitioned=*/false);
     drive(*reused);
     drive(*fresh);
@@ -120,39 +122,62 @@ TEST(MachinePoolTest, PolicyMachineReuseMatchesFreshOnSeededLayouts) {
   }
 }
 
-TEST(MachinePoolTest, SetupReuseMatchesFreshSetup) {
+/// Jobs of a TSCache-style schedule: the seed policy's before_job for both
+/// parties, then the victim's kernel and some attacker traffic.  Returns
+/// the victim's per-job cycles.
+std::vector<Cycles> run_jobs(const core::Deployment& deployment,
+                             sim::Machine& m, isa::Interpreter& interp,
+                             const isa::Program& program) {
+  std::vector<Cycles> cycles;
+  interp.load_program(program);
+  for (std::uint64_t job = 0; job < 4; ++job) {
+    deployment.before_job(m, core::kMatrixVictim, job);
+    deployment.before_job(m, core::kMatrixAttacker, job);
+    m.set_process(core::kMatrixVictim);
+    cycles.push_back(interp.run(0x1000).cycles);
+    m.set_process(core::kMatrixAttacker);
+    for (int i = 0; i < 300; ++i) m.load(0x3000, 0x80000 + 96 * i);
+  }
+  return cycles;
+}
+
+TEST(MachinePoolTest, OneSlotServesEverySeedPolicy) {
+  // TSCache, MBPTACache and the matrix's random-modulo cell differ only in
+  // their seed policy, so they lease the same (kRandomModulo, unpartitioned)
+  // slot; each lease must behave exactly like a freshly built platform,
+  // whatever the slot ran under before.
   const isa::Program program =
       isa::assemble(isa::vector_sum_source(0x40000, 1024), 0x1000);
-  constexpr ProcId kVictim{1};
-  for (const core::SetupKind kind : core::all_setups()) {
-    MachinePool pool;
-    {
-      const PooledSetup lease = pool.setup(kind, 5);
-      lease.setup.register_process(kVictim);
-      lease.setup.machine().set_process(kVictim);
-      lease.interpreter.load_program(program);
-      (void)lease.interpreter.run(0x1000);
-    }
-    const PooledSetup lease = pool.setup(kind, 77);
-    lease.setup.register_process(kVictim);
-    lease.setup.machine().set_process(kVictim);
-    lease.interpreter.load_program(program);
-    const double pooled_warm =
-        static_cast<double>(lease.interpreter.run(0x1000).cycles);
-    const double pooled_timed =
-        static_cast<double>(lease.interpreter.run(0x1000).cycles);
+  const core::Deployment tscache{
+      core::paper_platform(core::SetupKind::kTsCache), 31, 0,
+      /*hyperperiod_jobs=*/1};
+  const core::Deployment mbpta{
+      core::paper_platform(core::SetupKind::kMbptaCache), 32,
+      /*layout_seed=*/99};
+  const core::Deployment cell{{core::PlacementPolicy::kRandomModulo}, 33};
+  MachinePool pool;
+  const sim::Machine* slot = nullptr;
+  for (int round = 0; round < 2; ++round) {
+    for (const core::Deployment& d : {tscache, mbpta, cell, tscache}) {
+      const PooledMachine lease =
+          pool.lease(d, {core::kMatrixVictim, core::kMatrixAttacker});
+      if (slot == nullptr) slot = &lease.machine;
+      EXPECT_EQ(&lease.machine, slot) << "one slot for every seed policy";
 
-    core::Setup fresh(kind, 77);
-    fresh.register_process(kVictim);
-    fresh.machine().set_process(kVictim);
-    isa::Interpreter interp(fresh.machine());
-    interp.load_program(program);
-    EXPECT_EQ(pooled_warm, static_cast<double>(interp.run(0x1000).cycles))
-        << core::to_string(kind);
-    EXPECT_EQ(pooled_timed, static_cast<double>(interp.run(0x1000).cycles))
-        << core::to_string(kind);
-    expect_same_machine_state(lease.setup.machine(), fresh.machine());
+      const auto fresh =
+          core::build_machine(d, {core::kMatrixVictim, core::kMatrixAttacker});
+      isa::Interpreter interp(*fresh);
+      EXPECT_EQ(run_jobs(d, lease.machine, lease.interpreter, program),
+                run_jobs(d, *fresh, interp, program));
+      expect_same_machine_state(lease.machine, *fresh);
+    }
   }
+  // The TSCache leases really reseeded and flushed on every job.
+  const PooledMachine lease =
+      pool.lease(tscache, {core::kMatrixVictim, core::kMatrixAttacker});
+  (void)run_jobs(tscache, lease.machine, lease.interpreter, program);
+  EXPECT_EQ(lease.machine.stats().seed_changes, 8u);
+  EXPECT_EQ(lease.machine.stats().flushes, 8u);
 }
 
 // --- instr_block batching --------------------------------------------------

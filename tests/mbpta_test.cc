@@ -7,7 +7,7 @@
 #include <memory>
 #include <vector>
 
-#include "core/setup.h"
+#include "core/policy.h"
 #include "isa/interpreter.h"
 #include "isa/kernels.h"
 #include "mbpta/analysis.h"
@@ -173,10 +173,10 @@ std::vector<double> platform_sample(core::SetupKind kind, int runs,
   for (int r = 0; r < runs; ++r) {
     // Fresh machine per run: MBPTA's "new random cache layout on every
     // program run" protocol (paper section 2.1).
-    core::Setup setup(kind, rng::derive_seed(master, r));
-    setup.register_process(ProcId{1});
-    setup.machine().set_process(ProcId{1});
-    isa::Interpreter interp(setup.machine());
+    const auto machine = core::build_machine(
+        {core::paper_platform(kind), rng::derive_seed(master, r)}, {ProcId{1}});
+    machine->set_process(ProcId{1});
+    isa::Interpreter interp(*machine);
     interp.load_program(
         isa::assemble(isa::vector_sum_source(0x40000, kWords), 0x1000));
     (void)interp.run(0x1000);  // warm pass: compulsory misses

@@ -20,6 +20,9 @@
 namespace tsc::runner {
 namespace {
 
+const core::Platform kMbptaCache =
+    core::paper_platform(core::SetupKind::kMbptaCache);
+
 TEST(ThreadPoolTest, ExecutesAllTasks) {
   ThreadPool pool(4);
   std::atomic<int> counter{0};
@@ -171,14 +174,14 @@ TEST(ShardedCampaignTest, SingleShardMatchesLegacyCampaignBitExactly) {
   legacy_cfg.samples = 1500;
   legacy_cfg.warmup = 64;
   const core::CampaignResult legacy =
-      core::run_bernstein_campaign(core::SetupKind::kMbptaCache, legacy_cfg);
+      core::run_bernstein_campaign(kMbptaCache, legacy_cfg);
 
   ShardedConfig config;
   config.base = legacy_cfg;
   config.shard_size = 1500;  // one shard
   config.workers = 2;
   const ShardedCampaignResult sharded =
-      run_sharded_bernstein(core::SetupKind::kMbptaCache, config);
+      run_sharded_bernstein(kMbptaCache, config);
 
   ASSERT_EQ(sharded.shard_count, 1u);
   EXPECT_EQ(sharded.victim.key, legacy.victim.key);
@@ -217,7 +220,7 @@ TEST(ShardedCampaignTest, MergedResultBitIdenticalAcrossWorkerCounts) {
     // kMbptaCache: the shared-layout setup, where any worker-dependent or
     // shard-dependent seeding mistake shows up as diverging profiles.
     const ShardedCampaignResult r =
-        run_sharded_bernstein(core::SetupKind::kMbptaCache, config);
+        run_sharded_bernstein(kMbptaCache, config);
     EXPECT_EQ(r.shard_count, 3u);
     EXPECT_EQ(r.victim.profile.samples(), 3000u);
     EXPECT_EQ(r.attacker.profile.samples(), 3000u);
@@ -253,7 +256,8 @@ TEST(ShardedCampaignTest, VictimSideMergeCountsAllSamples) {
   config.workers = 2;
   const crypto::Key key{};
   const MergedSide side =
-      run_sharded_victim(core::SetupKind::kTsCache, config, 1, key);
+      run_sharded_victim(core::paper_platform(core::SetupKind::kTsCache),
+                         config, 1, key);
   EXPECT_EQ(side.profile.samples(), 2200u);
   EXPECT_EQ(side.time_stats.count(), 2200u);
   EXPECT_GT(side.time_stats.mean(), 0.0);
