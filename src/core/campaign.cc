@@ -1,5 +1,6 @@
 #include "core/campaign.h"
 
+#include <algorithm>
 #include <memory>
 
 #include "rng/rng.h"
@@ -8,6 +9,11 @@ namespace tsc::core {
 namespace {
 
 constexpr ProcId kCryptoProc{1};
+
+/// Domain-separation tag for the shard plaintext-stream tree (distinct
+/// from every other campaign tag: 0x6E1 keys, 0x1A707 layouts, 0xB10C
+/// plaintext streams).
+constexpr std::uint64_t kShardDomain = 0x5'AA4D'0000;
 
 crypto::Key random_key(rng::Rng& rng) {
   crypto::Key key{};
@@ -125,6 +131,34 @@ CampaignResult run_bernstein_campaign(const Platform& platform,
       result.victim.profile, result.attacker.profile, attacker_key,
       victim_key);
   return result;
+}
+
+std::uint64_t shard_plaintext_stream(std::uint64_t base_stream,
+                                     std::size_t index) {
+  if (index == 0) return base_stream;
+  return rng::derive_seed(rng::derive_seed(base_stream, kShardDomain),
+                          static_cast<std::uint64_t>(index));
+}
+
+std::vector<CampaignConfig> plan_shards(const CampaignConfig& base,
+                                        std::size_t shard_size) {
+  const std::size_t size = std::max<std::size_t>(1, shard_size);
+  const std::size_t count =
+      std::max<std::size_t>(1, (base.samples + size - 1) / size);
+  std::vector<CampaignConfig> shards;
+  shards.reserve(count);
+  std::size_t remaining = base.samples;
+  std::size_t window_start = 0;
+  for (std::size_t i = 0; i < count; ++i) {
+    CampaignConfig shard = base;
+    shard.samples = std::min(size, remaining);
+    shard.plaintext_stream = shard_plaintext_stream(base.plaintext_stream, i);
+    shard.job_offset = base.job_offset + window_start;
+    shards.push_back(shard);
+    window_start += shard.samples;
+    remaining -= shard.samples;
+  }
+  return shards;
 }
 
 }  // namespace tsc::core

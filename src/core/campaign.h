@@ -37,8 +37,8 @@ struct CampaignConfig {
   /// fixed - lets analyses (e.g. Fig. 4's split-half replication check)
   /// re-measure the same platform under fresh independent inputs.
   std::uint64_t plaintext_stream = 0;
-  /// Number of the first job (encryption) of this run.  The sharded runner
-  /// sets it to the shard's window start so TSCache's job-indexed reseed
+  /// Number of the first job (encryption) of this run.  plan_shards sets
+  /// it to the shard's window start so TSCache's job-indexed reseed
   /// schedule replays exactly as in one continuous campaign; layouts and
   /// keys are unaffected (they derive from master_seed alone).
   std::uint64_t job_offset = 0;
@@ -104,5 +104,37 @@ struct CampaignResult {
                                          const CampaignConfig& config,
                                          std::uint64_t party_tag,
                                          const crypto::Key& key);
+
+// --- the shard plan ---------------------------------------------------------
+//
+// A campaign of tens of thousands to millions of encryptions per side is
+// cut into SHARDS: independent sessions, each with its own machine pair and
+// a fixed slice of the sample budget, merged in shard order (the runner's
+// campaign stages run them concurrently).  Shards partition ONE campaign,
+// they do not reseed the world: every shard shares the deployment - the
+// master_seed and everything derived from it (layouts, RPCache's fixed
+// per-process tables, MBPTACache's shared layout, the victim key, the
+// victim binary's noise pattern) - which keeps the stable-layout leaks
+// Fig. 5 measures intact.  Shards differ only in
+//   * their plaintext stream (shard 0 keeps the base stream, so a
+//     single-shard run reproduces run_bernstein_campaign bit for bit), and
+//   * their job window (job_offset), so TSCache's job-indexed reseed
+//     schedule advances across shards as in the continuous run.
+// Per-shard machines start cold and re-warm (config.warmup), the one
+// deliberate deviation from a single long session.  The plan is a pure
+// function of (config, shard_size), never of how many threads or
+// processes run it.
+
+/// The plaintext stream shard `index` measures under: the base stream for
+/// shard 0, a splittable derivation of it otherwise.
+[[nodiscard]] std::uint64_t shard_plaintext_stream(std::uint64_t base_stream,
+                                                   std::size_t index);
+
+/// The fixed decomposition of a campaign: one CampaignConfig per shard
+/// with the sliced sample budget (at most `shard_size`, which clamps to 1),
+/// the shard's plaintext stream and job window, and the campaign's
+/// unchanged master seed.
+[[nodiscard]] std::vector<CampaignConfig> plan_shards(
+    const CampaignConfig& base, std::size_t shard_size);
 
 }  // namespace tsc::core

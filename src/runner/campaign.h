@@ -1,9 +1,9 @@
 // The campaign stage driver: the one place that decides how a campaign's
 // shard tasks run.
 //
-// A campaign experiment (fig5, attack_matrix, flush_matrix, pwcet_matrix)
-// declares its STAGES - pure (task index -> result) functions with a byte
-// codec - and then hands one REDUCE (merge, score, JSON) to finish():
+// Every experiment that fans out declares its STAGES - pure (task index ->
+// result) functions with a byte codec - and then hands one REDUCE (merge,
+// score, JSON) to finish():
 //
 //   const StageResults<R> parts = campaign.stage("name", count, fn, codec);
 //   return campaign.finish([&] { ...merge parts, score, build JSON... });
@@ -11,13 +11,18 @@
 // A stage runs one of three ways:
 //   * plain - typed parallel_map on the campaign's pool; the codec never
 //     runs, so a campaign without fault-tolerance options pays nothing.
-//   * FtSession - checkpoint/resume, retries, watchdog, interrupts,
-//     --allow-partial; under --dispatch the session is the supervisor,
-//     leasing tasks to worker subprocesses (runner/dispatcher.h).  Fresh
-//     and resumed tasks alike are decoded from their payloads.
+//   * FtSession - checkpoint/resume, retries, interrupts, --allow-partial;
+//     under --dispatch the session is the supervisor, leasing tasks to
+//     worker subprocesses (runner/dispatcher.h).  Fresh and resumed tasks
+//     alike are decoded from their payloads.
 //   * dispatch worker - stage() only records the task function, and
 //     finish() serves leases for any declared stage until shutdown.
-// The reduce runs once, only in the process that emits the JSON.
+// The reduce runs once, only in the process that emits the JSON, and is
+// the only code that reads stage results (a dispatch worker's are empty).
+// A stage's task count must be a pure function of the scale knobs, never
+// of the worker count: dispatch workers rebuild the plan without --shards.
+// A stage function declared by a helper that returns before finish() must
+// own its captures, since a dispatch worker runs it later.
 #pragma once
 
 #include <cstddef>

@@ -19,8 +19,6 @@ constexpr char kMagic[6] = {'T', 'S', 'C', 'K', 'P', 'T'};
 // magic.  Kept stable so tests can patch it to exercise version rejection.
 constexpr std::size_t kVersionOffset = sizeof(kMagic);
 
-using Clock = std::chrono::steady_clock;
-
 /// write(2) all of `n` bytes, retrying short writes and EINTR.  False (with
 /// errno set) on failure.
 bool write_fully(int fd, const std::uint8_t* data, std::size_t n) {
@@ -406,25 +404,18 @@ StagePayloads FtSession::run_in_process(
     std::size_t task;
     int attempt;
     std::future<std::vector<std::uint8_t>> future;
-    Clock::time_point deadline;
   };
   std::vector<InFlight> inflight;
-  std::vector<std::future<std::vector<std::uint8_t>>> abandoned;
   const std::size_t width = std::max(1u, pool.size());
   bool draining = false;
   std::exception_ptr abort_error;
 
   const auto launch = [&](std::size_t task, int attempt) {
-    const Clock::time_point deadline =
-        options_.watchdog_ms > 0
-            ? Clock::now() + std::chrono::milliseconds(options_.watchdog_ms)
-            : Clock::time_point::max();
     inflight.push_back(
         {task, attempt, pool.submit([this, task, attempt, &run_encoded] {
            injector_.on_task_start(task, attempt);
            return run_encoded(task);
-         }),
-         deadline});
+         })});
   };
 
   // A failed attempt either re-queues (budget left), records an incomplete
@@ -470,34 +461,12 @@ StagePayloads FtSession::run_in_process(
         } catch (const std::exception& e) {
           attempt_failed(task, attempt, e.what());
         }
-      } else if (Clock::now() >= it->deadline) {
-        // Watchdog: abandon the hung attempt (cancelling injected hangs so
-        // the worker thread comes back) and re-queue the shard.
-        injector_.cancel_hangs();
-        abandoned.push_back(std::move(it->future));
-        const std::size_t task = it->task;
-        const int attempt = it->attempt;
-        it = inflight.erase(it);
-        progressed = true;
-        attempt_failed(task, attempt,
-                       "watchdog timeout after " +
-                           std::to_string(options_.watchdog_ms) + "ms");
       } else {
         ++it;
       }
     }
     if (!progressed && !inflight.empty()) {
       std::this_thread::sleep_for(std::chrono::microseconds(500));
-    }
-  }
-
-  // Give abandoned attempts a bounded chance to unwind (injected hangs
-  // finish promptly once cancelled; a genuinely wedged thread is only
-  // reclaimed at process exit - see docs/fault_tolerance.md).
-  if (!abandoned.empty()) {
-    injector_.cancel_hangs();
-    for (auto& future : abandoned) {
-      (void)future.wait_for(std::chrono::seconds(5));
     }
   }
 

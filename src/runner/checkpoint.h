@@ -17,12 +17,13 @@
 //     campaign's checkpoint I/O is linear in its length.
 //
 //   * FtSession::run_stage - the byte-level stage engine behind
-//     runner/campaign.h: per-shard retry with a bounded attempt budget, a
-//     watchdog that abandons and re-queues shards that exceed a deadline,
+//     runner/campaign.h: per-shard retry with a bounded attempt budget,
 //     periodic checkpoint flushes, cooperative interrupt draining (flush,
 //     then throw Interrupted), and an opt-in allow-partial mode that
 //     records exhausted shards in an incomplete manifest instead of failing
-//     the campaign.
+//     the campaign.  A hung shard needs a process boundary to be reclaimed:
+//     the kill-based watchdog lives in the --dispatch supervisor
+//     (runner/dispatcher.h).
 //
 // Determinism: shard tasks stay pure functions of their index, completed
 // payloads are bit-exact round-trips, and merges remain in shard-index
@@ -244,7 +245,6 @@ struct FtOptions {
   /// don't ride minutes of unflushed work on the count cadence).  0 = off.
   std::uint64_t checkpoint_interval_ms = 0;
   int max_attempts = 3;           ///< per-shard attempt budget
-  std::uint64_t watchdog_ms = 0;  ///< abandon+re-queue deadline; 0 = off
   bool allow_partial = false;     ///< record exhausted shards, don't fail
   std::size_t stop_after = 0;     ///< test seam: interrupt after N
                                   ///< session-wide completions (0 = off)
@@ -255,8 +255,7 @@ struct FtOptions {
   /// in-process campaigns on the plain parallel_map path - zero added cost.
   [[nodiscard]] bool enabled() const {
     return !checkpoint_path.empty() || resume || allow_partial ||
-           watchdog_ms > 0 || stop_after > 0 ||
-           fault.kind != FaultKind::kNone;
+           stop_after > 0 || fault.kind != FaultKind::kNone;
   }
 };
 
@@ -287,8 +286,8 @@ class FtSession {
   FtSession& operator=(const FtSession&) = delete;
 
   /// The byte-level engine: run tasks [0, count) of `stage`, skipping ones
-  /// already in the checkpoint, with retry / watchdog / flush / interrupt
-  /// handling as configured.  `run_encoded(task)` must be a pure function
+  /// already in the checkpoint, with retry / flush / interrupt handling as
+  /// configured.  `run_encoded(task)` must be a pure function
   /// of the task index returning the task's encoded payload.  Missing
   /// entries in the returned vector are exhausted shards (allow_partial
   /// only).  Throws Interrupted or CampaignAborted after flushing.
@@ -307,7 +306,7 @@ class FtSession {
   }
   /// Completed-task count across the session (resumed shards included).
   [[nodiscard]] std::size_t completed_tasks() const { return completed_; }
-  /// Shard attempts that failed and were retried or abandoned (telemetry).
+  /// Shard attempts that failed (telemetry).
   [[nodiscard]] std::size_t failed_attempts() const { return failed_attempts_; }
   /// Checkpoint flushes performed (telemetry; the time-based cadence test
   /// observes mid-stage flushes through this).

@@ -404,7 +404,7 @@ void DispatchSupervisorSession::start_draining(StageState& st) const {
   st.draining = true;
   st.drain_deadline =
       Clock::now() + std::chrono::milliseconds(
-                         options_.watchdog_ms > 0 ? 2 * options_.watchdog_ms
+                         dispatch_.watchdog_ms > 0 ? 2 * dispatch_.watchdog_ms
                                                   : 10'000);
 }
 
@@ -581,8 +581,8 @@ StagePayloads DispatchSupervisorSession::run_stage(
         }
         w.lease = std::move(lease.lease);
         w.lease_deadline =
-            options_.watchdog_ms > 0
-                ? now + std::chrono::milliseconds(options_.watchdog_ms)
+            dispatch_.watchdog_ms > 0
+                ? now + std::chrono::milliseconds(dispatch_.watchdog_ms)
                 : Clock::time_point::max();
       }
     }
@@ -626,7 +626,7 @@ StagePayloads DispatchSupervisorSession::run_stage(
       if (!w.alive) continue;
       if (w.lease && after >= w.lease_deadline) {
         kill_worker(w, "watchdog: lease deadline exceeded (" +
-                           std::to_string(options_.watchdog_ms) + " ms)");
+                           std::to_string(dispatch_.watchdog_ms) + " ms)");
         continue;
       }
       if (dispatch_.heartbeat_ms > 0 && w.hello &&

@@ -154,6 +154,9 @@ using StagePlan = std::map<std::string, std::size_t>;
 struct DispatchOptions {
   int processes = 0;              ///< worker subprocess count (--dispatch N)
   std::uint64_t heartbeat_ms = 250;  ///< worker heartbeat cadence; 0 = off
+  /// Lease deadline (--watchdog-ms): a worker still holding a lease after
+  /// this many ms is SIGKILLed and its shard re-queued.  0 = off.
+  std::uint64_t watchdog_ms = 0;
   std::string exe;                ///< worker executable (self, or the
                                   ///< TSC_DISPATCH_EXE test override)
   std::vector<std::string> worker_args;  ///< common worker argv tail

@@ -63,23 +63,26 @@ void print_usage(std::FILE* out) {
                "  --checkpoint-every N  flush cadence in completed shards\n"
                "                      (default 8)\n"
                "  --max-attempts N    per-shard attempt budget (default 3)\n"
-               "  --watchdog-ms N     abandon + re-queue shards running longer\n"
-               "                      than N ms (default 0 = off)\n"
                "  --allow-partial     after retries are exhausted, emit the\n"
                "                      merged result with an incomplete_shards\n"
                "                      manifest (exit 4) instead of failing\n"
                "  --checkpoint-interval-ms N  also flush the checkpoint when\n"
                "                      N ms passed since the last flush (0 = off)\n"
                "  --inject-fault SPEC deterministic fault injection for tests:\n"
-               "                      shard=K,kind=throw|hang|corrupt[,times=N];\n"
+               "                      shard=K,kind=throw|corrupt[,times=N];\n"
                "                      kind=crash|wedge|kill need --dispatch (the\n"
                "                      worker subprocess really dies or spins)\n"
+               "  fig2, fig3 and ct_audit are serial: these flags and --dispatch\n"
+               "  exit 2 for them\n"
                "\n"
                "multi-process dispatch (docs/fault_tolerance.md):\n"
                "  --dispatch N        supervise N worker subprocesses leasing\n"
                "                      shards over pipes; crashes and wedges are\n"
                "                      retried after SIGKILL, and the merged JSON\n"
                "                      stays byte-identical to a 1-process run\n"
+               "  --watchdog-ms N     SIGKILL a worker holding a lease longer\n"
+               "                      than N ms and re-queue its shard (default\n"
+               "                      0 = off); needs --dispatch\n"
                "  --heartbeat-ms N    worker heartbeat cadence (default 250;\n"
                "                      0 disables liveness monitoring)\n"
                "  --backoff-ms N      retry backoff base (default 100; the\n"
@@ -342,7 +345,7 @@ int experiment_main(int argc, char** argv) {
       } else if (arg == "--worker-id") {
         dispatch.worker_id = static_cast<int>(v);
       } else {
-        options.ft.watchdog_ms = v;
+        dispatch.watchdog_ms = v;
       }
     } else {
       return usage_error("unknown option: " + arg);
@@ -354,6 +357,10 @@ int experiment_main(int argc, char** argv) {
   }
   if (dispatch.processes > 0 && dispatch.worker()) {
     return usage_error("--dispatch and --dispatch-worker are exclusive");
+  }
+  // Only a worker subprocess can be killed: the watchdog is dispatch-only.
+  if (dispatch.watchdog_ms > 0 && dispatch.processes == 0) {
+    return usage_error("--watchdog-ms needs --dispatch N");
   }
 
   // Environment test seams (CI drives these where flags are awkward).
@@ -392,6 +399,15 @@ int experiment_main(int argc, char** argv) {
       std::fprintf(stderr, "  %s\n", e.name.c_str());
     }
     return kExitUsage;
+  }
+
+  // A serial experiment has no stage to checkpoint, retry or lease.
+  if (!experiment->staged &&
+      (options.ft.enabled() || dispatch.processes > 0)) {
+    return usage_error("experiment '" + experiment->name +
+                       "' is serial: --checkpoint, --resume, "
+                       "--allow-partial, --inject-fault and --dispatch do "
+                       "not apply");
   }
 
   if (dispatch.processes > 0) {

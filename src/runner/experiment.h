@@ -35,11 +35,10 @@ struct RunOptions {
   /// TSC_FAST-style smoke scaling (divides standard scales by 8).
   bool fast = false;
 
-  /// Fault-tolerance configuration (checkpoint/resume, retries, watchdog,
-  /// fault injection).  When enabled, run_experiment opens an FtSession
-  /// and the campaign-shaped experiments (fig5, attack_matrix,
-  /// flush_matrix, pwcet_matrix) run their stages through it; the cheap
-  /// per-run experiments ignore it.
+  /// Fault-tolerance configuration (checkpoint/resume, retries, fault
+  /// injection).  When enabled, run_experiment opens an FtSession and the
+  /// experiment's stages run through it; tsc_run refuses it for an
+  /// experiment that declares no stage.
   FtOptions ft{};
 
   /// Resolve the effective sample count: explicit `samples` wins, then the
@@ -49,11 +48,14 @@ struct RunOptions {
 };
 
 /// A registered experiment.  `run` declares its stages on the Campaign and
-/// returns campaign.finish(reduce); per-run experiments ignore the Campaign.
+/// returns campaign.finish(reduce).  A serial experiment (`staged` false)
+/// ignores the Campaign, so tsc_run rejects the flags that open a session
+/// (checkpoint, resume, partial, fault injection, dispatch) for it.
 struct Experiment {
   std::string name;
   std::string description;
   Json (*run)(const RunOptions&, Campaign&);
+  bool staged = true;
 };
 
 /// All registered experiments, in presentation order.

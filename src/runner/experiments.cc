@@ -1,26 +1,31 @@
 // The registered experiments: every tsc_run scenario, expressed once as a
-// RunOptions -> Json function.  Campaign-shaped experiments declare their
-// shard stages on the Campaign and reduce once (runner/campaign.h), so
-// they checkpoint, resume and dispatch; per-run protocols (MBPTA
-// collection, contention trials, miss-rate sweeps) fan out over
-// parallel_map with index-derived seeds.  Either way the JSON is a pure
-// function of (options.samples, options.master_seed, options.shard_size) -
-// never of the worker count.
+// RunOptions -> Json function.  Every experiment that fans out declares
+// its stages on the Campaign and reduces once (runner/campaign.h), so it
+// checkpoints, resumes and dispatches; each stage's task count is a pure
+// function of (samples, seed, shard_size, fast), and every task a pure
+// function of its index.  The JSON is therefore a pure function of
+// (options.samples, options.master_seed, options.shard_size) - never of
+// the worker count.  fig2, fig3 and ct_audit are serial and declare no
+// stage (Experiment::staged is false).
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "analysis/dyntaint.h"
 #include "analysis/taint.h"
+#include "attack/bernstein.h"
 #include "attack/contention.h"
 #include "attack/evicttime.h"
 #include "attack/flushreload.h"
 #include "attack/metrics.h"
 #include "attack/primeprobe.h"
+#include "attack/profile.h"
 #include "cache/placement.h"
 #include "core/campaign.h"
 #include "core/policy.h"
@@ -33,9 +38,8 @@
 #include "runner/codecs.h"
 #include "runner/experiment.h"
 #include "runner/machine_pool.h"
-#include "runner/sharded.h"
-#include "runner/thread_pool.h"
 #include "stats/correlation.h"
+#include "stats/descriptive.h"
 #include "stats/tests.h"
 
 namespace tsc::runner {
@@ -44,13 +48,159 @@ namespace {
 constexpr ProcId kVictim{1};
 constexpr ProcId kAttacker{2};
 
-ShardedConfig sharded_config(const RunOptions& options,
-                             std::size_t standard_samples) {
-  ShardedConfig config;
-  config.base.samples = options.resolve_samples(standard_samples);
-  config.base.master_seed = options.master_seed;
-  config.shard_size = options.shard_size;
-  config.workers = options.workers;
+// --- shared stage plumbing ---------------------------------------------------
+
+const TaskCodec<double>& double_codec() {
+  static const TaskCodec<double> codec{
+      [](const double& v, ByteWriter& w) { w.put_f64(v); },
+      [](ByteReader& r) { return r.f64(); }};
+  return codec;
+}
+
+const TaskCodec<std::vector<double>>& doubles_codec() {
+  static const TaskCodec<std::vector<double>> codec{
+      [](const std::vector<double>& v, ByteWriter& w) { put_doubles(w, v); },
+      [](ByteReader& r) { return get_doubles(r); }};
+  return codec;
+}
+
+/// A per-task scalar, or null for a task that exhausted its retries under
+/// --allow-partial.
+Json task_json(const std::optional<double>& value) {
+  return value ? Json(*value) : Json();
+}
+
+/// The fixed shard plan of one cell's budget: shards of `shard_size`
+/// samples or runs (clamped to 1, as core::plan_shards does), the last one
+/// shorter.  The matrices and the per-run MBPTA protocols all cut their
+/// budgets here, so no stage's task count depends on the worker count.
+std::vector<std::size_t> matrix_shards(std::size_t samples,
+                                       std::size_t shard_size) {
+  shard_size = std::max<std::size_t>(1, shard_size);
+  std::vector<std::size_t> out;
+  for (std::size_t start = 0; start < samples; start += shard_size) {
+    out.push_back(std::min(shard_size, samples - start));
+  }
+  if (out.empty()) out.push_back(samples);
+  return out;
+}
+
+/// Merge per-(cell, slice) parts, `part_at(cell * n_shards + s)`, into
+/// per-cell run-index-ordered samples - the exact in-order concatenation
+/// that makes every per-run protocol decomposition-invariant.
+template <typename PartAt>
+std::vector<std::vector<double>> merge_cell_times(std::size_t n_cells,
+                                                  std::size_t n_shards,
+                                                  std::size_t runs,
+                                                  PartAt&& part_at) {
+  std::vector<std::vector<double>> merged(n_cells);
+  for (std::size_t cell = 0; cell < n_cells; ++cell) {
+    merged[cell].reserve(runs);
+    for (std::size_t s = 0; s < n_shards; ++s) {
+      const std::vector<double>& part = part_at(cell * n_shards + s);
+      merged[cell].insert(merged[cell].end(), part.begin(), part.end());
+    }
+  }
+  return merged;
+}
+
+// --- the Bernstein stage (fig4, fig5 and the two Bernstein ablations) -------
+
+/// One measured party of a campaign: its base plaintext stream (a fresh
+/// stream re-measures the same deployment under independent inputs), the
+/// party tag that decorrelates its RNG streams, and its key.
+struct Party {
+  std::uint64_t plaintext_stream = 0;
+  std::uint64_t tag = 1;
+  crypto::Key key{};
+};
+
+/// One party's shards merged in shard order.
+struct MergedSide {
+  attack::TimingProfile profile;
+  stats::Descriptive time_stats;
+};
+
+/// Declare stage `stage`: campaign `config` measured by every party, each
+/// party's session cut by core::plan_shards into the same shards, one task
+/// per (shard, party) - task shard * parties.size() + party - since every
+/// shard of every party is an independent session on `platform`.  Returns
+/// the reduce: each party's shards merged in order (a shard that exhausted
+/// its retries under --allow-partial contributes nothing).
+std::function<std::vector<MergedSide>()> declare_sides(
+    Campaign& campaign, const core::Platform& platform,
+    const core::CampaignConfig& config, const std::vector<Party>& parties,
+    std::size_t shard_size, const std::string& stage) {
+  std::vector<std::vector<core::CampaignConfig>> plans;
+  for (const Party& party : parties) {
+    core::CampaignConfig session = config;
+    session.plaintext_stream = party.plaintext_stream;
+    plans.push_back(core::plan_shards(session, shard_size));
+  }
+  const std::size_t n = parties.size();
+  // The task owns its plan: a dispatch worker runs it after this returns.
+  const auto run_task = [platform, parties, plans, n](std::size_t task) {
+    const Party& party = parties[task % n];
+    return core::run_victim_side(platform, plans[task % n][task / n],
+                                 party.tag, party.key);
+  };
+  static const TaskCodec<core::SideResult> codec{
+      [](const core::SideResult& s, ByteWriter& w) { put_side_result(w, s); },
+      [](ByteReader& r) { return get_side_result(r); }};
+  StageResults<core::SideResult> results =
+      campaign.stage(stage, plans.front().size() * n, run_task, codec);
+
+  return [n, results = std::move(results)] {
+    std::vector<MergedSide> merged(n);
+    for (std::size_t i = 0; i < results.size(); ++i) {
+      if (!results[i]) continue;
+      MergedSide& side = merged[i % n];
+      side.profile.merge(results[i]->profile);
+      for (const double t : results[i]->timings) side.time_stats.add(t);
+    }
+    return merged;
+  };
+}
+
+/// A merged Bernstein campaign (paper section 6.1.1).
+struct BernsteinResult {
+  std::size_t shard_count = 0;
+  MergedSide victim;
+  MergedSide attacker;
+  attack::AttackResult attack;
+};
+
+/// Declare a Bernstein campaign as stage `stage`: the victim under the
+/// campaign key and the attacker under Bernstein's known all-zero key, as
+/// the two parties of one declare_sides stage.  A single shard reproduces
+/// core::run_bernstein_campaign bit for bit.  Returns the reduce: both
+/// sides merged, then one correlation.
+std::function<BernsteinResult()> declare_bernstein(
+    Campaign& campaign, const core::Platform& platform,
+    const core::CampaignConfig& config, std::size_t shard_size,
+    const std::string& stage) {
+  const crypto::Key victim_key = core::campaign_victim_key(config.master_seed);
+  std::function<std::vector<MergedSide>()> sides =
+      declare_sides(campaign, platform, config,
+                    {{config.plaintext_stream, 1, victim_key},
+                     {config.plaintext_stream, 2, {}}},
+                    shard_size, stage);
+  return [sides = std::move(sides), victim_key,
+          shard_count = core::plan_shards(config, shard_size).size()] {
+    std::vector<MergedSide> merged = sides();
+    BernsteinResult r{shard_count, std::move(merged[0]), std::move(merged[1]),
+                      {}};
+    r.attack = attack::bernstein_attack(r.victim.profile, r.attacker.profile,
+                                        crypto::Key{}, victim_key);
+    return r;
+  };
+}
+
+core::CampaignConfig campaign_config(const RunOptions& options,
+                                     std::size_t samples) {
+  core::CampaignConfig config;
+  config.samples = samples;
+  config.master_seed = options.master_seed;
   return config;
 }
 
@@ -81,7 +231,7 @@ Json attack_json(const attack::AttackResult& attack) {
   return j;
 }
 
-Json campaign_json(core::SetupKind kind, const ShardedCampaignResult& r) {
+Json campaign_json(core::SetupKind kind, const BernsteinResult& r) {
   Json j = Json::object();
   j.set("setup", core::to_string(kind))
       .set("samples_per_side", r.victim.profile.samples())
@@ -93,30 +243,64 @@ Json campaign_json(core::SetupKind kind, const ShardedCampaignResult& r) {
   return j;
 }
 
-/// Per-run MBPTA measurement: one fresh deployment of the paper platform
-/// per run (fresh random layout, the section 2.1 protocol - served from the
-/// worker's MachinePool, which reproduces fresh construction bit-exactly),
-/// timing the second pass of a 20KB vector sum.  The program is assembled
-/// once per campaign, not per run.  Collection goes through the sharded
-/// path (run_sharded_times), so the merged sample is bit-identical for any
-/// shard size and worker count.  (pwcet_matrix uses the same per-run
-/// protocol but slices its cells itself, inside one matrix-wide stage.)
-std::vector<double> mbpta_sample(core::SetupKind kind, std::size_t runs,
-                                 std::uint64_t seed_base,
-                                 const RunOptions& options) {
-  const isa::Program program =
-      isa::assemble(isa::vector_sum_source(0x40000, 5120), 0x1000);
-  return run_sharded_times(
-      runs, options.shard_size, options.workers,
-      [platform = core::paper_platform(kind), seed_base,
-       &program](std::size_t r) {
-        const PooledMachine lease = MachinePool::local().lease(
-            {platform, rng::derive_seed(seed_base, r)}, {kVictim});
-        lease.machine.set_process(kVictim);
-        lease.interpreter.load_program(program);
-        (void)lease.interpreter.run(0x1000);  // warm pass
-        return static_cast<double>(lease.interpreter.run(0x1000).cycles);
-      });
+// --- the MBPTA stage (fig1, sec622) -----------------------------------------
+
+/// Declare the per-run MBPTA collection of every setup in `kinds` as stage
+/// `stage`: one fresh deployment of the paper platform per run (fresh
+/// random layout, the section 2.1 protocol - served from the worker's
+/// MachinePool, which reproduces fresh construction bit-exactly), timing
+/// the second pass of a 20KB vector sum.  One task per (setup, slice) of
+/// the fixed matrix_shards plan; run r always measures under
+/// derive_seed(seed_base, r), so the merged sample is identical for every
+/// shard size.  Returns the reduce: per setup, the run-ordered sample.
+std::function<std::vector<std::vector<double>>()> declare_mbpta_sample(
+    Campaign& campaign, const std::vector<core::SetupKind>& kinds,
+    std::size_t runs, std::uint64_t seed_base, std::size_t shard_size,
+    const std::string& stage) {
+  const std::size_t size = std::max<std::size_t>(1, shard_size);
+  const std::vector<std::size_t> slices = matrix_shards(runs, size);
+  std::vector<core::Platform> platforms;
+  for (const core::SetupKind kind : kinds) {
+    platforms.push_back(core::paper_platform(kind));
+  }
+  // Assembled once per campaign, not per run; the task owns it.
+  const auto run_task = [platforms, slices, size, seed_base,
+                         program = isa::assemble(
+                             isa::vector_sum_source(0x40000, 5120), 0x1000)](
+                            std::size_t task) {
+    const core::Platform& platform = platforms[task / slices.size()];
+    const std::size_t slice = task % slices.size();
+    std::vector<double> times;
+    times.reserve(slices[slice]);
+    for (std::size_t r = slice * size; r < slice * size + slices[slice]; ++r) {
+      const PooledMachine lease = MachinePool::local().lease(
+          {platform, rng::derive_seed(seed_base, r)}, {kVictim});
+      lease.machine.set_process(kVictim);
+      lease.interpreter.load_program(program);
+      (void)lease.interpreter.run(0x1000);  // warm pass
+      times.push_back(
+          static_cast<double>(lease.interpreter.run(0x1000).cycles));
+    }
+    return times;
+  };
+  StageResults<std::vector<double>> parts = campaign.stage(
+      stage, platforms.size() * slices.size(), run_task, doubles_codec());
+
+  return [parts = std::move(parts), n_setups = platforms.size(),
+          n_slices = slices.size(), runs, stage] {
+    // The protocol needs every run: a sample with a hole is no i.i.d.
+    // evidence, so a partial MBPTA stage fails rather than reporting.
+    for (const std::optional<std::vector<double>>& part : parts) {
+      if (!part) {
+        throw std::runtime_error(stage +
+                                 ": MBPTA needs every run; a slice is missing");
+      }
+    }
+    return merge_cell_times(n_setups, n_slices, runs,
+                            [&](std::size_t i) -> const std::vector<double>& {
+                              return *parts[i];
+                            });
+  };
 }
 
 Json iid_json(const stats::IidVerdict& v, double alpha) {
@@ -134,44 +318,49 @@ Json iid_json(const stats::IidVerdict& v, double alpha) {
 
 // --- fig1: MBPTA process and pWCET curve -----------------------------------
 
-Json run_fig1(const RunOptions& options, Campaign&) {
+Json run_fig1(const RunOptions& options, Campaign& campaign) {
   const std::size_t runs =
       std::max<std::size_t>(400, options.resolve_samples(1000));
-  const std::vector<double> times = mbpta_sample(
-      core::SetupKind::kTsCache, runs, options.master_seed, options);
+  const auto sample =
+      declare_mbpta_sample(campaign, {core::SetupKind::kTsCache}, runs,
+                           options.master_seed, options.shard_size, "fig1");
+  return campaign.finish([&] {
+    const std::vector<double> times = std::move(sample().front());
 
-  Json tails = Json::array();
-  for (const auto tail :
-       {stats::TailModel::kGumbelBlockMaxima, stats::TailModel::kGpdPot}) {
-    mbpta::AnalysisConfig cfg;
-    cfg.tail = tail;
-    const mbpta::AnalysisReport report = mbpta::analyze(times, cfg);
-    Json t = Json::object();
-    t.set("model", tail == stats::TailModel::kGumbelBlockMaxima
-                       ? "gumbel_block_maxima"
-                       : "gpd_pot");
-    t.set("iid", iid_json(report.iid, report.alpha));
-    t.set("mbpta_applicable", report.mbpta_applicable());
-    if (report.mbpta_applicable()) {
-      Json curve = Json::array();
-      for (const stats::PwcetPoint& point : report.curve()) {
-        Json p = Json::object();
-        p.set("exceedance_prob", point.exceedance_prob)
-            .set("bound_cycles", point.bound);
-        curve.push(std::move(p));
+    Json tails = Json::array();
+    for (const auto tail :
+         {stats::TailModel::kGumbelBlockMaxima, stats::TailModel::kGpdPot}) {
+      mbpta::AnalysisConfig cfg;
+      cfg.tail = tail;
+      const mbpta::AnalysisReport report = mbpta::analyze(times, cfg);
+      Json t = Json::object();
+      t.set("model", tail == stats::TailModel::kGumbelBlockMaxima
+                         ? "gumbel_block_maxima"
+                         : "gpd_pot");
+      t.set("iid", iid_json(report.iid, report.alpha));
+      t.set("mbpta_applicable", report.mbpta_applicable());
+      if (report.mbpta_applicable()) {
+        Json curve = Json::array();
+        for (const stats::PwcetPoint& point : report.curve()) {
+          Json p = Json::object();
+          p.set("exceedance_prob", point.exceedance_prob)
+              .set("bound_cycles", point.bound);
+          curve.push(std::move(p));
+        }
+        t.set("pwcet_1e-10", report.pwcet(1e-10))
+            .set("curve", std::move(curve));
       }
-      t.set("pwcet_1e-10", report.pwcet(1e-10)).set("curve", std::move(curve));
+      tails.push(std::move(t));
     }
-    tails.push(std::move(t));
-  }
 
-  Json j = Json::object();
-  j.set("runs", runs)
-      .set("task", "second pass over a 20KB vector-sum")
-      .set("max_observed_cycles",
-           *std::max_element(times.begin(), times.end()))
-      .set("tails", std::move(tails));
-  return j;
+    Json j = Json::object();
+    j.set("runs", runs)
+        .set("task", "second pass over a 20KB vector-sum")
+        .set("max_observed_cycles",
+             *std::max_element(times.begin(), times.end()))
+        .set("tails", std::move(tails));
+    return j;
+  });
 }
 
 // --- fig2: placement-function properties -----------------------------------
@@ -273,47 +462,53 @@ Json run_fig3(const RunOptions& options, Campaign&) {
 
 // --- fig4: per-value timing variation --------------------------------------
 
-Json run_fig4(const RunOptions& options, Campaign&) {
-  Json setups = Json::array();
-  for (const core::SetupKind kind :
-       {core::SetupKind::kDeterministic, core::SetupKind::kTsCache}) {
-    // Two independent-plaintext halves on the same platform: replicating
-    // structure is signal, non-replicating structure is sampling noise.
-    const crypto::Key key = core::campaign_victim_key(options.master_seed);
-
-    ShardedConfig half = sharded_config(options, 200'000);
-    half.base.samples /= 2;
-    half.base.plaintext_stream = 1;
-    const core::Platform platform = core::paper_platform(kind);
-    const MergedSide a = run_sharded_victim(platform, half, 1, key);
-    half.base.plaintext_stream = 2;
-    const MergedSide b = run_sharded_victim(platform, half, 1, key);
-
-    Json groups = Json::array();
-    double spread = 0;
-    for (int g = 0; g < 32; ++g) {
-      double acc = 0;
-      for (int k = 0; k < 8; ++k) acc += a.profile.deviation(4, g * 8 + k);
-      groups.push(acc / 8.0);
-    }
-    for (int v = 0; v < 256; ++v) {
-      spread = std::max(spread, std::fabs(a.profile.deviation(4, v)));
-    }
-    const double replication = stats::pearson(a.profile.deviation_row(4),
-                                              b.profile.deviation_row(4));
-
-    Json s = Json::object();
-    s.set("setup", core::to_string(kind))
-        .set("samples_per_half", a.profile.samples())
-        .set("global_mean_cycles", a.profile.global_mean())
-        .set("max_abs_deviation", spread)
-        .set("split_half_replication_r", replication)
-        .set("byte4_group_deviation", std::move(groups));
-    setups.push(std::move(s));
+Json run_fig4(const RunOptions& options, Campaign& campaign) {
+  const std::vector<core::SetupKind> kinds{core::SetupKind::kDeterministic,
+                                           core::SetupKind::kTsCache};
+  // Two independent-plaintext halves on the same platform: replicating
+  // structure is signal, non-replicating structure is sampling noise.  One
+  // stage per setup ("fig4/<setup>"), the halves its two parties.
+  const crypto::Key key = core::campaign_victim_key(options.master_seed);
+  const core::CampaignConfig half =
+      campaign_config(options, options.resolve_samples(200'000) / 2);
+  std::vector<std::function<std::vector<MergedSide>()>> setups;
+  for (const core::SetupKind kind : kinds) {
+    setups.push_back(declare_sides(
+        campaign, core::paper_platform(kind), half, {{1, 1, key}, {2, 1, key}},
+        options.shard_size, std::string("fig4/") + core::to_string(kind)));
   }
-  Json j = Json::object();
-  j.set("byte", 4).set("setups", std::move(setups));
-  return j;
+  return campaign.finish([&] {
+    Json rows = Json::array();
+    for (std::size_t i = 0; i < kinds.size(); ++i) {
+      const std::vector<MergedSide> halves = setups[i]();
+      const attack::TimingProfile& a = halves[0].profile;
+      const attack::TimingProfile& b = halves[1].profile;
+      Json groups = Json::array();
+      double spread = 0;
+      for (int g = 0; g < 32; ++g) {
+        double acc = 0;
+        for (int k = 0; k < 8; ++k) acc += a.deviation(4, g * 8 + k);
+        groups.push(acc / 8.0);
+      }
+      for (int v = 0; v < 256; ++v) {
+        spread = std::max(spread, std::fabs(a.deviation(4, v)));
+      }
+      const double replication =
+          stats::pearson(a.deviation_row(4), b.deviation_row(4));
+
+      Json s = Json::object();
+      s.set("setup", core::to_string(kinds[i]))
+          .set("samples_per_half", a.samples())
+          .set("global_mean_cycles", a.global_mean())
+          .set("max_abs_deviation", spread)
+          .set("split_half_replication_r", replication)
+          .set("byte4_group_deviation", std::move(groups));
+      rows.push(std::move(s));
+    }
+    Json j = Json::object();
+    j.set("byte", 4).set("setups", std::move(rows));
+    return j;
+  });
 }
 
 // --- fig5: Bernstein attack effectiveness ----------------------------------
@@ -322,11 +517,12 @@ Json run_fig5(const RunOptions& options, Campaign& campaign) {
   // One stage per setup ("fig5/<setup>"): each is an independent shard
   // fan-out, checkpointed and resumed separately.
   const std::vector<core::SetupKind>& kinds = core::all_setups();
-  std::vector<std::function<ShardedCampaignResult()>> setups;
+  std::vector<std::function<BernsteinResult()>> setups;
   for (const core::SetupKind kind : kinds) {
-    setups.push_back(declare_sharded_bernstein(
-        campaign, core::paper_platform(kind), sharded_config(options, 200'000),
-        std::string("fig5/") + core::to_string(kind)));
+    setups.push_back(declare_bernstein(
+        campaign, core::paper_platform(kind),
+        campaign_config(options, options.resolve_samples(200'000)),
+        options.shard_size, std::string("fig5/") + core::to_string(kind)));
   }
   return campaign.finish([&] {
     Json rows = Json::array();
@@ -347,83 +543,90 @@ Json run_fig5(const RunOptions& options, Campaign& campaign) {
 
 // --- sec6.2.1: Prime+Probe / Evict+Time generalization ---------------------
 
-Json run_sec621(const RunOptions& options, Campaign&) {
+Json run_sec621(const RunOptions& options, Campaign& campaign) {
   attack::ContentionConfig cfg;
   cfg.candidates = 32;
   cfg.trials = static_cast<unsigned>(options.resolve_samples(192));
   cfg.calibration_reps = 4;
 
   const std::vector<core::SetupKind>& kinds = core::all_setups();
-  ThreadPool pool(options.workers);
   // One task per (setup, attack) pair; each builds its own platform.
-  const std::vector<double> accuracy = parallel_map(
-      pool, kinds.size() * 2, [&](std::size_t task) {
-        const bool prime_probe = task % 2 == 0;
-        // TSCache reseeds every trial (one-job hyperperiods).
-        const core::Deployment deployment{
-            core::paper_platform(kinds[task / 2]), options.master_seed,
-            /*layout_seed=*/4242, /*hyperperiod_jobs=*/1};
-        const std::unique_ptr<sim::Machine> machine =
-            core::build_machine(deployment, {kVictim, kAttacker});
-        std::uint64_t job = 0;
-        const attack::TrialHook hook = [&] {
-          deployment.before_job(*machine, kVictim, job);
-          deployment.before_job(*machine, kAttacker, job);
-          ++job;
-        };
-        rng::XorShift64Star rng(
-            rng::derive_seed(options.master_seed, prime_probe ? 1 : 2));
-        const attack::ContentionOutcome outcome =
-            prime_probe
-                ? attack::run_prime_probe(*machine, kVictim, kAttacker, cfg,
-                                          rng, hook)
-                : attack::run_evict_time(*machine, kVictim, kAttacker, cfg,
-                                         rng, hook);
-        return outcome.accuracy();
-      });
+  const auto run_task = [&](std::size_t task) {
+    const bool prime_probe = task % 2 == 0;
+    // TSCache reseeds every trial (one-job hyperperiods).
+    const core::Deployment deployment{
+        core::paper_platform(kinds[task / 2]), options.master_seed,
+        /*layout_seed=*/4242, /*hyperperiod_jobs=*/1};
+    const std::unique_ptr<sim::Machine> machine =
+        core::build_machine(deployment, {kVictim, kAttacker});
+    std::uint64_t job = 0;
+    const attack::TrialHook hook = [&] {
+      deployment.before_job(*machine, kVictim, job);
+      deployment.before_job(*machine, kAttacker, job);
+      ++job;
+    };
+    rng::XorShift64Star rng(
+        rng::derive_seed(options.master_seed, prime_probe ? 1 : 2));
+    const attack::ContentionOutcome outcome =
+        prime_probe
+            ? attack::run_prime_probe(*machine, kVictim, kAttacker, cfg, rng,
+                                      hook)
+            : attack::run_evict_time(*machine, kVictim, kAttacker, cfg, rng,
+                                     hook);
+    return outcome.accuracy();
+  };
+  const StageResults<double> accuracy =
+      campaign.stage("sec621", kinds.size() * 2, run_task, double_codec());
 
-  Json rows = Json::array();
-  for (std::size_t i = 0; i < kinds.size(); ++i) {
-    Json row = Json::object();
-    row.set("setup", core::to_string(kinds[i]))
-        .set("prime_probe_accuracy", accuracy[i * 2])
-        .set("evict_time_accuracy", accuracy[i * 2 + 1]);
-    rows.push(std::move(row));
-  }
-  Json j = Json::object();
-  j.set("candidates", cfg.candidates)
-      .set("trials", cfg.trials)
-      .set("chance", 1.0 / cfg.candidates)
-      .set("setups", std::move(rows));
-  return j;
+  return campaign.finish([&] {
+    Json rows = Json::array();
+    for (std::size_t i = 0; i < kinds.size(); ++i) {
+      Json row = Json::object();
+      row.set("setup", core::to_string(kinds[i]))
+          .set("prime_probe_accuracy", task_json(accuracy[i * 2]))
+          .set("evict_time_accuracy", task_json(accuracy[i * 2 + 1]));
+      rows.push(std::move(row));
+    }
+    Json j = Json::object();
+    j.set("candidates", cfg.candidates)
+        .set("trials", cfg.trials)
+        .set("chance", 1.0 / cfg.candidates)
+        .set("setups", std::move(rows));
+    return j;
+  });
 }
 
 // --- sec6.2.2: MBPTA compliance --------------------------------------------
 
-Json run_sec622(const RunOptions& options, Campaign&) {
+Json run_sec622(const RunOptions& options, Campaign& campaign) {
   const std::size_t runs = options.resolve_samples(800);
-  Json rows = Json::array();
-  for (const core::SetupKind kind : core::all_setups()) {
-    const std::vector<double> times =
-        mbpta_sample(kind, runs, rng::derive_seed(options.master_seed, 622),
-                     options);
-    const stats::Summary summary = stats::summarize(times);
-    Json row = Json::object();
-    row.set("setup", core::to_string(kind))
-        .set("mean_cycles", summary.mean)
-        .set("stddev_cycles", summary.stddev);
-    if (summary.stddev == 0) {
-      row.set("verdict", "constant");
-    } else {
-      const stats::IidVerdict v = stats::iid_check(times, 20);
-      row.set("iid", iid_json(v, 0.05))
-          .set("verdict", v.passed(0.05) ? "pass" : "fail");
+  const std::vector<core::SetupKind>& kinds = core::all_setups();
+  const auto samples = declare_mbpta_sample(
+      campaign, kinds, runs, rng::derive_seed(options.master_seed, 622),
+      options.shard_size, "sec622");
+  return campaign.finish([&] {
+    const std::vector<std::vector<double>> per_setup = samples();
+    Json rows = Json::array();
+    for (std::size_t i = 0; i < kinds.size(); ++i) {
+      const std::vector<double>& times = per_setup[i];
+      const stats::Summary summary = stats::summarize(times);
+      Json row = Json::object();
+      row.set("setup", core::to_string(kinds[i]))
+          .set("mean_cycles", summary.mean)
+          .set("stddev_cycles", summary.stddev);
+      if (summary.stddev == 0) {
+        row.set("verdict", "constant");
+      } else {
+        const stats::IidVerdict v = stats::iid_check(times, 20);
+        row.set("iid", iid_json(v, 0.05))
+            .set("verdict", v.passed(0.05) ? "pass" : "fail");
+      }
+      rows.push(std::move(row));
     }
-    rows.push(std::move(row));
-  }
-  Json j = Json::object();
-  j.set("runs", runs).set("alpha", 0.05).set("setups", std::move(rows));
-  return j;
+    Json j = Json::object();
+    j.set("runs", runs).set("alpha", 0.05).set("setups", std::move(rows));
+    return j;
+  });
 }
 
 // --- sec6.2.3: overheads ---------------------------------------------------
@@ -461,157 +664,182 @@ double miss_rate_for(cache::MapperKind mapper, const Kernel& kernel,
   return machine.hierarchy().l1d().stats().miss_rate();
 }
 
-Json run_sec623(const RunOptions& options, Campaign&) {
+Json run_sec623(const RunOptions& options, Campaign& campaign) {
   const std::vector<Kernel> kernels = kernel_suite();
   const std::vector<cache::MapperKind> mappers{
       cache::MapperKind::kModulo, cache::MapperKind::kXorIndex,
       cache::MapperKind::kHashRp, cache::MapperKind::kRandomModulo};
 
-  ThreadPool pool(options.workers);
   // One task per (kernel, mapper) cell; random designs average 8 seeds.
-  const std::vector<double> rates = parallel_map(
-      pool, kernels.size() * mappers.size(), [&](std::size_t task) {
-        const Kernel& kernel = kernels[task / mappers.size()];
-        const cache::MapperKind mapper = mappers[task % mappers.size()];
-        const int reps = mapper == cache::MapperKind::kModulo ? 1 : 8;
-        double acc = 0;
-        for (int r = 0; r < reps; ++r) {
-          acc += miss_rate_for(mapper, kernel, 1000 + r * 77);
-        }
-        return acc / reps;
-      });
+  const auto run_task = [&](std::size_t task) {
+    const Kernel& kernel = kernels[task / mappers.size()];
+    const cache::MapperKind mapper = mappers[task % mappers.size()];
+    const int reps = mapper == cache::MapperKind::kModulo ? 1 : 8;
+    double acc = 0;
+    for (int r = 0; r < reps; ++r) {
+      acc += miss_rate_for(mapper, kernel, 1000 + r * 77);
+    }
+    return acc / reps;
+  };
+  const StageResults<double> rates = campaign.stage(
+      "sec623", kernels.size() * mappers.size(), run_task, double_codec());
 
-  Json miss_rows = Json::array();
-  for (std::size_t k = 0; k < kernels.size(); ++k) {
-    Json row = Json::object();
-    row.set("kernel", kernels[k].name)
-        .set("modulo", rates[k * mappers.size()])
-        .set("xor_index", rates[k * mappers.size() + 1])
-        .set("hashRP", rates[k * mappers.size() + 2])
-        .set("RM", rates[k * mappers.size() + 3]);
-    miss_rows.push(std::move(row));
-  }
+  // The serial measurements below run once, in the reduce.
+  return campaign.finish([&] {
+    Json miss_rows = Json::array();
+    for (std::size_t k = 0; k < kernels.size(); ++k) {
+      Json row = Json::object();
+      row.set("kernel", kernels[k].name)
+          .set("modulo", task_json(rates[k * mappers.size()]))
+          .set("xor_index", task_json(rates[k * mappers.size() + 1]))
+          .set("hashRP", task_json(rates[k * mappers.size() + 2]))
+          .set("RM", task_json(rates[k * mappers.size() + 3]));
+      miss_rows.push(std::move(row));
+    }
 
-  // Seed-change cost: pipeline drain + seed-register updates.
-  Cycles seed_change_cost = 0;
-  {
-    sim::Machine machine(
-        sim::arm920t_config(cache::MapperKind::kRandomModulo,
-                            cache::MapperKind::kHashRp,
-                            cache::ReplacementKind::kRandom),
-        std::make_shared<rng::XorShift64Star>(7));
-    const Cycles before = machine.now();
-    machine.set_seed(kVictim, Seed{123});
-    seed_change_cost = machine.now() - before;
-  }
-
-  // Flush overhead share per hyperperiod length.
-  Json flush_rows = Json::array();
-  for (const Cycles tick : {Cycles{250}, Cycles{1000}, Cycles{4000}}) {
-    sim::Machine machine(
-        sim::arm920t_config(cache::MapperKind::kRandomModulo,
-                            cache::MapperKind::kHashRp,
-                            cache::ReplacementKind::kRandom),
-        std::make_shared<rng::XorShift64Star>(9));
-    os::CyclicExecutive exec(machine, os::figure3_app(tick),
-                             os::SeedPolicy::kPerSwcHyperperiod,
-                             options.master_seed);
-    const Cycles start = machine.now();
-    const std::uint64_t flushes_before = machine.stats().flushes;
-    exec.run(8);
-    const Cycles total = machine.now() - start;
-    const std::uint64_t flushes = machine.stats().flushes - flushes_before;
-    const Cycles flush_cost_each = [] {
-      sim::Machine probe(
+    // Seed-change cost: pipeline drain + seed-register updates.
+    Cycles seed_change_cost = 0;
+    {
+      sim::Machine machine(
           sim::arm920t_config(cache::MapperKind::kRandomModulo,
                               cache::MapperKind::kHashRp,
                               cache::ReplacementKind::kRandom),
-          std::make_shared<rng::XorShift64Star>(10));
-      probe.set_process(kVictim);
-      for (Addr a = 0; a < 128 * 1024; a += 32) probe.load(0x100, 0x200000 + a);
-      const Cycles t0 = probe.now();
-      probe.flush_caches();
-      return probe.now() - t0;
-    }();
-    Json row = Json::object();
-    row.set("hyperperiod_cycles", exec.hyperperiod())
-        .set("total_cycles", total)
-        .set("flush_cycles", flushes * flush_cost_each)
-        .set("flush_share", static_cast<double>(flushes * flush_cost_each) /
-                                static_cast<double>(total));
-    flush_rows.push(std::move(row));
-  }
+          std::make_shared<rng::XorShift64Star>(7));
+      const Cycles before = machine.now();
+      machine.set_seed(kVictim, Seed{123});
+      seed_change_cost = machine.now() - before;
+    }
 
-  Json j = Json::object();
-  j.set("l1d_miss_rates", std::move(miss_rows))
-      .set("seed_change_cycles", seed_change_cost)
-      .set("flush_overhead", std::move(flush_rows));
-  return j;
+    // Flush overhead share per hyperperiod length.
+    Json flush_rows = Json::array();
+    for (const Cycles tick : {Cycles{250}, Cycles{1000}, Cycles{4000}}) {
+      sim::Machine machine(
+          sim::arm920t_config(cache::MapperKind::kRandomModulo,
+                              cache::MapperKind::kHashRp,
+                              cache::ReplacementKind::kRandom),
+          std::make_shared<rng::XorShift64Star>(9));
+      os::CyclicExecutive exec(machine, os::figure3_app(tick),
+                               os::SeedPolicy::kPerSwcHyperperiod,
+                               options.master_seed);
+      const Cycles start = machine.now();
+      const std::uint64_t flushes_before = machine.stats().flushes;
+      exec.run(8);
+      const Cycles total = machine.now() - start;
+      const std::uint64_t flushes = machine.stats().flushes - flushes_before;
+      const Cycles flush_cost_each = [] {
+        sim::Machine probe(
+            sim::arm920t_config(cache::MapperKind::kRandomModulo,
+                                cache::MapperKind::kHashRp,
+                                cache::ReplacementKind::kRandom),
+            std::make_shared<rng::XorShift64Star>(10));
+        probe.set_process(kVictim);
+        for (Addr a = 0; a < 128 * 1024; a += 32) {
+          probe.load(0x100, 0x200000 + a);
+        }
+        const Cycles t0 = probe.now();
+        probe.flush_caches();
+        return probe.now() - t0;
+      }();
+      Json row = Json::object();
+      row.set("hyperperiod_cycles", exec.hyperperiod())
+          .set("total_cycles", total)
+          .set("flush_cycles", flushes * flush_cost_each)
+          .set("flush_share", static_cast<double>(flushes * flush_cost_each) /
+                                  static_cast<double>(total));
+      flush_rows.push(std::move(row));
+    }
+
+    Json j = Json::object();
+    j.set("l1d_miss_rates", std::move(miss_rows))
+        .set("seed_change_cycles", seed_change_cost)
+        .set("flush_overhead", std::move(flush_rows));
+    return j;
+  });
 }
 
 // --- ablation: attack strength vs sample count -----------------------------
 
-Json run_ablation_samples(const RunOptions& options, Campaign&) {
+Json run_ablation_samples(const RunOptions& options, Campaign& campaign) {
   const std::size_t top = options.resolve_samples(200'000);
   const std::vector<std::size_t> sweep{top / 8, top / 4, top / 2, top};
+  const std::vector<core::SetupKind> kinds{core::SetupKind::kDeterministic,
+                                           core::SetupKind::kTsCache};
 
-  Json rows = Json::array();
-  for (const std::size_t samples : sweep) {
-    for (const core::SetupKind kind :
-         {core::SetupKind::kDeterministic, core::SetupKind::kTsCache}) {
-      ShardedConfig config = sharded_config(options, samples);
-      config.base.samples = std::max<std::size_t>(1, samples);
-      const ShardedCampaignResult r =
-          run_sharded_bernstein(core::paper_platform(kind), config);
+  // One stage per (sweep point, setup), named by position: tiny scales
+  // can repeat a sample count, and stage names must be unique.
+  std::vector<std::function<BernsteinResult()>> points;
+  for (std::size_t i = 0; i < sweep.size(); ++i) {
+    for (const core::SetupKind kind : kinds) {
+      points.push_back(declare_bernstein(
+          campaign, core::paper_platform(kind),
+          campaign_config(options, std::max<std::size_t>(1, sweep[i])),
+          options.shard_size,
+          "ablation_samples/" + std::to_string(i) + "/" +
+              core::to_string(kind)));
+    }
+  }
+  return campaign.finish([&] {
+    Json rows = Json::array();
+    for (std::size_t p = 0; p < points.size(); ++p) {
+      const BernsteinResult r = points[p]();
       Json row = Json::object();
       row.set("samples", r.victim.profile.samples())
-          .set("setup", core::to_string(kind))
+          .set("setup", core::to_string(kinds[p % kinds.size()]))
           .set("bits_determined", r.attack.bits_determined())
           .set("effective_log2_keyspace", r.attack.effective_log2_keyspace())
           .set("deceived_bytes", r.attack.deceived_bytes());
       rows.push(std::move(row));
     }
-  }
-  Json j = Json::object();
-  j.set("sweep", std::move(rows));
-  return j;
+    Json j = Json::object();
+    j.set("sweep", std::move(rows));
+    return j;
+  });
 }
 
 // --- ablation: seed-change granularity -------------------------------------
 
-Json run_ablation_seedpolicy(const RunOptions& options, Campaign&) {
+Json run_ablation_seedpolicy(const RunOptions& options, Campaign& campaign) {
   const std::vector<std::uint64_t> hyperperiods{
       1, 64, 1024, 8192, std::uint64_t{1} << 40};
 
-  Json rows = Json::array();
+  std::vector<std::function<BernsteinResult()>> points;
   for (const std::uint64_t hp : hyperperiods) {
-    ShardedConfig config = sharded_config(options, 100'000);
-    config.base.hyperperiod_jobs = hp;
-    const ShardedCampaignResult r = run_sharded_bernstein(
-        core::paper_platform(core::SetupKind::kTsCache), config);
-    int significant = 0;
-    for (int i = 0; i < 16; ++i) {
-      if (r.attack.bytes[static_cast<std::size_t>(i)].significant_count > 0) {
-        ++significant;
-      }
-    }
-    Json row = Json::object();
-    row.set("reseed_every_jobs",
-            hp >= (std::uint64_t{1} << 40) ? Json("never") : Json(hp))
-        .set("bits_determined", r.attack.bits_determined())
-        .set("effective_log2_keyspace", r.attack.effective_log2_keyspace())
-        .set("mean_cycles", r.victim.profile.global_mean())
-        .set("significant_bytes", significant);
-    rows.push(std::move(row));
+    core::CampaignConfig config =
+        campaign_config(options, options.resolve_samples(100'000));
+    config.hyperperiod_jobs = hp;
+    points.push_back(declare_bernstein(
+        campaign, core::paper_platform(core::SetupKind::kTsCache), config,
+        options.shard_size, "ablation_seedpolicy/" + std::to_string(hp)));
   }
-  Json j = Json::object();
-  j.set("setup", "TSCache").set("sweep", std::move(rows));
-  return j;
+  return campaign.finish([&] {
+    Json rows = Json::array();
+    for (std::size_t p = 0; p < points.size(); ++p) {
+      const BernsteinResult r = points[p]();
+      const std::uint64_t hp = hyperperiods[p];
+      int significant = 0;
+      for (int i = 0; i < 16; ++i) {
+        if (r.attack.bytes[static_cast<std::size_t>(i)].significant_count > 0) {
+          ++significant;
+        }
+      }
+      Json row = Json::object();
+      row.set("reseed_every_jobs",
+              hp >= (std::uint64_t{1} << 40) ? Json("never") : Json(hp))
+          .set("bits_determined", r.attack.bits_determined())
+          .set("effective_log2_keyspace", r.attack.effective_log2_keyspace())
+          .set("mean_cycles", r.victim.profile.global_mean())
+          .set("significant_bytes", significant);
+      rows.push(std::move(row));
+    }
+    Json j = Json::object();
+    j.set("setup", "TSCache").set("sweep", std::move(rows));
+    return j;
+  });
 }
 
 // --- ablation: way-partitioning vs TSCache ---------------------------------
 
-Json run_ablation_partitioning(const RunOptions& options, Campaign&) {
+Json run_ablation_partitioning(const RunOptions& options, Campaign& campaign) {
   struct Config {
     std::string label;
     core::SetupKind kind;
@@ -634,59 +862,61 @@ Json run_ablation_partitioning(const RunOptions& options, Campaign&) {
     machine.hierarchy().l1d().set_way_partition(kAttacker, 2, 2);
   };
 
-  ThreadPool pool(options.workers);
   // Two tasks per configuration: attack accuracy and victim miss rate.
-  const std::vector<double> metrics = parallel_map(
-      pool, configs.size() * 2, [&](std::size_t task) {
-        const Config& cfg = configs[task / 2];
-        const core::Platform platform = core::paper_platform(cfg.kind);
-        if (task % 2 == 0) {  // Prime+Probe accuracy
-          const core::Deployment deployment{platform, 77, 0,
-                                            /*hyperperiod_jobs=*/1};
-          const std::unique_ptr<sim::Machine> machine =
-              core::build_machine(deployment, {kVictim, kAttacker});
-          if (cfg.partition) apply_partition(*machine);
-          std::uint64_t job = 0;
-          const attack::TrialHook hook = [&] {
-            if (!cfg.reseed) return;
-            deployment.before_job(*machine, kVictim, job);
-            deployment.before_job(*machine, kAttacker, job);
-            ++job;
-          };
-          attack::ContentionConfig attack_cfg;
-          attack_cfg.candidates = 32;
-          attack_cfg.trials = trials;
-          rng::XorShift64Star rng(4321);
-          return attack::run_prime_probe(*machine, kVictim, kAttacker,
-                                         attack_cfg, rng, hook)
-              .accuracy();
-        }
-        // Victim miss rate on a working set sized for the full cache.
-        const std::unique_ptr<sim::Machine> machine =
-            core::build_machine({platform, 78}, {kVictim});
-        if (cfg.partition) apply_partition(*machine);
-        sim::Machine& m = *machine;
-        m.set_process(kVictim);
-        isa::Interpreter interp(m);
-        interp.load_program(isa::assemble(
-            isa::stride_walk_source(0x300000, 8192, 32, 16 * 1024), 0x310000));
-        (void)interp.run(0x310000, 50'000'000);
-        return m.hierarchy().l1d().stats().miss_rate();
-      });
+  const auto run_task = [&](std::size_t task) {
+    const Config& cfg = configs[task / 2];
+    const core::Platform platform = core::paper_platform(cfg.kind);
+    if (task % 2 == 0) {  // Prime+Probe accuracy
+      const core::Deployment deployment{platform, 77, 0,
+                                        /*hyperperiod_jobs=*/1};
+      const std::unique_ptr<sim::Machine> machine =
+          core::build_machine(deployment, {kVictim, kAttacker});
+      if (cfg.partition) apply_partition(*machine);
+      std::uint64_t job = 0;
+      const attack::TrialHook hook = [&] {
+        if (!cfg.reseed) return;
+        deployment.before_job(*machine, kVictim, job);
+        deployment.before_job(*machine, kAttacker, job);
+        ++job;
+      };
+      attack::ContentionConfig attack_cfg;
+      attack_cfg.candidates = 32;
+      attack_cfg.trials = trials;
+      rng::XorShift64Star rng(4321);
+      return attack::run_prime_probe(*machine, kVictim, kAttacker, attack_cfg,
+                                     rng, hook)
+          .accuracy();
+    }
+    // Victim miss rate on a working set sized for the full cache.
+    const std::unique_ptr<sim::Machine> machine =
+        core::build_machine({platform, 78}, {kVictim});
+    if (cfg.partition) apply_partition(*machine);
+    sim::Machine& m = *machine;
+    m.set_process(kVictim);
+    isa::Interpreter interp(m);
+    interp.load_program(isa::assemble(
+        isa::stride_walk_source(0x300000, 8192, 32, 16 * 1024), 0x310000));
+    (void)interp.run(0x310000, 50'000'000);
+    return m.hierarchy().l1d().stats().miss_rate();
+  };
+  const StageResults<double> metrics = campaign.stage(
+      "ablation_partitioning", configs.size() * 2, run_task, double_codec());
 
-  Json rows = Json::array();
-  for (std::size_t i = 0; i < configs.size(); ++i) {
-    Json row = Json::object();
-    row.set("configuration", configs[i].label)
-        .set("prime_probe_accuracy", metrics[i * 2])
-        .set("victim_l1d_miss_rate", metrics[i * 2 + 1]);
-    rows.push(std::move(row));
-  }
-  Json j = Json::object();
-  j.set("trials", trials)
-      .set("chance", 1.0 / 32)
-      .set("configurations", std::move(rows));
-  return j;
+  return campaign.finish([&] {
+    Json rows = Json::array();
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+      Json row = Json::object();
+      row.set("configuration", configs[i].label)
+          .set("prime_probe_accuracy", task_json(metrics[i * 2]))
+          .set("victim_l1d_miss_rate", task_json(metrics[i * 2 + 1]));
+      rows.push(std::move(row));
+    }
+    Json j = Json::object();
+    j.set("trials", trials)
+        .set("chance", 1.0 / 32)
+        .set("configurations", std::move(rows));
+    return j;
+  });
 }
 
 // --- attack_matrix: eviction attacks x placement policy x partitioning -----
@@ -712,19 +942,6 @@ std::vector<MatrixCell> matrix_cells() {
 /// decomposition never changes what is being attacked.
 std::uint64_t matrix_cell_seed(std::uint64_t master_seed, std::size_t index) {
   return rng::derive_seed(master_seed, 0x3A70 + index);
-}
-
-/// The fixed shard decomposition of one cell's sample budget.  A zero
-/// shard size is clamped to 1, as the campaign engine's plan_shards does.
-std::vector<std::size_t> matrix_shards(std::size_t samples,
-                                       std::size_t shard_size) {
-  shard_size = std::max<std::size_t>(1, shard_size);
-  std::vector<std::size_t> out;
-  for (std::size_t start = 0; start < samples; start += shard_size) {
-    out.push_back(std::min(shard_size, samples - start));
-  }
-  if (out.empty()) out.push_back(samples);
-  return out;
 }
 
 /// Fold one shard's outcome into a cell's running merge (in shard order).
@@ -1197,25 +1414,6 @@ std::vector<double> pwcet_timing_task(
   return times;
 }
 
-/// Merge per-(cell, shard) slices, `part_at(cell * n_shards + s)`, into
-/// per-cell run-index-ordered samples - the exact in-order concatenation
-/// both pwcet experiments require for worker-count invariance.
-template <typename PartAt>
-std::vector<std::vector<double>> merge_cell_times(std::size_t n_cells,
-                                                  std::size_t n_shards,
-                                                  std::size_t runs,
-                                                  PartAt&& part_at) {
-  std::vector<std::vector<double>> merged(n_cells);
-  for (std::size_t cell = 0; cell < n_cells; ++cell) {
-    merged[cell].reserve(runs);
-    for (std::size_t s = 0; s < n_shards; ++s) {
-      const std::vector<double>& part = part_at(cell * n_shards + s);
-      merged[cell].insert(merged[cell].end(), part.begin(), part.end());
-    }
-  }
-  return merged;
-}
-
 Json gof_json(const stats::GofResult& g) {
   Json j = Json::object();
   j.set("defined", g.defined).set("n", static_cast<std::uint64_t>(g.n));
@@ -1574,7 +1772,7 @@ Json run_pwcet_matrix(const RunOptions& options, Campaign& campaign) {
 // per-decade pWCET curve down to 1e-12.  Verdicts and the Bonferroni
 // family-wise i.i.d. gate mirror pwcet_matrix, so a plotted curve always
 // corresponds to a cell the matrix would actually model.
-Json run_pwcet_exceedance(const RunOptions& options, Campaign&) {
+Json run_pwcet_exceedance(const RunOptions& options, Campaign& campaign) {
   const std::size_t runs =
       std::max<std::size_t>(120, options.resolve_samples(240));
   const std::size_t shard_size = std::max<std::size_t>(1, options.shard_size);
@@ -1586,122 +1784,134 @@ Json run_pwcet_exceedance(const RunOptions& options, Campaign&) {
 
   const std::vector<std::size_t> time_shards = matrix_shards(runs, shard_size);
 
-  ThreadPool pool(options.workers);
   // One task per (cell, shard), through the exact fan-out pwcet_matrix
-  // uses (pwcet_timing_task); pure in (master seed, cell, shard), merged
-  // in order - worker-count invariant like every campaign artifact.
-  std::vector<std::vector<double>> parts = parallel_map(
-      pool, n_cells * time_shards.size(), [&](std::size_t task) {
+  // uses (pwcet_timing_task) but in a stage of its own: declaring
+  // "pwcet_matrix" would also run that stage's Prime+Probe tasks.
+  const StageResults<std::vector<double>> parts = campaign.stage(
+      "pwcet_exceedance", n_cells * time_shards.size(),
+      [&](std::size_t task) {
         return pwcet_timing_task(platforms, programs, options.master_seed,
                                  shard_size, time_shards, task);
-      });
+      },
+      doubles_codec());
 
-  std::vector<std::vector<double>> cell_times =
-      merge_cell_times(n_cells, time_shards.size(), runs,
-                       [&](std::size_t i) -> const std::vector<double>& {
-                         return parts[i];
-                       });
+  return campaign.finish([&] {
+    // A shard missing under --allow-partial contributes nothing; a cell it
+    // leaves below the analysis minimum reports the "incomplete" verdict.
+    static const std::vector<double> kNoTimes;
+    const std::vector<std::vector<double>> cell_times =
+        merge_cell_times(n_cells, time_shards.size(), runs,
+                         [&](std::size_t i) -> const std::vector<double>& {
+                           return parts[i] ? *parts[i] : kNoTimes;
+                         });
 
-  // The matrix's analysis parameters and family-wise i.i.d. gate, over the
-  // same cell family.
-  const mbpta::AnalysisConfig cfg = pwcet_matrix_analysis_config();
-  std::size_t variable_cells = 0;
-  for (const std::vector<double>& times : cell_times) {
-    if (stats::summarize(times).stddev > 0) ++variable_cells;
-  }
-  const double gate_alpha =
-      cfg.alpha /
-      static_cast<double>(std::max<std::size_t>(1, variable_cells));
-
-  Json cells = Json::array();
-  for (std::size_t cell = 0; cell < n_cells; ++cell) {
-    const MatrixCell& platform = platforms[cell / n_kernels];
-    const std::vector<double>& times = cell_times[cell];
-    const stats::Summary summary = stats::summarize(times);
-
-    // Distinct observed times (cycle counts are quantized, so this stays
-    // plot-sized): one index list drives the empirical tail and every
-    // fitted overlay, keeping the curves on identical thresholds.
-    std::vector<double> sorted(times);
-    std::sort(sorted.begin(), sorted.end());
-    std::vector<std::size_t> distinct;  // last occurrence of each value
-    for (std::size_t i = 0; i < sorted.size(); ++i) {
-      if (i + 1 == sorted.size() || sorted[i + 1] != sorted[i]) {
-        distinct.push_back(i);
+    // The matrix's analysis parameters and family-wise i.i.d. gate, over
+    // the same cell family.
+    const mbpta::AnalysisConfig cfg = pwcet_matrix_analysis_config();
+    std::size_t variable_cells = 0;
+    for (const std::vector<double>& times : cell_times) {
+      if (times.size() >= 2 && stats::summarize(times).stddev > 0) {
+        ++variable_cells;
       }
     }
-    Json empirical = Json::array();
-    const auto n = static_cast<double>(sorted.size());
-    for (const std::size_t i : distinct) {
-      // P(X > sorted[i]): everything strictly above index i.
-      Json point = Json::object();
-      point.set("cycles", sorted[i])
-          .set("exceedance",
-               static_cast<double>(sorted.size() - 1 - i) / n);
-      empirical.push(std::move(point));
-    }
+    const double gate_alpha =
+        cfg.alpha /
+        static_cast<double>(std::max<std::size_t>(1, variable_cells));
 
-    Json cell_json = Json::object();
-    cell_json.set("kernel", kernels[cell % n_kernels].name)
-        .set("policy", core::to_string(platform.policy))
-        .set("partitioned", platform.partitioned)
-        .set("runs", static_cast<std::uint64_t>(times.size()))
-        .set("mean_cycles", summary.mean)
-        .set("max_cycles", summary.max);
-
-    std::string verdict;
-    if (summary.stddev == 0) {
-      verdict = "degenerate";
-    } else if (!stats::iid_check(times, cfg.lags).passed(gate_alpha)) {
-      verdict = "iid_fail";
-    } else {
-      verdict = "applicable";
-      Json tails = Json::array();
-      for (const stats::TailModel tail :
-           {stats::TailModel::kGumbelBlockMaxima, stats::TailModel::kGpdPot}) {
-        const stats::PwcetModel model(times, tail, cfg.block);
-        // Overlay: the model's exceedance at each observed time, so the
-        // fit and the empirical tail plot on one axis...
-        Json fitted = Json::array();
-        for (const std::size_t i : distinct) {
-          Json point = Json::object();
-          point.set("cycles", sorted[i])
-              .set("exceedance", model.exceedance(sorted[i]));
-          fitted.push(std::move(point));
-        }
-        // ...and the extrapolated curve, one point per decade down to
-        // beyond the certification target.
-        Json extrapolated = Json::array();
-        for (const stats::PwcetPoint& point : model.curve(1e-12)) {
-          Json p = Json::object();
-          p.set("exceedance_prob", point.exceedance_prob)
-              .set("bound_cycles", point.bound);
-          extrapolated.push(std::move(p));
-        }
-        Json t = Json::object();
-        t.set("model", tail == stats::TailModel::kGumbelBlockMaxima
-                           ? "gumbel_block_maxima"
-                           : "gpd_pot")
-            .set("pwcet_1e-10", model.pwcet(kPwcetTargetProb))
-            .set("fitted", std::move(fitted))
-            .set("extrapolated", std::move(extrapolated));
-        tails.push(std::move(t));
+    Json cells = Json::array();
+    for (std::size_t cell = 0; cell < n_cells; ++cell) {
+      const MatrixCell& platform = platforms[cell / n_kernels];
+      const std::vector<double>& times = cell_times[cell];
+      Json cell_json = Json::object();
+      cell_json.set("kernel", kernels[cell % n_kernels].name)
+          .set("policy", core::to_string(platform.policy))
+          .set("partitioned", platform.partitioned)
+          .set("runs", static_cast<std::uint64_t>(times.size()));
+      if (times.size() < cfg.min_runs) {
+        cell_json.set("verdict", "incomplete");
+        cells.push(std::move(cell_json));
+        continue;
       }
-      cell_json.set("tails", std::move(tails));
-    }
-    cell_json.set("verdict", verdict).set("empirical", std::move(empirical));
-    cells.push(std::move(cell_json));
-  }
+      const stats::Summary summary = stats::summarize(times);
 
-  Json j = Json::object();
-  j.set("runs_per_cell", static_cast<std::uint64_t>(runs))
-      .set("alpha", cfg.alpha)
-      .set("gate_alpha", gate_alpha)
-      .set("variable_cells", static_cast<std::uint64_t>(variable_cells))
-      .set("target_exceedance", kPwcetTargetProb)
-      .set("shards_per_cell", static_cast<std::uint64_t>(time_shards.size()))
-      .set("cells", std::move(cells));
-  return j;
+      // Distinct observed times (cycle counts are quantized, so this stays
+      // plot-sized): one index list drives the empirical tail and every
+      // fitted overlay, keeping the curves on identical thresholds.
+      std::vector<double> sorted(times);
+      std::sort(sorted.begin(), sorted.end());
+      std::vector<std::size_t> distinct;  // last occurrence of each value
+      for (std::size_t i = 0; i < sorted.size(); ++i) {
+        if (i + 1 == sorted.size() || sorted[i + 1] != sorted[i]) {
+          distinct.push_back(i);
+        }
+      }
+      Json empirical = Json::array();
+      const auto n = static_cast<double>(sorted.size());
+      for (const std::size_t i : distinct) {
+        // P(X > sorted[i]): everything strictly above index i.
+        Json point = Json::object();
+        point.set("cycles", sorted[i])
+            .set("exceedance",
+                 static_cast<double>(sorted.size() - 1 - i) / n);
+        empirical.push(std::move(point));
+      }
+
+      cell_json.set("mean_cycles", summary.mean).set("max_cycles", summary.max);
+
+      std::string verdict;
+      if (summary.stddev == 0) {
+        verdict = "degenerate";
+      } else if (!stats::iid_check(times, cfg.lags).passed(gate_alpha)) {
+        verdict = "iid_fail";
+      } else {
+        verdict = "applicable";
+        Json tails = Json::array();
+        for (const stats::TailModel tail :
+             {stats::TailModel::kGumbelBlockMaxima, stats::TailModel::kGpdPot}) {
+          const stats::PwcetModel model(times, tail, cfg.block);
+          // Overlay: the model's exceedance at each observed time, so the
+          // fit and the empirical tail plot on one axis...
+          Json fitted = Json::array();
+          for (const std::size_t i : distinct) {
+            Json point = Json::object();
+            point.set("cycles", sorted[i])
+                .set("exceedance", model.exceedance(sorted[i]));
+            fitted.push(std::move(point));
+          }
+          // ...and the extrapolated curve, one point per decade down to
+          // beyond the certification target.
+          Json extrapolated = Json::array();
+          for (const stats::PwcetPoint& point : model.curve(1e-12)) {
+            Json p = Json::object();
+            p.set("exceedance_prob", point.exceedance_prob)
+                .set("bound_cycles", point.bound);
+            extrapolated.push(std::move(p));
+          }
+          Json t = Json::object();
+          t.set("model", tail == stats::TailModel::kGumbelBlockMaxima
+                             ? "gumbel_block_maxima"
+                             : "gpd_pot")
+              .set("pwcet_1e-10", model.pwcet(kPwcetTargetProb))
+              .set("fitted", std::move(fitted))
+              .set("extrapolated", std::move(extrapolated));
+          tails.push(std::move(t));
+        }
+        cell_json.set("tails", std::move(tails));
+      }
+      cell_json.set("verdict", verdict).set("empirical", std::move(empirical));
+      cells.push(std::move(cell_json));
+    }
+
+    Json j = Json::object();
+    j.set("runs_per_cell", static_cast<std::uint64_t>(runs))
+        .set("alpha", cfg.alpha)
+        .set("gate_alpha", gate_alpha)
+        .set("variable_cells", static_cast<std::uint64_t>(variable_cells))
+        .set("target_exceedance", kPwcetTargetProb)
+        .set("shards_per_cell", static_cast<std::uint64_t>(time_shards.size()))
+        .set("cells", std::move(cells));
+    return j;
+  });
 }
 
 // --- ct_audit: static constant-time audit ------------------------------------
@@ -1828,8 +2038,10 @@ Json run_ct_audit(const RunOptions&, Campaign&) {
 const std::vector<Experiment>& all_experiments() {
   static const std::vector<Experiment> experiments{
       {"fig1", "MBPTA process and pWCET curve (paper Figure 1)", run_fig1},
-      {"fig2", "hashRP / RM placement properties (paper Figure 2)", run_fig2},
-      {"fig3", "AUTOSAR app and seed management (paper Figure 3)", run_fig3},
+      {"fig2", "hashRP / RM placement properties (paper Figure 2)", run_fig2,
+       /*staged=*/false},
+      {"fig3", "AUTOSAR app and seed management (paper Figure 3)", run_fig3,
+       /*staged=*/false},
       {"fig4", "per-value timing variation of input byte 4 (paper Figure 4)",
        run_fig4},
       {"fig5", "Bernstein attack effectiveness, 4 setups (paper Figure 5)",
@@ -1862,7 +2074,7 @@ const std::vector<Experiment>& all_experiments() {
        "static constant-time audit: taint analysis of clean + leaky "
        "kernels against the AES round-key region, cross-checked by the "
        "dynamic taint oracle (independent of samples/seed/workers)",
-       run_ct_audit},
+       run_ct_audit, /*staged=*/false},
       {"pwcet_exceedance",
        "per-cell exceedance plots for the pWCET matrix: empirical tail vs "
        "fitted Gumbel/GPD curves plus the extrapolated pWCET curve",

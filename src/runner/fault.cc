@@ -31,7 +31,6 @@ const char* to_string(FaultKind kind) {
   switch (kind) {
     case FaultKind::kNone: return "none";
     case FaultKind::kThrow: return "throw";
-    case FaultKind::kHang: return "hang";
     case FaultKind::kCorrupt: return "corrupt";
     case FaultKind::kCrash: return "crash";
     case FaultKind::kWedge: return "wedge";
@@ -102,8 +101,6 @@ std::optional<FaultSpec> parse_fault_spec(const std::string& spec,
     } else if (key == "kind") {
       if (value == "throw") {
         out.kind = FaultKind::kThrow;
-      } else if (value == "hang") {
-        out.kind = FaultKind::kHang;
       } else if (value == "corrupt") {
         out.kind = FaultKind::kCorrupt;
       } else if (value == "crash") {
@@ -114,7 +111,7 @@ std::optional<FaultSpec> parse_fault_spec(const std::string& spec,
         out.kind = FaultKind::kKill;
       } else {
         if (error) {
-          *error = "kind must be throw|hang|corrupt|crash|wedge|kill, got '" +
+          *error = "kind must be throw|corrupt|crash|wedge|kill, got '" +
                    value + "'";
         }
         return std::nullopt;
@@ -132,24 +129,20 @@ std::optional<FaultSpec> parse_fault_spec(const std::string& spec,
     }
   }
   if (!have_shard || !have_kind) {
-    if (error) *error = "spec needs shard=K,kind=throw|hang|corrupt";
+    if (error) {
+      *error = "spec needs shard=K,kind=throw|corrupt|crash|wedge|kill";
+    }
     return std::nullopt;
   }
   return out;
 }
 
-void FaultInjector::on_task_start(std::size_t task, int attempt) {
+void FaultInjector::on_task_start(std::size_t task, int attempt) const {
   if (!targets(task, attempt)) return;
   switch (spec_.kind) {
     case FaultKind::kThrow:
       throw InjectedFault("injected throw in shard " + std::to_string(task) +
                           " attempt " + std::to_string(attempt));
-    case FaultKind::kHang: {
-      std::unique_lock<std::mutex> lock(mutex_);
-      cv_.wait(lock, [this] { return hangs_cancelled_; });
-      throw InjectedFault("injected hang in shard " + std::to_string(task) +
-                          " cancelled by watchdog");
-    }
     case FaultKind::kCrash:
       std::abort();
     case FaultKind::kKill:
@@ -177,14 +170,6 @@ bool FaultInjector::maybe_corrupt(std::size_t task, int attempt,
   if (payload.empty()) payload.push_back(0);
   payload[payload.size() / 2] ^= 0xFF;  // guaranteed checksum mismatch
   return true;
-}
-
-void FaultInjector::cancel_hangs() {
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    hangs_cancelled_ = true;
-  }
-  cv_.notify_all();
 }
 
 void install_interrupt_handlers() {

@@ -2,7 +2,7 @@
 // cooperative interruption, and the tsc_run exit-code contract.
 //
 // Long campaigns (tens of thousands to millions of timed runs per cell) are
-// batch jobs; a crashed worker, an OOM kill or a hung shard must not lose
+// batch jobs; a crashed worker, an OOM kill or a wedged shard must not lose
 // the whole run.  This header provides the three primitives the
 // fault-tolerant shard runner (runner/checkpoint.h) is built from:
 //
@@ -10,9 +10,9 @@
 //     one shard (stage-local task index) and a fault kind; the injector
 //     fires on the first `times` attempts of that shard and never anywhere
 //     else, so a faulted campaign is reproducible.  `throw` raises from
-//     inside the task, `hang` blocks the task until the watchdog cancels
-//     it, `corrupt` flips a byte of the shard's serialized payload so the
-//     record checksum rejects it.  Parsed from --inject-fault or the
+//     inside the task, `corrupt` flips a byte of the shard's serialized
+//     payload so the record checksum rejects it; the process-fatal kinds
+//     (below) need a --dispatch worker.  Parsed from --inject-fault or the
 //     TSC_INJECT_FAULT environment seam.
 //   * The process interrupt flag - SIGINT/SIGTERM set it (nothing else is
 //     async-signal-safe); the shard runner polls it between completions,
@@ -23,8 +23,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <condition_variable>
-#include <mutex>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -49,7 +47,6 @@ enum ExitCode : int {
 enum class FaultKind : std::uint8_t {
   kNone,
   kThrow,
-  kHang,
   kCorrupt,
   // Process-fatal kinds, only meaningful under --dispatch (the CLI rejects
   // them in-process): a worker subprocess really dies or really wedges, so
@@ -75,7 +72,7 @@ struct FaultSpec {
   int times = 1;
 };
 
-/// Parse "shard=K,kind=throw|hang|corrupt|crash|wedge|kill[,times=N]".
+/// Parse "shard=K,kind=throw|corrupt|crash|wedge|kill[,times=N]".
 /// Returns std::nullopt and fills `error` on malformed input.
 [[nodiscard]] std::optional<FaultSpec> parse_fault_spec(
     const std::string& spec, std::string* error);
@@ -98,7 +95,7 @@ struct BackoffSpec {
 [[nodiscard]] std::uint64_t backoff_delay_ms(const BackoffSpec& spec,
                                              std::size_t shard, int attempt);
 
-/// The exception injected faults raise (also after a cancelled hang).
+/// The exception an injected `throw` raises.
 class InjectedFault : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
@@ -118,26 +115,22 @@ class CampaignAborted : public std::runtime_error {
 };
 
 /// Deterministic fault injector, shared by every stage of a session.
-/// Thread-safe: tasks call on_task_start from pool workers.
+/// Read-only while tasks run, so pool workers may call it concurrently.
 class FaultInjector {
  public:
   explicit FaultInjector(FaultSpec spec = {}) : spec_(spec) {}
 
   /// Called at the start of attempt `attempt` of task `task`, before any
   /// task work runs (so a faulted attempt never leaves partial state).
-  /// kThrow: raises InjectedFault.  kHang: blocks until cancel_hangs(),
-  /// then raises InjectedFault - the watchdog's abandonment path.
-  void on_task_start(std::size_t task, int attempt);
+  /// kThrow raises InjectedFault; the process-fatal kinds abort, SIGKILL
+  /// or spin.
+  void on_task_start(std::size_t task, int attempt) const;
 
   /// kCorrupt: flip a byte of the encoded payload of the targeted attempt.
   /// Returns true when it corrupted (the caller's checksum verification
   /// then rejects the payload and retries the shard).
   bool maybe_corrupt(std::size_t task, int attempt,
                      std::vector<std::uint8_t>& payload) const;
-
-  /// Wake every injected hang; the blocked tasks raise InjectedFault in
-  /// their own thread, returning the worker to the pool.
-  void cancel_hangs();
 
   /// Drop the spec (kind becomes kNone).  The dispatch supervisor disarms
   /// process-fatal kinds before a degraded in-process fallback - they were
@@ -151,9 +144,6 @@ class FaultInjector {
   }
 
   FaultSpec spec_;
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  bool hangs_cancelled_ = false;
 };
 
 /// Install SIGINT/SIGTERM handlers that set the process interrupt flag.

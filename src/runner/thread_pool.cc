@@ -4,12 +4,10 @@
 
 namespace tsc::runner {
 
-unsigned ThreadPool::default_threads() {
-  return std::max(1u, std::thread::hardware_concurrency());
-}
-
 ThreadPool::ThreadPool(unsigned threads) {
-  const unsigned n = threads == 0 ? default_threads() : threads;
+  const unsigned n =
+      threads == 0 ? std::max(1u, std::thread::hardware_concurrency())
+                   : threads;
   workers_.reserve(n);
   for (unsigned i = 0; i < n; ++i) {
     workers_.emplace_back([this] { worker_loop(); });

@@ -38,9 +38,6 @@ class ThreadPool {
   /// Number of worker threads.
   [[nodiscard]] unsigned size() const { return static_cast<unsigned>(workers_.size()); }
 
-  /// Hardware concurrency with a floor of 1.
-  [[nodiscard]] static unsigned default_threads();
-
   /// Enqueue a nullary callable; the returned future yields its result or
   /// rethrows its exception.
   template <typename F>

@@ -137,8 +137,8 @@ TEST(FaultSpecTest, ProcessFatalKindsParseAndRoundTrip) {
     // it must survive a round trip through the parser.
     EXPECT_EQ(to_spec_string(*spec), spec_str);
   }
-  for (const FaultKind kind : {FaultKind::kNone, FaultKind::kThrow,
-                               FaultKind::kHang, FaultKind::kCorrupt}) {
+  for (const FaultKind kind :
+       {FaultKind::kNone, FaultKind::kThrow, FaultKind::kCorrupt}) {
     EXPECT_FALSE(fault_kind_is_process_fatal(kind));
   }
 }
@@ -268,6 +268,28 @@ TEST(CliContractTest, DispatchAndWorkerModeAreMutuallyExclusive) {
                      "--dispatch-worker");
 }
 
+TEST(CliContractTest, SerialExperimentsRejectSessionFlags) {
+  // fig2, fig3 and ct_audit declare no stage: a flag that would open a
+  // session must fail loudly before anything runs, never be ignored.
+  const std::string ckpt = temp_path("serial.ckpt");
+  (void)std::remove(ckpt.c_str());
+  expect_usage_error("--experiment fig2 --checkpoint " + ckpt, "serial");
+  expect_usage_error("--experiment fig3 --allow-partial", "serial");
+  expect_usage_error("--experiment ct_audit --dispatch 2", "serial");
+  expect_usage_error("--experiment ct_audit --inject-fault shard=0,kind=throw",
+                     "serial");
+  EXPECT_TRUE(read_file(ckpt).empty()) << "a rejected run wrote " << ckpt;
+  EXPECT_NE(::access(ckpt.c_str(), F_OK), 0) << ckpt << " was created";
+}
+
+TEST(CliContractTest, WatchdogNeedsDispatch) {
+  // Only a worker subprocess can be killed; in process the flag would be
+  // a promise nothing keeps.
+  expect_usage_error("--experiment fig5 --watchdog-ms 100", "--dispatch");
+  expect_usage_error("--experiment fig5 --checkpoint x --watchdog-ms 100",
+                     "--dispatch");
+}
+
 TEST(CliContractTest, HelpDocumentsDispatchModeAndExitsZero) {
   const CliResult r = run_tsc("--help");
   EXPECT_EQ(r.exit_code, 0);
@@ -319,6 +341,17 @@ TEST(DispatchIdentityTest, WedgedWorkerIsReclaimedByWatchdogToGoldenBytes) {
       " --inject-fault shard=2,kind=wedge");
   expect_golden(r, "tests/golden/fig5_s3000_ss1000.json", "fig5 wedge");
   EXPECT_NE(r.err.find("lease deadline"), std::string::npos) << r.err;
+}
+
+TEST(DispatchIdentityTest, Sec622CrashedWorkerIsRetriedToPaperFixture) {
+  // A ported per-run row: the MBPTA slices of four setups leased to
+  // workers, one of them crashing, merged onto the paper fixture.
+  const CliResult r = run_tsc(
+      "--experiment sec622 --samples 200 --shard-size 100 --json"
+      " --dispatch 2 --backoff-ms 20 --inject-fault shard=1,kind=crash");
+  expect_golden(r, "tests/golden/paper/sec622_s200_ss100.json",
+                "sec622 crash");
+  EXPECT_NE(r.err.find("retrying"), std::string::npos) << r.err;
 }
 
 TEST(DispatchIdentityTest, SpawnFailureDegradesToInProcessGoldenBytes) {

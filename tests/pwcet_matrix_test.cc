@@ -1,12 +1,16 @@
-// Tests for the pWCET-matrix building blocks: the shared sharded
-// time-collection path (worker-count and shard-size invariance), and the
-// policy-machine timing behaviour the matrix verdicts rest on - the
-// deterministic platform must be layout-locked (constant per-run times)
-// while the MBPTA-style randomized platforms produce analyzable variation.
+// Tests for the pWCET building blocks: the fixed MBPTA slice plan
+// (shard-size invariance of the per-run protocols), the policy-machine
+// timing behaviour the matrix verdicts rest on - the deterministic platform
+// must be layout-locked (constant per-run times) while the MBPTA-style
+// randomized platforms produce analyzable variation - and the committed
+// pwcet_exceedance plotting artifact.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <fstream>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/policy.h"
@@ -15,7 +19,6 @@
 #include "mbpta/analysis.h"
 #include "rng/rng.h"
 #include "runner/experiment.h"
-#include "runner/sharded.h"
 #include "stats/tests.h"
 
 namespace tsc::runner {
@@ -35,28 +38,43 @@ double kernel_time(core::PlacementPolicy policy, std::uint64_t cell_seed,
   return static_cast<double>(interp.run(0x1000).cycles);
 }
 
-TEST(RunShardedTimes, InvariantToShardSizeAndWorkerCount) {
-  // measure() is a pure function of the run index, so every decomposition
-  // must concatenate to the same vector, bit for bit.
-  const auto measure = [](std::size_t r) {
-    return static_cast<double>((r * 2654435761u) % 1000);
-  };
-  const std::vector<double> reference = run_sharded_times(103, 103, 1, measure);
-  ASSERT_EQ(reference.size(), 103u);
-  for (const std::size_t shard_size : {1u, 7u, 32u, 64u, 200u}) {
-    for (const unsigned workers : {1u, 2u, 5u}) {
-      EXPECT_EQ(run_sharded_times(103, shard_size, workers, measure),
-                reference)
-          << "shard_size=" << shard_size << " workers=" << workers;
-    }
+std::string run_json(const std::string& name, std::size_t samples,
+                     std::size_t shard_size, unsigned workers) {
+  const Experiment* experiment = find_experiment(name);
+  EXPECT_NE(experiment, nullptr) << name;
+  RunOptions options;
+  options.samples = samples;
+  options.shard_size = shard_size;
+  options.workers = workers;
+  return run_experiment(*experiment, options).json;
+}
+
+std::string read_fixture(const std::string& relative) {
+  std::ifstream in(std::string(TSC_SOURCE_DIR) + "/" + relative,
+                   std::ios::binary);
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  EXPECT_FALSE(buf.str().empty()) << "missing fixture " << relative;
+  return buf.str();
+}
+
+TEST(MbptaSlicePlan, FixedPlanIsInvariantToShardSize) {
+  // Run r of the MBPTA protocol measures under a seed derived from r
+  // alone, so every slice plan must concatenate to the same sample, bit
+  // for bit: fig1's 400 runs in slices of 1, 7, 64 and 400, and in one
+  // slice far larger than the budget, all print the committed fixture.
+  const std::string expected =
+      read_fixture("tests/golden/paper/fig1_s200_ss100.json");
+  for (const std::size_t shard_size : {1u, 7u, 64u, 400u, 25'000u}) {
+    EXPECT_EQ(run_json("fig1", 200, shard_size, 3), expected)
+        << "shard_size=" << shard_size;
   }
 }
 
-TEST(RunShardedTimes, HandlesEmptyAndTinyBudgets) {
-  const auto measure = [](std::size_t r) { return static_cast<double>(r); };
-  EXPECT_TRUE(run_sharded_times(0, 10, 2, measure).empty());
-  EXPECT_EQ(run_sharded_times(1, 0, 2, measure),  // shard size clamps to 1
-            std::vector<double>{0.0});
+TEST(MbptaSlicePlan, ZeroShardSizeClampsToOneRunPerSlice) {
+  // sec622's four setups at a tiny budget: the zero shard size clamps to
+  // one-run slices, which must merge to the single-slice sample.
+  EXPECT_EQ(run_json("sec622", 60, 0, 2), run_json("sec622", 60, 60, 2));
 }
 
 TEST(PwcetMatrixProtocol, ModuloPlatformIsLayoutLocked) {
@@ -118,31 +136,25 @@ TEST(PwcetMatrixProtocol, RandomizedBoundIsStableAcrossPrefixes) {
   EXPECT_GT(curve.final_bound(), *std::max_element(times.begin(), times.end()));
 }
 
-TEST(PwcetExceedance, WorkerCountInvariantAndWellFormed) {
+TEST(PwcetExceedance, MatchesFixtureAndIsWellFormed) {
 #ifndef NDEBUG
-  // The floor is 120 runs x 70 cells, twice; minutes under Debug/ASan.
-  // The Release CI jobs carry this contract.
-  GTEST_SKIP() << "pwcet_exceedance determinism runs in Release builds only";
+  // The floor is 120 runs x 70 cells; minutes under Debug/ASan.  The
+  // Release CI jobs carry this contract.
+  GTEST_SKIP() << "pwcet_exceedance runs in Release builds only";
 #endif
-  const Experiment* experiment = find_experiment("pwcet_exceedance");
-  ASSERT_NE(experiment, nullptr);
-  RunOptions options;
-  options.samples = 120;
-  options.shard_size = 40;
-  options.workers = 1;
-  const std::string w1 = run_experiment(*experiment, options).json;
-  options.workers = 3;
-  EXPECT_EQ(run_experiment(*experiment, options).json, w1)
-      << "exceedance JSON must be worker-count invariant";
+  // One run against the fixture; worker-count invariance is CI's --shards
+  // 1 vs --shards 8 step, which compares both against the same fixture.
+  const std::string json = run_json("pwcet_exceedance", 120, 40, 0);
+  EXPECT_EQ(json, read_fixture("tests/golden/pwcet_exceedance_s120_ss40.json"));
   // The plotting contract: empirical tails everywhere, fitted + extrapolated
   // curves on at least one applicable cell, both tail models present.
-  EXPECT_NE(w1.find("\"empirical\""), std::string::npos);
-  EXPECT_NE(w1.find("\"verdict\":\"applicable\""), std::string::npos);
-  EXPECT_NE(w1.find("\"verdict\":\"degenerate\""), std::string::npos);
-  EXPECT_NE(w1.find("\"fitted\""), std::string::npos);
-  EXPECT_NE(w1.find("\"extrapolated\""), std::string::npos);
-  EXPECT_NE(w1.find("\"gumbel_block_maxima\""), std::string::npos);
-  EXPECT_NE(w1.find("\"gpd_pot\""), std::string::npos);
+  EXPECT_NE(json.find("\"empirical\""), std::string::npos);
+  EXPECT_NE(json.find("\"verdict\":\"applicable\""), std::string::npos);
+  EXPECT_NE(json.find("\"verdict\":\"degenerate\""), std::string::npos);
+  EXPECT_NE(json.find("\"fitted\""), std::string::npos);
+  EXPECT_NE(json.find("\"extrapolated\""), std::string::npos);
+  EXPECT_NE(json.find("\"gumbel_block_maxima\""), std::string::npos);
+  EXPECT_NE(json.find("\"gpd_pot\""), std::string::npos);
 }
 
 TEST(PolicyHelpers, RandomizedClassifiesDeterministicPlatforms) {

@@ -1,6 +1,6 @@
-// Tests for the sharded campaign engine: thread-pool semantics (ordering,
-// exception propagation), deterministic shard planning, the bit-identity of
-// merged campaign results across worker counts, and the JSON writer the CI
+// Tests for the campaign engine: thread-pool semantics (ordering,
+// exception propagation), the Bernstein shard plan, the bit-identity of the
+// merged Bernstein stage across worker counts, and the JSON writer the CI
 // determinism checks depend on.
 #include <gtest/gtest.h>
 
@@ -12,16 +12,14 @@
 #include <string>
 #include <vector>
 
+#include "core/campaign.h"
 #include "runner/experiment.h"
 #include "runner/json.h"
-#include "runner/sharded.h"
 #include "runner/thread_pool.h"
+#include "stats/descriptive.h"
 
 namespace tsc::runner {
 namespace {
-
-const core::Platform kMbptaCache =
-    core::paper_platform(core::SetupKind::kMbptaCache);
 
 TEST(ThreadPoolTest, ExecutesAllTasks) {
   ThreadPool pool(4);
@@ -125,7 +123,7 @@ TEST(ThreadPoolTest, DestructionSurvivesEveryTaskThrowing) {
 TEST(ShardPlanTest, SplitsSampleBudgetExactly) {
   core::CampaignConfig base;
   base.samples = 10'500;
-  const auto shards = plan_shards(base, 4000);
+  const auto shards = core::plan_shards(base, 4000);
   ASSERT_EQ(shards.size(), 3u);
   EXPECT_EQ(shards[0].samples, 4000u);
   EXPECT_EQ(shards[1].samples, 4000u);
@@ -136,8 +134,8 @@ TEST(ShardPlanTest, ShardsShareTheDeploymentAndSplitOnlyInputs) {
   core::CampaignConfig base;
   base.samples = 100'000;
   base.master_seed = 2018;
-  const auto a = plan_shards(base, 25'000);
-  const auto b = plan_shards(base, 25'000);
+  const auto a = core::plan_shards(base, 25'000);
+  const auto b = core::plan_shards(base, 25'000);
   ASSERT_EQ(a.size(), 4u);
   for (std::size_t i = 0; i < a.size(); ++i) {
     // The deployment - master seed (hence layouts, per-process cache
@@ -159,109 +157,86 @@ TEST(ShardPlanTest, ShardsShareTheDeploymentAndSplitOnlyInputs) {
 }
 
 TEST(ShardPlanTest, PlaintextStreamSchemeIsSplittable) {
+  using core::shard_plaintext_stream;
   EXPECT_EQ(shard_plaintext_stream(1, 0), 1u);
   EXPECT_NE(shard_plaintext_stream(1, 1), shard_plaintext_stream(1, 2));
   EXPECT_NE(shard_plaintext_stream(1, 1), shard_plaintext_stream(2, 1));
   EXPECT_EQ(shard_plaintext_stream(42, 7), shard_plaintext_stream(42, 7));
 }
 
-// A single-shard run must reproduce core::run_bernstein_campaign exactly -
-// the engine adds concurrency, never new semantics.  kMbptaCache exercises
-// the shared-layout derivation path, the one a seed-rewriting planner
-// would corrupt.
-TEST(ShardedCampaignTest, SingleShardMatchesLegacyCampaignBitExactly) {
-  core::CampaignConfig legacy_cfg;
-  legacy_cfg.samples = 1500;
-  legacy_cfg.warmup = 64;
-  const core::CampaignResult legacy =
-      core::run_bernstein_campaign(kMbptaCache, legacy_cfg);
+// --- the Bernstein stage, through the experiments that declare it ----------
 
-  ShardedConfig config;
-  config.base = legacy_cfg;
-  config.shard_size = 1500;  // one shard
-  config.workers = 2;
-  const ShardedCampaignResult sharded =
-      run_sharded_bernstein(kMbptaCache, config);
+/// Run experiment `name` in process, as `tsc_run --json` does.
+std::string run_json(const std::string& name, std::size_t samples,
+                     std::size_t shard_size, unsigned workers) {
+  const Experiment* experiment = find_experiment(name);
+  EXPECT_NE(experiment, nullptr) << name;
+  RunOptions options;
+  options.samples = samples;
+  options.shard_size = shard_size;
+  options.workers = workers;
+  const ExperimentRun run = run_experiment(*experiment, options);
+  EXPECT_EQ(run.exit_code, kExitOk) << name;
+  return run.json;
+}
 
-  ASSERT_EQ(sharded.shard_count, 1u);
-  EXPECT_EQ(sharded.victim.key, legacy.victim.key);
-  EXPECT_EQ(sharded.victim.profile.samples(), legacy.victim.profile.samples());
-  EXPECT_EQ(sharded.victim.profile.global_mean(),
-            legacy.victim.profile.global_mean());
-  EXPECT_EQ(sharded.attacker.profile.global_mean(),
-            legacy.attacker.profile.global_mean());
-  for (int pos = 0; pos < 16; ++pos) {
-    for (int v = 0; v < 256; ++v) {
-      EXPECT_EQ(sharded.victim.profile.cell_mean(pos, v),
-                legacy.victim.profile.cell_mean(pos, v));
-      EXPECT_EQ(
-          sharded.attack.bytes[static_cast<std::size_t>(pos)]
-              .correlation[static_cast<std::size_t>(v)],
-          legacy.attack.bytes[static_cast<std::size_t>(pos)]
-              .correlation[static_cast<std::size_t>(v)]);
+/// `"key":value` exactly as the compact JSON writer prints it.
+std::string json_field(const std::string& key, const Json& value) {
+  return "\"" + key + "\":" + value.dump();
+}
+
+// A single-shard stage must reproduce core::run_bernstein_campaign exactly -
+// the stage adds concurrency, never new semantics.  Every fig5 row is
+// checked, MBPTACache's shared-layout derivation included (the path a
+// seed-rewriting planner would corrupt): merged time statistics, keyspace
+// and every byte's correlations, bit for bit.
+TEST(BernsteinStageTest, SingleShardMatchesLegacyCampaignBitExactly) {
+  const std::string json = run_json("fig5", 1500, 1500, /*workers=*/2);
+  core::CampaignConfig config;
+  config.samples = 1500;
+  for (const core::SetupKind kind : core::all_setups()) {
+    const core::CampaignResult legacy =
+        core::run_bernstein_campaign(core::paper_platform(kind), config);
+    stats::Descriptive victim;
+    stats::Descriptive attacker;
+    for (const double t : legacy.victim.timings) victim.add(t);
+    for (const double t : legacy.attacker.timings) attacker.add(t);
+    const std::string row =
+        json_field("setup", core::to_string(kind)) + "," +
+        json_field("samples_per_side", legacy.victim.profile.samples()) +
+        "," + json_field("shards", std::uint64_t{1}) + "," +
+        json_field("victim_mean_cycles", victim.mean()) + "," +
+        json_field("victim_stddev_cycles", victim.stddev()) + "," +
+        json_field("attacker_mean_cycles", attacker.mean()) +
+        ",\"attack\":{" +
+        json_field("bits_determined", legacy.attack.bits_determined()) + "," +
+        json_field("log2_remaining_keyspace",
+                   legacy.attack.log2_remaining_keyspace());
+    const std::size_t at = json.find(row);
+    ASSERT_NE(at, std::string::npos) << core::to_string(kind) << ": " << row;
+    const std::string rest = json.substr(at);
+    for (std::size_t pos = 0; pos < 16; ++pos) {
+      const attack::ByteAttackResult& byte = legacy.attack.bytes[pos];
+      EXPECT_NE(rest.find(json_field("best_correlation",
+                                     byte.correlation[byte.ranking[0]]) +
+                          "," +
+                          json_field("truth_correlation",
+                                     byte.correlation[legacy.attack
+                                                          .victim_key[pos]])),
+                std::string::npos)
+          << core::to_string(kind) << " byte " << pos;
     }
   }
 }
 
-// The engine's core promise: the merged Bernstein correlation is a pure
-// function of (config, shard_size); the worker count (1, 2 or 8) changes
-// wall-clock only.  Integer-cycle sums make the merge exact, so we can
-// demand full bit-identity, serialized JSON included.
-TEST(ShardedCampaignTest, MergedResultBitIdenticalAcrossWorkerCounts) {
-  ShardedConfig config;
-  config.base.samples = 3000;
-  config.base.warmup = 64;
-  config.shard_size = 1000;
-
-  std::vector<std::string> dumps;
-  std::vector<double> correlations;
-  for (const unsigned workers : {1u, 2u, 8u}) {
-    config.workers = workers;
-    // kMbptaCache: the shared-layout setup, where any worker-dependent or
-    // shard-dependent seeding mistake shows up as diverging profiles.
-    const ShardedCampaignResult r =
-        run_sharded_bernstein(kMbptaCache, config);
-    EXPECT_EQ(r.shard_count, 3u);
-    EXPECT_EQ(r.victim.profile.samples(), 3000u);
-    EXPECT_EQ(r.attacker.profile.samples(), 3000u);
-
-    Json doc = Json::object();
-    Json corr = Json::array();
-    for (int pos = 0; pos < 16; ++pos) {
-      const auto& byte = r.attack.bytes[static_cast<std::size_t>(pos)];
-      for (int v = 0; v < 256; ++v) {
-        corr.push(byte.correlation[static_cast<std::size_t>(v)]);
-      }
-    }
-    doc.set("victim_mean", r.victim.profile.global_mean())
-        .set("victim_time_mean", r.victim.time_stats.mean())
-        .set("victim_time_var", r.victim.time_stats.variance())
-        .set("bits", r.attack.bits_determined())
-        .set("correlations", std::move(corr));
-    dumps.push_back(doc.dump());
-    correlations.push_back(r.attack.bytes[0].correlation[0]);
-  }
-  ASSERT_EQ(dumps.size(), 3u);
-  EXPECT_EQ(dumps[0], dumps[1]) << "1 vs 2 workers";
-  EXPECT_EQ(dumps[0], dumps[2]) << "1 vs 8 workers";
-  EXPECT_EQ(correlations[0], correlations[1]);
-  EXPECT_EQ(correlations[0], correlations[2]);
-}
-
-TEST(ShardedCampaignTest, VictimSideMergeCountsAllSamples) {
-  ShardedConfig config;
-  config.base.samples = 2200;
-  config.base.warmup = 32;
-  config.shard_size = 1000;
-  config.workers = 2;
-  const crypto::Key key{};
-  const MergedSide side =
-      run_sharded_victim(core::paper_platform(core::SetupKind::kTsCache),
-                         config, 1, key);
-  EXPECT_EQ(side.profile.samples(), 2200u);
-  EXPECT_EQ(side.time_stats.count(), 2200u);
-  EXPECT_GT(side.time_stats.mean(), 0.0);
-  EXPECT_LE(side.time_stats.min(), side.time_stats.max());
+// fig4's parties are victim-only halves of 2200 samples in shards of 1000,
+// 1000 and 200: the merge must count every one of them, in both setups.
+TEST(BernsteinStageTest, VictimSideMergeCountsAllSamples) {
+  const std::string json = run_json("fig4", 4400, 1000, 2);
+  const std::string field = json_field("samples_per_half", std::uint64_t{2200});
+  const std::size_t first = json.find(field);
+  ASSERT_NE(first, std::string::npos) << json;
+  EXPECT_NE(json.find(field, first + 1), std::string::npos) << json;
 }
 
 TEST(ExperimentRegistryTest, KnownNamesResolve) {
