@@ -1,13 +1,18 @@
 // Micro-benchmarks (google-benchmark): throughput of the primitives the
 // simulator's inner loops live on - placement functions, cache accesses,
-// Benes permutation construction, PRNG steps - and of the key-rank scorers
-// every attack cell ends in.
+// Benes permutation construction, PRNG steps - of the pWCET run path
+// (trace record and replay, the MBPTA cell analysis), of the runner's
+// codec, checkpoint and frame layers, and of the key-rank scorers every
+// attack cell ends in.
 //
 // These are engineering benchmarks for the library itself (the paper's
 // hardware latencies are modeled, not measured); they guard against
 // regressions that would make the 1e5..1e7-sample experiments impractical.
 #include <benchmark/benchmark.h>
 
+#include <unistd.h>
+
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
@@ -16,6 +21,7 @@
 #include "attack/flushreload.h"
 #include "attack/metrics.h"
 #include "attack/primeprobe.h"
+#include "attack/profile.h"
 #include "cache/benes.h"
 #include "cache/builder.h"
 #include "cache/placement.h"
@@ -24,7 +30,12 @@
 #include "isa/assembler.h"
 #include "isa/interpreter.h"
 #include "isa/kernels.h"
+#include "mbpta/analysis.h"
 #include "rng/rng.h"
+#include "runner/checkpoint.h"
+#include "runner/codecs.h"
+#include "runner/dispatcher.h"
+#include "runner/machine_pool.h"
 #include "sim/machine.h"
 
 namespace {
@@ -91,8 +102,9 @@ BENCHMARK_CAPTURE(BM_CacheAccessHit, rm_random,
 BENCHMARK_CAPTURE(BM_CacheAccessHit, hashrp_random, cache::MapperKind::kHashRp);
 BENCHMARK_CAPTURE(BM_CacheAccessHit, rpcache, cache::MapperKind::kRpCache);
 
-// Batched replay through the full machine (paper platform, TSCache design):
-// the amortized entry point the campaign inner loops drive.
+// Trace replay through the full machine (paper platform, TSCache design):
+// the entry point the campaign inner loops drive, on 1024 loads from
+// scattered pcs (almost every fetch changes line).
 void BM_MachineRunBatch(benchmark::State& state) {
   auto config = sim::arm920t_config(cache::MapperKind::kRandomModulo,
                                     cache::MapperKind::kHashRp,
@@ -100,18 +112,18 @@ void BM_MachineRunBatch(benchmark::State& state) {
   sim::Machine machine(config, std::make_shared<rng::XorShift64Star>(7));
   machine.hierarchy().set_seed(ProcId{1}, Seed{2018});
   machine.set_process(ProcId{1});
-  std::vector<sim::AccessRecord> batch;
+  sim::FetchTrace trace;
   rng::SplitMix64 r(5);
   for (int i = 0; i < 1024; ++i) {
-    batch.push_back(sim::AccessRecord::make_load(
-        0x1000 + (r.next_u64() & 0xFF0), 0x80000 + (r.next_u64() & 0xFFF0)));
+    trace.load(0x1000 + (r.next_u64() & 0xFF0),
+               0x80000 + (r.next_u64() & 0xFFF0));
   }
   for (auto _ : state) {
-    machine.run(batch);
+    machine.replay(trace);
     benchmark::DoNotOptimize(machine.now());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(batch.size()));
+                          static_cast<std::int64_t>(trace.instructions()));
 }
 BENCHMARK(BM_MachineRunBatch);
 
@@ -167,6 +179,148 @@ void BM_MachineReset(benchmark::State& state, core::PlacementPolicy policy) {
 }
 BENCHMARK_CAPTURE(BM_MachineReset, rm, core::PlacementPolicy::kRandomModulo);
 BENCHMARK_CAPTURE(BM_MachineReset, rpcache, core::PlacementPolicy::kRpCache);
+
+// The pWCET matrix's per-run protocol on the replay path: the 24x24 matmul
+// kernel's warm and timed passes, recorded once, replayed on a freshly
+// leased cell machine (the MachinePool re-deployment included).  One
+// instance per cell family: the two latch-hostile designs (Clepsydra's TTL
+// clock, TimeCache's quantized hits) next to the plain ones.
+const isa::KernelPasses& matmul_passes() {
+  static const isa::KernelPasses passes = isa::record_passes(
+      isa::assemble(isa::matmul_source(0x40000, 0x50000, 0x60000, 24),
+                    0x1000),
+      0x1000);
+  return passes;
+}
+
+void BM_PwcetRun(benchmark::State& state, core::PlacementPolicy policy) {
+  const isa::KernelPasses& passes = matmul_passes();
+  std::uint64_t seed = 1;
+  for (auto _ : state) {
+    sim::Machine& machine =
+        runner::MachinePool::local().policy_machine(policy, seed++, false)
+            .machine;
+    machine.set_process(core::kMatrixVictim);
+    benchmark::DoNotOptimize(passes.time(machine));
+  }
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(state.iterations()) *
+      static_cast<std::int64_t>(passes.warm.instructions() +
+                                passes.timed.instructions()));
+}
+BENCHMARK_CAPTURE(BM_PwcetRun, modulo, core::PlacementPolicy::kModulo);
+BENCHMARK_CAPTURE(BM_PwcetRun, hashrp, core::PlacementPolicy::kHashRp);
+BENCHMARK_CAPTURE(BM_PwcetRun, random_modulo,
+                  core::PlacementPolicy::kRandomModulo);
+BENCHMARK_CAPTURE(BM_PwcetRun, clepsydra, core::PlacementPolicy::kClepsydra);
+BENCHMARK_CAPTURE(BM_PwcetRun, timecache, core::PlacementPolicy::kTimeCache);
+
+// Recording a kernel's two passes (what every pWCET stage pays once per
+// kernel before fanning out): two interpreted runs plus trace compaction.
+void BM_TraceRecord(benchmark::State& state) {
+  const isa::Program program = isa::assemble(
+      isa::matmul_source(0x40000, 0x50000, 0x60000, 24), 0x1000);
+  for (auto _ : state) {
+    const isa::KernelPasses passes = isa::record_passes(program, 0x1000);
+    benchmark::DoNotOptimize(passes.timed.instructions());
+  }
+}
+BENCHMARK(BM_TraceRecord);
+
+// One pwcet_matrix cell's MBPTA analysis: i.i.d. tests and both tail fits
+// over a 240-run sample of the matmul kernel on the random-modulo cell.
+void BM_MbptaCell(benchmark::State& state) {
+  static const std::vector<double> times = [] {
+    std::vector<double> t;
+    for (std::uint64_t run = 0; run < 240; ++run) {
+      sim::Machine& machine =
+          runner::MachinePool::local()
+              .policy_machine(core::PlacementPolicy::kRandomModulo, run, false)
+              .machine;
+      machine.set_process(core::kMatrixVictim);
+      t.push_back(static_cast<double>(matmul_passes().time(machine)));
+    }
+    return t;
+  }();
+  mbpta::AnalysisConfig cfg;
+  cfg.min_runs = 100;
+  cfg.block = 10;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(mbpta::analyze(times, cfg).mbpta_applicable());
+  }
+}
+BENCHMARK(BM_MbptaCell);
+
+// The checkpoint codec on an attack-shard-sized accumulator: encode and
+// decode a Bernstein timing profile of 400 samples.
+void BM_ProfileCodec(benchmark::State& state) {
+  rng::XorShift64Star r(3);
+  attack::TimingProfile profile;
+  for (int i = 0; i < 400; ++i) {
+    profile.add(crypto::random_block(r),
+                static_cast<double>(1000 + r.next_below(200)));
+  }
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    runner::ByteWriter w;
+    runner::ProfileCodec::put(w, profile);
+    const std::vector<std::uint8_t> payload = std::move(w).take();
+    runner::ByteReader reader(payload);
+    benchmark::DoNotOptimize(runner::ProfileCodec::get_timing(reader));
+    bytes += payload.size();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(bytes));
+}
+BENCHMARK(BM_ProfileCodec);
+
+// A fresh checkpoint's first save: 16 task payloads of 4 KB written as an
+// atomic compacted snapshot (what --checkpoint pays per stage barrier).
+void BM_CheckpointSave(benchmark::State& state) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("bench_checkpoint_" + std::to_string(::getpid()) + ".bin"))
+          .string();
+  const std::vector<std::uint8_t> payload(4096, 0xA5);
+  for (auto _ : state) {
+    runner::Checkpoint checkpoint("bench", "fingerprint");
+    for (std::size_t task = 0; task < 16; ++task) {
+      checkpoint.put("stage", 16, task, payload);
+    }
+    benchmark::DoNotOptimize(checkpoint.save(path));
+  }
+  std::filesystem::remove(path);
+}
+BENCHMARK(BM_CheckpointSave);
+
+// A dispatcher Result-sized frame (16 KB) sent through a pipe with
+// send_frame and parsed back with FrameParser.
+void BM_FrameRoundTrip(benchmark::State& state) {
+  int fds[2];
+  if (::pipe(fds) != 0) {
+    state.SkipWithError("pipe() failed");
+    return;
+  }
+  const std::vector<std::uint8_t> body(16 * 1024, 0x5A);
+  std::vector<std::uint8_t> buf(body.size() + 4);
+  std::vector<std::uint8_t> out;
+  runner::FrameParser parser;
+  for (auto _ : state) {
+    runner::send_frame(fds[1], body);
+    std::size_t got = 0;
+    while (got < buf.size()) {
+      const ssize_t n = ::read(fds[0], buf.data() + got, buf.size() - got);
+      if (n <= 0) break;
+      got += static_cast<std::size_t>(n);
+    }
+    parser.feed(buf.data(), got);
+    benchmark::DoNotOptimize(parser.next(out));
+  }
+  ::close(fds[0]);
+  ::close(fds[1]);
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(body.size()));
+}
+BENCHMARK(BM_FrameRoundTrip);
 
 // Key-rank scoring of one attack cell shaped like a golden one: 1200
 // trials of synthetic observations (a few probe misses per set, re-run

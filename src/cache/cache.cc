@@ -279,7 +279,11 @@ AccessResult Cache::access_impl(Cache& self, ProcId proc, Addr addr,
       return AccessResult{true, false, true, false, set, 0};
     }
 
-    // Miss (stats().misses derives from accesses - hits).
+    // Miss (stats().misses derives from accesses - hits).  Every miss may
+    // change residency somewhere (fill, eviction, contention, random fill),
+    // so it moves the epoch - the one store the latch needs, off the hit
+    // path.
+    ++self.epoch_;
     if (write && !self.config_.write_allocate) {
       return AccessResult{false, false, false, false, set, 0};
       // write-around: memory handles it
@@ -373,6 +377,7 @@ AccessResult Cache::access_impl(Cache& self, ProcId proc, Addr addr,
       }
     }
 
+    ++self.epoch_;  // a miss, as above
     if (write && !self.config_.write_allocate) {
       result.allocated = false;
       return result;
@@ -503,8 +508,7 @@ void Cache::fill_impl(const ResolvedMapping*, ProcId proc, Addr line,
   if (ttl_enabled_) [[unlikely]] ttl_on_fill(di);
 }
 
-void Cache::ttl_advance_and_expire(std::uint32_t set) {
-  ++ttl_clock_;
+void Cache::ttl_expire(std::uint32_t set) {
   const std::uint32_t ways = config_.geometry.ways();
   const std::size_t base = static_cast<std::size_t>(set) * ways;
   for (std::uint32_t w = 0; w < ways; ++w) {
@@ -517,8 +521,28 @@ void Cache::ttl_advance_and_expire(std::uint32_t set) {
       if (dirty_[i] != 0) ++stats_.writebacks;
       tagv_[i] = 0;
       dirty_[i] = 0;
+      ++epoch_;
     }
   }
+}
+
+std::uint64_t Cache::ttl_latched_ticks(std::uint32_t set, std::uint32_t way,
+                                       std::uint64_t count) {
+  const std::size_t i =
+      static_cast<std::size_t>(set) * config_.geometry.ways() + way;
+  // The first probe ticks the clock, then reclaims: a line dying at that
+  // tick misses, which only access() can model.  (A line that survives it
+  // has expiry <= clock + TTL, so its TTL is at least 2.)
+  if (expiry_[i] <= ttl_clock_ + 1) return 0;
+  // Every hit refreshes the line to (tick + TTL), past the next tick, so
+  // k sequential hits are: k ticks, the line refreshed at the last one,
+  // and every other line of the set reclaimed iff it died by then - the
+  // same lines, writebacks and counts as k probes, since expiry is
+  // monotonic in the clock.
+  ttl_clock_ += count;
+  ttl_refresh(i);
+  ttl_expire(set);
+  return count;
 }
 
 /// Builds the (mapping x replacement x ways) -> specialized-access table.
@@ -605,6 +629,7 @@ void Cache::evict(std::uint32_t set, std::uint32_t way, AccessResult& result) {
 }
 
 std::uint64_t Cache::flush() {
+  ++epoch_;
   ++stats_.flushes;
   std::uint64_t count = 0;
   for (std::size_t i = 0; i < tagv_.size(); ++i) {
@@ -623,6 +648,7 @@ std::uint64_t Cache::flush() {
 Cache::FlushLineResult Cache::flush_line(ProcId proc, Addr addr) {
   const Addr line = addr >> line_shift_;
   const std::uint32_t set = map_set(context(proc), line);
+  ++epoch_;
   // A flush probes the set like any other lookup: the TTL clock ticks and
   // expired lines are reclaimed BEFORE the scan, so a dead line reports
   // absent (and its writeback is charged to the expiry, not the flush).
@@ -650,30 +676,8 @@ Cache::FlushLineResult Cache::flush_line(ProcId proc, Addr addr) {
   return result;
 }
 
-bool Cache::try_repeat_hit(ProcId proc, Addr addr, std::uint64_t count) {
-  // A TTL cache cannot batch: each of the `count` accesses must tick the
-  // expiry clock (and could itself expire lines).  Decline; the caller's
-  // per-access replay is exact.
-  if (ttl_enabled_) return false;
-  const Addr line = addr >> line_shift_;
-  const std::uint32_t set = map_set(context(proc), line);
-  const std::uint32_t ways = config_.geometry.ways();
-  const std::uint64_t probe = (line << 1) | 1;
-  const std::uint64_t* tv = tagv_.data() + static_cast<std::size_t>(set) * ways;
-  for (std::uint32_t w = 0; w < ways; ++w) {
-    if (tv[w] == probe) {
-      stats_.accesses += count;
-      stats_.hits += count;
-      // One touch == `count` touches of the same way: LRU/PLRU reordering
-      // and the NMRU marker are idempotent, FIFO/random ignore hits.
-      replacement_->touch(set, w);
-      return true;
-    }
-  }
-  return false;
-}
-
 void Cache::reset() {
+  ++epoch_;  // monotonic: a latch taken before the reset can never match
   std::fill(tagv_.begin(), tagv_.end(), std::uint64_t{0});
   std::fill(owner_.begin(), owner_.end(), 0u);
   std::fill(dirty_.begin(), dirty_.end(), std::uint8_t{0});
@@ -693,6 +697,7 @@ void Cache::reset() {
 }
 
 void Cache::set_seed(ProcId proc, Seed seed) {
+  ++epoch_;
   mapper_->set_seed(proc, seed);
   // Refresh the resolved context immediately: set_seed is the "write the
   // hardware seed register" moment (paper Fig. 3).
@@ -703,6 +708,7 @@ void Cache::set_way_partition(ProcId proc, std::uint32_t first_way,
                               std::uint32_t way_count) {
   assert(way_count >= 1);
   assert(first_way + way_count <= config_.geometry.ways());
+  ++epoch_;
   partitions_.set(proc, Partition{first_way, way_count});
   if (partition_rr_.empty()) {
     partition_rr_.assign(config_.geometry.sets(), 0);
@@ -711,6 +717,7 @@ void Cache::set_way_partition(ProcId proc, std::uint32_t first_way,
 }
 
 void Cache::clear_way_partition(ProcId proc) {
+  ++epoch_;
   partitions_.erase(proc);
   slow_fill_ =
       config_.random_fill_window > 0 || ttl_enabled_ || !partitions_.empty();

@@ -157,18 +157,52 @@ class Cache {
   /// oracle mirrors this exactly).
   FlushLineResult flush_line(ProcId proc, Addr addr);
 
-  /// `count` back-to-back repeated accesses (reads) of the line containing
-  /// `addr`, all guaranteed hits because nothing intervenes between them:
-  /// if the line is resident, account `count` accesses + hits and touch the
-  /// replacement state exactly as `count` individual read hits of the same
-  /// way would (touching the same way is idempotent for every shipped
-  /// policy), then return true.  Returns false - and changes nothing - when
-  /// the line is not resident (e.g. the secure-contention rule or random
-  /// fill declined to allocate it), and always on a TTL cache (every access
-  /// must advance the expiry clock); the caller falls back to access().
-  /// This is the Machine::instr_block fast path: sequential instruction
-  /// fetches within one cache line skip the full lookup after the first.
-  bool try_repeat_hit(ProcId proc, Addr addr, std::uint64_t count);
+  /// Mutation epoch: changes whenever the residency or placement of any
+  /// line may have changed - every miss (fills, evictions, the RPCache
+  /// contention rule, random fill), every TTL expiry, flush(), flush_line(),
+  /// set_seed(), reset() and the partition setters.  Hits never change it
+  /// (the hit path gains no store).  While it stays equal, a line found by
+  /// resident_way() is still resident in the same way of the same set, which
+  /// is what makes latched_hits() safe.  Monotonic: never reused, reset()
+  /// included.
+  [[nodiscard]] std::uint64_t epoch() const { return epoch_; }
+
+  /// The way of `set` holding the line containing `addr`, if resident.
+  /// A pure scan of one set: no statistics, no replacement update.
+  [[nodiscard]] std::optional<std::uint32_t> resident_way(std::uint32_t set,
+                                                          Addr addr) const {
+    const std::uint32_t ways = config_.geometry.ways();
+    const std::uint64_t probe = ((addr >> line_shift_) << 1) | 1;
+    const std::uint64_t* tv =
+        tagv_.data() + static_cast<std::size_t>(set) * ways;
+    for (std::uint32_t w = 0; w < ways; ++w) {
+      if (tv[w] == probe) return w;
+    }
+    return std::nullopt;
+  }
+
+  /// Up to `count` back-to-back read hits of the line resident in
+  /// (`set`, `way`), accounted exactly as that many access() calls would
+  /// account them: accesses and hits counted, the replacement touch of the
+  /// way redone (LRU/PLRU/NMRU touches of one way are idempotent, so one
+  /// touch stands for all; FIFO and random ignore hits).  On a TTL cache
+  /// each hit ticks the expiry clock, reclaims the set's dead lines and
+  /// refreshes the line, as access() does.  Returns how many hits were
+  /// served: `count`, or 0 on a TTL cache whose very next probe would
+  /// reclaim the line (nothing changes; the caller takes access()).
+  /// Precondition: epoch() has not changed since resident_way() returned
+  /// `way` for this set.
+  std::uint64_t latched_hits(std::uint32_t set, std::uint32_t way,
+                             std::uint64_t count) {
+    if (ttl_enabled_) [[unlikely]] {
+      count = ttl_latched_ticks(set, way, count);
+      if (count == 0) return 0;
+    }
+    stats_.accesses += count;
+    stats_.hits += count;
+    touch(set, way);
+    return count;
+  }
 
   /// Return to the just-constructed state - no valid lines, default-seed
   /// mappings, initial replacement metadata, zero stats, zero TTL clock,
@@ -244,6 +278,26 @@ class Cache {
 
   void evict(std::uint32_t set, std::uint32_t way, AccessResult& result);
 
+  /// The replacement touch of a read hit on (set, way), dispatched on the
+  /// policy kind at run time (the access path's touch, minus the templates).
+  void touch(std::uint32_t set, std::uint32_t way) {
+    const std::size_t row = std::size_t{set} * repl_.stride8;
+    switch (repl_.kind) {
+      case ReplacementKind::kLru:
+        repl_ops::lru_touch(repl_.meta8 + row, repl_.ways, way);
+        break;
+      case ReplacementKind::kPlru:
+        repl_ops::plru_touch(repl_.meta8 + row, repl_.ways, way);
+        break;
+      case ReplacementKind::kNmru:
+        repl_.meta32[set] = way;
+        break;
+      case ReplacementKind::kFifo:
+      case ReplacementKind::kRandom:
+        break;  // hits do not reorder
+    }
+  }
+
   /// Is `line` already present in `set`?  (Pure array scan, no stats.)
   [[nodiscard]] bool contains_line(Addr line, std::uint32_t set) const;
 
@@ -273,7 +327,18 @@ class Cache {
   /// invalidate expired lines of the probed set (outlined: only TTL caches
   /// pay for it); refresh a hit line's expiry; draw a fresh TTL for a
   /// newly filled line.  Only called when ttl_enabled_.
-  [[gnu::noinline]] void ttl_advance_and_expire(std::uint32_t set);
+  void ttl_advance_and_expire(std::uint32_t set) {
+    ++ttl_clock_;
+    ttl_expire(set);
+  }
+  /// Reclaim the lines of `set` whose TTL elapsed at the current clock.
+  [[gnu::noinline]] void ttl_expire(std::uint32_t set);
+  /// The TTL part of latched_hits: 0 if the line dies at the next tick,
+  /// else `count` with the clock ticks, the line's refresh and the set's
+  /// reclamation applied for them.
+  [[gnu::noinline]] std::uint64_t ttl_latched_ticks(std::uint32_t set,
+                                                    std::uint32_t way,
+                                                    std::uint64_t count);
   void ttl_refresh(std::size_t index) {
     expiry_[index] = ttl_clock_ + ttl_[index];
   }
@@ -293,6 +358,7 @@ class Cache {
   std::unique_ptr<Replacement> replacement_;
   std::shared_ptr<rng::Rng> rng_;
   CacheStats stats_;
+  std::uint64_t epoch_ = 0;  ///< see epoch(); bumped off the hit path only
 
   // Geometry constants flattened out of config_.geometry: the access path
   // reads them every simulated access, and deriving offset/index widths via

@@ -1,6 +1,8 @@
 #include "cache/placement.h"
 
 #include <cassert>
+#include <cstdlib>
+#include <new>
 
 #include "cache/benes.h"
 #include "common/bitops.h"
@@ -76,7 +78,9 @@ RandomModuloPlacement::RandomModuloPlacement(const Geometry& g)
     memo_.resize(8192);
   } else if (k_ > 0) {
     lut_stride_ = kLutHeader + (1u << k_);
-    lut_memo_.assign(std::size_t{8192} * lut_stride_, 0);
+    lut_memo_.reset(static_cast<std::uint8_t*>(
+        std::calloc(std::size_t{8192} * lut_stride_, 1)));
+    if (lut_memo_ == nullptr) throw std::bad_alloc();
   }
 }
 

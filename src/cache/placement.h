@@ -31,6 +31,7 @@
 #pragma once
 
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -209,7 +210,7 @@ class RandomModuloPlacement final : public Placement {
       // Slots are (8-byte driver tag + 1-byte occupancy + padding +
       // 2^k-entry table), packed at runtime stride so the active footprint
       // stays as small as the geometry allows.
-      std::uint8_t* slot = lut_memo_.data() + (hash >> 51) * lut_stride_;
+      std::uint8_t* slot = lut_memo_.get() + (hash >> 51) * lut_stride_;
       std::uint64_t slot_tag;
       std::memcpy(&slot_tag, slot, 8);
       if (slot_tag != driver || slot[8] == 0) [[unlikely]] {
@@ -258,7 +259,13 @@ class RandomModuloPlacement final : public Placement {
   // Exactly one of the two memo tables is populated (by k_); both are
   // direct-mapped and single-threaded by design (one Machine per worker).
   mutable std::vector<Memo> memo_;
-  mutable std::vector<std::uint8_t> lut_memo_;  ///< packed LutSlots
+  /// Packed LutSlots, calloc'd: zero pages straight from the OS are not
+  /// touched (nor faulted in) until a slot is used, so building a machine
+  /// does not pay for a 1.2 MB memset per L1.
+  struct FreeDeleter {
+    void operator()(std::uint8_t* p) const { std::free(p); }
+  };
+  mutable std::unique_ptr<std::uint8_t[], FreeDeleter> lut_memo_;
   std::uint32_t lut_stride_ = 0;                ///< 8 + 2^k bytes per slot
   mutable MemoStats memo_stats_;
 };

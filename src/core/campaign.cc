@@ -55,26 +55,24 @@ SideResult run_victim_side(const Platform& platform,
   const std::uint32_t sets = geo.sets();
 
   // The OS tick and the victim binary's fixed working-set pattern (see
-  // CampaignConfig) issue the same addresses every job: pre-decode both
-  // into AccessRecord batches once and replay them through the machine's
-  // amortized entry point.
-  std::vector<sim::AccessRecord> os_batch;
-  os_batch.reserve(config.os_lines);
+  // CampaignConfig) issue the same addresses every job: record both as
+  // FetchTraces once and replay them through the machine's fetch latch.
+  const std::uint32_t fetch_line = m.hierarchy().l1i().geometry().line_bytes();
+  sim::FetchTrace os_trace(fetch_line);
   for (unsigned i = 0; i < config.os_lines; ++i) {
-    os_batch.push_back(
-        sim::AccessRecord::make_load(os_pc, config.os_base + i * line));
+    os_trace.load(os_pc, config.os_base + i * line);
   }
 
-  std::vector<sim::AccessRecord> noise_batch;
+  sim::FetchTrace noise_trace(fetch_line);
   for (unsigned s = 0; s < config.noise_set_count; ++s) {
     const Addr index = (config.noise_set_lo + s) % sets;
     const auto depth = static_cast<unsigned>(
         rng::derive_seed(config.noise_pattern_seed, index) %
         (config.noise_max_depth + 1));
     for (unsigned d = 0; d < depth; ++d) {
-      noise_batch.push_back(sim::AccessRecord::make_load(
+      noise_trace.load(
           noise_pc,
-          config.noise_base + (static_cast<Addr>(d) * sets + index) * line));
+          config.noise_base + (static_cast<Addr>(d) * sets + index) * line);
     }
   }
 
@@ -93,12 +91,12 @@ SideResult run_victim_side(const Platform& platform,
 
     // OS tick: background kernel activity under the OS identity.
     m.set_process(kOsProc);
-    m.run(os_batch);
+    m.replay(os_trace);
 
     // Victim's per-request processing: an irregular working set, `depth(s)`
     // lines deep in each covered modulo set.
     m.set_process(kCryptoProc);
-    m.run(noise_batch);
+    m.replay(noise_trace);
 
     const crypto::Block pt = crypto::random_block(pt_rng);
     (void)aes.encrypt(pt);

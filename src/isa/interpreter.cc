@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
+#include <memory>
+
+#include "rng/rng.h"
 
 namespace tsc::isa {
 
@@ -110,6 +113,90 @@ RunResult Interpreter::run(Addr entry, std::uint64_t max_steps) {
 
 RunResult Interpreter::run_reference(Addr entry, std::uint64_t max_steps) {
   return run_loop<false>(entry, max_steps);
+}
+
+namespace {
+
+/// Writes what a run_reference() execution asks of the machine into a
+/// FetchTrace.  step() runs before the instruction's side effects, so the
+/// registers it reads are the ones the instruction reads: a branch's
+/// outcome comes from them, not from where the pc goes next (a taken
+/// branch to pc + 4 still pays the bubble).
+class FetchRecorder final : public TraceSink {
+ public:
+  FetchRecorder(const Interpreter& interp, sim::FetchTrace& out)
+      : interp_(interp), out_(out) {}
+
+  void step(Addr pc, const Instr& in, Addr ea) override {
+    switch (in.op) {
+      case Op::kLw:
+      case Op::kLb:
+      case Op::kLbu:
+        out_.load(pc, ea);
+        break;
+      case Op::kSw:
+      case Op::kSb:
+        out_.store(pc, ea);
+        break;
+      case Op::kFlush:
+        out_.flush_line(pc, ea);
+        break;
+      case Op::kBeq:
+      case Op::kBne:
+      case Op::kBlt:
+      case Op::kBge:
+      case Op::kBltu:
+      case Op::kBgeu:
+        out_.branch(pc, branch_taken(in.op, interp_.reg(in.rs1),
+                                     interp_.reg(in.rs2)));
+        break;
+      case Op::kJal:
+      case Op::kJalr:
+        out_.branch(pc, true);
+        break;
+      default:
+        out_.instr(pc);
+        break;
+    }
+  }
+
+ private:
+  const Interpreter& interp_;
+  sim::FetchTrace& out_;
+};
+
+}  // namespace
+
+sim::FetchTrace Interpreter::record(Addr entry, std::uint64_t max_steps) {
+  sim::FetchTrace trace(machine_.hierarchy().l1i().geometry().line_bytes());
+  FetchRecorder recorder(*this, trace);
+  TraceSink* const previous = trace_sink_;
+  trace_sink_ = &recorder;
+  (void)run_reference(entry, max_steps);
+  trace_sink_ = previous;
+  trace.shrink_to_fit();
+  return trace;
+}
+
+KernelPasses record_passes(const Program& program, Addr entry) {
+  sim::Machine machine(
+      sim::arm920t_config(cache::MapperKind::kModulo,
+                          cache::MapperKind::kModulo,
+                          cache::ReplacementKind::kLru),
+      std::make_shared<rng::XorShift64Star>(1));
+  Interpreter interp(machine);
+  interp.load_program(program);
+  KernelPasses passes;
+  passes.warm = interp.record(entry);
+  passes.timed = interp.record(entry);
+  return passes;
+}
+
+Cycles KernelPasses::time(sim::Machine& machine) const {
+  machine.replay(warm);
+  const Cycles start = machine.now();
+  machine.replay(timed);
+  return machine.now() - start;
 }
 
 template <bool kUseDecodeCache>
@@ -235,21 +322,7 @@ RunResult Interpreter::run_loop(Addr entry, std::uint64_t max_steps) {
       case Op::kBge:
       case Op::kBltu:
       case Op::kBgeu: {
-        bool taken = false;
-        switch (in.op) {
-          case Op::kBeq: taken = a == b; break;
-          case Op::kBne: taken = a != b; break;
-          case Op::kBlt:
-            taken = static_cast<std::int32_t>(a) < static_cast<std::int32_t>(b);
-            break;
-          case Op::kBge:
-            taken =
-                static_cast<std::int32_t>(a) >= static_cast<std::int32_t>(b);
-            break;
-          case Op::kBltu: taken = a < b; break;
-          case Op::kBgeu: taken = a >= b; break;
-          default: break;
-        }
+        const bool taken = branch_taken(in.op, a, b);
         machine_.branch(pc, taken);
         if (taken) {
           next_pc = pc + 4 + 4 * static_cast<Addr>(

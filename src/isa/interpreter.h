@@ -156,6 +156,15 @@ class Interpreter {
   /// oracle for the decode cache (tests) and for debugging.
   RunResult run_reference(Addr entry, std::uint64_t max_steps = 10'000'000);
 
+  /// run_reference() from `entry`, returning what the run asked of the
+  /// machine as a FetchTrace cut for the machine's L1I line size (the
+  /// machine executes the run as usual; an attached sink is detached for
+  /// its duration).  TSISA has no instruction that reads time or cache
+  /// state, so the trace depends only on the program and the interpreter's
+  /// registers and memory - Machine::replay of it on ANY platform with that
+  /// line size is exactly the run, cycles and statistics included.
+  sim::FetchTrace record(Addr entry, std::uint64_t max_steps = 10'000'000);
+
   /// Zero registers, data memory and the decode cache - a fresh interpreter
   /// over the same machine, with every allocation retained (pool reuse).
   void reset();
@@ -222,5 +231,23 @@ class Interpreter {
   Addr code_span_ = 0;  ///< bytes covered by the decode cache
   std::vector<CachedInstr> code_;
 };
+
+/// The MBPTA protocol's two passes over one kernel: a warm pass (compulsory
+/// misses), then the timed pass whose duration depends on which lines
+/// survived placement.  The timed pass runs on the warm pass's registers and
+/// memory, exactly as two back-to-back run() calls would.
+struct KernelPasses {
+  sim::FetchTrace warm;
+  sim::FetchTrace timed;
+
+  /// Replay both passes on `machine` under its current process and return
+  /// the timed pass's cycles: one MBPTA run's measurement.
+  [[nodiscard]] Cycles time(sim::Machine& machine) const;
+};
+
+/// Record `program`'s two passes from `entry` once, on a private paper-
+/// platform machine (32-byte L1I lines, default step limit).  Platform-
+/// invariant: the result replays on every policy of the platform axis.
+[[nodiscard]] KernelPasses record_passes(const Program& program, Addr entry);
 
 }  // namespace tsc::isa

@@ -64,6 +64,24 @@ enum class Format { kR, kI, kB, kJ, kNone };
 /// True for conditional branches.
 [[nodiscard]] bool is_branch(Op op);
 
+/// Does a conditional branch with source values `a` (rs1) and `b` (rs2)
+/// take?  False for every other opcode.  The interpreter and the fetch
+/// recorder both decide through this.
+[[nodiscard]] inline bool branch_taken(Op op, std::uint32_t a,
+                                       std::uint32_t b) {
+  switch (op) {
+    case Op::kBeq: return a == b;
+    case Op::kBne: return a != b;
+    case Op::kBlt:
+      return static_cast<std::int32_t>(a) < static_cast<std::int32_t>(b);
+    case Op::kBge:
+      return static_cast<std::int32_t>(a) >= static_cast<std::int32_t>(b);
+    case Op::kBltu: return a < b;
+    case Op::kBgeu: return a >= b;
+    default: return false;
+  }
+}
+
 /// Mnemonic of an opcode ("addi", "beq", ...).
 [[nodiscard]] std::string mnemonic(Op op);
 /// Opcode from mnemonic; nullopt if unknown.

@@ -263,11 +263,15 @@ std::function<std::vector<std::vector<double>>()> declare_mbpta_sample(
   for (const core::SetupKind kind : kinds) {
     platforms.push_back(core::paper_platform(kind));
   }
-  // Assembled once per campaign, not per run; the task owns it.
+  // Recorded once per campaign (a dispatch worker records its own as it
+  // rebuilds the plan), not per run; the task owns it.
   const auto run_task = [platforms, slices, size, seed_base,
-                         program = isa::assemble(
-                             isa::vector_sum_source(0x40000, 5120), 0x1000)](
-                            std::size_t task) {
+                         passes = std::make_shared<const isa::KernelPasses>(
+                             isa::record_passes(
+                                 isa::assemble(
+                                     isa::vector_sum_source(0x40000, 5120),
+                                     0x1000),
+                                 0x1000))](std::size_t task) {
     const core::Platform& platform = platforms[task / slices.size()];
     const std::size_t slice = task % slices.size();
     std::vector<double> times;
@@ -276,10 +280,7 @@ std::function<std::vector<std::vector<double>>()> declare_mbpta_sample(
       const PooledMachine lease = MachinePool::local().lease(
           {platform, rng::derive_seed(seed_base, r)}, {kVictim});
       lease.machine.set_process(kVictim);
-      lease.interpreter.load_program(program);
-      (void)lease.interpreter.run(0x1000);  // warm pass
-      times.push_back(
-          static_cast<double>(lease.interpreter.run(0x1000).cycles));
+      times.push_back(static_cast<double>(passes->time(lease.machine)));
     }
     return times;
   };
@@ -1365,30 +1366,30 @@ mbpta::AnalysisConfig pwcet_matrix_analysis_config() {
   return cfg;
 }
 
-/// One timed run of a pre-assembled kernel on a fresh-semantics cell
-/// machine (worker-pooled, bit-exact with building one): warm pass
-/// (compulsory misses), then the timed second pass whose duration depends
-/// on which lines survived placement.
-double policy_kernel_time(const MatrixCell& cell, const isa::Program& program,
+/// One timed run of a recorded kernel on a fresh-semantics cell machine
+/// (worker-pooled, bit-exact with building one): the warm pass, then the
+/// timed pass whose duration depends on which lines survived placement.
+double policy_kernel_time(const MatrixCell& cell,
+                          const isa::KernelPasses& passes,
                           std::uint64_t cell_seed, std::size_t run) {
   const PooledMachine lease = MachinePool::local().policy_machine(
       cell.policy, rng::derive_seed(cell_seed, run), cell.partitioned);
   lease.machine.set_process(core::kMatrixVictim);
-  lease.interpreter.load_program(program);
-  (void)lease.interpreter.run(0x1000);  // warm pass
-  return static_cast<double>(lease.interpreter.run(0x1000).cycles);
+  return static_cast<double>(passes.time(lease.machine));
 }
 
-/// The kernel suite assembled once at 0x1000 (matrix experiments interpret
-/// each kernel tens of thousands of times; parsing belongs outside the
-/// run loop).
-std::vector<isa::Program> assembled_kernels(const std::vector<Kernel>& suite) {
-  std::vector<isa::Program> programs;
-  programs.reserve(suite.size());
+/// The kernel suite assembled at 0x1000 and recorded once: the matrix
+/// experiments time each kernel tens of thousands of times, and its two
+/// passes are the same on every platform.
+std::vector<isa::KernelPasses> recorded_kernels(
+    const std::vector<Kernel>& suite) {
+  std::vector<isa::KernelPasses> passes;
+  passes.reserve(suite.size());
   for (const Kernel& kernel : suite) {
-    programs.push_back(isa::assemble(kernel.source, 0x1000));
+    passes.push_back(
+        isa::record_passes(isa::assemble(kernel.source, 0x1000), 0x1000));
   }
-  return programs;
+  return passes;
 }
 
 /// One (cell, timing-shard) slice of the pWCET matrix protocol, with cell
@@ -1397,19 +1398,19 @@ std::vector<isa::Program> assembled_kernels(const std::vector<Kernel>& suite) {
 /// samples identical for the same (master seed, runs, shard size).
 std::vector<double> pwcet_timing_task(
     const std::vector<MatrixCell>& platforms,
-    const std::vector<isa::Program>& programs, std::uint64_t master_seed,
+    const std::vector<isa::KernelPasses>& kernels, std::uint64_t master_seed,
     std::size_t shard_size, const std::vector<std::size_t>& time_shards,
     std::size_t task) {
   const std::size_t shard = task % time_shards.size();
   const std::size_t cell = task / time_shards.size();
-  const MatrixCell& platform = platforms[cell / programs.size()];
-  const isa::Program& program = programs[cell % programs.size()];
+  const MatrixCell& platform = platforms[cell / kernels.size()];
+  const isa::KernelPasses& passes = kernels[cell % kernels.size()];
   const std::uint64_t cell_seed = pwcet_cell_seed(master_seed, cell);
   const std::size_t begin = shard * shard_size;
   std::vector<double> times;
   times.reserve(time_shards[shard]);
   for (std::size_t i = 0; i < time_shards[shard]; ++i) {
-    times.push_back(policy_kernel_time(platform, program, cell_seed, begin + i));
+    times.push_back(policy_kernel_time(platform, passes, cell_seed, begin + i));
   }
   return times;
 }
@@ -1447,7 +1448,7 @@ Json run_pwcet_matrix(const RunOptions& options, Campaign& campaign) {
   const std::size_t pp_samples = runs * 2;  // leakage-side budget per platform
   const std::size_t shard_size = std::max<std::size_t>(1, options.shard_size);
   const std::vector<Kernel> kernels = kernel_suite();
-  const std::vector<isa::Program> programs = assembled_kernels(kernels);
+  const std::vector<isa::KernelPasses> recorded = recorded_kernels(kernels);
   const std::vector<MatrixCell> platforms = matrix_cells();
   const std::size_t n_kernels = kernels.size();
 
@@ -1479,7 +1480,7 @@ Json run_pwcet_matrix(const RunOptions& options, Campaign& campaign) {
   const auto run_task = [&](std::size_t task) {
     PwcetTask out;
     if (task < timing_tasks) {
-      out.times = pwcet_timing_task(platforms, programs,
+      out.times = pwcet_timing_task(platforms, recorded,
                                     options.master_seed, shard_size,
                                     time_shards, task);
     } else {
@@ -1777,7 +1778,7 @@ Json run_pwcet_exceedance(const RunOptions& options, Campaign& campaign) {
       std::max<std::size_t>(120, options.resolve_samples(240));
   const std::size_t shard_size = std::max<std::size_t>(1, options.shard_size);
   const std::vector<Kernel> kernels = kernel_suite();
-  const std::vector<isa::Program> programs = assembled_kernels(kernels);
+  const std::vector<isa::KernelPasses> recorded = recorded_kernels(kernels);
   const std::vector<MatrixCell> platforms = matrix_cells();
   const std::size_t n_kernels = kernels.size();
   const std::size_t n_cells = platforms.size() * n_kernels;
@@ -1790,7 +1791,7 @@ Json run_pwcet_exceedance(const RunOptions& options, Campaign& campaign) {
   const StageResults<std::vector<double>> parts = campaign.stage(
       "pwcet_exceedance", n_cells * time_shards.size(),
       [&](std::size_t task) {
-        return pwcet_timing_task(platforms, programs, options.master_seed,
+        return pwcet_timing_task(platforms, recorded, options.master_seed,
                                  shard_size, time_shards, task);
       },
       doubles_codec());

@@ -1,0 +1,53 @@
+#include "sim/fetch_trace.h"
+
+#include <bit>
+#include <limits>
+#include <stdexcept>
+
+namespace tsc::sim {
+namespace {
+
+std::uint32_t narrow_address(Addr a) {
+  if (a > std::numeric_limits<std::uint32_t>::max()) [[unlikely]] {
+    throw std::out_of_range("FetchTrace: address beyond 32 bits");
+  }
+  return static_cast<std::uint32_t>(a);
+}
+
+}  // namespace
+
+FetchTrace::FetchTrace(std::uint32_t line_bytes) {
+  if (line_bytes < 4 || !std::has_single_bit(line_bytes)) {
+    throw std::invalid_argument("FetchTrace: line size must be a power of 2");
+  }
+  line_shift_ = static_cast<unsigned>(std::countr_zero(line_bytes));
+}
+
+void FetchTrace::fetch(Addr pc) {
+  const std::uint32_t pc32 = narrow_address(pc);
+  if (open_) {
+    Run& run = runs_.back();
+    if ((run.pc >> line_shift_) == (pc32 >> line_shift_) &&
+        run.fetches < std::numeric_limits<std::uint16_t>::max() &&
+        run.branches < std::numeric_limits<std::uint8_t>::max()) {
+      ++run.fetches;
+      ++fetches_;
+      return;
+    }
+  }
+  runs_.push_back(Run{pc32, 1, 0, 0});
+  open_ = true;
+  ++fetches_;
+}
+
+void FetchTrace::data(Addr ea, Ref kind) {
+  const std::uint64_t issuer = fetches_ - 1;
+  if (issuer >= (std::uint64_t{1} << 30)) [[unlikely]] {
+    throw std::length_error("FetchTrace: more than 2^30 instructions");
+  }
+  data_.push_back(DataRef{narrow_address(ea),
+                          static_cast<std::uint32_t>(issuer << 2) |
+                              static_cast<std::uint32_t>(kind)});
+}
+
+}  // namespace tsc::sim

@@ -1,0 +1,99 @@
+// A recorded instruction stream, compacted for Machine::replay.
+//
+// A FetchTrace holds what a program asked of the machine - instruction
+// fetches, data references and branch outcomes, in program order - with
+// consecutive fetches from one L1I line folded into one run.  It is written
+// through the Machine's own verbs (instr/load/store/branch/flush_line), so a
+// trace built by hand replays exactly like the calls it lists, and one
+// recorded from the interpreter (isa::Interpreter::record) replays exactly
+// like the execution it observed.
+//
+// Layout: 8 bytes per run (first pc, fetch count, branch and taken counts)
+// plus 8 bytes per data reference (address, and the index of the fetch that
+// issued it).  A run never outlives its line, a per-line flush, or its
+// counters' range; splitting a run is harmless, because replay serves every
+// fetch after the first through the machine's fetch latch either way.
+//
+// Addresses are TSISA addresses: pcs and effective addresses must fit in 32
+// bits (the recorder and every hand-built trace in the repository do).
+#pragma once
+
+#include <cstdint>
+#include <vector>
+
+#include "common/types.h"
+
+namespace tsc::sim {
+
+class FetchTrace {
+ public:
+  /// Runs fold the fetches of one `line_bytes` line: the L1I line size of
+  /// the machines that will replay the trace (a power of two >= 4).
+  explicit FetchTrace(std::uint32_t line_bytes = 32);
+
+  /// One instruction of each kind, as the Machine verb of the same name.
+  void instr(Addr pc) { fetch(pc); }
+  void load(Addr pc, Addr ea) {
+    fetch(pc);
+    data(ea, Ref::kLoad);
+  }
+  void store(Addr pc, Addr ea) {
+    fetch(pc);
+    data(ea, Ref::kStore);
+  }
+  void branch(Addr pc, bool taken) {
+    fetch(pc);
+    ++runs_.back().branches;
+    if (taken) ++runs_.back().taken;
+  }
+  /// A flush also touches the L1I, so it ends its run.
+  void flush_line(Addr pc, Addr ea) {
+    fetch(pc);
+    data(ea, Ref::kFlush);
+    open_ = false;
+  }
+
+  [[nodiscard]] std::uint32_t line_bytes() const { return 1u << line_shift_; }
+  /// Instructions recorded (= fetches).
+  [[nodiscard]] std::uint64_t instructions() const { return fetches_; }
+
+  /// Release spare capacity once recording is done.
+  void shrink_to_fit() {
+    runs_.shrink_to_fit();
+    data_.shrink_to_fit();
+  }
+
+  friend bool operator==(const FetchTrace&, const FetchTrace&) = default;
+
+ private:
+  friend class Machine;
+
+  enum class Ref : std::uint32_t { kLoad, kStore, kFlush };
+
+  /// Consecutive fetches from the line of `pc`.
+  struct Run {
+    std::uint32_t pc = 0;
+    std::uint16_t fetches = 0;
+    std::uint8_t branches = 0;
+    std::uint8_t taken = 0;
+    friend bool operator==(const Run&, const Run&) = default;
+  };
+  /// A data reference issued by fetch number `slot >> 2` (counted over the
+  /// whole trace), of kind `slot & 3`.
+  struct DataRef {
+    std::uint32_t ea = 0;
+    std::uint32_t slot = 0;
+    friend bool operator==(const DataRef&, const DataRef&) = default;
+  };
+
+  void fetch(Addr pc);
+  void data(Addr ea, Ref kind);
+
+  std::vector<Run> runs_;
+  std::vector<DataRef> data_;
+  std::uint64_t fetches_ = 0;
+  unsigned line_shift_ = 5;
+  bool open_ = false;  ///< the last run may take more fetches of its line
+};
+
+}  // namespace tsc::sim

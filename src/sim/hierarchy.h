@@ -29,6 +29,7 @@ struct HierarchyResult {
   Cycles latency = 0;
   bool l1_hit = false;
   bool l2_hit = false;  ///< only meaningful when !l1_hit and an L2 exists
+  std::uint32_t l1_set = 0;  ///< the L1 set consulted (the fetch latch's key)
 };
 
 /// Configuration: cache specs per level.  `l2` may be disabled for
@@ -62,6 +63,7 @@ class Hierarchy {
     const cache::AccessResult r1 = l1.access(proc, addr, write);
     result.latency = lat.l1_hit;
     result.l1_hit = r1.hit;
+    result.l1_set = r1.set;
     if (!r1.hit) {
       bool served = false;
       if (l2_ != nullptr) {
@@ -73,24 +75,9 @@ class Hierarchy {
       if (!served) result.latency += lat.memory;
     }
     if (lat.quantum > 0) [[unlikely]] {
-      result.latency =
-          (result.latency + lat.quantum - 1) / lat.quantum * lat.quantum;
+      result.latency = lat.quantized(result.latency);
     }
     return result;
-  }
-
-  /// `count` repeated instruction fetches of `pc`, back to back: when the
-  /// line is resident in the L1I, account them as the guaranteed L1 hits
-  /// they are (Cache::try_repeat_hit) and return true; otherwise change
-  /// nothing and return false so the caller replays per instruction.  Each
-  /// batched fetch costs exactly `latency().l1_hit`, the same as access()
-  /// would report; the Machine adds the cycles.  Declined under latency
-  /// quantization (a quantized L1I hit costs `quantum`, not l1_hit) and by
-  /// TTL caches (every access must advance the expiry clock) - the caller's
-  /// per-instruction replay stays exact in both cases.
-  bool repeat_instr_hits(ProcId proc, Addr pc, std::uint64_t count) {
-    if (config_.latency.quantum > 0) return false;
-    return l1i_->try_repeat_hit(proc, pc, count);
   }
 
   /// Reset all levels to their just-constructed state (lines, replacement
@@ -139,8 +126,7 @@ class Hierarchy {
       }
     }
     if (lat.quantum > 0) [[unlikely]] {
-      result.latency =
-          (result.latency + lat.quantum - 1) / lat.quantum * lat.quantum;
+      result.latency = lat.quantized(result.latency);
     }
     return result;
   }

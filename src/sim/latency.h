@@ -47,6 +47,13 @@ struct LatencyConfig {
   /// would take tens of cycles" - with these defaults a seed change costs
   /// (depth-1) + seed_update per cache, i.e. ~10 cycles for 3 caches.
   [[nodiscard]] Cycles drain_cost() const { return pipeline_depth - 1; }
+
+  /// `latency` as the core sees it: rounded up to the quantum when one is
+  /// set (TimeCache), unchanged otherwise.
+  [[nodiscard]] Cycles quantized(Cycles latency) const {
+    if (quantum == 0) return latency;
+    return (latency + quantum - 1) / quantum * quantum;
+  }
 };
 
 }  // namespace tsc::sim

@@ -1,11 +1,17 @@
 #include "sim/machine.h"
 
+#include <stdexcept>
 #include <utility>
 
 namespace tsc::sim {
 
 Machine::Machine(HierarchyConfig config, std::shared_ptr<rng::Rng> rng)
-    : hierarchy_(std::move(config), rng), rng_(std::move(rng)) {}
+    : hierarchy_(std::move(config), rng), rng_(std::move(rng)) {
+  fetch_shift_ = hierarchy_.l1i().geometry().offset_bits();
+  // A latched fetch is an L1I hit: what access() would charge for one.
+  const LatencyConfig& lat = latency();
+  latched_fetch_cycles_ = 1 + (lat.quantized(lat.l1_hit) - lat.l1_hit);
+}
 
 void Machine::reset(std::uint64_t rng_seed) {
   if (rng_ != nullptr) rng_->reseed(rng_seed);
@@ -13,29 +19,50 @@ void Machine::reset(std::uint64_t rng_seed) {
   proc_ = ProcId{1};
   now_ = 0;
   stats_ = MachineStats{};
+  latches_.fill(FetchLatch{});
 }
 
-void Machine::run(std::span<const AccessRecord> batch) {
-  // With instr/load/store/branch inline, this compiles into one tight
-  // dispatch loop over the batch - the amortized entry point the workload
-  // and campaign replay loops drive.
-  for (const AccessRecord& r : batch) {
-    switch (r.op) {
-      case AccessRecord::Op::kInstr:
-        instr(r.pc);
-        break;
-      case AccessRecord::Op::kLoad:
-        load(r.pc, r.ea);
-        break;
-      case AccessRecord::Op::kStore:
-        store(r.pc, r.ea);
-        break;
-      case AccessRecord::Op::kBranch:
-        branch(r.pc, r.taken);
-        break;
-      case AccessRecord::Op::kFlush:
-        flush_line(r.pc, r.ea);
-        break;
+void Machine::replay(const FetchTrace& trace) {
+  if (trace.line_bytes() != hierarchy_.l1i().geometry().line_bytes()) {
+    throw std::invalid_argument(
+        "Machine::replay: trace line size differs from the L1I's");
+  }
+  const Cycles branch_penalty = latency().branch_penalty;
+  const FetchTrace::DataRef* ref = trace.data_.data();
+  const FetchTrace::DataRef* const refs_end = ref + trace.data_.size();
+  std::uint64_t issued = 0;  // fetches issued so far, over the whole trace
+  for (const FetchTrace::Run& run : trace.runs_) {
+    const Addr line = run.pc >> fetch_shift_;
+    std::uint64_t left = run.fetches;  // >= 1
+    do {
+      std::uint64_t served = latched_fetches(line, left);
+      if (served == 0) {
+        fetch_full(run.pc);  // any pc of the line: the L1I sees the line
+        served = 1;
+      }
+      left -= served;
+      issued += served;
+      // The data references of the fetches just issued, in order.
+      for (; ref != refs_end && (ref->slot >> 2) < issued; ++ref) {
+        switch (static_cast<FetchTrace::Ref>(ref->slot & 3)) {
+          case FetchTrace::Ref::kLoad:
+            ++stats_.loads;
+            data_access(ref->ea, false);
+            break;
+          case FetchTrace::Ref::kStore:
+            ++stats_.stores;
+            data_access(ref->ea, true);
+            break;
+          case FetchTrace::Ref::kFlush:
+            line_flush(ref->ea);
+            break;
+        }
+      }
+    } while (left > 0);
+    if (run.branches != 0) {
+      stats_.branches += run.branches;
+      stats_.taken_branches += run.taken;
+      now_ += run.taken * branch_penalty;
     }
   }
 }

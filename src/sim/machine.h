@@ -19,17 +19,27 @@
 // conflicts (the target of Aciiçmez-style attacks) are simulated, not
 // approximated.
 //
-// Trace-style workloads can hand the machine a whole batch of pre-decoded
-// AccessRecords via run(): one call replays thousands of accesses with the
-// per-record semantics of the fine-grained interface, amortizing call
-// overhead in the replay loops that dominate campaign time.
+// The fetch latch: the machine remembers the L1I lines it fetched last -
+// one per latch slot, the slot chosen by the line address's low bits, so a
+// loop body spanning a few consecutive lines stays latched whole - each
+// with its process, set and way and the L1I's mutation epoch at the time.
+// A fetch of a latched line by the same process while the epoch is
+// unchanged is a guaranteed hit in that way, so it is served through
+// Cache::latched_hits (exact statistics, replacement touch, TTL clock)
+// without a lookup.  Anything that could move a line (a miss anywhere in
+// the L1I, a flush, a reseed, a reset; also through the public
+// hierarchy()) changes the epoch and disarms every slot at once.
+//
+// Recorded streams (sim::FetchTrace) replay through the same latch with
+// replay(): a run's repeat fetches are served as one counted batch.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
-#include <span>
 
 #include "common/types.h"
+#include "sim/fetch_trace.h"
 #include "sim/hierarchy.h"
 
 namespace tsc::sim {
@@ -47,32 +57,6 @@ struct MachineStats {
   std::uint64_t line_flushes = 0;  ///< per-line flush instructions executed
 };
 
-/// One pre-decoded machine operation for batched replay (Machine::run).
-struct AccessRecord {
-  enum class Op : std::uint8_t { kInstr, kLoad, kStore, kBranch, kFlush };
-
-  Addr pc = 0;
-  Addr ea = 0;  ///< effective address (loads/stores/flushes only)
-  Op op = Op::kInstr;
-  bool taken = false;  ///< branches only
-
-  [[nodiscard]] static AccessRecord make_instr(Addr pc) {
-    return {pc, 0, Op::kInstr, false};
-  }
-  [[nodiscard]] static AccessRecord make_load(Addr pc, Addr ea) {
-    return {pc, ea, Op::kLoad, false};
-  }
-  [[nodiscard]] static AccessRecord make_store(Addr pc, Addr ea) {
-    return {pc, ea, Op::kStore, false};
-  }
-  [[nodiscard]] static AccessRecord make_branch(Addr pc, bool taken) {
-    return {pc, 0, Op::kBranch, taken};
-  }
-  [[nodiscard]] static AccessRecord make_flush(Addr pc, Addr ea) {
-    return {pc, ea, Op::kFlush, false};
-  }
-};
-
 /// The machine.  Single core, single outstanding access - deliberately the
 /// simple automotive profile the paper targets.
 class Machine {
@@ -87,41 +71,23 @@ class Machine {
 
   /// Non-memory instruction at `pc`.
   void instr(Addr pc) {
-    ++stats_.instructions;
-    const HierarchyResult f =
-        hierarchy_.access(Port::kInstruction, proc_, pc, false);
-    // 1 issue cycle; fetch latency beyond an L1 hit stalls the front-end.
-    now_ += 1 + (f.latency - latency().l1_hit);
+    if (latched_fetches(pc >> fetch_shift_, 1) == 0) fetch_full(pc);
   }
 
   /// `n` sequential non-memory instructions starting at `pc`, 4 bytes each.
-  /// Exactly equivalent to n instr() calls, but fetches that share the
-  /// first instruction's cache line are accounted in one batch: nothing
-  /// intervenes between them, so once the line is resident they are
-  /// guaranteed L1I hits (1 cycle each, replacement touch idempotent).
-  /// When the first fetch leaves the line non-resident (secure contention /
-  /// random fill declined to allocate), the rest of the line replays per
-  /// instruction, preserving exact cycle and stat results.
+  /// Exactly equivalent to n instr() calls: per L1I line, one fetch, then
+  /// the rest of the line as one latched batch (fetch by fetch while the
+  /// latch cannot serve the line: a declined fill, or a TTL line that dies
+  /// at the next tick).
   void instr_block(Addr pc, unsigned n) {
-    const Addr line_mask = hierarchy_.l1i().geometry().line_bytes() - 1;
+    const Addr line_mask = (Addr{1} << fetch_shift_) - 1;
     while (n > 0) {
-      const Addr first = pc;
-      instr(pc);
-      pc += 4;
-      --n;
-      const Addr in_line = (line_mask - (first & line_mask)) >> 2;
-      const unsigned k =
-          n < in_line ? n : static_cast<unsigned>(in_line);
-      if (k == 0) continue;
-      if (hierarchy_.repeat_instr_hits(proc_, first, k)) [[likely]] {
-        stats_.instructions += k;
-        now_ += k;  // k issue cycles, zero stall beyond the L1I hit
-        pc += 4 * static_cast<Addr>(k);
-        n -= k;
-      } else {
-        for (unsigned i = 0; i < k; ++i, pc += 4) instr(pc);
-        n -= k;
-      }
+      const unsigned in_line =
+          1 + static_cast<unsigned>((line_mask - (pc & line_mask)) >> 2);
+      const unsigned k = n < in_line ? n : in_line;
+      fetch(pc, k);
+      pc += 4 * static_cast<Addr>(k);
+      n -= k;
     }
   }
 
@@ -129,16 +95,14 @@ class Machine {
   void load(Addr pc, Addr ea) {
     instr(pc);
     ++stats_.loads;
-    const HierarchyResult d = hierarchy_.access(Port::kData, proc_, ea, false);
-    now_ += d.latency - latency().l1_hit;
+    data_access(ea, false);
   }
 
   /// Store instruction at `pc` writing `ea`.
   void store(Addr pc, Addr ea) {
     instr(pc);
     ++stats_.stores;
-    const HierarchyResult d = hierarchy_.access(Port::kData, proc_, ea, true);
-    now_ += d.latency - latency().l1_hit;
+    data_access(ea, true);
   }
 
   /// Per-line flush instruction at `pc` targeting `ea` (TSISA `flush rs`):
@@ -148,9 +112,7 @@ class Machine {
   /// - the Flush+Flush timing channel.
   void flush_line(Addr pc, Addr ea) {
     instr(pc);
-    ++stats_.line_flushes;
-    const Hierarchy::FlushResult r = hierarchy_.flush_line(proc_, ea);
-    now_ += r.latency;
+    line_flush(ea);
   }
 
   /// Branch instruction at `pc`; taken branches pay the resolve bubble.
@@ -163,10 +125,16 @@ class Machine {
     }
   }
 
-  /// Replay a batch of pre-decoded operations under the current process.
-  /// Exactly equivalent to issuing each record through instr/load/store/
-  /// branch, in order.
-  void run(std::span<const AccessRecord> batch);
+  /// Issue a recorded stream under the current process: exactly equivalent
+  /// to the instr/load/store/branch/flush_line calls it was written with,
+  /// in order.  Each run's repeat fetches go through the latch as one
+  /// batch ahead of the run's later data references - they commute, since
+  /// a latched hit touches only the L1I and draws no random number - and
+  /// fetch by fetch, in exact order, when the run's first fetch left the
+  /// line non-resident (the latch is not armed).  Throws
+  /// std::invalid_argument when the trace was cut for another L1I line
+  /// size.
+  void replay(const FetchTrace& trace);
 
   /// Pipeline drain (seed change / context switch / barrier).
   void drain();
@@ -199,11 +167,96 @@ class Machine {
   void reset_stats();
 
  private:
+  /// One latch slot: the last fetched L1I line of this slot and where it
+  /// sits; `line == kNoLine` when disarmed, `way == kUnresolved` until its
+  /// first use.  Valid while the L1I's epoch equals `epoch`.
+  struct FetchLatch {
+    static constexpr Addr kNoLine = ~Addr{0};
+    static constexpr std::uint32_t kUnresolved = ~std::uint32_t{0};
+    Addr line = kNoLine;
+    ProcId proc{};
+    std::uint32_t set = 0;
+    std::uint32_t way = 0;
+    std::uint64_t epoch = 0;
+  };
+
+  /// Serve up to `count` fetches of L1I line `line` from its latch slot;
+  /// returns how many were served (0 when the slot does not hold the line).
+  std::uint64_t latched_fetches(Addr line, std::uint64_t count) {
+    cache::Cache& l1i = hierarchy_.l1i();
+    FetchLatch& latch = latches_[line % kLatchSlots];
+    if (line != latch.line || proc_ != latch.proc ||
+        l1i.epoch() != latch.epoch) {
+      return 0;
+    }
+    if (latch.way == FetchLatch::kUnresolved) [[unlikely]] {
+      // First use since arming: the epoch has not moved, so the line is
+      // where the arming fetch left it - or nowhere, when the cache
+      // declined the fill (RPCache contention, random fill).
+      const auto way = l1i.resident_way(latch.set, line << fetch_shift_);
+      if (!way) {
+        latch.line = FetchLatch::kNoLine;
+        return 0;
+      }
+      latch.way = *way;
+    }
+    const std::uint64_t served =
+        l1i.latched_hits(latch.set, latch.way, count);
+    stats_.instructions += served;
+    now_ += served * latched_fetch_cycles_;
+    return served;
+  }
+
+  /// One fetch through the hierarchy, then arm the line's latch slot (its
+  /// way is looked up at the slot's first use: most slots of scattered
+  /// code are overwritten unused).
+  void fetch_full(Addr pc) {
+    ++stats_.instructions;
+    const HierarchyResult f =
+        hierarchy_.access(Port::kInstruction, proc_, pc, false);
+    // 1 issue cycle; fetch latency beyond an L1 hit stalls the front-end.
+    now_ += 1 + (f.latency - latency().l1_hit);
+    const Addr line = pc >> fetch_shift_;
+    latches_[line % kLatchSlots] =
+        FetchLatch{line, proc_, f.l1_set, FetchLatch::kUnresolved,
+                   hierarchy_.l1i().epoch()};
+  }
+
+  /// `count` fetches from the L1I line holding `pc`.
+  void fetch(Addr pc, std::uint64_t count) {
+    while (count > 0) {
+      std::uint64_t served = latched_fetches(pc >> fetch_shift_, count);
+      if (served == 0) {
+        fetch_full(pc);
+        served = 1;
+      }
+      count -= served;
+    }
+  }
+
+  /// The data half of a load (write=false) or store.
+  void data_access(Addr ea, bool write) {
+    const HierarchyResult d = hierarchy_.access(Port::kData, proc_, ea, write);
+    now_ += d.latency - latency().l1_hit;
+  }
+
+  /// The flush half of flush_line.
+  void line_flush(Addr ea) {
+    ++stats_.line_flushes;
+    now_ += hierarchy_.flush_line(proc_, ea).latency;
+  }
+
   Hierarchy hierarchy_;
   std::shared_ptr<rng::Rng> rng_;  ///< shared with the caches; reset() reseeds
   ProcId proc_{1};
   Cycles now_ = 0;
   MachineStats stats_;
+  /// Four slots cover the kernels' loop bodies (one to three lines); one
+  /// slot would refetch through the hierarchy on every line change.
+  static constexpr std::size_t kLatchSlots = 4;
+  std::array<FetchLatch, kLatchSlots> latches_{};
+  unsigned fetch_shift_ = 0;        ///< L1I line offset bits
+  Cycles latched_fetch_cycles_ = 1;  ///< issue + quantized L1I hit stall
 };
 
 /// The paper's platform (section 6.1.2) parameterized by cache design:

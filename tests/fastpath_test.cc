@@ -311,9 +311,9 @@ TEST(PartitionSecureContention, GenericWayCountPathBehavesIdentically) {
   EXPECT_EQ(c->stats().contention_evictions, 1u);
 }
 
-// --- batched replay (tentpole: Machine::run) ------------------------------
+// --- trace replay (Machine::replay of a FetchTrace) -----------------------
 
-TEST(BatchedReplay, RunMatchesFineGrainedCalls) {
+TEST(BatchedReplay, ReplayMatchesFineGrainedCalls) {
   const auto config = sim::arm920t_config(MapperKind::kRandomModulo,
                                           MapperKind::kHashRp,
                                           ReplacementKind::kRandom);
@@ -324,37 +324,45 @@ TEST(BatchedReplay, RunMatchesFineGrainedCalls) {
   fine.set_process(kP1);
   batched.set_process(kP1);
 
-  std::vector<sim::AccessRecord> batch;
+  // Random pcs change line on almost every fetch; every fourth instruction
+  // repeats the previous pc's line so runs of several fetches occur too.
+  sim::FetchTrace trace;
   rng::SplitMix64 r(21);
+  Addr pc = 0x1000;
   for (int i = 0; i < 4000; ++i) {
-    const Addr pc = 0x1000 + (r.next_u64() & 0xFFF0);
+    pc = i % 4 == 3 ? pc + 4 : 0x1000 + (r.next_u64() & 0xFFF0);
     const Addr ea = 0x80000 + (r.next_u64() & 0x3FFF0);
-    switch (i % 4) {
+    switch (i % 5) {
       case 0:
         fine.instr(pc);
-        batch.push_back(sim::AccessRecord::make_instr(pc));
+        trace.instr(pc);
         break;
       case 1:
         fine.load(pc, ea);
-        batch.push_back(sim::AccessRecord::make_load(pc, ea));
+        trace.load(pc, ea);
         break;
       case 2:
         fine.store(pc, ea);
-        batch.push_back(sim::AccessRecord::make_store(pc, ea));
+        trace.store(pc, ea);
+        break;
+      case 3:
+        fine.branch(pc, (i & 8) != 0);
+        trace.branch(pc, (i & 8) != 0);
         break;
       default:
-        fine.branch(pc, (i & 8) != 0);
-        batch.push_back(sim::AccessRecord::make_branch(pc, (i & 8) != 0));
+        fine.flush_line(pc, ea);
+        trace.flush_line(pc, ea);
         break;
     }
   }
-  batched.run(batch);
+  batched.replay(trace);
 
   EXPECT_EQ(batched.now(), fine.now());
   EXPECT_EQ(batched.stats().instructions, fine.stats().instructions);
   EXPECT_EQ(batched.stats().loads, fine.stats().loads);
   EXPECT_EQ(batched.stats().stores, fine.stats().stores);
   EXPECT_EQ(batched.stats().taken_branches, fine.stats().taken_branches);
+  EXPECT_EQ(batched.stats().line_flushes, fine.stats().line_flushes);
   EXPECT_EQ(batched.hierarchy().l1d().stats().hits,
             fine.hierarchy().l1d().stats().hits);
   EXPECT_EQ(batched.hierarchy().l1i().stats().misses,

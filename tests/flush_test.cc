@@ -124,8 +124,8 @@ TEST(FlushCaches, EmptyFlushHasNonzeroBaseCostDistinctFromPopulated) {
 
 TEST(FlushLine, InstrBlockRepeatHitPathStaysExactAcrossFlushInvalidation) {
   // A flush that invalidates the resident code line between two
-  // instr_block calls: the block's repeat-hit fast path (L1I
-  // try_repeat_hit) must not shield the refetch.  Replay the same
+  // instr_block calls: the fetch latch (armed on that line) must not
+  // shield the refetch - the flush moves the L1I epoch.  Replay the same
   // sequence via instr_block and via per-instruction calls on identically
   // seeded twins; cycles and stats must agree exactly.
   Machine batched = modulo_machine();

@@ -6,9 +6,10 @@
 //  * MachinePool reuse-vs-fresh equality on seeded layouts, for policy
 //    machines (all policies x partitioning), and for one slot leased in
 //    turn under every seed policy (TSCache, MBPTACache, a matrix cell).
-//  * Machine::instr_block's same-line batching must yield exactly the
-//    cycles and stats of per-instruction calls, on hit-friendly and
-//    allocation-refusing (random-fill) configurations alike.
+//  * Machine::instr_block's same-line batching through the fetch latch
+//    must yield exactly the cycles and stats of per-instruction calls, on
+//    hit-friendly, allocation-refusing (random fill, RPCache contention),
+//    TTL (Clepsydra) and quantized-latency (TimeCache) configurations.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -48,6 +49,8 @@ void expect_same_machine_state(sim::Machine& a, sim::Machine& b) {
         << "level " << level;
     EXPECT_EQ(ca.stats().contention_evictions,
               cb.stats().contention_evictions)
+        << "level " << level;
+    EXPECT_EQ(ca.stats().ttl_expirations, cb.stats().ttl_expirations)
         << "level " << level;
   }
 }
@@ -202,19 +205,21 @@ void expect_instr_block_exact(sim::HierarchyConfig cfg, std::uint64_t seed) {
     unsigned n;
   } blocks[] = {{0x2000, 64}, {0x2104, 7}, {0x2204, 1},  {0x221C, 3},
                 {0x3000, 8},  {0x3010, 29}, {0x2000, 64}, {0x5FFC, 2}};
-  for (const auto& block : blocks) {
-    batched.instr_block(block.pc, block.n);
-    for (unsigned i = 0; i < block.n; ++i) serial.instr(block.pc + 4 * i);
-    batched.load(0x100, 0x8000 + block.pc % 4096);
-    serial.load(0x100, 0x8000 + block.pc % 4096);
+  for (int round = 0; round < 4; ++round) {
+    for (const auto& block : blocks) {
+      batched.instr_block(block.pc, block.n);
+      for (unsigned i = 0; i < block.n; ++i) serial.instr(block.pc + 4 * i);
+      batched.load(0x100, 0x8000 + block.pc % 4096);
+      serial.load(0x100, 0x8000 + block.pc % 4096);
+    }
   }
   expect_same_machine_state(batched, serial);
 }
 
 TEST(InstrBlock, BatchedAccountingMatchesPerInstructionCalls) {
   // LRU (touch must stay idempotent), random replacement, and a random-fill
-  // L1I whose misses do NOT leave the line resident (the batch must detect
-  // that and fall back).
+  // L1I whose misses do NOT leave the line resident (the latch must not
+  // serve the line and the block falls back to single fetches).
   expect_instr_block_exact(small_config(), 3);
 
   sim::HierarchyConfig random_repl = small_config();
@@ -229,20 +234,71 @@ TEST(InstrBlock, BatchedAccountingMatchesPerInstructionCalls) {
   expect_instr_block_exact(random_fill, 17);
 }
 
-TEST(InstrBlock, RepeatHitLeavesStatsUntouchedWhenNotResident) {
-  sim::Machine m(small_config(), std::make_shared<rng::XorShift64Star>(1));
-  m.set_process(ProcId{1});
-  const cache::CacheStats before = m.hierarchy().l1i().stats();
-  EXPECT_FALSE(m.hierarchy().repeat_instr_hits(ProcId{1}, 0x7000, 5));
-  const cache::CacheStats after = m.hierarchy().l1i().stats();
-  EXPECT_EQ(before.accesses, after.accesses);
-  EXPECT_EQ(before.hits, after.hits);
-  // Once fetched, the batch path accounts exactly `count` hits.
+TEST(InstrBlock, TtlAndQuantizedCellsBatchExactly) {
+  // ClepsydraCache: every latched hit ticks the L1I clock, reclaims the
+  // set's dead lines and refreshes the line.  Lifetimes from 1 (a line
+  // that cannot outlive a second tick) up to a few block lengths.
+  sim::HierarchyConfig clepsydra = small_config();
+  clepsydra.l1i.mapper = cache::MapperKind::kHashRp;
+  clepsydra.l1i.replacement = cache::ReplacementKind::kRandom;
+  clepsydra.l1i.config.ttl_min = 1;
+  clepsydra.l1i.config.ttl_max = 40;
+  clepsydra.l1d.config.ttl_min = 1;
+  clepsydra.l1d.config.ttl_max = 40;
+  expect_instr_block_exact(clepsydra, 23);
+
+  // TimeCache: a latched fetch costs the quantized L1 hit, not 1 cycle.
+  sim::HierarchyConfig timecache = small_config();
+  timecache.latency.quantum = 70;
+  expect_instr_block_exact(timecache, 29);
+  sim::Machine m(timecache, std::make_shared<rng::XorShift64Star>(1));
   m.instr(0x7000);
-  EXPECT_TRUE(m.hierarchy().repeat_instr_hits(ProcId{1}, 0x7000, 5));
-  const cache::CacheStats hit = m.hierarchy().l1i().stats();
-  EXPECT_EQ(hit.accesses, after.accesses + 6);  // 1 fetch + 5 batched
-  EXPECT_EQ(hit.hits, after.hits + 5);
+  const Cycles before = m.now();
+  m.instr_block(0x7004, 5);
+  EXPECT_EQ(m.now() - before, 5 * (1 + 70 - m.latency().l1_hit));
+}
+
+TEST(InstrBlock, LatchStaysDisarmedWhenTheFetchIsDeclined) {
+  // RPCache L1I: fill the set of proc 1's code line with proc 2's lines,
+  // so proc 1's fetch meets a foreign victim and the secure contention
+  // rule declines to allocate.  Nothing is resident, so the latch must not
+  // arm: the second fetch of the line is a real access (and misses again).
+  sim::HierarchyConfig cfg = small_config();
+  cfg.l1i.mapper = cache::MapperKind::kRpCache;
+  sim::Machine m(cfg, std::make_shared<rng::XorShift64Star>(1));
+  sim::Machine twin(cfg, std::make_shared<rng::XorShift64Star>(1));
+  const ProcId p1{1};
+  const ProcId p2{2};
+  const Addr code = 0x7000;
+  cache::Cache& l1i = m.hierarchy().l1i();
+  const std::uint32_t set = l1i.mapper().map(code >> 5, p1);
+  std::vector<Addr> foreign;
+  for (Addr line = 0x100; foreign.size() < 2; ++line) {
+    if (l1i.mapper().map(line, p2) == set) foreign.push_back(line << 5);
+  }
+  for (sim::Machine* machine : {&m, &twin}) {
+    machine->set_process(p2);
+    for (const Addr pc : foreign) machine->instr(pc);
+    machine->set_process(p1);
+  }
+
+  const cache::CacheStats before = l1i.stats();
+  m.instr_block(code, 8);
+  for (unsigned i = 0; i < 8; ++i) twin.instr(code + 4 * i);
+  const cache::CacheStats after = l1i.stats();
+  EXPECT_GE(after.contention_evictions, before.contention_evictions + 1);
+  EXPECT_EQ(after.accesses, before.accesses + 8);
+  EXPECT_GE(after.misses, before.misses + 2);  // the latch did not serve #2
+  expect_same_machine_state(m, twin);
+
+  // Once the line is resident, the block accounts exactly its hits.
+  sim::Machine plain(small_config(), std::make_shared<rng::XorShift64Star>(1));
+  plain.instr(0x7000);
+  const cache::CacheStats first = plain.hierarchy().l1i().stats();
+  plain.instr_block(0x7004, 5);
+  const cache::CacheStats rest = plain.hierarchy().l1i().stats();
+  EXPECT_EQ(rest.accesses, first.accesses + 5);
+  EXPECT_EQ(rest.hits, first.hits + 5);
 }
 
 }  // namespace
