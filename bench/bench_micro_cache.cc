@@ -180,11 +180,13 @@ void BM_MachineReset(benchmark::State& state, core::PlacementPolicy policy) {
 BENCHMARK_CAPTURE(BM_MachineReset, rm, core::PlacementPolicy::kRandomModulo);
 BENCHMARK_CAPTURE(BM_MachineReset, rpcache, core::PlacementPolicy::kRpCache);
 
-// The pWCET matrix's per-run protocol on the replay path: the 24x24 matmul
-// kernel's warm and timed passes, recorded once, replayed on a freshly
-// leased cell machine (the MachinePool re-deployment included).  One
-// instance per cell family: the two latch-hostile designs (Clepsydra's TTL
-// clock, TimeCache's quantized hits) next to the plain ones.
+// The pWCET matrix's per-run protocol on the replay path: a suite kernel's
+// warm and timed passes, recorded once, replayed on a freshly leased cell
+// machine (the MachinePool re-deployment included).  One instance per cell
+// family: the two latch-hostile designs (Clepsydra's TTL clock, TimeCache's
+// quantized hits) next to the plain ones.  The plain names replay the 24x24
+// matmul kernel; the /sort ones the 256-word bubble sort, the suite kernel
+// with the most runs (a three-line loop body, one data line per compare).
 const isa::KernelPasses& matmul_passes() {
   static const isa::KernelPasses passes = isa::record_passes(
       isa::assemble(isa::matmul_source(0x40000, 0x50000, 0x60000, 24),
@@ -193,8 +195,15 @@ const isa::KernelPasses& matmul_passes() {
   return passes;
 }
 
-void BM_PwcetRun(benchmark::State& state, core::PlacementPolicy policy) {
-  const isa::KernelPasses& passes = matmul_passes();
+const isa::KernelPasses& sort_passes() {
+  static const isa::KernelPasses passes = isa::record_passes(
+      isa::assemble(isa::bubble_sort_source(0x40000, 256), 0x1000), 0x1000);
+  return passes;
+}
+
+void BM_PwcetRun(benchmark::State& state, core::PlacementPolicy policy,
+                 const isa::KernelPasses& (*kernel)()) {
+  const isa::KernelPasses& passes = kernel();
   std::uint64_t seed = 1;
   for (auto _ : state) {
     sim::Machine& machine =
@@ -208,12 +217,26 @@ void BM_PwcetRun(benchmark::State& state, core::PlacementPolicy policy) {
       static_cast<std::int64_t>(passes.warm.instructions() +
                                 passes.timed.instructions()));
 }
-BENCHMARK_CAPTURE(BM_PwcetRun, modulo, core::PlacementPolicy::kModulo);
-BENCHMARK_CAPTURE(BM_PwcetRun, hashrp, core::PlacementPolicy::kHashRp);
+BENCHMARK_CAPTURE(BM_PwcetRun, modulo, core::PlacementPolicy::kModulo,
+                  matmul_passes);
+BENCHMARK_CAPTURE(BM_PwcetRun, hashrp, core::PlacementPolicy::kHashRp,
+                  matmul_passes);
 BENCHMARK_CAPTURE(BM_PwcetRun, random_modulo,
-                  core::PlacementPolicy::kRandomModulo);
-BENCHMARK_CAPTURE(BM_PwcetRun, clepsydra, core::PlacementPolicy::kClepsydra);
-BENCHMARK_CAPTURE(BM_PwcetRun, timecache, core::PlacementPolicy::kTimeCache);
+                  core::PlacementPolicy::kRandomModulo, matmul_passes);
+BENCHMARK_CAPTURE(BM_PwcetRun, clepsydra, core::PlacementPolicy::kClepsydra,
+                  matmul_passes);
+BENCHMARK_CAPTURE(BM_PwcetRun, timecache, core::PlacementPolicy::kTimeCache,
+                  matmul_passes);
+BENCHMARK_CAPTURE(BM_PwcetRun, modulo/sort, core::PlacementPolicy::kModulo,
+                  sort_passes);
+BENCHMARK_CAPTURE(BM_PwcetRun, hashrp/sort, core::PlacementPolicy::kHashRp,
+                  sort_passes);
+BENCHMARK_CAPTURE(BM_PwcetRun, random_modulo/sort,
+                  core::PlacementPolicy::kRandomModulo, sort_passes);
+BENCHMARK_CAPTURE(BM_PwcetRun, clepsydra/sort,
+                  core::PlacementPolicy::kClepsydra, sort_passes);
+BENCHMARK_CAPTURE(BM_PwcetRun, timecache/sort,
+                  core::PlacementPolicy::kTimeCache, sort_passes);
 
 // Recording a kernel's two passes (what every pWCET stage pays once per
 // kernel before fanning out): two interpreted runs plus trace compaction.

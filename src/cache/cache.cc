@@ -13,24 +13,10 @@
 namespace tsc::cache {
 namespace {
 
-/// Specialized replacement dispatch: identical to repl_touch/repl_fill/
-/// repl_victim (replacement_ops.h) but with the policy kind and, when
-/// WAYS > 0, the way count known at compile time, so the kernels inline and
-/// their loops unroll.
-template <ReplacementKind RK, int WAYS>
-inline void touch_spec(const ReplacementFast& f, std::uint32_t set,
-                       std::uint32_t way) {
-  const std::uint32_t ways = WAYS > 0 ? WAYS : f.ways;
-  if constexpr (RK == ReplacementKind::kLru) {
-    repl_ops::lru_touch(f.meta8 + std::size_t{set} * ways, ways, way);
-  } else if constexpr (RK == ReplacementKind::kPlru) {
-    repl_ops::plru_touch(f.meta8 + std::size_t{set} * (ways - 1), ways, way);
-  } else if constexpr (RK == ReplacementKind::kNmru) {
-    f.meta32[set] = way;
-  }
-  // kFifo / kRandom: hits do not reorder.
-}
-
+/// Specialized replacement dispatch: the fill and victim choice of each
+/// policy with the policy kind and, when WAYS > 0, the way count known at
+/// compile time, so the kernels inline and their loops unroll (the touch is
+/// repl_touch, shared with Cache::latched_hits).
 template <ReplacementKind RK, int WAYS>
 inline void fill_spec(const ReplacementFast& f, std::uint32_t set,
                       std::uint32_t way) {
@@ -40,7 +26,7 @@ inline void fill_spec(const ReplacementFast& f, std::uint32_t set,
   } else if constexpr (RK == ReplacementKind::kRandom) {
     // no metadata
   } else {
-    touch_spec<RK, WAYS>(f, set, way);
+    repl_touch<RK, WAYS>(f, set, way);
   }
 }
 
@@ -273,7 +259,7 @@ AccessResult Cache::access_impl(Cache& self, ProcId proc, Addr addr,
     if (eq_mask != 0) {
       const auto w = static_cast<std::uint32_t>(std::countr_zero(eq_mask));
       ++self.stats_.hits;
-      touch_spec<RK, WAYS>(self.repl_, set, w);
+      repl_touch<RK, WAYS>(self.repl_, set, w);
       if (write && self.config_.write_back) self.dirty_[base + w] = 1;
       if (self.ttl_enabled_) [[unlikely]] self.ttl_refresh(base + w);
       return AccessResult{true, false, true, false, set, 0};
@@ -370,7 +356,7 @@ AccessResult Cache::access_impl(Cache& self, ProcId proc, Addr addr,
       if (tv[w] == probe) {
         ++self.stats_.hits;
         result.hit = true;
-        touch_spec<RK, WAYS>(self.repl_, set, w);
+        repl_touch<RK, WAYS>(self.repl_, set, w);
         if (write && self.config_.write_back) self.dirty_[base + w] = 1;
         if (self.ttl_enabled_) [[unlikely]] self.ttl_refresh(base + w);
         return result;

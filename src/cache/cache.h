@@ -181,26 +181,31 @@ class Cache {
     return std::nullopt;
   }
 
-  /// Up to `count` back-to-back read hits of the line resident in
-  /// (`set`, `way`), accounted exactly as that many access() calls would
-  /// account them: accesses and hits counted, the replacement touch of the
-  /// way redone (LRU/PLRU/NMRU touches of one way are idempotent, so one
-  /// touch stands for all; FIFO and random ignore hits).  On a TTL cache
-  /// each hit ticks the expiry clock, reclaims the set's dead lines and
-  /// refreshes the line, as access() does.  Returns how many hits were
-  /// served: `count`, or 0 on a TTL cache whose very next probe would
-  /// reclaim the line (nothing changes; the caller takes access()).
-  /// Precondition: epoch() has not changed since resident_way() returned
-  /// `way` for this set.
+  /// Up to `count` back-to-back hits of the line resident in (`set`,
+  /// `way`), reads or (`write`) writes, accounted exactly as that many
+  /// access() calls would account them: accesses and hits counted, the
+  /// replacement touch of the way redone (repl_touch: LRU/PLRU/NMRU touches
+  /// of one way are idempotent, so one touch stands for all; FIFO and
+  /// random ignore hits), the line marked dirty by a write under
+  /// write-back.  On a TTL cache each hit ticks the expiry clock, reclaims
+  /// the set's dead lines and refreshes the line, as access() does.
+  /// Returns how many hits were served: `count`, or 0 on a TTL cache whose
+  /// very next probe would reclaim the line (nothing changes; the caller
+  /// takes access()).  Precondition: epoch() has not changed since
+  /// resident_way() returned `way` for this set.
   std::uint64_t latched_hits(std::uint32_t set, std::uint32_t way,
-                             std::uint64_t count) {
+                             std::uint64_t count, bool write) {
     if (ttl_enabled_) [[unlikely]] {
       count = ttl_latched_ticks(set, way, count);
       if (count == 0) return 0;
     }
     stats_.accesses += count;
     stats_.hits += count;
-    touch(set, way);
+    repl_touch(repl_, set, way);
+    if (write && config_.write_back) {
+      dirty_[static_cast<std::size_t>(set) * config_.geometry.ways() + way] =
+          1;
+    }
     return count;
   }
 
@@ -277,26 +282,6 @@ class Cache {
                                       Addr line) const;
 
   void evict(std::uint32_t set, std::uint32_t way, AccessResult& result);
-
-  /// The replacement touch of a read hit on (set, way), dispatched on the
-  /// policy kind at run time (the access path's touch, minus the templates).
-  void touch(std::uint32_t set, std::uint32_t way) {
-    const std::size_t row = std::size_t{set} * repl_.stride8;
-    switch (repl_.kind) {
-      case ReplacementKind::kLru:
-        repl_ops::lru_touch(repl_.meta8 + row, repl_.ways, way);
-        break;
-      case ReplacementKind::kPlru:
-        repl_ops::plru_touch(repl_.meta8 + row, repl_.ways, way);
-        break;
-      case ReplacementKind::kNmru:
-        repl_.meta32[set] = way;
-        break;
-      case ReplacementKind::kFifo:
-      case ReplacementKind::kRandom:
-        break;  // hits do not reorder
-    }
-  }
 
   /// Is `line` already present in `set`?  (Pure array scan, no stats.)
   [[nodiscard]] bool contains_line(Addr line, std::uint32_t set) const;

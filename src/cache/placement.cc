@@ -1,7 +1,8 @@
 #include "cache/placement.h"
 
+#include <sys/mman.h>
+
 #include <cassert>
-#include <cstdlib>
 #include <new>
 
 #include "cache/benes.h"
@@ -78,10 +79,16 @@ RandomModuloPlacement::RandomModuloPlacement(const Geometry& g)
     memo_.resize(8192);
   } else if (k_ > 0) {
     lut_stride_ = kLutHeader + (1u << k_);
-    lut_memo_.reset(static_cast<std::uint8_t*>(
-        std::calloc(std::size_t{8192} * lut_stride_, 1)));
-    if (lut_memo_ == nullptr) throw std::bad_alloc();
+    const std::size_t bytes = std::size_t{8192} * lut_stride_;
+    void* memo = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                      MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (memo == MAP_FAILED) throw std::bad_alloc();
+    lut_memo_ = {static_cast<std::uint8_t*>(memo), MemoUnmapper{bytes}};
   }
+}
+
+void MemoUnmapper::operator()(std::uint8_t* p) const {
+  munmap(p, bytes);
 }
 
 void RandomModuloPlacement::rebuild_slot(Memo& slot,

@@ -31,7 +31,6 @@
 #pragma once
 
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -157,6 +156,12 @@ struct MemoStats {
   }
 };
 
+/// Releases a memo table mapped by RandomModuloPlacement.
+struct MemoUnmapper {
+  std::size_t bytes = 0;
+  void operator()(std::uint8_t* p) const;
+};
+
 /// Random Modulo placement [15][24] (paper Fig. 2b).
 ///
 /// Hardware evaluates the Benes network combinationally in the cache access
@@ -259,13 +264,12 @@ class RandomModuloPlacement final : public Placement {
   // Exactly one of the two memo tables is populated (by k_); both are
   // direct-mapped and single-threaded by design (one Machine per worker).
   mutable std::vector<Memo> memo_;
-  /// Packed LutSlots, calloc'd: zero pages straight from the OS are not
-  /// touched (nor faulted in) until a slot is used, so building a machine
-  /// does not pay for a 1.2 MB memset per L1.
-  struct FreeDeleter {
-    void operator()(std::uint8_t* p) const { std::free(p); }
-  };
-  mutable std::unique_ptr<std::uint8_t[], FreeDeleter> lut_memo_;
+  /// Packed LutSlots in an anonymous mapping of their own: its zero pages
+  /// are not touched (nor faulted in) until a slot is used, so building a
+  /// machine does not pay for a 1.1 MB memset per L1.  (calloc gives that
+  /// only while glibc serves the size by mmap, which its dynamic mmap
+  /// threshold stops doing once a block that large has been freed.)
+  mutable std::unique_ptr<std::uint8_t[], MemoUnmapper> lut_memo_;
   std::uint32_t lut_stride_ = 0;                ///< 8 + 2^k bytes per slot
   mutable MemoStats memo_stats_;
 };

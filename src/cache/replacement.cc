@@ -37,7 +37,6 @@ class Lru final : public Replacement {
     f.kind = ReplacementKind::kLru;
     f.meta8 = rank_.data();
     f.ways = ways_;
-    f.stride8 = ways_;
     return f;
   }
 
@@ -131,7 +130,6 @@ class Plru final : public Replacement {
     f.kind = ReplacementKind::kPlru;
     f.meta8 = tree_.data();
     f.ways = ways_;
-    f.stride8 = ways_ - 1;
     return f;
   }
   [[nodiscard]] std::string name() const override { return "plru"; }

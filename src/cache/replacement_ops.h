@@ -10,6 +10,7 @@
 // virtual call per touch/victim.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 #include "rng/rng.h"
@@ -33,7 +34,6 @@ struct ReplacementFast {
   /// fast path.  Same generator object, same sequence.
   rng::XorShift64Star* xorshift = nullptr;
   std::uint32_t ways = 0;
-  std::uint32_t stride8 = 0;        ///< meta8 entries per set
 };
 
 /// Draw next_below(bound) from the policy's generator, devirtualized when
@@ -116,5 +116,45 @@ inline void plru_touch(std::uint8_t* tree, std::uint32_t ways,
 }
 
 }  // namespace repl_ops
+
+/// The replacement touch of a hit on (set, way): the one definition of
+/// what a hit does to each policy's metadata.  With the policy kind and,
+/// when WAYS > 0, the way count known at compile time (the specialized
+/// access path), the kernels inline and their loops unroll.
+template <ReplacementKind RK, int WAYS>
+inline void repl_touch(const ReplacementFast& f, std::uint32_t set,
+                       std::uint32_t way) {
+  const std::uint32_t ways = WAYS > 0 ? WAYS : f.ways;
+  if constexpr (RK == ReplacementKind::kLru) {
+    repl_ops::lru_touch(f.meta8 + std::size_t{set} * ways, ways, way);
+  } else if constexpr (RK == ReplacementKind::kPlru) {
+    repl_ops::plru_touch(f.meta8 + std::size_t{set} * (ways - 1), ways, way);
+  } else if constexpr (RK == ReplacementKind::kNmru) {
+    f.meta32[set] = way;
+  }
+  // kFifo / kRandom: hits do not reorder.
+}
+
+/// The same touch with the policy kind dispatched at run time (the latch's
+/// hits).  The way count stays a run-time value: unrolling the 4-way
+/// kernels here too bloats every inlined fetch-latch hit and slows the
+/// interpreter's fetch loop by about a sixth.
+inline void repl_touch(const ReplacementFast& f, std::uint32_t set,
+                       std::uint32_t way) {
+  switch (f.kind) {
+    case ReplacementKind::kLru:
+      repl_touch<ReplacementKind::kLru, 0>(f, set, way);
+      break;
+    case ReplacementKind::kPlru:
+      repl_touch<ReplacementKind::kPlru, 0>(f, set, way);
+      break;
+    case ReplacementKind::kNmru:
+      repl_touch<ReplacementKind::kNmru, 0>(f, set, way);
+      break;
+    case ReplacementKind::kFifo:
+    case ReplacementKind::kRandom:
+      break;
+  }
+}
 
 }  // namespace tsc::cache

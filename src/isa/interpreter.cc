@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <cassert>
 #include <memory>
+#include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "rng/rng.h"
 
@@ -167,16 +170,45 @@ class FetchRecorder final : public TraceSink {
 
 }  // namespace
 
-sim::FetchTrace Interpreter::record(Addr entry, std::uint64_t max_steps) {
+sim::FetchTrace Interpreter::record(Addr entry, std::uint64_t max_steps,
+                                   RunResult* result) {
   sim::FetchTrace trace(machine_.hierarchy().l1i().geometry().line_bytes());
   FetchRecorder recorder(*this, trace);
-  TraceSink* const previous = trace_sink_;
+  // Put the previous sink back on every exit: the trace throws on an
+  // address beyond 32 bits, and the recorder dies with this frame.
+  class SinkRestore {
+   public:
+    explicit SinkRestore(TraceSink*& sink) : sink_(sink), previous_(sink) {}
+    SinkRestore(const SinkRestore&) = delete;
+    SinkRestore& operator=(const SinkRestore&) = delete;
+    ~SinkRestore() { sink_ = previous_; }
+
+   private:
+    TraceSink*& sink_;
+    TraceSink* const previous_;
+  } restore(trace_sink_);
   trace_sink_ = &recorder;
-  (void)run_reference(entry, max_steps);
-  trace_sink_ = previous;
+  const RunResult run = run_reference(entry, max_steps);
+  if (result != nullptr) *result = run;
   trace.shrink_to_fit();
   return trace;
 }
+
+namespace {
+
+const char* stop_reason_name(StopReason reason) {
+  switch (reason) {
+    case StopReason::kHalt:
+      return "halt";
+    case StopReason::kStepLimit:
+      return "the step limit";
+    case StopReason::kBadInstruction:
+      return "a bad instruction";
+  }
+  return "?";
+}
+
+}  // namespace
 
 KernelPasses record_passes(const Program& program, Addr entry) {
   sim::Machine machine(
@@ -187,8 +219,17 @@ KernelPasses record_passes(const Program& program, Addr entry) {
   Interpreter interp(machine);
   interp.load_program(program);
   KernelPasses passes;
-  passes.warm = interp.record(entry);
-  passes.timed = interp.record(entry);
+  for (auto [name, trace] : {std::pair{"warm", &passes.warm},
+                             std::pair{"timed", &passes.timed}}) {
+    RunResult run;
+    *trace = interp.record(entry, kDefaultMaxSteps, &run);
+    if (run.reason != StopReason::kHalt) {
+      throw std::runtime_error(
+          std::string("record_passes: the ") + name + " pass stopped on " +
+          stop_reason_name(run.reason) + " after " +
+          std::to_string(run.steps) + " steps, before halt");
+    }
+  }
   return passes;
 }
 

@@ -121,6 +121,9 @@ class TraceSink {
 /// Why execution stopped.
 enum class StopReason { kHalt, kStepLimit, kBadInstruction };
 
+/// The step limit of a run when the caller names none.
+inline constexpr std::uint64_t kDefaultMaxSteps = 10'000'000;
+
 /// Result of a run.
 struct RunResult {
   StopReason reason = StopReason::kHalt;
@@ -149,12 +152,13 @@ class Interpreter {
 
   /// Run from `entry` until HALT, a bad instruction, or `max_steps`,
   /// fetching through the decode cache (bit-exact with run_reference).
-  RunResult run(Addr entry, std::uint64_t max_steps = 10'000'000);
+  RunResult run(Addr entry, std::uint64_t max_steps = kDefaultMaxSteps);
 
   /// Reference semantics: decode every instruction from memory, one fetch
   /// per step - the pre-overhaul execution path, kept as the equivalence
   /// oracle for the decode cache (tests) and for debugging.
-  RunResult run_reference(Addr entry, std::uint64_t max_steps = 10'000'000);
+  RunResult run_reference(Addr entry,
+                          std::uint64_t max_steps = kDefaultMaxSteps);
 
   /// run_reference() from `entry`, returning what the run asked of the
   /// machine as a FetchTrace cut for the machine's L1I line size (the
@@ -162,8 +166,13 @@ class Interpreter {
   /// its duration).  TSISA has no instruction that reads time or cache
   /// state, so the trace depends only on the program and the interpreter's
   /// registers and memory - Machine::replay of it on ANY platform with that
-  /// line size is exactly the run, cycles and statistics included.
-  sim::FetchTrace record(Addr entry, std::uint64_t max_steps = 10'000'000);
+  /// line size is exactly the run, cycles and statistics included.  The
+  /// run's result is stored to `*result` when given (a run cut short by the
+  /// step limit or a bad instruction records what executed).  The attached
+  /// sink is restored even when recording throws.
+  sim::FetchTrace record(Addr entry,
+                         std::uint64_t max_steps = kDefaultMaxSteps,
+                         RunResult* result = nullptr);
 
   /// Zero registers, data memory and the decode cache - a fresh interpreter
   /// over the same machine, with every allocation retained (pool reuse).
@@ -246,8 +255,10 @@ struct KernelPasses {
 };
 
 /// Record `program`'s two passes from `entry` once, on a private paper-
-/// platform machine (32-byte L1I lines, default step limit).  Platform-
-/// invariant: the result replays on every policy of the platform axis.
+/// platform machine (32-byte L1I lines).  Platform-invariant: the result
+/// replays on every policy of the platform axis.  Throws std::runtime_error,
+/// naming the pass and why it stopped, when a pass does not halt within
+/// kDefaultMaxSteps steps or meets a bad instruction.
 [[nodiscard]] KernelPasses record_passes(const Program& program, Addr entry);
 
 }  // namespace tsc::isa

@@ -1,5 +1,6 @@
 #include "sim/fetch_trace.h"
 
+#include <algorithm>
 #include <bit>
 #include <limits>
 #include <stdexcept>
@@ -25,19 +26,49 @@ FetchTrace::FetchTrace(std::uint32_t line_bytes) {
 
 void FetchTrace::fetch(Addr pc) {
   const std::uint32_t pc32 = narrow_address(pc);
+  const std::uint32_t line = pc32 >> line_shift_;
+  ++fetches_;
   if (open_) {
     Run& run = runs_.back();
-    if ((run.pc >> line_shift_) == (pc32 >> line_shift_) &&
+    if ((run.pc >> line_shift_) == line &&
         run.fetches < std::numeric_limits<std::uint16_t>::max() &&
         run.branches < std::numeric_limits<std::uint8_t>::max()) {
       ++run.fetches;
-      ++fetches_;
+      ++lines_.back().fetches;  // the open run's line was touched last
+      ++segments_.back().fetches;
       return;
     }
   }
+  start_run(pc32, line);
+}
+
+void FetchTrace::start_run(std::uint32_t pc32, std::uint32_t line) {
   runs_.push_back(Run{pc32, 1, 0, 0});
   open_ = true;
-  ++fetches_;
+  if (segment_open_ && segments_.back().runs < kSegmentRuns) {
+    Segment& seg = segments_.back();
+    const auto first = lines_.end() - seg.lines;
+    const auto owner =
+        std::find_if(first, lines_.end(), [line](const LineFetches& lf) {
+          return lf.line % kLatchSlots == line % kLatchSlots;
+        });
+    if (owner == lines_.end() || owner->line == line) {
+      if (owner == lines_.end()) {
+        lines_.push_back(LineFetches{line, 0});
+        ++seg.lines;
+      } else {
+        std::rotate(owner, owner + 1, lines_.end());  // last touch moves last
+      }
+      ++lines_.back().fetches;
+      ++seg.fetches;
+      ++seg.runs;
+      return;
+    }
+    // Another line owns the slot: both cannot stay latched, so cut here.
+  }
+  segments_.push_back(Segment{1, 0, 0, 1, 1});
+  lines_.push_back(LineFetches{line, 1});
+  segment_open_ = true;
 }
 
 void FetchTrace::data(Addr ea, Ref kind) {

@@ -14,6 +14,13 @@
 // counters' range; splitting a run is harmless, because replay serves every
 // fetch after the first through the machine's fetch latch either way.
 //
+// Runs are folded into segments as they are written: at most kSegmentRuns
+// consecutive runs over L1I lines that each own a latch slot (so at most
+// kLatchSlots lines), closed by a per-line flush.  A segment stores, per
+// line, its fetch count in last-touch order, and its summed fetch, branch
+// and taken-branch counts - what Machine::replay needs to serve a steady-
+// state loop's fetches in O(lines) when every line is already latched.
+//
 // Addresses are TSISA addresses: pcs and effective addresses must fit in 32
 // bits (the recorder and every hand-built trace in the repository do).
 #pragma once
@@ -27,6 +34,12 @@ namespace tsc::sim {
 
 class FetchTrace {
  public:
+  /// Fetch latch slots of the machines that replay a trace: L1I line `l`
+  /// is latched in slot `l % kLatchSlots`.
+  static constexpr std::uint32_t kLatchSlots = 8;
+  /// Runs per segment at most.
+  static constexpr std::uint32_t kSegmentRuns = 64;
+
   /// Runs fold the fetches of one `line_bytes` line: the L1I line size of
   /// the machines that will replay the trace (a power of two >= 4).
   explicit FetchTrace(std::uint32_t line_bytes = 32);
@@ -44,23 +57,32 @@ class FetchTrace {
   void branch(Addr pc, bool taken) {
     fetch(pc);
     ++runs_.back().branches;
-    if (taken) ++runs_.back().taken;
+    ++segments_.back().branches;
+    if (taken) {
+      ++runs_.back().taken;
+      ++segments_.back().taken;
+    }
   }
-  /// A flush also touches the L1I, so it ends its run.
+  /// A flush also touches the L1I, so it ends its run and its segment.
   void flush_line(Addr pc, Addr ea) {
     fetch(pc);
     data(ea, Ref::kFlush);
     open_ = false;
+    segment_open_ = false;
   }
 
   [[nodiscard]] std::uint32_t line_bytes() const { return 1u << line_shift_; }
   /// Instructions recorded (= fetches).
   [[nodiscard]] std::uint64_t instructions() const { return fetches_; }
+  /// Segments written so far.
+  [[nodiscard]] std::size_t segments() const { return segments_.size(); }
 
   /// Release spare capacity once recording is done.
   void shrink_to_fit() {
     runs_.shrink_to_fit();
     data_.shrink_to_fit();
+    segments_.shrink_to_fit();
+    lines_.shrink_to_fit();
   }
 
   friend bool operator==(const FetchTrace&, const FetchTrace&) = default;
@@ -85,15 +107,36 @@ class FetchTrace {
     std::uint32_t slot = 0;
     friend bool operator==(const DataRef&, const DataRef&) = default;
   };
+  /// One L1I line of a segment (line address, not pc) and its fetches.
+  struct LineFetches {
+    std::uint32_t line = 0;
+    std::uint32_t fetches = 0;
+    friend bool operator==(const LineFetches&, const LineFetches&) = default;
+  };
+  /// Consecutive runs whose lines own distinct latch slots; its `lines`
+  /// entries of lines_ follow the previous segment's, in last-touch order.
+  struct Segment {
+    std::uint32_t fetches = 0;  ///< <= kSegmentRuns * 65535
+    std::uint16_t branches = 0;  ///< <= kSegmentRuns * 255
+    std::uint16_t taken = 0;
+    std::uint8_t runs = 0;
+    std::uint8_t lines = 0;
+    friend bool operator==(const Segment&, const Segment&) = default;
+  };
 
   void fetch(Addr pc);
+  /// Open a run of `line` at `pc32`, in the open segment when it fits.
+  void start_run(std::uint32_t pc32, std::uint32_t line);
   void data(Addr ea, Ref kind);
 
   std::vector<Run> runs_;
   std::vector<DataRef> data_;
+  std::vector<Segment> segments_;
+  std::vector<LineFetches> lines_;
   std::uint64_t fetches_ = 0;
   unsigned line_shift_ = 5;
   bool open_ = false;  ///< the last run may take more fetches of its line
+  bool segment_open_ = false;  ///< the last segment may take more runs
 };
 
 }  // namespace tsc::sim

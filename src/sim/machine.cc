@@ -8,9 +8,13 @@ namespace tsc::sim {
 Machine::Machine(HierarchyConfig config, std::shared_ptr<rng::Rng> rng)
     : hierarchy_(std::move(config), rng), rng_(std::move(rng)) {
   fetch_shift_ = hierarchy_.l1i().geometry().offset_bits();
-  // A latched fetch is an L1I hit: what access() would charge for one.
+  data_shift_ = hierarchy_.l1d().geometry().offset_bits();
+  l1i_ttl_ = hierarchy_.l1i().config().ttl_max > 0;
+  // A latched fetch or data reference is an L1 hit: what access() would
+  // charge for one.
   const LatencyConfig& lat = latency();
-  latched_fetch_cycles_ = 1 + (lat.quantized(lat.l1_hit) - lat.l1_hit);
+  latched_data_cycles_ = lat.quantized(lat.l1_hit) - lat.l1_hit;
+  latched_fetch_cycles_ = 1 + latched_data_cycles_;
 }
 
 void Machine::reset(std::uint64_t rng_seed) {
@@ -19,7 +23,71 @@ void Machine::reset(std::uint64_t rng_seed) {
   proc_ = ProcId{1};
   now_ = 0;
   stats_ = MachineStats{};
-  latches_.fill(FetchLatch{});
+  latches_.fill(Latch{});
+  data_latch_ = Latch{};
+}
+
+const FetchTrace::DataRef* Machine::replay_refs(
+    const FetchTrace::DataRef* ref, const FetchTrace::DataRef* end,
+    std::uint64_t issued) {
+  constexpr auto kStore = static_cast<std::uint32_t>(FetchTrace::Ref::kStore);
+  constexpr auto kFlush = static_cast<std::uint32_t>(FetchTrace::Ref::kFlush);
+  cache::Cache& l1d = hierarchy_.l1d();
+  while (ref != end && (ref->slot >> 2) < issued) {
+    const std::uint32_t kind = ref->slot & 3;
+    if (kind == kFlush) {
+      line_flush(ref->ea);
+      ++ref;
+      continue;
+    }
+    const Addr line = ref->ea >> data_shift_;
+    if (latched(data_latch_, l1d, line, data_shift_)) {
+      // The loads and stores up to the next flush or other line all hit
+      // the latched line, with no other L1D access between them: serve
+      // them as one batch (a store among them leaves the line dirty).
+      const FetchTrace::DataRef* last = ref;
+      std::uint64_t stores = 0;
+      for (; last != end && (last->slot >> 2) < issued &&
+             (last->ea >> data_shift_) == line && (last->slot & 3) != kFlush;
+           ++last) {
+        stores += (last->slot & 3) == kStore ? 1 : 0;
+      }
+      const auto n = static_cast<std::uint64_t>(last - ref);
+      if (l1d.latched_hits(data_latch_.set, data_latch_.way, n,
+                           stores != 0) != 0) {
+        stats_.loads += n - stores;
+        stats_.stores += stores;
+        now_ += n * latched_data_cycles_;
+        ref = last;
+        continue;
+      }
+    }
+    // Through the hierarchy.  Arm the latch only on a line the next
+    // reference repeats: a stream that never repeats a line (the attack
+    // campaign's OS and noise traces) then pays one compare for it, and
+    // the armed line stays latched across hits on other lines.
+    const bool write = kind == kStore;
+    ++(write ? stats_.stores : stats_.loads);
+    const std::uint32_t set = data_access(ref->ea, write).l1_set;
+    ++ref;
+    if (ref != end && (ref->ea >> data_shift_) == line) {
+      data_latch_ = Latch{line, proc_, set, Latch::kUnresolved, l1d.epoch()};
+    }
+  }
+  return ref;
+}
+
+bool Machine::segment_latched(const FetchTrace::LineFetches* lines,
+                              unsigned n) {
+  if (l1i_ttl_) return false;  // a latched line may die mid-segment
+  cache::Cache& l1i = hierarchy_.l1i();
+  for (unsigned k = 0; k < n; ++k) {
+    const Addr line = lines[k].line;
+    if (!latched(latches_[line % kLatchSlots], l1i, line, fetch_shift_)) {
+      return false;
+    }
+  }
+  return true;
 }
 
 void Machine::replay(const FetchTrace& trace) {
@@ -28,42 +96,54 @@ void Machine::replay(const FetchTrace& trace) {
         "Machine::replay: trace line size differs from the L1I's");
   }
   const Cycles branch_penalty = latency().branch_penalty;
+  const FetchTrace::Run* run = trace.runs_.data();
+  const FetchTrace::LineFetches* lines = trace.lines_.data();
   const FetchTrace::DataRef* ref = trace.data_.data();
   const FetchTrace::DataRef* const refs_end = ref + trace.data_.size();
   std::uint64_t issued = 0;  // fetches issued so far, over the whole trace
-  for (const FetchTrace::Run& run : trace.runs_) {
-    const Addr line = run.pc >> fetch_shift_;
-    std::uint64_t left = run.fetches;  // >= 1
-    do {
-      std::uint64_t served = latched_fetches(line, left);
-      if (served == 0) {
-        fetch_full(run.pc);  // any pc of the line: the L1I sees the line
-        served = 1;
+  for (const FetchTrace::Segment& seg : trace.segments_) {
+    if (segment_latched(lines, seg.lines)) {
+      // No fetch of the segment can miss, and nothing in it but a final
+      // flush reaches the L1I: serve each line's fetches at once, in last-
+      // touch order, then the data references in order.
+      cache::Cache& l1i = hierarchy_.l1i();
+      for (unsigned k = 0; k < seg.lines; ++k) {
+        const Latch& latch = latches_[lines[k].line % kLatchSlots];
+        (void)l1i.latched_hits(latch.set, latch.way, lines[k].fetches, false);
       }
-      left -= served;
-      issued += served;
-      // The data references of the fetches just issued, in order.
-      for (; ref != refs_end && (ref->slot >> 2) < issued; ++ref) {
-        switch (static_cast<FetchTrace::Ref>(ref->slot & 3)) {
-          case FetchTrace::Ref::kLoad:
-            ++stats_.loads;
-            data_access(ref->ea, false);
-            break;
-          case FetchTrace::Ref::kStore:
-            ++stats_.stores;
-            data_access(ref->ea, true);
-            break;
-          case FetchTrace::Ref::kFlush:
-            line_flush(ref->ea);
-            break;
+      stats_.instructions += seg.fetches;
+      stats_.branches += seg.branches;
+      stats_.taken_branches += seg.taken;
+      now_ += seg.fetches * latched_fetch_cycles_ + seg.taken * branch_penalty;
+      issued += seg.fetches;
+      ref = replay_refs(ref, refs_end, issued);
+      run += seg.runs;
+    } else {
+      for (const FetchTrace::Run* const seg_end = run + seg.runs;
+           run != seg_end; ++run) {
+        const Addr line = run->pc >> fetch_shift_;
+        std::uint64_t left = run->fetches;  // >= 1
+        do {
+          std::uint64_t served = latched_fetches(line, left);
+          if (served == 0) {
+            fetch_full(run->pc);  // any pc of the line: the L1I sees the line
+            served = 1;
+          }
+          left -= served;
+          issued += served;
+          // The data references of the fetches just issued, in order.
+          if (ref != refs_end && (ref->slot >> 2) < issued) {
+            ref = replay_refs(ref, refs_end, issued);
+          }
+        } while (left > 0);
+        if (run->branches != 0) {
+          stats_.branches += run->branches;
+          stats_.taken_branches += run->taken;
+          now_ += run->taken * branch_penalty;
         }
       }
-    } while (left > 0);
-    if (run.branches != 0) {
-      stats_.branches += run.branches;
-      stats_.taken_branches += run.taken;
-      now_ += run.taken * branch_penalty;
     }
+    lines += seg.lines;
   }
 }
 

@@ -31,7 +31,11 @@
 // hierarchy()) changes the epoch and disarms every slot at once.
 //
 // Recorded streams (sim::FetchTrace) replay through the same latch with
-// replay(): a run's repeat fetches are served as one counted batch.
+// replay(), a segment at a time: a segment whose lines are all latched
+// cannot miss, so its fetches are served as one counted batch per line.
+// Replayed data references go through a one-line L1D latch on the same
+// epoch guard: consecutive references to one line are the common case, and
+// a stretch of them is served as one counted batch.
 #pragma once
 
 #include <array>
@@ -127,13 +131,20 @@ class Machine {
 
   /// Issue a recorded stream under the current process: exactly equivalent
   /// to the instr/load/store/branch/flush_line calls it was written with,
-  /// in order.  Each run's repeat fetches go through the latch as one
-  /// batch ahead of the run's later data references - they commute, since
-  /// a latched hit touches only the L1I and draws no random number - and
-  /// fetch by fetch, in exact order, when the run's first fetch left the
-  /// line non-resident (the latch is not armed).  Throws
-  /// std::invalid_argument when the trace was cut for another L1I line
-  /// size.
+  /// in order.  Segment by segment: when every line of a segment is
+  /// latched and the L1I has no TTL clock, none of its fetches can miss and
+  /// its data references reach only the L1D and L2 (its one flush, if any,
+  /// is its last reference), so the fetch side is one Cache::latched_hits
+  /// per line in last-touch order - LRU, PLRU and NMRU touches are last-
+  /// writer-wins, FIFO and random ignore hits - plus the summed counters,
+  /// and the data references follow in order.  Otherwise the segment
+  /// replays run by run: each run's repeat fetches go through the latch as
+  /// one batch ahead of the run's later data references (they commute: a
+  /// latched hit touches only the L1I and draws no random number), fetch by
+  /// fetch when the run's first fetch left the line non-resident.  Data
+  /// references on the line of the reference before them take the L1D
+  /// latch, a stretch of them as one batch.  Throws std::invalid_argument
+  /// when the trace was cut for another L1I line size.
   void replay(const FetchTrace& trace);
 
   /// Pipeline drain (seed change / context switch / barrier).
@@ -167,10 +178,10 @@ class Machine {
   void reset_stats();
 
  private:
-  /// One latch slot: the last fetched L1I line of this slot and where it
+  /// One latch slot: the line last used through this slot and where it
   /// sits; `line == kNoLine` when disarmed, `way == kUnresolved` until its
-  /// first use.  Valid while the L1I's epoch equals `epoch`.
-  struct FetchLatch {
+  /// first use.  Valid while the cache's epoch equals `epoch`.
+  struct Latch {
     static constexpr Addr kNoLine = ~Addr{0};
     static constexpr std::uint32_t kUnresolved = ~std::uint32_t{0};
     Addr line = kNoLine;
@@ -180,28 +191,36 @@ class Machine {
     std::uint64_t epoch = 0;
   };
 
-  /// Serve up to `count` fetches of L1I line `line` from its latch slot;
-  /// returns how many were served (0 when the slot does not hold the line).
-  std::uint64_t latched_fetches(Addr line, std::uint64_t count) {
-    cache::Cache& l1i = hierarchy_.l1i();
-    FetchLatch& latch = latches_[line % kLatchSlots];
+  /// Does `latch` hold `line` (of `shift` offset bits) of `cache` in a
+  /// resolved way for the current process, at the cache's current epoch?
+  /// Resolves the way at first use: the epoch has not moved, so the line is
+  /// where the arming access left it - or nowhere, when the cache declined
+  /// the fill (RPCache contention, random fill, write-no-allocate), which
+  /// disarms the latch.
+  bool latched(Latch& latch, cache::Cache& cache, Addr line, unsigned shift) {
     if (line != latch.line || proc_ != latch.proc ||
-        l1i.epoch() != latch.epoch) {
-      return 0;
+        cache.epoch() != latch.epoch) {
+      return false;
     }
-    if (latch.way == FetchLatch::kUnresolved) [[unlikely]] {
-      // First use since arming: the epoch has not moved, so the line is
-      // where the arming fetch left it - or nowhere, when the cache
-      // declined the fill (RPCache contention, random fill).
-      const auto way = l1i.resident_way(latch.set, line << fetch_shift_);
+    if (latch.way == Latch::kUnresolved) [[unlikely]] {
+      const auto way = cache.resident_way(latch.set, line << shift);
       if (!way) {
-        latch.line = FetchLatch::kNoLine;
-        return 0;
+        latch.line = Latch::kNoLine;
+        return false;
       }
       latch.way = *way;
     }
+    return true;
+  }
+
+  /// Serve up to `count` fetches of L1I line `line` from its latch slot;
+  /// returns how many were served (0 when the slot does not hold the line).
+  std::uint64_t latched_fetches(Addr line, std::uint64_t count) {
+    Latch& latch = latches_[line % kLatchSlots];
+    cache::Cache& l1i = hierarchy_.l1i();
+    if (!latched(latch, l1i, line, fetch_shift_)) return 0;
     const std::uint64_t served =
-        l1i.latched_hits(latch.set, latch.way, count);
+        l1i.latched_hits(latch.set, latch.way, count, false);
     stats_.instructions += served;
     now_ += served * latched_fetch_cycles_;
     return served;
@@ -217,9 +236,9 @@ class Machine {
     // 1 issue cycle; fetch latency beyond an L1 hit stalls the front-end.
     now_ += 1 + (f.latency - latency().l1_hit);
     const Addr line = pc >> fetch_shift_;
-    latches_[line % kLatchSlots] =
-        FetchLatch{line, proc_, f.l1_set, FetchLatch::kUnresolved,
-                   hierarchy_.l1i().epoch()};
+    latches_[line % kLatchSlots] = Latch{line, proc_, f.l1_set,
+                                         Latch::kUnresolved,
+                                         hierarchy_.l1i().epoch()};
   }
 
   /// `count` fetches from the L1I line holding `pc`.
@@ -235,10 +254,25 @@ class Machine {
   }
 
   /// The data half of a load (write=false) or store.
-  void data_access(Addr ea, bool write) {
+  HierarchyResult data_access(Addr ea, bool write) {
     const HierarchyResult d = hierarchy_.access(Port::kData, proc_, ea, write);
     now_ += d.latency - latency().l1_hit;
+    return d;
   }
+
+  /// Replay the data references from `ref` issued by the first `issued`
+  /// fetches of the trace; returns the first reference not replayed.  A
+  /// load or store on the line of the L1D latch is served through it,
+  /// together with every load and store right after it on that line;
+  /// any other goes through the hierarchy, and arms the latch when the next
+  /// reference is on its line.
+  const FetchTrace::DataRef* replay_refs(const FetchTrace::DataRef* ref,
+                                         const FetchTrace::DataRef* end,
+                                         std::uint64_t issued);
+
+  /// Are all `n` lines from `lines` latched (ways resolved) on an L1I
+  /// without a TTL clock - so a segment over them cannot miss?
+  bool segment_latched(const FetchTrace::LineFetches* lines, unsigned n);
 
   /// The flush half of flush_line.
   void line_flush(Addr ea) {
@@ -251,12 +285,16 @@ class Machine {
   ProcId proc_{1};
   Cycles now_ = 0;
   MachineStats stats_;
-  /// Four slots cover the kernels' loop bodies (one to three lines); one
+  /// Eight slots cover the kernels' loop bodies (one to five lines); one
   /// slot would refetch through the hierarchy on every line change.
-  static constexpr std::size_t kLatchSlots = 4;
-  std::array<FetchLatch, kLatchSlots> latches_{};
-  unsigned fetch_shift_ = 0;        ///< L1I line offset bits
+  static constexpr std::size_t kLatchSlots = FetchTrace::kLatchSlots;
+  std::array<Latch, kLatchSlots> latches_{};
+  Latch data_latch_;                 ///< replay's L1D latch
+  unsigned fetch_shift_ = 0;         ///< L1I line offset bits
+  unsigned data_shift_ = 0;          ///< L1D line offset bits
+  bool l1i_ttl_ = false;             ///< the L1I runs a TTL clock
   Cycles latched_fetch_cycles_ = 1;  ///< issue + quantized L1I hit stall
+  Cycles latched_data_cycles_ = 0;   ///< quantized L1D hit stall
 };
 
 /// The paper's platform (section 6.1.2) parameterized by cache design:

@@ -21,6 +21,7 @@
 
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -542,6 +543,13 @@ struct Triple {
     (void)replayed.hierarchy().l1i().access(p, addr, false);
     (void)oracle.level(0).access(p, addr, false);
   }
+  /// A read of the L1D made through the public hierarchy().
+  void external_l1d_read(ProcId p, Addr addr) {
+    sync();
+    (void)direct.hierarchy().l1d().access(p, addr, false);
+    (void)replayed.hierarchy().l1d().access(p, addr, false);
+    (void)oracle.level(1).access(p, addr, false);
+  }
   void expect_exact(const std::string& what) {
     sync();
     expect_same(direct, replayed, what + " direct vs replay");
@@ -706,6 +714,501 @@ TEST(FetchLatch, RandomStreamsOverThrashingCaches) {
   }
 }
 
+// --- replay segments --------------------------------------------------------
+
+/// `iterations` passes of a loop whose body runs `per_line` instructions on
+/// each of `lines` (L1I line base addresses), a load every third one and a
+/// taken branch closing the body.
+void loop_over(Triple& t, const std::vector<Addr>& lines, int iterations,
+               unsigned per_line = 3) {
+  for (int i = 0; i < iterations; ++i) {
+    for (std::size_t k = 0; k < lines.size(); ++k) {
+      t.code(lines[k], per_line);
+      if (k + 1 == lines.size()) t.branch(lines[k] + 4 * per_line, true);
+    }
+  }
+}
+
+/// The same loop written to a bare trace (one instruction per line visit),
+/// for segment counts.
+sim::FetchTrace loop_trace(const std::vector<Addr>& lines, int iterations) {
+  sim::FetchTrace trace(32);
+  for (int i = 0; i < iterations; ++i) {
+    for (const Addr pc : lines) trace.instr(pc);
+  }
+  return trace;
+}
+
+constexpr cache::MapperKind kL1iMappers[] = {
+    cache::MapperKind::kModulo, cache::MapperKind::kHashRp,
+    cache::MapperKind::kRandomModulo, cache::MapperKind::kRpCache};
+
+TEST(ReplaySegments, LinesSharingALatchSlotCutTheSegment) {
+  // A and B are eight lines apart: one latch slot, so they can never be
+  // latched together and every switch between them cuts a segment.  C owns
+  // the next slot.
+  const Addr a = 0x2000;
+  const Addr b = a + 8 * 32;
+  const Addr c = a + 32;
+  EXPECT_EQ(loop_trace({a, c}, 40).segments(), 2u);  // 80 runs: 64 + 16
+  EXPECT_EQ(loop_trace({a, c, b}, 10).segments(), 20u);
+  for (const cache::MapperKind mapper : kL1iMappers) {
+    Triple t(small_config(mapper, cache::ReplacementKind::kLru), 17);
+    loop_over(t, {a, c, b}, 30);
+    loop_over(t, {a, c}, 30);
+    // B' also shares A's modulo set: the slot cut and a set conflict.
+    loop_over(t, {a, c, a + 64 * 32}, 30);
+    t.expect_exact("slot sharing, mapper " +
+                   std::to_string(static_cast<int>(mapper)));
+  }
+}
+
+TEST(ReplaySegments, SegmentEnteredWithAnUnlatchedLineFallsBack) {
+  // A steady loop over A, B, C, then the same loop grows a line D that was
+  // never fetched: the open segment's check finds D unlatched and replays
+  // it run by run, and the segments after it are latched again.  Then E
+  // takes C's slot (and, under modulo, C's set) for one run: the segment
+  // after it starts with C's slot holding E.
+  const Addr a = 0x3000;
+  const Addr b = a + 32;
+  const Addr c = a + 64;
+  const Addr d = a + 96;
+  const Addr e = c + 64 * 32;
+  for (const cache::MapperKind mapper : kL1iMappers) {
+    Triple t(small_config(mapper, cache::ReplacementKind::kLru), 19);
+    loop_over(t, {a, b, c}, 30);
+    loop_over(t, {a, b, c, d}, 30);
+    t.code(e, 4);
+    loop_over(t, {c, a, b}, 30);
+    t.expect_exact("unlatched entry, mapper " +
+                   std::to_string(static_cast<int>(mapper)));
+  }
+}
+
+TEST(ReplaySegments, FlushInsideAWouldBeSegment) {
+  // A flush ends its segment; flushing the loop's own code line B makes
+  // the next fetch of B miss, and the segment after the flush cannot be
+  // served latched.  A data-line flush moves every level's epoch too.
+  const Addr a = 0x4000;
+  const Addr b = a + 32;
+  sim::FetchTrace trace(32);
+  for (int i = 0; i < 20; ++i) {
+    trace.instr(a);
+    trace.instr(b);
+    if (i % 5 == 4) trace.flush_line(a + 4, b);
+  }
+  EXPECT_EQ(trace.segments(), 4u);
+  for (const cache::MapperKind mapper : kL1iMappers) {
+    Triple t(small_config(mapper, cache::ReplacementKind::kLru), 23);
+    for (int i = 0; i < 40; ++i) {
+      t.code(a, 4);
+      t.code(b, 4);
+      if (i % 7 == 6) t.flush_line(a + 16, b);
+      if (i % 11 == 10) t.flush_line(b + 16, 0x9000);
+      t.branch(b + 16, true);
+    }
+    t.expect_exact("flush, mapper " +
+                   std::to_string(static_cast<int>(mapper)));
+  }
+  // A served segment, then one that opens with a flush of its own line D
+  // (D takes A's slot) and leaves D: the flush must follow D's fetch,
+  // which still hits.
+  const Addr d = a + 8 * 32;
+  for (const cache::MapperKind mapper : kL1iMappers) {
+    Triple t(small_config(mapper, cache::ReplacementKind::kLru), 31);
+    t.code(d, 2);
+    loop_over(t, {a, b}, 40);
+    t.flush_line(d, d);
+    t.code(b + 32, 3);
+    t.expect_exact("flush opening a segment, mapper " +
+                   std::to_string(static_cast<int>(mapper)));
+  }
+}
+
+TEST(ReplaySegments, EightLinesAndSixtyFourRunsBoundaries) {
+  std::vector<Addr> eight;
+  for (Addr k = 0; k < 8; ++k) eight.push_back(0x5000 + 32 * k);
+  std::vector<Addr> nine = eight;
+  nine.push_back(0x5000 + 32 * 8);  // line 8 takes line 0's slot
+
+  EXPECT_EQ(loop_trace(eight, 8).segments(), 1u);  // exactly 64 runs
+  sim::FetchTrace sixty_five = loop_trace(eight, 8);
+  sixty_five.instr(eight[0]);
+  EXPECT_EQ(sixty_five.segments(), 2u);
+  EXPECT_EQ(loop_trace(nine, 4).segments(), 8u);  // {0..7}, {8} per pass
+  // One run of 65535 fetches, then another of the same line: two runs.
+  sim::FetchTrace long_run(32);
+  for (int i = 0; i < 65536; ++i) long_run.instr(0x5000);
+  EXPECT_EQ(long_run.segments(), 1u);
+
+  for (const cache::MapperKind mapper : kL1iMappers) {
+    for (const cache::ReplacementKind repl :
+         {cache::ReplacementKind::kLru, cache::ReplacementKind::kPlru}) {
+      sim::HierarchyConfig cfg = small_config(mapper, repl);
+      cfg.l1i.config.geometry = cache::Geometry(512, 4, 32);  // 4 sets
+      Triple t(cfg, 29);
+      loop_over(t, eight, 24, 2);
+      loop_over(t, nine, 12, 2);
+      loop_over(t, eight, 8, 1);
+      t.code(eight[0], 1);
+      loop_over(t, eight, 8, 1);
+      t.expect_exact("boundaries, mapper " +
+                     std::to_string(static_cast<int>(mapper)) + " repl " +
+                     std::to_string(static_cast<int>(repl)));
+    }
+  }
+}
+
+TEST(ReplaySegments, SameSetLinesKeepTheirLastTouchOrder) {
+  // Four lines of one L1I set, each in its own latch slot, looped in an
+  // order whose last touches differ from its first touches; then fresh
+  // lines of the same set evict whatever the policy ranks last.  A batch
+  // replayed in any other order than last-touch order evicts the wrong
+  // line under LRU, PLRU and NMRU.
+  for (const cache::MapperKind mapper :
+       {cache::MapperKind::kHashRp, cache::MapperKind::kRandomModulo}) {
+    for (const cache::ReplacementKind repl :
+         {cache::ReplacementKind::kLru, cache::ReplacementKind::kPlru,
+          cache::ReplacementKind::kNmru, cache::ReplacementKind::kFifo,
+          cache::ReplacementKind::kRandom}) {
+      sim::HierarchyConfig cfg = small_config(mapper, repl);
+      cfg.l1i.config.geometry = cache::Geometry(2048, 4, 32);  // 16 sets
+      Triple t(cfg, 37);
+      t.set_seed(ProcId{1}, Seed{43});
+      const cache::IndexMapper& m = t.direct.hierarchy().l1i().mapper();
+      const std::uint32_t set = m.map(0x6000 >> 5, ProcId{1});
+      std::vector<Addr> same;  // distinct slots, same set
+      std::vector<bool> slot_used(8, false);
+      for (Addr line = 0x6000 >> 5; same.size() < 8; ++line) {
+        if (m.map(line, ProcId{1}) != set) continue;
+        if (same.size() < 4 && slot_used[line % 8]) continue;
+        if (same.size() < 4) slot_used[line % 8] = true;
+        same.push_back(line << 5);
+      }
+      const std::vector<Addr> body = {same[0], same[1], same[2], same[3]};
+      for (int round = 0; round < 6; ++round) {
+        loop_over(t, body, 20);
+        // Last touches now run 3, 1, 0, 2 within the segment.
+        loop_over(t, {same[2], same[0], same[1], same[3], same[1], same[0],
+                      same[2]},
+                  10);
+        t.code(same[4 + round % 4], 2);  // a fill of the set
+        loop_over(t, body, 3);
+      }
+      t.expect_exact("last touch, mapper " +
+                     std::to_string(static_cast<int>(mapper)) + " repl " +
+                     std::to_string(static_cast<int>(repl)));
+    }
+  }
+}
+
+TEST(ReplaySegments, TtlL1iDeclinesSegmentsAndStaysExact) {
+  // Clepsydra L1I: a latched line may die inside a segment, so segments
+  // replay run by run and each batch meets the TTL clock.
+  for (const std::uint32_t ttl : {6u, 40u, 400u}) {
+    sim::HierarchyConfig cfg = small_config(cache::MapperKind::kRandomModulo,
+                                            cache::ReplacementKind::kLru);
+    cfg.l1i.config.ttl_min = ttl / 2;
+    cfg.l1i.config.ttl_max = ttl;
+    cfg.l1d.config.ttl_min = ttl / 2;
+    cfg.l1d.config.ttl_max = ttl;
+    Triple t(cfg, 41);
+    loop_over(t, {0x7000, 0x7020, 0x7040}, 60);
+    loop_over(t, {0x7000, 0x7060}, 60, 5);
+    t.expect_exact("ttl " + std::to_string(ttl));
+  }
+}
+
+TEST(ReplaySegments, RandomLoopsOverEveryPolicy) {
+  // Random loop nests over a small pool of code lines (same-slot and
+  // same-set collisions included) with data references that mostly repeat
+  // the previous line, stores, flushes and process switches, on tiny 4-way
+  // caches under every mapper and replacement policy, and on the write,
+  // random-fill, TTL and quantized variants of the hierarchy.
+  struct Variant {
+    std::string name;
+    void (*apply)(sim::HierarchyConfig&);
+  };
+  const std::vector<Variant> variants = {
+      {"plain", [](sim::HierarchyConfig&) {}},
+      {"write-through/no-allocate",
+       [](sim::HierarchyConfig& c) {
+         c.l1d.config.write_back = false;
+         c.l1d.config.write_allocate = false;
+       }},
+      {"random fill",
+       [](sim::HierarchyConfig& c) { c.l1d.config.random_fill_window = 3; }},
+      {"ttl",
+       [](sim::HierarchyConfig& c) {
+         c.l1i.config.ttl_min = c.l1d.config.ttl_min = 20;
+         c.l1i.config.ttl_max = c.l1d.config.ttl_max = 90;
+       }},
+      {"quantum", [](sim::HierarchyConfig& c) { c.latency.quantum = 70; }},
+  };
+  std::uint64_t seed = 100;
+  for (const cache::MapperKind mapper : kL1iMappers) {
+    for (const cache::ReplacementKind repl :
+         {cache::ReplacementKind::kLru, cache::ReplacementKind::kPlru,
+          cache::ReplacementKind::kNmru, cache::ReplacementKind::kFifo,
+          cache::ReplacementKind::kRandom}) {
+      for (const Variant& variant : variants) {
+        sim::HierarchyConfig cfg;
+        cfg.l1i.config.geometry = cache::Geometry(1024, 4, 32);  // 8 sets
+        cfg.l1i.mapper = mapper;
+        cfg.l1i.replacement = repl;
+        cfg.l1d = cfg.l1i;
+        cache::CacheSpec l2;
+        l2.config.geometry = cache::Geometry(4096, 4, 32);
+        l2.mapper = mapper;
+        l2.replacement = repl;
+        cfg.l2 = l2;
+        variant.apply(cfg);
+        Triple t(cfg, ++seed);
+        t.set_seed(ProcId{1}, Seed{seed * 3});
+        t.set_seed(ProcId{2}, Seed{seed * 5});
+        rng::SplitMix64 r(seed);
+        Addr ea = 0x9000;
+        for (int loop = 0; loop < 40; ++loop) {
+          std::vector<Addr> body;
+          const auto lines = 1 + r.next_below(6);
+          for (std::uint64_t k = 0; k < lines; ++k) {
+            body.push_back(0x2000 + 32 * r.next_below(20));
+          }
+          const auto iterations = 1 + r.next_below(30);
+          for (std::uint64_t i = 0; i < iterations; ++i) {
+            for (const Addr line : body) {
+              const auto n = 1 + r.next_below(8);
+              for (std::uint64_t j = 0; j < n; ++j) {
+                const Addr pc = line + 4 * (j % 8);
+                if (r.next_below(5) == 0) {
+                  ea = 0x9000 + (r.next_below(48) << 2) * 8;
+                } else if (r.next_below(3) == 0) {
+                  ea += 4;
+                }
+                switch (r.next_below(10)) {
+                  case 0: case 1: case 2: t.load(pc, ea); break;
+                  case 3: t.store(pc, ea); break;
+                  case 4: t.branch(pc, r.next_below(2) == 0); break;
+                  case 5:
+                    if (r.next_below(40) == 0) t.flush_line(pc, ea);
+                    break;
+                  default: t.instr(pc); break;
+                }
+              }
+            }
+          }
+          if (loop % 13 == 12) {
+            t.set_process(ProcId{static_cast<std::uint32_t>(1 + loop % 2)});
+          }
+          if (loop % 17 == 16) t.external_l1d_read(ProcId{1}, ea);
+        }
+        t.expect_exact("random loops, mapper " +
+                       std::to_string(static_cast<int>(mapper)) + " repl " +
+                       std::to_string(static_cast<int>(repl)) + " " +
+                       variant.name);
+      }
+    }
+  }
+}
+
+// --- the replay data latch -----------------------------------------------------
+
+TEST(ReplayDataLatch, StoreHitOnTheLatchedLineWritesBackOnEviction) {
+  // X is latched by a load, then stored to through the latch: under
+  // write-back the line turns dirty and its eviction (by Y and Z of the
+  // same modulo set) writes it back; under write-through it does not.
+  const Addr x = 0xA000;
+  const Addr y = x + 64 * 32;
+  const Addr z = y + 64 * 32;
+  for (const bool write_back : {true, false}) {
+    sim::HierarchyConfig cfg = small_config(cache::MapperKind::kModulo,
+                                            cache::ReplacementKind::kLru);
+    cfg.l1d.config.write_back = write_back;
+    Triple t(cfg, 47);
+    t.load(0x1000, x);
+    t.store(0x1004, x);
+    t.store(0x1008, x + 4);
+    t.load(0x100C, y);
+    t.load(0x1010, z);  // evicts X, the LRU way
+    t.expect_exact(write_back ? "write-back" : "write-through");
+    EXPECT_EQ(t.replayed.hierarchy().l1d().stats().writebacks,
+              write_back ? 1u : 0u);
+  }
+}
+
+TEST(ReplayDataLatch, WriteNoAllocateStoreMissDoesNotArm) {
+  // A store miss under write-no-allocate leaves the line out: the latch it
+  // armed must resolve to nothing, so the next store misses again.
+  sim::HierarchyConfig cfg = small_config(cache::MapperKind::kModulo,
+                                          cache::ReplacementKind::kLru);
+  cfg.l1d.config.write_allocate = false;
+  Triple t(cfg, 53);
+  const Addr x = 0xB000;
+  t.store(0x1000, x);
+  t.store(0x1004, x + 4);
+  t.expect_exact("no-allocate misses");
+  EXPECT_EQ(t.replayed.hierarchy().l1d().stats().misses, 2u);
+  t.load(0x1008, x);  // allocates
+  t.store(0x100C, x);  // latched store hit: dirty under write-back
+  t.load(0x1010, x + 64 * 32);
+  t.load(0x1014, x + 2 * 64 * 32);
+  t.expect_exact("no-allocate then hit");
+  EXPECT_EQ(t.replayed.hierarchy().l1d().stats().writebacks, 1u);
+}
+
+TEST(ReplayDataLatch, RpCacheContentionAndRandomFillStayDisarmed) {
+  {
+    // Proc 2 owns both ways of X's set: proc 1's loads of X meet a foreign
+    // victim and are declined, every time.
+    sim::HierarchyConfig cfg = small_config(cache::MapperKind::kModulo,
+                                            cache::ReplacementKind::kLru);
+    cfg.l1d.mapper = cache::MapperKind::kRpCache;
+    Triple t(cfg, 59);
+    const ProcId p1{1};
+    const ProcId p2{2};
+    t.set_seed(p1, Seed{5});
+    t.set_seed(p2, Seed{6});
+    const Addr x = 0xC000;
+    const cache::IndexMapper& m = t.direct.hierarchy().l1d().mapper();
+    const std::uint32_t set = m.map(x >> 5, p1);
+    t.set_process(p2);
+    int foreign = 0;
+    for (Addr line = 0x800; foreign < 2; ++line) {
+      if (m.map(line, p2) != set) continue;
+      t.load(0x1000, line << 5);
+      ++foreign;
+    }
+    t.set_process(p1);
+    const cache::CacheStats before = t.replayed.hierarchy().l1d().stats();
+    t.load(0x1000, x);
+    t.load(0x1004, x + 4);
+    t.load(0x1008, x + 8);
+    t.expect_exact("rpcache data contention");
+    const cache::CacheStats after = t.replayed.hierarchy().l1d().stats();
+    EXPECT_EQ(after.misses, before.misses + 3);
+    EXPECT_GE(after.contention_evictions, before.contention_evictions + 1);
+  }
+  {
+    // Random fill: a demand miss caches a random neighbour instead.
+    sim::HierarchyConfig cfg = small_config(cache::MapperKind::kModulo,
+                                            cache::ReplacementKind::kLru);
+    cfg.l1d.config.random_fill_window = 2;
+    Triple t(cfg, 61);
+    for (int i = 0; i < 200; ++i) {
+      const Addr x = 0xD000 + 32 * static_cast<Addr>(i % 7);
+      t.load(0x1000, x);
+      t.load(0x1004, x + 4);
+      t.store(0x1008, x + 8);
+    }
+    t.expect_exact("random fill");
+  }
+}
+
+TEST(ReplayDataLatch, TtlLineDyingUnderTheLatchMisses) {
+  // Clepsydra L1D with a fixed lifetime of 8 accesses.  X is the latched
+  // line when one replay ends; external hits on Y (another set) then run
+  // the clock past X's lifetime without moving the epoch.  The next
+  // replay's load of X finds the latch valid, and must still tick, reclaim
+  // and miss, exactly as access() would.
+  sim::HierarchyConfig cfg = small_config(cache::MapperKind::kModulo,
+                                          cache::ReplacementKind::kLru);
+  cfg.l1d.config.ttl_min = 8;
+  cfg.l1d.config.ttl_max = 8;
+  Triple t(cfg, 67);
+  const Addr x = 0xE000;
+  const Addr y = x + 32;
+  t.load(0x1000, y);
+  t.load(0x1004, x);
+  t.load(0x1008, x + 4);  // latched: X refreshed
+  for (int i = 0; i < 8; ++i) t.external_l1d_read(ProcId{1}, y);
+  const cache::CacheStats before = t.replayed.hierarchy().l1d().stats();
+  t.load(0x100C, x + 8);
+  t.load(0x1010, x + 12);
+  t.expect_exact("ttl data latch");
+  const cache::CacheStats after = t.replayed.hierarchy().l1d().stats();
+  EXPECT_EQ(after.ttl_expirations, before.ttl_expirations + 1);
+  EXPECT_EQ(after.misses, before.misses + 1);
+}
+
+TEST(ReplayDataLatch, QuantizedHitCostsTheQuantum) {
+  // TimeCache: every L1D hit, latched ones included, costs the quantum.
+  sim::HierarchyConfig cfg = small_config(cache::MapperKind::kRandomModulo,
+                                          cache::ReplacementKind::kLru);
+  cfg.latency.quantum = 70;
+  Triple t(cfg, 71);
+  loop_over(t, {0x2000, 0x2020}, 50, 6);
+  t.expect_exact("quantized data hits");
+  const Cycles before = t.replayed.now();
+  t.load(0x3000, 0x9000);  // a data hit, and a fetch miss
+  t.load(0x3004, 0x9000);  // both hits
+  t.expect_exact("quantized pair");
+  // Fetch miss 1 + 69 and data hit 69, then fetch hit 1 + 69, data hit 69.
+  EXPECT_EQ(t.replayed.now() - before, Cycles{70 + 69 + 70 + 69});
+}
+
+TEST(ReplayDataLatch, ExternalL1dAccessBetweenReplays) {
+  // X and Y share a 2-way LRU L1D set.  X is latched when a replay ends;
+  // an external hit makes Y most recent; the next replay's latched hit on X
+  // must redo X's touch, so Z's fill evicts Y and X still hits.  An
+  // external miss in between moves the epoch and disarms the latch.
+  const Addr x = 0xF000;
+  const Addr y = x + 64 * 32;
+  const Addr z = y + 64 * 32;
+  Triple t(small_config(cache::MapperKind::kModulo,
+                        cache::ReplacementKind::kLru),
+           73);
+  t.load(0x1000, y);
+  t.load(0x1004, x);
+  t.external_l1d_read(ProcId{1}, y);
+  t.load(0x1008, x + 4);  // latched
+  t.load(0x100C, z);      // evicts Y
+  t.sync();
+  const cache::CacheStats before = t.replayed.hierarchy().l1d().stats();
+  t.load(0x1010, x + 8);
+  t.expect_exact("external l1d hit");
+  EXPECT_EQ(t.replayed.hierarchy().l1d().stats().hits, before.hits + 1)
+      << "the latched load did not refresh X's recency";
+  t.external_l1d_read(ProcId{1}, y);  // a miss: evicts X's LRU partner
+  t.load(0x1014, x + 12);
+  t.load(0x1018, y + 4);
+  t.load(0x101C, z + 4);
+  t.expect_exact("external l1d miss");
+}
+
+TEST(ReplayDataLatch, LatchHoldsItsLineAcrossHitsOnOtherLines) {
+  // X and Y share a 2-way LRU L1D set.  The latch is armed on X (the next
+  // reference repeats X) and not re-armed by the hit on Y between X's
+  // references, so X's later reference is served through it: it must redo
+  // X's touch, so Z's fill evicts Y, not X.  Then a stream that never
+  // repeats a line, round-robin over X, Y and Z, misses every time.
+  const Addr x = 0x10000;
+  const Addr y = x + 64 * 32;
+  const Addr z = y + 64 * 32;
+  for (const bool write_back : {true, false}) {
+    sim::HierarchyConfig cfg = small_config(cache::MapperKind::kModulo,
+                                            cache::ReplacementKind::kLru);
+    cfg.l1d.config.write_back = write_back;
+    Triple t(cfg, 79);
+    t.load(0x1000, y);
+    t.load(0x1004, x);
+    t.store(0x1008, x + 4);  // latched
+    t.load(0x100C, y + 4);   // a hit on another line
+    t.load(0x1010, x + 8);   // latched again: X most recent
+    t.load(0x1014, z);       // evicts Y
+    t.load(0x1018, x + 12);
+    t.expect_exact("latch across a hit");
+    const cache::CacheStats before = t.replayed.hierarchy().l1d().stats();
+    for (int i = 0; i < 12; ++i) {
+      const Addr lines[] = {y, z, x};
+      t.load(0x101C, lines[i % 3] + 4 * (i % 8));
+    }
+    t.expect_exact("no repeated line");
+    EXPECT_EQ(t.replayed.hierarchy().l1d().stats().misses, before.misses + 12);
+    EXPECT_EQ(t.replayed.hierarchy().l1d().stats().writebacks,
+              write_back ? 1u : 0u);
+  }
+}
+
 // --- Cache::epoch -------------------------------------------------------------
 
 std::unique_ptr<cache::Cache> small_cache(cache::MapperKind mapper,
@@ -733,7 +1236,7 @@ TEST(CacheEpoch, EveryBumpingMutatorMovesItAndReadHitsDoNot) {
   (void)c->access(p, 0x100, true);
   EXPECT_EQ(c->epoch(), e) << "hits (read and write) must not move it";
   (void)c->resident_way(c->access(p, 0x100, false).set, 0x100);
-  (void)c->latched_hits(0, 0, 3);
+  (void)c->latched_hits(0, 0, 3, false);
   EXPECT_EQ(c->epoch(), e) << "latched hits must not move it";
   (void)c->access(p, 0x100 + 4096, false);
   (void)c->access(p, 0x100 + 8192, false);
@@ -806,6 +1309,91 @@ TEST(FetchTraceRecording, ReplayRejectsAnotherLineSize) {
   trace.instr(0x1000);
   const auto m = deploy_machine({core::PlacementPolicy::kModulo, false}, 1);
   EXPECT_THROW(m->replay(trace), std::invalid_argument);
+}
+
+TEST(FetchTraceRecording, HandBuiltTraceGetsTheRecordedSegments) {
+  // A loop of loads from one pc over consecutive data lines - the shape of
+  // the campaign's hand-built OS and noise traces - written through the
+  // trace's verbs, against the same loop recorded from the interpreter.
+  // The body spans two L1I lines, so the trace has several segments, and
+  // segments fold as the trace is written: both get the same ones.
+  std::string source =
+      "        lui  r1, 4\n"        // r1 = 0x40000
+      "        addi r3, r0, 0\n"
+      "loop:   lw   r2, 0(r1)\n"
+      "        addi r1, r1, 32\n"
+      "        addi r3, r3, 1\n"
+      "        slti r4, r3, 100\n";
+  for (int i = 0; i < 4; ++i) source += "        nop\n";
+  source +=
+      "        bne  r4, r0, loop\n"
+      "        halt\n";
+  const isa::KernelPasses recorded =
+      isa::record_passes(isa::assemble(source, 0x1000), 0x1000);
+
+  sim::FetchTrace hand(32);
+  hand.instr(0x1000);
+  hand.instr(0x1004);
+  for (int i = 0; i < 100; ++i) {
+    hand.load(0x1008, 0x40000 + 32 * static_cast<Addr>(i));
+    for (Addr pc = 0x100C; pc < 0x1028; pc += 4) hand.instr(pc);
+    hand.branch(0x1028, i < 99);
+  }
+  hand.instr(0x102C);
+
+  EXPECT_EQ(hand.segments(), 4u);  // 201 runs: 64 + 64 + 64 + 9
+  EXPECT_EQ(hand.segments(), recorded.warm.segments());
+  EXPECT_TRUE(hand == recorded.warm);
+}
+
+TEST(FetchTraceRecording, RecordRestoresTheSinkWhenItThrows) {
+  struct CountingSink final : isa::TraceSink {
+    std::uint64_t steps = 0;
+    void step(Addr, const isa::Instr&, Addr) override { ++steps; }
+  };
+  const auto m = deploy_machine({core::PlacementPolicy::kModulo, false}, 1);
+  isa::Interpreter interp(*m);
+  interp.load_program(isa::assemble("        nop\n        halt\n", 0x1000));
+  CountingSink sink;
+  interp.set_trace_sink(&sink);
+  // A pc beyond 32 bits cannot be written to a trace: recording throws
+  // mid-run, and the sink attached before must be back in place.
+  EXPECT_THROW((void)interp.record(Addr{1} << 32), std::out_of_range);
+  (void)interp.run_reference(0x1000);
+  EXPECT_EQ(sink.steps, 2u);
+}
+
+TEST(FetchTraceRecording, RecordPassesRejectsATruncatedPass) {
+  const auto message_of = [](const std::string& source) -> std::string {
+    try {
+      (void)isa::record_passes(isa::assemble(source, 0x1000), 0x1000);
+    } catch (const std::runtime_error& e) {
+      return e.what();
+    }
+    return "no error";
+  };
+  // The step limit, in the warm pass: it spins for the whole default limit.
+  const std::string spin = message_of("loop:   jal  r0, loop\n");
+  EXPECT_NE(spin.find("warm pass"), std::string::npos) << spin;
+  EXPECT_NE(spin.find("step limit"), std::string::npos) << spin;
+  EXPECT_NE(spin.find(std::to_string(isa::kDefaultMaxSteps) + " steps"),
+            std::string::npos)
+      << spin;
+  // A bad instruction, in the timed pass only: the warm pass counts to 1
+  // in memory and halts, the timed pass counts to 2 and runs into it.
+  const std::string bad = message_of(
+      "        lui  r1, 4\n"
+      "        lw   r2, 0(r1)\n"
+      "        addi r2, r2, 1\n"
+      "        sw   r2, 0(r1)\n"
+      "        slti r3, r2, 2\n"
+      "        bne  r3, r0, done\n"
+      "        .word 4294967295\n"
+      "done:   halt\n");
+  EXPECT_NE(bad.find("timed pass"), std::string::npos) << bad;
+  EXPECT_NE(bad.find("bad instruction"), std::string::npos) << bad;
+  // A kernel that halts in both passes records.
+  EXPECT_EQ(message_of("        nop\n        halt\n"), "no error");
 }
 
 }  // namespace
