@@ -494,12 +494,12 @@ void Cache::fill_impl(const ResolvedMapping*, ProcId proc, Addr line,
   if (ttl_enabled_) [[unlikely]] ttl_on_fill(di);
 }
 
-void Cache::ttl_expire(std::uint32_t set) {
+void Cache::ttl_expire(std::uint32_t set, std::uint64_t now) {
   const std::uint32_t ways = config_.geometry.ways();
   const std::size_t base = static_cast<std::size_t>(set) * ways;
   for (std::uint32_t w = 0; w < ways; ++w) {
     const std::size_t i = base + w;
-    if ((tagv_[i] & 1) != 0 && expiry_[i] <= ttl_clock_) {
+    if ((tagv_[i] & 1) != 0 && expiry_[i] <= now) {
       // Time-based eviction: write back if dirty, then invalidate.  Counted
       // apart from capacity/conflict evictions - the decoupling of eviction
       // from contention is the design's point, and the stats should show it.
@@ -512,23 +512,35 @@ void Cache::ttl_expire(std::uint32_t set) {
   }
 }
 
-std::uint64_t Cache::ttl_latched_ticks(std::uint32_t set, std::uint32_t way,
-                                       std::uint64_t count) {
-  const std::size_t i =
-      static_cast<std::size_t>(set) * config_.geometry.ways() + way;
-  // The first probe ticks the clock, then reclaims: a line dying at that
-  // tick misses, which only access() can model.  (A line that survives it
-  // has expiry <= clock + TTL, so its TTL is at least 2.)
-  if (expiry_[i] <= ttl_clock_ + 1) return 0;
-  // Every hit refreshes the line to (tick + TTL), past the next tick, so
-  // k sequential hits are: k ticks, the line refreshed at the last one,
-  // and every other line of the set reclaimed iff it died by then - the
-  // same lines, writebacks and counts as k probes, since expiry is
-  // monotonic in the clock.
-  ttl_clock_ += count;
-  ttl_refresh(i);
-  ttl_expire(set);
-  return count;
+bool Cache::ttl_latched_segment(const SegmentLine* lines, unsigned n,
+                                std::uint64_t probes) {
+  const std::uint32_t ways = config_.geometry.ways();
+  const auto index = [ways](const SegmentLine& l) {
+    return static_cast<std::size_t>(l.set) * ways + l.way;
+  };
+  for (unsigned k = 0; k < n; ++k) {
+    if (!ttl_survives(index(lines[k]), lines[k].first, lines[k].gap)) {
+      return false;
+    }
+  }
+  // Every probe hits, so the stretch changes a line only through its last
+  // hit's refresh and through reclamation.  A line reclaimed by a later
+  // probe of its set keeps the touches of its earlier hits, as under
+  // access().  In last-touch order, a set's last probe is its last line's.
+  const std::uint64_t entry = ttl_clock_;
+  for (unsigned k = 0; k < n; ++k) {
+    const SegmentLine& l = lines[k];
+    count_hits(l.set, l.way, l.hits);
+    const std::size_t i = index(l);
+    expiry_[i] = entry + l.last + 1 + ttl_[i];
+    bool probed_later = false;
+    for (unsigned j = k + 1; j < n; ++j) {
+      probed_later = probed_later || lines[j].set == l.set;
+    }
+    if (!probed_later) ttl_expire(l.set, entry + l.last + 1);
+  }
+  ttl_clock_ = entry + probes;
+  return true;
 }
 
 /// Builds the (mapping x replacement x ways) -> specialized-access table.

@@ -181,32 +181,69 @@ class Cache {
     return std::nullopt;
   }
 
-  /// Up to `count` back-to-back hits of the line resident in (`set`,
+  /// `count` (>= 1) back-to-back hits of the line resident in (`set`,
   /// `way`), reads or (`write`) writes, accounted exactly as that many
   /// access() calls would account them: accesses and hits counted, the
   /// replacement touch of the way redone (repl_touch: LRU/PLRU/NMRU touches
   /// of one way are idempotent, so one touch stands for all; FIFO and
   /// random ignore hits), the line marked dirty by a write under
-  /// write-back.  On a TTL cache each hit ticks the expiry clock, reclaims
-  /// the set's dead lines and refreshes the line, as access() does.
-  /// Returns how many hits were served: `count`, or 0 on a TTL cache whose
-  /// very next probe would reclaim the line (nothing changes; the caller
-  /// takes access()).  Precondition: epoch() has not changed since
-  /// resident_way() returned `way` for this set.
+  /// write-back.  On a TTL cache this is the one-line case of
+  /// latched_segment.  Returns how many hits were served: `count`, or 0 on
+  /// a TTL cache whose very next probe would reclaim the line (nothing
+  /// changes; the caller takes access()).  Precondition: epoch() has not
+  /// changed since resident_way() returned `way` for this set.
   std::uint64_t latched_hits(std::uint32_t set, std::uint32_t way,
                              std::uint64_t count, bool write) {
     if (ttl_enabled_) [[unlikely]] {
-      count = ttl_latched_ticks(set, way, count);
-      if (count == 0) return 0;
+      const SegmentLine one{set, way, count, 0, count - 1, count > 1 ? 1u : 0u};
+      if (!ttl_latched_segment(&one, 1, count)) return 0;
+    } else {
+      count_hits(set, way, count);
     }
-    stats_.accesses += count;
-    stats_.hits += count;
-    repl_touch(repl_, set, way);
     if (write && config_.write_back) {
       dirty_[static_cast<std::size_t>(set) * config_.geometry.ways() + way] =
           1;
     }
     return count;
+  }
+
+  /// One resident line of a latched segment: the line in (`set`, `way`)
+  /// takes `hits` read hits, probed first `first` and last `last` probes
+  /// after the segment's entry, at most `gap` probes apart in between.
+  /// (No member initializers: a replayer fills a scratch array per
+  /// segment.)
+  struct SegmentLine {
+    std::uint32_t set;
+    std::uint32_t way;
+    std::uint64_t hits;
+    std::uint64_t first;
+    std::uint64_t last;
+    std::uint64_t gap;
+  };
+
+  /// A stretch of `probes` read accesses, every one a hit on one of the `n`
+  /// distinct resident lines from `lines`, given in last-touch order,
+  /// accounted exactly as those access() calls: each line's hits counted
+  /// and its replacement touch redone in that order (last-writer-wins for
+  /// LRU, PLRU and NMRU; FIFO and random ignore hits).  On a TTL cache the
+  /// whole stretch is decided at its entry clock c0: every line must be
+  /// alive at its first probe and never go `ttl` probes without one, else
+  /// it returns false and changes nothing (a line would miss; the caller
+  /// takes access()).  Served, each line's expiry is its last probe's
+  /// refresh, c0 + last + 1 + ttl, each touched set is reclaimed once at
+  /// its last probe's tick - expiry is monotonic in the clock, so the same
+  /// lines die with the same writebacks as under every probe - and the
+  /// clock ends at c0 + `probes`.  Precondition: epoch() has not changed
+  /// since resident_way() returned each way.
+  bool latched_segment(const SegmentLine* lines, unsigned n,
+                       std::uint64_t probes) {
+    if (ttl_enabled_) [[unlikely]] {
+      return ttl_latched_segment(lines, n, probes);
+    }
+    for (unsigned k = 0; k < n; ++k) {
+      count_hits(lines[k].set, lines[k].way, lines[k].hits);
+    }
+    return true;
   }
 
   /// Return to the just-constructed state - no valid lines, default-seed
@@ -308,22 +345,37 @@ class Cache {
                                                     bool write);
   /// Outlined RPCache secure-contention handling (draws from the rng).
   [[gnu::noinline]] AccessResult contention_evict(std::uint32_t set);
+  /// `count` hits of the line in (`set`, `way`): the counters and one
+  /// replacement touch.
+  void count_hits(std::uint32_t set, std::uint32_t way, std::uint64_t count) {
+    stats_.accesses += count;
+    stats_.hits += count;
+    repl_touch(repl_, set, way);
+  }
   /// TTL (ClepsydraCache) bookkeeping: advance the access clock and lazily
   /// invalidate expired lines of the probed set (outlined: only TTL caches
   /// pay for it); refresh a hit line's expiry; draw a fresh TTL for a
   /// newly filled line.  Only called when ttl_enabled_.
   void ttl_advance_and_expire(std::uint32_t set) {
     ++ttl_clock_;
-    ttl_expire(set);
+    ttl_expire(set, ttl_clock_);
   }
-  /// Reclaim the lines of `set` whose TTL elapsed at the current clock.
-  [[gnu::noinline]] void ttl_expire(std::uint32_t set);
-  /// The TTL part of latched_hits: 0 if the line dies at the next tick,
-  /// else `count` with the clock ticks, the line's refresh and the set's
-  /// reclamation applied for them.
-  [[gnu::noinline]] std::uint64_t ttl_latched_ticks(std::uint32_t set,
-                                                    std::uint32_t way,
-                                                    std::uint64_t count);
+  /// Reclaim the lines of `set` whose TTL elapsed by clock value `now`.
+  [[gnu::noinline]] void ttl_expire(std::uint32_t set, std::uint64_t now);
+  /// The TTL survival rule: does the line at `index` hit on every probe
+  /// of a stretch that probes it first `first` ticks after the current
+  /// clock's next and then at most `gap` ticks apart?  A probe ticks the
+  /// clock before it reclaims, so the first one finds the line alive iff
+  /// its expiry lies past clock + first + 1; each hit refreshes the line to
+  /// (tick + TTL), so the next finds it alive iff it comes fewer than TTL
+  /// ticks later.
+  [[nodiscard]] bool ttl_survives(std::size_t index, std::uint64_t first,
+                                  std::uint64_t gap) const {
+    return expiry_[index] > ttl_clock_ + first + 1 && gap < ttl_[index];
+  }
+  /// latched_segment on a TTL cache.
+  [[gnu::noinline]] bool ttl_latched_segment(const SegmentLine* lines,
+                                             unsigned n, std::uint64_t probes);
   void ttl_refresh(std::size_t index) {
     expiry_[index] = ttl_clock_ + ttl_[index];
   }

@@ -34,8 +34,7 @@ void FetchTrace::fetch(Addr pc) {
         run.fetches < std::numeric_limits<std::uint16_t>::max() &&
         run.branches < std::numeric_limits<std::uint8_t>::max()) {
       ++run.fetches;
-      ++lines_.back().fetches;  // the open run's line was touched last
-      ++segments_.back().fetches;
+      line_fetch(lines_.back());  // the open run's line was touched last
       return;
     }
   }
@@ -54,20 +53,19 @@ void FetchTrace::start_run(std::uint32_t pc32, std::uint32_t line) {
         });
     if (owner == lines_.end() || owner->line == line) {
       if (owner == lines_.end()) {
-        lines_.push_back(LineFetches{line, 0});
+        lines_.push_back(LineFetches{line, 0, seg.fetches, seg.fetches, 0});
         ++seg.lines;
       } else {
         std::rotate(owner, owner + 1, lines_.end());  // last touch moves last
       }
-      ++lines_.back().fetches;
-      ++seg.fetches;
+      line_fetch(lines_.back());
       ++seg.runs;
       return;
     }
     // Another line owns the slot: both cannot stay latched, so cut here.
   }
   segments_.push_back(Segment{1, 0, 0, 1, 1});
-  lines_.push_back(LineFetches{line, 1});
+  lines_.push_back(LineFetches{line, 1, 0, 0, 0});
   segment_open_ = true;
 }
 

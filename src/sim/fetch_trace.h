@@ -17,14 +17,20 @@
 // Runs are folded into segments as they are written: at most kSegmentRuns
 // consecutive runs over L1I lines that each own a latch slot (so at most
 // kLatchSlots lines), closed by a per-line flush.  A segment stores, per
-// line, its fetch count in last-touch order, and its summed fetch, branch
-// and taken-branch counts - what Machine::replay needs to serve a steady-
+// line, 20 bytes in last-touch order - its fetch count and three fetch
+// offsets from the segment's start (first fetch, last fetch, largest gap
+// between two of its consecutive fetches) - and its summed fetch, branch
+// and taken-branch counts: what Machine::replay needs to serve a steady-
 // state loop's fetches in O(lines) when every line is already latched.
+// Every fetch ticks an L1I's TTL clock once, so the offsets are also the
+// clock ticks at which the line is probed, which is what lets a TTL cache
+// decide the whole segment at its entry (Cache::latched_segment).
 //
 // Addresses are TSISA addresses: pcs and effective addresses must fit in 32
 // bits (the recorder and every hand-built trace in the repository do).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -77,6 +83,22 @@ class FetchTrace {
   /// Segments written so far.
   [[nodiscard]] std::size_t segments() const { return segments_.size(); }
 
+  /// One L1I line of a segment (line address, not pc), its fetches, and
+  /// where they fall: offsets counted in fetches from the segment's first.
+  struct LineFetches {
+    std::uint32_t line = 0;
+    std::uint32_t fetches = 0;
+    std::uint32_t first = 0;  ///< offset of its first fetch
+    std::uint32_t last = 0;   ///< offset of its last fetch
+    std::uint32_t gap = 0;    ///< largest offset step between its fetches
+    friend bool operator==(const LineFetches&, const LineFetches&) = default;
+  };
+  /// The line entries of every segment so far, segment after segment, each
+  /// segment's in last-touch order.
+  [[nodiscard]] const std::vector<LineFetches>& line_fetches() const {
+    return lines_;
+  }
+
   /// Release spare capacity once recording is done.
   void shrink_to_fit() {
     runs_.shrink_to_fit();
@@ -107,12 +129,6 @@ class FetchTrace {
     std::uint32_t slot = 0;
     friend bool operator==(const DataRef&, const DataRef&) = default;
   };
-  /// One L1I line of a segment (line address, not pc) and its fetches.
-  struct LineFetches {
-    std::uint32_t line = 0;
-    std::uint32_t fetches = 0;
-    friend bool operator==(const LineFetches&, const LineFetches&) = default;
-  };
   /// Consecutive runs whose lines own distinct latch slots; its `lines`
   /// entries of lines_ follow the previous segment's, in last-touch order.
   struct Segment {
@@ -127,6 +143,14 @@ class FetchTrace {
   void fetch(Addr pc);
   /// Open a run of `line` at `pc32`, in the open segment when it fits.
   void start_run(std::uint32_t pc32, std::uint32_t line);
+  /// Count one more fetch of `lf`, the open segment's line touched last.
+  void line_fetch(LineFetches& lf) {
+    Segment& seg = segments_.back();
+    lf.gap = std::max(lf.gap, seg.fetches - lf.last);
+    lf.last = seg.fetches;
+    ++lf.fetches;
+    ++seg.fetches;
+  }
   void data(Addr ea, Ref kind);
 
   std::vector<Run> runs_;

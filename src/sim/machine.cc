@@ -9,7 +9,6 @@ Machine::Machine(HierarchyConfig config, std::shared_ptr<rng::Rng> rng)
     : hierarchy_(std::move(config), rng), rng_(std::move(rng)) {
   fetch_shift_ = hierarchy_.l1i().geometry().offset_bits();
   data_shift_ = hierarchy_.l1d().geometry().offset_bits();
-  l1i_ttl_ = hierarchy_.l1i().config().ttl_max > 0;
   // A latched fetch or data reference is an L1 hit: what access() would
   // charge for one.
   const LatencyConfig& lat = latency();
@@ -77,17 +76,17 @@ const FetchTrace::DataRef* Machine::replay_refs(
   return ref;
 }
 
-bool Machine::segment_latched(const FetchTrace::LineFetches* lines,
-                              unsigned n) {
-  if (l1i_ttl_) return false;  // a latched line may die mid-segment
+bool Machine::latched_segment(const FetchTrace::LineFetches* lines,
+                              unsigned n, std::uint64_t fetches) {
   cache::Cache& l1i = hierarchy_.l1i();
+  cache::Cache::SegmentLine hits[kLatchSlots];
   for (unsigned k = 0; k < n; ++k) {
-    const Addr line = lines[k].line;
-    if (!latched(latches_[line % kLatchSlots], l1i, line, fetch_shift_)) {
-      return false;
-    }
+    const FetchTrace::LineFetches& lf = lines[k];
+    Latch& latch = latches_[lf.line % kLatchSlots];
+    if (!latched(latch, l1i, lf.line, fetch_shift_)) return false;
+    hits[k] = {latch.set, latch.way, lf.fetches, lf.first, lf.last, lf.gap};
   }
-  return true;
+  return l1i.latched_segment(hits, n, fetches);
 }
 
 void Machine::replay(const FetchTrace& trace) {
@@ -102,15 +101,10 @@ void Machine::replay(const FetchTrace& trace) {
   const FetchTrace::DataRef* const refs_end = ref + trace.data_.size();
   std::uint64_t issued = 0;  // fetches issued so far, over the whole trace
   for (const FetchTrace::Segment& seg : trace.segments_) {
-    if (segment_latched(lines, seg.lines)) {
-      // No fetch of the segment can miss, and nothing in it but a final
-      // flush reaches the L1I: serve each line's fetches at once, in last-
-      // touch order, then the data references in order.
-      cache::Cache& l1i = hierarchy_.l1i();
-      for (unsigned k = 0; k < seg.lines; ++k) {
-        const Latch& latch = latches_[lines[k].line % kLatchSlots];
-        (void)l1i.latched_hits(latch.set, latch.way, lines[k].fetches, false);
-      }
+    if (latched_segment(lines, seg.lines, seg.fetches)) {
+      // No fetch of the segment missed, and nothing in it but a final
+      // flush reaches the L1I: its fetches are served, the data references
+      // follow in order.
       stats_.instructions += seg.fetches;
       stats_.branches += seg.branches;
       stats_.taken_branches += seg.taken;

@@ -32,7 +32,9 @@
 //
 // Recorded streams (sim::FetchTrace) replay through the same latch with
 // replay(), a segment at a time: a segment whose lines are all latched
-// cannot miss, so its fetches are served as one counted batch per line.
+// cannot miss - on a TTL cache, once Cache::latched_segment has checked
+// that no line dies before its last fetch - so its fetches are served as
+// one counted batch per line.
 // Replayed data references go through a one-line L1D latch on the same
 // epoch guard: consecutive references to one line are the common case, and
 // a stretch of them is served as one counted batch.
@@ -132,16 +134,16 @@ class Machine {
   /// Issue a recorded stream under the current process: exactly equivalent
   /// to the instr/load/store/branch/flush_line calls it was written with,
   /// in order.  Segment by segment: when every line of a segment is
-  /// latched and the L1I has no TTL clock, none of its fetches can miss and
-  /// its data references reach only the L1D and L2 (its one flush, if any,
-  /// is its last reference), so the fetch side is one Cache::latched_hits
-  /// per line in last-touch order - LRU, PLRU and NMRU touches are last-
-  /// writer-wins, FIFO and random ignore hits - plus the summed counters,
-  /// and the data references follow in order.  Otherwise the segment
-  /// replays run by run: each run's repeat fetches go through the latch as
-  /// one batch ahead of the run's later data references (they commute: a
-  /// latched hit touches only the L1I and draws no random number), fetch by
-  /// fetch when the run's first fetch left the line non-resident.  Data
+  /// latched, and on a TTL L1I every line outlives its last fetch, none of
+  /// its fetches can miss and its data references reach only the L1D and
+  /// L2 (its one flush, if any, is its last reference), so the fetch side
+  /// is one Cache::latched_segment over its lines in last-touch order plus
+  /// the summed counters, and the data references follow in order.
+  /// Otherwise the segment replays run by run: each run's repeat fetches go
+  /// through the latch as one batch ahead of the run's later data
+  /// references (they commute: a latched hit touches only the L1I and
+  /// draws no random number), fetch by fetch when the run's first fetch
+  /// left the line non-resident.  Data
   /// references on the line of the reference before them take the L1D
   /// latch, a stretch of them as one batch.  Throws std::invalid_argument
   /// when the trace was cut for another L1I line size.
@@ -270,9 +272,12 @@ class Machine {
                                          const FetchTrace::DataRef* end,
                                          std::uint64_t issued);
 
-  /// Are all `n` lines from `lines` latched (ways resolved) on an L1I
-  /// without a TTL clock - so a segment over them cannot miss?
-  bool segment_latched(const FetchTrace::LineFetches* lines, unsigned n);
+  /// Serve the `fetches` fetches of a segment over the `n` lines from
+  /// `lines` through one Cache::latched_segment, when every line is latched
+  /// (ways resolved) and the L1I accepts the segment; false, with nothing
+  /// served, otherwise.
+  bool latched_segment(const FetchTrace::LineFetches* lines, unsigned n,
+                       std::uint64_t fetches);
 
   /// The flush half of flush_line.
   void line_flush(Addr ea) {
@@ -292,7 +297,6 @@ class Machine {
   Latch data_latch_;                 ///< replay's L1D latch
   unsigned fetch_shift_ = 0;         ///< L1I line offset bits
   unsigned data_shift_ = 0;          ///< L1D line offset bits
-  bool l1i_ttl_ = false;             ///< the L1I runs a TTL clock
   Cycles latched_fetch_cycles_ = 1;  ///< issue + quantized L1I hit stall
   Cycles latched_data_cycles_ = 0;   ///< quantized L1D hit stall
 };

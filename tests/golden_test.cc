@@ -201,7 +201,8 @@ TEST(GoldenPwcetMatrix, MatchesFixtureAndAssertsThePapersClaim) {
   // already a worker-invariance check), and the embedded claim booleans.
   // CI's bench-smoke job additionally diffs --shards 1 vs 8.
 #ifndef NDEBUG
-  // ~2 CPU-minutes at -O3; an order of magnitude more under Debug/ASan.
+  // About 11 CPU-seconds (6 s wall on 2 workers) at -O3 on a shared
+  // 4-vCPU Xeon; an order of magnitude more under Debug/ASan.
   // The Release jobs (including the explicit -O2/NDEBUG one) carry this
   // contract; the sanitizer job still covers the underlying code paths via
   // the pwcet_matrix/mbpta/gof/evt unit tests.

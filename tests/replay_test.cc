@@ -19,6 +19,7 @@
 // through the public hierarchy().
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -864,47 +865,54 @@ TEST(ReplaySegments, SameSetLinesKeepTheirLastTouchOrder) {
   // order whose last touches differ from its first touches; then fresh
   // lines of the same set evict whatever the policy ranks last.  A batch
   // replayed in any other order than last-touch order evicts the wrong
-  // line under LRU, PLRU and NMRU.
-  for (const cache::MapperKind mapper :
-       {cache::MapperKind::kHashRp, cache::MapperKind::kRandomModulo}) {
-    for (const cache::ReplacementKind repl :
-         {cache::ReplacementKind::kLru, cache::ReplacementKind::kPlru,
-          cache::ReplacementKind::kNmru, cache::ReplacementKind::kFifo,
-          cache::ReplacementKind::kRandom}) {
-      sim::HierarchyConfig cfg = small_config(mapper, repl);
-      cfg.l1i.config.geometry = cache::Geometry(2048, 4, 32);  // 16 sets
-      Triple t(cfg, 37);
-      t.set_seed(ProcId{1}, Seed{43});
-      const cache::IndexMapper& m = t.direct.hierarchy().l1i().mapper();
-      const std::uint32_t set = m.map(0x6000 >> 5, ProcId{1});
-      std::vector<Addr> same;  // distinct slots, same set
-      std::vector<bool> slot_used(8, false);
-      for (Addr line = 0x6000 >> 5; same.size() < 8; ++line) {
-        if (m.map(line, ProcId{1}) != set) continue;
-        if (same.size() < 4 && slot_used[line % 8]) continue;
-        if (same.size() < 4) slot_used[line % 8] = true;
-        same.push_back(line << 5);
+  // line under LRU, PLRU and NMRU - on a TTL L1I too, where lifetimes of
+  // 1000 accesses let every segment be served.
+  for (const std::uint32_t ttl : {0u, 1000u}) {
+    for (const cache::MapperKind mapper :
+         {cache::MapperKind::kHashRp, cache::MapperKind::kRandomModulo}) {
+      for (const cache::ReplacementKind repl :
+           {cache::ReplacementKind::kLru, cache::ReplacementKind::kPlru,
+            cache::ReplacementKind::kNmru, cache::ReplacementKind::kFifo,
+            cache::ReplacementKind::kRandom}) {
+        sim::HierarchyConfig cfg = small_config(mapper, repl);
+        cfg.l1i.config.geometry = cache::Geometry(2048, 4, 32);  // 16 sets
+        cfg.l1i.config.ttl_min = cfg.l1i.config.ttl_max = ttl;
+        Triple t(cfg, 37);
+        t.set_seed(ProcId{1}, Seed{43});
+        const cache::IndexMapper& m = t.direct.hierarchy().l1i().mapper();
+        const std::uint32_t set = m.map(0x6000 >> 5, ProcId{1});
+        std::vector<Addr> same;  // distinct slots, same set
+        std::vector<bool> slot_used(8, false);
+        for (Addr line = 0x6000 >> 5; same.size() < 8; ++line) {
+          if (m.map(line, ProcId{1}) != set) continue;
+          if (same.size() < 4 && slot_used[line % 8]) continue;
+          if (same.size() < 4) slot_used[line % 8] = true;
+          same.push_back(line << 5);
+        }
+        const std::vector<Addr> body = {same[0], same[1], same[2], same[3]};
+        for (int round = 0; round < 6; ++round) {
+          loop_over(t, body, 20);
+          // Last touches now run 3, 1, 0, 2 within the segment.
+          loop_over(t, {same[2], same[0], same[1], same[3], same[1], same[0],
+                        same[2]},
+                    10);
+          t.code(same[4 + round % 4], 2);  // a fill of the set
+          loop_over(t, body, 3);
+        }
+        t.expect_exact("last touch, mapper " +
+                       std::to_string(static_cast<int>(mapper)) + " repl " +
+                       std::to_string(static_cast<int>(repl)) + " ttl " +
+                       std::to_string(ttl));
       }
-      const std::vector<Addr> body = {same[0], same[1], same[2], same[3]};
-      for (int round = 0; round < 6; ++round) {
-        loop_over(t, body, 20);
-        // Last touches now run 3, 1, 0, 2 within the segment.
-        loop_over(t, {same[2], same[0], same[1], same[3], same[1], same[0],
-                      same[2]},
-                  10);
-        t.code(same[4 + round % 4], 2);  // a fill of the set
-        loop_over(t, body, 3);
-      }
-      t.expect_exact("last touch, mapper " +
-                     std::to_string(static_cast<int>(mapper)) + " repl " +
-                     std::to_string(static_cast<int>(repl)));
     }
   }
 }
 
-TEST(ReplaySegments, TtlL1iDeclinesSegmentsAndStaysExact) {
-  // Clepsydra L1I: a latched line may die inside a segment, so segments
-  // replay run by run and each batch meets the TTL clock.
+TEST(ReplaySegments, TtlL1iServesLiveSegmentsAndFallsBackExactly) {
+  // Clepsydra L1I: a segment is served whole only when no line can die
+  // before its last fetch.  Under TTL 6 a line goes longer than its
+  // lifetime between fetches and the segments replay run by run, each
+  // batch meeting the TTL clock; under 40 and 400 they are served.
   for (const std::uint32_t ttl : {6u, 40u, 400u}) {
     sim::HierarchyConfig cfg = small_config(cache::MapperKind::kRandomModulo,
                                             cache::ReplacementKind::kLru);
@@ -1009,6 +1017,237 @@ TEST(ReplaySegments, RandomLoopsOverEveryPolicy) {
       }
     }
   }
+}
+
+// --- TTL segments -------------------------------------------------------------
+
+/// small_config with fixed lifetimes: every L1I line lives `ttl` L1I
+/// accesses and every L1D line `data_ttl` L1D accesses (0: no L1D TTL);
+/// `l1i` is the L1I's geometry.
+sim::HierarchyConfig fixed_ttl_config(
+    std::uint32_t ttl, std::uint32_t data_ttl = 0,
+    cache::Geometry l1i = cache::Geometry(4096, 2, 32)) {
+  sim::HierarchyConfig cfg = small_config(cache::MapperKind::kModulo,
+                                          cache::ReplacementKind::kLru);
+  cfg.l1i.config.geometry = l1i;
+  cfg.l1i.config.ttl_min = cfg.l1i.config.ttl_max = ttl;
+  cfg.l1d.config.ttl_min = cfg.l1d.config.ttl_max = data_ttl;
+  return cfg;
+}
+
+/// Four 4-way sets: modulo puts lines 4 apart in one set and latch slots
+/// apart, so one segment can hold several lines of a set.
+const cache::Geometry kFourSets(512, 4, 32);
+
+/// Ends a TTL case.  The oracle compares counters only, so a wrong expiry
+/// or replacement rank left by the case could hide; the tail turns one
+/// into a counter difference: compare, re-fetch the case's code lines and
+/// re-load its data lines, flood other lines for longer than `ttl` (the
+/// longest lifetime) so that every case line leaves by eviction or by
+/// expiry, then fetch and load the case's lines again, and compare.
+void expect_exact_through_probe_tail(Triple& t, const std::vector<Addr>& code,
+                                     const std::vector<Addr>& data,
+                                     std::uint32_t ttl,
+                                     const std::string& what) {
+  t.expect_exact(what);
+  const auto probe = [&] {
+    for (const Addr pc : code) t.instr(pc);
+    for (const Addr ea : data) t.load(0x30000, ea);
+    t.sync();
+  };
+  probe();
+  for (std::uint32_t i = 0; i < 2 * ttl + 256; ++i) {
+    t.load(0x40000 + 32 * (i % 96), 0x60000 + 32 * Addr{i});
+  }
+  t.sync();
+  probe();
+  t.expect_exact(what + " probe tail");
+}
+
+/// L1I counters of the direct machine.
+cache::CacheStats l1i_stats(Triple& t) {
+  return t.direct.hierarchy().l1i().stats();
+}
+
+TEST(TtlSegments, LineDyingAtItsFirstFetchFallsBack) {
+  // Lifetime 16.  A's expiry is the tick of its first fetch in the segment,
+  // the segment's third (delta 0): that probe reclaims it and misses, so
+  // the segment must fall back.  One tick later (delta 1) A is alive and
+  // the segment is served.
+  const Addr a = 0x7000;
+  const Addr b = 0x7020;
+  for (const std::uint64_t delta : {0u, 1u}) {
+    Triple t(fixed_ttl_config(16), 83);
+    t.instr(a);  // clock 1
+    t.instr(b);  // clock 2
+    t.instr(a);  // clock 3: A lives to 19, both lines latched
+    // Hits on B move the clock without moving the epoch: the segment
+    // enters at 16 - delta, so A's first probe ticks 19 - delta.
+    for (std::uint64_t c = 3; c < 16 - delta; ++c) {
+      t.external_l1i_read(ProcId{1}, b);
+    }
+    const cache::CacheStats before = l1i_stats(t);
+    for (int i = 0; i < 3; ++i) {
+      t.instr(b);
+      t.instr(b + 4);
+      t.instr(a);
+      t.instr(a + 4);
+    }
+    t.sync();
+    EXPECT_EQ(l1i_stats(t).misses - before.misses, delta == 0 ? 1u : 0u);
+    EXPECT_EQ(l1i_stats(t).ttl_expirations - before.ttl_expirations,
+              delta == 0 ? 1u : 0u);
+    expect_exact_through_probe_tail(t, {a, b}, {}, 16,
+                                    "first fetch, delta " +
+                                        std::to_string(delta));
+  }
+}
+
+TEST(TtlSegments, GapOfTheLifetimeFallsBackAndOneLessIsServed) {
+  // A is fetched once per pass, B the other gap - 1 times: A's largest gap
+  // is `gap`.  Under lifetime 16, a gap of 16 lets A die before each
+  // refetch (every pass after the first misses); a gap of 15 never does.
+  const Addr a = 0x7000;
+  const Addr b = 0x7020;
+  constexpr std::uint32_t kTtl = 16;
+  for (const std::uint32_t gap : {kTtl, kTtl - 1}) {
+    Triple t(fixed_ttl_config(kTtl), 89);
+    t.instr(a);
+    t.instr(b);
+    t.instr(a);
+    t.sync();
+    const cache::CacheStats before = l1i_stats(t);
+    for (int pass = 0; pass < 10; ++pass) {
+      t.instr(a);
+      for (std::uint32_t j = 0; j + 1 < gap; ++j) t.instr(b + 4 * (j % 8));
+    }
+    t.sync();
+    EXPECT_EQ(l1i_stats(t).misses - before.misses, gap == kTtl ? 9u : 0u)
+        << "gap " << gap;
+    expect_exact_through_probe_tail(t, {a, b}, {}, kTtl,
+                                    "gap " + std::to_string(gap));
+  }
+}
+
+TEST(TtlSegments, SetMateDiesAfterItsLastFetchInsideTheSegment) {
+  // A and B share set 0 (latch slots 0 and 4), C is in set 1.  A's last
+  // fetch is the segment's second; B's later probes of set 0 pass A's
+  // expiry, so A dies inside the segment, before B's last fetch - a served
+  // segment must reclaim it at set 0's last probe, having redone A's and
+  // B's touches in last-touch order.
+  const Addr a = 0x7000;
+  const Addr b = 0x7080;
+  const Addr c = 0x7020;
+  for (const cache::ReplacementKind repl :
+       {cache::ReplacementKind::kLru, cache::ReplacementKind::kPlru,
+        cache::ReplacementKind::kNmru}) {
+    sim::HierarchyConfig cfg = fixed_ttl_config(16, 0, kFourSets);
+    cfg.l1i.replacement = repl;
+    Triple t(cfg, 97);
+    for (const Addr pc : {a, b, c, a, b}) t.instr(pc);  // clock 5, latched
+    t.sync();
+    const cache::CacheStats before = l1i_stats(t);
+    t.instr(a);
+    t.instr(a + 4);  // A's last fetch: it dies at tick 5 + 2 + 16
+    for (int i = 0; i < 12; ++i) {
+      t.instr(b);
+      t.instr(c);
+    }
+    t.sync();
+    EXPECT_EQ(l1i_stats(t).ttl_expirations - before.ttl_expirations, 1u);
+    EXPECT_EQ(l1i_stats(t).misses, before.misses);
+    expect_exact_through_probe_tail(
+        t, {a, b, c}, {}, 16,
+        "set mate, repl " + std::to_string(static_cast<int>(repl)));
+  }
+}
+
+TEST(TtlSegments, DeadLineOutsideTheSegmentIsReclaimedAtItsSetsLastProbe) {
+  // D (set 0) is not in the segment; A and B (set 0) and C (set 1) are.
+  // Set 0's last probe ticks 29.  Lifetime 28: D dies at 29 and that
+  // probe reclaims it.  Lifetime 29: D dies at 30, after set 0's last
+  // probe, and stays until a later probe of its set - although C's
+  // fetches carry the segment's clock past its expiry.
+  const Addr d = 0x7100;
+  const Addr a = 0x7000;
+  const Addr b = 0x7080;
+  const Addr c = 0x7020;
+  for (const std::uint32_t ttl : {28u, 29u}) {
+    Triple t(fixed_ttl_config(ttl, 0, kFourSets), 101);
+    for (const Addr pc : {d, a, b, c, a, b}) t.instr(pc);  // clock 6
+    t.sync();
+    const cache::CacheStats before = l1i_stats(t);
+    for (int i = 0; i < 8; ++i) {  // set 0 is last probed at offset 22
+      t.instr(a);
+      t.instr(b);
+      t.instr(c);
+    }
+    for (int i = 0; i < 10; ++i) t.instr(c + 4 * (i % 8));
+    t.sync();
+    EXPECT_EQ(l1i_stats(t).ttl_expirations - before.ttl_expirations,
+              ttl == 28 ? 1u : 0u);
+    expect_exact_through_probe_tail(t, {a, b, c, d}, {}, ttl,
+                                    "dead outsider, ttl " +
+                                        std::to_string(ttl));
+  }
+}
+
+TEST(TtlSegments, FlushClosingASegmentProbesAtTheSegmentsEndClock) {
+  // A flush is its segment's last reference: it probes the L1I at the
+  // tick after the segment's last fetch.  D shares B's set and dies at 41;
+  // with 17 passes the flush of B probes at 41 and reclaims D, with 16 at
+  // 39 and leaves it.
+  const Addr a = 0x7000;
+  const Addr b = 0x7020;
+  const Addr d = b + 64 * 32;
+  for (const int passes : {17, 16}) {
+    Triple t(fixed_ttl_config(40), 103);
+    for (const Addr pc : {d, a, b, a, a}) t.instr(pc);  // clock 5, latched
+    t.sync();
+    const cache::CacheStats before = l1i_stats(t);
+    for (int i = 0; i < passes; ++i) {
+      t.instr(a);
+      t.instr(b);
+    }
+    t.flush_line(a + 4, b);
+    t.sync();
+    const cache::CacheStats after = l1i_stats(t);
+    EXPECT_EQ(after.ttl_expirations - before.ttl_expirations,
+              passes == 17 ? 1u : 0u);
+    EXPECT_EQ(after.line_flush_hits - before.line_flush_hits, 1u);
+    EXPECT_EQ(after.misses, before.misses);
+    expect_exact_through_probe_tail(t, {a, b, d}, {}, 40,
+                                    "flush, passes " +
+                                        std::to_string(passes));
+  }
+}
+
+TEST(TtlSegments, DataLineDyingInsideAServedSegment) {
+  // The L1I (lifetime 400) serves the segment whole; inside it, the L1D
+  // (lifetime 8) sees X stored to, ten latched loads of Y, and X loaded
+  // again: X died dirty in between, so that load reclaims it, writes it
+  // back and misses.
+  const Addr a = 0x7000;
+  const Addr b = 0x7020;
+  const Addr x = 0xE000;
+  const Addr y = x + 32;
+  Triple t(fixed_ttl_config(400, 8), 107);
+  t.load(a, x);
+  t.load(b, y);
+  t.instr(a);
+  t.sync();
+  const cache::CacheStats before = t.direct.hierarchy().l1d().stats();
+  for (int pass = 0; pass < 3; ++pass) {
+    t.store(a, x);
+    for (int j = 0; j < 10; ++j) t.load(a + 4 * (j % 8), y + 4 * (j % 8));
+    t.load(b, x);
+  }
+  t.sync();
+  const cache::CacheStats after = t.direct.hierarchy().l1d().stats();
+  EXPECT_EQ(after.ttl_expirations - before.ttl_expirations, 3u);
+  EXPECT_EQ(after.writebacks - before.writebacks, 3u);
+  EXPECT_EQ(l1i_stats(t).misses, 2u);  // A's and B's fills only
+  expect_exact_through_probe_tail(t, {a, b}, {x, y}, 400, "data ttl");
 }
 
 // --- the replay data latch -----------------------------------------------------
@@ -1281,6 +1520,114 @@ TEST(CacheEpoch, TtlExpiryMovesItOnAHit) {
   EXPECT_NE(c->epoch(), e);
 }
 
+// --- Cache::latched_segment --------------------------------------------------------
+
+TEST(LatchedSegment, ServedIffEveryProbeHitsAndThenExactlyLikeThem) {
+  // Random stretches of read probes over resident lines of a small TTL
+  // cache.  Cache `a` takes each stretch as one latched_segment, its twin
+  // `b` probe by probe through access(): the segment must be served iff
+  // every probe hits, change nothing when declined, and leave `a` where
+  // the probes left `b` - which random traffic afterwards, hit by hit,
+  // would expose.
+  rng::SplitMix64 r(5);
+  for (const cache::ReplacementKind repl :
+       {cache::ReplacementKind::kLru, cache::ReplacementKind::kPlru,
+        cache::ReplacementKind::kNmru, cache::ReplacementKind::kFifo,
+        cache::ReplacementKind::kRandom}) {
+    cache::CacheSpec spec;
+    spec.config.geometry = kFourSets;
+    spec.config.ttl_min = 4;
+    spec.config.ttl_max = 24;
+    spec.replacement = repl;
+    const auto a = cache::build_cache(
+        spec, std::make_shared<rng::XorShift64Star>(11));
+    const auto b = cache::build_cache(
+        spec, std::make_shared<rng::XorShift64Star>(11));
+    const ProcId p{1};
+    const auto both = [&](Addr addr, bool write) {
+      const bool hit = a->access(p, addr, write).hit;
+      EXPECT_EQ(hit, b->access(p, addr, write).hit);
+    };
+    const auto expect_twins = [&](const std::string& what) {
+      const cache::CacheStats x = a->stats();
+      const cache::CacheStats y = b->stats();
+      EXPECT_EQ(x.accesses, y.accesses) << what;
+      EXPECT_EQ(x.hits, y.hits) << what;
+      EXPECT_EQ(x.evictions, y.evictions) << what;
+      EXPECT_EQ(x.writebacks, y.writebacks) << what;
+      EXPECT_EQ(x.ttl_expirations, y.ttl_expirations) << what;
+    };
+    int served = 0;
+    int declined = 0;
+    for (int round = 0; round < 300; ++round) {
+      for (int i = 0; i < 12; ++i) {
+        both(32 * r.next_below(24), r.next_below(4) == 0);
+      }
+      // The stretch's lines: resident lines of the pool, each in its own
+      // latch slot as a trace segment's are.
+      std::vector<Addr> pool;
+      std::vector<cache::Cache::SegmentLine> lines;
+      for (Addr line = 0; line < 24 && lines.size() < 6; ++line) {
+        const std::uint32_t set = static_cast<std::uint32_t>(line % 4);
+        const auto way = a->resident_way(set, line << 5);
+        if (!way || r.next_below(3) == 0) continue;
+        pool.push_back(line << 5);
+        lines.push_back({set, *way, 0, 0, 0, 0});
+      }
+      if (lines.empty()) continue;
+      // A probe order, and each line's hits, first/last offsets and gap.
+      const std::uint64_t probes = 1 + r.next_below(48);
+      std::vector<std::size_t> order;
+      std::vector<std::size_t> touch;  // last-touch order of lines
+      for (std::uint64_t j = 0; j < probes; ++j) {
+        const std::size_t k = r.next_below(2) == 0 && !order.empty()
+                                  ? order.back()
+                                  : r.next_below(lines.size());
+        cache::Cache::SegmentLine& l = lines[k];
+        if (l.hits == 0) {
+          l.first = j;
+        } else {
+          l.gap = std::max(l.gap, j - l.last);
+        }
+        l.last = j;
+        ++l.hits;
+        order.push_back(k);
+        std::erase(touch, k);
+        touch.push_back(k);
+      }
+      std::vector<cache::Cache::SegmentLine> segment;
+      for (const std::size_t k : touch) segment.push_back(lines[k]);
+
+      const cache::CacheStats before = a->stats();
+      const std::uint64_t epoch = a->epoch();
+      const bool ok = a->latched_segment(
+          segment.data(), static_cast<unsigned>(segment.size()), probes);
+      bool all_hit = true;
+      for (const std::size_t k : order) {
+        all_hit = b->access(p, pool[k], false).hit && all_hit;
+      }
+      const std::string what = "round " + std::to_string(round) + " repl " +
+                               std::to_string(static_cast<int>(repl));
+      ASSERT_EQ(ok, all_hit) << what;
+      if (ok) {
+        ++served;
+      } else {
+        ++declined;
+        EXPECT_EQ(a->stats().accesses, before.accesses) << what;
+        EXPECT_EQ(a->stats().ttl_expirations, before.ttl_expirations)
+            << what;
+        EXPECT_EQ(a->epoch(), epoch) << what;
+        for (const std::size_t k : order) (void)a->access(p, pool[k], false);
+      }
+      expect_twins(what);
+    }
+    for (int i = 0; i < 400; ++i) both(32 * r.next_below(24), false);
+    expect_twins("traffic after");
+    EXPECT_GT(served, 20);
+    EXPECT_GT(declined, 20);
+  }
+}
+
 // --- platform invariance ---------------------------------------------------------
 
 TEST(FetchTraceRecording, ModuloAndClepsydraRecordTheSameTrace) {
@@ -1344,6 +1691,39 @@ TEST(FetchTraceRecording, HandBuiltTraceGetsTheRecordedSegments) {
   EXPECT_EQ(hand.segments(), 4u);  // 201 runs: 64 + 64 + 64 + 9
   EXPECT_EQ(hand.segments(), recorded.warm.segments());
   EXPECT_TRUE(hand == recorded.warm);
+}
+
+TEST(FetchTraceRecording, SegmentLinesRecordFirstLastAndGap) {
+  // One segment over A, B and C (own latch slots) closed by a flush fetched
+  // from B; then A opens the next segment and D, A's slot mate, cuts it.
+  const Addr a = 0x1000;
+  const Addr b = 0x1020;
+  const Addr c = 0x1040;
+  const Addr d = a + 8 * 32;
+  sim::FetchTrace trace(32);
+  trace.instr(a);          // 0
+  trace.instr(a + 4);      // 1
+  trace.instr(b);          // 2
+  trace.branch(a, true);   // 3
+  trace.load(c, 0x9000);   // 4
+  trace.instr(c + 4);      // 5
+  trace.instr(c + 8);      // 6
+  trace.instr(a + 8);      // 7
+  trace.instr(b + 4);      // 8
+  trace.flush_line(b + 8, 0x9000);  // 9
+  trace.instr(a);          // next segment: 0
+  trace.instr(a);          // 1
+  trace.instr(d);          // cut: 0
+  using LF = sim::FetchTrace::LineFetches;
+  const std::vector<LF> expected = {
+      LF{c >> 5, 3, 4, 6, 1},  // last touched first
+      LF{a >> 5, 4, 0, 7, 4},
+      LF{b >> 5, 3, 2, 9, 6},
+      LF{a >> 5, 2, 0, 1, 1},
+      LF{d >> 5, 1, 0, 0, 0},
+  };
+  EXPECT_EQ(trace.segments(), 3u);
+  EXPECT_TRUE(trace.line_fetches() == expected);
 }
 
 TEST(FetchTraceRecording, RecordRestoresTheSinkWhenItThrows) {
