@@ -186,7 +186,11 @@ BENCHMARK_CAPTURE(BM_MachineReset, rpcache, core::PlacementPolicy::kRpCache);
 // family: the two latch-hostile designs (Clepsydra's TTL clock, TimeCache's
 // quantized hits) next to the plain ones.  The plain names replay the 24x24
 // matmul kernel; the /sort ones the 256-word bubble sort, the suite kernel
-// with the most runs (a three-line loop body, one data line per compare).
+// with the most runs (a three-line loop body, one data line per compare);
+// the /memcpy ones the 8 KB copy, whose segments' data lines are resident
+// only on some cells.  modulo/partitioned replays matmul on the partitioned
+// modulo cell, where conflict misses in the victim's half of the ways
+// decline whole data segments.
 const isa::KernelPasses& matmul_passes() {
   static const isa::KernelPasses passes = isa::record_passes(
       isa::assemble(isa::matmul_source(0x40000, 0x50000, 0x60000, 24),
@@ -201,13 +205,22 @@ const isa::KernelPasses& sort_passes() {
   return passes;
 }
 
+const isa::KernelPasses& memcpy_passes() {
+  static const isa::KernelPasses passes = isa::record_passes(
+      isa::assemble(isa::memcpy_source(0x40000, 0x60000, 2048), 0x1000),
+      0x1000);
+  return passes;
+}
+
 void BM_PwcetRun(benchmark::State& state, core::PlacementPolicy policy,
-                 const isa::KernelPasses& (*kernel)()) {
+                 const isa::KernelPasses& (*kernel)(),
+                 bool partitioned = false) {
   const isa::KernelPasses& passes = kernel();
   std::uint64_t seed = 1;
   for (auto _ : state) {
     sim::Machine& machine =
-        runner::MachinePool::local().policy_machine(policy, seed++, false)
+        runner::MachinePool::local()
+            .policy_machine(policy, seed++, partitioned)
             .machine;
     machine.set_process(core::kMatrixVictim);
     benchmark::DoNotOptimize(passes.time(machine));
@@ -237,6 +250,18 @@ BENCHMARK_CAPTURE(BM_PwcetRun, clepsydra/sort,
                   core::PlacementPolicy::kClepsydra, sort_passes);
 BENCHMARK_CAPTURE(BM_PwcetRun, timecache/sort,
                   core::PlacementPolicy::kTimeCache, sort_passes);
+BENCHMARK_CAPTURE(BM_PwcetRun, modulo/memcpy, core::PlacementPolicy::kModulo,
+                  memcpy_passes);
+BENCHMARK_CAPTURE(BM_PwcetRun, hashrp/memcpy, core::PlacementPolicy::kHashRp,
+                  memcpy_passes);
+BENCHMARK_CAPTURE(BM_PwcetRun, random_modulo/memcpy,
+                  core::PlacementPolicy::kRandomModulo, memcpy_passes);
+BENCHMARK_CAPTURE(BM_PwcetRun, clepsydra/memcpy,
+                  core::PlacementPolicy::kClepsydra, memcpy_passes);
+BENCHMARK_CAPTURE(BM_PwcetRun, timecache/memcpy,
+                  core::PlacementPolicy::kTimeCache, memcpy_passes);
+BENCHMARK_CAPTURE(BM_PwcetRun, modulo/partitioned,
+                  core::PlacementPolicy::kModulo, matmul_passes, true);
 
 // Recording a kernel's two passes (what every pWCET stage pays once per
 // kernel before fanning out): two interpreted runs plus trace compaction.

@@ -420,7 +420,7 @@ void Cache::random_fill(const ResolvedMapping* ctx, ProcId proc, Addr line,
   const Addr fill_line_addr =
       line - config_.random_fill_window + rng_->next_below(span);
   const std::uint32_t fill_set = map_one<MK>(sets_mask_, ctx, fill_line_addr);
-  if (!contains_line(fill_line_addr, fill_set)) {
+  if (!line_way(fill_set, fill_line_addr)) {
     fill_impl<MK, RK, WAYS>(ctx, proc, fill_line_addr, fill_set,
                             /*dirty=*/false, result);
   }
@@ -524,19 +524,19 @@ bool Cache::ttl_latched_segment(const SegmentLine* lines, unsigned n,
     }
   }
   // Every probe hits, so the stretch changes a line only through its last
-  // hit's refresh and through reclamation.  A line reclaimed by a later
-  // probe of its set keeps the touches of its earlier hits, as under
-  // access().  In last-touch order, a set's last probe is its last line's.
+  // hit's refresh, its dirty bit and reclamation.  A line reclaimed by a
+  // later probe of its set keeps the touches of its earlier hits, and the
+  // dirty bit of its writes, as under access().  In last-touch order, a
+  // set's last probe is its last line's.
   const std::uint64_t entry = ttl_clock_;
   for (unsigned k = 0; k < n; ++k) {
     const SegmentLine& l = lines[k];
-    count_hits(l.set, l.way, l.hits);
+    count_hits(l.set, l.way, l.hits, l.write);
     const std::size_t i = index(l);
     expiry_[i] = entry + l.last + 1 + ttl_[i];
-    bool probed_later = false;
-    for (unsigned j = k + 1; j < n; ++j) {
-      probed_later = probed_later || lines[j].set == l.set;
-    }
+    const bool probed_later =
+        std::any_of(lines + k + 1, lines + n,
+                    [&l](const SegmentLine& o) { return o.set == l.set; });
     if (!probed_later) ttl_expire(l.set, entry + l.last + 1);
   }
   ttl_clock_ = entry + probes;
@@ -595,20 +595,11 @@ Cache::AccessFn Cache::pick_access_fn() const {
                                    config_.geometry.ways());
 }
 
-bool Cache::contains_line(Addr line, std::uint32_t set) const {
-  const std::uint32_t ways = config_.geometry.ways();
-  const std::uint64_t probe = (line << 1) | 1;
-  const std::uint64_t* tv =
-      tagv_.data() + static_cast<std::size_t>(set) * ways;
-  for (std::uint32_t w = 0; w < ways; ++w) {
-    if (tv[w] == probe) return true;
-  }
-  return false;
-}
-
-bool Cache::contains(ProcId proc, Addr addr) const {
-  const Addr line = config_.geometry.line_addr(addr);
-  return contains_line(line, map_set(context(proc), line));
+std::optional<Cache::Location> Cache::find(ProcId proc, Addr addr) const {
+  const std::uint32_t set = map_set(context(proc), addr >> line_shift_);
+  const std::optional<std::uint32_t> way = resident_way(set, addr);
+  if (!way) return std::nullopt;
+  return Location{set, *way};
 }
 
 void Cache::evict(std::uint32_t set, std::uint32_t way, AccessResult& result) {

@@ -124,11 +124,24 @@ class Cache {
     return access_fn_(*this, proc, addr, write);
   }
 
+  /// Where a resident line sits.
+  struct Location {
+    std::uint32_t set = 0;
+    std::uint32_t way = 0;
+  };
+
+  /// The set and way holding the line containing `addr` for `proc` (the
+  /// set `proc`'s mapping gives it), if resident.  Does not update
+  /// replacement state or statistics.  On a TTL cache this may find a line
+  /// whose TTL already elapsed but whose set has not been probed since
+  /// (expiry is lazy, and find() does not probe).
+  [[nodiscard]] std::optional<Location> find(ProcId proc, Addr addr) const;
+
   /// Does the cache currently hold the line containing `addr` for `proc`?
-  /// Does not update replacement state or statistics.  On a TTL cache this
-  /// may report a line whose TTL already elapsed but whose set has not
-  /// been probed since (expiry is lazy, and contains() does not probe).
-  [[nodiscard]] bool contains(ProcId proc, Addr addr) const;
+  /// (find(), with the same caveat on a TTL cache.)
+  [[nodiscard]] bool contains(ProcId proc, Addr addr) const {
+    return find(proc, addr).has_value();
+  }
 
   /// Write back everything dirty and invalidate all lines (paper section 5:
   /// done once per hyperperiod together with the reseed).  Returns the
@@ -171,14 +184,7 @@ class Cache {
   /// A pure scan of one set: no statistics, no replacement update.
   [[nodiscard]] std::optional<std::uint32_t> resident_way(std::uint32_t set,
                                                           Addr addr) const {
-    const std::uint32_t ways = config_.geometry.ways();
-    const std::uint64_t probe = ((addr >> line_shift_) << 1) | 1;
-    const std::uint64_t* tv =
-        tagv_.data() + static_cast<std::size_t>(set) * ways;
-    for (std::uint32_t w = 0; w < ways; ++w) {
-      if (tv[w] == probe) return w;
-    }
-    return std::nullopt;
+    return line_way(set, addr >> line_shift_);
   }
 
   /// `count` (>= 1) back-to-back hits of the line resident in (`set`,
@@ -195,23 +201,19 @@ class Cache {
   std::uint64_t latched_hits(std::uint32_t set, std::uint32_t way,
                              std::uint64_t count, bool write) {
     if (ttl_enabled_) [[unlikely]] {
-      const SegmentLine one{set, way, count, 0, count - 1, count > 1 ? 1u : 0u};
-      if (!ttl_latched_segment(&one, 1, count)) return 0;
-    } else {
-      count_hits(set, way, count);
+      const SegmentLine one{set, way, count, 0, count - 1,
+                            count > 1 ? 1u : 0u, write};
+      return ttl_latched_segment(&one, 1, count) ? count : 0;
     }
-    if (write && config_.write_back) {
-      dirty_[static_cast<std::size_t>(set) * config_.geometry.ways() + way] =
-          1;
-    }
+    count_hits(set, way, count, write);
     return count;
   }
 
   /// One resident line of a latched segment: the line in (`set`, `way`)
-  /// takes `hits` read hits, probed first `first` and last `last` probes
-  /// after the segment's entry, at most `gap` probes apart in between.
-  /// (No member initializers: a replayer fills a scratch array per
-  /// segment.)
+  /// takes `hits` hits, writes among them when `write`, probed first
+  /// `first` and last `last` probes after the segment's entry, at most
+  /// `gap` probes apart in between.  (No member initializers: a replayer
+  /// fills a scratch array per segment.)
   struct SegmentLine {
     std::uint32_t set;
     std::uint32_t way;
@@ -219,29 +221,32 @@ class Cache {
     std::uint64_t first;
     std::uint64_t last;
     std::uint64_t gap;
+    bool write;
   };
 
-  /// A stretch of `probes` read accesses, every one a hit on one of the `n`
+  /// A stretch of `probes` accesses, every one a hit on one of the `n`
   /// distinct resident lines from `lines`, given in last-touch order,
-  /// accounted exactly as those access() calls: each line's hits counted
-  /// and its replacement touch redone in that order (last-writer-wins for
-  /// LRU, PLRU and NMRU; FIFO and random ignore hits).  On a TTL cache the
-  /// whole stretch is decided at its entry clock c0: every line must be
-  /// alive at its first probe and never go `ttl` probes without one, else
-  /// it returns false and changes nothing (a line would miss; the caller
-  /// takes access()).  Served, each line's expiry is its last probe's
-  /// refresh, c0 + last + 1 + ttl, each touched set is reclaimed once at
-  /// its last probe's tick - expiry is monotonic in the clock, so the same
-  /// lines die with the same writebacks as under every probe - and the
-  /// clock ends at c0 + `probes`.  Precondition: epoch() has not changed
-  /// since resident_way() returned each way.
+  /// accounted exactly as those access() calls: each line's hits counted,
+  /// its replacement touch redone in that order (last-writer-wins for
+  /// LRU, PLRU and NMRU; FIFO and random ignore hits) and, when written
+  /// under write-back, the line marked dirty.  On a TTL cache the whole
+  /// stretch is decided at its entry clock c0: every line must be alive at
+  /// its first probe and never go `ttl` probes without one, else it returns
+  /// false and changes nothing (a line would miss; the caller takes
+  /// access()).  Served, each line's expiry is its last probe's refresh,
+  /// c0 + last + 1 + ttl, each touched set is reclaimed once at its last
+  /// probe's tick - after its lines' dirty bits are set, and expiry is
+  /// monotonic in the clock, so the same lines die with the same writebacks
+  /// as under every probe - and the clock ends at c0 + `probes`.
+  /// Precondition: epoch() has not changed since each way was found
+  /// (resident_way() or find()).
   bool latched_segment(const SegmentLine* lines, unsigned n,
                        std::uint64_t probes) {
     if (ttl_enabled_) [[unlikely]] {
       return ttl_latched_segment(lines, n, probes);
     }
     for (unsigned k = 0; k < n; ++k) {
-      count_hits(lines[k].set, lines[k].way, lines[k].hits);
+      count_hits(lines[k].set, lines[k].way, lines[k].hits, lines[k].write);
     }
     return true;
   }
@@ -320,8 +325,19 @@ class Cache {
 
   void evict(std::uint32_t set, std::uint32_t way, AccessResult& result);
 
-  /// Is `line` already present in `set`?  (Pure array scan, no stats.)
-  [[nodiscard]] bool contains_line(Addr line, std::uint32_t set) const;
+  /// The way of `set` holding line address `line`, if resident.  (Pure
+  /// array scan, no stats.)
+  [[nodiscard]] std::optional<std::uint32_t> line_way(std::uint32_t set,
+                                                      Addr line) const {
+    const std::uint32_t ways = config_.geometry.ways();
+    const std::uint64_t probe = (line << 1) | 1;
+    const std::uint64_t* tv =
+        tagv_.data() + static_cast<std::size_t>(set) * ways;
+    for (std::uint32_t w = 0; w < ways; ++w) {
+      if (tv[w] == probe) return w;
+    }
+    return std::nullopt;
+  }
 
   /// The specialized access path: one instantiation per (mapping kind,
   /// replacement kind, way count).  WAYS == 0 means "runtime way count"
@@ -345,12 +361,17 @@ class Cache {
                                                     bool write);
   /// Outlined RPCache secure-contention handling (draws from the rng).
   [[gnu::noinline]] AccessResult contention_evict(std::uint32_t set);
-  /// `count` hits of the line in (`set`, `way`): the counters and one
-  /// replacement touch.
-  void count_hits(std::uint32_t set, std::uint32_t way, std::uint64_t count) {
+  /// `count` hits of the line in (`set`, `way`), writes among them when
+  /// `write`: the counters, one replacement touch, and the dirty bit.
+  void count_hits(std::uint32_t set, std::uint32_t way, std::uint64_t count,
+                  bool write) {
     stats_.accesses += count;
     stats_.hits += count;
     repl_touch(repl_, set, way);
+    if (write && config_.write_back) {
+      dirty_[static_cast<std::size_t>(set) * config_.geometry.ways() + way] =
+          1;
+    }
   }
   /// TTL (ClepsydraCache) bookkeeping: advance the access clock and lazily
   /// invalidate expired lines of the probed set (outlined: only TTL caches

@@ -64,7 +64,7 @@ void FetchTrace::start_run(std::uint32_t pc32, std::uint32_t line) {
     }
     // Another line owns the slot: both cannot stay latched, so cut here.
   }
-  segments_.push_back(Segment{1, 0, 0, 1, 1});
+  segments_.push_back(Segment{.fetches = 1, .runs = 1, .lines = 1});
   lines_.push_back(LineFetches{line, 1, 0, 0, 0});
   segment_open_ = true;
 }
@@ -74,9 +74,43 @@ void FetchTrace::data(Addr ea, Ref kind) {
   if (issuer >= (std::uint64_t{1} << 30)) [[unlikely]] {
     throw std::length_error("FetchTrace: more than 2^30 instructions");
   }
-  data_.push_back(DataRef{narrow_address(ea),
-                          static_cast<std::uint32_t>(issuer << 2) |
-                              static_cast<std::uint32_t>(kind)});
+  const std::uint32_t ea32 = narrow_address(ea);
+  data_.push_back(DataRef{ea32, static_cast<std::uint32_t>(issuer << 2) |
+                                    static_cast<std::uint32_t>(kind)});
+  // The issuing fetch was just written, so the open segment is the last.
+  Segment& seg = segments_.back();
+  if (kind == Ref::kFlush) {
+    unbatch(seg);
+    return;
+  }
+  const std::uint32_t at = seg.refs++;
+  if (kind == Ref::kStore) ++seg.stores;
+  if (!seg.batched) return;
+  const std::uint32_t line = ea32 >> line_shift_;
+  const auto first = data_lines_.end() - seg.data_lines;
+  // From the last touched back: a reference mostly repeats a recent line.
+  const auto hit = std::find_if(
+      data_lines_.rbegin(), std::make_reverse_iterator(first),
+      [line](const LineRefs& lr) { return lr.line == line; });
+  if (hit.base() != first) {
+    // Last touch moves last: one memmove of the trivially copyable entries
+    // (std::rotate swaps them one by one, which doubled recording time).
+    const auto owner = hit.base() - 1;
+    const LineRefs touched = *owner;
+    std::copy(owner + 1, data_lines_.end(), owner);
+    data_lines_.back() = touched;
+  } else if (seg.data_lines == kSegmentDataLines) {
+    unbatch(seg);
+    return;
+  } else {
+    data_lines_.push_back(LineRefs{line, 0, at, at, 0, false});
+    ++seg.data_lines;
+  }
+  LineRefs& lr = data_lines_.back();
+  lr.gap = std::max(lr.gap, at - lr.last);
+  lr.last = at;
+  ++lr.refs;
+  lr.store = lr.store || kind == Ref::kStore;
 }
 
 }  // namespace tsc::sim

@@ -26,12 +26,23 @@
 // clock ticks at which the line is probed, which is what lets a TTL cache
 // decide the whole segment at its entry (Cache::latched_segment).
 //
+// The data side folds the same way: a segment also stores, per data line
+// (cut at the same line size) in last-touch order, 24 bytes - its load and
+// store count, whether any of them is a store, and the same three offsets,
+// counted in the segment's loads and stores (its L1D probes) - and its
+// summed load/store and store counts: what lets replay serve the loads and
+// stores of a segment whose data lines are all resident in O(data lines).
+// A segment that touches more than kSegmentDataLines data lines, or that a
+// flush closes, keeps no data lines and is not batched: its references
+// replay one by one.
+//
 // Addresses are TSISA addresses: pcs and effective addresses must fit in 32
 // bits (the recorder and every hand-built trace in the repository do).
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "common/types.h"
@@ -43,11 +54,14 @@ class FetchTrace {
   /// Fetch latch slots of the machines that replay a trace: L1I line `l`
   /// is latched in slot `l % kLatchSlots`.
   static constexpr std::uint32_t kLatchSlots = 8;
-  /// Runs per segment at most.
-  static constexpr std::uint32_t kSegmentRuns = 64;
+  /// Runs per segment at most: the range of Segment::runs.
+  static constexpr std::uint32_t kSegmentRuns = 255;
+  /// Distinct data lines of a segment whose references are batched.
+  static constexpr std::uint32_t kSegmentDataLines = 64;
 
-  /// Runs fold the fetches of one `line_bytes` line: the L1I line size of
-  /// the machines that will replay the trace (a power of two >= 4).
+  /// Runs fold the fetches of one `line_bytes` line, and segments the data
+  /// references of one: the L1I and L1D line size of the machines that will
+  /// replay the trace (a power of two >= 4).
   explicit FetchTrace(std::uint32_t line_bytes = 32);
 
   /// One instruction of each kind, as the Machine verb of the same name.
@@ -99,12 +113,31 @@ class FetchTrace {
     return lines_;
   }
 
+  /// One data line of a segment (line address), its loads and stores, and
+  /// where they fall: offsets counted in the segment's loads and stores
+  /// from its first.
+  struct LineRefs {
+    std::uint32_t line = 0;
+    std::uint32_t refs = 0;
+    std::uint32_t first = 0;  ///< offset of its first reference
+    std::uint32_t last = 0;   ///< offset of its last reference
+    std::uint32_t gap = 0;    ///< largest offset step between its references
+    bool store = false;       ///< any of its references is a store
+    friend bool operator==(const LineRefs&, const LineRefs&) = default;
+  };
+  /// The data line entries of every batched segment so far, segment after
+  /// segment, each segment's in last-touch order.
+  [[nodiscard]] const std::vector<LineRefs>& line_refs() const {
+    return data_lines_;
+  }
+
   /// Release spare capacity once recording is done.
   void shrink_to_fit() {
     runs_.shrink_to_fit();
     data_.shrink_to_fit();
     segments_.shrink_to_fit();
     lines_.shrink_to_fit();
+    data_lines_.shrink_to_fit();
   }
 
   friend bool operator==(const FetchTrace&, const FetchTrace&) = default;
@@ -130,15 +163,29 @@ class FetchTrace {
     friend bool operator==(const DataRef&, const DataRef&) = default;
   };
   /// Consecutive runs whose lines own distinct latch slots; its `lines`
-  /// entries of lines_ follow the previous segment's, in last-touch order.
+  /// entries of lines_ follow the previous segment's, in last-touch order,
+  /// and so do its `data_lines` entries of data_lines_ (none when not
+  /// `batched`).
   struct Segment {
     std::uint32_t fetches = 0;  ///< <= kSegmentRuns * 65535
+    std::uint32_t refs = 0;     ///< loads and stores
+    std::uint32_t stores = 0;
     std::uint16_t branches = 0;  ///< <= kSegmentRuns * 255
     std::uint16_t taken = 0;
     std::uint8_t runs = 0;
     std::uint8_t lines = 0;
+    std::uint8_t data_lines = 0;  ///< <= kSegmentDataLines
+    bool batched = true;  ///< no flush, at most kSegmentDataLines data lines
     friend bool operator==(const Segment&, const Segment&) = default;
   };
+  template <typename T>
+  static constexpr std::uint64_t kMax = std::numeric_limits<T>::max();
+  static_assert(kSegmentRuns <= kMax<decltype(Segment::runs)>);
+  static_assert(kSegmentRuns * kMax<decltype(Run::branches)> <=
+                kMax<decltype(Segment::branches)>);
+  static_assert(kSegmentRuns * kMax<decltype(Run::fetches)> <=
+                kMax<decltype(Segment::fetches)>);
+  static_assert(kSegmentDataLines <= kMax<decltype(Segment::data_lines)>);
 
   void fetch(Addr pc);
   /// Open a run of `line` at `pc32`, in the open segment when it fits.
@@ -152,11 +199,18 @@ class FetchTrace {
     ++seg.fetches;
   }
   void data(Addr ea, Ref kind);
+  /// Stop batching the open segment's references, dropping its data lines.
+  void unbatch(Segment& seg) {
+    data_lines_.resize(data_lines_.size() - seg.data_lines);
+    seg.data_lines = 0;
+    seg.batched = false;
+  }
 
   std::vector<Run> runs_;
   std::vector<DataRef> data_;
   std::vector<Segment> segments_;
   std::vector<LineFetches> lines_;
+  std::vector<LineRefs> data_lines_;
   std::uint64_t fetches_ = 0;
   unsigned line_shift_ = 5;
   bool open_ = false;  ///< the last run may take more fetches of its line

@@ -84,9 +84,28 @@ bool Machine::latched_segment(const FetchTrace::LineFetches* lines,
     const FetchTrace::LineFetches& lf = lines[k];
     Latch& latch = latches_[lf.line % kLatchSlots];
     if (!latched(latch, l1i, lf.line, fetch_shift_)) return false;
-    hits[k] = {latch.set, latch.way, lf.fetches, lf.first, lf.last, lf.gap};
+    hits[k] = {latch.set, latch.way, lf.fetches, lf.first, lf.last, lf.gap,
+               false};
   }
   return l1i.latched_segment(hits, n, fetches);
+}
+
+bool Machine::resident_data_segment(const FetchTrace::LineRefs* lines,
+                                    const FetchTrace::Segment& seg) {
+  cache::Cache& l1d = hierarchy_.l1d();
+  cache::Cache::SegmentLine hits[FetchTrace::kSegmentDataLines];
+  for (unsigned k = 0; k < seg.data_lines; ++k) {
+    const FetchTrace::LineRefs& lr = lines[k];
+    const auto at = l1d.find(proc_, Addr{lr.line} << data_shift_);
+    if (!at) return false;
+    hits[k] = {at->set, at->way, lr.refs, lr.first, lr.last, lr.gap,
+               lr.store};
+  }
+  if (!l1d.latched_segment(hits, seg.data_lines, seg.refs)) return false;
+  stats_.loads += seg.refs - seg.stores;
+  stats_.stores += seg.stores;
+  now_ += seg.refs * latched_data_cycles_;
+  return true;
 }
 
 void Machine::replay(const FetchTrace& trace) {
@@ -94,23 +113,32 @@ void Machine::replay(const FetchTrace& trace) {
     throw std::invalid_argument(
         "Machine::replay: trace line size differs from the L1I's");
   }
+  if (trace.line_bytes() != hierarchy_.l1d().geometry().line_bytes()) {
+    throw std::invalid_argument(
+        "Machine::replay: trace line size differs from the L1D's");
+  }
   const Cycles branch_penalty = latency().branch_penalty;
   const FetchTrace::Run* run = trace.runs_.data();
   const FetchTrace::LineFetches* lines = trace.lines_.data();
+  const FetchTrace::LineRefs* data_lines = trace.data_lines_.data();
   const FetchTrace::DataRef* ref = trace.data_.data();
   const FetchTrace::DataRef* const refs_end = ref + trace.data_.size();
   std::uint64_t issued = 0;  // fetches issued so far, over the whole trace
   for (const FetchTrace::Segment& seg : trace.segments_) {
     if (latched_segment(lines, seg.lines, seg.fetches)) {
       // No fetch of the segment missed, and nothing in it but a final
-      // flush reaches the L1I: its fetches are served, the data references
-      // follow in order.
+      // flush reaches the L1I: its fetches are served, then its data
+      // references, as one batch when all of its data lines are resident.
       stats_.instructions += seg.fetches;
       stats_.branches += seg.branches;
       stats_.taken_branches += seg.taken;
       now_ += seg.fetches * latched_fetch_cycles_ + seg.taken * branch_penalty;
       issued += seg.fetches;
-      ref = replay_refs(ref, refs_end, issued);
+      if (seg.batched && resident_data_segment(data_lines, seg)) {
+        ref += seg.refs;
+      } else {
+        ref = replay_refs(ref, refs_end, issued);
+      }
       run += seg.runs;
     } else {
       for (const FetchTrace::Run* const seg_end = run + seg.runs;
@@ -138,6 +166,7 @@ void Machine::replay(const FetchTrace& trace) {
       }
     }
     lines += seg.lines;
+    data_lines += seg.data_lines;
   }
 }
 

@@ -34,10 +34,13 @@
 // replay(), a segment at a time: a segment whose lines are all latched
 // cannot miss - on a TTL cache, once Cache::latched_segment has checked
 // that no line dies before its last fetch - so its fetches are served as
-// one counted batch per line.
-// Replayed data references go through a one-line L1D latch on the same
-// epoch guard: consecutive references to one line are the common case, and
-// a stretch of them is served as one counted batch.
+// one counted batch per line.  Its loads and stores then reach only the
+// L1D, and when every one of its data lines is resident (and, on a TTL
+// L1D, outlives its last reference) they are served the same way: one
+// counted batch per data line, found by one Cache::find each.
+// Other replayed data references go through a one-line L1D latch on the
+// same epoch guard: consecutive references to one line are the common
+// case, and a stretch of them is served as one counted batch.
 #pragma once
 
 #include <array>
@@ -138,15 +141,22 @@ class Machine {
   /// its fetches can miss and its data references reach only the L1D and
   /// L2 (its one flush, if any, is its last reference), so the fetch side
   /// is one Cache::latched_segment over its lines in last-touch order plus
-  /// the summed counters, and the data references follow in order.
-  /// Otherwise the segment replays run by run: each run's repeat fetches go
-  /// through the latch as one batch ahead of the run's later data
-  /// references (they commute: a latched hit touches only the L1I and
-  /// draws no random number), fetch by fetch when the run's first fetch
-  /// left the line non-resident.  Data
-  /// references on the line of the reference before them take the L1D
-  /// latch, a stretch of them as one batch.  Throws std::invalid_argument
-  /// when the trace was cut for another L1I line size.
+  /// the summed counters.  Its data side follows.  When the segment is
+  /// batched (no flush, at most FetchTrace::kSegmentDataLines data lines)
+  /// and every data line is resident in the L1D, every load and store
+  /// hits: nothing reaches the L2 and no random number is drawn, so they
+  /// are one Cache::latched_segment over the data lines in last-touch
+  /// order (stores marking their lines dirty; on a TTL L1D decided by the
+  /// same survival rule as the fetches) plus the summed counters.
+  /// Otherwise the data references follow in order.  A segment that is not
+  /// latched replays run by run: each run's repeat fetches go through the
+  /// latch as one batch ahead of the run's later data references (they
+  /// commute: a latched hit touches only the L1I and draws no random
+  /// number), fetch by fetch when the run's first fetch left the line
+  /// non-resident.  Data references in order take the L1D latch when on
+  /// the line of the reference before them, a stretch of them as one
+  /// batch.  Throws std::invalid_argument when the trace was cut for
+  /// another L1I or L1D line size.
   void replay(const FetchTrace& trace);
 
   /// Pipeline drain (seed change / context switch / barrier).
@@ -278,6 +288,13 @@ class Machine {
   /// served, otherwise.
   bool latched_segment(const FetchTrace::LineFetches* lines, unsigned n,
                        std::uint64_t fetches);
+
+  /// Serve the loads and stores of a batched segment `seg` whose fetches
+  /// were just served, over its data lines from `lines`, through one
+  /// Cache::latched_segment on the L1D, when every line is resident and
+  /// the L1D accepts the segment; false, with nothing served, otherwise.
+  bool resident_data_segment(const FetchTrace::LineRefs* lines,
+                             const FetchTrace::Segment& seg);
 
   /// The flush half of flush_line.
   void line_flush(Addr ea) {

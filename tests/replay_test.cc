@@ -16,7 +16,10 @@
 // The directed cases pin the latch against each way a line can move under
 // it: flushes, self-modifying stores, process switches, reseeds, whole-
 // cache flushes, RPCache contention declines and replacement touches made
-// through the public hierarchy().
+// through the public hierarchy(); and a segment's batched data side
+// against an absent line, same-set touch order, lines dying on a TTL L1D
+// (dirty ones included), the cells that keep a line out, and its 64-line
+// limit.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -544,6 +547,13 @@ struct Triple {
     (void)replayed.hierarchy().l1i().access(p, addr, false);
     (void)oracle.level(0).access(p, addr, false);
   }
+  /// Restrict `p`'s L1D fills to ways [first, first + count).
+  void partition_l1d(ProcId p, std::uint32_t first, std::uint32_t count) {
+    sync();
+    direct.hierarchy().l1d().set_way_partition(p, first, count);
+    replayed.hierarchy().l1d().set_way_partition(p, first, count);
+    oracle.level(1).set_way_partition(p, first, count);
+  }
   /// A read of the L1D made through the public hierarchy().
   void external_l1d_read(ProcId p, Addr addr) {
     sync();
@@ -730,15 +740,34 @@ void loop_over(Triple& t, const std::vector<Addr>& lines, int iterations,
   }
 }
 
-/// The same loop written to a bare trace (one instruction per line visit),
-/// for segment counts.
-sim::FetchTrace loop_trace(const std::vector<Addr>& lines, int iterations) {
+/// `visits` line visits cycling through `lines`, `per_line` instructions
+/// each, a load every third one: one run per visit when consecutive lines
+/// differ.
+void cycle_over(Triple& t, const std::vector<Addr>& lines,
+                std::uint32_t visits, unsigned per_line) {
+  for (std::uint32_t i = 0; i < visits; ++i) {
+    t.code(lines[i % lines.size()], per_line);
+  }
+}
+
+/// `visits` line visits cycling through `lines`, written to a bare trace
+/// (one instruction per visit), for segment counts.
+sim::FetchTrace cycle_trace(const std::vector<Addr>& lines,
+                            std::uint32_t visits) {
   sim::FetchTrace trace(32);
-  for (int i = 0; i < iterations; ++i) {
-    for (const Addr pc : lines) trace.instr(pc);
+  for (std::uint32_t i = 0; i < visits; ++i) {
+    trace.instr(lines[i % lines.size()]);
   }
   return trace;
 }
+
+/// The loop of loop_over written to a bare trace.
+sim::FetchTrace loop_trace(const std::vector<Addr>& lines, int iterations) {
+  return cycle_trace(lines,
+                     static_cast<std::uint32_t>(iterations * lines.size()));
+}
+
+constexpr std::uint32_t kSegmentRuns = sim::FetchTrace::kSegmentRuns;
 
 constexpr cache::MapperKind kL1iMappers[] = {
     cache::MapperKind::kModulo, cache::MapperKind::kHashRp,
@@ -751,7 +780,8 @@ TEST(ReplaySegments, LinesSharingALatchSlotCutTheSegment) {
   const Addr a = 0x2000;
   const Addr b = a + 8 * 32;
   const Addr c = a + 32;
-  EXPECT_EQ(loop_trace({a, c}, 40).segments(), 2u);  // 80 runs: 64 + 16
+  // One full segment, then 16 runs.
+  EXPECT_EQ(cycle_trace({a, c}, kSegmentRuns + 16).segments(), 2u);
   EXPECT_EQ(loop_trace({a, c, b}, 10).segments(), 20u);
   for (const cache::MapperKind mapper : kL1iMappers) {
     Triple t(small_config(mapper, cache::ReplacementKind::kLru), 17);
@@ -826,16 +856,14 @@ TEST(ReplaySegments, FlushInsideAWouldBeSegment) {
   }
 }
 
-TEST(ReplaySegments, EightLinesAndSixtyFourRunsBoundaries) {
+TEST(ReplaySegments, EightLinesAndSegmentRunsBoundaries) {
   std::vector<Addr> eight;
   for (Addr k = 0; k < 8; ++k) eight.push_back(0x5000 + 32 * k);
   std::vector<Addr> nine = eight;
   nine.push_back(0x5000 + 32 * 8);  // line 8 takes line 0's slot
 
-  EXPECT_EQ(loop_trace(eight, 8).segments(), 1u);  // exactly 64 runs
-  sim::FetchTrace sixty_five = loop_trace(eight, 8);
-  sixty_five.instr(eight[0]);
-  EXPECT_EQ(sixty_five.segments(), 2u);
+  EXPECT_EQ(cycle_trace(eight, kSegmentRuns).segments(), 1u);
+  EXPECT_EQ(cycle_trace(eight, kSegmentRuns + 1).segments(), 2u);
   EXPECT_EQ(loop_trace(nine, 4).segments(), 8u);  // {0..7}, {8} per pass
   // One run of 65535 fetches, then another of the same line: two runs.
   sim::FetchTrace long_run(32);
@@ -848,11 +876,12 @@ TEST(ReplaySegments, EightLinesAndSixtyFourRunsBoundaries) {
       sim::HierarchyConfig cfg = small_config(mapper, repl);
       cfg.l1i.config.geometry = cache::Geometry(512, 4, 32);  // 4 sets
       Triple t(cfg, 29);
-      loop_over(t, eight, 24, 2);
+      cycle_over(t, eight, 3 * kSegmentRuns, 2);  // three full segments
       loop_over(t, nine, 12, 2);
-      loop_over(t, eight, 8, 1);
-      t.code(eight[0], 1);
-      loop_over(t, eight, 8, 1);
+      // Line 8 cuts the segment: a full one from line 0, then one more run
+      // opens the next.
+      cycle_over(t, eight, kSegmentRuns + 1, 1);
+      cycle_over(t, eight, kSegmentRuns, 1);
       t.expect_exact("boundaries, mapper " +
                      std::to_string(static_cast<int>(mapper)) + " repl " +
                      std::to_string(static_cast<int>(repl)));
@@ -1250,6 +1279,291 @@ TEST(TtlSegments, DataLineDyingInsideAServedSegment) {
   expect_exact_through_probe_tail(t, {a, b}, {x, y}, 400, "data ttl");
 }
 
+// --- data segments -----------------------------------------------------------
+
+/// L1D counters of the direct machine.
+cache::CacheStats l1d_stats(Triple& t) {
+  return t.direct.hierarchy().l1d().stats();
+}
+
+/// The first `n` line addresses from `from` that `proc`'s L1D mapping puts
+/// in `set`.
+std::vector<Addr> l1d_set_mates(Triple& t, std::uint32_t set, Addr from,
+                                std::size_t n, ProcId proc = ProcId{1}) {
+  const cache::IndexMapper& m = t.direct.hierarchy().l1d().mapper();
+  std::vector<Addr> mates;
+  for (Addr line = from >> 5; mates.size() < n; ++line) {
+    if (m.map(line, proc) == set) mates.push_back(line << 5);
+  }
+  return mates;
+}
+
+TEST(DataSegments, OneAbsentLineFallsBackExactly) {
+  // A loop loads X and Z and stores to Y; once all three are resident its
+  // segments are served one batch per data line.  Two external reads of
+  // set mates of Z evict Z (2-way LRU L1D) between two replays: the next
+  // segment finds Z absent and replays reference by reference - Z's first
+  // load misses and refills it, every other reference hits.
+  const Addr a = 0x2000;
+  const Addr x = 0x9000;
+  const Addr y = x + 32;
+  const Addr z = x + 64;
+  for (const cache::MapperKind mapper : kL1iMappers) {
+    sim::HierarchyConfig cfg =
+        small_config(cache::MapperKind::kModulo, cache::ReplacementKind::kLru);
+    cfg.l1d.mapper = mapper;
+    Triple t(cfg, 113);
+    t.set_seed(ProcId{1}, Seed{117});
+    const auto body = [&t, a, x, y, z] {
+      for (int i = 0; i < 20; ++i) {
+        t.load(a, x + 4 * static_cast<Addr>(i % 8));
+        t.store(a + 4, y);
+        t.load(a + 8, z);
+        t.branch(a + 12, true);
+      }
+      t.sync();
+    };
+    body();
+    body();
+    const std::uint32_t set =
+        t.direct.hierarchy().l1d().find(ProcId{1}, z)->set;
+    for (const Addr mate : l1d_set_mates(t, set, 0x30000, 2)) {
+      t.external_l1d_read(ProcId{1}, mate);
+    }
+    const cache::CacheStats before = l1d_stats(t);
+    body();
+    if (mapper == cache::MapperKind::kModulo) {
+      EXPECT_EQ(l1d_stats(t).misses - before.misses, 1u);
+    }
+    expect_exact_through_probe_tail(
+        t, {a}, {x, y, z}, 0,
+        "absent data line, mapper " + std::to_string(static_cast<int>(mapper)));
+  }
+}
+
+TEST(DataSegments, SameSetLinesKeepTheirLastTouchOrder) {
+  // Four resident data lines of one 4-way L1D set, loaded in one segment
+  // first in order 0, 1, 2, 3 and last in order 3, 1, 0, 2; then a fifth
+  // line of the set fills it, evicting whichever line the policy ranks
+  // last, and line `probe` is loaded again: it misses iff it was the
+  // victim.  A batch whose touches are redone in any other order than
+  // last-touch order evicts another line under LRU, PLRU and NMRU - on a
+  // TTL L1D too, where lifetimes of 1000 accesses let the segment be
+  // served.
+  const Addr a = 0x2000;
+  for (const std::uint32_t ttl : {0u, 1000u}) {
+    for (const cache::MapperKind mapper :
+         {cache::MapperKind::kHashRp, cache::MapperKind::kRandomModulo}) {
+      for (const cache::ReplacementKind repl :
+           {cache::ReplacementKind::kLru, cache::ReplacementKind::kPlru,
+            cache::ReplacementKind::kNmru}) {
+        for (std::size_t probe = 0; probe < 4; ++probe) {
+          sim::HierarchyConfig cfg =
+              small_config(cache::MapperKind::kModulo, repl);
+          cfg.l1d.config.geometry = cache::Geometry(2048, 4, 32);  // 16 sets
+          cfg.l1d.mapper = mapper;
+          cfg.l1d.replacement = repl;
+          cfg.l1d.config.ttl_min = cfg.l1d.config.ttl_max = ttl;
+          Triple t(cfg, 127);
+          t.set_seed(ProcId{1}, Seed{131});
+          const std::uint32_t set =
+              t.direct.hierarchy().l1d().mapper().map(0x9000 >> 5, ProcId{1});
+          const std::vector<Addr> same = l1d_set_mates(t, set, 0x9000, 5);
+          for (std::size_t k = 0; k < 4; ++k) t.load(a, same[k]);
+          t.sync();
+          Addr pc = a;
+          for (const std::size_t k : {0, 1, 2, 3, 2, 0, 1, 3, 1, 0, 2}) {
+            t.load(pc, same[k]);
+            pc = pc == a + 28 ? a : pc + 4;
+          }
+          t.sync();
+          t.load(a, same[4]);
+          t.load(a + 4, same[probe]);
+          expect_exact_through_probe_tail(
+              t, {a}, same, ttl,
+              "data last touch, mapper " +
+                  std::to_string(static_cast<int>(mapper)) + " repl " +
+                  std::to_string(static_cast<int>(repl)) + " ttl " +
+                  std::to_string(ttl) + " probe " + std::to_string(probe));
+        }
+      }
+    }
+  }
+}
+
+TEST(DataSegments, LineDyingAtItsFirstReferenceFallsBack) {
+  // L1D lifetime 16.  X's expiry is the tick of its first reference in the
+  // segment, the segment's third (delta 0): that probe reclaims it and
+  // misses, so the segment must replay reference by reference.  One tick
+  // later (delta 1) X is alive and the segment is served.
+  const Addr a = 0x7000;
+  const Addr x = 0xE000;
+  const Addr y = x + 32;
+  for (const std::uint64_t delta : {0u, 1u}) {
+    Triple t(fixed_ttl_config(0, 16), 163);
+    t.load(a, x);      // L1D clock 1: X lives to 17
+    t.load(a + 4, y);  // clock 2
+    // Hits on Y move the clock without moving the epoch: the segment
+    // enters at 14 - delta, so X's first probe ticks 17 - delta.
+    for (std::uint64_t c = 2; c < 14 - delta; ++c) {
+      t.external_l1d_read(ProcId{1}, y);
+    }
+    const cache::CacheStats before = l1d_stats(t);
+    for (int i = 0; i < 3; ++i) {
+      t.load(a, y);
+      t.load(a + 4, y + 4);
+      t.load(a + 8, x);
+      t.load(a + 12, x + 4);
+    }
+    t.sync();
+    EXPECT_EQ(l1d_stats(t).misses - before.misses, delta == 0 ? 1u : 0u);
+    EXPECT_EQ(l1d_stats(t).ttl_expirations - before.ttl_expirations,
+              delta == 0 ? 1u : 0u);
+    expect_exact_through_probe_tail(t, {a}, {x, y}, 16,
+                                    "first reference, delta " +
+                                        std::to_string(delta));
+  }
+}
+
+TEST(DataSegments, StoredLineDyingAfterItsLastProbeIsWrittenBack) {
+  // L1D lifetime 16.  X and Y share a set, Z is in another.  The segment
+  // writes X once, at its first reference, then loads Y and Z 20 times
+  // each: X dies 16 ticks after its write, and Y's next probe of the set
+  // reclaims it inside the segment.  A served segment reclaims the set at
+  // Y's last probe, and a stored X must be dirty by then: one writeback.
+  const Addr a = 0x7000;
+  const Addr x = 0xE000;
+  const Addr y = x + 64 * 32;
+  const Addr z = x + 32;
+  for (const bool store : {true, false}) {
+    Triple t(fixed_ttl_config(0, 16), 137);
+    t.load(a, x);
+    t.load(a + 4, y);
+    t.load(a + 8, z);  // L1D clock 3
+    t.sync();
+    const cache::CacheStats before = l1d_stats(t);
+    if (store) {
+      t.store(a, x);
+    } else {
+      t.load(a, x);
+    }
+    for (int i = 0; i < 20; ++i) {
+      t.load(a + 4, y);
+      t.load(a + 8, z);
+    }
+    t.sync();
+    const cache::CacheStats after = l1d_stats(t);
+    EXPECT_EQ(after.misses, before.misses);
+    EXPECT_EQ(after.ttl_expirations - before.ttl_expirations, 1u);
+    EXPECT_EQ(after.writebacks - before.writebacks, store ? 1u : 0u);
+    expect_exact_through_probe_tail(t, {a}, {x, y, z}, 16,
+                                    store ? "dirty dies" : "clean dies");
+  }
+}
+
+TEST(DataSegments, RpCachePartitionedAndRandomFillServedOnlyWhenAllHit) {
+  // Loops whose data lines are resident but for one the cell keeps out:
+  // every segment holding it must replay reference by reference.
+  const Addr a = 0x2000;
+  const Addr y = 0x9020;
+  const auto loop = [a, y](Triple& t, Addr x, Addr x2, int passes) {
+    for (int i = 0; i < passes; ++i) {
+      t.load(a, y);
+      t.load(a + 4, x);
+      t.store(a + 8, y + 4);
+      t.load(a + 12, x2);
+      t.branch(a + 16, true);
+    }
+    t.sync();
+  };
+  {
+    // RPCache: proc 2 owns both ways of X's set, so proc 1's loads of X
+    // meet a foreign victim and are declined, every time.
+    sim::HierarchyConfig cfg = small_config(cache::MapperKind::kModulo,
+                                            cache::ReplacementKind::kLru);
+    cfg.l1d.mapper = cache::MapperKind::kRpCache;
+    Triple t(cfg, 139);
+    t.set_seed(ProcId{1}, Seed{5});
+    t.set_seed(ProcId{2}, Seed{6});
+    const Addr x = 0xC000;
+    const std::uint32_t set = t.direct.hierarchy().l1d().mapper().map(
+        x >> 5, ProcId{1});
+    t.set_process(ProcId{2});
+    for (const Addr mate : l1d_set_mates(t, set, 0x10000, 2, ProcId{2})) {
+      t.load(a, mate);
+    }
+    t.set_process(ProcId{1});
+    loop(t, x, x, 3);
+    const cache::CacheStats before = l1d_stats(t);
+    loop(t, x, x, 10);
+    // Every load of X misses; the random line each decline evicts may be Y.
+    EXPECT_GE(l1d_stats(t).misses - before.misses, 20u);
+    expect_exact_through_probe_tail(t, {a}, {x, y}, 0, "rpcache");
+  }
+  {
+    // Way-partitioned: proc 1 fills one way, so X and X' of one set evict
+    // each other; Y stays.  Then X' moves to another set: all hit.
+    Triple t(small_config(cache::MapperKind::kModulo,
+                          cache::ReplacementKind::kLru),
+             149);
+    t.partition_l1d(ProcId{1}, 0, 1);
+    const Addr x = 0xC000;
+    loop(t, x, x + 64 * 32, 3);
+    cache::CacheStats before = l1d_stats(t);
+    loop(t, x, x + 64 * 32, 10);
+    EXPECT_EQ(l1d_stats(t).misses - before.misses, 20u);
+    loop(t, x, x + 64, 3);
+    before = l1d_stats(t);
+    loop(t, x, x + 64, 10);
+    EXPECT_EQ(l1d_stats(t).misses, before.misses);
+    expect_exact_through_probe_tail(t, {a}, {x, x + 64, y}, 0, "partitioned");
+  }
+  {
+    // Random fill: a demand miss caches a random neighbour instead, so a
+    // line may stay absent however often it is loaded.
+    sim::HierarchyConfig cfg = small_config(cache::MapperKind::kModulo,
+                                            cache::ReplacementKind::kLru);
+    cfg.l1d.config.random_fill_window = 2;
+    Triple t(cfg, 151);
+    for (Addr k = 0; k < 8; ++k) {
+      loop(t, 0xD000 + 32 * k, 0xD000 + 32 * ((k + 3) % 8), 6);
+    }
+    expect_exact_through_probe_tail(t, {a}, {0xD000, 0xD020, y}, 0,
+                                    "random fill");
+  }
+}
+
+TEST(DataSegments, SixtyFiveDataLinesKeepThePerReferencePath) {
+  // One segment over kSegmentDataLines data lines is batched, one over a
+  // line more is not; both replay exactly, all hits, and the stores of the
+  // second pass leave dirty lines the probe tail writes back.
+  constexpr std::uint32_t kLines = sim::FetchTrace::kSegmentDataLines;
+  for (const std::uint32_t lines : {kLines, kLines + 1}) {
+    Triple t(small_config(cache::MapperKind::kModulo,
+                          cache::ReplacementKind::kLru),
+             157);
+    std::vector<Addr> data;
+    for (Addr k = 0; k < lines; ++k) data.push_back(0x9000 + 32 * k);
+    for (const Addr ea : data) t.load(0x2000, ea);
+    t.sync();
+    for (std::uint32_t k = 0; k < lines; ++k) {
+      const Addr pc = 0x2000 + 4 * Addr{k % 8};
+      if (k % 3 == 0) {
+        t.store(pc, data[k]);
+      } else {
+        t.load(pc, data[k]);
+      }
+    }
+    EXPECT_EQ(t.pending.segments(), 1u);
+    EXPECT_EQ(t.pending.line_refs().size(), lines == kLines ? kLines : 0u);
+    const cache::CacheStats before = l1d_stats(t);
+    t.sync();
+    EXPECT_EQ(l1d_stats(t).misses, before.misses);
+    expect_exact_through_probe_tail(t, {0x2000}, data, 0,
+                                    std::to_string(lines) + " data lines");
+  }
+}
+
 // --- the replay data latch -----------------------------------------------------
 
 TEST(ReplayDataLatch, StoreHitOnTheLatchedLineWritesBackOnEviction) {
@@ -1572,7 +1886,7 @@ TEST(LatchedSegment, ServedIffEveryProbeHitsAndThenExactlyLikeThem) {
         const auto way = a->resident_way(set, line << 5);
         if (!way || r.next_below(3) == 0) continue;
         pool.push_back(line << 5);
-        lines.push_back({set, *way, 0, 0, 0, 0});
+        lines.push_back({set, *way, 0, 0, 0, 0, false});
       }
       if (lines.empty()) continue;
       // A probe order, and each line's hits, first/last offsets and gap.
@@ -1656,6 +1970,15 @@ TEST(FetchTraceRecording, ReplayRejectsAnotherLineSize) {
   trace.instr(0x1000);
   const auto m = deploy_machine({core::PlacementPolicy::kModulo, false}, 1);
   EXPECT_THROW(m->replay(trace), std::invalid_argument);
+  // The data lines are cut at the trace's line size too: an L1D of another
+  // line size is rejected, although the L1I's matches.
+  sim::HierarchyConfig cfg = small_config(cache::MapperKind::kModulo,
+                                          cache::ReplacementKind::kLru);
+  cfg.l1d.config.geometry = cache::Geometry(4096, 2, 64);
+  sim::Machine wide(cfg, std::make_shared<rng::XorShift64Star>(1));
+  sim::FetchTrace narrow(32);
+  narrow.load(0x1000, 0x9000);
+  EXPECT_THROW(wide.replay(narrow), std::invalid_argument);
 }
 
 TEST(FetchTraceRecording, HandBuiltTraceGetsTheRecordedSegments) {
@@ -1664,13 +1987,15 @@ TEST(FetchTraceRecording, HandBuiltTraceGetsTheRecordedSegments) {
   // trace's verbs, against the same loop recorded from the interpreter.
   // The body spans two L1I lines, so the trace has several segments, and
   // segments fold as the trace is written: both get the same ones.
+  // 2n + 1 runs: three full segments and part of a fourth.
+  constexpr int n = 3 * kSegmentRuns / 2 + 18;
   std::string source =
       "        lui  r1, 4\n"        // r1 = 0x40000
       "        addi r3, r0, 0\n"
       "loop:   lw   r2, 0(r1)\n"
       "        addi r1, r1, 32\n"
       "        addi r3, r3, 1\n"
-      "        slti r4, r3, 100\n";
+      "        slti r4, r3, " + std::to_string(n) + "\n";
   for (int i = 0; i < 4; ++i) source += "        nop\n";
   source +=
       "        bne  r4, r0, loop\n"
@@ -1681,14 +2006,14 @@ TEST(FetchTraceRecording, HandBuiltTraceGetsTheRecordedSegments) {
   sim::FetchTrace hand(32);
   hand.instr(0x1000);
   hand.instr(0x1004);
-  for (int i = 0; i < 100; ++i) {
+  for (int i = 0; i < n; ++i) {
     hand.load(0x1008, 0x40000 + 32 * static_cast<Addr>(i));
     for (Addr pc = 0x100C; pc < 0x1028; pc += 4) hand.instr(pc);
-    hand.branch(0x1028, i < 99);
+    hand.branch(0x1028, i < n - 1);
   }
   hand.instr(0x102C);
 
-  EXPECT_EQ(hand.segments(), 4u);  // 201 runs: 64 + 64 + 64 + 9
+  EXPECT_EQ(hand.segments(), 4u);
   EXPECT_EQ(hand.segments(), recorded.warm.segments());
   EXPECT_TRUE(hand == recorded.warm);
 }
@@ -1724,6 +2049,72 @@ TEST(FetchTraceRecording, SegmentLinesRecordFirstLastAndGap) {
   };
   EXPECT_EQ(trace.segments(), 3u);
   EXPECT_TRUE(trace.line_fetches() == expected);
+}
+
+TEST(FetchTraceRecording, DataLinesRecordRefsStoreFirstLastAndGap) {
+  // A segment over data lines X, Y and Z; a second one (A's slot mate D
+  // cuts it) closed by a flush keeps no data lines; a third after it does.
+  const Addr a = 0x1000;
+  const Addr d = a + 8 * 32;
+  const Addr x = 0x9000;
+  const Addr y = 0x9020;
+  const Addr z = 0x9040;
+  sim::FetchTrace trace(32);
+  trace.load(a, x);           // 0
+  trace.instr(a + 4);
+  trace.store(a + 8, y);      // 1
+  trace.load(a + 12, x + 4);  // 2
+  trace.branch(a + 16, true);
+  trace.load(a + 20, z);      // 3
+  trace.store(a + 24, x + 8);  // 4
+  trace.load(a + 28, y + 4);  // 5
+  trace.load(d, x);           // next segment
+  trace.store(d + 4, z);
+  trace.flush_line(d + 8, y);
+  trace.store(d + 12, z);     // third segment: 0
+  trace.load(d + 16, z + 4);  // 1
+  using LR = sim::FetchTrace::LineRefs;
+  const std::vector<LR> expected = {
+      LR{z >> 5, 1, 3, 3, 0, false},  // last touched first
+      LR{x >> 5, 3, 0, 4, 2, true},
+      LR{y >> 5, 2, 1, 5, 4, true},
+      LR{z >> 5, 2, 0, 1, 1, true},
+  };
+  EXPECT_EQ(trace.segments(), 3u);
+  EXPECT_TRUE(trace.line_refs() == expected);
+
+  // A loop recorded from the interpreter and written by hand: one segment
+  // (every pc in one L1I line) over a loaded line and a stored one.
+  constexpr int kPasses = 50;
+  const isa::KernelPasses recorded = isa::record_passes(
+      isa::assemble("        lui  r1, 4\n"  // r1 = 0x40000
+                    "        addi r3, r0, 0\n"
+                    "loop:   lw   r2, 0(r1)\n"
+                    "        sw   r2, 32(r1)\n"
+                    "        addi r3, r3, 1\n"
+                    "        slti r4, r3, " + std::to_string(kPasses) + "\n"
+                    "        bne  r4, r0, loop\n"
+                    "        halt\n",
+                    0x1000),
+      0x1000);
+  sim::FetchTrace hand(32);
+  hand.instr(0x1000);
+  hand.instr(0x1004);
+  for (int i = 0; i < kPasses; ++i) {
+    hand.load(0x1008, 0x40000);
+    hand.store(0x100C, 0x40020);
+    hand.instr(0x1010);
+    hand.instr(0x1014);
+    hand.branch(0x1018, i < kPasses - 1);
+  }
+  hand.instr(0x101C);
+  const std::vector<LR> loop_lines = {
+      LR{0x40000 >> 5, kPasses, 0, 2 * kPasses - 2, 2, false},
+      LR{0x40020 >> 5, kPasses, 1, 2 * kPasses - 1, 2, true},
+  };
+  EXPECT_EQ(hand.segments(), 1u);
+  EXPECT_TRUE(hand.line_refs() == loop_lines);
+  EXPECT_TRUE(hand == recorded.warm);
 }
 
 TEST(FetchTraceRecording, RecordRestoresTheSinkWhenItThrows) {
