@@ -416,9 +416,10 @@ void Cache::random_fill(const ResolvedMapping* ctx, ProcId proc, Addr line,
                         AccessResult& result) {
   // Random-fill [18]: serve the demand from memory without caching it;
   // bring in a random neighbour instead, decoupling fills from accesses.
-  const std::uint64_t span = 2ULL * config_.random_fill_window + 1;
-  const Addr fill_line_addr =
-      line - config_.random_fill_window + rng_->next_below(span);
+  // The window [line - w, line + w] is clamped at line 0.
+  const Addr window = config_.random_fill_window;
+  const Addr low = line >= window ? line - window : 0;
+  const Addr fill_line_addr = low + rng_->next_below(line + window - low + 1);
   const std::uint32_t fill_set = map_one<MK>(sets_mask_, ctx, fill_line_addr);
   if (!line_way(fill_set, fill_line_addr)) {
     fill_impl<MK, RK, WAYS>(ctx, proc, fill_line_addr, fill_set,

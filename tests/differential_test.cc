@@ -239,6 +239,50 @@ TEST(DifferentialRandomFill, PartitionedWriteAroundCombinations) {
   run_differential(spec, /*partitioned=*/false, 0xAB5AFE81, kExtStreamLength);
 }
 
+TEST(DifferentialRandomFill, WindowIsClampedAtLineZero) {
+  // Demand misses of lines 0-7 under a window of 8 draw their neighbour
+  // from [0, line + 8]: never from below line 0, which would wrap to a
+  // line address near 2^64.  Every filled line must therefore be one of
+  // lines 0-15, and the reference must fill the same ones.
+  constexpr Addr kLineBytes = 32;
+  const ProcId proc{1};
+  for (const MapperKind mapper : {MapperKind::kModulo, MapperKind::kHashRp}) {
+    CacheSpec spec;
+    spec.config.geometry = Geometry(4096, 4, kLineBytes);
+    spec.config.random_fill_window = 8;
+    spec.mapper = mapper;
+    spec.replacement = ReplacementKind::kRandom;
+    for (std::uint64_t seed = 1; seed <= 32; ++seed) {
+      SCOPED_TRACE(spec.describe() + " seed " + std::to_string(seed));
+      const std::unique_ptr<Cache> fast =
+          build_cache(spec, std::make_shared<rng::XorShift64Star>(seed));
+      ReferenceCache ref(spec, std::make_shared<rng::XorShift64Star>(seed));
+      fast->set_seed(proc, Seed{seed});
+      ref.set_seed(proc, Seed{seed});
+      for (Addr line = 0; line < 8; ++line) {
+        const AccessResult got = fast->access(proc, line * kLineBytes, false);
+        const ReferenceCache::Result want =
+            ref.access(proc, line * kLineBytes, false);
+        ASSERT_EQ(got.hit, want.hit) << "line " << line;
+        ASSERT_EQ(got.set, want.set) << "line " << line;
+        ASSERT_EQ(got.allocated, want.allocated) << "line " << line;
+        ASSERT_EQ(got.evicted, want.evicted) << "line " << line;
+      }
+      const std::uint64_t filled = fast->valid_lines();
+      EXPECT_GT(filled, 0u);
+      EXPECT_EQ(filled, ref.valid_lines());
+      std::uint64_t in_range = 0;
+      for (Addr line = 0; line < 16; ++line) {
+        const bool present = fast->flush_line(proc, line * kLineBytes).present;
+        EXPECT_EQ(present, ref.flush_line(proc, line * kLineBytes).present)
+            << "line " << line;
+        in_range += present ? 1 : 0;
+      }
+      EXPECT_EQ(in_range, filled) << "a filled line lies outside lines 0-15";
+    }
+  }
+}
+
 TEST(DifferentialTtl, MatchesReferenceAcrossDesigns) {
   // Short lifetimes so expiry fires constantly within the stream.
   const NamedGeometry geometries[] = {

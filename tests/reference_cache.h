@@ -131,13 +131,13 @@ class ReferenceCache {
 
     // Random-fill (Random-and-Safe / Liu & Lee): a read miss is served
     // around the cache; a uniformly drawn line within +/- window of the
-    // demanded one is filled instead, unless already resident.  The
-    // neighbour draw comes FIRST (before any victim draw the fill may
-    // make), matching the production order.
+    // demanded one (the window clamped at line 0) is filled instead,
+    // unless already resident.  The neighbour draw comes FIRST (before any
+    // victim draw the fill may make), matching the production order.
     if (spec_.config.random_fill_window > 0 && !write) {
-      const std::uint32_t window = spec_.config.random_fill_window;
-      const std::uint64_t span = 2ULL * window + 1;
-      const Addr fill_line = line - window + rng_->next_below(span);
+      const Addr window = spec_.config.random_fill_window;
+      const Addr low = line >= window ? line - window : 0;
+      const Addr fill_line = low + rng_->next_below(line + window - low + 1);
       const std::uint32_t fill_set = mapper_->map(fill_line, proc);
       if (!contains_line(fill_line, fill_set)) {
         allocate(proc, fill_line, fill_set, /*dirty=*/false, result);
