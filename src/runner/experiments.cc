@@ -15,6 +15,7 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "analysis/dyntaint.h"
@@ -44,9 +45,6 @@
 
 namespace tsc::runner {
 namespace {
-
-constexpr ProcId kVictim{1};
-constexpr ProcId kAttacker{2};
 
 // --- shared stage plumbing ---------------------------------------------------
 
@@ -85,9 +83,40 @@ std::vector<std::size_t> matrix_shards(std::size_t samples,
   return out;
 }
 
+/// A machine for `platform` deployed under `seed` for core::kMatrixVictim
+/// and core::kMatrixAttacker: the calling worker's pooled machine,
+/// re-deployed - bit-exact with building a fresh one.
+sim::Machine& lease_machine(const core::Platform& platform,
+                            std::uint64_t seed) {
+  return MachinePool::local()
+      .lease({platform, seed}, {core::kMatrixVictim, core::kMatrixAttacker})
+      .machine;
+}
+
+/// Runs [begin, begin + count) of the MBPTA protocol (paper section 2.1)
+/// on `platform`: run r times the second pass of `passes` as the victim on
+/// a fresh deployment under derive_seed(seed_base, r) - a new random
+/// layout, empty caches, time zero.  Run r's time depends on r alone, so
+/// every slicing of a budget concatenates to the same sample.
+std::vector<double> mbpta_slice(const core::Platform& platform,
+                                const isa::KernelPasses& passes,
+                                std::uint64_t seed_base, std::size_t begin,
+                                std::size_t count) {
+  std::vector<double> times;
+  times.reserve(count);
+  for (std::size_t r = begin; r < begin + count; ++r) {
+    sim::Machine& machine =
+        lease_machine(platform, rng::derive_seed(seed_base, r));
+    machine.set_process(core::kMatrixVictim);
+    times.push_back(static_cast<double>(passes.time(machine)));
+  }
+  return times;
+}
+
 /// Merge per-(cell, slice) parts, `part_at(cell * n_shards + s)`, into
 /// per-cell run-index-ordered samples - the exact in-order concatenation
-/// that makes every per-run protocol decomposition-invariant.
+/// that makes every per-run protocol decomposition-invariant.  A null part
+/// (a slice missing under --allow-partial) contributes nothing.
 template <typename PartAt>
 std::vector<std::vector<double>> merge_cell_times(std::size_t n_cells,
                                                   std::size_t n_shards,
@@ -97,8 +126,9 @@ std::vector<std::vector<double>> merge_cell_times(std::size_t n_cells,
   for (std::size_t cell = 0; cell < n_cells; ++cell) {
     merged[cell].reserve(runs);
     for (std::size_t s = 0; s < n_shards; ++s) {
-      const std::vector<double>& part = part_at(cell * n_shards + s);
-      merged[cell].insert(merged[cell].end(), part.begin(), part.end());
+      if (const std::vector<double>* part = part_at(cell * n_shards + s)) {
+        merged[cell].insert(merged[cell].end(), part->begin(), part->end());
+      }
     }
   }
   return merged;
@@ -246,43 +276,32 @@ Json campaign_json(core::SetupKind kind, const BernsteinResult& r) {
 // --- the MBPTA stage (fig1, sec622) -----------------------------------------
 
 /// Declare the per-run MBPTA collection of every setup in `kinds` as stage
-/// `stage`: one fresh deployment of the paper platform per run (fresh
-/// random layout, the section 2.1 protocol - served from the worker's
-/// MachinePool, which reproduces fresh construction bit-exactly), timing
-/// the second pass of a 20KB vector sum.  One task per (setup, slice) of
-/// the fixed matrix_shards plan; run r always measures under
-/// derive_seed(seed_base, r), so the merged sample is identical for every
-/// shard size.  Returns the reduce: per setup, the run-ordered sample.
+/// `stage`: mbpta_slice of the paper platform timing the second pass of a
+/// 20KB vector sum, run r under derive_seed(seed_base, r).  One task per
+/// (setup, slice) of the fixed matrix_shards plan, so the merged sample is
+/// identical for every shard size.  Returns the reduce: per setup, the
+/// run-ordered sample.
 std::function<std::vector<std::vector<double>>()> declare_mbpta_sample(
     Campaign& campaign, const std::vector<core::SetupKind>& kinds,
     std::size_t runs, std::uint64_t seed_base, std::size_t shard_size,
     const std::string& stage) {
-  const std::size_t size = std::max<std::size_t>(1, shard_size);
-  const std::vector<std::size_t> slices = matrix_shards(runs, size);
+  const std::vector<std::size_t> slices = matrix_shards(runs, shard_size);
   std::vector<core::Platform> platforms;
   for (const core::SetupKind kind : kinds) {
     platforms.push_back(core::paper_platform(kind));
   }
   // Recorded once per campaign (a dispatch worker records its own as it
   // rebuilds the plan), not per run; the task owns it.
-  const auto run_task = [platforms, slices, size, seed_base,
+  const auto run_task = [platforms, slices, seed_base,
                          passes = std::make_shared<const isa::KernelPasses>(
                              isa::record_passes(
                                  isa::assemble(
                                      isa::vector_sum_source(0x40000, 5120),
                                      0x1000),
                                  0x1000))](std::size_t task) {
-    const core::Platform& platform = platforms[task / slices.size()];
     const std::size_t slice = task % slices.size();
-    std::vector<double> times;
-    times.reserve(slices[slice]);
-    for (std::size_t r = slice * size; r < slice * size + slices[slice]; ++r) {
-      const PooledMachine lease = MachinePool::local().lease(
-          {platform, rng::derive_seed(seed_base, r)}, {kVictim});
-      lease.machine.set_process(kVictim);
-      times.push_back(static_cast<double>(passes->time(lease.machine)));
-    }
-    return times;
+    return mbpta_slice(platforms[task / slices.size()], *passes, seed_base,
+                       slice * slices.front(), slices[slice]);
   };
   StageResults<std::vector<double>> parts = campaign.stage(
       stage, platforms.size() * slices.size(), run_task, doubles_codec());
@@ -297,10 +316,9 @@ std::function<std::vector<std::vector<double>>()> declare_mbpta_sample(
                                  ": MBPTA needs every run; a slice is missing");
       }
     }
-    return merge_cell_times(n_setups, n_slices, runs,
-                            [&](std::size_t i) -> const std::vector<double>& {
-                              return *parts[i];
-                            });
+    return merge_cell_times(n_setups, n_slices, runs, [&](std::size_t i) {
+      return &*parts[i];
+    });
   };
 }
 
@@ -315,6 +333,22 @@ Json iid_json(const stats::IidVerdict& v, double alpha) {
       .set("ks_ties_suspect", v.identical.ties_suspect)
       .set("passed", v.passed(alpha));
   return j;
+}
+
+const char* tail_name(stats::TailModel tail) {
+  return tail == stats::TailModel::kGumbelBlockMaxima ? "gumbel_block_maxima"
+                                                      : "gpd_pot";
+}
+
+/// A pWCET curve: one bound per exceedance probability.
+Json curve_json(const std::vector<stats::PwcetPoint>& curve) {
+  Json points = Json::array();
+  for (const stats::PwcetPoint& point : curve) {
+    points.push(Json::object()
+                    .set("exceedance_prob", point.exceedance_prob)
+                    .set("bound_cycles", point.bound));
+  }
+  return points;
 }
 
 // --- fig1: MBPTA process and pWCET curve -----------------------------------
@@ -335,21 +369,12 @@ Json run_fig1(const RunOptions& options, Campaign& campaign) {
       cfg.tail = tail;
       const mbpta::AnalysisReport report = mbpta::analyze(times, cfg);
       Json t = Json::object();
-      t.set("model", tail == stats::TailModel::kGumbelBlockMaxima
-                         ? "gumbel_block_maxima"
-                         : "gpd_pot");
-      t.set("iid", iid_json(report.iid, report.alpha));
-      t.set("mbpta_applicable", report.mbpta_applicable());
+      t.set("model", tail_name(tail))
+          .set("iid", iid_json(report.iid, report.alpha))
+          .set("mbpta_applicable", report.mbpta_applicable());
       if (report.mbpta_applicable()) {
-        Json curve = Json::array();
-        for (const stats::PwcetPoint& point : report.curve()) {
-          Json p = Json::object();
-          p.set("exceedance_prob", point.exceedance_prob)
-              .set("bound_cycles", point.bound);
-          curve.push(std::move(p));
-        }
         t.set("pwcet_1e-10", report.pwcet(1e-10))
-            .set("curve", std::move(curve));
+            .set("curve", curve_json(report.curve()));
       }
       tails.push(std::move(t));
     }
@@ -559,21 +584,22 @@ Json run_sec621(const RunOptions& options, Campaign& campaign) {
         core::paper_platform(kinds[task / 2]), options.master_seed,
         /*layout_seed=*/4242, /*hyperperiod_jobs=*/1};
     const std::unique_ptr<sim::Machine> machine =
-        core::build_machine(deployment, {kVictim, kAttacker});
+        core::build_machine(deployment,
+                            {core::kMatrixVictim, core::kMatrixAttacker});
     std::uint64_t job = 0;
     const attack::TrialHook hook = [&] {
-      deployment.before_job(*machine, kVictim, job);
-      deployment.before_job(*machine, kAttacker, job);
+      deployment.before_job(*machine, core::kMatrixVictim, job);
+      deployment.before_job(*machine, core::kMatrixAttacker, job);
       ++job;
     };
     rng::XorShift64Star rng(
         rng::derive_seed(options.master_seed, prime_probe ? 1 : 2));
     const attack::ContentionOutcome outcome =
         prime_probe
-            ? attack::run_prime_probe(*machine, kVictim, kAttacker, cfg, rng,
-                                      hook)
-            : attack::run_evict_time(*machine, kVictim, kAttacker, cfg, rng,
-                                     hook);
+            ? attack::run_prime_probe(*machine, core::kMatrixVictim,
+                                      core::kMatrixAttacker, cfg, rng, hook)
+            : attack::run_evict_time(*machine, core::kMatrixVictim,
+                                     core::kMatrixAttacker, cfg, rng, hook);
     return outcome.accuracy();
   };
   const StageResults<double> accuracy =
@@ -657,8 +683,9 @@ double miss_rate_for(cache::MapperKind mapper, const Kernel& kernel,
                               ? cache::ReplacementKind::kLru
                               : cache::ReplacementKind::kRandom),
       std::make_shared<rng::XorShift64Star>(seed));
-  machine.hierarchy().set_seed(kVictim, Seed{rng::derive_seed(seed, 1)});
-  machine.set_process(kVictim);
+  machine.hierarchy().set_seed(core::kMatrixVictim,
+                               Seed{rng::derive_seed(seed, 1)});
+  machine.set_process(core::kMatrixVictim);
   isa::Interpreter interp(machine);
   interp.load_program(isa::assemble(kernel.source, 0x1000));
   (void)interp.run(0x1000, 50'000'000);
@@ -707,7 +734,7 @@ Json run_sec623(const RunOptions& options, Campaign& campaign) {
                               cache::ReplacementKind::kRandom),
           std::make_shared<rng::XorShift64Star>(7));
       const Cycles before = machine.now();
-      machine.set_seed(kVictim, Seed{123});
+      machine.set_seed(core::kMatrixVictim, Seed{123});
       seed_change_cost = machine.now() - before;
     }
 
@@ -733,7 +760,7 @@ Json run_sec623(const RunOptions& options, Campaign& campaign) {
                                 cache::MapperKind::kHashRp,
                                 cache::ReplacementKind::kRandom),
             std::make_shared<rng::XorShift64Star>(10));
-        probe.set_process(kVictim);
+        probe.set_process(core::kMatrixVictim);
         for (Addr a = 0; a < 128 * 1024; a += 32) {
           probe.load(0x100, 0x200000 + a);
         }
@@ -859,8 +886,8 @@ Json run_ablation_partitioning(const RunOptions& options, Campaign& campaign) {
   // This experiment's own split: L1D only, 2+2 ways (not the platform's
   // L1D+L2 halves).
   const auto apply_partition = [](sim::Machine& machine) {
-    machine.hierarchy().l1d().set_way_partition(kVictim, 0, 2);
-    machine.hierarchy().l1d().set_way_partition(kAttacker, 2, 2);
+    machine.hierarchy().l1d().set_way_partition(core::kMatrixVictim, 0, 2);
+    machine.hierarchy().l1d().set_way_partition(core::kMatrixAttacker, 2, 2);
   };
 
   // Two tasks per configuration: attack accuracy and victim miss rate.
@@ -871,29 +898,31 @@ Json run_ablation_partitioning(const RunOptions& options, Campaign& campaign) {
       const core::Deployment deployment{platform, 77, 0,
                                         /*hyperperiod_jobs=*/1};
       const std::unique_ptr<sim::Machine> machine =
-          core::build_machine(deployment, {kVictim, kAttacker});
+          core::build_machine(deployment,
+                              {core::kMatrixVictim, core::kMatrixAttacker});
       if (cfg.partition) apply_partition(*machine);
       std::uint64_t job = 0;
       const attack::TrialHook hook = [&] {
         if (!cfg.reseed) return;
-        deployment.before_job(*machine, kVictim, job);
-        deployment.before_job(*machine, kAttacker, job);
+        deployment.before_job(*machine, core::kMatrixVictim, job);
+        deployment.before_job(*machine, core::kMatrixAttacker, job);
         ++job;
       };
       attack::ContentionConfig attack_cfg;
       attack_cfg.candidates = 32;
       attack_cfg.trials = trials;
       rng::XorShift64Star rng(4321);
-      return attack::run_prime_probe(*machine, kVictim, kAttacker, attack_cfg,
-                                     rng, hook)
+      return attack::run_prime_probe(*machine, core::kMatrixVictim,
+                                     core::kMatrixAttacker, attack_cfg, rng,
+                                     hook)
           .accuracy();
     }
     // Victim miss rate on a working set sized for the full cache.
     const std::unique_ptr<sim::Machine> machine =
-        core::build_machine({platform, 78}, {kVictim});
+        core::build_machine({platform, 78}, {core::kMatrixVictim});
     if (cfg.partition) apply_partition(*machine);
     sim::Machine& m = *machine;
-    m.set_process(kVictim);
+    m.set_process(core::kMatrixVictim);
     isa::Interpreter interp(m);
     interp.load_program(isa::assemble(
         isa::stride_walk_source(0x300000, 8192, 32, 16 * 1024), 0x310000));
@@ -920,38 +949,46 @@ Json run_ablation_partitioning(const RunOptions& options, Campaign& campaign) {
   });
 }
 
-// --- attack_matrix: eviction attacks x placement policy x partitioning -----
+// --- the matrix platform axis ------------------------------------------------
+//
+// The four matrices share one table of platforms: every placement policy
+// (deterministic baseline first) under per-process seeds, unpartitioned
+// and way-partitioned - the placement x seed-management cut of
+// Random-and-Safe (arXiv:2309.16172).  Cell c is matrix_platforms()[c],
+// and c keys the cell's deployment seeds and task indices, so entries are
+// only ever appended: a seed-policy column is one more entry.
 
-/// One platform cell of the matrix.
-struct MatrixCell {
-  core::PlacementPolicy policy;
-  bool partitioned;
-};
-
-std::vector<MatrixCell> matrix_cells() {
-  std::vector<MatrixCell> cells;
-  for (const core::PlacementPolicy policy : core::all_policies()) {
-    for (const bool partitioned : {false, true}) {
-      cells.push_back({policy, partitioned});
+const std::vector<core::Platform>& matrix_platforms() {
+  static const std::vector<core::Platform> platforms = [] {
+    std::vector<core::Platform> out;
+    for (const core::PlacementPolicy policy : core::all_policies()) {
+      for (const bool partitioned : {false, true}) {
+        out.push_back({policy, core::SeedPolicy::kPerProcess, partitioned});
+      }
     }
-  }
-  return cells;
+    return out;
+  }();
+  return platforms;
 }
 
-/// Deployment seed of cell `index`: every shard of the cell shares it (the
-/// layouts, tables and machine RNG are deployment state), so the shard
-/// decomposition never changes what is being attacked.
-std::uint64_t matrix_cell_seed(std::uint64_t master_seed, std::size_t index) {
-  return rng::derive_seed(master_seed, 0x3A70 + index);
+/// The cell of (policy, partitioned) in matrix_platforms().
+std::size_t matrix_cell(core::PlacementPolicy policy, bool partitioned) {
+  return 2 * static_cast<std::size_t>(policy) + (partitioned ? 1 : 0);
+}
+
+/// Set a matrix row's platform columns.
+Json& set_platform(Json& row, const core::Platform& platform) {
+  return row.set("policy", core::to_string(platform.policy))
+      .set("partitioned", platform.partitioned);
 }
 
 /// Fold one shard's outcome into a cell's running merge (in shard order).
-template <typename Outcome>
-void merge_into(std::optional<Outcome>& acc, const Outcome& part) {
+template <typename Outcome, typename Part>
+void merge_into(std::optional<Outcome>& acc, Part&& part) {
   if (acc) {
     acc->merge(part);
   } else {
-    acc.emplace(part);
+    acc.emplace(std::forward<Part>(part));
   }
 }
 
@@ -972,148 +1009,198 @@ Json ranking_json(const attack::MatrixRanking& ranking,
   return j;
 }
 
-Json run_attack_matrix(const RunOptions& options, Campaign& campaign) {
-  const std::size_t samples = options.resolve_samples(20'000);
-  const std::size_t shard_size = std::max<std::size_t>(1, options.shard_size);
-  const std::vector<MatrixCell> cells = matrix_cells();
-  const std::vector<std::size_t> shards = matrix_shards(samples, shard_size);
+// --- the two-attack stage (attack_matrix, flush_matrix) ----------------------
+
+/// One (cell, shard) of a matrix attack.
+struct MatrixShard {
+  core::Platform platform;
+  /// The cell's deployment: every shard of a cell shares it (layouts,
+  /// tables and machine rng are deployment state), so the shard
+  /// decomposition never changes what is being attacked.
+  std::uint64_t cell_seed;
+  crypto::Key key;
+  std::size_t samples;
+  std::size_t index;        ///< picks the shard's plaintext stream
+  std::size_t first_trial;  ///< the shard's first trial in the cell's campaign
+};
+
+/// A shard's victim: the cell's machine, the victim's AES on it, and the
+/// plaintext stream derive_seed(cell_seed, stream_tag + shard index).
+struct ShardVictim {
+  ShardVictim(const MatrixShard& shard, std::uint64_t stream_tag)
+      : machine(lease_machine(shard.platform, shard.cell_seed)),
+        aes(machine, crypto::SimAesLayout{}, shard.key),
+        plaintexts(
+            rng::derive_seed(shard.cell_seed, stream_tag + shard.index)) {}
+
+  sim::Machine& machine;
+  crypto::SimAes aes;
+  rng::XorShift64Star plaintexts;
+};
+
+/// The matrices' Prime+Probe shard: attack_matrix's first attack and
+/// pwcet_matrix's leakage half.
+attack::PrimeProbeOutcome prime_probe_shard(const MatrixShard& shard) {
+  ShardVictim victim(shard, 0x9700);
+  return attack::run_aes_prime_probe(
+      victim.machine, core::kMatrixVictim, core::kMatrixAttacker, victim.aes,
+      shard.samples, victim.plaintexts, attack::PrimeProbeConfig{});
+}
+
+/// One attack of a two-attack matrix: its shard and its payload codec.
+template <typename Outcome>
+struct MatrixAttack {
+  Outcome (*run)(const MatrixShard&);
+  void (*put)(ByteWriter&, const Outcome&);
+  Outcome (*get)(ByteReader&);
+};
+
+/// A cell's two attacks, each merged over its completed shards in shard
+/// order (exact integer sums, so worker-count invariant); nullopt for an
+/// attack none of whose shards completed (--allow-partial only).
+template <typename A, typename B>
+struct CellOutcomes {
+  std::optional<A> first;
+  std::optional<B> second;
+};
+
+/// Declare a two-attack matrix as stage `stage`: each attack runs `samples`
+/// trials on every matrix cell c, deployed under derive_seed(master seed,
+/// cell_tag + c) and cut into matrix_shards.  One task per (cell, shard,
+/// attack) - task 2 * (cell * n_shards + shard) + attack - all in one
+/// stage, so the two attacks' sessions overlap instead of running as two
+/// barriers; a payload is the attack's tag (1 or 2) and its outcome.
+/// Returns the reduce of one cell at a time (merged profiles are large):
+/// both attacks merged in shard order, into the cell's first shards, whose
+/// outcomes it moves from - so it reduces each cell once.
+template <typename A, typename B>
+std::function<CellOutcomes<A, B>(std::size_t)> declare_attack_pair(
+    Campaign& campaign, const std::string& stage, const RunOptions& options,
+    std::size_t samples, std::uint64_t cell_tag, MatrixAttack<A> first,
+    MatrixAttack<B> second) {
+  using Part = std::variant<A, B>;
+  const std::vector<std::size_t> shards =
+      matrix_shards(samples, options.shard_size);
   const std::size_t n_shards = shards.size();
-
-  // The same ground-truth key the Bernstein experiments attack.  Both
-  // attacks are prediction-based (no attacker-side calibration deployment),
-  // so the key enters scoring only as the rank oracle.
-  const crypto::Key victim_key =
-      core::campaign_victim_key(options.master_seed);
-  const crypto::SimAesLayout layout{};
-  const cache::Geometry l1 = cache::l1_geometry_arm920t();
-
-  // One task per (attack, cell, shard), all in a single stage so the two
-  // attacks' sessions overlap instead of running as two barriers.
-  // Each task is a pure function of (master seed, attack, cell, shard):
-  // fresh machine, the cell's deployment seed, the shard's plaintext
-  // stream - so the fan-out order cannot affect results.  Evict+Time
-  // additionally threads the shard's global window start (trial_offset) so
-  // the whole-cache eviction sweep replays as one continuous campaign.
-  struct TaskResult {
-    std::optional<attack::PrimeProbeOutcome> pp;
-    std::optional<attack::EvictTimeOutcome> et;
+  // The task owns its plan: a dispatch worker runs it after this returns.
+  const auto run_task = [shards, first, second, cell_tag,
+                         master_seed = options.master_seed,
+                         key = core::campaign_victim_key(options.master_seed)](
+                            std::size_t task) {
+    const std::size_t cell = task / 2 / shards.size();
+    const std::size_t shard = task / 2 % shards.size();
+    const MatrixShard spec{matrix_platforms()[cell],
+                           rng::derive_seed(master_seed, cell_tag + cell),
+                           key,
+                           shards[shard],
+                           shard,
+                           shard * shards.front()};
+    return task % 2 == 0 ? Part(std::in_place_index<0>, first.run(spec))
+                         : Part(std::in_place_index<1>, second.run(spec));
   };
-  const std::size_t per_attack = cells.size() * n_shards;
-  const auto run_task = [&](std::size_t task) {
-    const bool prime_probe = task % 2 == 0;
-    const std::size_t cell_index = (task / 2) / n_shards;
-    const std::size_t shard = (task / 2) % n_shards;
-    const MatrixCell& cell = cells[cell_index];
-    const std::uint64_t cell_seed =
-        matrix_cell_seed(options.master_seed, cell_index);
-    // Worker-pooled machine, reset to the cell's fresh deployment -
-    // bit-exact with building it, minus the construction cost per task.
-    sim::Machine& machine =
-        MachinePool::local()
-            .policy_machine(cell.policy, cell_seed, cell.partitioned)
-            .machine;
-    crypto::SimAes aes(machine, layout, victim_key);
-    TaskResult result;
-    if (prime_probe) {
-      rng::XorShift64Star pt_rng(
-          rng::derive_seed(cell_seed, 0x9700 + shard));
-      result.pp = attack::run_aes_prime_probe(
-          machine, core::kMatrixVictim, core::kMatrixAttacker, aes,
-          shards[shard], pt_rng, attack::PrimeProbeConfig{});
-    } else {
-      rng::XorShift64Star pt_rng(
-          rng::derive_seed(cell_seed, 0xE7000 + shard));
-      result.et = attack::run_aes_evict_time(
-          machine, core::kMatrixVictim, core::kMatrixAttacker, aes,
-          shards[shard], /*trial_offset=*/shard * shard_size, pt_rng,
-          attack::EvictTimeConfig{});
-    }
-    return result;
-  };
-
-  static const TaskCodec<TaskResult> codec{
-      [](const TaskResult& t, ByteWriter& w) {
-        w.put_u8(t.pp ? 1 : 2);
-        if (t.pp) {
-          put_pp_outcome(w, *t.pp);
+  const TaskCodec<Part> codec{
+      [first, second](const Part& part, ByteWriter& w) {
+        w.put_u8(static_cast<std::uint8_t>(part.index() + 1));
+        if (part.index() == 0) {
+          first.put(w, std::get<0>(part));
         } else {
-          put_et_outcome(w, *t.et);
+          second.put(w, std::get<1>(part));
         }
       },
-      [](ByteReader& r) {
-        TaskResult t;
-        if (r.u8() == 1) {
-          t.pp = get_pp_outcome(r);
-        } else {
-          t.et = get_et_outcome(r);
-        }
-        return t;
+      [first, second](ByteReader& r) {
+        return r.u8() == 1 ? Part(std::in_place_index<0>, first.get(r))
+                           : Part(std::in_place_index<1>, second.get(r));
       }};
-  const StageResults<TaskResult> parts =
-      campaign.stage("attack_matrix", 2 * per_attack, run_task, codec);
+  StageResults<Part> parts = campaign.stage(
+      stage, 2 * matrix_platforms().size() * n_shards, run_task, codec);
+
+  return [n_shards, parts = std::move(parts)](std::size_t cell) mutable {
+    CellOutcomes<A, B> out;
+    for (std::size_t shard = 0; shard < n_shards; ++shard) {
+      const std::size_t task = 2 * (cell * n_shards + shard);
+      if (parts[task]) {
+        merge_into(out.first, std::get<0>(std::move(*parts[task])));
+      }
+      if (parts[task + 1]) {
+        merge_into(out.second, std::get<1>(std::move(*parts[task + 1])));
+      }
+    }
+    return out;
+  };
+}
+
+// --- attack_matrix: eviction attacks x placement policy x partitioning -----
+
+Json run_attack_matrix(const RunOptions& options, Campaign& campaign) {
+  const std::size_t samples = options.resolve_samples(20'000);
+  // Both attacks are prediction-based (no attacker-side calibration
+  // deployment), so the victim key enters scoring only as the rank oracle.
+  // Evict+Time threads the shard's first trial, so the whole-cache
+  // eviction sweep replays as one continuous campaign.
+  const auto cells =
+      declare_attack_pair<attack::PrimeProbeOutcome, attack::EvictTimeOutcome>(
+          campaign, "attack_matrix", options, samples, 0x3A70,
+          {prime_probe_shard, put_pp_outcome, get_pp_outcome},
+          {[](const MatrixShard& shard) {
+             ShardVictim victim(shard, 0xE7000);
+             return attack::run_aes_evict_time(
+                 victim.machine, core::kMatrixVictim, core::kMatrixAttacker,
+                 victim.aes, shard.samples, shard.first_trial,
+                 victim.plaintexts, attack::EvictTimeConfig{});
+           },
+           put_et_outcome, get_et_outcome});
 
   return campaign.finish([&] {
-    // Merge in (cell, shard) order - exact integer sums, so the result is
-    // identical for every worker count - then score each cell once.  Shards
-    // missing under --allow-partial contribute nothing; a cell with NO
-    // completed shard for an attack reports null for that attack.
+    // Score each cell once; an attack with no completed shard reports null.
+    const crypto::Key victim_key =
+        core::campaign_victim_key(options.master_seed);
+    const crypto::SimAesLayout layout{};
+    const cache::Geometry l1 = cache::l1_geometry_arm920t();
     Json rows = Json::array();
-    std::vector<double> pp_unpartitioned_rank;
-    for (std::size_t c = 0; c < cells.size(); ++c) {
-      std::optional<attack::PrimeProbeOutcome> pp;
-      std::optional<attack::EvictTimeOutcome> et;
-      for (std::size_t s = 0; s < n_shards; ++s) {
-        const std::optional<TaskResult>& pp_part =
-            parts[2 * (c * n_shards + s)];
-        const std::optional<TaskResult>& et_part =
-            parts[2 * (c * n_shards + s) + 1];
-        if (pp_part && pp_part->pp) merge_into(pp, *pp_part->pp);
-        if (et_part && et_part->et) merge_into(et, *et_part->et);
-      }
-
-      Json pp_json;  // null when the cell's attack never completed a shard
+    // Headline ordering: Prime+Probe mean true rank, unpartitioned cells.
+    // The paper's qualitative claim is modulo leaks (low rank) while the
+    // randomized policies degrade the channel towards chance (127.5).
+    Json ordering = Json::object();
+    bool modulo_strictly_best = true;
+    double modulo_rank = 0;
+    for (std::size_t c = 0; c < matrix_platforms().size(); ++c) {
+      const auto [pp, et] = cells(c);
+      const core::Platform& platform = matrix_platforms()[c];
+      Json pp_json;
       Json et_json;
       double pp_mean_rank = 127.5;  // chance: an unmeasured cell leaks nothing
       if (pp) {
-        const attack::MatrixRanking pp_rank = attack::score_prime_probe(
+        const attack::MatrixRanking rank = attack::score_prime_probe(
             pp->profile, l1, layout.tables, victim_key);
-        pp_mean_rank = pp_rank.mean_true_rank();
-        pp_json = ranking_json(pp_rank, pp->channel);
+        pp_mean_rank = rank.mean_true_rank();
+        pp_json = ranking_json(rank, pp->channel);
       }
       if (et) {
-        const attack::MatrixRanking et_rank = attack::score_evict_time(
-            et->profile, l1, layout.tables, victim_key);
-        et_json = ranking_json(et_rank, et->channel);
+        et_json = ranking_json(attack::score_evict_time(
+                                   et->profile, l1, layout.tables, victim_key),
+                               et->channel);
       }
-      if (!cells[c].partitioned) {
-        pp_unpartitioned_rank.push_back(pp_mean_rank);
+      if (!platform.partitioned) {
+        ordering.set(core::to_string(platform.policy), pp_mean_rank);
+        if (c == 0) {
+          modulo_rank = pp_mean_rank;
+        } else if (pp_mean_rank <= modulo_rank) {
+          modulo_strictly_best = false;
+        }
       }
 
       Json row = Json::object();
-      row.set("policy", core::to_string(cells[c].policy))
-          .set("partitioned", cells[c].partitioned)
+      set_platform(row, platform)
           .set("samples", pp ? pp->profile.samples() : 0)
           .set("prime_probe", std::move(pp_json))
           .set("evict_time", std::move(et_json));
       rows.push(std::move(row));
     }
 
-    // Headline ordering: Prime+Probe mean true rank, unpartitioned cells.
-    // The paper's qualitative claim is modulo leaks (low rank) while the
-    // randomized policies degrade the channel towards chance (127.5).
-    Json ordering = Json::object();
-    bool modulo_strictly_best = true;
-    for (std::size_t p = 0; p < core::all_policies().size(); ++p) {
-      ordering.set(core::to_string(core::all_policies()[p]),
-                   pp_unpartitioned_rank[p]);
-      if (p > 0 && pp_unpartitioned_rank[p] <= pp_unpartitioned_rank[0]) {
-        modulo_strictly_best = false;
-      }
-    }
-
     Json j = Json::object();
     j.set("samples_per_cell", samples)
-        .set("shards_per_cell", n_shards)
+        .set("shards_per_cell",
+             matrix_shards(samples, options.shard_size).size())
         .set("chance_mean_rank", 127.5)
         .set("prime_probe_mean_rank_by_policy", std::move(ordering))
         .set("modulo_strictly_most_leaky", modulo_strictly_best)
@@ -1137,94 +1224,38 @@ Json run_attack_matrix(const RunOptions& options, Campaign& campaign) {
 // flush -> encrypt -> probe round trip (see the claims block).
 
 Json run_flush_matrix(const RunOptions& options, Campaign& campaign) {
+
   const std::size_t samples = options.resolve_samples(20'000);
-  const std::size_t shard_size = std::max<std::size_t>(1, options.shard_size);
-  const std::vector<MatrixCell> cells = matrix_cells();
-  const std::vector<std::size_t> shards = matrix_shards(samples, shard_size);
-  const std::size_t n_shards = shards.size();
-
-  const crypto::Key victim_key =
-      core::campaign_victim_key(options.master_seed);
-  const crypto::SimAesLayout layout{};
-  const cache::Geometry l1 = cache::l1_geometry_arm920t();
-
-  // One task per (attack, cell, shard), mirroring attack_matrix: each task
-  // is a pure function of (master seed, attack, cell, shard), so the
-  // fan-out order and worker count cannot affect results.  The cell seed
-  // tag differs from attack_matrix's so the two experiments' deployments
-  // are independent draws.
-  struct TaskResult {
-    std::optional<attack::FlushOutcome> fr;
-    std::optional<attack::FlushOutcome> ff;
-  };
-  const std::size_t per_attack = cells.size() * n_shards;
-  const auto cell_seed_of = [&](std::size_t index) {
-    return rng::derive_seed(options.master_seed, 0xF1A5 + index);
-  };
-  const auto run_task = [&](std::size_t task) {
-    const bool reload = task % 2 == 0;
-    const std::size_t cell_index = (task / 2) / n_shards;
-    const std::size_t shard = (task / 2) % n_shards;
-    const MatrixCell& cell = cells[cell_index];
-    const std::uint64_t cell_seed = cell_seed_of(cell_index);
-    sim::Machine& machine =
-        MachinePool::local()
-            .policy_machine(cell.policy, cell_seed, cell.partitioned)
-            .machine;
-    crypto::SimAes aes(machine, layout, victim_key);
-    TaskResult result;
-    if (reload) {
-      rng::XorShift64Star pt_rng(
-          rng::derive_seed(cell_seed, 0xF4000 + shard));
-      result.fr = attack::run_aes_flush_reload(machine, core::kMatrixVictim,
-                                               aes, shards[shard], pt_rng,
-                                               attack::FlushConfig{});
-    } else {
-      rng::XorShift64Star pt_rng(
-          rng::derive_seed(cell_seed, 0xFF000 + shard));
-      result.ff = attack::run_aes_flush_flush(machine, core::kMatrixVictim,
-                                              aes, shards[shard], pt_rng,
-                                              attack::FlushConfig{});
-    }
-    return result;
-  };
-
-  static const TaskCodec<TaskResult> codec{
-      [](const TaskResult& t, ByteWriter& w) {
-        w.put_u8(t.fr ? 1 : 2);
-        put_flush_outcome(w, t.fr ? *t.fr : *t.ff);
-      },
-      [](ByteReader& r) {
-        TaskResult t;
-        const bool reload = r.u8() == 1;
-        if (reload) {
-          t.fr = get_flush_outcome(r);
-        } else {
-          t.ff = get_flush_outcome(r);
-        }
-        return t;
-      }};
-  const StageResults<TaskResult> parts =
-      campaign.stage("flush_matrix", 2 * per_attack, run_task, codec);
+  // The cell seed tag differs from attack_matrix's, so the two
+  // experiments' deployments are independent draws.
+  const auto cells =
+      declare_attack_pair<attack::FlushOutcome, attack::FlushOutcome>(
+          campaign, "flush_matrix", options, samples, 0xF1A5,
+          {[](const MatrixShard& shard) {
+             ShardVictim victim(shard, 0xF4000);
+             return attack::run_aes_flush_reload(
+                 victim.machine, core::kMatrixVictim, victim.aes,
+                 shard.samples, victim.plaintexts, attack::FlushConfig{});
+           },
+           put_flush_outcome, get_flush_outcome},
+          {[](const MatrixShard& shard) {
+             ShardVictim victim(shard, 0xFF000);
+             return attack::run_aes_flush_flush(
+                 victim.machine, core::kMatrixVictim, victim.aes,
+                 shard.samples, victim.plaintexts, attack::FlushConfig{});
+           },
+           put_flush_outcome, get_flush_outcome});
 
   return campaign.finish([&] {
-    // Merge in (cell, shard) order - exact integer sums, worker-count
-    // invariant - then score each cell once per attack.
+    const crypto::Key victim_key =
+        core::campaign_victim_key(options.master_seed);
+    const cache::Geometry l1 = cache::l1_geometry_arm920t();
+    const std::size_t n_cells = matrix_platforms().size();
     Json rows = Json::array();
-    std::vector<double> fr_rank(cells.size(), 127.5);
-    std::vector<double> ff_rank(cells.size(), 127.5);
-    for (std::size_t c = 0; c < cells.size(); ++c) {
-      std::optional<attack::FlushOutcome> fr;
-      std::optional<attack::FlushOutcome> ff;
-      for (std::size_t s = 0; s < n_shards; ++s) {
-        const std::optional<TaskResult>& fr_part =
-            parts[2 * (c * n_shards + s)];
-        const std::optional<TaskResult>& ff_part =
-            parts[2 * (c * n_shards + s) + 1];
-        if (fr_part && fr_part->fr) merge_into(fr, *fr_part->fr);
-        if (ff_part && ff_part->ff) merge_into(ff, *ff_part->ff);
-      }
-
+    std::vector<double> fr_rank(n_cells, 127.5);
+    std::vector<double> ff_rank(n_cells, 127.5);
+    for (std::size_t c = 0; c < n_cells; ++c) {
+      const auto [fr, ff] = cells(c);
       Json fr_json;  // null when the cell's attack never completed a shard
       Json ff_json;
       if (fr) {
@@ -1241,52 +1272,45 @@ Json run_flush_matrix(const RunOptions& options, Campaign& campaign) {
       }
 
       Json row = Json::object();
-      row.set("policy", core::to_string(cells[c].policy))
-          .set("partitioned", cells[c].partitioned)
+      set_platform(row, matrix_platforms()[c])
           .set("samples", fr ? fr->profile.samples() : 0)
           .set("flush_reload", std::move(fr_json))
           .set("flush_flush", std::move(ff_json));
       rows.push(std::move(row));
     }
 
-    // Headline orderings: mean true rank per policy, unpartitioned cells
-    // (cells alternate unpartitioned/partitioned in policy order).
+    // Headline orderings: mean true rank per policy, unpartitioned cells.
+    const auto fr_of = [&](core::PlacementPolicy policy,
+                           bool partitioned = false) {
+      return fr_rank[matrix_cell(policy, partitioned)];
+    };
+    const auto ff_of = [&](core::PlacementPolicy policy) {
+      return ff_rank[matrix_cell(policy, false)];
+    };
     Json fr_ordering = Json::object();
     Json ff_ordering = Json::object();
-    const auto rank_of = [&](core::PlacementPolicy policy, bool partitioned,
-                             const std::vector<double>& ranks) {
-      for (std::size_t c = 0; c < cells.size(); ++c) {
-        if (cells[c].policy == policy && cells[c].partitioned == partitioned) {
-          return ranks[c];
-        }
-      }
-      return 127.5;
-    };
     for (const core::PlacementPolicy policy : core::all_policies()) {
-      fr_ordering.set(core::to_string(policy), rank_of(policy, false, fr_rank));
-      ff_ordering.set(core::to_string(policy), rank_of(policy, false, ff_rank));
+      fr_ordering.set(core::to_string(policy), fr_of(policy));
+      ff_ordering.set(core::to_string(policy), ff_of(policy));
     }
 
     // The experiment's qualitative claims, as booleans the CI gate asserts.
     // "Line resolved" means the mean true rank beats the 8-entries-per-line
     // granularity floor; "blinded" means at or indistinguishable from chance
     // scoring (a flat profile ranks every guess equal).
+    using P = core::PlacementPolicy;
     constexpr double kLineResolved = 8.0;
-    const double placement_worst_fr = std::max(
-        {rank_of(core::PlacementPolicy::kModulo, false, fr_rank),
-         rank_of(core::PlacementPolicy::kHashRp, false, fr_rank),
-         rank_of(core::PlacementPolicy::kRpCache, false, fr_rank),
-         rank_of(core::PlacementPolicy::kRandomModulo, false, fr_rank)});
+    const double placement_worst_fr =
+        std::max({fr_of(P::kModulo), fr_of(P::kHashRp), fr_of(P::kRpCache),
+                  fr_of(P::kRandomModulo)});
     Json claims = Json::object();
     claims
         .set("flush_reload_defeats_placement_randomization",
              placement_worst_fr < kLineResolved)
         .set("partitioning_does_not_stop_flush_reload",
-             rank_of(core::PlacementPolicy::kModulo, true, fr_rank) <
-                 kLineResolved)
+             fr_of(P::kModulo, true) < kLineResolved)
         .set("flush_flush_line_resolves_modulo",
-             rank_of(core::PlacementPolicy::kModulo, false, ff_rank) <
-                 kLineResolved)
+             ff_of(P::kModulo) < kLineResolved)
         // Negative result, pinned on purpose: Clepsydra's TTLs (512-4096 L1
         // accesses) comfortably outlive the flush -> encrypt -> reload
         // window (~hundreds of accesses), so unlike the eviction channel
@@ -1294,20 +1318,17 @@ Json run_flush_matrix(const RunOptions& options, Campaign& campaign) {
         // only helps if lifetimes are shorter than the attacker's round
         // trip.
         .set("clepsydra_ttls_outlive_flush_window",
-             rank_of(core::PlacementPolicy::kClepsydra, false, fr_rank) <
-                 kLineResolved)
+             fr_of(P::kClepsydra) < kLineResolved)
         .set("random_fill_blinds_flush_reload",
-             rank_of(core::PlacementPolicy::kRandomAndSafe, false, fr_rank) >=
-                 4 * kLineResolved)
+             fr_of(P::kRandomAndSafe) >= 4 * kLineResolved)
         .set("quantization_blinds_flush_channel",
-             rank_of(core::PlacementPolicy::kTimeCache, false, fr_rank) >=
-                     4 * kLineResolved &&
-                 rank_of(core::PlacementPolicy::kTimeCache, false, ff_rank) >=
-                     4 * kLineResolved);
+             fr_of(P::kTimeCache) >= 4 * kLineResolved &&
+                 ff_of(P::kTimeCache) >= 4 * kLineResolved);
 
     Json j = Json::object();
     j.set("samples_per_cell", samples)
-        .set("shards_per_cell", n_shards)
+        .set("shards_per_cell",
+             matrix_shards(samples, options.shard_size).size())
         .set("chance_mean_rank", 127.5)
         .set("flush_reload_mean_rank_by_policy", std::move(fr_ordering))
         .set("flush_flush_mean_rank_by_policy", std::move(ff_ordering))
@@ -1317,21 +1338,24 @@ Json run_flush_matrix(const RunOptions& options, Campaign& campaign) {
   });
 }
 
-// --- pwcet_matrix: MBPTA x kernels x placement policies --------------------
+// --- the pWCET matrices: MBPTA x kernels x placement policies ----------------
 //
-// The time-predictability dual of attack_matrix - the other half of the
-// paper's thesis as one sharded artifact.  For every ISA kernel x placement
-// policy x partitioning cell, per-run execution times are collected under
-// the MBPTA protocol (a fresh machine with a fresh random layout per run,
-// paper section 2.1), then the full MBPTA workflow runs per cell: i.i.d.
-// gate (Ljung-Box + KS with the tie diagnostic), Gumbel and GPD-POT tail
-// fits, Cramér-von Mises / Q-Q fit quality, and an MBPTA-CV-style
-// pWCET-convergence curve - "applicable" requires a STABLE bound, not two
-// hypothesis tests passed once.  A Prime+Probe leakage campaign per
-// platform (the attack_matrix protocol at reduced budget) joins security
-// and predictability into one tradeoff table.
+// pwcet_matrix is the time-predictability dual of attack_matrix - the other
+// half of the paper's thesis as one sharded artifact.  For every ISA
+// kernel x matrix platform cell, per-run execution times are collected
+// under the MBPTA protocol (mbpta_slice), then the full MBPTA workflow runs
+// per cell: i.i.d. gate (Ljung-Box + KS with the tie diagnostic), Gumbel
+// and GPD-POT tail fits, Cramér-von Mises / Q-Q fit quality, and an
+// MBPTA-CV-style pWCET-convergence curve - "applicable" requires a STABLE
+// bound, not two hypothesis tests passed once.  A Prime+Probe leakage
+// campaign per platform (the attack_matrix protocol at reduced budget)
+// joins security and predictability into one tradeoff table.
+// pwcet_exceedance replays the same timing cells and plots their curves.
 //
-// Verdicts per cell:
+// Verdicts per cell (pwcet_verdict):
+//  * "incomplete"  - fewer runs than the analysis minimum: a slice went
+//    missing under --allow-partial (complete runs collect >= 120 >=
+//    min_runs everywhere).  No statistics.
 //  * "degenerate"  - constant timing.  The deterministic platform's
 //    signature: one layout, one time, WCET hostage to that layout (also
 //    reached by randomized platforms on kernels too small to conflict -
@@ -1366,18 +1390,6 @@ mbpta::AnalysisConfig pwcet_matrix_analysis_config() {
   return cfg;
 }
 
-/// One timed run of a recorded kernel on a fresh-semantics cell machine
-/// (worker-pooled, bit-exact with building one): the warm pass, then the
-/// timed pass whose duration depends on which lines survived placement.
-double policy_kernel_time(const MatrixCell& cell,
-                          const isa::KernelPasses& passes,
-                          std::uint64_t cell_seed, std::size_t run) {
-  const PooledMachine lease = MachinePool::local().policy_machine(
-      cell.policy, rng::derive_seed(cell_seed, run), cell.partitioned);
-  lease.machine.set_process(core::kMatrixVictim);
-  return static_cast<double>(passes.time(lease.machine));
-}
-
 /// The kernel suite assembled at 0x1000 and recorded once: the matrix
 /// experiments time each kernel tens of thousands of times, and its two
 /// passes are the same on every platform.
@@ -1392,27 +1404,93 @@ std::vector<isa::KernelPasses> recorded_kernels(
   return passes;
 }
 
-/// One (cell, timing-shard) slice of the pWCET matrix protocol, with cell
-/// and shard decoded from the flat task index.  pwcet_matrix and
+/// The pWCET matrices' timing cells: every matrix platform x every suite
+/// kernel, cell platform * n_kernels + kernel, whose runs are cut into
+/// matrix_shards slices, task cell * n_slices + slice.  Cell c's run r is
+/// mbpta_slice under pwcet_cell_seed(seed, c).  pwcet_matrix and
 /// pwcet_exceedance both fan out through this, which is what makes their
 /// samples identical for the same (master seed, runs, shard size).
-std::vector<double> pwcet_timing_task(
-    const std::vector<MatrixCell>& platforms,
-    const std::vector<isa::KernelPasses>& kernels, std::uint64_t master_seed,
-    std::size_t shard_size, const std::vector<std::size_t>& time_shards,
-    std::size_t task) {
-  const std::size_t shard = task % time_shards.size();
-  const std::size_t cell = task / time_shards.size();
-  const MatrixCell& platform = platforms[cell / kernels.size()];
-  const isa::KernelPasses& passes = kernels[cell % kernels.size()];
-  const std::uint64_t cell_seed = pwcet_cell_seed(master_seed, cell);
-  const std::size_t begin = shard * shard_size;
-  std::vector<double> times;
-  times.reserve(time_shards[shard]);
-  for (std::size_t i = 0; i < time_shards[shard]; ++i) {
-    times.push_back(policy_kernel_time(platform, passes, cell_seed, begin + i));
+struct PwcetTiming {
+  PwcetTiming(const RunOptions& options, std::size_t runs)
+      : runs(runs),
+        master_seed(options.master_seed),
+        slices(matrix_shards(runs, options.shard_size)) {}
+
+  [[nodiscard]] std::size_t cells() const {
+    return matrix_platforms().size() * kernels.size();
   }
-  return times;
+  [[nodiscard]] std::size_t tasks() const { return cells() * slices.size(); }
+
+  /// The run times of task `task`'s slice.
+  [[nodiscard]] std::vector<double> slice(std::size_t task) const {
+    const std::size_t cell = task / slices.size();
+    const std::size_t slice = task % slices.size();
+    return mbpta_slice(matrix_platforms()[cell / kernels.size()],
+                       passes[cell % kernels.size()],
+                       pwcet_cell_seed(master_seed, cell),
+                       slice * slices.front(), slices[slice]);
+  }
+
+  /// Per cell, its completed slices in run order; `part(task)` is null for
+  /// a slice missing under --allow-partial.
+  template <typename PartAt>
+  [[nodiscard]] std::vector<std::vector<double>> merge(PartAt&& part) const {
+    return merge_cell_times(cells(), slices.size(), runs, part);
+  }
+
+  std::size_t runs;
+  std::uint64_t master_seed;
+  std::vector<std::size_t> slices;
+  std::vector<Kernel> kernels = kernel_suite();
+  /// Recorded once: their two passes are the same on every platform.
+  std::vector<isa::KernelPasses> passes = recorded_kernels(kernels);
+};
+
+/// The family-wise i.i.d. gate.  The paper applies alpha = 0.05 to four
+/// samples; a matrix tests ~40.  Gating every cell at the raw per-sample
+/// level would reject a handful of genuinely i.i.d. cells by multiple
+/// testing alone, so the verdicts control the FAMILY-WISE error rate:
+/// Bonferroni over the timing-variable cells (each cell's two tests gate at
+/// alpha / m).  Raw p-values are reported per cell so any other level can
+/// be re-applied.
+struct FamilyGate {
+  std::size_t variable_cells = 0;
+  double alpha = 0;
+};
+
+FamilyGate family_gate(const std::vector<std::vector<double>>& cells,
+                       double alpha) {
+  FamilyGate gate;
+  for (const std::vector<double>& times : cells) {
+    if (times.size() >= 2 && stats::summarize(times).stddev > 0) {
+      ++gate.variable_cells;
+    }
+  }
+  gate.alpha = alpha / static_cast<double>(
+                           std::max<std::size_t>(1, gate.variable_cells));
+  return gate;
+}
+
+/// A timing cell's place on the verdict ladder (see the list above).
+struct PwcetVerdict {
+  std::string name = "incomplete";
+  stats::Summary summary{};              ///< unset when incomplete
+  std::optional<stats::IidVerdict> iid;  ///< the gate's tests, when run
+};
+
+PwcetVerdict pwcet_verdict(const std::vector<double>& times,
+                           const mbpta::AnalysisConfig& cfg,
+                           const FamilyGate& gate) {
+  PwcetVerdict v;
+  if (times.size() < cfg.min_runs) return v;
+  v.summary = stats::summarize(times);
+  if (v.summary.stddev == 0) {
+    v.name = "degenerate";
+    return v;
+  }
+  v.iid = stats::iid_check(times, cfg.lags);
+  v.name = v.iid->passed(gate.alpha) ? "applicable" : "iid_fail";
+  return v;
 }
 
 Json gof_json(const stats::GofResult& g) {
@@ -1446,62 +1524,35 @@ Json run_pwcet_matrix(const RunOptions& options, Campaign& campaign) {
   const std::size_t runs =
       std::max<std::size_t>(120, options.resolve_samples(500));
   const std::size_t pp_samples = runs * 2;  // leakage-side budget per platform
-  const std::size_t shard_size = std::max<std::size_t>(1, options.shard_size);
-  const std::vector<Kernel> kernels = kernel_suite();
-  const std::vector<isa::KernelPasses> recorded = recorded_kernels(kernels);
-  const std::vector<MatrixCell> platforms = matrix_cells();
-  const std::size_t n_kernels = kernels.size();
-
-  const mbpta::AnalysisConfig cfg = pwcet_matrix_analysis_config();
-
+  const PwcetTiming timing(options, runs);
+  const std::vector<core::Platform>& platforms = matrix_platforms();
+  const std::size_t n_kernels = timing.kernels.size();
+  const std::vector<std::size_t> pp_shards =
+      matrix_shards(pp_samples, options.shard_size);
   const crypto::Key victim_key =
       core::campaign_victim_key(options.master_seed);
-  const crypto::SimAesLayout layout{};
-  const cache::Geometry l1 = cache::l1_geometry_arm920t();
-
-  const std::vector<std::size_t> time_shards = matrix_shards(runs, shard_size);
-  const std::vector<std::size_t> pp_shards =
-      matrix_shards(pp_samples, shard_size);
-  const std::size_t timing_tasks =
-      platforms.size() * n_kernels * time_shards.size();
-  const std::size_t total_tasks =
-      timing_tasks + platforms.size() * pp_shards.size();
 
   struct PwcetTask {
     std::vector<double> times;
     std::optional<attack::PrimeProbeOutcome> pp;
   };
 
-  // One task per (cell, timing shard) plus one per (platform, attack
-  // shard), in a single stage so the leakage campaigns overlap the timing
-  // collection.  Every task is a pure function of (master seed,
-  // cell, shard); merges below are in-order concatenations / exact integer
-  // sums, so the JSON is worker-count invariant.
+  // The timing slices, then one task per (platform, Prime+Probe shard), in
+  // a single stage so the leakage campaigns overlap the timing collection.
+  // The leakage half attacks one stable layout per platform (the strongest
+  // attacker configuration, as in attack_matrix), its shards differing only
+  // in their plaintext stream.
   const auto run_task = [&](std::size_t task) {
     PwcetTask out;
-    if (task < timing_tasks) {
-      out.times = pwcet_timing_task(platforms, recorded,
-                                    options.master_seed, shard_size,
-                                    time_shards, task);
+    if (task < timing.tasks()) {
+      out.times = timing.slice(task);
     } else {
-      const std::size_t t = task - timing_tasks;
-      const std::size_t platform_index = t / pp_shards.size();
-      const std::size_t shard = t % pp_shards.size();
-      const MatrixCell& platform = platforms[platform_index];
-      // Leakage half: stable layouts per platform (the strongest
-      // attacker configuration, as in attack_matrix), shards differing
-      // only in their plaintext stream.
-      const std::uint64_t seed = rng::derive_seed(
-          options.master_seed, 0x9A57'0000 + platform_index);
-      sim::Machine& machine =
-          MachinePool::local()
-              .policy_machine(platform.policy, seed, platform.partitioned)
-              .machine;
-      crypto::SimAes aes(machine, layout, victim_key);
-      rng::XorShift64Star pt_rng(rng::derive_seed(seed, 0x9700 + shard));
-      out.pp = attack::run_aes_prime_probe(
-          machine, core::kMatrixVictim, core::kMatrixAttacker, aes,
-          pp_shards[shard], pt_rng, attack::PrimeProbeConfig{});
+      const std::size_t platform = (task - timing.tasks()) / pp_shards.size();
+      const std::size_t shard = (task - timing.tasks()) % pp_shards.size();
+      out.pp = prime_probe_shard(
+          {platforms[platform],
+           rng::derive_seed(options.master_seed, 0x9A57'0000 + platform),
+           victim_key, pp_shards[shard], shard, 0});
     }
     return out;
   };
@@ -1524,57 +1575,27 @@ Json run_pwcet_matrix(const RunOptions& options, Campaign& campaign) {
         }
         return t;
       }};
-  const StageResults<PwcetTask> parts =
-      campaign.stage("pwcet_matrix", total_tasks, run_task, codec);
+  const StageResults<PwcetTask> parts = campaign.stage(
+      "pwcet_matrix", timing.tasks() + platforms.size() * pp_shards.size(),
+      run_task, codec);
 
   return campaign.finish([&] {
-    // Merge the timing shards in (cell, shard) order.  A shard missing under
-    // --allow-partial contributes nothing; its cell just has fewer runs (and
-    // flips to the "incomplete" verdict below the analysis minimum).
-    static const std::vector<double> kNoTimes;
-    std::vector<std::vector<double>> flat_times = merge_cell_times(
-        platforms.size() * n_kernels, time_shards.size(), runs,
-        [&](std::size_t i) -> const std::vector<double>& {
-          return parts[i] ? parts[i]->times : kNoTimes;
+    const mbpta::AnalysisConfig cfg = pwcet_matrix_analysis_config();
+    const std::vector<std::vector<double>> cell_times =
+        timing.merge([&](std::size_t task) {
+          return parts[task] ? &parts[task]->times : nullptr;
         });
-    std::vector<std::vector<std::vector<double>>> cell_times(
-        platforms.size(), std::vector<std::vector<double>>(n_kernels));
-    for (std::size_t p = 0; p < platforms.size(); ++p) {
-      for (std::size_t k = 0; k < n_kernels; ++k) {
-        cell_times[p][k] = std::move(flat_times[p * n_kernels + k]);
-      }
-    }
+    const FamilyGate gate = family_gate(cell_times, cfg.alpha);
 
-    // The overhead baseline: modulo, unpartitioned (platform 0 by
-    // construction - all_policies() leads with modulo, matrix_cells() with
-    // partitioning off).
+    // The overhead baseline: modulo, unpartitioned (platform 0).  An empty
+    // baseline cell (--allow-partial only) leaves the overhead column
+    // zeroed rather than dividing by garbage.
     std::vector<double> baseline_mean(n_kernels, 0);
     for (std::size_t k = 0; k < n_kernels; ++k) {
-      // An empty baseline cell (possible only under --allow-partial) leaves
-      // the overhead column zeroed rather than dividing by garbage.
-      baseline_mean[k] = cell_times[0][k].empty()
-                             ? 0.0
-                             : stats::summarize(cell_times[0][k]).mean;
-    }
-
-    // The paper applies alpha = 0.05 to four samples; this matrix tests ~40.
-    // Gating every cell at the raw per-sample level would reject a handful
-    // of genuinely i.i.d. cells by multiple testing alone, so the matrix
-    // verdict controls the FAMILY-WISE error rate: Bonferroni over the
-    // timing-variable cells (each cell's two tests gate at alpha / m).  Raw
-    // p-values are reported per cell so any other level can be re-applied.
-    std::size_t variable_cells = 0;
-    for (std::size_t p = 0; p < platforms.size(); ++p) {
-      for (std::size_t k = 0; k < n_kernels; ++k) {
-        if (cell_times[p][k].size() >= 2 &&
-            stats::summarize(cell_times[p][k]).stddev > 0) {
-          ++variable_cells;
-        }
+      if (!cell_times[k].empty()) {
+        baseline_mean[k] = stats::summarize(cell_times[k]).mean;
       }
     }
-    const double gate_alpha =
-        cfg.alpha /
-        static_cast<double>(std::max<std::size_t>(1, variable_cells));
 
     struct PlatformAgg {
       int applicable = 0;
@@ -1588,98 +1609,78 @@ Json run_pwcet_matrix(const RunOptions& options, Campaign& campaign) {
     std::vector<PlatformAgg> agg(platforms.size());
 
     Json cells = Json::array();
-    for (std::size_t p = 0; p < platforms.size(); ++p) {
-      for (std::size_t k = 0; k < n_kernels; ++k) {
-        const std::vector<double>& times = cell_times[p][k];
-
-        // A cell left below the analysis minimum by missing shards (reachable
-        // only under --allow-partial: complete runs collect >= 120 >= min_runs
-        // everywhere) gets no statistics, just an explicit verdict.
-        if (times.size() < cfg.min_runs) {
-          Json cell = Json::object();
-          cell.set("kernel", kernels[k].name)
-              .set("policy", core::to_string(platforms[p].policy))
-              .set("partitioned", platforms[p].partitioned)
-              .set("runs", static_cast<std::uint64_t>(times.size()))
-              .set("verdict", "incomplete");
-          agg[p].all_ok = false;
-          cells.push(std::move(cell));
-          continue;
-        }
-
-        const stats::Summary summary = stats::summarize(times);
-        const double overhead =
-            baseline_mean[k] > 0 ? summary.mean / baseline_mean[k] : 0.0;
-        agg[p].overhead_sum += overhead;
-
-        Json cell = Json::object();
-        cell.set("kernel", kernels[k].name)
-            .set("policy", core::to_string(platforms[p].policy))
-            .set("partitioned", platforms[p].partitioned)
-            .set("runs", static_cast<std::uint64_t>(times.size()))
-            .set("mean_cycles", summary.mean)
-            .set("stddev_cycles", summary.stddev)
-            .set("max_cycles", summary.max)
-            .set("overhead_vs_modulo", overhead);
-
-        std::string verdict;
-        bool cell_converged = false;
-        if (summary.stddev == 0) {
-          verdict = "degenerate";
-          ++agg[p].degenerate;
-        } else {
-          const stats::IidVerdict v = stats::iid_check(times, cfg.lags);
-          cell.set("iid", iid_json(v, gate_alpha));
-          if (!v.passed(gate_alpha)) {
-            verdict = "iid_fail";
-            ++agg[p].iid_fail;
-          } else {
-            verdict = "applicable";
-            ++agg[p].applicable;
-            Json tails = Json::array();
-            for (const stats::TailModel tail :
-                 {stats::TailModel::kGumbelBlockMaxima,
-                  stats::TailModel::kGpdPot}) {
-              mbpta::AnalysisConfig tail_cfg = cfg;
-              tail_cfg.tail = tail;
-              const stats::PwcetModel model(times, tail, cfg.block);
-              const stats::GofResult gof = stats::gof_pwcet_fit(times, model);
-              const mbpta::ConvergenceCurve conv = mbpta::pwcet_convergence(
-                  times, tail_cfg, kPwcetTargetProb, 6, kConvergenceTol);
-              // A cell's bound is stable when at least one tail estimator has
-              // settled - an analyst deploys the stable one.  (The GPD-POT
-              // bound at 1e-10 oscillates whenever the CV gate flips between
-              // the exponential and PWM arms; the block-maxima curve is the
-              // steadier of the two at campaign sample sizes.)
-              cell_converged = cell_converged || conv.converged;
-              const double bound = model.pwcet(kPwcetTargetProb);
-              if (k == 0 && tail == stats::TailModel::kGpdPot) {
-                agg[p].vecsum_pwcet = bound;
-              }
-              Json t = Json::object();
-              t.set("model", tail == stats::TailModel::kGumbelBlockMaxima
-                                 ? "gumbel_block_maxima"
-                                 : "gpd_pot")
-                  .set("pwcet_1e-10", bound)
-                  .set("gof", gof_json(gof))
-                  .set("convergence", convergence_json(conv));
-              tails.push(std::move(t));
-            }
-            cell.set("tails", std::move(tails));
-            if (cell_converged) ++agg[p].converged;
-          }
-        }
-        cell.set("verdict", verdict);
-        agg[p].all_ok =
-            agg[p].all_ok &&
-            (verdict == "degenerate" ||
-             (verdict == "applicable" && cell_converged));
+    for (std::size_t c = 0; c < cell_times.size(); ++c) {
+      const std::size_t k = c % n_kernels;
+      PlatformAgg& platform = agg[c / n_kernels];
+      const std::vector<double>& times = cell_times[c];
+      const PwcetVerdict v = pwcet_verdict(times, cfg, gate);
+      Json cell = Json::object();
+      cell.set("kernel", timing.kernels[k].name);
+      set_platform(cell, platforms[c / n_kernels])
+          .set("runs", static_cast<std::uint64_t>(times.size()));
+      if (v.name == "incomplete") {
+        platform.all_ok = false;
+        cell.set("verdict", v.name);
         cells.push(std::move(cell));
+        continue;
       }
+
+      const double overhead =
+          baseline_mean[k] > 0 ? v.summary.mean / baseline_mean[k] : 0.0;
+      platform.overhead_sum += overhead;
+      cell.set("mean_cycles", v.summary.mean)
+          .set("stddev_cycles", v.summary.stddev)
+          .set("max_cycles", v.summary.max)
+          .set("overhead_vs_modulo", overhead);
+      if (v.iid) cell.set("iid", iid_json(*v.iid, gate.alpha));
+
+      bool cell_converged = false;
+      if (v.name == "degenerate") {
+        ++platform.degenerate;
+      } else if (v.name == "iid_fail") {
+        ++platform.iid_fail;
+      } else {
+        ++platform.applicable;
+        Json tails = Json::array();
+        for (const stats::TailModel tail :
+             {stats::TailModel::kGumbelBlockMaxima,
+              stats::TailModel::kGpdPot}) {
+          mbpta::AnalysisConfig tail_cfg = cfg;
+          tail_cfg.tail = tail;
+          const stats::PwcetModel model(times, tail, cfg.block);
+          const mbpta::ConvergenceCurve conv = mbpta::pwcet_convergence(
+              times, tail_cfg, kPwcetTargetProb, 6, kConvergenceTol);
+          // A cell's bound is stable when at least one tail estimator has
+          // settled - an analyst deploys the stable one.  (The GPD-POT
+          // bound at 1e-10 oscillates whenever the CV gate flips between
+          // the exponential and PWM arms; the block-maxima curve is the
+          // steadier of the two at campaign sample sizes.)
+          cell_converged = cell_converged || conv.converged;
+          const double bound = model.pwcet(kPwcetTargetProb);
+          if (k == 0 && tail == stats::TailModel::kGpdPot) {
+            platform.vecsum_pwcet = bound;
+          }
+          Json t = Json::object();
+          t.set("model", tail_name(tail))
+              .set("pwcet_1e-10", bound)
+              .set("gof", gof_json(stats::gof_pwcet_fit(times, model)))
+              .set("convergence", convergence_json(conv));
+          tails.push(std::move(t));
+        }
+        cell.set("tails", std::move(tails));
+        if (cell_converged) ++platform.converged;
+      }
+      cell.set("verdict", v.name);
+      platform.all_ok = platform.all_ok &&
+                        (v.name == "degenerate" ||
+                         (v.name == "applicable" && cell_converged));
+      cells.push(std::move(cell));
     }
 
     // Tradeoff table: the leakage half merged per platform, joined with the
     // predictability aggregates - the paper's headline claim in one table.
+    const crypto::SimAesLayout layout{};
+    const cache::Geometry l1 = cache::l1_geometry_arm920t();
     Json tradeoff = Json::array();
     bool modulo_never_applicable = true;
     bool randomized_ok = true;
@@ -1688,7 +1689,7 @@ Json run_pwcet_matrix(const RunOptions& options, Campaign& campaign) {
       std::optional<attack::PrimeProbeOutcome> pp;
       for (std::size_t s = 0; s < pp_shards.size(); ++s) {
         const std::optional<PwcetTask>& part =
-            parts[timing_tasks + p * pp_shards.size() + s];
+            parts[timing.tasks() + p * pp_shards.size() + s];
         if (part && part->pp) merge_into(pp, *part->pp);
       }
 
@@ -1711,8 +1712,7 @@ Json run_pwcet_matrix(const RunOptions& options, Campaign& campaign) {
       }
 
       Json row = Json::object();
-      row.set("policy", core::to_string(platforms[p].policy))
-          .set("partitioned", platforms[p].partitioned)
+      set_platform(row, platforms[p])
           .set("randomized", is_random)
           .set("prime_probe_mean_true_rank", std::move(rank_json))
           .set("prime_probe_line_resolved_bytes", std::move(resolved_json))
@@ -1748,12 +1748,13 @@ Json run_pwcet_matrix(const RunOptions& options, Campaign& campaign) {
     j.set("runs_per_cell", static_cast<std::uint64_t>(runs))
         .set("pp_samples_per_platform", static_cast<std::uint64_t>(pp_samples))
         .set("alpha", kPwcetAlpha)
-        .set("gate_alpha", gate_alpha)
-        .set("variable_cells", static_cast<std::uint64_t>(variable_cells))
+        .set("gate_alpha", gate.alpha)
+        .set("variable_cells", static_cast<std::uint64_t>(gate.variable_cells))
         .set("target_exceedance", kPwcetTargetProb)
         .set("block", static_cast<std::uint64_t>(cfg.block))
         .set("chance_mean_rank", 127.5)
-        .set("shards_per_cell", static_cast<std::uint64_t>(time_shards.size()))
+        .set("shards_per_cell",
+             static_cast<std::uint64_t>(timing.slices.size()))
         .set("cells", std::move(cells))
         .set("tradeoff", std::move(tradeoff))
         .set("claim", std::move(claim));
@@ -1763,77 +1764,46 @@ Json run_pwcet_matrix(const RunOptions& options, Campaign& campaign) {
 
 // --- pwcet_exceedance: plotting JSON for the pWCET matrix ------------------
 //
-// The ROADMAP's plotting gap: pwcet_matrix reports bounds and diagnostics
-// but not the curves themselves.  This experiment replays the matrix's
-// exact per-cell timing protocol (same cell indexing, same
-// pwcet_cell_seed, same per-run machines - run it with the same --samples
-// and --seed and the sample IS the matrix's sample) and emits, per cell,
-// the empirical tail and the fitted Gumbel/GPD exceedance curves: the
-// overlay at every observed execution time plus the extrapolated
-// per-decade pWCET curve down to 1e-12.  Verdicts and the Bonferroni
-// family-wise i.i.d. gate mirror pwcet_matrix, so a plotted curve always
-// corresponds to a cell the matrix would actually model.
+// pwcet_matrix reports bounds and diagnostics but not the curves
+// themselves.  This experiment runs the matrix's exact timing cells
+// (PwcetTiming - run it with the same --samples and --seed and the sample
+// IS the matrix's sample) and emits, per cell, the empirical tail and the
+// fitted Gumbel/GPD exceedance curves: the overlay at every observed
+// execution time plus the extrapolated per-decade pWCET curve down to
+// 1e-12.  Verdicts and the family-wise i.i.d. gate are the matrix's, so a
+// plotted curve always corresponds to a cell the matrix would model.
 Json run_pwcet_exceedance(const RunOptions& options, Campaign& campaign) {
   const std::size_t runs =
       std::max<std::size_t>(120, options.resolve_samples(240));
-  const std::size_t shard_size = std::max<std::size_t>(1, options.shard_size);
-  const std::vector<Kernel> kernels = kernel_suite();
-  const std::vector<isa::KernelPasses> recorded = recorded_kernels(kernels);
-  const std::vector<MatrixCell> platforms = matrix_cells();
-  const std::size_t n_kernels = kernels.size();
-  const std::size_t n_cells = platforms.size() * n_kernels;
-
-  const std::vector<std::size_t> time_shards = matrix_shards(runs, shard_size);
-
-  // One task per (cell, shard), through the exact fan-out pwcet_matrix
-  // uses (pwcet_timing_task) but in a stage of its own: declaring
-  // "pwcet_matrix" would also run that stage's Prime+Probe tasks.
+  const PwcetTiming timing(options, runs);
+  // A stage of its own: declaring "pwcet_matrix" would also run that
+  // stage's Prime+Probe tasks.
   const StageResults<std::vector<double>> parts = campaign.stage(
-      "pwcet_exceedance", n_cells * time_shards.size(),
-      [&](std::size_t task) {
-        return pwcet_timing_task(platforms, recorded, options.master_seed,
-                                 shard_size, time_shards, task);
-      },
-      doubles_codec());
+      "pwcet_exceedance", timing.tasks(),
+      [&](std::size_t task) { return timing.slice(task); }, doubles_codec());
 
   return campaign.finish([&] {
-    // A shard missing under --allow-partial contributes nothing; a cell it
-    // leaves below the analysis minimum reports the "incomplete" verdict.
-    static const std::vector<double> kNoTimes;
-    const std::vector<std::vector<double>> cell_times =
-        merge_cell_times(n_cells, time_shards.size(), runs,
-                         [&](std::size_t i) -> const std::vector<double>& {
-                           return parts[i] ? *parts[i] : kNoTimes;
-                         });
-
-    // The matrix's analysis parameters and family-wise i.i.d. gate, over
-    // the same cell family.
     const mbpta::AnalysisConfig cfg = pwcet_matrix_analysis_config();
-    std::size_t variable_cells = 0;
-    for (const std::vector<double>& times : cell_times) {
-      if (times.size() >= 2 && stats::summarize(times).stddev > 0) {
-        ++variable_cells;
-      }
-    }
-    const double gate_alpha =
-        cfg.alpha /
-        static_cast<double>(std::max<std::size_t>(1, variable_cells));
+    const std::vector<std::vector<double>> cell_times =
+        timing.merge([&](std::size_t task) {
+          return parts[task] ? &*parts[task] : nullptr;
+        });
+    const FamilyGate gate = family_gate(cell_times, cfg.alpha);
+    const std::size_t n_kernels = timing.kernels.size();
 
     Json cells = Json::array();
-    for (std::size_t cell = 0; cell < n_cells; ++cell) {
-      const MatrixCell& platform = platforms[cell / n_kernels];
-      const std::vector<double>& times = cell_times[cell];
-      Json cell_json = Json::object();
-      cell_json.set("kernel", kernels[cell % n_kernels].name)
-          .set("policy", core::to_string(platform.policy))
-          .set("partitioned", platform.partitioned)
+    for (std::size_t c = 0; c < cell_times.size(); ++c) {
+      const std::vector<double>& times = cell_times[c];
+      const PwcetVerdict v = pwcet_verdict(times, cfg, gate);
+      Json cell = Json::object();
+      cell.set("kernel", timing.kernels[c % n_kernels].name);
+      set_platform(cell, matrix_platforms()[c / n_kernels])
           .set("runs", static_cast<std::uint64_t>(times.size()));
-      if (times.size() < cfg.min_runs) {
-        cell_json.set("verdict", "incomplete");
-        cells.push(std::move(cell_json));
+      if (v.name == "incomplete") {
+        cell.set("verdict", v.name);
+        cells.push(std::move(cell));
         continue;
       }
-      const stats::Summary summary = stats::summarize(times);
 
       // Distinct observed times (cycle counts are quantized, so this stays
       // plot-sized): one index list drives the empirical tail and every
@@ -1857,18 +1827,12 @@ Json run_pwcet_exceedance(const RunOptions& options, Campaign& campaign) {
         empirical.push(std::move(point));
       }
 
-      cell_json.set("mean_cycles", summary.mean).set("max_cycles", summary.max);
-
-      std::string verdict;
-      if (summary.stddev == 0) {
-        verdict = "degenerate";
-      } else if (!stats::iid_check(times, cfg.lags).passed(gate_alpha)) {
-        verdict = "iid_fail";
-      } else {
-        verdict = "applicable";
+      cell.set("mean_cycles", v.summary.mean).set("max_cycles", v.summary.max);
+      if (v.name == "applicable") {
         Json tails = Json::array();
         for (const stats::TailModel tail :
-             {stats::TailModel::kGumbelBlockMaxima, stats::TailModel::kGpdPot}) {
+             {stats::TailModel::kGumbelBlockMaxima,
+              stats::TailModel::kGpdPot}) {
           const stats::PwcetModel model(times, tail, cfg.block);
           // Overlay: the model's exceedance at each observed time, so the
           // fit and the empirical tail plot on one axis...
@@ -1881,35 +1845,27 @@ Json run_pwcet_exceedance(const RunOptions& options, Campaign& campaign) {
           }
           // ...and the extrapolated curve, one point per decade down to
           // beyond the certification target.
-          Json extrapolated = Json::array();
-          for (const stats::PwcetPoint& point : model.curve(1e-12)) {
-            Json p = Json::object();
-            p.set("exceedance_prob", point.exceedance_prob)
-                .set("bound_cycles", point.bound);
-            extrapolated.push(std::move(p));
-          }
           Json t = Json::object();
-          t.set("model", tail == stats::TailModel::kGumbelBlockMaxima
-                             ? "gumbel_block_maxima"
-                             : "gpd_pot")
+          t.set("model", tail_name(tail))
               .set("pwcet_1e-10", model.pwcet(kPwcetTargetProb))
               .set("fitted", std::move(fitted))
-              .set("extrapolated", std::move(extrapolated));
+              .set("extrapolated", curve_json(model.curve(1e-12)));
           tails.push(std::move(t));
         }
-        cell_json.set("tails", std::move(tails));
+        cell.set("tails", std::move(tails));
       }
-      cell_json.set("verdict", verdict).set("empirical", std::move(empirical));
-      cells.push(std::move(cell_json));
+      cell.set("verdict", v.name).set("empirical", std::move(empirical));
+      cells.push(std::move(cell));
     }
 
     Json j = Json::object();
     j.set("runs_per_cell", static_cast<std::uint64_t>(runs))
         .set("alpha", cfg.alpha)
-        .set("gate_alpha", gate_alpha)
-        .set("variable_cells", static_cast<std::uint64_t>(variable_cells))
+        .set("gate_alpha", gate.alpha)
+        .set("variable_cells", static_cast<std::uint64_t>(gate.variable_cells))
         .set("target_exceedance", kPwcetTargetProb)
-        .set("shards_per_cell", static_cast<std::uint64_t>(time_shards.size()))
+        .set("shards_per_cell",
+             static_cast<std::uint64_t>(timing.slices.size()))
         .set("cells", std::move(cells));
     return j;
   });
@@ -1973,8 +1929,9 @@ Json run_ct_audit(const RunOptions&, Campaign&) {
                             cache::MapperKind::kModulo,
                             cache::ReplacementKind::kLru),
         std::make_shared<rng::XorShift64Star>(2018));
-    machine.hierarchy().set_seed(kVictim, Seed{rng::derive_seed(2018, 1)});
-    machine.set_process(kVictim);
+    machine.hierarchy().set_seed(core::kMatrixVictim,
+                                 Seed{rng::derive_seed(2018, 1)});
+    machine.set_process(core::kMatrixVictim);
     isa::Interpreter interp(machine);
     interp.load_program(program);
     analysis::TaintOracle oracle(spec, program.base,
