@@ -713,6 +713,17 @@ void Cache::clear_way_partition(ProcId proc) {
       config_.random_fill_window > 0 || ttl_enabled_ || !partitions_.empty();
 }
 
+bool Cache::seed_invariant() const {
+  const MappingKind mapping = mapper_->mapping_kind();
+  const ReplacementKind replacement = repl_.kind;
+  return (mapping == MappingKind::kModulo ||
+          mapping == MappingKind::kRpCache) &&
+         (replacement == ReplacementKind::kLru ||
+          replacement == ReplacementKind::kFifo ||
+          replacement == ReplacementKind::kPlru) &&
+         config_.random_fill_window == 0 && config_.ttl_max == 0;
+}
+
 std::optional<MemoStats> Cache::rm_memo_stats() const {
   const Placement* p = mapper_->placement_ptr();
   if (p == nullptr || p->kind() != PlacementKind::kRandomModulo) {

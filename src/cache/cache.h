@@ -291,6 +291,22 @@ class Cache {
   /// reset them via the placement's reset_memo_stats if needed.
   [[nodiscard]] std::optional<MemoStats> rm_memo_stats() const;
 
+  /// Is this cache's behaviour the same under every seed, for a run in which
+  /// ONE process touches the cache after reset()?  Holds when the placement
+  /// is modulo (reads no seed) or RPCache, the replacement draws no random
+  /// number (LRU, FIFO, PLRU), and there is no random fill and no TTL.
+  /// RPCache qualifies because its set is a per-process Fisher-Yates
+  /// permutation of the modulo index: the seed relabels the sets but keeps
+  /// modulo's conflict classes, and replacement state is per set, so every
+  /// access hits, misses and evicts as under modulo.  Its contention rule
+  /// never draws in such a run: it fires only when the victim line's owner
+  /// differs from the requester, and after reset() every valid line was
+  /// installed by the one process.  Then the hits, misses and evictions of
+  /// the run, and so its time, do not depend on the seeds or the rng.
+  /// Derived from the configuration alone: a design that draws a random
+  /// number or reads a seed anywhere else must make this false.
+  [[nodiscard]] bool seed_invariant() const;
+
   [[nodiscard]] const Geometry& geometry() const { return config_.geometry; }
   [[nodiscard]] const CacheConfig& config() const { return config_; }
   [[nodiscard]] const IndexMapper& mapper() const { return *mapper_; }

@@ -97,7 +97,10 @@ sim::Machine& lease_machine(const core::Platform& platform,
 /// on `platform`: run r times the second pass of `passes` as the victim on
 /// a fresh deployment under derive_seed(seed_base, r) - a new random
 /// layout, empty caches, time zero.  Run r's time depends on r alone, so
-/// every slicing of a budget concatenates to the same sample.
+/// every slicing of a budget concatenates to the same sample.  Only the
+/// victim runs, so on a seed-invariant hierarchy
+/// (sim::Hierarchy::seed_invariant) every run takes the same time: the
+/// slice times its first run and copies it to the rest.
 std::vector<double> mbpta_slice(const core::Platform& platform,
                                 const isa::KernelPasses& passes,
                                 std::uint64_t seed_base, std::size_t begin,
@@ -109,6 +112,10 @@ std::vector<double> mbpta_slice(const core::Platform& platform,
         lease_machine(platform, rng::derive_seed(seed_base, r));
     machine.set_process(core::kMatrixVictim);
     times.push_back(static_cast<double>(passes.time(machine)));
+    if (machine.hierarchy().seed_invariant()) {
+      times.resize(count, times.front());
+      break;
+    }
   }
   return times;
 }

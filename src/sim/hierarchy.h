@@ -131,6 +131,14 @@ class Hierarchy {
     return result;
   }
 
+  /// Cache::seed_invariant() on every level: a run in which ONE process
+  /// touches the hierarchy after reset() takes the same latencies whatever
+  /// the seeds and the rng.  (Latency quantization reads no seed.)
+  [[nodiscard]] bool seed_invariant() const {
+    return l1i_->seed_invariant() && l1d_->seed_invariant() &&
+           (l2_ == nullptr || l2_->seed_invariant());
+  }
+
   [[nodiscard]] cache::Cache& l1i() { return *l1i_; }
   [[nodiscard]] cache::Cache& l1d() { return *l1d_; }
   [[nodiscard]] bool has_l2() const { return l2_ != nullptr; }

@@ -2,23 +2,30 @@
 // (shard-size invariance of the per-run protocols), the policy-machine
 // timing behaviour the matrix verdicts rest on - the deterministic platform
 // must be layout-locked (constant per-run times) while the MBPTA-style
-// randomized platforms produce analyzable variation - and the committed
+// randomized platforms produce analyzable variation - the seed-invariance
+// predicate that lets mbpta_slice time such a cell once, and the committed
 // pwcet_exceedance plotting artifact.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <fstream>
+#include <memory>
+#include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "cache/builder.h"
 #include "core/policy.h"
 #include "isa/interpreter.h"
 #include "isa/kernels.h"
 #include "mbpta/analysis.h"
 #include "rng/rng.h"
 #include "runner/experiment.h"
+#include "runner/machine_pool.h"
+#include "sim/machine.h"
 #include "stats/tests.h"
 
 namespace tsc::runner {
@@ -99,6 +106,148 @@ TEST(PwcetMatrixProtocol, RpCachePermutationPreservesConflicts) {
   for (std::size_t r = 1; r < 6; ++r) {
     EXPECT_DOUBLE_EQ(kernel_time(core::PlacementPolicy::kRpCache, 17, r),
                      first);
+  }
+}
+
+/// The pwcet_matrix kernel suite, recorded once.
+const std::vector<isa::KernelPasses>& suite_passes() {
+  static const std::vector<isa::KernelPasses> passes = [] {
+    std::vector<isa::KernelPasses> out;
+    for (const std::string& source :
+         {isa::vector_sum_source(0x40000, 5120),
+          isa::memcpy_source(0x40000, 0x60000, 2048),
+          isa::bubble_sort_source(0x40000, 256),
+          isa::matmul_source(0x40000, 0x50000, 0x60000, 24),
+          isa::stride_walk_source(0x40000, 8192, 64, 32768)}) {
+      out.push_back(isa::record_passes(isa::assemble(source, 0x1000), 0x1000));
+    }
+    return out;
+  }();
+  return passes;
+}
+
+/// What one MBPTA run leaves behind: its time, each level's counters, and
+/// whether the hierarchy called itself seed-invariant.
+struct RunFootprint {
+  std::uint64_t cycles = 0;
+  std::vector<cache::CacheStats> levels;
+  bool invariant = false;
+};
+
+/// Run `seed` of the MBPTA protocol on `platform`, timed through
+/// KernelPasses::time on a pooled machine - the campaign's per-run path
+/// without mbpta_slice's copy.
+RunFootprint time_run(const core::Platform& platform,
+                      const isa::KernelPasses& passes, std::uint64_t seed) {
+  sim::Machine& machine =
+      MachinePool::local()
+          .lease({platform, seed}, {core::kMatrixVictim, core::kMatrixAttacker})
+          .machine;
+  machine.set_process(core::kMatrixVictim);
+  RunFootprint run;
+  run.cycles = passes.time(machine);
+  sim::Hierarchy& h = machine.hierarchy();
+  run.levels = {h.l1i().stats(), h.l1d().stats(), h.l2().stats()};
+  run.invariant = h.seed_invariant();
+  return run;
+}
+
+TEST(SeedInvariance, AcceptedCellsTimeTheSameUnderEverySeed) {
+  // The predicate behind mbpta_slice's one-run shortcut, checked against
+  // the runs it skips: on every matrix platform and suite kernel it
+  // accepts, twelve deployments give the same cycles and the same hits and
+  // misses on every level, and the RPCache contention rule never fires.
+  std::size_t checked = 0;
+  for (const core::PlacementPolicy policy : core::all_policies()) {
+    for (const bool partitioned : {false, true}) {
+      const core::Platform platform(policy, core::SeedPolicy::kPerProcess,
+                                    partitioned);
+      const std::string cell =
+          core::to_string(policy) + (partitioned ? "/partitioned" : "");
+      for (std::size_t k = 0; k < suite_passes().size(); ++k) {
+        const RunFootprint first =
+            time_run(platform, suite_passes()[k], rng::derive_seed(41, k));
+        if (!first.invariant) continue;
+        ++checked;
+        for (std::uint64_t s = 1; s < 12; ++s) {
+          const RunFootprint run = time_run(
+              platform, suite_passes()[k], rng::derive_seed(41 + s, k));
+          const std::string where =
+              cell + " kernel " + std::to_string(k) + " seed " +
+              std::to_string(s);
+          EXPECT_EQ(run.cycles, first.cycles) << where;
+          for (std::size_t l = 0; l < run.levels.size(); ++l) {
+            EXPECT_EQ(run.levels[l].hits, first.levels[l].hits)
+                << where << " level " << l;
+            EXPECT_EQ(run.levels[l].misses, first.levels[l].misses)
+                << where << " level " << l;
+            EXPECT_EQ(run.levels[l].contention_evictions, 0u)
+                << where << " level " << l;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 0u);
+}
+
+TEST(SeedInvariance, AcceptsModuloTimeCacheAndRpCacheOnly) {
+  // RPCache is accepted although core::randomized calls it randomized: its
+  // seed permutes set labels, which only a second process can observe.
+  const std::set<core::PlacementPolicy> accepted{
+      core::PlacementPolicy::kModulo, core::PlacementPolicy::kTimeCache,
+      core::PlacementPolicy::kRpCache};
+  for (const core::PlacementPolicy policy : core::all_policies()) {
+    for (const bool partitioned : {false, true}) {
+      sim::Machine& machine =
+          MachinePool::local().policy_machine(policy, 7, partitioned).machine;
+      EXPECT_EQ(machine.hierarchy().seed_invariant(),
+                accepted.count(policy) == 1)
+          << core::to_string(policy) << " partitioned=" << partitioned;
+    }
+  }
+}
+
+TEST(SeedInvariance, EveryRandomDrawOrSeededPlacementRejects) {
+  const sim::HierarchyConfig base = core::policy_hierarchy_config(
+      core::PlacementPolicy::kModulo);
+  const auto invariant = [](const sim::HierarchyConfig& config) {
+    return sim::Hierarchy(config, std::make_shared<rng::XorShift64Star>(3))
+        .seed_invariant();
+  };
+  ASSERT_TRUE(invariant(base));
+  const std::vector<std::pair<std::string, void (*)(cache::CacheSpec&)>>
+      perturbations{
+          {"random replacement",
+           [](cache::CacheSpec& s) {
+             s.replacement = cache::ReplacementKind::kRandom;
+           }},
+          {"NMRU",
+           [](cache::CacheSpec& s) {
+             s.replacement = cache::ReplacementKind::kNmru;
+           }},
+          {"random fill",
+           [](cache::CacheSpec& s) { s.config.random_fill_window = 8; }},
+          {"TTL range",
+           [](cache::CacheSpec& s) {
+             s.config.ttl_min = 64;
+             s.config.ttl_max = 512;
+           }},
+          {"hashRP", [](cache::CacheSpec& s) {
+             s.mapper = cache::MapperKind::kHashRp;
+           }},
+          {"random modulo", [](cache::CacheSpec& s) {
+             s.mapper = cache::MapperKind::kRandomModulo;
+           }}};
+  // Each perturbation on each level flips the whole hierarchy (random
+  // modulo needs way size == page size, which only the L1s have).
+  for (const auto& [name, perturb] : perturbations) {
+    for (const int level : {0, 1, 2}) {
+      if (level == 2 && name == "random modulo") continue;
+      sim::HierarchyConfig config = base;
+      perturb(level == 0 ? config.l1i : level == 1 ? config.l1d : *config.l2);
+      EXPECT_FALSE(invariant(config)) << name << " on level " << level;
+    }
   }
 }
 
