@@ -18,9 +18,7 @@
 #include <vector>
 
 #include "attack/evicttime.h"
-#include "attack/flushreload.h"
 #include "attack/metrics.h"
-#include "attack/primeprobe.h"
 #include "attack/profile.h"
 #include "cache/benes.h"
 #include "cache/builder.h"
@@ -380,7 +378,7 @@ constexpr std::size_t kScoreTrials = 1200;
 void BM_ScorePrimeProbe(benchmark::State& state) {
   const cache::Geometry l1 = cache::l1_geometry_arm920t();
   rng::XorShift64Star r(1);
-  attack::PrimeProbeProfile profile(l1.sets());
+  attack::ProbeProfile profile(l1.sets());
   std::vector<std::uint32_t> misses(l1.sets());
   for (std::size_t t = 0; t < kScoreTrials; ++t) {
     for (std::uint32_t& m : misses) {
@@ -418,10 +416,10 @@ void BM_ScoreFlush(benchmark::State& state) {
   const std::uint32_t lines =
       4 * (crypto::SimAesLayout::kTableBytes / l1.line_bytes());
   rng::XorShift64Star r(3);
-  attack::FlushProfile profile(lines);
-  std::vector<std::uint8_t> touched(lines);
+  attack::ProbeProfile profile(lines);
+  std::vector<std::uint32_t> touched(lines);
   for (std::size_t t = 0; t < kScoreTrials; ++t) {
-    for (std::uint8_t& b : touched) b = r.next_bool(0.3) ? 1 : 0;
+    for (std::uint32_t& b : touched) b = r.next_bool(0.3) ? 1 : 0;
     profile.add(crypto::random_block(r), touched);
   }
   const crypto::Key key = crypto::random_block(r);

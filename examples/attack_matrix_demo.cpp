@@ -38,7 +38,7 @@ int main() {
     crypto::SimAes aes(*machine, layout, victim_key);
     rng::XorShift64Star pt_rng(99);
 
-    const attack::PrimeProbeOutcome outcome = attack::run_aes_prime_probe(
+    const attack::ProbeOutcome outcome = attack::run_aes_prime_probe(
         *machine, core::kMatrixVictim, core::kMatrixAttacker, aes, kSamples,
         pt_rng, attack::PrimeProbeConfig{});
     const attack::MatrixRanking ranking = attack::score_prime_probe(

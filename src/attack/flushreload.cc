@@ -1,67 +1,15 @@
 #include "attack/flushreload.h"
 
-#include <cassert>
+#include <vector>
 
 namespace tsc::attack {
-
-FlushProfile::FlushProfile(std::uint32_t lines)
-    : lines_(lines),
-      sums_(static_cast<std::size_t>(kPositions) * kValues * lines, 0) {}
-
-void FlushProfile::add(const crypto::Block& plaintext,
-                       std::span<const std::uint8_t> touched) {
-  assert(touched.size() >= lines_);
-  for (int pos = 0; pos < kPositions; ++pos) {
-    const auto v = static_cast<std::size_t>(
-        plaintext[static_cast<std::size_t>(pos)]);
-    std::uint64_t* row = sums_.data() + idx(pos, static_cast<int>(v), 0);
-    for (std::uint32_t m = 0; m < lines_; ++m) row[m] += touched[m];
-    ++counts_[static_cast<std::size_t>(pos)][v];
-  }
-  ++total_trials_;
-}
-
-void FlushProfile::merge(const FlushProfile& other) {
-  assert(other.lines_ == lines_);
-  for (std::size_t i = 0; i < sums_.size(); ++i) sums_[i] += other.sums_[i];
-  for (int pos = 0; pos < kPositions; ++pos) {
-    for (int v = 0; v < kValues; ++v) {
-      counts_[static_cast<std::size_t>(pos)][static_cast<std::size_t>(v)] +=
-          other.counts_[static_cast<std::size_t>(pos)]
-                       [static_cast<std::size_t>(v)];
-    }
-  }
-  total_trials_ += other.total_trials_;
-}
-
-double FlushProfile::cell_mean(int pos, int value, std::uint32_t line) const {
-  const std::uint64_t n = cell_count(pos, value);
-  if (n == 0) return 0.0;
-  return static_cast<double>(sums_[idx(pos, value, line)]) /
-         static_cast<double>(n);
-}
-
-double FlushProfile::line_mean(int pos, std::uint32_t line) const {
-  if (total_trials_ == 0) return 0.0;
-  std::uint64_t sum = 0;
-  for (int v = 0; v < kValues; ++v) sum += sums_[idx(pos, v, line)];
-  return static_cast<double>(sum) / static_cast<double>(total_trials_);
-}
-
-FlushOutcome::FlushOutcome(std::uint32_t lines, std::size_t line_classes)
-    : profile(lines), channel(line_classes, line_classes + 1) {}
-
-void FlushOutcome::merge(const FlushOutcome& other) {
-  profile.merge(other.profile);
-  channel.merge(other.channel);
-}
 
 namespace {
 
 /// The shared flush-channel campaign.  `time_flush` selects the probe
 /// primitive: false = Flush+Reload (time a load, fast = touched), true =
 /// Flush+Flush (time the flush, slow = touched).
-FlushOutcome run_aes_flush_channel(sim::Machine& machine, ProcId victim,
+ProbeOutcome run_aes_flush_channel(sim::Machine& machine, ProcId victim,
                                    crypto::SimAes& aes, std::size_t samples,
                                    rng::Rng& pt_rng, const FlushConfig& config,
                                    bool time_flush) {
@@ -72,7 +20,7 @@ FlushOutcome run_aes_flush_channel(sim::Machine& machine, ProcId victim,
       crypto::SimAesLayout::kTableBytes / line_bytes;
   const std::uint32_t monitored = 4 * lines_per_table;
   const std::size_t line_classes = lines_per_table;
-  FlushOutcome out(monitored, line_classes);
+  ProbeOutcome out(monitored, line_classes);
 
   // Monitored line m covers table (m / lines_per_table), line offset
   // (m % lines_per_table) - the victim's own table addresses (shared
@@ -111,7 +59,7 @@ FlushOutcome run_aes_flush_channel(sim::Machine& machine, ProcId victim,
   const std::uint8_t key2 = aes.key()[2];
   const std::uint32_t table2_base = 2 * lines_per_table;
 
-  std::vector<std::uint8_t> touched(monitored);
+  std::vector<std::uint32_t> touched(monitored);
   for (std::size_t trial = 0; trial < samples; ++trial) {
     // Flush phase: evict every monitored line (state reset - both probe
     // variants leave the lines absent, so trials start identical).
@@ -153,7 +101,7 @@ FlushOutcome run_aes_flush_channel(sim::Machine& machine, ProcId victim,
 
 }  // namespace
 
-FlushOutcome run_aes_flush_reload(sim::Machine& machine, ProcId victim,
+ProbeOutcome run_aes_flush_reload(sim::Machine& machine, ProcId victim,
                                   crypto::SimAes& aes, std::size_t samples,
                                   rng::Rng& pt_rng,
                                   const FlushConfig& config) {
@@ -161,7 +109,7 @@ FlushOutcome run_aes_flush_reload(sim::Machine& machine, ProcId victim,
                                /*time_flush=*/false);
 }
 
-FlushOutcome run_aes_flush_flush(sim::Machine& machine, ProcId victim,
+ProbeOutcome run_aes_flush_flush(sim::Machine& machine, ProcId victim,
                                  crypto::SimAes& aes, std::size_t samples,
                                  rng::Rng& pt_rng, const FlushConfig& config) {
   return run_aes_flush_channel(machine, victim, aes, samples, pt_rng, config,

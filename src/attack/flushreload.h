@@ -34,26 +34,18 @@
 //
 // The per-trial observable is the binary touched-vector over the 4 x
 // lines-per-table monitored lines; an AES campaign accumulates it per
-// (plaintext byte position, byte value) into a FlushProfile.  All
-// accumulators are integer-valued and mergeable, so the sharded campaign
-// engine merges shard profiles exactly, independent of worker count.
+// (plaintext byte position, byte value) into a ProbeProfile
+// (attack/profile.h) with one slot per monitored line - the accumulator
+// Prime+Probe fills with per-set probe misses.
 #pragma once
 
-#include <array>
-#include <cstdint>
-#include <span>
-#include <vector>
+#include <cstddef>
 
+#include "attack/profile.h"
 #include "common/types.h"
-#include "crypto/aes.h"
 #include "crypto/sim_aes.h"
 #include "rng/rng.h"
 #include "sim/machine.h"
-#include "stats/mi.h"
-
-namespace tsc::runner {
-struct ProfileCodec;  // exact checkpoint serialization (runner/codecs.cc)
-}
 
 namespace tsc::attack {
 
@@ -64,81 +56,19 @@ struct FlushConfig {
   Addr attacker_code = 0x0068'0000;
 };
 
-/// Per-(position, value) aggregated touched-line observations: for every
-/// monitored table line, how often it was observed touched when plaintext
-/// byte `pos` == value.  Cells are integer sums, so merge() is exact and
-/// order-independent.
-class FlushProfile {
- public:
-  static constexpr int kPositions = 16;
-  static constexpr int kValues = 256;
-
-  explicit FlushProfile(std::uint32_t lines);
-
-  /// Record one trial: the plaintext encrypted and the touched-vector
-  /// (one 0/1 entry per monitored line) observed after it.
-  void add(const crypto::Block& plaintext,
-           std::span<const std::uint8_t> touched);
-
-  /// Fold another profile into this one.  Precondition: same line count.
-  void merge(const FlushProfile& other);
-
-  /// Touch rate of monitored line `line` over trials with
-  /// plaintext[pos] == value (0 when the cell received no trials).
-  [[nodiscard]] double cell_mean(int pos, int value,
-                                 std::uint32_t line) const;
-
-  /// Touch rate of monitored line `line` over ALL trials, from position
-  /// `pos`'s marginal (every position sees every trial).
-  [[nodiscard]] double line_mean(int pos, std::uint32_t line) const;
-
-  [[nodiscard]] std::uint64_t cell_count(int pos, int value) const {
-    return counts_[static_cast<std::size_t>(pos)]
-                  [static_cast<std::size_t>(value)];
-  }
-  [[nodiscard]] std::uint64_t samples() const { return total_trials_; }
-  [[nodiscard]] std::uint32_t lines() const { return lines_; }
-
- private:
-  friend struct tsc::runner::ProfileCodec;
-
-  [[nodiscard]] std::size_t idx(int pos, int value, std::uint32_t line) const {
-    return (static_cast<std::size_t>(pos) * kValues +
-            static_cast<std::size_t>(value)) *
-               lines_ +
-           line;
-  }
-
-  std::uint32_t lines_;              ///< monitored lines (4 x table lines)
-  std::vector<std::uint64_t> sums_;  ///< [pos][value][line] touched sums
-  std::array<std::array<std::uint64_t, kValues>, kPositions> counts_{};
-  std::uint64_t total_trials_ = 0;
-};
-
-/// One shard's worth of flush-channel measurements.  Flush+Reload and
-/// Flush+Flush differ only in the probe primitive, so they share one
-/// outcome shape (and one checkpoint codec).
-struct FlushOutcome {
-  FlushProfile profile;
-  /// Leakage diagnostic: joint histogram of the victim's true round-1
-  /// table-2 line for byte 2 against the trial's INCLUSION WITNESS - the
-  /// lowest table-2 monitored line observed touched, or `classes` when
-  /// none was.  Round 1 always touches the true line, so under a faithful
-  /// channel the witness never exceeds the true class; TTL expiry and
-  /// quantization break exactly that bound.  Its mutual information
-  /// quantifies the per-trial channel independently of key ranking.
-  stats::JointHistogram channel;
-
-  FlushOutcome(std::uint32_t lines, std::size_t line_classes);
-  void merge(const FlushOutcome& other);
-};
-
 /// Run `samples` flush -> encrypt -> reload trials on `machine`.  The
 /// attacker executes under `victim` (shared-memory co-residency; see file
 /// comment), flushing and reloading the victim's own AES table lines.
-/// Plaintexts come from `pt_rng`.  aes.key() - ground truth an evaluator
-/// has and an attacker does not - feeds only the channel diagnostic.
-[[nodiscard]] FlushOutcome run_aes_flush_reload(sim::Machine& machine,
+/// Plaintexts come from `pt_rng`.  The profile has one slot per monitored
+/// line: table (m / lines_per_table), line (m % lines_per_table).
+/// aes.key() - ground truth an evaluator has and an attacker does not -
+/// feeds only the channel diagnostic.
+///
+/// The channel's witness is an INCLUSION witness: the lowest table-2
+/// monitored line observed touched.  Round 1 always touches the true line,
+/// so under a faithful channel the witness never exceeds the true class;
+/// TTL expiry and quantization break exactly that bound.
+[[nodiscard]] ProbeOutcome run_aes_flush_reload(sim::Machine& machine,
                                                 ProcId victim,
                                                 crypto::SimAes& aes,
                                                 std::size_t samples,
@@ -148,7 +78,7 @@ struct FlushOutcome {
 /// Same protocol, but the probe pass times the flush itself (Flush+Flush):
 /// a flush slower than the calibrated absent-line baseline marks a line
 /// some cache level held.
-[[nodiscard]] FlushOutcome run_aes_flush_flush(sim::Machine& machine,
+[[nodiscard]] ProbeOutcome run_aes_flush_flush(sim::Machine& machine,
                                                ProcId victim,
                                                crypto::SimAes& aes,
                                                std::size_t samples,

@@ -5,6 +5,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "crypto/sim_aes.h"
+
 namespace tsc::attack {
 
 double MatrixRanking::mean_true_rank() const {
@@ -142,16 +144,16 @@ auto modulo_slot(const cache::Geometry& l1, Addr tables_base) {
 
 }  // namespace
 
-MatrixRanking score_prime_probe(const PrimeProbeProfile& profile,
+MatrixRanking score_prime_probe(const ProbeProfile& profile,
                                 const cache::Geometry& l1, Addr tables_base,
                                 const crypto::Key& victim_key) {
   const std::uint32_t width = class_width(l1);
-  require_slots(profile.sets(), l1.sets(), "sets");
+  require_slots(profile.slots(), l1.sets(), "sets");
   // Every trial observes every set, so the weight of a (pos, value) cell is
   // its trial count regardless of the set consulted.
   return score_line_classes(
       width, victim_key, modulo_slot(l1, tables_base),
-      [&](int pos, std::uint32_t s) { return profile.set_mean(pos, s); },
+      [&](int pos, std::uint32_t s) { return profile.slot_mean(pos, s); },
       [&](int pos, int v, std::uint32_t s) {
         return profile.cell_mean(pos, v, s);
       },
@@ -160,13 +162,13 @@ MatrixRanking score_prime_probe(const PrimeProbeProfile& profile,
       });
 }
 
-MatrixRanking score_flush(const FlushProfile& profile,
+MatrixRanking score_flush(const ProbeProfile& profile,
                           const cache::Geometry& l1,
                           const crypto::Key& victim_key) {
   const std::uint32_t width = class_width(l1);
   const std::uint32_t lines_per_table =
       crypto::SimAesLayout::kTableBytes / l1.line_bytes();
-  require_slots(profile.lines(), 4 * lines_per_table, "monitored lines");
+  require_slots(profile.slots(), 4 * lines_per_table, "monitored lines");
   // The predicted monitored line is addressed directly - the flush channel
   // has no placement frame to get wrong.
   return score_line_classes(
@@ -174,7 +176,7 @@ MatrixRanking score_flush(const FlushProfile& profile,
       [&](int pos, std::uint32_t line) {
         return (static_cast<std::uint32_t>(pos) % 4) * lines_per_table + line;
       },
-      [&](int pos, std::uint32_t m) { return profile.line_mean(pos, m); },
+      [&](int pos, std::uint32_t m) { return profile.slot_mean(pos, m); },
       [&](int pos, int v, std::uint32_t m) {
         return profile.cell_mean(pos, v, m);
       },

@@ -28,8 +28,7 @@
 #include <cstdint>
 
 #include "attack/evicttime.h"
-#include "attack/flushreload.h"
-#include "attack/primeprobe.h"
+#include "attack/profile.h"
 #include "cache/geometry.h"
 #include "common/types.h"
 #include "crypto/aes.h"
@@ -71,18 +70,18 @@ struct MatrixRanking {
 [[nodiscard]] ByteRanking rank_scores(const std::array<double, 256>& score,
                                       std::uint8_t truth);
 
-/// Score a Prime+Probe profile.  For position p and guess g the predicted
-/// victim set of value v is the modulo set of table (p mod 4)'s line
-/// (v ^ g) / entries_per_line under `l1` and `tables_base` (the attacker's
-/// architectural model of the victim binary).  The score is the
-/// trial-weighted mean excess of observed probe misses in that predicted
-/// set over the set's overall mean.
+/// Score a Prime+Probe profile (one slot per modulo set).  For position p
+/// and guess g the predicted victim set of value v is the modulo set of
+/// table (p mod 4)'s line (v ^ g) / entries_per_line under `l1` and
+/// `tables_base` (the attacker's architectural model of the victim binary).
+/// The score is the trial-weighted mean excess of observed probe misses in
+/// that predicted set over the set's overall mean.
 ///
 /// All three scorers throw std::invalid_argument when `l1`'s line size is
 /// below 4 B or above SimAesLayout::kTableBytes (no line class to index),
-/// or when the profile holds fewer sets / monitored lines than `l1`
+/// or when the profile holds fewer slots (sets / monitored lines) than `l1`
 /// addresses.
-[[nodiscard]] MatrixRanking score_prime_probe(const PrimeProbeProfile& profile,
+[[nodiscard]] MatrixRanking score_prime_probe(const ProbeProfile& profile,
                                               const cache::Geometry& l1,
                                               Addr tables_base,
                                               const crypto::Key& victim_key);
@@ -103,7 +102,7 @@ struct MatrixRanking {
 /// monitored line (p mod 4) * lines_per_table + (v ^ g) / entries_per_line
 /// - no placement model at all, which is exactly why randomized placement
 /// does not degrade this channel.  `l1` supplies only the line size.
-[[nodiscard]] MatrixRanking score_flush(const FlushProfile& profile,
+[[nodiscard]] MatrixRanking score_flush(const ProbeProfile& profile,
                                         const cache::Geometry& l1,
                                         const crypto::Key& victim_key);
 

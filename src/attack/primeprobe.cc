@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <vector>
 
 namespace tsc::attack {
 
@@ -55,69 +56,15 @@ unsigned PrimeProbe::probe(std::span<std::uint32_t> per_set_misses,
   return total;
 }
 
-PrimeProbeProfile::PrimeProbeProfile(std::uint32_t sets)
-    : sets_(sets),
-      sums_(static_cast<std::size_t>(kPositions) * kValues * sets, 0) {}
-
-void PrimeProbeProfile::add(const crypto::Block& plaintext,
-                            std::span<const std::uint32_t> per_set_misses) {
-  assert(per_set_misses.size() >= sets_);
-  for (int pos = 0; pos < kPositions; ++pos) {
-    const auto v = static_cast<std::size_t>(
-        plaintext[static_cast<std::size_t>(pos)]);
-    std::uint64_t* row = sums_.data() + idx(pos, static_cast<int>(v), 0);
-    for (std::uint32_t s = 0; s < sets_; ++s) row[s] += per_set_misses[s];
-    ++counts_[static_cast<std::size_t>(pos)][v];
-  }
-  ++total_trials_;
-}
-
-void PrimeProbeProfile::merge(const PrimeProbeProfile& other) {
-  assert(other.sets_ == sets_);
-  for (std::size_t i = 0; i < sums_.size(); ++i) sums_[i] += other.sums_[i];
-  for (int pos = 0; pos < kPositions; ++pos) {
-    for (int v = 0; v < kValues; ++v) {
-      counts_[static_cast<std::size_t>(pos)][static_cast<std::size_t>(v)] +=
-          other.counts_[static_cast<std::size_t>(pos)]
-                       [static_cast<std::size_t>(v)];
-    }
-  }
-  total_trials_ += other.total_trials_;
-}
-
-double PrimeProbeProfile::cell_mean(int pos, int value,
-                                    std::uint32_t set) const {
-  const std::uint64_t n = cell_count(pos, value);
-  if (n == 0) return 0.0;
-  return static_cast<double>(sums_[idx(pos, value, set)]) /
-         static_cast<double>(n);
-}
-
-double PrimeProbeProfile::set_mean(int pos, std::uint32_t set) const {
-  if (total_trials_ == 0) return 0.0;
-  std::uint64_t sum = 0;
-  for (int v = 0; v < kValues; ++v) sum += sums_[idx(pos, v, set)];
-  return static_cast<double>(sum) / static_cast<double>(total_trials_);
-}
-
-PrimeProbeOutcome::PrimeProbeOutcome(std::uint32_t sets,
-                                     std::size_t line_classes)
-    : profile(sets), channel(line_classes, line_classes + 1) {}
-
-void PrimeProbeOutcome::merge(const PrimeProbeOutcome& other) {
-  profile.merge(other.profile);
-  channel.merge(other.channel);
-}
-
-PrimeProbeOutcome run_aes_prime_probe(sim::Machine& machine, ProcId victim,
-                                      ProcId attacker, crypto::SimAes& aes,
-                                      std::size_t samples, rng::Rng& pt_rng,
-                                      const PrimeProbeConfig& config) {
+ProbeOutcome run_aes_prime_probe(sim::Machine& machine, ProcId victim,
+                                 ProcId attacker, crypto::SimAes& aes,
+                                 std::size_t samples, rng::Rng& pt_rng,
+                                 const PrimeProbeConfig& config) {
   PrimeProbe pp(machine, attacker, config);
   const cache::Geometry& geo = machine.hierarchy().l1d().geometry();
   const std::uint32_t entries_per_line = geo.line_bytes() / 4;
   const std::size_t line_classes = 256 / entries_per_line;
-  PrimeProbeOutcome out(pp.sets(), line_classes);
+  ProbeOutcome out(pp.sets(), line_classes);
 
   // Ground-truth channel diagnostic: byte 2's round-1 lookup hits table 2
   // at line (pt[2] ^ key[2]) / entries_per_line; under the attacker's

@@ -18,27 +18,18 @@
 //
 // The observable per trial is the per-modulo-index probe-miss vector; an
 // AES campaign accumulates it per (plaintext byte position, byte value)
-// into a PrimeProbeProfile, the Prime+Probe analogue of the Bernstein
-// TimingProfile.  All accumulators are integer-valued and mergeable, so the
-// sharded campaign engine merges shard profiles exactly, in shard order,
-// independent of worker count.
+// into a ProbeProfile (attack/profile.h), the Prime+Probe analogue of the
+// Bernstein TimingProfile, with one slot per modulo set.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <span>
-#include <vector>
 
+#include "attack/profile.h"
 #include "common/types.h"
-#include "crypto/aes.h"
 #include "crypto/sim_aes.h"
 #include "rng/rng.h"
 #include "sim/machine.h"
-#include "stats/mi.h"
-
-namespace tsc::runner {
-struct ProfileCodec;  // exact checkpoint serialization (runner/codecs.cc)
-}
 
 namespace tsc::attack {
 
@@ -84,80 +75,25 @@ class PrimeProbe {
   std::uint32_t line_bytes_;
 };
 
-/// Per-(position, value) aggregated probe observations: the mean probe-miss
-/// count of every modulo set, conditioned on plaintext byte `pos` == value.
-/// Cells are integer sums, so merge() is exact and order-independent.
-class PrimeProbeProfile {
- public:
-  static constexpr int kPositions = 16;
-  static constexpr int kValues = 256;
-
-  explicit PrimeProbeProfile(std::uint32_t sets);
-
-  /// Record one trial: the plaintext encrypted and the probe-miss vector
-  /// observed after it.
-  void add(const crypto::Block& plaintext,
-           std::span<const std::uint32_t> per_set_misses);
-
-  /// Fold another profile into this one.  Precondition: same set count.
-  void merge(const PrimeProbeProfile& other);
-
-  /// Mean probe-miss count in `set` over trials with plaintext[pos] == value
-  /// (0 when the cell received no trials).
-  [[nodiscard]] double cell_mean(int pos, int value, std::uint32_t set) const;
-
-  /// Mean probe-miss count in `set` over ALL trials, from position `pos`'s
-  /// marginal (every position sees every trial, so any position works).
-  [[nodiscard]] double set_mean(int pos, std::uint32_t set) const;
-
-  [[nodiscard]] std::uint64_t cell_count(int pos, int value) const {
-    return counts_[static_cast<std::size_t>(pos)]
-                  [static_cast<std::size_t>(value)];
-  }
-  [[nodiscard]] std::uint64_t samples() const { return total_trials_; }
-  [[nodiscard]] std::uint32_t sets() const { return sets_; }
-
- private:
-  friend struct tsc::runner::ProfileCodec;
-
-  [[nodiscard]] std::size_t idx(int pos, int value, std::uint32_t set) const {
-    return (static_cast<std::size_t>(pos) * kValues +
-            static_cast<std::size_t>(value)) *
-               sets_ +
-           set;
-  }
-
-  std::uint32_t sets_;
-  std::vector<std::uint64_t> sums_;  ///< [pos][value][set] miss-count sums
-  std::array<std::array<std::uint64_t, kValues>, kPositions> counts_{};
-  std::uint64_t total_trials_ = 0;
-};
-
-/// One shard's worth of Prime+Probe measurements against the AES victim.
-struct PrimeProbeOutcome {
-  PrimeProbeProfile profile;
-  /// Leakage diagnostic: joint histogram of the victim's true round-1 table
-  /// line for byte 2 (the secret class; table 2's sets are the ones free of
-  /// code/key/stack pollution under the paper layout) against the trial's
-  /// EXCLUSION WITNESS - the lowest table-2 line whose modulo-predicted set
-  /// showed zero probe misses, or `classes` when every predicted set was
-  /// hot.  A cold set proves the victim did not touch that line, and the
-  /// true class's own set is never cold (round 1 touches it), so the
-  /// witness carries information exactly when the placement preserves the
-  /// attacker's set predictions.  Its mutual information quantifies the
-  /// per-trial channel independently of the key-ranking analysis.
-  stats::JointHistogram channel;
-
-  PrimeProbeOutcome(std::uint32_t sets, std::size_t line_classes);
-  void merge(const PrimeProbeOutcome& other);
-};
+/// The old name of ProbeOutcome, kept only because
+/// campaign_bench/campaign_trace.cc spells it.
+using PrimeProbeOutcome = ProbeOutcome;
 
 /// Run `samples` prime -> encrypt -> probe trials on `machine`: the victim
 /// (`aes`'s key is the secret) encrypts one random block per trial under
 /// `victim`, the attacker primes/probes around it.  Plaintexts come from
-/// `pt_rng`.  aes.key() - the ground truth an evaluator has and an attacker
-/// does not - feeds only the channel diagnostic, never the profile.
-[[nodiscard]] PrimeProbeOutcome run_aes_prime_probe(
+/// `pt_rng`.  The profile has one slot per L1D set.  aes.key() - the
+/// ground truth an evaluator has and an attacker does not - feeds only the
+/// channel diagnostic, never the profile.
+///
+/// The channel's witness is an EXCLUSION witness: the lowest table-2 line
+/// whose modulo-predicted set showed zero probe misses (table 2's sets are
+/// the ones free of code/key/stack pollution under the paper layout).  A
+/// cold set proves the victim did not touch that line, and the true
+/// class's own set is never cold (round 1 touches it), so the witness
+/// carries information exactly when the placement preserves the attacker's
+/// set predictions.
+[[nodiscard]] ProbeOutcome run_aes_prime_probe(
     sim::Machine& machine, ProcId victim, ProcId attacker,
     crypto::SimAes& aes, std::size_t samples, rng::Rng& pt_rng,
     const PrimeProbeConfig& config);

@@ -58,4 +58,43 @@ std::vector<double> TimingProfile::deviation_row(int pos) const {
   return row;
 }
 
+ProbeProfile::ProbeProfile(std::uint32_t slots)
+    : slots_(slots),
+      sums_(static_cast<std::size_t>(kPositions) * kValues * slots, 0) {}
+
+void ProbeProfile::merge(const ProbeProfile& other) {
+  assert(other.slots_ == slots_);
+  for (std::size_t i = 0; i < sums_.size(); ++i) sums_[i] += other.sums_[i];
+  for (int pos = 0; pos < kPositions; ++pos) {
+    for (int v = 0; v < kValues; ++v) {
+      counts_[static_cast<std::size_t>(pos)][static_cast<std::size_t>(v)] +=
+          other.counts_[static_cast<std::size_t>(pos)]
+                       [static_cast<std::size_t>(v)];
+    }
+  }
+  total_trials_ += other.total_trials_;
+}
+
+double ProbeProfile::cell_mean(int pos, int value, std::uint32_t slot) const {
+  const std::uint64_t n = cell_count(pos, value);
+  if (n == 0) return 0.0;
+  return static_cast<double>(sums_[idx(pos, value, slot)]) /
+         static_cast<double>(n);
+}
+
+double ProbeProfile::slot_mean(int pos, std::uint32_t slot) const {
+  if (total_trials_ == 0) return 0.0;
+  std::uint64_t sum = 0;
+  for (int v = 0; v < kValues; ++v) sum += sums_[idx(pos, v, slot)];
+  return static_cast<double>(sum) / static_cast<double>(total_trials_);
+}
+
+ProbeOutcome::ProbeOutcome(std::uint32_t slots, std::size_t line_classes)
+    : profile(slots), channel(line_classes, line_classes + 1) {}
+
+void ProbeOutcome::merge(const ProbeOutcome& other) {
+  profile.merge(other.profile);
+  channel.merge(other.channel);
+}
+
 }  // namespace tsc::attack

@@ -1,3 +1,6 @@
+// Per-(plaintext byte position, byte value) profiles of what an attacker
+// observes around the victim's AES encryptions.
+//
 // Timing profiles for the Bernstein attack (paper section 6.1.1):
 // "basically extracting for each 16-byte input value the average computation
 // time per byte and value".
@@ -6,13 +9,24 @@
 // every byte position i and byte value v, the mean duration of encryptions
 // whose i-th plaintext byte was v, expressed as a deviation from the global
 // mean (Figure 4 plots exactly these deviations for byte 4).
+//
+// A ProbeProfile accumulates (plaintext, per-slot count vector) pairs: the
+// observable of every attack that infers the presence, or lack thereof, of
+// the victim's cache lines after each encryption.  Prime+Probe counts probe
+// misses per modulo set; Flush+Reload and Flush+Flush mark each monitored
+// table line touched (1) or not (0).  The slot map is the scorer's concern,
+// not the profile's.
 #pragma once
 
 #include <array>
+#include <cassert>
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "crypto/aes.h"
+#include "stats/mi.h"
 
 namespace tsc::runner {
 struct ProfileCodec;  // exact checkpoint serialization (runner/codecs.cc)
@@ -63,6 +77,82 @@ class TimingProfile {
   std::array<std::array<std::uint64_t, kValues>, kPositions> counts_{};
   double total_sum_ = 0;
   std::uint64_t total_count_ = 0;
+};
+
+/// Per-(position, value) aggregated per-slot counts: the mean count of
+/// every slot (a modulo set, a monitored line), conditioned on plaintext
+/// byte `pos` == value.  Cells are integer sums, so merge() is exact and
+/// order-independent: the sharded campaign engine merges shard profiles in
+/// shard order and gets the same bytes for any worker count.
+class ProbeProfile {
+ public:
+  static constexpr int kPositions = 16;
+  static constexpr int kValues = 256;
+
+  explicit ProbeProfile(std::uint32_t slots);
+
+  /// Record one trial: the plaintext encrypted and the per-slot counts
+  /// observed after it (at least slots() entries).  Defined here so each
+  /// attack's trial loop inlines it.
+  void add(const crypto::Block& plaintext,
+           std::span<const std::uint32_t> counts) {
+    assert(counts.size() >= slots_);
+    for (int pos = 0; pos < kPositions; ++pos) {
+      const auto v = static_cast<std::size_t>(
+          plaintext[static_cast<std::size_t>(pos)]);
+      std::uint64_t* row = sums_.data() + idx(pos, static_cast<int>(v), 0);
+      for (std::uint32_t s = 0; s < slots_; ++s) row[s] += counts[s];
+      ++counts_[static_cast<std::size_t>(pos)][v];
+    }
+    ++total_trials_;
+  }
+
+  /// Fold another profile into this one.  Precondition: same slot count.
+  void merge(const ProbeProfile& other);
+
+  /// Mean count in `slot` over trials with plaintext[pos] == value (0 when
+  /// the cell received no trials).
+  [[nodiscard]] double cell_mean(int pos, int value, std::uint32_t slot) const;
+
+  /// Mean count in `slot` over ALL trials, from position `pos`'s marginal
+  /// (every position sees every trial, so any position works).
+  [[nodiscard]] double slot_mean(int pos, std::uint32_t slot) const;
+
+  [[nodiscard]] std::uint64_t cell_count(int pos, int value) const {
+    return counts_[static_cast<std::size_t>(pos)]
+                  [static_cast<std::size_t>(value)];
+  }
+  [[nodiscard]] std::uint64_t samples() const { return total_trials_; }
+  [[nodiscard]] std::uint32_t slots() const { return slots_; }
+
+ private:
+  friend struct tsc::runner::ProfileCodec;
+
+  [[nodiscard]] std::size_t idx(int pos, int value, std::uint32_t slot) const {
+    return (static_cast<std::size_t>(pos) * kValues +
+            static_cast<std::size_t>(value)) *
+               slots_ +
+           slot;
+  }
+
+  std::uint32_t slots_;
+  std::vector<std::uint64_t> sums_;  ///< [pos][value][slot] count sums
+  std::array<std::array<std::uint64_t, kValues>, kPositions> counts_{};
+  std::uint64_t total_trials_ = 0;
+};
+
+/// One shard's worth of probe-channel measurements: the profile, and the
+/// leakage diagnostic - a joint histogram of the victim's true round-1
+/// table-2 line for byte 2 (the secret class) against the attack's
+/// per-trial witness line, or `line_classes` when the trial showed none
+/// (each run_aes_* function defines its witness).  Its mutual information
+/// quantifies the per-trial channel independently of the key ranking.
+struct ProbeOutcome {
+  ProbeProfile profile;
+  stats::JointHistogram channel;
+
+  ProbeOutcome(std::uint32_t slots, std::size_t line_classes);
+  void merge(const ProbeOutcome& other);
 };
 
 }  // namespace tsc::attack

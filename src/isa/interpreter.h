@@ -183,7 +183,6 @@ class Interpreter {
   }
   void set_reg(unsigned index, std::uint32_t value);
 
-  [[nodiscard]] SparseMemory& memory() { return memory_; }
   [[nodiscard]] sim::Machine& machine() { return machine_; }
 
   /// Attach (or detach, with nullptr) the reference-path observer.  Only

@@ -49,8 +49,6 @@ bool is_memory(Op op) {
          op == Op::kSb;
 }
 
-bool is_load(Op op) { return op == Op::kLw || op == Op::kLb || op == Op::kLbu; }
-
 bool is_branch(Op op) {
   return op == Op::kBeq || op == Op::kBne || op == Op::kBlt ||
          op == Op::kBge || op == Op::kBltu || op == Op::kBgeu;

@@ -60,7 +60,6 @@ enum class Format { kR, kI, kB, kJ, kNone };
 
 /// True for loads/stores.
 [[nodiscard]] bool is_memory(Op op);
-[[nodiscard]] bool is_load(Op op);
 /// True for conditional branches.
 [[nodiscard]] bool is_branch(Op op);
 

@@ -12,10 +12,10 @@ void check(bool ok, const char* what) {
   if (!ok) throw CheckpointError(what);
 }
 
-/// Largest set / monitored-line count a profile payload may declare: 8x
-/// the 128 sets of the paper's L1D, at most 48 MB of dense profile.  Zero
-/// runs let a few bytes declare any number of cells, so the size bound
-/// cannot come from the payload length alone.
+/// Largest slot count (sets or monitored lines) a profile payload may
+/// declare: 8x the 128 sets of the paper's L1D, at most 48 MB of dense
+/// profile.  Zero runs let a few bytes declare any number of cells, so the
+/// size bound cannot come from the payload length alone.
 constexpr std::uint64_t kMaxProfileSlots = 1024;
 
 /// The slot and cell counts that open a profile payload, validated before
@@ -113,8 +113,8 @@ attack::TimingProfile ProfileCodec::get_timing(ByteReader& r) {
   return p;
 }
 
-void ProfileCodec::put(ByteWriter& w, const attack::PrimeProbeProfile& p) {
-  w.put_varint(p.sets_);
+void ProfileCodec::put(ByteWriter& w, const attack::ProbeProfile& p) {
+  w.put_varint(p.slots_);
   w.put_varint(p.sums_.size());
   put_zero_runs(w, p.sums_);
   for (const auto& row : p.counts_) {
@@ -123,16 +123,16 @@ void ProfileCodec::put(ByteWriter& w, const attack::PrimeProbeProfile& p) {
   w.put_varint(p.total_trials_);
 }
 
-attack::PrimeProbeProfile ProfileCodec::get_prime_probe(ByteReader& r) {
-  using Profile = attack::PrimeProbeProfile;
-  const auto [sets, cells] =
-      get_shape<Profile>(r, "prime-probe profile payload has a bad shape");
+attack::ProbeProfile ProfileCodec::get_probe(ByteReader& r) {
+  using Profile = attack::ProbeProfile;
+  const auto [slots, cells] =
+      get_shape<Profile>(r, "probe profile payload has a bad shape");
   ByteReader dry = r;
   skip_zero_runs<std::uint64_t>(dry, cells);
   // One varint per counts_ cell, then the trial total.
   check(dry.remaining() > sizeof(Profile::counts_) / sizeof(std::uint64_t),
-        "prime-probe profile payload truncated");
-  Profile p(sets);
+        "probe profile payload truncated");
+  Profile p(slots);
   get_zero_runs(r, p.sums_);
   for (auto& row : p.counts_) {
     for (std::uint64_t& v : row) v = r.varint();
@@ -159,34 +159,6 @@ attack::EvictTimeProfile ProfileCodec::get_evict_time(ByteReader& r) {
   Profile p(sets);
   get_zero_runs(r, p.sums_);
   get_zero_runs(r, p.counts_);
-  p.total_trials_ = r.varint();
-  return p;
-}
-
-void ProfileCodec::put(ByteWriter& w, const attack::FlushProfile& p) {
-  w.put_varint(p.lines_);
-  w.put_varint(p.sums_.size());
-  put_zero_runs(w, p.sums_);
-  for (const auto& row : p.counts_) {
-    for (const std::uint64_t v : row) w.put_varint(v);
-  }
-  w.put_varint(p.total_trials_);
-}
-
-attack::FlushProfile ProfileCodec::get_flush(ByteReader& r) {
-  using Profile = attack::FlushProfile;
-  const auto [lines, cells] =
-      get_shape<Profile>(r, "flush profile payload has a bad shape");
-  ByteReader dry = r;
-  skip_zero_runs<std::uint64_t>(dry, cells);
-  // One varint per counts_ cell, then the trial total.
-  check(dry.remaining() > sizeof(Profile::counts_) / sizeof(std::uint64_t),
-        "flush profile payload truncated");
-  Profile p(lines);
-  get_zero_runs(r, p.sums_);
-  for (auto& row : p.counts_) {
-    for (std::uint64_t& v : row) v = r.varint();
-  }
   p.total_trials_ = r.varint();
   return p;
 }
@@ -231,15 +203,15 @@ stats::JointHistogram get_joint_histogram(ByteReader& r) {
   return h;
 }
 
-void put_pp_outcome(ByteWriter& w, const attack::PrimeProbeOutcome& o) {
+void put_probe_outcome(ByteWriter& w, const attack::ProbeOutcome& o) {
   ProfileCodec::put(w, o.profile);
   put_joint_histogram(w, o.channel);
 }
 
-attack::PrimeProbeOutcome get_pp_outcome(ByteReader& r) {
-  attack::PrimeProbeProfile profile = ProfileCodec::get_prime_probe(r);
+attack::ProbeOutcome get_probe_outcome(ByteReader& r) {
+  attack::ProbeProfile profile = ProfileCodec::get_probe(r);
   stats::JointHistogram channel = get_joint_histogram(r);
-  attack::PrimeProbeOutcome out(profile.sets(), 1);
+  attack::ProbeOutcome out(profile.slots(), 1);
   out.profile = std::move(profile);
   out.channel = std::move(channel);
   return out;
@@ -254,20 +226,6 @@ attack::EvictTimeOutcome get_et_outcome(ByteReader& r) {
   attack::EvictTimeProfile profile = ProfileCodec::get_evict_time(r);
   stats::JointHistogram channel = get_joint_histogram(r);
   attack::EvictTimeOutcome out(profile.sets(), 1);
-  out.profile = std::move(profile);
-  out.channel = std::move(channel);
-  return out;
-}
-
-void put_flush_outcome(ByteWriter& w, const attack::FlushOutcome& o) {
-  ProfileCodec::put(w, o.profile);
-  put_joint_histogram(w, o.channel);
-}
-
-attack::FlushOutcome get_flush_outcome(ByteReader& r) {
-  attack::FlushProfile profile = ProfileCodec::get_flush(r);
-  stats::JointHistogram channel = get_joint_histogram(r);
-  attack::FlushOutcome out(profile.lines(), 1);
   out.profile = std::move(profile);
   out.channel = std::move(channel);
   return out;

@@ -680,8 +680,24 @@ std::vector<Kernel> kernel_suite() {
   };
 }
 
-double miss_rate_for(cache::MapperKind mapper, const Kernel& kernel,
-                     std::uint64_t seed) {
+/// The kernel suite assembled at 0x1000 and recorded once: sec623 and the
+/// matrix experiments replay each kernel many times (tens of thousands in
+/// the matrices), and its two passes are the same on every platform.
+std::vector<isa::KernelPasses> recorded_kernels(
+    const std::vector<Kernel>& suite) {
+  std::vector<isa::KernelPasses> passes;
+  passes.reserve(suite.size());
+  for (const Kernel& kernel : suite) {
+    passes.push_back(
+        isa::record_passes(isa::assemble(kernel.source, 0x1000), 0x1000));
+  }
+  return passes;
+}
+
+/// L1D miss rate of one warm pass of `kernel` (no prior state) on the
+/// sec623 platform of `mapper` under machine seed `seed`.
+double miss_rate_for(cache::MapperKind mapper,
+                     const isa::KernelPasses& kernel, std::uint64_t seed) {
   sim::Machine machine(
       sim::arm920t_config(mapper, mapper == cache::MapperKind::kModulo
                                       ? cache::MapperKind::kModulo
@@ -693,21 +709,20 @@ double miss_rate_for(cache::MapperKind mapper, const Kernel& kernel,
   machine.hierarchy().set_seed(core::kMatrixVictim,
                                Seed{rng::derive_seed(seed, 1)});
   machine.set_process(core::kMatrixVictim);
-  isa::Interpreter interp(machine);
-  interp.load_program(isa::assemble(kernel.source, 0x1000));
-  (void)interp.run(0x1000, 50'000'000);
+  machine.replay(kernel.warm);
   return machine.hierarchy().l1d().stats().miss_rate();
 }
 
 Json run_sec623(const RunOptions& options, Campaign& campaign) {
   const std::vector<Kernel> kernels = kernel_suite();
+  const std::vector<isa::KernelPasses> passes = recorded_kernels(kernels);
   const std::vector<cache::MapperKind> mappers{
       cache::MapperKind::kModulo, cache::MapperKind::kXorIndex,
       cache::MapperKind::kHashRp, cache::MapperKind::kRandomModulo};
 
   // One task per (kernel, mapper) cell; random designs average 8 seeds.
   const auto run_task = [&](std::size_t task) {
-    const Kernel& kernel = kernels[task / mappers.size()];
+    const isa::KernelPasses& kernel = passes[task / mappers.size()];
     const cache::MapperKind mapper = mappers[task % mappers.size()];
     const int reps = mapper == cache::MapperKind::kModulo ? 1 : 8;
     double acc = 0;
@@ -890,6 +905,13 @@ Json run_ablation_partitioning(const RunOptions& options, Campaign& campaign) {
   };
   const auto trials = static_cast<unsigned>(options.resolve_samples(192));
 
+  // The victim's stride walk, recorded once: every miss-rate task replays
+  // its warm pass.
+  const isa::KernelPasses walk = isa::record_passes(
+      isa::assemble(isa::stride_walk_source(0x300000, 8192, 32, 16 * 1024),
+                    0x310000),
+      0x310000);
+
   // This experiment's own split: L1D only, 2+2 ways (not the platform's
   // L1D+L2 halves).
   const auto apply_partition = [](sim::Machine& machine) {
@@ -928,13 +950,9 @@ Json run_ablation_partitioning(const RunOptions& options, Campaign& campaign) {
     const std::unique_ptr<sim::Machine> machine =
         core::build_machine({platform, 78}, {core::kMatrixVictim});
     if (cfg.partition) apply_partition(*machine);
-    sim::Machine& m = *machine;
-    m.set_process(core::kMatrixVictim);
-    isa::Interpreter interp(m);
-    interp.load_program(isa::assemble(
-        isa::stride_walk_source(0x300000, 8192, 32, 16 * 1024), 0x310000));
-    (void)interp.run(0x310000, 50'000'000);
-    return m.hierarchy().l1d().stats().miss_rate();
+    machine->set_process(core::kMatrixVictim);
+    machine->replay(walk.warm);
+    return machine->hierarchy().l1d().stats().miss_rate();
   };
   const StageResults<double> metrics = campaign.stage(
       "ablation_partitioning", configs.size() * 2, run_task, double_codec());
@@ -1047,7 +1065,7 @@ struct ShardVictim {
 
 /// The matrices' Prime+Probe shard: attack_matrix's first attack and
 /// pwcet_matrix's leakage half.
-attack::PrimeProbeOutcome prime_probe_shard(const MatrixShard& shard) {
+attack::ProbeOutcome prime_probe_shard(const MatrixShard& shard) {
   ShardVictim victim(shard, 0x9700);
   return attack::run_aes_prime_probe(
       victim.machine, core::kMatrixVictim, core::kMatrixAttacker, victim.aes,
@@ -1145,9 +1163,9 @@ Json run_attack_matrix(const RunOptions& options, Campaign& campaign) {
   // Evict+Time threads the shard's first trial, so the whole-cache
   // eviction sweep replays as one continuous campaign.
   const auto cells =
-      declare_attack_pair<attack::PrimeProbeOutcome, attack::EvictTimeOutcome>(
+      declare_attack_pair<attack::ProbeOutcome, attack::EvictTimeOutcome>(
           campaign, "attack_matrix", options, samples, 0x3A70,
-          {prime_probe_shard, put_pp_outcome, get_pp_outcome},
+          {prime_probe_shard, put_probe_outcome, get_probe_outcome},
           {[](const MatrixShard& shard) {
              ShardVictim victim(shard, 0xE7000);
              return attack::run_aes_evict_time(
@@ -1236,7 +1254,7 @@ Json run_flush_matrix(const RunOptions& options, Campaign& campaign) {
   // The cell seed tag differs from attack_matrix's, so the two
   // experiments' deployments are independent draws.
   const auto cells =
-      declare_attack_pair<attack::FlushOutcome, attack::FlushOutcome>(
+      declare_attack_pair<attack::ProbeOutcome, attack::ProbeOutcome>(
           campaign, "flush_matrix", options, samples, 0xF1A5,
           {[](const MatrixShard& shard) {
              ShardVictim victim(shard, 0xF4000);
@@ -1244,14 +1262,14 @@ Json run_flush_matrix(const RunOptions& options, Campaign& campaign) {
                  victim.machine, core::kMatrixVictim, victim.aes,
                  shard.samples, victim.plaintexts, attack::FlushConfig{});
            },
-           put_flush_outcome, get_flush_outcome},
+           put_probe_outcome, get_probe_outcome},
           {[](const MatrixShard& shard) {
              ShardVictim victim(shard, 0xFF000);
              return attack::run_aes_flush_flush(
                  victim.machine, core::kMatrixVictim, victim.aes,
                  shard.samples, victim.plaintexts, attack::FlushConfig{});
            },
-           put_flush_outcome, get_flush_outcome});
+           put_probe_outcome, get_probe_outcome});
 
   return campaign.finish([&] {
     const crypto::Key victim_key =
@@ -1397,20 +1415,6 @@ mbpta::AnalysisConfig pwcet_matrix_analysis_config() {
   return cfg;
 }
 
-/// The kernel suite assembled at 0x1000 and recorded once: the matrix
-/// experiments time each kernel tens of thousands of times, and its two
-/// passes are the same on every platform.
-std::vector<isa::KernelPasses> recorded_kernels(
-    const std::vector<Kernel>& suite) {
-  std::vector<isa::KernelPasses> passes;
-  passes.reserve(suite.size());
-  for (const Kernel& kernel : suite) {
-    passes.push_back(
-        isa::record_passes(isa::assemble(kernel.source, 0x1000), 0x1000));
-  }
-  return passes;
-}
-
 /// The pWCET matrices' timing cells: every matrix platform x every suite
 /// kernel, cell platform * n_kernels + kernel, whose runs are cut into
 /// matrix_shards slices, task cell * n_slices + slice.  Cell c's run r is
@@ -1541,7 +1545,7 @@ Json run_pwcet_matrix(const RunOptions& options, Campaign& campaign) {
 
   struct PwcetTask {
     std::vector<double> times;
-    std::optional<attack::PrimeProbeOutcome> pp;
+    std::optional<attack::ProbeOutcome> pp;
   };
 
   // The timing slices, then one task per (platform, Prime+Probe shard), in
@@ -1568,7 +1572,7 @@ Json run_pwcet_matrix(const RunOptions& options, Campaign& campaign) {
       [](const PwcetTask& t, ByteWriter& w) {
         w.put_u8(t.pp ? 2 : 1);
         if (t.pp) {
-          put_pp_outcome(w, *t.pp);
+          put_probe_outcome(w, *t.pp);
         } else {
           put_doubles(w, t.times);
         }
@@ -1576,7 +1580,7 @@ Json run_pwcet_matrix(const RunOptions& options, Campaign& campaign) {
       [](ByteReader& r) {
         PwcetTask t;
         if (r.u8() == 2) {
-          t.pp = get_pp_outcome(r);
+          t.pp = get_probe_outcome(r);
         } else {
           t.times = get_doubles(r);
         }
@@ -1693,7 +1697,7 @@ Json run_pwcet_matrix(const RunOptions& options, Campaign& campaign) {
     bool randomized_ok = true;
     int randomized_applicable = 0;
     for (std::size_t p = 0; p < platforms.size(); ++p) {
-      std::optional<attack::PrimeProbeOutcome> pp;
+      std::optional<attack::ProbeOutcome> pp;
       for (std::size_t s = 0; s < pp_shards.size(); ++s) {
         const std::optional<PwcetTask>& part =
             parts[timing.tasks() + p * pp_shards.size() + s];

@@ -8,7 +8,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <vector>
 
 namespace tsc::stats {
 
@@ -108,11 +107,5 @@ struct Summary {
 
 /// Compute a Summary.  Precondition: xs.size() >= 2.
 [[nodiscard]] Summary summarize(std::span<const double> xs);
-
-/// Convert any integral sample vector to doubles (one allocation).
-template <typename T>
-[[nodiscard]] std::vector<double> to_doubles(std::span<const T> xs) {
-  return std::vector<double>(xs.begin(), xs.end());
-}
 
 }  // namespace tsc::stats

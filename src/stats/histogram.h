@@ -18,7 +18,6 @@ class Histogram {
   void add(double x);
   void add_all(std::span<const double> xs);
 
-  [[nodiscard]] std::size_t bin_count() const { return counts_.size(); }
   [[nodiscard]] std::size_t count(std::size_t bin) const {
     return counts_.at(bin);
   }

@@ -135,10 +135,10 @@ TEST(EvictTimeProperty, ModuloGroupEvictsExactlyTargetSet) {
   }
 }
 
-TEST(PrimeProbeProfileTest, MergeMatchesSequentialAccumulationExactly) {
-  PrimeProbeProfile whole(8);
-  PrimeProbeProfile part_a(8);
-  PrimeProbeProfile part_b(8);
+TEST(ProbeProfileTest, MergeMatchesSequentialAccumulationExactly) {
+  ProbeProfile whole(8);
+  ProbeProfile part_a(8);
+  ProbeProfile part_b(8);
   rng::XorShift64Star g(5);
   std::vector<std::uint32_t> misses(8);
   for (int t = 0; t < 400; ++t) {
@@ -150,18 +150,18 @@ TEST(PrimeProbeProfileTest, MergeMatchesSequentialAccumulationExactly) {
     whole.add(pt, misses);
     (t < 150 ? part_a : part_b).add(pt, misses);
   }
-  PrimeProbeProfile merged = part_a;
+  ProbeProfile merged = part_a;
   merged.merge(part_b);
   EXPECT_EQ(merged.samples(), whole.samples());
-  for (int pos = 0; pos < PrimeProbeProfile::kPositions; ++pos) {
-    for (int v = 0; v < PrimeProbeProfile::kValues; ++v) {
+  for (int pos = 0; pos < ProbeProfile::kPositions; ++pos) {
+    for (int v = 0; v < ProbeProfile::kValues; ++v) {
       ASSERT_EQ(merged.cell_count(pos, v), whole.cell_count(pos, v));
       for (std::uint32_t s = 0; s < 8; ++s) {
         ASSERT_EQ(merged.cell_mean(pos, v, s), whole.cell_mean(pos, v, s));
       }
     }
     for (std::uint32_t s = 0; s < 8; ++s) {
-      ASSERT_EQ(merged.set_mean(pos, s), whole.set_mean(pos, s));
+      ASSERT_EQ(merged.slot_mean(pos, s), whole.slot_mean(pos, s));
     }
   }
 }
@@ -204,7 +204,7 @@ TEST(AttackMatrixEndToEnd, ModuloLeaksAtLineGranularityRandomModuloDoesNot) {
     const auto machine = core::build_policy_machine(policy, 0xCE11, false);
     crypto::SimAes aes(*machine, layout, victim_key);
     rng::XorShift64Star pt_rng(123);
-    const PrimeProbeOutcome outcome =
+    const ProbeOutcome outcome =
         run_aes_prime_probe(*machine, kVictim, kAttacker, aes, 2500, pt_rng,
                             PrimeProbeConfig{});
     return score_prime_probe(outcome.profile,

@@ -20,8 +20,7 @@
 #include <vector>
 
 #include "attack/evicttime.h"
-#include "attack/flushreload.h"
-#include "attack/primeprobe.h"
+#include "attack/profile.h"
 #include "fuzz_support.h"
 #include "runner/checkpoint.h"
 #include "runner/codecs.h"
@@ -49,8 +48,9 @@ void write_file(const std::string& path, const Bytes& bytes) {
 
 // --- realistic payloads ------------------------------------------------------
 
+/// A Prime+Probe-shaped probe outcome: per-set miss counts up to 2.
 Bytes pp_payload() {
-  attack::PrimeProbeOutcome o(/*sets=*/4, /*line_classes=*/4);
+  attack::ProbeOutcome o(/*slots=*/4, /*line_classes=*/4);
   crypto::Block pt{};
   std::vector<std::uint32_t> misses(4);
   for (int i = 0; i < 48; ++i) {
@@ -64,7 +64,7 @@ Bytes pp_payload() {
     o.channel.add(i % 4, i % 3);
   }
   ByteWriter w;
-  put_pp_outcome(w, o);
+  put_probe_outcome(w, o);
   return std::move(w).take();
 }
 
@@ -82,20 +82,21 @@ Bytes et_payload() {
   return std::move(w).take();
 }
 
+/// A flush-shaped probe outcome: 0/1 touched marks per monitored line.
 Bytes flush_payload() {
-  attack::FlushOutcome o(/*lines=*/4, /*line_classes=*/4);
+  attack::ProbeOutcome o(/*slots=*/4, /*line_classes=*/4);
   crypto::Block pt{};
-  std::vector<std::uint8_t> touched(4);
+  std::vector<std::uint32_t> touched(4);
   for (int i = 0; i < 40; ++i) {
     pt[(i * 3) % 16] = static_cast<std::uint8_t>(i * 11);
     for (std::size_t m = 0; m < touched.size(); ++m) {
-      touched[m] = static_cast<std::uint8_t>((i + m) % 5 == 0);
+      touched[m] = static_cast<std::uint32_t>((i + m) % 5 == 0);
     }
     o.profile.add(pt, touched);
     o.channel.add(i % 4, i % 5);
   }
   ByteWriter w;
-  put_flush_outcome(w, o);
+  put_probe_outcome(w, o);
   return std::move(w).take();
 }
 
@@ -114,10 +115,11 @@ struct PayloadKind {
 
 std::vector<PayloadKind> payload_kinds() {
   return {
-      {"pp", pp_payload(), [](ByteReader& r) { (void)get_pp_outcome(r); }},
+      {"pp", pp_payload(),
+       [](ByteReader& r) { (void)get_probe_outcome(r); }},
       {"et", et_payload(), [](ByteReader& r) { (void)get_et_outcome(r); }},
       {"fl", flush_payload(),
-       [](ByteReader& r) { (void)get_flush_outcome(r); }},
+       [](ByteReader& r) { (void)get_probe_outcome(r); }},
       {"db", doubles_payload(), [](ByteReader& r) { (void)get_doubles(r); }},
   };
 }
@@ -303,7 +305,7 @@ TEST(CheckpointFuzzTest, DecodersRejectLengthsTheBytesCannotHold) {
   many_sets.put_varint(0);
   many_sets.put_varint((std::uint64_t{4096} << 31) - 1);
   rejects(many_sets.bytes(),
-          [](ByteReader& r) { (void)ProfileCodec::get_prime_probe(r); });
+          [](ByteReader& r) { (void)ProfileCodec::get_probe(r); });
   ByteWriter bare;
   bare.put_varint(1024);
   bare.put_varint(std::uint64_t{4096} * 1024);
@@ -312,7 +314,7 @@ TEST(CheckpointFuzzTest, DecodersRejectLengthsTheBytesCannotHold) {
   rejects(bare.bytes(),
           [](ByteReader& r) { (void)ProfileCodec::get_evict_time(r); });
   rejects(bare.bytes(),
-          [](ByteReader& r) { (void)ProfileCodec::get_flush(r); });
+          [](ByteReader& r) { (void)ProfileCodec::get_probe(r); });
 
   // A zero run one cell longer than the array.
   ByteWriter overrun;
@@ -322,7 +324,7 @@ TEST(CheckpointFuzzTest, DecodersRejectLengthsTheBytesCannotHold) {
   overrun.put_varint(4096);
   for (int i = 0; i < 5000; ++i) overrun.put_varint(0);
   rejects(overrun.bytes(),
-          [](ByteReader& r) { (void)ProfileCodec::get_prime_probe(r); });
+          [](ByteReader& r) { (void)ProfileCodec::get_probe(r); });
 }
 
 }  // namespace

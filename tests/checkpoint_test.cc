@@ -17,8 +17,6 @@
 #include <vector>
 
 #include "attack/evicttime.h"
-#include "attack/flushreload.h"
-#include "attack/primeprobe.h"
 #include "attack/profile.h"
 #include "runner/campaign.h"
 #include "runner/checkpoint.h"
@@ -107,8 +105,8 @@ TEST(ByteCodecTest, TimingProfileRoundTripIsExact) {
   }
 }
 
-TEST(ByteCodecTest, PrimeProbeOutcomeRoundTripIsExact) {
-  attack::PrimeProbeOutcome outcome(/*sets=*/8, /*line_classes=*/4);
+TEST(ByteCodecTest, ProbeOutcomeOfPrimeProbeRoundTripIsExact) {
+  attack::ProbeOutcome outcome(/*slots=*/8, /*line_classes=*/4);
   crypto::Block pt{};
   std::vector<std::uint32_t> misses(8);
   for (int i = 0; i < 64; ++i) {
@@ -120,12 +118,12 @@ TEST(ByteCodecTest, PrimeProbeOutcomeRoundTripIsExact) {
     outcome.channel.add(i % 4, i % 5);
   }
   ByteWriter writer;
-  put_pp_outcome(writer, outcome);
+  put_probe_outcome(writer, outcome);
   ByteReader reader(writer.bytes());
-  const attack::PrimeProbeOutcome copy = get_pp_outcome(reader);
+  const attack::ProbeOutcome copy = get_probe_outcome(reader);
   EXPECT_EQ(reader.remaining(), 0u);
   EXPECT_EQ(copy.profile.samples(), outcome.profile.samples());
-  EXPECT_EQ(copy.profile.sets(), outcome.profile.sets());
+  EXPECT_EQ(copy.profile.slots(), outcome.profile.slots());
   for (int v = 0; v < 256; ++v) {
     for (std::uint32_t s = 0; s < 8; ++s) {
       EXPECT_EQ(copy.profile.cell_mean(0, v, s),
@@ -166,29 +164,29 @@ TEST(ByteCodecTest, EvictTimeOutcomeRoundTripIsExact) {
   }
 }
 
-TEST(ByteCodecTest, FlushOutcomeRoundTripIsExact) {
-  attack::FlushOutcome outcome(/*lines=*/16, /*line_classes=*/4);
+TEST(ByteCodecTest, ProbeOutcomeOfFlushRoundTripIsExact) {
+  attack::ProbeOutcome outcome(/*slots=*/16, /*line_classes=*/4);
   crypto::Block pt{};
-  std::vector<std::uint8_t> touched(16);
+  std::vector<std::uint32_t> touched(16);
   for (int i = 0; i < 96; ++i) {
     for (std::size_t b = 0; b < pt.size(); ++b) {
       pt[b] = static_cast<std::uint8_t>(i * 11 + b * 5);
     }
     for (std::size_t m = 0; m < touched.size(); ++m) {
-      touched[m] = static_cast<std::uint8_t>((i + m) % 3 == 0);
+      touched[m] = static_cast<std::uint32_t>((i + m) % 3 == 0);
     }
     outcome.profile.add(pt, touched);
     outcome.channel.add(i % 4, i % 5);
   }
   ByteWriter writer;
-  put_flush_outcome(writer, outcome);
+  put_probe_outcome(writer, outcome);
   ByteReader reader(writer.bytes());
-  const attack::FlushOutcome copy = get_flush_outcome(reader);
+  const attack::ProbeOutcome copy = get_probe_outcome(reader);
   EXPECT_EQ(reader.remaining(), 0u);
   EXPECT_EQ(copy.profile.samples(), outcome.profile.samples());
-  EXPECT_EQ(copy.profile.lines(), outcome.profile.lines());
-  for (int pos = 0; pos < attack::FlushProfile::kPositions; ++pos) {
-    for (int v = 0; v < attack::FlushProfile::kValues; ++v) {
+  EXPECT_EQ(copy.profile.slots(), outcome.profile.slots());
+  for (int pos = 0; pos < attack::ProbeProfile::kPositions; ++pos) {
+    for (int v = 0; v < attack::ProbeProfile::kValues; ++v) {
       ASSERT_EQ(copy.profile.cell_count(pos, v),
                 outcome.profile.cell_count(pos, v));
       for (std::uint32_t m = 0; m < 16; ++m) {
@@ -756,9 +754,10 @@ TEST(ResumeBitIdentityTest, AttackMatrixMatchesGoldenFixtureAfterInterrupt) {
 }
 
 TEST(ResumeBitIdentityTest, FlushMatrixMatchesGoldenFixtureAfterInterrupt) {
-  // The flush-channel campaign checkpoints FlushOutcome payloads (the
-  // FlushProfile codec above); interrupting mid-matrix and resuming with a
-  // different worker count must still land byte-identically on the golden.
+  // The flush-channel campaign checkpoints flush-shaped ProbeOutcome
+  // payloads (the probe codec above); interrupting mid-matrix and resuming
+  // with a different worker count must still land byte-identically on the
+  // golden.
   const std::string expected =
       read_fixture("tests/golden/flush_matrix_s600_ss200.json");
   check_interrupt_resume("flush_matrix", 600, 200, 3, expected);

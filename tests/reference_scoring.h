@@ -13,9 +13,8 @@
 #include <cstdint>
 
 #include "attack/evicttime.h"
-#include "attack/flushreload.h"
 #include "attack/metrics.h"
-#include "attack/primeprobe.h"
+#include "attack/profile.h"
 #include "cache/geometry.h"
 #include "common/types.h"
 #include "crypto/aes.h"
@@ -72,7 +71,7 @@ MatrixRanking score_contrast(const cache::Geometry& l1, Addr tables_base,
   return out;
 }
 
-inline MatrixRanking score_prime_probe(const PrimeProbeProfile& profile,
+inline MatrixRanking score_prime_probe(const ProbeProfile& profile,
                                        const cache::Geometry& l1,
                                        Addr tables_base,
                                        const crypto::Key& victim_key) {
@@ -81,7 +80,7 @@ inline MatrixRanking score_prime_probe(const PrimeProbeProfile& profile,
       [&](int pos, int v, std::uint32_t s) {
         return profile.cell_mean(pos, v, s);
       },
-      [&](int pos, std::uint32_t s) { return profile.set_mean(pos, s); },
+      [&](int pos, std::uint32_t s) { return profile.slot_mean(pos, s); },
       [&](int pos, int v, std::uint32_t) {
         return profile.cell_count(pos, v);
       });
@@ -102,7 +101,7 @@ inline MatrixRanking score_evict_time(const EvictTimeProfile& profile,
       });
 }
 
-inline MatrixRanking score_flush(const FlushProfile& profile,
+inline MatrixRanking score_flush(const ProbeProfile& profile,
                                  const cache::Geometry& l1,
                                  const crypto::Key& victim_key) {
   MatrixRanking out;
@@ -126,7 +125,7 @@ inline MatrixRanking score_flush(const FlushProfile& profile,
         const std::uint64_t n = profile.cell_count(pos, v);
         if (n == 0) continue;
         excess += static_cast<double>(n) *
-                  (profile.cell_mean(pos, v, m) - profile.line_mean(pos, m));
+                  (profile.cell_mean(pos, v, m) - profile.slot_mean(pos, m));
         total += n;
       }
       score[static_cast<std::size_t>(g)] =

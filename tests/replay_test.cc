@@ -269,28 +269,42 @@ void expect_same(sim::Machine& m, ReferenceMachine& ref,
 constexpr ProcId kVictim = core::kMatrixVictim;
 constexpr ProcId kAttacker = core::kMatrixAttacker;
 
-/// A matrix cell deployed from `seed`: the cell's hierarchy, both matrix
+/// A cell deployed from `seed`: the cell's hierarchy, both matrix
 /// processes seeded, the L1D/L2 ways split when partitioned, the victim
 /// running.  Applied identically to machines and the oracle.
 struct Cell {
-  core::PlacementPolicy policy;
+  std::string label;
+  sim::HierarchyConfig hierarchy;
   bool partitioned;
 
-  [[nodiscard]] sim::HierarchyConfig config() const {
-    return core::policy_hierarchy_config(policy);
+  [[nodiscard]] const sim::HierarchyConfig& config() const {
+    return hierarchy;
   }
   [[nodiscard]] std::string name() const {
-    return core::to_string(policy) + (partitioned ? "/part" : "");
+    return label + (partitioned ? "/part" : "");
   }
 };
 
+/// The matrix cell of `policy`.
+Cell policy_cell(core::PlacementPolicy policy, bool partitioned) {
+  return {core::to_string(policy), core::policy_hierarchy_config(policy),
+          partitioned};
+}
+
+/// Every matrix cell, then sec623's XorIndex L1 (hashRP L2, random
+/// replacement), which no matrix platform uses but sec623 replays on.
 std::vector<Cell> all_cells() {
   std::vector<Cell> cells;
   for (const core::PlacementPolicy policy : core::all_policies()) {
     for (const bool partitioned : {false, true}) {
-      cells.push_back({policy, partitioned});
+      cells.push_back(policy_cell(policy, partitioned));
     }
   }
+  cells.push_back({"xor_index",
+                   sim::arm920t_config(cache::MapperKind::kXorIndex,
+                                       cache::MapperKind::kHashRp,
+                                       cache::ReplacementKind::kRandom),
+                   false});
   return cells;
 }
 
@@ -451,7 +465,8 @@ TEST(ReplayExactness, SelfModifyingStoreAndTakenBranchToNextPc) {
   expect_three_way_on_every_cell(source, "taken_to_next", {5});
   const isa::KernelPasses passes =
       isa::record_passes(isa::assemble(source, 0x1000), 0x1000);
-  const auto m = deploy_machine({core::PlacementPolicy::kModulo, false}, 1);
+  const auto m =
+      deploy_machine(policy_cell(core::PlacementPolicy::kModulo, false), 1);
   m->replay(passes.warm);
   EXPECT_EQ(m->stats().taken_branches, 20u + 19u);
 }
@@ -1968,7 +1983,8 @@ TEST(FetchTraceRecording, ModuloAndClepsydraRecordTheSameTrace) {
 TEST(FetchTraceRecording, ReplayRejectsAnotherLineSize) {
   sim::FetchTrace trace(64);
   trace.instr(0x1000);
-  const auto m = deploy_machine({core::PlacementPolicy::kModulo, false}, 1);
+  const auto m =
+      deploy_machine(policy_cell(core::PlacementPolicy::kModulo, false), 1);
   EXPECT_THROW(m->replay(trace), std::invalid_argument);
   // The data lines are cut at the trace's line size too: an L1D of another
   // line size is rejected, although the L1I's matches.
@@ -2122,7 +2138,8 @@ TEST(FetchTraceRecording, RecordRestoresTheSinkWhenItThrows) {
     std::uint64_t steps = 0;
     void step(Addr, const isa::Instr&, Addr) override { ++steps; }
   };
-  const auto m = deploy_machine({core::PlacementPolicy::kModulo, false}, 1);
+  const auto m =
+      deploy_machine(policy_cell(core::PlacementPolicy::kModulo, false), 1);
   isa::Interpreter interp(*m);
   interp.load_program(isa::assemble("        nop\n        halt\n", 0x1000));
   CountingSink sink;

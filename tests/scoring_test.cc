@@ -4,7 +4,9 @@
 // set / line marginals out of the guess loop.  Both are exact rewrites, so
 // every score must equal the naive guess x value loops of
 // reference_scoring.h bit for bit - compared with memcmp, never with a
-// tolerance - on seeded random Prime+Probe, Evict+Time and Flush profiles:
+// tolerance - on seeded random Prime+Probe, Evict+Time and Flush profiles
+// (Prime+Probe and Flush are both ProbeProfiles, with per-set and
+// per-monitored-line slots):
 //
 //   * empty, sparse (most (pos, value) cells empty), golden-sized and
 //     merged multi-shard profiles;
@@ -24,9 +26,8 @@
 #include <vector>
 
 #include "attack/evicttime.h"
-#include "attack/flushreload.h"
 #include "attack/metrics.h"
-#include "attack/primeprobe.h"
+#include "attack/profile.h"
 #include "cache/geometry.h"
 #include "crypto/aes.h"
 #include "crypto/sim_aes.h"
@@ -55,10 +56,10 @@ crypto::Key random_key(std::uint64_t seed) {
 // Observables are small integers, as in the real campaigns: a few probe
 // misses per set, cycle counts around a base, sparse touched bits.
 
-PrimeProbeProfile random_pp(std::uint32_t sets, std::size_t trials,
-                            std::uint64_t seed) {
+ProbeProfile random_pp(std::uint32_t sets, std::size_t trials,
+                       std::uint64_t seed) {
   rng::XorShift64Star r(seed);
-  PrimeProbeProfile profile(sets);
+  ProbeProfile profile(sets);
   std::vector<std::uint32_t> misses(sets);
   for (std::size_t t = 0; t < trials; ++t) {
     for (std::uint32_t& m : misses) {
@@ -80,13 +81,13 @@ EvictTimeProfile random_et(std::uint32_t sets, std::size_t trials,
   return profile;
 }
 
-FlushProfile random_flush(std::uint32_t lines, std::size_t trials,
+ProbeProfile random_flush(std::uint32_t lines, std::size_t trials,
                           std::uint64_t seed) {
   rng::XorShift64Star r(seed);
-  FlushProfile profile(lines);
-  std::vector<std::uint8_t> touched(lines);
+  ProbeProfile profile(lines);
+  std::vector<std::uint32_t> touched(lines);
   for (std::size_t t = 0; t < trials; ++t) {
-    for (std::uint8_t& b : touched) b = r.next_bool(0.3) ? 1 : 0;
+    for (std::uint32_t& b : touched) b = r.next_bool(0.3) ? 1 : 0;
     profile.add(crypto::random_block(r), touched);
   }
   return profile;
@@ -136,7 +137,7 @@ class ScoringDifferential : public testing::TestWithParam<GeometryCase> {
     return l1_with(GetParam().line_bytes, GetParam().sets);
   }
 
-  void check_prime_probe(const PrimeProbeProfile& profile,
+  void check_prime_probe(const ProbeProfile& profile,
                          const std::string& what) const {
     const crypto::Key key = random_key(GetParam().line_bytes + 1);
     const MatrixRanking fast = score_prime_probe(profile, l1(), kTables, key);
@@ -156,7 +157,7 @@ class ScoringDifferential : public testing::TestWithParam<GeometryCase> {
     expect_line_classes_share_scores(fast, l1(), "evict+time " + what);
   }
 
-  void check_flush(const FlushProfile& profile,
+  void check_flush(const ProbeProfile& profile,
                    const std::string& what) const {
     const crypto::Key key = random_key(3);
     const MatrixRanking fast = score_flush(profile, l1(), key);
@@ -167,9 +168,9 @@ class ScoringDifferential : public testing::TestWithParam<GeometryCase> {
 };
 
 TEST_P(ScoringDifferential, ZeroTrialProfiles) {
-  check_prime_probe(PrimeProbeProfile(l1().sets()), "empty");
+  check_prime_probe(ProbeProfile(l1().sets()), "empty");
   check_evict_time(EvictTimeProfile(l1().sets()), "empty");
-  check_flush(FlushProfile(monitored_lines(l1())), "empty");
+  check_flush(ProbeProfile(monitored_lines(l1())), "empty");
 }
 
 // 40 trials leave most of each position's 256 value cells (and nearly all
@@ -202,9 +203,9 @@ TEST(ScoringGoldenShape, MergedShardsMatchReference) {
   const cache::Geometry l1 = cache::l1_geometry_arm920t();
   const crypto::Key key = random_key(2018);
 
-  PrimeProbeProfile pp = random_pp(l1.sets(), 400, 100);
+  ProbeProfile pp = random_pp(l1.sets(), 400, 100);
   EvictTimeProfile et = random_et(l1.sets(), 400, 200);
-  FlushProfile fl = random_flush(monitored_lines(l1), 400, 300);
+  ProbeProfile fl = random_flush(monitored_lines(l1), 400, 300);
   for (std::uint64_t shard = 1; shard < 3; ++shard) {
     pp.merge(random_pp(l1.sets(), 400, 100 + shard));
     et.merge(random_et(l1.sets(), 400, 200 + shard));
@@ -240,7 +241,7 @@ TEST(LineResolvedBytes, CountsTheWholeClassOn64ByteLines) {
   }
 
   rng::XorShift64Star r(64);
-  PrimeProbeProfile profile(l1.sets());
+  ProbeProfile profile(l1.sets());
   std::vector<std::uint32_t> misses(l1.sets());
   for (int t = 0; t < 4000; ++t) {
     const crypto::Block pt = crypto::random_block(r);
@@ -279,15 +280,15 @@ TEST(ScoringPreconditions, RejectsUnindexableLineSizes) {
   for (const cache::Geometry& l1 :
        {cache::Geometry(2 * 128, 1, 2), cache::Geometry(2048 * 8, 1, 2048)}) {
     const crypto::Key key{};
-    EXPECT_THROW((void)score_prime_probe(PrimeProbeProfile(l1.sets()), l1,
-                                         kTables, key),
+    EXPECT_THROW((void)score_prime_probe(ProbeProfile(l1.sets()), l1, kTables,
+                                         key),
                  std::invalid_argument)
         << l1.line_bytes() << " B lines";
     EXPECT_THROW((void)score_evict_time(EvictTimeProfile(l1.sets()), l1,
                                         kTables, key),
                  std::invalid_argument)
         << l1.line_bytes() << " B lines";
-    EXPECT_THROW((void)score_flush(FlushProfile(128), l1, key),
+    EXPECT_THROW((void)score_flush(ProbeProfile(128), l1, key),
                  std::invalid_argument)
         << l1.line_bytes() << " B lines";
   }
@@ -297,12 +298,12 @@ TEST(ScoringPreconditions, RejectsProfilesSmallerThanTheGeometry) {
   const cache::Geometry l1 = cache::l1_geometry_arm920t();
   const crypto::Key key{};
   EXPECT_THROW(
-      (void)score_prime_probe(PrimeProbeProfile(64), l1, kTables, key),
+      (void)score_prime_probe(ProbeProfile(64), l1, kTables, key),
       std::invalid_argument);
   EXPECT_THROW(
       (void)score_evict_time(EvictTimeProfile(64), l1, kTables, key),
       std::invalid_argument);
-  EXPECT_THROW((void)score_flush(FlushProfile(64), l1, key),
+  EXPECT_THROW((void)score_flush(ProbeProfile(64), l1, key),
                std::invalid_argument);
 }
 
