@@ -40,7 +40,7 @@ namespace {
 
 using namespace tsc;
 
-void BM_Placement(benchmark::State& state, cache::PlacementKind kind) {
+void BM_Placement(benchmark::State& state, cache::MapperKind kind) {
   const cache::Geometry geo = cache::l1_geometry_arm920t();
   const auto placement = cache::make_placement(kind, geo);
   Addr line = 0x12345;
@@ -51,11 +51,11 @@ void BM_Placement(benchmark::State& state, cache::PlacementKind kind) {
     seed += (line & 0xFF) == 0 ? 1 : 0;  // occasional seed change
   }
 }
-BENCHMARK_CAPTURE(BM_Placement, modulo, cache::PlacementKind::kModulo);
-BENCHMARK_CAPTURE(BM_Placement, xor_index, cache::PlacementKind::kXorIndex);
-BENCHMARK_CAPTURE(BM_Placement, hashrp, cache::PlacementKind::kHashRp);
+BENCHMARK_CAPTURE(BM_Placement, modulo, cache::MapperKind::kModulo);
+BENCHMARK_CAPTURE(BM_Placement, xor_index, cache::MapperKind::kXorIndex);
+BENCHMARK_CAPTURE(BM_Placement, hashrp, cache::MapperKind::kHashRp);
 BENCHMARK_CAPTURE(BM_Placement, random_modulo,
-                  cache::PlacementKind::kRandomModulo);
+                  cache::MapperKind::kRandomModulo);
 
 void BM_CacheAccess(benchmark::State& state, cache::MapperKind mapper) {
   cache::CacheSpec spec;

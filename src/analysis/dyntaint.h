@@ -49,9 +49,6 @@ class TaintOracle final : public isa::TraceSink {
   }
   [[nodiscard]] bool left_image() const { return left_image_; }
   [[nodiscard]] bool wrote_code() const { return wrote_code_; }
-  [[nodiscard]] bool reg_taint(unsigned r) const {
-    return ((reg_taint_ >> r) & 1u) != 0;
-  }
 
  private:
   [[nodiscard]] bool tainted(unsigned r) const {

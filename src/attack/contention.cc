@@ -36,6 +36,32 @@ class CalibrationMap {
 
 constexpr std::uint64_t kNoFeature = ~std::uint64_t{0};
 
+/// The shared end of both contention attacks: learn feature -> secret from
+/// `calibration_reps` rounds over every candidate, then run `trials` attack
+/// trials on random secrets.  `run_trial(secret)` returns the observed
+/// feature.  Per trial the rng draws the secret, then the fallback guess.
+template <typename RunTrial>
+ContentionOutcome calibrate_then_attack(const ContentionConfig& config,
+                                        rng::Rng& rng,
+                                        const RunTrial& run_trial) {
+  CalibrationMap map;
+  for (unsigned rep = 0; rep < config.calibration_reps; ++rep) {
+    for (unsigned c = 0; c < config.candidates; ++c) {
+      map.vote(run_trial(c), c);
+    }
+  }
+
+  ContentionOutcome outcome;
+  for (unsigned t = 0; t < config.trials; ++t) {
+    const auto secret = static_cast<unsigned>(rng.next_below(config.candidates));
+    const std::uint64_t feature = run_trial(secret);
+    const auto fallback = static_cast<unsigned>(rng.next_below(config.candidates));
+    ++outcome.trials;
+    if (map.infer(feature, fallback) == secret) ++outcome.correct;
+  }
+  return outcome;
+}
+
 }  // namespace
 
 ContentionOutcome run_prime_probe(sim::Machine& machine, ProcId victim,
@@ -84,22 +110,7 @@ ContentionOutcome run_prime_probe(sim::Machine& machine, ProcId victim,
     return probe();
   };
 
-  CalibrationMap map;
-  for (unsigned rep = 0; rep < config.calibration_reps; ++rep) {
-    for (unsigned c = 0; c < config.candidates; ++c) {
-      map.vote(run_trial(c), c);
-    }
-  }
-
-  ContentionOutcome outcome;
-  for (unsigned t = 0; t < config.trials; ++t) {
-    const auto secret = static_cast<unsigned>(rng.next_below(config.candidates));
-    const std::uint64_t feature = run_trial(secret);
-    const auto fallback = static_cast<unsigned>(rng.next_below(config.candidates));
-    ++outcome.trials;
-    if (map.infer(feature, fallback) == secret) ++outcome.correct;
-  }
-  return outcome;
+  return calibrate_then_attack(config, rng, run_trial);
 }
 
 ContentionOutcome run_evict_time(sim::Machine& machine, ProcId victim,
@@ -158,22 +169,7 @@ ContentionOutcome run_evict_time(sim::Machine& machine, ProcId victim,
     return feature;
   };
 
-  CalibrationMap map;
-  for (unsigned rep = 0; rep < config.calibration_reps; ++rep) {
-    for (unsigned c = 0; c < config.candidates; ++c) {
-      map.vote(run_trial(c), c);
-    }
-  }
-
-  ContentionOutcome outcome;
-  for (unsigned t = 0; t < config.trials; ++t) {
-    const auto secret = static_cast<unsigned>(rng.next_below(config.candidates));
-    const std::uint64_t feature = run_trial(secret);
-    const auto fallback = static_cast<unsigned>(rng.next_below(config.candidates));
-    ++outcome.trials;
-    if (map.infer(feature, fallback) == secret) ++outcome.correct;
-  }
-  return outcome;
+  return calibrate_then_attack(config, rng, run_trial);
 }
 
 }  // namespace tsc::attack

@@ -8,23 +8,10 @@ namespace {
 
 std::unique_ptr<IndexMapper> make_mapper(const CacheSpec& spec) {
   const Geometry& g = spec.config.geometry;
-  switch (spec.mapper) {
-    case MapperKind::kModulo:
-      return std::make_unique<SeededMapper>(
-          make_placement(PlacementKind::kModulo, g), spec.default_seed);
-    case MapperKind::kXorIndex:
-      return std::make_unique<SeededMapper>(
-          make_placement(PlacementKind::kXorIndex, g), spec.default_seed);
-    case MapperKind::kHashRp:
-      return std::make_unique<SeededMapper>(
-          make_placement(PlacementKind::kHashRp, g), spec.default_seed);
-    case MapperKind::kRandomModulo:
-      return std::make_unique<SeededMapper>(
-          make_placement(PlacementKind::kRandomModulo, g), spec.default_seed);
-    case MapperKind::kRpCache:
-      return std::make_unique<RpCacheMapper>(g, spec.default_seed);
+  if (spec.mapper == MapperKind::kRpCache) {
+    return std::make_unique<RpCacheMapper>(g);
   }
-  return nullptr;
+  return std::make_unique<SeededMapper>(make_placement(spec.mapper, g));
 }
 
 bool needs_rng(const CacheSpec& spec) {
@@ -65,22 +52,6 @@ std::unique_ptr<Cache> build_cache(const CacheSpec& spec,
                                spec.config.geometry.ways(), rng);
   return std::make_unique<Cache>(spec.config, std::move(mapper),
                                  std::move(repl), std::move(rng));
-}
-
-std::string to_string(MapperKind kind) {
-  switch (kind) {
-    case MapperKind::kModulo:
-      return "modulo";
-    case MapperKind::kXorIndex:
-      return "xor-index";
-    case MapperKind::kHashRp:
-      return "hashRP";
-    case MapperKind::kRandomModulo:
-      return "random-modulo";
-    case MapperKind::kRpCache:
-      return "rpcache";
-  }
-  return "?";
 }
 
 }  // namespace tsc::cache

@@ -10,22 +10,11 @@
 
 namespace tsc::cache {
 
-/// The mapping designs evaluated in the paper (placement.h kinds + the
-/// stateful RPCache design).
-enum class MapperKind {
-  kModulo,        ///< deterministic baseline
-  kXorIndex,      ///< Aciiçmez [2]
-  kHashRp,        ///< hash-based parametric random placement [16]
-  kRandomModulo,  ///< RM [15][24]
-  kRpCache,       ///< RPCache permutation-table design [27]
-};
-
 /// Everything needed to instantiate one cache level.
 struct CacheSpec {
   CacheConfig config;
   MapperKind mapper = MapperKind::kModulo;
   ReplacementKind replacement = ReplacementKind::kLru;
-  Seed default_seed{};
 
   [[nodiscard]] std::string describe() const;
 };
@@ -34,8 +23,5 @@ struct CacheSpec {
 /// contention rule; it is required whenever either is in play.
 [[nodiscard]] std::unique_ptr<Cache> build_cache(
     const CacheSpec& spec, std::shared_ptr<rng::Rng> rng = nullptr);
-
-/// Name of a MapperKind (for reports).
-[[nodiscard]] std::string to_string(MapperKind kind);
 
 }  // namespace tsc::cache

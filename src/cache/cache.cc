@@ -64,7 +64,6 @@ Cache::Cache(CacheConfig config, std::unique_ptr<IndexMapper> mapper,
   assert(mapper_ != nullptr);
   assert(replacement_ != nullptr);
   repl_ = replacement_->fast();
-  secure_contention_ = mapper_->secure_contention_policy();
   access_fn_ = pick_access_fn();
   line_shift_ = config_.geometry.offset_bits();
   sets_mask_ = config_.geometry.sets() - 1;
@@ -74,12 +73,9 @@ Cache::Cache(CacheConfig config, std::unique_ptr<IndexMapper> mapper,
     expiry_.assign(tagv_.size(), 0);
     ttl_.assign(tagv_.size(), 0);
   }
-  assert((!secure_contention_ || rng_ != nullptr) &&
+  assert((mapper_->mapping_kind() != MapperKind::kRpCache ||
+          rng_ != nullptr) &&
          "the secure contention rule draws random sets/ways");
-  assert(secure_contention_ ==
-             (mapper_->mapping_kind() == MappingKind::kRpCache) &&
-         "the specialized access path ties the secure contention rule to "
-         "the RPCache mapping kind");
   assert((config_.random_fill_window == 0 || rng_ != nullptr) &&
          "random fill draws random neighbour lines");
   assert((!ttl_enabled_ || rng_ != nullptr) &&
@@ -100,19 +96,19 @@ const ResolvedMapping& Cache::resolve_context(ProcId proc) const {
     HotCtx& h = hot_[i];
     if (!c.valid) continue;
     switch (c.kind) {
-      case MappingKind::kModulo:
-      case MappingKind::kXorIndex:
+      case MapperKind::kModulo:
+      case MapperKind::kXorIndex:
         h.word = c.xor_mask;
         h.ptr = &c;  // any stable non-null: marks the entry resolved
         break;
-      case MappingKind::kHashRp:
+      case MapperKind::kHashRp:
         h.ptr = &c.hashrp;
         break;
-      case MappingKind::kRandomModulo:
+      case MapperKind::kRandomModulo:
         h.word = c.rm_mix;
         h.ptr = c.rm;
         break;
-      case MappingKind::kRpCache:
+      case MapperKind::kRpCache:
         h.ptr = c.rp_table;
         break;
     }
@@ -127,18 +123,18 @@ namespace {
 /// branch is the resolved form of the corresponding Placement::set_index
 /// (the virtual path runs the same helpers), so the two paths are the same
 /// computation.
-template <MappingKind MK>
+template <MapperKind MK>
 [[nodiscard]] inline std::uint32_t map_fast(std::uint32_t sets_mask,
                                             std::uint64_t word,
                                             const void* ptr, Addr line) {
   const auto idx = static_cast<std::uint32_t>(line) & sets_mask;
-  if constexpr (MK == MappingKind::kModulo) {
+  if constexpr (MK == MapperKind::kModulo) {
     return idx;  // seedless: no context consulted
-  } else if constexpr (MK == MappingKind::kXorIndex) {
+  } else if constexpr (MK == MapperKind::kXorIndex) {
     return idx ^ static_cast<std::uint32_t>(word);
-  } else if constexpr (MK == MappingKind::kHashRp) {
+  } else if constexpr (MK == MapperKind::kHashRp) {
     return hashrp_map(*static_cast<const HashRpContext*>(ptr), line);
-  } else if constexpr (MK == MappingKind::kRandomModulo) {
+  } else if constexpr (MK == MapperKind::kRandomModulo) {
     return static_cast<const RandomModuloPlacement*>(ptr)->set_index_mixed(
         line, word);
   } else {
@@ -147,17 +143,17 @@ template <MappingKind MK>
 }
 
 /// The same computation over a full resolved context.
-template <MappingKind MK>
+template <MapperKind MK>
 [[nodiscard]] inline std::uint32_t map_one(std::uint32_t sets_mask,
                                            const ResolvedMapping* ctx,
                                            Addr line) {
-  if constexpr (MK == MappingKind::kModulo) {
+  if constexpr (MK == MapperKind::kModulo) {
     return map_fast<MK>(sets_mask, 0, nullptr, line);
-  } else if constexpr (MK == MappingKind::kXorIndex) {
+  } else if constexpr (MK == MapperKind::kXorIndex) {
     return map_fast<MK>(sets_mask, ctx->xor_mask, nullptr, line);
-  } else if constexpr (MK == MappingKind::kHashRp) {
+  } else if constexpr (MK == MapperKind::kHashRp) {
     return map_fast<MK>(sets_mask, 0, &ctx->hashrp, line);
-  } else if constexpr (MK == MappingKind::kRandomModulo) {
+  } else if constexpr (MK == MapperKind::kRandomModulo) {
     return map_fast<MK>(sets_mask, ctx->rm_mix, ctx->rm, line);
   } else {
     return map_fast<MK>(sets_mask, 0, ctx->rp_table, line);
@@ -168,21 +164,21 @@ template <MappingKind MK>
 
 std::uint32_t Cache::map_set(const ResolvedMapping& ctx, Addr line) const {
   switch (ctx.kind) {
-    case MappingKind::kModulo:
-      return map_one<MappingKind::kModulo>(sets_mask_, &ctx, line);
-    case MappingKind::kXorIndex:
-      return map_one<MappingKind::kXorIndex>(sets_mask_, &ctx, line);
-    case MappingKind::kHashRp:
-      return map_one<MappingKind::kHashRp>(sets_mask_, &ctx, line);
-    case MappingKind::kRandomModulo:
-      return map_one<MappingKind::kRandomModulo>(sets_mask_, &ctx, line);
-    case MappingKind::kRpCache:
-      return map_one<MappingKind::kRpCache>(sets_mask_, &ctx, line);
+    case MapperKind::kModulo:
+      return map_one<MapperKind::kModulo>(sets_mask_, &ctx, line);
+    case MapperKind::kXorIndex:
+      return map_one<MapperKind::kXorIndex>(sets_mask_, &ctx, line);
+    case MapperKind::kHashRp:
+      return map_one<MapperKind::kHashRp>(sets_mask_, &ctx, line);
+    case MapperKind::kRandomModulo:
+      return map_one<MapperKind::kRandomModulo>(sets_mask_, &ctx, line);
+    case MapperKind::kRpCache:
+      return map_one<MapperKind::kRpCache>(sets_mask_, &ctx, line);
   }
   return 0;
 }
 
-template <MappingKind MK, ReplacementKind RK, int WAYS>
+template <MapperKind MK, ReplacementKind RK, int WAYS>
 AccessResult Cache::access_impl(Cache& self, ProcId proc, Addr addr,
                                 bool write) {
   const Geometry& geo = self.config_.geometry;
@@ -191,7 +187,7 @@ AccessResult Cache::access_impl(Cache& self, ProcId proc, Addr addr,
   // process ids - all of them, in practice - read the inline hot view;
   // anything else falls back to the full context path.
   std::uint32_t set;
-  if constexpr (MK == MappingKind::kModulo) {
+  if constexpr (MK == MapperKind::kModulo) {
     set = map_fast<MK>(self.sets_mask_, 0, nullptr, line);
   } else {
     const std::size_t pi = proc.value;
@@ -315,7 +311,7 @@ AccessResult Cache::access_impl(Cache& self, ProcId proc, Addr addr,
       } else {
         way = victim_spec<RK, WAYS>(self.repl_, set);
       }
-      if constexpr (MK == MappingKind::kRpCache) {
+      if constexpr (MK == MapperKind::kRpCache) {
         // (The victim is valid here: the set is full.)
         if (self.owner_[base + way] != proc.value) [[unlikely]] {
           // RPCache rule: outlined; replacement metadata untouched, as in
@@ -347,7 +343,7 @@ AccessResult Cache::access_impl(Cache& self, ProcId proc, Addr addr,
     return AccessResult{false, wb, true, ev, set, ev_line};
   } else {
     const ResolvedMapping* ctx =
-        MK == MappingKind::kModulo ? nullptr : &self.context(proc);
+        MK == MapperKind::kModulo ? nullptr : &self.context(proc);
     AccessResult result;
     result.set = set;
     // Generic way count: the straightforward scan (identical decisions,
@@ -380,11 +376,11 @@ AccessResult Cache::access_impl(Cache& self, ProcId proc, Addr addr,
   }
 }
 
-template <MappingKind MK, ReplacementKind RK, int WAYS>
+template <MapperKind MK, ReplacementKind RK, int WAYS>
 AccessResult Cache::access_slow(Cache& self, ProcId proc, Addr line,
                                 std::uint32_t set, bool write) {
   const ResolvedMapping* ctx =
-      MK == MappingKind::kModulo ? nullptr : &self.context(proc);
+      MK == MapperKind::kModulo ? nullptr : &self.context(proc);
   AccessResult result;
   result.set = set;
   if (self.config_.random_fill_window > 0 && !write) {
@@ -411,7 +407,7 @@ AccessResult Cache::contention_evict(std::uint32_t set) {
   return result;
 }
 
-template <MappingKind MK, ReplacementKind RK, int WAYS>
+template <MapperKind MK, ReplacementKind RK, int WAYS>
 void Cache::random_fill(const ResolvedMapping* ctx, ProcId proc, Addr line,
                         AccessResult& result) {
   // Random-fill [18]: serve the demand from memory without caching it;
@@ -428,7 +424,7 @@ void Cache::random_fill(const ResolvedMapping* ctx, ProcId proc, Addr line,
   result.allocated = false;
 }
 
-template <MappingKind MK, ReplacementKind RK, int WAYS>
+template <MapperKind MK, ReplacementKind RK, int WAYS>
 void Cache::fill_impl(const ResolvedMapping*, ProcId proc, Addr line,
                       std::uint32_t set, bool dirty, AccessResult& result) {
   const Geometry& geo = config_.geometry;
@@ -464,21 +460,11 @@ void Cache::fill_impl(const ResolvedMapping*, ProcId proc, Addr line,
     }
     assert(way >= first && way < first + count);
     const std::size_t vi = base + way;
-    // Runtime flag, not the compile-time kind: this is the general path,
-    // and the policy is the mapper's call (the ctor asserts the two agree
-    // for the designs we ship).
-    if (secure_contention_) {
+    if constexpr (MK == MapperKind::kRpCache) {
       if ((tagv_[vi] & 1) != 0 && owner_[vi] != proc.value) {
-        // RPCache rule: this replacement would leak the victim process's set
-        // usage.  Do not allocate; disturb a random (set, way) instead.
-        ++stats_.contention_evictions;
-        const auto rset =
-            static_cast<std::uint32_t>(rng_->next_below(geo.sets()));
-        const auto rway = static_cast<std::uint32_t>(rng_->next_below(ways));
-        if ((tagv_[static_cast<std::size_t>(rset) * ways + rway] & 1) != 0) {
-          evict(rset, rway, result);
-        }
-        result.allocated = false;
+        // result.set keeps the demand set (on the random-fill path it
+        // differs from the fill set).
+        result = contention_evict(result.set);
         return;
       }
     }
@@ -548,13 +534,13 @@ bool Cache::ttl_latched_segment(const SegmentLine* lines, unsigned n,
 /// A friend struct so the anonymous-namespace-free helpers can name the
 /// private access_impl instantiations.
 struct CacheAccessCompiler {
-  template <MappingKind MK, ReplacementKind RK>
+  template <MapperKind MK, ReplacementKind RK>
   [[nodiscard]] static Cache::AccessFn for_ways(std::uint32_t ways) {
     return ways == 4 ? &Cache::access_impl<MK, RK, 4>
                      : &Cache::access_impl<MK, RK, 0>;
   }
 
-  template <MappingKind MK>
+  template <MapperKind MK>
   [[nodiscard]] static Cache::AccessFn for_repl(ReplacementKind rk,
                                                 std::uint32_t ways) {
     switch (rk) {
@@ -572,22 +558,22 @@ struct CacheAccessCompiler {
     return for_ways<MK, ReplacementKind::kLru>(ways);
   }
 
-  [[nodiscard]] static Cache::AccessFn pick(MappingKind mk,
+  [[nodiscard]] static Cache::AccessFn pick(MapperKind mk,
                                             ReplacementKind rk,
                                             std::uint32_t ways) {
     switch (mk) {
-      case MappingKind::kModulo:
-        return for_repl<MappingKind::kModulo>(rk, ways);
-      case MappingKind::kXorIndex:
-        return for_repl<MappingKind::kXorIndex>(rk, ways);
-      case MappingKind::kHashRp:
-        return for_repl<MappingKind::kHashRp>(rk, ways);
-      case MappingKind::kRandomModulo:
-        return for_repl<MappingKind::kRandomModulo>(rk, ways);
-      case MappingKind::kRpCache:
-        return for_repl<MappingKind::kRpCache>(rk, ways);
+      case MapperKind::kModulo:
+        return for_repl<MapperKind::kModulo>(rk, ways);
+      case MapperKind::kXorIndex:
+        return for_repl<MapperKind::kXorIndex>(rk, ways);
+      case MapperKind::kHashRp:
+        return for_repl<MapperKind::kHashRp>(rk, ways);
+      case MapperKind::kRandomModulo:
+        return for_repl<MapperKind::kRandomModulo>(rk, ways);
+      case MapperKind::kRpCache:
+        return for_repl<MapperKind::kRpCache>(rk, ways);
     }
-    return for_repl<MappingKind::kModulo>(rk, ways);
+    return for_repl<MapperKind::kModulo>(rk, ways);
   }
 };
 
@@ -714,22 +700,14 @@ void Cache::clear_way_partition(ProcId proc) {
 }
 
 bool Cache::seed_invariant() const {
-  const MappingKind mapping = mapper_->mapping_kind();
+  const MapperKind mapping = mapper_->mapping_kind();
   const ReplacementKind replacement = repl_.kind;
-  return (mapping == MappingKind::kModulo ||
-          mapping == MappingKind::kRpCache) &&
+  return (mapping == MapperKind::kModulo ||
+          mapping == MapperKind::kRpCache) &&
          (replacement == ReplacementKind::kLru ||
           replacement == ReplacementKind::kFifo ||
           replacement == ReplacementKind::kPlru) &&
          config_.random_fill_window == 0 && config_.ttl_max == 0;
-}
-
-std::optional<MemoStats> Cache::rm_memo_stats() const {
-  const Placement* p = mapper_->placement_ptr();
-  if (p == nullptr || p->kind() != PlacementKind::kRandomModulo) {
-    return std::nullopt;
-  }
-  return static_cast<const RandomModuloPlacement*>(p)->memo_stats();
 }
 
 std::string Cache::name() const {

@@ -27,7 +27,7 @@
 // implemented here: on a miss whose replacement victim belongs to a process
 // other than the requester, the incoming line is NOT allocated and a random
 // line from a random set is evicted instead, hiding which set the victim
-// contended on.
+// contended on.  It applies exactly when the mapper's kind is kRpCache.
 #pragma once
 
 #include <array>
@@ -105,7 +105,7 @@ struct CacheConfig {
 class Cache {
  public:
   /// `mapper` decides sets; `replacement` picks victims; `rng` feeds the
-  /// secure contention rule (required when the mapper demands it).
+  /// secure contention rule (required when the mapper is kRpCache).
   Cache(CacheConfig config, std::unique_ptr<IndexMapper> mapper,
         std::unique_ptr<Replacement> replacement,
         std::shared_ptr<rng::Rng> rng = nullptr);
@@ -285,12 +285,6 @@ class Cache {
   }
   void reset_stats() { stats_ = CacheStats{}; }
 
-  /// Benes-memo effectiveness when a Random Modulo placement backs this
-  /// cache (nullopt for every other design).  Counters accumulate across
-  /// reset_stats (they diagnose the simulator, not the simulated platform);
-  /// reset them via the placement's reset_memo_stats if needed.
-  [[nodiscard]] std::optional<MemoStats> rm_memo_stats() const;
-
   /// Is this cache's behaviour the same under every seed, for a run in which
   /// ONE process touches the cache after reset()?  Holds when the placement
   /// is modulo (reads no seed) or RPCache, the replacement draws no random
@@ -359,18 +353,18 @@ class Cache {
   /// replacement kind, way count).  WAYS == 0 means "runtime way count"
   /// (the generic fallback for unusual geometries).
   using AccessFn = AccessResult (*)(Cache&, ProcId, Addr, bool);
-  template <MappingKind MK, ReplacementKind RK, int WAYS>
+  template <MapperKind MK, ReplacementKind RK, int WAYS>
   static AccessResult access_impl(Cache& self, ProcId proc, Addr addr,
                                   bool write);
-  template <MappingKind MK, ReplacementKind RK, int WAYS>
+  template <MapperKind MK, ReplacementKind RK, int WAYS>
   void fill_impl(const ResolvedMapping* ctx, ProcId proc, Addr line,
                  std::uint32_t set, bool dirty, AccessResult& result);
-  template <MappingKind MK, ReplacementKind RK, int WAYS>
+  template <MapperKind MK, ReplacementKind RK, int WAYS>
   void random_fill(const ResolvedMapping* ctx, ProcId proc, Addr line,
                    AccessResult& result);
   /// Outlined miss handling for the uncommon configurations (random fill,
   /// way partitions): keeps the specialized hot path a leaf function.
-  template <MappingKind MK, ReplacementKind RK, int WAYS>
+  template <MapperKind MK, ReplacementKind RK, int WAYS>
   [[gnu::noinline]] static AccessResult access_slow(Cache& self, ProcId proc,
                                                     Addr line,
                                                     std::uint32_t set,
@@ -470,7 +464,6 @@ class Cache {
 
   ReplacementFast repl_;          ///< raw view into *replacement_
   AccessFn access_fn_;            ///< specialized hot path
-  bool secure_contention_;        ///< mapper demands the RPCache rule
   bool ttl_enabled_ = false;      ///< config_.ttl_max > 0 (ClepsydraCache)
   /// random_fill_window > 0, TTL enabled, or any way partition installed:
   /// misses leave through the outlined slow path.  One flag, one test per

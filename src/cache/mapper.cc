@@ -7,9 +7,8 @@
 
 namespace tsc::cache {
 
-SeededMapper::SeededMapper(std::unique_ptr<Placement> placement,
-                           Seed default_seed)
-    : placement_(std::move(placement)), default_seed_(default_seed) {
+SeededMapper::SeededMapper(std::unique_ptr<Placement> placement)
+    : placement_(std::move(placement)) {
   assert(placement_ != nullptr);
 }
 
@@ -22,7 +21,7 @@ void SeededMapper::set_seed(ProcId proc, Seed seed) {
 }
 
 Seed SeededMapper::seed(ProcId proc) const {
-  return seeds_.get_or(proc, default_seed_);
+  return seeds_.get_or(proc, Seed{});
 }
 
 void SeededMapper::resolve(ProcId proc, ResolvedMapping& out) const {
@@ -30,27 +29,12 @@ void SeededMapper::resolve(ProcId proc, ResolvedMapping& out) const {
   placement_->resolve(out.seed, out);
 }
 
-MappingKind SeededMapper::mapping_kind() const {
-  switch (placement_->kind()) {
-    case PlacementKind::kModulo:
-      return MappingKind::kModulo;
-    case PlacementKind::kXorIndex:
-      return MappingKind::kXorIndex;
-    case PlacementKind::kHashRp:
-      return MappingKind::kHashRp;
-    case PlacementKind::kRandomModulo:
-      return MappingKind::kRandomModulo;
-  }
-  return MappingKind::kModulo;
-}
-
 std::string SeededMapper::name() const {
   return "seeded-" + placement_->name();
 }
 
-RpCacheMapper::RpCacheMapper(const Geometry& geometry, Seed default_seed)
-    : geo_(geometry), default_seed_(default_seed) {
-  regenerate(default_table_, default_seed_);
+RpCacheMapper::RpCacheMapper(const Geometry& geometry) : geo_(geometry) {
+  regenerate(default_table_, Seed{});
 }
 
 std::uint32_t RpCacheMapper::map(Addr line_addr, ProcId proc) const {
@@ -64,7 +48,7 @@ void RpCacheMapper::set_seed(ProcId proc, Seed seed) {
 }
 
 Seed RpCacheMapper::seed(ProcId proc) const {
-  return seeds_.get_or(proc, default_seed_);
+  return seeds_.get_or(proc, Seed{});
 }
 
 void RpCacheMapper::reset() {
@@ -76,7 +60,7 @@ void RpCacheMapper::reset() {
 }
 
 void RpCacheMapper::resolve(ProcId proc, ResolvedMapping& out) const {
-  out.kind = MappingKind::kRpCache;
+  out.kind = MapperKind::kRpCache;
   out.seed = seed(proc);
   out.rp_table = table_for(proc).data();
 }

@@ -39,7 +39,7 @@ class IndexMapper {
   /// re-derives the process's permutation table (in place, eagerly).
   virtual void set_seed(ProcId proc, Seed seed) = 0;
 
-  /// Current seed of a process (default seed if never set).
+  /// Current seed of a process (the default, Seed{}, if never set).
   [[nodiscard]] virtual Seed seed(ProcId proc) const = 0;
 
   /// Forget every explicitly installed per-process seed (and any state
@@ -55,22 +55,11 @@ class IndexMapper {
   virtual void resolve(ProcId proc, ResolvedMapping& out) const = 0;
 
   /// Which mapping design this is (drives the cache's specialization of the
-  /// access path; constant for the mapper's lifetime).
-  [[nodiscard]] virtual MappingKind mapping_kind() const = 0;
-
-  /// True for designs (RPCache) that demand the secure contention policy:
-  /// on a miss whose replacement victim belongs to another process, do not
-  /// allocate and evict a random line from a random set instead.  Must
-  /// return true exactly when mapping_kind() == kRpCache: the cache's
-  /// specialized access path compiles the rule into the RPCache
-  /// instantiation (and asserts the agreement at construction).
-  [[nodiscard]] virtual bool secure_contention_policy() const { return false; }
-
-  /// The underlying pure placement function, when one exists (diagnostics;
-  /// nullptr for table-based designs like RPCache).
-  [[nodiscard]] virtual const Placement* placement_ptr() const {
-    return nullptr;
-  }
+  /// access path; constant for the mapper's lifetime).  kRpCache also
+  /// demands the secure contention policy: on a miss whose replacement
+  /// victim belongs to another process, do not allocate and evict a random
+  /// line from a random set instead.
+  [[nodiscard]] virtual MapperKind mapping_kind() const = 0;
 
   [[nodiscard]] virtual std::string name() const = 0;
 };
@@ -81,16 +70,15 @@ class IndexMapper {
 /// restores it on context switches (paper Fig. 3).
 class SeededMapper final : public IndexMapper {
  public:
-  SeededMapper(std::unique_ptr<Placement> placement, Seed default_seed = {});
+  explicit SeededMapper(std::unique_ptr<Placement> placement);
 
   [[nodiscard]] std::uint32_t map(Addr line_addr, ProcId proc) const override;
   void set_seed(ProcId proc, Seed seed) override;
   [[nodiscard]] Seed seed(ProcId proc) const override;
   void reset() override { seeds_.clear(); }
   void resolve(ProcId proc, ResolvedMapping& out) const override;
-  [[nodiscard]] MappingKind mapping_kind() const override;
-  [[nodiscard]] const Placement* placement_ptr() const override {
-    return placement_.get();
+  [[nodiscard]] MapperKind mapping_kind() const override {
+    return placement_->kind();
   }
   [[nodiscard]] std::string name() const override;
 
@@ -98,14 +86,13 @@ class SeededMapper final : public IndexMapper {
 
  private:
   std::unique_ptr<Placement> placement_;
-  Seed default_seed_;
   ProcIndexed<Seed> seeds_;
 };
 
 /// RPCache mapper [27]: per-process random permutation table over sets.
 /// The table is derived deterministically from the process seed; contention
-/// randomization is signalled via secure_contention_policy() and executed by
-/// the cache (which owns the line array).
+/// randomization follows from mapping_kind() and is executed by the cache
+/// (which owns the line array).
 ///
 /// Tables are built eagerly: the default-seed table at construction, a
 /// process's table at set_seed.  Reseeding regenerates the existing buffer
@@ -114,17 +101,16 @@ class SeededMapper final : public IndexMapper {
 /// stay stable.
 class RpCacheMapper final : public IndexMapper {
  public:
-  RpCacheMapper(const Geometry& geometry, Seed default_seed = {});
+  explicit RpCacheMapper(const Geometry& geometry);
 
   [[nodiscard]] std::uint32_t map(Addr line_addr, ProcId proc) const override;
   void set_seed(ProcId proc, Seed seed) override;
   [[nodiscard]] Seed seed(ProcId proc) const override;
   void reset() override;
   void resolve(ProcId proc, ResolvedMapping& out) const override;
-  [[nodiscard]] MappingKind mapping_kind() const override {
-    return MappingKind::kRpCache;
+  [[nodiscard]] MapperKind mapping_kind() const override {
+    return MapperKind::kRpCache;
   }
-  [[nodiscard]] bool secure_contention_policy() const override { return true; }
   [[nodiscard]] std::string name() const override { return "rpcache"; }
 
   /// Heap allocations performed by table (re)builds so far - the satellite
@@ -142,7 +128,6 @@ class RpCacheMapper final : public IndexMapper {
   [[nodiscard]] const std::vector<std::uint32_t>& table_for(ProcId proc) const;
 
   Geometry geo_;
-  Seed default_seed_;
   ProcIndexed<Seed> seeds_;
   std::vector<std::uint32_t> default_table_;
   /// Dense per-process tables; an empty inner vector means "never explicitly

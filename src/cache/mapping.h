@@ -22,6 +22,7 @@
 #include <array>
 #include <cassert>
 #include <cstdint>
+#include <string>
 
 #include "cache/geometry.h"
 #include "common/bitops.h"
@@ -31,15 +32,20 @@ namespace tsc::cache {
 
 class RandomModuloPlacement;  // owns the Benes memo consulted by the RM path
 
-/// Mapping designs a resolved context can represent (placement kinds plus
-/// the stateful RPCache table design).
-enum class MappingKind : std::uint8_t {
-  kModulo,
-  kXorIndex,
-  kHashRp,
-  kRandomModulo,
-  kRpCache,
+/// The mapping designs evaluated in the paper: the four pure placement
+/// functions (placement.h) plus the stateful RPCache table design.  One
+/// value names a cache level's design everywhere: in a CacheSpec, in a
+/// Placement, and in a resolved context.
+enum class MapperKind : std::uint8_t {
+  kModulo,        ///< deterministic baseline
+  kXorIndex,      ///< Aciiçmez [2]
+  kHashRp,        ///< hash-based parametric random placement [16]
+  kRandomModulo,  ///< RM [15][24]
+  kRpCache,       ///< RPCache permutation-table design [27]
 };
+
+/// Name of a MapperKind (for reports).
+[[nodiscard]] std::string to_string(MapperKind kind);
 
 /// One strong 64->64 mixing round (SplitMix64 finalizer): the shared seed
 /// conditioner in front of every placement's XOR/rotator logic.
@@ -151,7 +157,7 @@ inline void hashrp_resolve(const Geometry& geo, unsigned line_addr_bits,
 /// designs.  Built by IndexMapper::resolve, cached per process by the Cache,
 /// refreshed on set_seed.
 struct ResolvedMapping {
-  MappingKind kind = MappingKind::kModulo;
+  MapperKind kind = MapperKind::kModulo;
   bool valid = false;  ///< resolved for the current seed epoch?
   Seed seed{};
 

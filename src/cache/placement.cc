@@ -4,6 +4,7 @@
 
 #include <cassert>
 #include <new>
+#include <stdexcept>
 
 #include "cache/benes.h"
 #include "common/bitops.h"
@@ -22,7 +23,7 @@ std::uint32_t XorIndexPlacement::set_index(Addr line_addr, Seed seed) const {
 }
 
 void XorIndexPlacement::resolve(Seed seed, ResolvedMapping& out) const {
-  out.kind = MappingKind::kXorIndex;
+  out.kind = MapperKind::kXorIndex;
   out.xor_mask =
       static_cast<std::uint32_t>(seed_mix64(seed.value) & (geo_.sets() - 1));
 }
@@ -67,7 +68,7 @@ std::uint32_t HashRpPlacement::set_index(Addr line_addr, Seed seed) const {
 }
 
 void HashRpPlacement::resolve(Seed seed, ResolvedMapping& out) const {
-  out.kind = MappingKind::kHashRp;
+  out.kind = MapperKind::kHashRp;
   hashrp_resolve(geo_, line_addr_bits_, seed, out.hashrp);
 }
 
@@ -118,31 +119,36 @@ void RandomModuloPlacement::rebuild_lut_slot(std::uint8_t* slot,
   }
 }
 
-std::unique_ptr<Placement> make_placement(PlacementKind kind,
+std::unique_ptr<Placement> make_placement(MapperKind kind,
                                           const Geometry& g) {
   switch (kind) {
-    case PlacementKind::kModulo:
+    case MapperKind::kModulo:
       return std::make_unique<ModuloPlacement>(g);
-    case PlacementKind::kXorIndex:
+    case MapperKind::kXorIndex:
       return std::make_unique<XorIndexPlacement>(g);
-    case PlacementKind::kHashRp:
+    case MapperKind::kHashRp:
       return std::make_unique<HashRpPlacement>(g);
-    case PlacementKind::kRandomModulo:
+    case MapperKind::kRandomModulo:
       return std::make_unique<RandomModuloPlacement>(g);
+    case MapperKind::kRpCache:
+      break;
   }
-  return std::make_unique<ModuloPlacement>(g);
+  throw std::invalid_argument("make_placement: " + to_string(kind) +
+                              " has no pure placement function");
 }
 
-std::string to_string(PlacementKind kind) {
+std::string to_string(MapperKind kind) {
   switch (kind) {
-    case PlacementKind::kModulo:
+    case MapperKind::kModulo:
       return "modulo";
-    case PlacementKind::kXorIndex:
+    case MapperKind::kXorIndex:
       return "xor-index";
-    case PlacementKind::kHashRp:
+    case MapperKind::kHashRp:
       return "hashRP";
-    case PlacementKind::kRandomModulo:
+    case MapperKind::kRandomModulo:
       return "random-modulo";
+    case MapperKind::kRpCache:
+      return "rpcache";
   }
   return "?";
 }

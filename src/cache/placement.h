@@ -43,14 +43,6 @@
 
 namespace tsc::cache {
 
-/// Kinds for configuration.
-enum class PlacementKind {
-  kModulo,
-  kXorIndex,
-  kHashRp,
-  kRandomModulo,
-};
-
 /// Pure placement function interface.
 class Placement {
  public:
@@ -66,7 +58,7 @@ class Placement {
   virtual void resolve(Seed seed, ResolvedMapping& out) const = 0;
 
   /// Which design this is (drives the resolved-context dispatch).
-  [[nodiscard]] virtual PlacementKind kind() const = 0;
+  [[nodiscard]] virtual MapperKind kind() const = 0;
 
   /// Identifier for logs and reports.
   [[nodiscard]] virtual std::string name() const = 0;
@@ -83,10 +75,10 @@ class ModuloPlacement final : public Placement {
     return geo_.index_of_line(line_addr);
   }
   void resolve(Seed, ResolvedMapping& out) const override {
-    out.kind = MappingKind::kModulo;
+    out.kind = MapperKind::kModulo;
   }
-  [[nodiscard]] PlacementKind kind() const override {
-    return PlacementKind::kModulo;
+  [[nodiscard]] MapperKind kind() const override {
+    return MapperKind::kModulo;
   }
   [[nodiscard]] std::string name() const override { return "modulo"; }
   [[nodiscard]] bool randomized() const override { return false; }
@@ -102,8 +94,8 @@ class XorIndexPlacement final : public Placement {
   [[nodiscard]] std::uint32_t set_index(Addr line_addr,
                                         Seed seed) const override;
   void resolve(Seed seed, ResolvedMapping& out) const override;
-  [[nodiscard]] PlacementKind kind() const override {
-    return PlacementKind::kXorIndex;
+  [[nodiscard]] MapperKind kind() const override {
+    return MapperKind::kXorIndex;
   }
   [[nodiscard]] std::string name() const override { return "xor-index"; }
   [[nodiscard]] bool randomized() const override { return true; }
@@ -128,8 +120,8 @@ class HashRpPlacement final : public Placement {
   [[nodiscard]] std::uint32_t set_index(Addr line_addr,
                                         Seed seed) const override;
   void resolve(Seed seed, ResolvedMapping& out) const override;
-  [[nodiscard]] PlacementKind kind() const override {
-    return PlacementKind::kHashRp;
+  [[nodiscard]] MapperKind kind() const override {
+    return MapperKind::kHashRp;
   }
   [[nodiscard]] std::string name() const override { return "hashRP"; }
   [[nodiscard]] bool randomized() const override { return true; }
@@ -140,20 +132,6 @@ class HashRpPlacement final : public Placement {
   mutable HashRpContext memo_ctx_;
   mutable Seed memo_seed_{};
   mutable bool memo_valid_ = false;
-};
-
-/// Effectiveness counters of a per-access memo table (satellite diagnostics
-/// for the RM Benes memo): how often the access path found the entry it
-/// needed versus had to rebuild one.
-struct MemoStats {
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-
-  [[nodiscard]] double hit_rate() const {
-    const std::uint64_t total = hits + misses;
-    return total == 0 ? 0.0
-                      : static_cast<double>(hits) / static_cast<double>(total);
-  }
 };
 
 /// Releases a memo table mapped by RandomModuloPlacement.
@@ -178,12 +156,12 @@ class RandomModuloPlacement final : public Placement {
     return set_index_mixed(line_addr, seed_mix64(seed.value));
   }
   void resolve(Seed seed, ResolvedMapping& out) const override {
-    out.kind = MappingKind::kRandomModulo;
+    out.kind = MapperKind::kRandomModulo;
     out.rm_mix = seed_mix64(seed.value);
     out.rm = this;
   }
-  [[nodiscard]] PlacementKind kind() const override {
-    return PlacementKind::kRandomModulo;
+  [[nodiscard]] MapperKind kind() const override {
+    return MapperKind::kRandomModulo;
   }
   [[nodiscard]] std::string name() const override { return "random-modulo"; }
   [[nodiscard]] bool randomized() const override { return true; }
@@ -219,27 +197,17 @@ class RandomModuloPlacement final : public Placement {
       std::uint64_t slot_tag;
       std::memcpy(&slot_tag, slot, 8);
       if (slot_tag != driver || slot[8] == 0) [[unlikely]] {
-        ++memo_stats_.misses;
         rebuild_lut_slot(slot, driver);
-      } else {
-        ++memo_stats_.hits;
       }
       return slot[kLutHeader + xored_idx];
     }
 
     Memo& slot = memo_[hash >> 51];  // top 13 bits
     if (slot.driver != driver || slot.occupied == 0) [[unlikely]] {
-      ++memo_stats_.misses;
       rebuild_slot(slot, driver);
-    } else {
-      ++memo_stats_.hits;
     }
     return permute_bits16(xored_idx, slot.srcs, k);
   }
-
-  /// Benes-memo effectiveness since construction / the last reset.
-  [[nodiscard]] const MemoStats& memo_stats() const { return memo_stats_; }
-  void reset_memo_stats() const { memo_stats_ = MemoStats{}; }
 
  private:
   /// Bytes before a packed LUT slot's table: 8 tag + 1 occupancy + 7 pad.
@@ -271,14 +239,11 @@ class RandomModuloPlacement final : public Placement {
   /// threshold stops doing once a block that large has been freed.)
   mutable std::unique_ptr<std::uint8_t[], MemoUnmapper> lut_memo_;
   std::uint32_t lut_stride_ = 0;                ///< 8 + 2^k bytes per slot
-  mutable MemoStats memo_stats_;
 };
 
-/// Factory.
-[[nodiscard]] std::unique_ptr<Placement> make_placement(PlacementKind kind,
+/// Factory.  Throws std::invalid_argument for kRpCache, which has no pure
+/// placement function (RpCacheMapper implements it).
+[[nodiscard]] std::unique_ptr<Placement> make_placement(MapperKind kind,
                                                         const Geometry& g);
-
-/// Name of a PlacementKind (for reports).
-[[nodiscard]] std::string to_string(PlacementKind kind);
 
 }  // namespace tsc::cache

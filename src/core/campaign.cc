@@ -15,6 +15,32 @@ constexpr ProcId kCryptoProc{1};
 /// plaintext streams).
 constexpr std::uint64_t kShardDomain = 0x5'AA4D'0000;
 
+/// The AES victim binary's memory layout (code, tables, key schedule).
+constexpr crypto::SimAesLayout kAesLayout{};
+
+/// Victim-side self-interference: per-request working-set touches (the
+/// stand-in for Bernstein's server-side packet processing).  The working
+/// set covers modulo sets [kNoiseSetLo, kNoiseSetLo + kNoiseSetCount) with
+/// an *irregular* per-set depth in [0, kNoiseMaxDepth], derived from
+/// kNoisePatternSeed.  Irregularity is essential to the leak's shape:
+/// uniform pressure makes every round-1 lookup miss (or none), leaking
+/// nothing, and a contiguous half-space pattern is symmetric under most
+/// XOR shifts and leaks only one bit per byte.  A hash-irregular pattern -
+/// like a real server's stack/buffer footprint - gives each table line a
+/// distinctive miss signature, which is what Bernstein's attack actually
+/// correlates on.  The pattern is a property of the victim *binary*, so
+/// victim and attacker (same binary, different key) share it, and so does
+/// every shard of a campaign.
+constexpr Addr kNoiseBase = 0x0004'0000;  ///< must be way-size aligned
+constexpr unsigned kNoiseSetLo = 0;
+constexpr unsigned kNoiseSetCount = 64;
+constexpr unsigned kNoiseMaxDepth = 5;
+constexpr std::uint64_t kNoisePatternSeed = 0x5EA50F'B0FFE7;
+
+/// Background OS activity per encryption (runs as kOsProc).
+constexpr Addr kOsBase = 0x0005'0000;
+constexpr unsigned kOsLines = 8;
+
 crypto::Key random_key(rng::Rng& rng) {
   crypto::Key key{};
   for (auto& b : key) b = static_cast<std::uint8_t>(rng.next_below(256));
@@ -40,7 +66,7 @@ SideResult run_victim_side(const Platform& platform,
   sim::Machine& m = *machine;
   m.set_process(kCryptoProc);
 
-  crypto::SimAes aes(m, config.aes_layout, key);
+  crypto::SimAes aes(m, kAesLayout, key);
   rng::XorShift64Star pt_rng(rng::derive_seed(
       party_seed, 0xB10C ^ (config.plaintext_stream * 0x9E3779B9ULL)));
 
@@ -48,31 +74,30 @@ SideResult run_victim_side(const Platform& platform,
   side.key = key;
   side.timings.reserve(config.samples);
 
-  const Addr noise_pc = config.noise_base - 0x1000;
-  const Addr os_pc = config.os_base - 0x1000;
+  const Addr noise_pc = kNoiseBase - 0x1000;
+  const Addr os_pc = kOsBase - 0x1000;
   const cache::Geometry geo = m.hierarchy().l1d().geometry();
   const std::uint32_t line = geo.line_bytes();
   const std::uint32_t sets = geo.sets();
 
   // The OS tick and the victim binary's fixed working-set pattern (see
-  // CampaignConfig) issue the same addresses every job: record both as
+  // kNoiseBase) issue the same addresses every job: record both as
   // FetchTraces once and replay them through the machine's fetch latch.
   const std::uint32_t fetch_line = m.hierarchy().l1i().geometry().line_bytes();
   sim::FetchTrace os_trace(fetch_line);
-  for (unsigned i = 0; i < config.os_lines; ++i) {
-    os_trace.load(os_pc, config.os_base + i * line);
+  for (unsigned i = 0; i < kOsLines; ++i) {
+    os_trace.load(os_pc, kOsBase + i * line);
   }
 
   sim::FetchTrace noise_trace(fetch_line);
-  for (unsigned s = 0; s < config.noise_set_count; ++s) {
-    const Addr index = (config.noise_set_lo + s) % sets;
+  for (unsigned s = 0; s < kNoiseSetCount; ++s) {
+    const Addr index = (kNoiseSetLo + s) % sets;
     const auto depth = static_cast<unsigned>(
-        rng::derive_seed(config.noise_pattern_seed, index) %
-        (config.noise_max_depth + 1));
+        rng::derive_seed(kNoisePatternSeed, index) % (kNoiseMaxDepth + 1));
     for (unsigned d = 0; d < depth; ++d) {
       noise_trace.load(
           noise_pc,
-          config.noise_base + (static_cast<Addr>(d) * sets + index) * line);
+          kNoiseBase + (static_cast<Addr>(d) * sets + index) * line);
     }
   }
 

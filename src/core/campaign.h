@@ -43,30 +43,6 @@ struct CampaignConfig {
   /// keys are unaffected (they derive from master_seed alone).
   std::uint64_t job_offset = 0;
 
-  crypto::SimAesLayout aes_layout{};
-
-  /// Victim-side self-interference: per-request working-set touches (the
-  /// stand-in for Bernstein's server-side packet processing).  The working
-  /// set covers modulo sets [noise_set_lo, noise_set_lo + noise_set_count)
-  /// with an *irregular* per-set depth in [0, noise_max_depth], derived from
-  /// noise_pattern_seed.  Irregularity is essential to the leak's shape:
-  /// uniform pressure makes every round-1 lookup miss (or none), leaking
-  /// nothing, and a contiguous half-space pattern is symmetric under most
-  /// XOR shifts and leaks only one bit per byte.  A hash-irregular pattern -
-  /// like a real server's stack/buffer footprint - gives each table line a
-  /// distinctive miss signature, which is what Bernstein's attack actually
-  /// correlates on.  The pattern is a property of the victim *binary*, so
-  /// victim and attacker (same binary, different key) share it.
-  Addr noise_base = 0x0004'0000;  ///< must be way-size aligned
-  unsigned noise_set_lo = 0;
-  unsigned noise_set_count = 64;
-  unsigned noise_max_depth = 5;
-  std::uint64_t noise_pattern_seed = 0x5EA50F'B0FFE7;
-
-  /// Background OS activity per encryption (runs as kOsProc).
-  Addr os_base = 0x0005'0000;
-  unsigned os_lines = 8;
-
   /// Jobs per hyperperiod: kPerProcessReseed platforms (TSCache) renew
   /// seeds and flush at this granularity (paper section 5: "whenever the
   /// whole hyperperiod elapses, the OS needs to set new random seeds and

@@ -208,29 +208,50 @@ const char* stop_reason_name(StopReason reason) {
   return "?";
 }
 
-}  // namespace
+/// The private paper-platform machine recordings run on, with the program
+/// loaded.  Successive passes continue from the previous pass's registers
+/// and memory.
+class Recorder {
+ public:
+  explicit Recorder(const Program& program)
+      : machine_(sim::arm920t_config(cache::MapperKind::kModulo,
+                                     cache::MapperKind::kModulo,
+                                     cache::ReplacementKind::kLru),
+                 std::make_shared<rng::XorShift64Star>(1)),
+        interp_(machine_) {
+    interp_.load_program(program);
+  }
 
-KernelPasses record_passes(const Program& program, Addr entry) {
-  sim::Machine machine(
-      sim::arm920t_config(cache::MapperKind::kModulo,
-                          cache::MapperKind::kModulo,
-                          cache::ReplacementKind::kLru),
-      std::make_shared<rng::XorShift64Star>(1));
-  Interpreter interp(machine);
-  interp.load_program(program);
-  KernelPasses passes;
-  for (auto [name, trace] : {std::pair{"warm", &passes.warm},
-                             std::pair{"timed", &passes.timed}}) {
+  /// Record one pass from `entry`; throws unless it halted.
+  sim::FetchTrace pass(Addr entry, const char* name) {
     RunResult run;
-    *trace = interp.record(entry, kDefaultMaxSteps, &run);
+    sim::FetchTrace trace = interp_.record(entry, kDefaultMaxSteps, &run);
     if (run.reason != StopReason::kHalt) {
       throw std::runtime_error(
-          std::string("record_passes: the ") + name + " pass stopped on " +
+          std::string("kernel recording: the ") + name + " pass stopped on " +
           stop_reason_name(run.reason) + " after " +
           std::to_string(run.steps) + " steps, before halt");
     }
+    return trace;
   }
+
+ private:
+  sim::Machine machine_;
+  Interpreter interp_;
+};
+
+}  // namespace
+
+KernelPasses record_passes(const Program& program, Addr entry) {
+  Recorder recorder(program);
+  KernelPasses passes;
+  passes.warm = recorder.pass(entry, "warm");
+  passes.timed = recorder.pass(entry, "timed");
   return passes;
+}
+
+sim::FetchTrace record_pass(const Program& program, Addr entry) {
+  return Recorder(program).pass(entry, "warm");
 }
 
 Cycles KernelPasses::time(sim::Machine& machine) const {

@@ -260,4 +260,9 @@ struct KernelPasses {
 /// kDefaultMaxSteps steps or meets a bad instruction.
 [[nodiscard]] KernelPasses record_passes(const Program& program, Addr entry);
 
+/// Record only the first (warm) pass of `program` from `entry`, on the same
+/// private machine as record_passes: for callers that replay the warm pass
+/// alone.  Equal to record_passes(program, entry).warm; throws likewise.
+[[nodiscard]] sim::FetchTrace record_pass(const Program& program, Addr entry);
+
 }  // namespace tsc::isa

@@ -45,11 +45,6 @@ class Rng {
   /// Human-readable generator name (for experiment logs).
   [[nodiscard]] virtual std::string name() const = 0;
 
-  /// Next 32 uniformly distributed bits.
-  [[nodiscard]] std::uint32_t next_u32() {
-    return static_cast<std::uint32_t>(next_u64() >> 32);
-  }
-
   /// Uniform integer in [0, bound).  Precondition: bound > 0.
   /// Uses rejection sampling, so the result is exactly uniform regardless of
   /// bound (important: replacement-way choice must not be biased, or random

@@ -399,16 +399,16 @@ Json run_fig1(const RunOptions& options, Campaign& campaign) {
 // --- fig2: placement-function properties -----------------------------------
 
 Json run_fig2(const RunOptions& options, Campaign&) {
-  using cache::PlacementKind;
+  using cache::MapperKind;
   const cache::Geometry l1 = cache::l1_geometry_arm920t();
   const unsigned kSeeds = 512;
   const auto kPairs =
       static_cast<unsigned>(options.resolve_samples(256));
 
   Json rows = Json::array();
-  for (const PlacementKind kind :
-       {PlacementKind::kModulo, PlacementKind::kXorIndex,
-        PlacementKind::kHashRp, PlacementKind::kRandomModulo}) {
+  for (const MapperKind kind :
+       {MapperKind::kModulo, MapperKind::kXorIndex, MapperKind::kHashRp,
+        MapperKind::kRandomModulo}) {
     const auto p = cache::make_placement(kind, l1);
 
     std::vector<std::size_t> counts(l1.sets(), 0);
@@ -694,10 +694,10 @@ std::vector<isa::KernelPasses> recorded_kernels(
   return passes;
 }
 
-/// L1D miss rate of one warm pass of `kernel` (no prior state) on the
-/// sec623 platform of `mapper` under machine seed `seed`.
-double miss_rate_for(cache::MapperKind mapper,
-                     const isa::KernelPasses& kernel, std::uint64_t seed) {
+/// L1D miss rate of one warm pass `warm` (no prior state) on the sec623
+/// platform of `mapper` under machine seed `seed`.
+double miss_rate_for(cache::MapperKind mapper, const sim::FetchTrace& warm,
+                     std::uint64_t seed) {
   sim::Machine machine(
       sim::arm920t_config(mapper, mapper == cache::MapperKind::kModulo
                                       ? cache::MapperKind::kModulo
@@ -709,20 +709,26 @@ double miss_rate_for(cache::MapperKind mapper,
   machine.hierarchy().set_seed(core::kMatrixVictim,
                                Seed{rng::derive_seed(seed, 1)});
   machine.set_process(core::kMatrixVictim);
-  machine.replay(kernel.warm);
+  machine.replay(warm);
   return machine.hierarchy().l1d().stats().miss_rate();
 }
 
 Json run_sec623(const RunOptions& options, Campaign& campaign) {
   const std::vector<Kernel> kernels = kernel_suite();
-  const std::vector<isa::KernelPasses> passes = recorded_kernels(kernels);
+  // Each kernel's warm pass, recorded once: the miss rates replay only it.
+  std::vector<sim::FetchTrace> warm;
+  warm.reserve(kernels.size());
+  for (const Kernel& kernel : kernels) {
+    warm.push_back(
+        isa::record_pass(isa::assemble(kernel.source, 0x1000), 0x1000));
+  }
   const std::vector<cache::MapperKind> mappers{
       cache::MapperKind::kModulo, cache::MapperKind::kXorIndex,
       cache::MapperKind::kHashRp, cache::MapperKind::kRandomModulo};
 
   // One task per (kernel, mapper) cell; random designs average 8 seeds.
   const auto run_task = [&](std::size_t task) {
-    const isa::KernelPasses& kernel = passes[task / mappers.size()];
+    const sim::FetchTrace& kernel = warm[task / mappers.size()];
     const cache::MapperKind mapper = mappers[task % mappers.size()];
     const int reps = mapper == cache::MapperKind::kModulo ? 1 : 8;
     double acc = 0;
@@ -906,8 +912,8 @@ Json run_ablation_partitioning(const RunOptions& options, Campaign& campaign) {
   const auto trials = static_cast<unsigned>(options.resolve_samples(192));
 
   // The victim's stride walk, recorded once: every miss-rate task replays
-  // its warm pass.
-  const isa::KernelPasses walk = isa::record_passes(
+  // its warm pass, and only that pass is recorded.
+  const sim::FetchTrace walk = isa::record_pass(
       isa::assemble(isa::stride_walk_source(0x300000, 8192, 32, 16 * 1024),
                     0x310000),
       0x310000);
@@ -951,7 +957,7 @@ Json run_ablation_partitioning(const RunOptions& options, Campaign& campaign) {
         core::build_machine({platform, 78}, {core::kMatrixVictim});
     if (cfg.partition) apply_partition(*machine);
     machine->set_process(core::kMatrixVictim);
-    machine->replay(walk.warm);
+    machine->replay(walk);
     return machine->hierarchy().l1d().stats().miss_rate();
   };
   const StageResults<double> metrics = campaign.stage(

@@ -44,9 +44,11 @@
 // (deterministic, RPCache, MBPTACache, TSCache), including TSCache's
 // per-trial reseeds (sec621) and the mid-hyperperiod reseed replay of
 // shards that start inside a hyperperiod (ablation_seedpolicy at
-// hyperperiods 1 and 64 with 100-run shards).  Each fixture is checked on
-// 1 and 4 workers.  Regenerate them with, for each EXP in fig1 fig4 sec621
-// sec622 sec623 ablation_samples ablation_seedpolicy ablation_partitioning:
+// hyperperiods 1 and 64 with 100-run shards), plus the placement-function
+// properties (fig2) and the AUTOSAR seed schedule (fig3).  Each fixture is
+// checked on 1 and 4 workers.  Regenerate them with, for each EXP in fig1
+// fig2 fig3 fig4 sec621 sec622 sec623 ablation_samples ablation_seedpolicy
+// ablation_partitioning:
 //   tsc_run --experiment EXP --samples 200 --shard-size 100 --json
 //       > tests/golden/paper/EXP_s200_ss100.json
 #include <gtest/gtest.h>
@@ -240,8 +242,8 @@ TEST_P(GoldenPaperRow, MatchesCommittedFixtureOnOneAndFourWorkers) {
 
 INSTANTIATE_TEST_SUITE_P(
     PaperSetups, GoldenPaperRow,
-    ::testing::Values("fig1", "fig4", "sec621", "sec622", "sec623",
-                      "ablation_samples", "ablation_seedpolicy",
+    ::testing::Values("fig1", "fig2", "fig3", "fig4", "sec621", "sec622",
+                      "sec623", "ablation_samples", "ablation_seedpolicy",
                       "ablation_partitioning"),
     [](const ::testing::TestParamInfo<const char*>& info) {
       return std::string(info.param);

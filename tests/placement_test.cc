@@ -10,6 +10,7 @@
 #include <cctype>
 #include <memory>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -50,7 +51,7 @@ TEST(Geometry, LineDecomposition) {
 // ---------- shared properties across all placements -------------------------
 
 struct PlacementCase {
-  PlacementKind kind;
+  MapperKind kind;
   bool randomized;
 };
 
@@ -103,10 +104,10 @@ std::string param_name(const std::string& raw) {
 
 INSTANTIATE_TEST_SUITE_P(
     Kinds, EveryPlacement,
-    ::testing::Values(PlacementCase{PlacementKind::kModulo, false},
-                      PlacementCase{PlacementKind::kXorIndex, true},
-                      PlacementCase{PlacementKind::kHashRp, true},
-                      PlacementCase{PlacementKind::kRandomModulo, true}),
+    ::testing::Values(PlacementCase{MapperKind::kModulo, false},
+                      PlacementCase{MapperKind::kXorIndex, true},
+                      PlacementCase{MapperKind::kHashRp, true},
+                      PlacementCase{MapperKind::kRandomModulo, true}),
     [](const auto& info) { return param_name(to_string(info.param.kind)); });
 
 // ---------- modulo ----------------------------------------------------------
@@ -305,9 +306,9 @@ TEST(PlacementOffsets, OffsetBitsNeverChangeTheSet) {
   // "two different addresses A and B, i.e. they differ at least in one bit
   // (excluding offset bits within the cache line)" - placement operates on
   // line addresses; bytes within a line share the set by construction.
-  for (const PlacementKind kind :
-       {PlacementKind::kModulo, PlacementKind::kXorIndex,
-        PlacementKind::kHashRp, PlacementKind::kRandomModulo}) {
+  for (const MapperKind kind :
+       {MapperKind::kModulo, MapperKind::kXorIndex,
+        MapperKind::kHashRp, MapperKind::kRandomModulo}) {
     const auto p = make_placement(kind, kL1);
     const Addr byte_addr = 0x4567A0;
     const Addr line = kL1.line_addr(byte_addr);
@@ -315,6 +316,13 @@ TEST(PlacementOffsets, OffsetBitsNeverChangeTheSet) {
       EXPECT_EQ(kL1.line_addr(byte_addr + off), line) << to_string(kind);
     }
   }
+}
+
+TEST(PlacementFactory, RpCacheHasNoPurePlacement) {
+  // RPCache is a per-process table plus a contention rule (RpCacheMapper),
+  // not a function of (address, seed).
+  EXPECT_THROW((void)make_placement(MapperKind::kRpCache, kL1),
+               std::invalid_argument);
 }
 
 }  // namespace

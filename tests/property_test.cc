@@ -124,7 +124,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ---------- placement invariants on the L2 geometry ---------------------------
 
-class RandomPlacementsOnL2 : public ::testing::TestWithParam<PlacementKind> {};
+class RandomPlacementsOnL2 : public ::testing::TestWithParam<MapperKind> {};
 
 TEST_P(RandomPlacementsOnL2, UniformAcrossSeedsOnL2) {
   const Geometry l2 = l2_geometry_arm920t();
@@ -149,8 +149,8 @@ TEST_P(RandomPlacementsOnL2, SeedZeroIsNotSpecial) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Kinds, RandomPlacementsOnL2,
-                         ::testing::Values(PlacementKind::kHashRp,
-                                           PlacementKind::kRandomModulo),
+                         ::testing::Values(MapperKind::kHashRp,
+                                           MapperKind::kRandomModulo),
                          [](const auto& info) {
                            return sanitize(to_string(info.param));
                          });

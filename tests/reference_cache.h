@@ -81,7 +81,7 @@ class ReferenceCache {
         ways_(spec.config.geometry.ways()),
         mapper_(make_reference_mapper(spec)),
         rng_(std::move(rng)) {
-    secure_contention_ = mapper_->secure_contention_policy();
+    secure_contention_ = spec.mapper == MapperKind::kRpCache;
     ttl_enabled_ = spec.config.ttl_max > 0;
   }
 
@@ -343,24 +343,10 @@ class ReferenceCache {
   static std::unique_ptr<IndexMapper> make_reference_mapper(
       const CacheSpec& spec) {
     const Geometry& g = spec.config.geometry;
-    switch (spec.mapper) {
-      case MapperKind::kModulo:
-        return std::make_unique<SeededMapper>(
-            make_placement(PlacementKind::kModulo, g), spec.default_seed);
-      case MapperKind::kXorIndex:
-        return std::make_unique<SeededMapper>(
-            make_placement(PlacementKind::kXorIndex, g), spec.default_seed);
-      case MapperKind::kHashRp:
-        return std::make_unique<SeededMapper>(
-            make_placement(PlacementKind::kHashRp, g), spec.default_seed);
-      case MapperKind::kRandomModulo:
-        return std::make_unique<SeededMapper>(
-            make_placement(PlacementKind::kRandomModulo, g),
-            spec.default_seed);
-      case MapperKind::kRpCache:
-        return std::make_unique<RpCacheMapper>(g, spec.default_seed);
+    if (spec.mapper == MapperKind::kRpCache) {
+      return std::make_unique<RpCacheMapper>(g);
     }
-    return nullptr;
+    return std::make_unique<SeededMapper>(make_placement(spec.mapper, g));
   }
 
   std::vector<Entry>& set_entries(std::uint32_t set) {
