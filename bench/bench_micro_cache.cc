@@ -429,6 +429,56 @@ void BM_ScoreFlush(benchmark::State& state) {
 }
 BENCHMARK(BM_ScoreFlush);
 
+// What each matrix reduce does per cell before scoring: sum a merged
+// 1200-trial log (a few probe misses per set on the paper L1's 128 sets)
+// into the 16 x 256 x 128 table the scorer reads, reusing one table.
+void BM_ProbeLogBuild(benchmark::State& state) {
+  const cache::Geometry l1 = cache::l1_geometry_arm920t();
+  rng::XorShift64Star r(4);
+  attack::ProbeLog log(l1.sets());
+  std::vector<std::uint32_t> misses(l1.sets());
+  for (std::size_t t = 0; t < kScoreTrials; ++t) {
+    for (std::uint32_t& m : misses) {
+      m = static_cast<std::uint32_t>(r.next_below(4));
+    }
+    log.add(crypto::random_block(r), misses);
+  }
+  attack::ProbeProfile profile(l1.sets());
+  for (auto _ : state) {
+    profile.assign(log);
+    benchmark::DoNotOptimize(profile.samples());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kScoreTrials));
+}
+BENCHMARK(BM_ProbeLogBuild);
+
+// One Prime+Probe shard's payload (a 400-trial log of the paper L1's 128
+// sets) encoded and decoded, as a checkpoint record or dispatch frame is.
+void BM_ProbeLogCodec(benchmark::State& state) {
+  const cache::Geometry l1 = cache::l1_geometry_arm920t();
+  rng::XorShift64Star r(5);
+  attack::ProbeLog log(l1.sets());
+  std::vector<std::uint32_t> misses(l1.sets());
+  for (int t = 0; t < 400; ++t) {
+    for (std::uint32_t& m : misses) {
+      m = static_cast<std::uint32_t>(r.next_below(4));
+    }
+    log.add(crypto::random_block(r), misses);
+  }
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    runner::ByteWriter w;
+    runner::ProfileCodec::put(w, log);
+    const std::vector<std::uint8_t> payload = std::move(w).take();
+    runner::ByteReader reader(payload);
+    benchmark::DoNotOptimize(runner::ProfileCodec::get_probe_log(reader));
+    bytes += payload.size();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(bytes));
+}
+BENCHMARK(BM_ProbeLogCodec);
+
 void BM_BenesPermutation(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   std::uint64_t driver = 1;

@@ -15,37 +15,47 @@ run's stdout must be byte-identical to the first parent run's: the campaigns
 are deterministic, so a change that claims speed must print the same bytes.
 Any difference fails the comparison (exit 1).
 
-For each side it prints the median wall and CPU (user + sys) seconds with
-the quartiles, then how many pairs the change won on wall time and the
-ratio of the medians.  stderr of the runs is discarded.
+For each side it prints the median wall and CPU (user + sys) seconds and
+peak resident set size with the quartiles, then how many pairs the change
+won on wall time and the ratio of the medians.  Each run is reaped with
+os.wait4, so its CPU and peak RSS are that run's own (with any worker
+processes it reaped): RUSAGE_CHILDREN's ru_maxrss is the maximum over
+every child so far, not a per-run value.  stderr of the runs is discarded.
 """
 
-import resource
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 
 PAIRS = 10
 
 
-def timed_run(binary: str, args: list[str]) -> tuple[float, float, bytes]:
-    """Wall seconds, CPU seconds and stdout of one run (exit 0 required)."""
-    before = resource.getrusage(resource.RUSAGE_CHILDREN)
-    start = time.perf_counter()
-    proc = subprocess.run([binary, *args], stdout=subprocess.PIPE,
-                          stderr=subprocess.DEVNULL, check=False)
-    wall = time.perf_counter() - start
-    after = resource.getrusage(resource.RUSAGE_CHILDREN)
-    if proc.returncode != 0:
-        sys.exit(f"{binary} exited {proc.returncode}")
-    cpu = (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
-    return wall, cpu, proc.stdout
+def timed_run(binary: str, args: list[str]) -> tuple[float, float, float,
+                                                     bytes]:
+    """Wall seconds, CPU seconds, peak RSS in MB and stdout of one run
+    (exit 0 required)."""
+    with tempfile.TemporaryFile() as out:
+        start = time.perf_counter()
+        proc = subprocess.Popen([binary, *args], stdout=out,
+                                stderr=subprocess.DEVNULL)
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.perf_counter() - start
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        if proc.returncode != 0:
+            sys.exit(f"{binary} exited {proc.returncode}")
+        out.seek(0)
+        stdout = out.read()
+    cpu = usage.ru_utime + usage.ru_stime
+    return wall, cpu, usage.ru_maxrss / 1024.0, stdout  # ru_maxrss is KiB
 
 
-def spread(values: list[float]) -> str:
+def spread(values: list[float], unit: str = "s", digits: int = 3) -> str:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return f"median {median:.3f} s  (q1 {q1:.3f}, q3 {q3:.3f})"
+    return (f"median {median:.{digits}f} {unit}  "
+            f"(q1 {q1:.{digits}f}, q3 {q3:.{digits}f})")
 
 
 def main() -> int:
@@ -57,11 +67,12 @@ def main() -> int:
     run_args = argv[3:]
     walls = {name: [] for name in sides}
     cpus = {name: [] for name in sides}
+    rss = {name: [] for name in sides}
     reference = None
     for pair in range(PAIRS):
         order = ["parent", "change"] if pair % 2 == 0 else ["change", "parent"]
         for name in order:
-            wall, cpu, out = timed_run(sides[name], run_args)
+            wall, cpu, peak, out = timed_run(sides[name], run_args)
             if reference is None:
                 reference = out
             elif out != reference:
@@ -70,10 +81,12 @@ def main() -> int:
                 return 1
             walls[name].append(wall)
             cpus[name].append(cpu)
+            rss[name].append(peak)
 
     for name in sides:
         print(f"{name:6}  wall {spread(walls[name])}   "
-              f"cpu {spread(cpus[name])}")
+              f"cpu {spread(cpus[name])}   "
+              f"rss {spread(rss[name], 'MB', 1)}")
     wins = sum(c < p for p, c in zip(walls["parent"], walls["change"]))
     ratio = statistics.median(walls["change"]) / statistics.median(
         walls["parent"])

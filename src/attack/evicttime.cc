@@ -28,10 +28,31 @@ void EvictTime::evict_group(std::uint32_t target) {
   }
 }
 
+void EvictTimeLog::merge(const EvictTimeLog& other) {
+  assert(other.sets_ == sets_);
+  trials_.insert(trials_.end(), other.trials_.begin(), other.trials_.end());
+}
+
 EvictTimeProfile::EvictTimeProfile(std::uint32_t sets)
     : sets_(sets),
       sums_(static_cast<std::size_t>(kPositions) * kValues * sets, 0),
       counts_(sums_.size(), 0) {}
+
+EvictTimeProfile::EvictTimeProfile(const EvictTimeLog& log) : sets_(0) {
+  assign(log);
+}
+
+void EvictTimeProfile::assign(const EvictTimeLog& log) {
+  sets_ = log.sets();
+  const std::size_t cells =
+      static_cast<std::size_t>(kPositions) * kValues * sets_;
+  sums_.assign(cells, 0);
+  counts_.assign(cells, 0);
+  total_trials_ = 0;
+  for (const EvictTimeLog::Trial& t : log.trials()) {
+    add(t.plaintext, t.evicted_set, t.duration);
+  }
+}
 
 void EvictTimeProfile::add(const crypto::Block& plaintext,
                            std::uint32_t evicted_set, Cycles duration) {
@@ -44,15 +65,6 @@ void EvictTimeProfile::add(const crypto::Block& plaintext,
     ++counts_[i];
   }
   ++total_trials_;
-}
-
-void EvictTimeProfile::merge(const EvictTimeProfile& other) {
-  assert(other.sets_ == sets_);
-  for (std::size_t i = 0; i < sums_.size(); ++i) {
-    sums_[i] += other.sums_[i];
-    counts_[i] += other.counts_[i];
-  }
-  total_trials_ += other.total_trials_;
 }
 
 double EvictTimeProfile::cell_mean(int pos, int value,
@@ -94,6 +106,7 @@ EvictTimeOutcome run_aes_evict_time(sim::Machine& machine, ProcId victim,
   const std::uint32_t entries_per_line = geo.line_bytes() / 4;
   const std::size_t line_classes = 256 / entries_per_line;
   EvictTimeOutcome out(et.sets(), line_classes);
+  out.profile.reserve(samples);
 
   // All-hit baseline: the second encryption of a fixed block runs entirely
   // from cache, so any re-run strictly above it missed somewhere.

@@ -29,11 +29,13 @@
 // quantifies each policy's residual channel with the same ranking metric
 // as Prime+Probe.
 //
-// All accumulators are integer cycle/count sums, so shard merges are exact
+// A shard records its trials in an EvictTimeLog; the reduce sums the
+// merged log into integer cycle/count cells, so the scored table is exact
 // and worker-count invariant.
 #pragma once
 
 #include <array>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -78,8 +80,51 @@ class EvictTime {
   std::uint32_t line_bytes_;
 };
 
-/// Per-(position, value, evicted set) aggregated re-run durations.  Sums
-/// are integer cycle counts, so merge() is exact and order-independent.
+/// One shard's Evict+Time trials as observed: per trial, the plaintext,
+/// the swept modulo index and the re-run time.  A shard's log is its
+/// checkpoint payload and dispatch frame (about 20 bytes a trial, against
+/// a 16 x 256 x sets table); merge() appends in shard order.
+class EvictTimeLog {
+ public:
+  struct Trial {
+    crypto::Block plaintext;
+    std::uint32_t evicted_set;
+    Cycles duration;
+
+    bool operator==(const Trial&) const = default;
+  };
+
+  explicit EvictTimeLog(std::uint32_t sets) : sets_(sets) {}
+
+  void reserve(std::size_t trials) { trials_.reserve(trials); }
+
+  /// Record one trial: plaintext, the swept modulo index, the re-run time.
+  void add(const crypto::Block& plaintext, std::uint32_t evicted_set,
+           Cycles duration) {
+    assert(evicted_set < sets_);
+    trials_.push_back({plaintext, evicted_set, duration});
+  }
+
+  /// Append another log's trials after this one's.  Precondition: same set
+  /// count.
+  void merge(const EvictTimeLog& other);
+
+  [[nodiscard]] const std::vector<Trial>& trials() const { return trials_; }
+  [[nodiscard]] std::uint64_t samples() const { return trials_.size(); }
+  [[nodiscard]] std::uint32_t sets() const { return sets_; }
+
+  bool operator==(const EvictTimeLog&) const = default;
+
+ private:
+  friend struct tsc::runner::ProfileCodec;
+
+  std::uint32_t sets_;
+  std::vector<Trial> trials_;
+};
+
+/// Per-(position, value, evicted set) aggregated re-run durations - the
+/// table score_evict_time reads.  Sums are integer cycle counts, so the
+/// table built from a merged log equals sequential add() of its trials.
 class EvictTimeProfile {
  public:
   static constexpr int kPositions = 16;
@@ -87,12 +132,18 @@ class EvictTimeProfile {
 
   explicit EvictTimeProfile(std::uint32_t sets);
 
+  /// Build the table of `log`'s trials.  Not explicit: each outcome
+  /// carries an EvictTimeLog as its `profile`, and the scorer takes this
+  /// table, so an outcome's profile passes straight to score_evict_time.
+  /// A reduce that scores many cells calls assign() instead.
+  EvictTimeProfile(const EvictTimeLog& log);
+
+  /// Rebuild this table from `log`, reusing its storage.
+  void assign(const EvictTimeLog& log);
+
   /// Record one trial: plaintext, the swept modulo index, the re-run time.
   void add(const crypto::Block& plaintext, std::uint32_t evicted_set,
            Cycles duration);
-
-  /// Fold another profile into this one.  Precondition: same set count.
-  void merge(const EvictTimeProfile& other);
 
   /// Mean re-run duration over trials with plaintext[pos] == value that
   /// evicted `set` (0 when the cell is empty).
@@ -107,9 +158,9 @@ class EvictTimeProfile {
   [[nodiscard]] std::uint64_t samples() const { return total_trials_; }
   [[nodiscard]] std::uint32_t sets() const { return sets_; }
 
- private:
-  friend struct tsc::runner::ProfileCodec;
+  bool operator==(const EvictTimeProfile&) const = default;
 
+ private:
   [[nodiscard]] std::size_t idx(int pos, int value, std::uint32_t set) const {
     return (static_cast<std::size_t>(pos) * kValues +
             static_cast<std::size_t>(value)) *
@@ -125,7 +176,9 @@ class EvictTimeProfile {
 
 /// One shard's worth of Evict+Time measurements.
 struct EvictTimeOutcome {
-  EvictTimeProfile profile;
+  /// The trials (named for the table it converts to: the scorer takes
+  /// `outcome.profile` directly).
+  EvictTimeLog profile;
   /// Leakage diagnostic: for trials whose evicted index fell inside table
   /// 2's predicted window, the joint histogram of the DISTANCE from the
   /// evicted window position to the victim's true round-1 table-2 line for

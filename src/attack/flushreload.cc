@@ -21,6 +21,7 @@ ProbeOutcome run_aes_flush_channel(sim::Machine& machine, ProcId victim,
   const std::uint32_t monitored = 4 * lines_per_table;
   const std::size_t line_classes = lines_per_table;
   ProbeOutcome out(monitored, line_classes);
+  out.profile.reserve(samples);
 
   // Monitored line m covers table (m / lines_per_table), line offset
   // (m % lines_per_table) - the victim's own table addresses (shared

@@ -33,10 +33,9 @@
 // any change to the attacker protocol - that contrast is the experiment.
 //
 // The per-trial observable is the binary touched-vector over the 4 x
-// lines-per-table monitored lines; an AES campaign accumulates it per
-// (plaintext byte position, byte value) into a ProbeProfile
-// (attack/profile.h) with one slot per monitored line - the accumulator
-// Prime+Probe fills with per-set probe misses.
+// lines-per-table monitored lines; an AES campaign logs it with its
+// plaintext in a ProbeLog (attack/profile.h) with one slot per monitored
+// line - the log Prime+Probe fills with per-set probe misses.
 #pragma once
 
 #include <cstddef>
@@ -59,7 +58,7 @@ struct FlushConfig {
 /// Run `samples` flush -> encrypt -> reload trials on `machine`.  The
 /// attacker executes under `victim` (shared-memory co-residency; see file
 /// comment), flushing and reloading the victim's own AES table lines.
-/// Plaintexts come from `pt_rng`.  The profile has one slot per monitored
+/// Plaintexts come from `pt_rng`.  The log has one slot per monitored
 /// line: table (m / lines_per_table), line (m % lines_per_table).
 /// aes.key() - ground truth an evaluator has and an attacker does not -
 /// feeds only the channel diagnostic.

@@ -65,6 +65,7 @@ ProbeOutcome run_aes_prime_probe(sim::Machine& machine, ProcId victim,
   const std::uint32_t entries_per_line = geo.line_bytes() / 4;
   const std::size_t line_classes = 256 / entries_per_line;
   ProbeOutcome out(pp.sets(), line_classes);
+  out.profile.reserve(samples);
 
   // Ground-truth channel diagnostic: byte 2's round-1 lookup hits table 2
   // at line (pt[2] ^ key[2]) / entries_per_line; under the attacker's

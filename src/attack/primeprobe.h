@@ -17,9 +17,10 @@
 // (arXiv:2309.16172) runs for its policy matrix.
 //
 // The observable per trial is the per-modulo-index probe-miss vector; an
-// AES campaign accumulates it per (plaintext byte position, byte value)
-// into a ProbeProfile (attack/profile.h), the Prime+Probe analogue of the
-// Bernstein TimingProfile, with one slot per modulo set.
+// AES campaign logs it with its plaintext in a ProbeLog (attack/profile.h),
+// one slot per modulo set, and the scorer reads the ProbeProfile summed
+// from the log per (plaintext byte position, byte value) - the Prime+Probe
+// analogue of the Bernstein TimingProfile.
 #pragma once
 
 #include <cstdint>
@@ -82,7 +83,7 @@ using PrimeProbeOutcome = ProbeOutcome;
 /// Run `samples` prime -> encrypt -> probe trials on `machine`: the victim
 /// (`aes`'s key is the secret) encrypts one random block per trial under
 /// `victim`, the attacker primes/probes around it.  Plaintexts come from
-/// `pt_rng`.  The profile has one slot per L1D set.  aes.key() - the
+/// `pt_rng`.  The log has one slot per L1D set.  aes.key() - the
 /// ground truth an evaluator has and an attacker does not - feeds only the
 /// channel diagnostic, never the profile.
 ///

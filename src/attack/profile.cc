@@ -58,21 +58,37 @@ std::vector<double> TimingProfile::deviation_row(int pos) const {
   return row;
 }
 
+void ProbeLog::merge(const ProbeLog& other) {
+  assert(other.slots_ == slots_);
+  plaintexts_.insert(plaintexts_.end(), other.plaintexts_.begin(),
+                     other.plaintexts_.end());
+  observations_.insert(observations_.end(), other.observations_.begin(),
+                       other.observations_.end());
+}
+
 ProbeProfile::ProbeProfile(std::uint32_t slots)
     : slots_(slots),
       sums_(static_cast<std::size_t>(kPositions) * kValues * slots, 0) {}
 
-void ProbeProfile::merge(const ProbeProfile& other) {
-  assert(other.slots_ == slots_);
-  for (std::size_t i = 0; i < sums_.size(); ++i) sums_[i] += other.sums_[i];
+ProbeProfile::ProbeProfile(const ProbeLog& log) : slots_(0) { assign(log); }
+
+void ProbeProfile::assign(const ProbeLog& log) {
+  slots_ = log.slots();
+  sums_.assign(static_cast<std::size_t>(kPositions) * kValues * slots_, 0);
+  counts_ = {};
+  total_trials_ = log.samples();
+  // Position-major: one position's 256 x slots rows stay in cache while
+  // every trial is summed into them.
   for (int pos = 0; pos < kPositions; ++pos) {
-    for (int v = 0; v < kValues; ++v) {
-      counts_[static_cast<std::size_t>(pos)][static_cast<std::size_t>(v)] +=
-          other.counts_[static_cast<std::size_t>(pos)]
-                       [static_cast<std::size_t>(v)];
+    const auto p = static_cast<std::size_t>(pos);
+    for (std::size_t t = 0; t < log.samples(); ++t) {
+      const std::uint8_t v = log.plaintext(t)[p];
+      const std::span<const std::uint8_t> obs = log.observations(t);
+      std::uint64_t* row = sums_.data() + idx(pos, v, 0);
+      for (std::uint32_t s = 0; s < slots_; ++s) row[s] += obs[s];
+      ++counts_[p][v];
     }
   }
-  total_trials_ += other.total_trials_;
 }
 
 double ProbeProfile::cell_mean(int pos, int value, std::uint32_t slot) const {

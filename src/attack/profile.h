@@ -10,19 +10,22 @@
 // whose i-th plaintext byte was v, expressed as a deviation from the global
 // mean (Figure 4 plots exactly these deviations for byte 4).
 //
-// A ProbeProfile accumulates (plaintext, per-slot count vector) pairs: the
+// A ProbeLog records (plaintext, per-slot count vector) pairs: the
 // observable of every attack that infers the presence, or lack thereof, of
 // the victim's cache lines after each encryption.  Prime+Probe counts probe
 // misses per modulo set; Flush+Reload and Flush+Flush mark each monitored
-// table line touched (1) or not (0).  The slot map is the scorer's concern,
-// not the profile's.
+// table line touched (1) or not (0).  A ProbeProfile sums a log per
+// (position, value, slot) for the scorers.  The slot map is the scorer's
+// concern, not the profile's.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "crypto/aes.h"
@@ -79,11 +82,70 @@ class TimingProfile {
   std::uint64_t total_count_ = 0;
 };
 
+/// One shard's probe trials as observed: per trial, the plaintext and one
+/// observation per slot (a modulo set's probe misses, a monitored line's
+/// touched mark), each stored as one byte.  A shard's log is its checkpoint
+/// payload and dispatch frame, so those scale with the trials run rather
+/// than with the 16 x 256 x slots table the scorers read.  merge() appends
+/// in shard order; ProbeProfile builds the table from the merged log.
+class ProbeLog {
+ public:
+  /// The largest observation a log can hold: add() throws above it.
+  static constexpr std::uint32_t kMaxObservation = 255;
+
+  explicit ProbeLog(std::uint32_t slots) : slots_(slots) {}
+
+  void reserve(std::size_t trials) {
+    plaintexts_.reserve(trials);
+    observations_.reserve(trials * slots_);
+  }
+
+  /// Record one trial: the plaintext encrypted and the per-slot counts
+  /// observed after it (at least slots() entries, each at most
+  /// kMaxObservation, or std::out_of_range).  Defined here so each attack's
+  /// trial loop inlines it.
+  void add(const crypto::Block& plaintext,
+           std::span<const std::uint32_t> counts) {
+    assert(counts.size() >= slots_);
+    const std::span<const std::uint32_t> trial = counts.first(slots_);
+    if (std::ranges::any_of(
+            trial, [](std::uint32_t c) { return c > kMaxObservation; })) {
+      throw std::out_of_range("probe observation does not fit a byte");
+    }
+    plaintexts_.push_back(plaintext);
+    observations_.insert(observations_.end(), trial.begin(), trial.end());
+  }
+
+  /// Append another log's trials after this one's.  Precondition: same
+  /// slot count.
+  void merge(const ProbeLog& other);
+
+  [[nodiscard]] const crypto::Block& plaintext(std::size_t trial) const {
+    return plaintexts_[trial];
+  }
+  [[nodiscard]] std::span<const std::uint8_t> observations(
+      std::size_t trial) const {
+    return {observations_.data() + trial * slots_, slots_};
+  }
+  [[nodiscard]] std::uint64_t samples() const { return plaintexts_.size(); }
+  [[nodiscard]] std::uint32_t slots() const { return slots_; }
+
+  bool operator==(const ProbeLog&) const = default;
+
+ private:
+  friend struct tsc::runner::ProfileCodec;
+
+  std::uint32_t slots_;
+  std::vector<crypto::Block> plaintexts_;
+  std::vector<std::uint8_t> observations_;  ///< [trial][slot]
+};
+
 /// Per-(position, value) aggregated per-slot counts: the mean count of
 /// every slot (a modulo set, a monitored line), conditioned on plaintext
-/// byte `pos` == value.  Cells are integer sums, so merge() is exact and
-/// order-independent: the sharded campaign engine merges shard profiles in
-/// shard order and gets the same bytes for any worker count.
+/// byte `pos` == value - the table the key-rank scorers read.  Cells are
+/// integer sums, so the table built from a merged log equals sequential
+/// add() of the same trials in any order, and the bytes are the same for
+/// any shard plan or worker count.
 class ProbeProfile {
  public:
   static constexpr int kPositions = 16;
@@ -91,9 +153,17 @@ class ProbeProfile {
 
   explicit ProbeProfile(std::uint32_t slots);
 
+  /// Build the table of `log`'s trials.  Not explicit: each attack outcome
+  /// carries a ProbeLog as its `profile`, and the scorers take this table,
+  /// so an outcome's profile passes straight to score_prime_probe or
+  /// score_flush.  A reduce that scores many cells calls assign() instead.
+  ProbeProfile(const ProbeLog& log);
+
+  /// Rebuild this table from `log`, reusing its storage.
+  void assign(const ProbeLog& log);
+
   /// Record one trial: the plaintext encrypted and the per-slot counts
-  /// observed after it (at least slots() entries).  Defined here so each
-  /// attack's trial loop inlines it.
+  /// observed after it (at least slots() entries).
   void add(const crypto::Block& plaintext,
            std::span<const std::uint32_t> counts) {
     assert(counts.size() >= slots_);
@@ -106,9 +176,6 @@ class ProbeProfile {
     }
     ++total_trials_;
   }
-
-  /// Fold another profile into this one.  Precondition: same slot count.
-  void merge(const ProbeProfile& other);
 
   /// Mean count in `slot` over trials with plaintext[pos] == value (0 when
   /// the cell received no trials).
@@ -125,9 +192,9 @@ class ProbeProfile {
   [[nodiscard]] std::uint64_t samples() const { return total_trials_; }
   [[nodiscard]] std::uint32_t slots() const { return slots_; }
 
- private:
-  friend struct tsc::runner::ProfileCodec;
+  bool operator==(const ProbeProfile&) const = default;
 
+ private:
   [[nodiscard]] std::size_t idx(int pos, int value, std::uint32_t slot) const {
     return (static_cast<std::size_t>(pos) * kValues +
             static_cast<std::size_t>(value)) *
@@ -141,14 +208,16 @@ class ProbeProfile {
   std::uint64_t total_trials_ = 0;
 };
 
-/// One shard's worth of probe-channel measurements: the profile, and the
+/// One shard's worth of probe-channel measurements: the trial log, and the
 /// leakage diagnostic - a joint histogram of the victim's true round-1
 /// table-2 line for byte 2 (the secret class) against the attack's
 /// per-trial witness line, or `line_classes` when the trial showed none
 /// (each run_aes_* function defines its witness).  Its mutual information
 /// quantifies the per-trial channel independently of the key ranking.
 struct ProbeOutcome {
-  ProbeProfile profile;
+  /// The trials (named for the table it converts to: the scorers take
+  /// `outcome.profile` directly).
+  ProbeLog profile;
   stats::JointHistogram channel;
 
   ProbeOutcome(std::uint32_t slots, std::size_t line_classes);

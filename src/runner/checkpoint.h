@@ -63,8 +63,8 @@ class CheckpointError : public std::runtime_error {
 /// Append-only little-endian encoder.  Doubles are stored as IEEE-754 bit
 /// patterns (bit_cast), never as text, so every value round-trips exactly -
 /// the property the byte-identity contract rests on.  Unsigned integers use
-/// LEB128 varints: campaign accumulators are mostly zeros and small counts,
-/// which keeps multi-megabyte profile records compact on disk.
+/// LEB128 varints: campaign accumulators are mostly small counts, so most
+/// take one or two bytes.
 class ByteWriter {
  public:
   void put_u8(std::uint8_t v) { bytes_.push_back(v); }
@@ -169,8 +169,10 @@ void atomic_write_file(const std::string& path, std::string_view contents);
 
 /// Supported checkpoint format version.  Load rejects any other version -
 /// a stale file must be regenerated, never half-interpreted.  Version 2 is
-/// the append-only journal (docs/fault_tolerance.md).
-inline constexpr std::uint32_t kCheckpointVersion = 2;
+/// the append-only journal (docs/fault_tolerance.md); version 3 keeps that
+/// journal and carries the attack shards' trial logs in place of version
+/// 2's zero-run profile tables.
+inline constexpr std::uint32_t kCheckpointVersion = 3;
 
 /// In-memory checkpoint: completed task payloads keyed by (stage, task),
 /// bound to one (experiment, fingerprint) pair.  The fingerprint encodes

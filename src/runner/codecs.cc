@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <limits>
+#include <span>
 #include <utility>
 
 namespace tsc::runner {
@@ -12,77 +12,27 @@ void check(bool ok, const char* what) {
   if (!ok) throw CheckpointError(what);
 }
 
-/// Largest slot count (sets or monitored lines) a profile payload may
-/// declare: 8x the 128 sets of the paper's L1D, at most 48 MB of dense
-/// profile.  Zero runs let a few bytes declare any number of cells, so the
-/// size bound cannot come from the payload length alone.
+/// Largest slot count (sets or monitored lines) a log payload may declare:
+/// 8x the 128 sets of the paper's L1D.  The reduce builds a 16 x 256 x
+/// slots table from the log, so this caps that table at 48 MB whatever
+/// the payload says.
 constexpr std::uint64_t kMaxProfileSlots = 1024;
 
-/// The slot and cell counts that open a profile payload, validated before
-/// anything is sized from them.
-template <typename Profile>
-std::pair<std::uint32_t, std::size_t> get_shape(ByteReader& r,
-                                                const char* what) {
+/// The slot (or set) count and trial count that open a log payload,
+/// validated before anything is sized from them: every trial must still
+/// find at least `fixed_bytes` plus `bytes_per_slot` per slot in what is
+/// left.
+std::pair<std::uint32_t, std::size_t> get_log_shape(ByteReader& r,
+                                                    std::size_t fixed_bytes,
+                                                    std::size_t bytes_per_slot,
+                                                    const char* what) {
   const std::uint64_t slots = r.varint();
   check(slots > 0 && slots <= kMaxProfileSlots, what);
-  const std::uint64_t cells = r.varint();
-  check(cells == std::uint64_t{Profile::kPositions} * Profile::kValues * slots,
-        what);
-  return {static_cast<std::uint32_t>(slots), static_cast<std::size_t>(cells)};
-}
-
-// Zero-run arrays: a nonzero cell is its varint; a zero cell is `0`
-// followed by the varint count of further zeros.  The dense profile arrays
-// are mostly zeros, so this is much shorter than one varint per cell.
-template <typename T>
-void put_zero_runs(ByteWriter& w, const std::vector<T>& cells) {
-  for (std::size_t i = 0; i < cells.size();) {
-    if (cells[i] != 0) {
-      w.put_varint(cells[i++]);
-      continue;
-    }
-    std::size_t run = 1;
-    while (i + run < cells.size() && cells[i + run] == 0) ++run;
-    w.put_varint(0);
-    w.put_varint(run - 1);
-    i += run;
-  }
-}
-
-/// Walk a zero-run array of `n` cells, handing each nonzero cell to
-/// `store(index, value)`.  Throws CheckpointError when a run overruns the
-/// array, a cell exceeds `max_cell`, or the bytes end early.
-template <typename Store>
-void walk_zero_runs(ByteReader& r, std::size_t n, std::uint64_t max_cell,
-                    Store&& store) {
-  for (std::size_t i = 0; i < n;) {
-    const std::uint64_t v = r.varint();
-    if (v != 0) {
-      check(v <= max_cell, "profile cell overflows its type");
-      store(i++, v);
-      continue;
-    }
-    const std::uint64_t more = r.varint();
-    check(more < n - i, "zero run overruns the profile array");
-    i += 1 + static_cast<std::size_t>(more);
-  }
-}
-
-/// Validate a zero-run array of `n` cells of type T without storing it:
-/// the dry pass that lets a decoder throw before allocating the profile.
-template <typename T>
-void skip_zero_runs(ByteReader& r, std::size_t n) {
-  walk_zero_runs(r, n, std::numeric_limits<T>::max(),
-                 [](std::size_t, std::uint64_t) {});
-}
-
-/// Decode a zero-run array into `cells`, whose size and zeros are preset.
-template <typename T>
-void get_zero_runs(ByteReader& r, std::vector<T>& cells) {
-  walk_zero_runs(r, cells.size(), std::numeric_limits<T>::max(),
-                 [&](std::size_t i, std::uint64_t v) {
-                   cells[i] = static_cast<T>(v);
-                 });
+  const std::uint64_t trials = r.varint();
+  const std::size_t min_trial_bytes =
+      fixed_bytes + bytes_per_slot * static_cast<std::size_t>(slots);
+  check(trials <= r.remaining() / min_trial_bytes, "trial log truncated");
+  return {static_cast<std::uint32_t>(slots), static_cast<std::size_t>(trials)};
 }
 
 }  // namespace
@@ -113,54 +63,59 @@ attack::TimingProfile ProfileCodec::get_timing(ByteReader& r) {
   return p;
 }
 
-void ProfileCodec::put(ByteWriter& w, const attack::ProbeProfile& p) {
-  w.put_varint(p.slots_);
-  w.put_varint(p.sums_.size());
-  put_zero_runs(w, p.sums_);
-  for (const auto& row : p.counts_) {
-    for (const std::uint64_t v : row) w.put_varint(v);
+void ProfileCodec::put(ByteWriter& w, const attack::ProbeLog& log) {
+  w.put_varint(log.slots_);
+  w.put_varint(log.samples());
+  for (std::size_t t = 0; t < log.plaintexts_.size(); ++t) {
+    w.put_bytes(log.plaintexts_[t].data(), log.plaintexts_[t].size());
+    const std::span<const std::uint8_t> obs = log.observations(t);
+    w.put_bytes(obs.data(), obs.size());
   }
-  w.put_varint(p.total_trials_);
 }
 
-attack::ProbeProfile ProfileCodec::get_probe(ByteReader& r) {
-  using Profile = attack::ProbeProfile;
-  const auto [slots, cells] =
-      get_shape<Profile>(r, "probe profile payload has a bad shape");
-  ByteReader dry = r;
-  skip_zero_runs<std::uint64_t>(dry, cells);
-  // One varint per counts_ cell, then the trial total.
-  check(dry.remaining() > sizeof(Profile::counts_) / sizeof(std::uint64_t),
-        "probe profile payload truncated");
-  Profile p(slots);
-  get_zero_runs(r, p.sums_);
-  for (auto& row : p.counts_) {
-    for (std::uint64_t& v : row) v = r.varint();
+attack::ProbeLog ProfileCodec::get_probe_log(ByteReader& r) {
+  constexpr std::size_t kBlock = sizeof(crypto::Block);
+  const auto [slots, trials] = get_log_shape(
+      r, kBlock, 1, "probe log payload has a bad slot count");
+  attack::ProbeLog log(slots);
+  log.plaintexts_.resize(trials);
+  log.observations_.resize(trials * slots);
+  for (std::size_t t = 0; t < trials; ++t) {
+    const std::uint8_t* pt = r.bytes(kBlock);
+    std::copy(pt, pt + kBlock, log.plaintexts_[t].begin());
+    const std::uint8_t* obs = r.bytes(slots);
+    std::copy(obs, obs + slots, log.observations_.begin() +
+                                    static_cast<std::ptrdiff_t>(t * slots));
   }
-  p.total_trials_ = r.varint();
-  return p;
+  return log;
 }
 
-void ProfileCodec::put(ByteWriter& w, const attack::EvictTimeProfile& p) {
-  w.put_varint(p.sets_);
-  w.put_varint(p.sums_.size());
-  put_zero_runs(w, p.sums_);
-  put_zero_runs(w, p.counts_);
-  w.put_varint(p.total_trials_);
+void ProfileCodec::put(ByteWriter& w, const attack::EvictTimeLog& log) {
+  w.put_varint(log.sets_);
+  w.put_varint(log.samples());
+  for (const attack::EvictTimeLog::Trial& t : log.trials_) {
+    w.put_bytes(t.plaintext.data(), t.plaintext.size());
+    w.put_varint(t.evicted_set);
+    w.put_varint(t.duration);
+  }
 }
 
-attack::EvictTimeProfile ProfileCodec::get_evict_time(ByteReader& r) {
-  using Profile = attack::EvictTimeProfile;
-  const auto [sets, cells] =
-      get_shape<Profile>(r, "evict-time profile payload has a bad shape");
-  ByteReader dry = r;
-  skip_zero_runs<std::uint64_t>(dry, cells);
-  skip_zero_runs<std::uint32_t>(dry, cells);
-  Profile p(sets);
-  get_zero_runs(r, p.sums_);
-  get_zero_runs(r, p.counts_);
-  p.total_trials_ = r.varint();
-  return p;
+attack::EvictTimeLog ProfileCodec::get_evict_time_log(ByteReader& r) {
+  constexpr std::size_t kBlock = sizeof(crypto::Block);
+  // A trial is its plaintext and two varints of at least one byte each.
+  const auto [sets, trials] = get_log_shape(
+      r, kBlock + 2, 0, "evict-time log payload has a bad set count");
+  attack::EvictTimeLog log(sets);
+  log.trials_.resize(trials);
+  for (attack::EvictTimeLog::Trial& t : log.trials_) {
+    const std::uint8_t* pt = r.bytes(kBlock);
+    std::copy(pt, pt + kBlock, t.plaintext.begin());
+    const std::uint64_t set = r.varint();
+    check(set < sets, "evict-time trial names a set past the set count");
+    t.evicted_set = static_cast<std::uint32_t>(set);
+    t.duration = r.varint();
+  }
+  return log;
 }
 
 // --- composite values --------------------------------------------------------
@@ -209,7 +164,7 @@ void put_probe_outcome(ByteWriter& w, const attack::ProbeOutcome& o) {
 }
 
 attack::ProbeOutcome get_probe_outcome(ByteReader& r) {
-  attack::ProbeProfile profile = ProfileCodec::get_probe(r);
+  attack::ProbeLog profile = ProfileCodec::get_probe_log(r);
   stats::JointHistogram channel = get_joint_histogram(r);
   attack::ProbeOutcome out(profile.slots(), 1);
   out.profile = std::move(profile);
@@ -223,7 +178,7 @@ void put_et_outcome(ByteWriter& w, const attack::EvictTimeOutcome& o) {
 }
 
 attack::EvictTimeOutcome get_et_outcome(ByteReader& r) {
-  attack::EvictTimeProfile profile = ProfileCodec::get_evict_time(r);
+  attack::EvictTimeLog profile = ProfileCodec::get_evict_time_log(r);
   stats::JointHistogram channel = get_joint_histogram(r);
   attack::EvictTimeOutcome out(profile.sets(), 1);
   out.profile = std::move(profile);

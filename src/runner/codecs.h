@@ -5,18 +5,19 @@
 // resumed alike), so any lossy step would break the byte-identity contract
 // between interrupted and uninterrupted campaigns.  Doubles are therefore
 // stored as IEEE-754 bit patterns and integer accumulators as LEB128
-// varints.  The dense per-slot sums of the probe profile (Prime+Probe and
-// both flush attacks) and of the Evict+Time profile, and the per-cell
-// Evict+Time counts, are mostly zeros, so they are zero-run encoded: a
-// nonzero cell is its varint, a zero is `0` followed by the varint count
-// of further zeros.
+// varints.  The attack shards' payloads are their trial logs, so they grow
+// with the trials run: a probe trial (Prime+Probe and both flush attacks)
+// is its 16 plaintext bytes and one byte per slot; an Evict+Time trial is
+// its 16 plaintext bytes, the evicted set and the cycle count as varints.
 //
-// Decoders treat their input as untrusted: every length is checked against
-// the bytes left (or, for zero-run arrays, a dry pass and a slot cap)
-// before anything is allocated from it, and damage throws CheckpointError.
+// Decoders treat their input as untrusted: the slot count is capped, every
+// length is checked against the bytes left before anything is allocated
+// from it, every evicted set against the set count, and damage throws
+// CheckpointError.
 //
-// ProfileCodec is befriended by the attack profiles so their private
-// accumulator state serializes without widening their public API.
+// ProfileCodec is befriended by the Bernstein timing profile and the two
+// trial logs so their private state serializes without widening their
+// public API.
 #pragma once
 
 #include <vector>
@@ -29,18 +30,18 @@
 
 namespace tsc::runner {
 
-/// Friend-door serializer for the private accumulator state of the three
-/// attack profiles (timing, probe, Evict+Time).  Each get_* reconstructs an
-/// object whose every member equals the encoded original.
+/// Friend-door serializer for the private state of the Bernstein timing
+/// profile and of the probe and Evict+Time trial logs.  Each get_*
+/// reconstructs an object whose every member equals the encoded original.
 struct ProfileCodec {
   static void put(ByteWriter& w, const attack::TimingProfile& p);
   [[nodiscard]] static attack::TimingProfile get_timing(ByteReader& r);
 
-  static void put(ByteWriter& w, const attack::ProbeProfile& p);
-  [[nodiscard]] static attack::ProbeProfile get_probe(ByteReader& r);
+  static void put(ByteWriter& w, const attack::ProbeLog& log);
+  [[nodiscard]] static attack::ProbeLog get_probe_log(ByteReader& r);
 
-  static void put(ByteWriter& w, const attack::EvictTimeProfile& p);
-  [[nodiscard]] static attack::EvictTimeProfile get_evict_time(ByteReader& r);
+  static void put(ByteWriter& w, const attack::EvictTimeLog& log);
+  [[nodiscard]] static attack::EvictTimeLog get_evict_time_log(ByteReader& r);
 };
 
 void put_doubles(ByteWriter& w, const std::vector<double>& v);

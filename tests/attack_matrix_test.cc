@@ -10,11 +10,14 @@
 //     chi-square helper.
 //   * On a modulo cache, an Evict+Time eviction group must clear exactly
 //     its target set and nothing else.
+//   * A merged shard log builds exactly the table sequential accumulation
+//     does.
 //   * End to end, the matrix scoring must rank the true key bytes at line
 //     granularity on modulo and at chance on random-modulo.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 #include <vector>
 
 #include "attack/evicttime.h"
@@ -135,10 +138,12 @@ TEST(EvictTimeProperty, ModuloGroupEvictsExactlyTargetSet) {
   }
 }
 
+// A shard's log merged after another's builds the same table as adding
+// every trial to one profile in order.
 TEST(ProbeProfileTest, MergeMatchesSequentialAccumulationExactly) {
   ProbeProfile whole(8);
-  ProbeProfile part_a(8);
-  ProbeProfile part_b(8);
+  ProbeLog part_a(8);
+  ProbeLog part_b(8);
   rng::XorShift64Star g(5);
   std::vector<std::uint32_t> misses(8);
   for (int t = 0; t < 400; ++t) {
@@ -150,8 +155,9 @@ TEST(ProbeProfileTest, MergeMatchesSequentialAccumulationExactly) {
     whole.add(pt, misses);
     (t < 150 ? part_a : part_b).add(pt, misses);
   }
-  ProbeProfile merged = part_a;
-  merged.merge(part_b);
+  ProbeLog merged_log = part_a;
+  merged_log.merge(part_b);
+  const ProbeProfile merged(merged_log);
   EXPECT_EQ(merged.samples(), whole.samples());
   for (int pos = 0; pos < ProbeProfile::kPositions; ++pos) {
     for (int v = 0; v < ProbeProfile::kValues; ++v) {
@@ -166,10 +172,24 @@ TEST(ProbeProfileTest, MergeMatchesSequentialAccumulationExactly) {
   }
 }
 
+TEST(ProbeLogTest, RefusesAnObservationPastOneByte) {
+  ProbeLog log(2);
+  const std::vector<std::uint32_t> fits = {ProbeLog::kMaxObservation, 0};
+  const std::vector<std::uint32_t> overflows = {1,
+                                                ProbeLog::kMaxObservation + 1};
+  log.add(crypto::Block{}, fits);
+  EXPECT_THROW(log.add(crypto::Block{}, overflows), std::out_of_range);
+  // The refused trial leaves no trace.
+  EXPECT_EQ(log.samples(), 1u);
+  ProbeLog expected(2);
+  expected.add(crypto::Block{}, fits);
+  EXPECT_EQ(log, expected);
+}
+
 TEST(EvictTimeProfileTest, MergeMatchesSequentialAccumulationExactly) {
   EvictTimeProfile whole(16);
-  EvictTimeProfile part_a(16);
-  EvictTimeProfile part_b(16);
+  EvictTimeLog part_a(16);
+  EvictTimeLog part_b(16);
   rng::XorShift64Star g(6);
   for (int t = 0; t < 400; ++t) {
     crypto::Block pt{};
@@ -179,8 +199,9 @@ TEST(EvictTimeProfileTest, MergeMatchesSequentialAccumulationExactly) {
     whole.add(pt, set, cycles);
     (t < 150 ? part_a : part_b).add(pt, set, cycles);
   }
-  EvictTimeProfile merged = part_a;
-  merged.merge(part_b);
+  EvictTimeLog merged_log = part_a;
+  merged_log.merge(part_b);
+  const EvictTimeProfile merged(merged_log);
   EXPECT_EQ(merged.samples(), whole.samples());
   for (int pos = 0; pos < EvictTimeProfile::kPositions; ++pos) {
     for (int v = 0; v < EvictTimeProfile::kValues; ++v) {

@@ -297,34 +297,61 @@ TEST(CheckpointFuzzTest, DecodersRejectLengthsTheBytesCannotHold) {
   hist.put_varint(3);
   rejects(hist.bytes(), [](ByteReader& r) { (void)get_joint_histogram(r); });
 
-  // A slot count past the cap, and one whose zero run claims every cell
-  // of a profile no bytes back: both refused before the profile exists.
-  ByteWriter many_sets;
-  many_sets.put_varint(std::uint64_t{1} << 31);
-  many_sets.put_varint(std::uint64_t{4096} << 31);
-  many_sets.put_varint(0);
-  many_sets.put_varint((std::uint64_t{4096} << 31) - 1);
-  rejects(many_sets.bytes(),
-          [](ByteReader& r) { (void)ProfileCodec::get_probe(r); });
+  const auto probe = [](ByteReader& r) { (void)ProfileCodec::get_probe_log(r); };
+  const auto evict_time = [](ByteReader& r) {
+    (void)ProfileCodec::get_evict_time_log(r);
+  };
+
+  // The slot-count bound: a log may declare 1 to 1024 sets or monitored
+  // lines, since the reduce sizes its 16 x 256 x slots table from it.
+  for (const std::uint64_t slots :
+       {std::uint64_t{0}, std::uint64_t{1025}, std::uint64_t{1} << 31}) {
+    ByteWriter many_sets;
+    many_sets.put_varint(slots);
+    many_sets.put_varint(0);  // no trials: only the slot count is wrong
+    rejects(many_sets.bytes(), probe);
+    rejects(many_sets.bytes(), evict_time);
+  }
+
+  // A trial count no bytes back: refused before the log is sized from it.
   ByteWriter bare;
   bare.put_varint(1024);
-  bare.put_varint(std::uint64_t{4096} * 1024);
+  bare.put_varint(std::uint64_t{1} << 40);
   bare.put_varint(0);
-  bare.put_varint(std::uint64_t{4096} * 1024 - 1);
-  rejects(bare.bytes(),
-          [](ByteReader& r) { (void)ProfileCodec::get_evict_time(r); });
-  rejects(bare.bytes(),
-          [](ByteReader& r) { (void)ProfileCodec::get_probe(r); });
+  rejects(bare.bytes(), probe);
+  rejects(bare.bytes(), evict_time);
 
-  // A zero run one cell longer than the array.
+  // A trial count one past the trials the bytes hold.
   ByteWriter overrun;
-  overrun.put_varint(1);
-  overrun.put_varint(4096);
-  overrun.put_varint(0);
-  overrun.put_varint(4096);
-  for (int i = 0; i < 5000; ++i) overrun.put_varint(0);
-  rejects(overrun.bytes(),
-          [](ByteReader& r) { (void)ProfileCodec::get_probe(r); });
+  overrun.put_varint(4);
+  overrun.put_varint(3);
+  for (int i = 0; i < 2 * (16 + 4); ++i) overrun.put_u8(1);
+  rejects(overrun.bytes(), probe);
+  ByteWriter et_overrun;
+  et_overrun.put_varint(4);
+  et_overrun.put_varint(3);
+  for (int i = 0; i < 2 * (16 + 2); ++i) et_overrun.put_u8(1);
+  rejects(et_overrun.bytes(), evict_time);
+
+  // An observation above its bound: an Evict+Time trial that evicted a set
+  // the log does not have.
+  ByteWriter past_set;
+  past_set.put_varint(2);
+  past_set.put_varint(1);
+  for (int i = 0; i < 16; ++i) past_set.put_u8(0);
+  past_set.put_varint(2);  // sets are 0 and 1
+  past_set.put_varint(900);
+  rejects(past_set.bytes(), evict_time);
+
+  // A truncated trial record: the count fits the bytes' lower bound, but
+  // the last trial's cycle count breaks off mid-varint.
+  ByteWriter torn;
+  torn.put_varint(2);
+  torn.put_varint(1);
+  for (int i = 0; i < 16; ++i) torn.put_u8(0);
+  torn.put_varint(1);
+  torn.put_u8(0x80);  // a continuation byte with nothing after it
+  rejects(torn.bytes(), evict_time);
 }
 
 }  // namespace

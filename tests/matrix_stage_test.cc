@@ -4,9 +4,10 @@
 //    and payload bytes, pinned as one digest per stage.  A same-binary
 //    resume test passes even if a refactor consistently re-permutes task
 //    indices; a checkpoint written by an older binary would then resume
-//    into the wrong cells.  The digests were computed before the matrices
-//    moved onto the shared two-attack stage and MBPTA run slice, and must
-//    not change without a checkpoint-format bump.
+//    into the wrong cells.  The digests must not change without a
+//    checkpoint-format bump.  The three attack-bearing stages were re-pinned
+//    with format version 3, whose payloads are trial logs;
+//    pwcet_exceedance carries no attack payload and kept its digest.
 //  * what --allow-partial prints: a task that exhausted its retries nulls
 //    exactly its own cell's attack column (or turns its pWCET cell
 //    "incomplete"), and every other cell keeps the complete run's bytes.
@@ -189,12 +190,12 @@ std::string without(std::string json, const std::string& key) {
 // interleave and not just the cell order.
 TEST(MatrixCheckpointFormat, AttackMatrixPayloadDigest) {
   expect_payload_digest("attack_matrix", 40, 20, 2 * 14 * 2,
-                        0xa22ab556c4271439ULL);
+                        0x864d1a0721250ea8ULL);
 }
 
 TEST(MatrixCheckpointFormat, FlushMatrixPayloadDigest) {
   expect_payload_digest("flush_matrix", 40, 20, 2 * 14 * 2,
-                        0x7f9e3a7b5d82c980ULL);
+                        0xd44c20c229501032ULL);
 }
 
 TEST(MatrixCheckpointFormat, PwcetMatrixPayloadDigest) {
@@ -204,7 +205,7 @@ TEST(MatrixCheckpointFormat, PwcetMatrixPayloadDigest) {
   // 120 runs in 2 timing slices per cell, 240 Prime+Probe samples in 4
   // shards per platform: 70 * 2 timing tasks, then 14 * 4 leakage tasks.
   expect_payload_digest("pwcet_matrix", 120, 60, 70 * 2 + 14 * 4,
-                        0xbc41b335e2a49fefULL);
+                        0x4926fa7081e08352ULL);
 }
 
 TEST(MatrixCheckpointFormat, PwcetExceedancePayloadDigest) {

@@ -10,6 +10,8 @@
 //
 //   * empty, sparse (most (pos, value) cells empty), golden-sized and
 //     merged multi-shard profiles;
+//   * the table built from shard trial logs merged in shard order, against
+//     sequential accumulation of the same trials;
 //   * the paper L1 and non-paper geometries: 4 B to 1 KB lines, 16 to 256
 //     sets;
 //   * the line-class invariant itself: every guess of a class scores the
@@ -56,10 +58,13 @@ crypto::Key random_key(std::uint64_t seed) {
 // Observables are small integers, as in the real campaigns: a few probe
 // misses per set, cycle counts around a base, sparse touched bits.
 
-ProbeProfile random_pp(std::uint32_t sets, std::size_t trials,
-                       std::uint64_t seed) {
+// Each generator fills either the scorers' table or a shard's trial log
+// (`Acc` is ProbeProfile / ProbeLog or EvictTimeProfile / EvictTimeLog).
+
+template <typename Acc = ProbeProfile>
+Acc random_pp(std::uint32_t sets, std::size_t trials, std::uint64_t seed) {
   rng::XorShift64Star r(seed);
-  ProbeProfile profile(sets);
+  Acc profile(sets);
   std::vector<std::uint32_t> misses(sets);
   for (std::size_t t = 0; t < trials; ++t) {
     for (std::uint32_t& m : misses) {
@@ -70,10 +75,10 @@ ProbeProfile random_pp(std::uint32_t sets, std::size_t trials,
   return profile;
 }
 
-EvictTimeProfile random_et(std::uint32_t sets, std::size_t trials,
-                           std::uint64_t seed) {
+template <typename Acc = EvictTimeProfile>
+Acc random_et(std::uint32_t sets, std::size_t trials, std::uint64_t seed) {
   rng::XorShift64Star r(seed);
-  EvictTimeProfile profile(sets);
+  Acc profile(sets);
   for (std::size_t t = 0; t < trials; ++t) {
     profile.add(crypto::random_block(r), static_cast<std::uint32_t>(t % sets),
                 900 + r.next_below(300));
@@ -81,10 +86,10 @@ EvictTimeProfile random_et(std::uint32_t sets, std::size_t trials,
   return profile;
 }
 
-ProbeProfile random_flush(std::uint32_t lines, std::size_t trials,
-                          std::uint64_t seed) {
+template <typename Acc = ProbeProfile>
+Acc random_flush(std::uint32_t lines, std::size_t trials, std::uint64_t seed) {
   rng::XorShift64Star r(seed);
-  ProbeProfile profile(lines);
+  Acc profile(lines);
   std::vector<std::uint32_t> touched(lines);
   for (std::size_t t = 0; t < trials; ++t) {
     for (std::uint32_t& b : touched) b = r.next_bool(0.3) ? 1 : 0;
@@ -198,19 +203,22 @@ INSTANTIATE_TEST_SUITE_P(
     case_name);
 
 // A golden cell's shape: 1200 trials on the paper L1, merged from three
-// 400-trial shards as the campaign runner merges them.
+// 400-trial shard logs as the campaign runner merges them.
 TEST(ScoringGoldenShape, MergedShardsMatchReference) {
   const cache::Geometry l1 = cache::l1_geometry_arm920t();
   const crypto::Key key = random_key(2018);
 
-  ProbeProfile pp = random_pp(l1.sets(), 400, 100);
-  EvictTimeProfile et = random_et(l1.sets(), 400, 200);
-  ProbeProfile fl = random_flush(monitored_lines(l1), 400, 300);
+  ProbeLog pp_log = random_pp<ProbeLog>(l1.sets(), 400, 100);
+  EvictTimeLog et_log = random_et<EvictTimeLog>(l1.sets(), 400, 200);
+  ProbeLog fl_log = random_flush<ProbeLog>(monitored_lines(l1), 400, 300);
   for (std::uint64_t shard = 1; shard < 3; ++shard) {
-    pp.merge(random_pp(l1.sets(), 400, 100 + shard));
-    et.merge(random_et(l1.sets(), 400, 200 + shard));
-    fl.merge(random_flush(monitored_lines(l1), 400, 300 + shard));
+    pp_log.merge(random_pp<ProbeLog>(l1.sets(), 400, 100 + shard));
+    et_log.merge(random_et<EvictTimeLog>(l1.sets(), 400, 200 + shard));
+    fl_log.merge(random_flush<ProbeLog>(monitored_lines(l1), 400, 300 + shard));
   }
+  const ProbeProfile pp(pp_log);
+  const EvictTimeProfile et(et_log);
+  const ProbeProfile fl(fl_log);
   ASSERT_EQ(pp.samples(), 1200u);
 
   expect_bit_identical(score_prime_probe(pp, l1, kTables, key),
@@ -221,6 +229,77 @@ TEST(ScoringGoldenShape, MergedShardsMatchReference) {
                        "merged evict+time");
   expect_bit_identical(score_flush(fl, l1, key),
                        reference::score_flush(fl, l1, key), "merged flush");
+}
+
+// The reduce scores the table built from shard logs merged in shard order.
+// It holds exact integer sums, so it must equal sequential add() of the
+// same trials cell for cell and score to the same bits - here for random
+// trials cut into uneven shards (an empty one included), and a table
+// reused across two builds.
+TEST(TrialLogExactness, MergedUnevenShardsBuildTheSequentialTable) {
+  const cache::Geometry l1 = cache::l1_geometry_arm920t();
+  const crypto::Key key = random_key(26);
+  const std::vector<std::size_t> shard_sizes = {1, 399, 0, 37, 763};
+  const std::uint32_t sets = l1.sets();
+  const std::uint32_t lines = monitored_lines(l1);
+
+  rng::XorShift64Star r(0x5EED);
+  ProbeProfile pp_whole(sets);
+  ProbeProfile fl_whole(lines);
+  EvictTimeProfile et_whole(sets);
+  std::vector<ProbeLog> pp_shards;
+  std::vector<ProbeLog> fl_shards;
+  std::vector<EvictTimeLog> et_shards;
+  std::vector<std::uint32_t> misses(sets);
+  std::vector<std::uint32_t> touched(lines);
+  std::uint64_t trial = 0;
+  for (const std::size_t size : shard_sizes) {
+    pp_shards.emplace_back(sets);
+    fl_shards.emplace_back(lines);
+    et_shards.emplace_back(sets);
+    for (std::size_t t = 0; t < size; ++t, ++trial) {
+      const crypto::Block pt = crypto::random_block(r);
+      for (std::uint32_t& m : misses) {
+        m = static_cast<std::uint32_t>(r.next_below(9));
+      }
+      for (std::uint32_t& b : touched) b = r.next_bool(0.3) ? 1 : 0;
+      const auto set = static_cast<std::uint32_t>(trial % sets);
+      const Cycles cycles = 900 + r.next_below(5000);
+      pp_whole.add(pt, misses);
+      pp_shards.back().add(pt, misses);
+      fl_whole.add(pt, touched);
+      fl_shards.back().add(pt, touched);
+      et_whole.add(pt, set, cycles);
+      et_shards.back().add(pt, set, cycles);
+    }
+  }
+  for (std::size_t i = 1; i < shard_sizes.size(); ++i) {
+    pp_shards.front().merge(pp_shards[i]);
+    fl_shards.front().merge(fl_shards[i]);
+    et_shards.front().merge(et_shards[i]);
+  }
+  ASSERT_EQ(pp_shards.front().samples(), trial);
+
+  // One table per attack, first built from an unrelated log, then rebuilt
+  // from the merged one, as the matrix reduces reuse theirs.
+  ProbeProfile pp(random_pp<ProbeLog>(sets, 50, 1));
+  ProbeProfile fl(random_flush<ProbeLog>(lines, 50, 2));
+  EvictTimeProfile et(random_et<EvictTimeLog>(sets, 50, 3));
+  pp.assign(pp_shards.front());
+  fl.assign(fl_shards.front());
+  et.assign(et_shards.front());
+  EXPECT_TRUE(pp == pp_whole);
+  EXPECT_TRUE(fl == fl_whole);
+  EXPECT_TRUE(et == et_whole);
+
+  expect_bit_identical(score_prime_probe(pp, l1, kTables, key),
+                       score_prime_probe(pp_whole, l1, kTables, key),
+                       "log-built prime+probe");
+  expect_bit_identical(score_flush(fl, l1, key),
+                       score_flush(fl_whole, l1, key), "log-built flush");
+  expect_bit_identical(score_evict_time(et, l1, kTables, key),
+                       score_evict_time(et_whole, l1, kTables, key),
+                       "log-built evict+time");
 }
 
 // Plant a noise-free Prime+Probe channel on 64 B lines (16 guesses per
