@@ -186,9 +186,12 @@ BENCHMARK_CAPTURE(BM_MachineReset, rpcache, core::PlacementPolicy::kRpCache);
 // matmul kernel; the /sort ones the 256-word bubble sort, the suite kernel
 // with the most runs (a three-line loop body, one data line per compare);
 // the /memcpy ones the 8 KB copy, whose segments' data lines are resident
-// only on some cells.  modulo/partitioned replays matmul on the partitioned
-// modulo cell, where conflict misses in the victim's half of the ways
-// decline whole data segments.
+// only on some cells; the /stride ones the 64 B-stride walk wrapping at
+// 32 KB, a thrashing footprint of 512 lines on the 16 KB L1, so much of
+// its time goes to L1 misses served by the L2 design (hashRP is the L2 of
+// the random-modulo and Clepsydra cells too).  modulo/partitioned replays
+// matmul on the partitioned modulo cell, where conflict misses in the
+// victim's half of the ways decline whole data segments.
 const isa::KernelPasses& matmul_passes() {
   static const isa::KernelPasses passes = isa::record_passes(
       isa::assemble(isa::matmul_source(0x40000, 0x50000, 0x60000, 24),
@@ -206,6 +209,14 @@ const isa::KernelPasses& sort_passes() {
 const isa::KernelPasses& memcpy_passes() {
   static const isa::KernelPasses passes = isa::record_passes(
       isa::assemble(isa::memcpy_source(0x40000, 0x60000, 2048), 0x1000),
+      0x1000);
+  return passes;
+}
+
+const isa::KernelPasses& stride_passes() {
+  static const isa::KernelPasses passes = isa::record_passes(
+      isa::assemble(isa::stride_walk_source(0x40000, 8192, 64, 32768),
+                    0x1000),
       0x1000);
   return passes;
 }
@@ -258,6 +269,14 @@ BENCHMARK_CAPTURE(BM_PwcetRun, clepsydra/memcpy,
                   core::PlacementPolicy::kClepsydra, memcpy_passes);
 BENCHMARK_CAPTURE(BM_PwcetRun, timecache/memcpy,
                   core::PlacementPolicy::kTimeCache, memcpy_passes);
+BENCHMARK_CAPTURE(BM_PwcetRun, hashrp/stride, core::PlacementPolicy::kHashRp,
+                  stride_passes);
+BENCHMARK_CAPTURE(BM_PwcetRun, random_modulo/stride,
+                  core::PlacementPolicy::kRandomModulo, stride_passes);
+BENCHMARK_CAPTURE(BM_PwcetRun, clepsydra/stride,
+                  core::PlacementPolicy::kClepsydra, stride_passes);
+BENCHMARK_CAPTURE(BM_PwcetRun, random_and_safe/stride,
+                  core::PlacementPolicy::kRandomAndSafe, stride_passes);
 BENCHMARK_CAPTURE(BM_PwcetRun, modulo/partitioned,
                   core::PlacementPolicy::kModulo, matmul_passes, true);
 
@@ -368,17 +387,18 @@ void BM_FrameRoundTrip(benchmark::State& state) {
 }
 BENCHMARK(BM_FrameRoundTrip);
 
-// Key-rank scoring of one attack cell shaped like a golden one: 1200
-// trials of synthetic observations (a few probe misses per set, re-run
-// cycle counts, sparse touched bits) on the paper L1, over its 128 sets for
-// Prime+Probe / Evict+Time and the 128 monitored table lines for Flush.
-// The profile is filled once, outside the timed loop.
+// Key-rank scoring of one attack cell shaped like a golden one: a merged
+// 1200-trial log of synthetic observations (a few probe misses per set,
+// re-run cycle counts, sparse touched bits) on the paper L1, over its 128
+// sets for Prime+Probe / Evict+Time and the 128 monitored table lines for
+// Flush.  The log is filled once, outside the timed loop; the scorer's
+// per-position sums of the log are inside it, as in every matrix reduce.
 constexpr std::size_t kScoreTrials = 1200;
 
 void BM_ScorePrimeProbe(benchmark::State& state) {
   const cache::Geometry l1 = cache::l1_geometry_arm920t();
   rng::XorShift64Star r(1);
-  attack::ProbeProfile profile(l1.sets());
+  attack::ProbeLog profile(l1.sets());
   std::vector<std::uint32_t> misses(l1.sets());
   for (std::size_t t = 0; t < kScoreTrials; ++t) {
     for (std::uint32_t& m : misses) {
@@ -397,7 +417,7 @@ BENCHMARK(BM_ScorePrimeProbe);
 void BM_ScoreEvictTime(benchmark::State& state) {
   const cache::Geometry l1 = cache::l1_geometry_arm920t();
   rng::XorShift64Star r(2);
-  attack::EvictTimeProfile profile(l1.sets());
+  attack::EvictTimeLog profile(l1.sets());
   for (std::size_t t = 0; t < kScoreTrials; ++t) {
     profile.add(crypto::random_block(r),
                 static_cast<std::uint32_t>(t % l1.sets()),
@@ -416,7 +436,7 @@ void BM_ScoreFlush(benchmark::State& state) {
   const std::uint32_t lines =
       4 * (crypto::SimAesLayout::kTableBytes / l1.line_bytes());
   rng::XorShift64Star r(3);
-  attack::ProbeProfile profile(lines);
+  attack::ProbeLog profile(lines);
   std::vector<std::uint32_t> touched(lines);
   for (std::size_t t = 0; t < kScoreTrials; ++t) {
     for (std::uint32_t& b : touched) b = r.next_bool(0.3) ? 1 : 0;
@@ -428,30 +448,6 @@ void BM_ScoreFlush(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ScoreFlush);
-
-// What each matrix reduce does per cell before scoring: sum a merged
-// 1200-trial log (a few probe misses per set on the paper L1's 128 sets)
-// into the 16 x 256 x 128 table the scorer reads, reusing one table.
-void BM_ProbeLogBuild(benchmark::State& state) {
-  const cache::Geometry l1 = cache::l1_geometry_arm920t();
-  rng::XorShift64Star r(4);
-  attack::ProbeLog log(l1.sets());
-  std::vector<std::uint32_t> misses(l1.sets());
-  for (std::size_t t = 0; t < kScoreTrials; ++t) {
-    for (std::uint32_t& m : misses) {
-      m = static_cast<std::uint32_t>(r.next_below(4));
-    }
-    log.add(crypto::random_block(r), misses);
-  }
-  attack::ProbeProfile profile(l1.sets());
-  for (auto _ : state) {
-    profile.assign(log);
-    benchmark::DoNotOptimize(profile.samples());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(kScoreTrials));
-}
-BENCHMARK(BM_ProbeLogBuild);
 
 // One Prime+Probe shard's payload (a 400-trial log of the paper L1's 128
 // sets) encoded and decoded, as a checkpoint record or dispatch frame is.

@@ -33,59 +33,6 @@ void EvictTimeLog::merge(const EvictTimeLog& other) {
   trials_.insert(trials_.end(), other.trials_.begin(), other.trials_.end());
 }
 
-EvictTimeProfile::EvictTimeProfile(std::uint32_t sets)
-    : sets_(sets),
-      sums_(static_cast<std::size_t>(kPositions) * kValues * sets, 0),
-      counts_(sums_.size(), 0) {}
-
-EvictTimeProfile::EvictTimeProfile(const EvictTimeLog& log) : sets_(0) {
-  assign(log);
-}
-
-void EvictTimeProfile::assign(const EvictTimeLog& log) {
-  sets_ = log.sets();
-  const std::size_t cells =
-      static_cast<std::size_t>(kPositions) * kValues * sets_;
-  sums_.assign(cells, 0);
-  counts_.assign(cells, 0);
-  total_trials_ = 0;
-  for (const EvictTimeLog::Trial& t : log.trials()) {
-    add(t.plaintext, t.evicted_set, t.duration);
-  }
-}
-
-void EvictTimeProfile::add(const crypto::Block& plaintext,
-                           std::uint32_t evicted_set, Cycles duration) {
-  assert(evicted_set < sets_);
-  for (int pos = 0; pos < kPositions; ++pos) {
-    const auto v =
-        static_cast<int>(plaintext[static_cast<std::size_t>(pos)]);
-    const std::size_t i = idx(pos, v, evicted_set);
-    sums_[i] += duration;
-    ++counts_[i];
-  }
-  ++total_trials_;
-}
-
-double EvictTimeProfile::cell_mean(int pos, int value,
-                                   std::uint32_t set) const {
-  const std::size_t i = idx(pos, value, set);
-  if (counts_[i] == 0) return 0.0;
-  return static_cast<double>(sums_[i]) / static_cast<double>(counts_[i]);
-}
-
-double EvictTimeProfile::set_mean(int pos, std::uint32_t set) const {
-  std::uint64_t sum = 0;
-  std::uint64_t n = 0;
-  for (int v = 0; v < kValues; ++v) {
-    const std::size_t i = idx(pos, v, set);
-    sum += sums_[i];
-    n += counts_[i];
-  }
-  if (n == 0) return 0.0;
-  return static_cast<double>(sum) / static_cast<double>(n);
-}
-
 EvictTimeOutcome::EvictTimeOutcome(std::uint32_t sets,
                                    std::size_t line_classes)
     : profile(sets), channel(line_classes, 2) {}

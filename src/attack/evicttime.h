@@ -29,12 +29,11 @@
 // quantifies each policy's residual channel with the same ranking metric
 // as Prime+Probe.
 //
-// A shard records its trials in an EvictTimeLog; the reduce sums the
-// merged log into integer cycle/count cells, so the scored table is exact
-// and worker-count invariant.
+// A shard records its trials in an EvictTimeLog; the scorer sums the
+// merged log into integer cycle/count cells for the sets its line classes
+// predict, so the score is exact and worker-count invariant.
 #pragma once
 
-#include <array>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -83,7 +82,8 @@ class EvictTime {
 /// One shard's Evict+Time trials as observed: per trial, the plaintext,
 /// the swept modulo index and the re-run time.  A shard's log is its
 /// checkpoint payload and dispatch frame (about 20 bytes a trial, against
-/// a 16 x 256 x sets table); merge() appends in shard order.
+/// a 16 x 256 x sets table); merge() appends in shard order, and
+/// score_evict_time reads the merged log.
 class EvictTimeLog {
  public:
   struct Trial {
@@ -122,62 +122,9 @@ class EvictTimeLog {
   std::vector<Trial> trials_;
 };
 
-/// Per-(position, value, evicted set) aggregated re-run durations - the
-/// table score_evict_time reads.  Sums are integer cycle counts, so the
-/// table built from a merged log equals sequential add() of its trials.
-class EvictTimeProfile {
- public:
-  static constexpr int kPositions = 16;
-  static constexpr int kValues = 256;
-
-  explicit EvictTimeProfile(std::uint32_t sets);
-
-  /// Build the table of `log`'s trials.  Not explicit: each outcome
-  /// carries an EvictTimeLog as its `profile`, and the scorer takes this
-  /// table, so an outcome's profile passes straight to score_evict_time.
-  /// A reduce that scores many cells calls assign() instead.
-  EvictTimeProfile(const EvictTimeLog& log);
-
-  /// Rebuild this table from `log`, reusing its storage.
-  void assign(const EvictTimeLog& log);
-
-  /// Record one trial: plaintext, the swept modulo index, the re-run time.
-  void add(const crypto::Block& plaintext, std::uint32_t evicted_set,
-           Cycles duration);
-
-  /// Mean re-run duration over trials with plaintext[pos] == value that
-  /// evicted `set` (0 when the cell is empty).
-  [[nodiscard]] double cell_mean(int pos, int value, std::uint32_t set) const;
-  /// Mean re-run duration over ALL trials that evicted `set`.
-  [[nodiscard]] double set_mean(int pos, std::uint32_t set) const;
-
-  [[nodiscard]] std::uint64_t cell_count(int pos, int value,
-                                         std::uint32_t set) const {
-    return counts_[idx(pos, value, set)];
-  }
-  [[nodiscard]] std::uint64_t samples() const { return total_trials_; }
-  [[nodiscard]] std::uint32_t sets() const { return sets_; }
-
-  bool operator==(const EvictTimeProfile&) const = default;
-
- private:
-  [[nodiscard]] std::size_t idx(int pos, int value, std::uint32_t set) const {
-    return (static_cast<std::size_t>(pos) * kValues +
-            static_cast<std::size_t>(value)) *
-               sets_ +
-           set;
-  }
-
-  std::uint32_t sets_;
-  std::vector<std::uint64_t> sums_;    ///< [pos][value][set] cycle sums
-  std::vector<std::uint32_t> counts_;  ///< [pos][value][set] trial counts
-  std::uint64_t total_trials_ = 0;
-};
-
 /// One shard's worth of Evict+Time measurements.
 struct EvictTimeOutcome {
-  /// The trials (named for the table it converts to: the scorer takes
-  /// `outcome.profile` directly).
+  /// The trials: the scorer takes `outcome.profile` directly.
   EvictTimeLog profile;
   /// Leakage diagnostic: for trials whose evicted index fell inside table
   /// 2's predicted window, the joint histogram of the DISTANCE from the

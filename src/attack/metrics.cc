@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <numeric>
+#include <span>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "crypto/sim_aes.h"
 
@@ -64,15 +66,40 @@ std::uint32_t class_width(const cache::Geometry& l1) {
 void require_slots(std::uint32_t have, std::uint32_t need, const char* what) {
   if (have < need) {
     throw std::invalid_argument(
-        std::string("attack scoring: profile holds ") + std::to_string(have) +
+        std::string("attack scoring: log holds ") + std::to_string(have) +
         " " + what + " but the geometry indexes " + std::to_string(need));
   }
 }
 
+/// One byte position's evidence in the line-class frame: per (value, line
+/// class), the integer sum of the observable in the slot that class's line
+/// predicts and the number of trials summed into it.  These are the cells
+/// of the dense (position, value, slot) table the contrast reads, for the
+/// predicted slots only; a slot two classes share (a cache with fewer sets
+/// than a table has lines) is summed into both columns.
+struct ClassTable {
+  explicit ClassTable(std::uint32_t classes)
+      : classes(classes),
+        sums(std::size_t{256} * classes),
+        counts(std::size_t{256} * classes) {}
+
+  void clear() {
+    std::fill(sums.begin(), sums.end(), 0);
+    std::fill(counts.begin(), counts.end(), 0);
+  }
+  [[nodiscard]] std::size_t idx(std::uint32_t value, std::uint32_t line) const {
+    return static_cast<std::size_t>(value) * classes + line;
+  }
+
+  std::uint32_t classes;
+  std::vector<std::uint64_t> sums;    ///< [value][line] observable sums
+  std::vector<std::uint64_t> counts;  ///< [value][line] trials summed
+};
+
 /// The shared contrast kernel: for every position and guess g, the
-/// trial-weighted mean excess of `cell_mean(pos, v, slot)` over the slot's
-/// all-trials mean, where `slot` is the observable (modulo set or monitored
-/// line) that value v's round-1 lookup predicts under g.
+/// trial-weighted mean excess of the mean observable at (value v, predicted
+/// slot) over the slot's all-trials mean, where the slot (modulo set or
+/// monitored line) is the one value v's round-1 lookup predicts under g.
 ///
 /// That lookup hits table line (v ^ g) / width = (v / width) ^ (g / width),
 /// so the prediction depends on the guess only through its line class
@@ -82,50 +109,114 @@ void require_slots(std::uint32_t have, std::uint32_t need, const char* what) {
 /// once per (guess, value) - the same doubles as scoring all 256 guesses.
 ///
 /// `slot_of(pos, line)` names the observable of table line `line`;
-/// `marginal(pos, slot)`, `cell_mean(pos, v, slot)` and `weight(pos, v,
-/// slot)` are the profile's accessors.
-template <typename SlotOf, typename Marginal, typename CellMean,
-          typename Weight>
+/// `sum_log(pos, slot, table)` sums the cell's log into the cleared
+/// `table` for position `pos`, where `slot[line]` is line class `line`'s
+/// predicted slot.  A slot's marginal is its column's sum over all values,
+/// the same integers the dense table's (position, slot) marginal sums.
+template <typename SlotOf, typename SumLog>
 MatrixRanking score_line_classes(std::uint32_t width,
                                  const crypto::Key& victim_key,
-                                 const SlotOf& slot_of,
-                                 const Marginal& marginal,
-                                 const CellMean& cell_mean,
-                                 const Weight& weight) {
+                                 const SlotOf& slot_of, const SumLog& sum_log) {
   MatrixRanking out;
   out.victim_key = victim_key;
   out.entries_per_line = static_cast<int>(width);
   const std::uint32_t classes = 256 / width;
+  ClassTable table(classes);
 
   for (int pos = 0; pos < 16; ++pos) {
     std::array<std::uint32_t, 256> slot{};  // one entry per line class
-    std::array<double, 256> mean{};
     for (std::uint32_t line = 0; line < classes; ++line) {
       slot[line] = slot_of(pos, line);
-      mean[line] = marginal(pos, slot[line]);
+    }
+    table.clear();
+    sum_log(pos, std::span<const std::uint32_t>(slot.data(), classes), table);
+
+    // Column sums, row by row: integer sums, so the order is free.
+    std::array<std::uint64_t, 256> slot_sum{};
+    std::array<std::uint64_t, 256> slot_n{};
+    for (std::uint32_t v = 0; v < 256; ++v) {
+      for (std::uint32_t line = 0; line < classes; ++line) {
+        slot_sum[line] += table.sums[table.idx(v, line)];
+        slot_n[line] += table.counts[table.idx(v, line)];
+      }
+    }
+    std::array<double, 256> mean{};
+    for (std::uint32_t line = 0; line < classes; ++line) {
+      mean[line] = slot_n[line] == 0 ? 0.0
+                                     : static_cast<double>(slot_sum[line]) /
+                                           static_cast<double>(slot_n[line]);
     }
 
-    std::array<double, 256> score{};
-    for (std::uint32_t first = 0; first < 256; first += width) {
-      const std::uint32_t c = first / width;
-      double excess = 0;
-      std::uint64_t total = 0;
-      for (int v = 0; v < 256; ++v) {
-        const std::uint32_t line =
-            (static_cast<std::uint32_t>(v) / width) ^ c;
-        const std::uint64_t n = weight(pos, v, slot[line]);
+    // Class c reads line (v / width) ^ c of value v's row, so one pass
+    // over the rows in value order feeds every class's sum in value order:
+    // the same terms in the same order as one class at a time.
+    std::array<double, 256> excess{};
+    std::array<std::uint64_t, 256> total{};
+    for (std::uint32_t v = 0; v < 256; ++v) {
+      const std::uint32_t block = v / width;
+      for (std::uint32_t line = 0; line < classes; ++line) {
+        const std::size_t i = table.idx(v, line);
+        const std::uint64_t n = table.counts[i];
         if (n == 0) continue;
-        excess += static_cast<double>(n) *
-                  (cell_mean(pos, v, slot[line]) - mean[line]);
-        total += n;
+        const std::uint32_t c = block ^ line;
+        excess[c] += static_cast<double>(n) *
+                     (static_cast<double>(table.sums[i]) /
+                          static_cast<double>(n) -
+                      mean[line]);
+        total[c] += n;
       }
-      std::fill_n(score.begin() + first, width,
-                  total == 0 ? 0.0 : excess / static_cast<double>(total));
+    }
+    std::array<double, 256> score{};
+    for (std::uint32_t c = 0; c < classes; ++c) {
+      std::fill_n(score.begin() + c * width, width,
+                  total[c] == 0 ? 0.0
+                                : excess[c] / static_cast<double>(total[c]));
     }
     out.bytes[static_cast<std::size_t>(pos)] =
         rank_scores(score, victim_key[static_cast<std::size_t>(pos)]);
   }
   return out;
+}
+
+/// Sum a probe log (Prime+Probe or flush) for one position.  Every trial
+/// observes every slot, so a value's count is its trial count on every
+/// line class.
+void sum_probe_log(const ProbeLog& log, int pos,
+                   std::span<const std::uint32_t> slot, ClassTable& table) {
+  const auto p = static_cast<std::size_t>(pos);
+  const std::size_t classes = slot.size();
+  std::array<std::uint64_t, 256> trials{};
+  const auto sum_trials = [&](const auto& observed) {
+    for (std::size_t t = 0; t < log.samples(); ++t) {
+      const std::uint8_t v = log.plaintext(t)[p];
+      const std::uint8_t* obs = log.observations(t).data();
+      std::uint64_t* row = table.sums.data() + table.idx(v, 0);
+      for (std::size_t line = 0; line < classes; ++line) {
+        row[line] += observed(obs, line);
+      }
+      ++trials[v];
+    }
+  };
+  // A table's lines usually predict a run of consecutive slots (always for
+  // the flush lines, and for the modulo sets unless the table wraps the
+  // set index); the run is summed without the per-line slot lookup.
+  const std::uint32_t first = slot[0];
+  bool run = true;
+  for (std::size_t line = 0; line < classes; ++line) {
+    run = run && slot[line] == first + line;
+  }
+  if (run) {
+    sum_trials([first](const std::uint8_t* obs, std::size_t line) {
+      return obs[first + line];
+    });
+  } else {
+    sum_trials([slot](const std::uint8_t* obs, std::size_t line) {
+      return obs[slot[line]];
+    });
+  }
+  for (std::uint32_t v = 0; v < 256; ++v) {
+    std::fill_n(table.counts.data() + table.idx(v, 0), classes, trials[v]);
+  }
 }
 
 /// Modulo set of line `line` of table (pos mod 4) in the attacker's
@@ -144,31 +235,24 @@ auto modulo_slot(const cache::Geometry& l1, Addr tables_base) {
 
 }  // namespace
 
-MatrixRanking score_prime_probe(const ProbeProfile& profile,
-                                const cache::Geometry& l1, Addr tables_base,
+MatrixRanking score_prime_probe(const ProbeLog& log, const cache::Geometry& l1,
+                                Addr tables_base,
                                 const crypto::Key& victim_key) {
   const std::uint32_t width = class_width(l1);
-  require_slots(profile.slots(), l1.sets(), "sets");
-  // Every trial observes every set, so the weight of a (pos, value) cell is
-  // its trial count regardless of the set consulted.
+  require_slots(log.slots(), l1.sets(), "sets");
   return score_line_classes(
       width, victim_key, modulo_slot(l1, tables_base),
-      [&](int pos, std::uint32_t s) { return profile.slot_mean(pos, s); },
-      [&](int pos, int v, std::uint32_t s) {
-        return profile.cell_mean(pos, v, s);
-      },
-      [&](int pos, int v, std::uint32_t) {
-        return profile.cell_count(pos, v);
+      [&](int pos, std::span<const std::uint32_t> slot, ClassTable& table) {
+        sum_probe_log(log, pos, slot, table);
       });
 }
 
-MatrixRanking score_flush(const ProbeProfile& profile,
-                          const cache::Geometry& l1,
+MatrixRanking score_flush(const ProbeLog& log, const cache::Geometry& l1,
                           const crypto::Key& victim_key) {
   const std::uint32_t width = class_width(l1);
   const std::uint32_t lines_per_table =
       crypto::SimAesLayout::kTableBytes / l1.line_bytes();
-  require_slots(profile.slots(), 4 * lines_per_table, "monitored lines");
+  require_slots(log.slots(), 4 * lines_per_table, "monitored lines");
   // The predicted monitored line is addressed directly - the flush channel
   // has no placement frame to get wrong.
   return score_line_classes(
@@ -176,30 +260,41 @@ MatrixRanking score_flush(const ProbeProfile& profile,
       [&](int pos, std::uint32_t line) {
         return (static_cast<std::uint32_t>(pos) % 4) * lines_per_table + line;
       },
-      [&](int pos, std::uint32_t m) { return profile.slot_mean(pos, m); },
-      [&](int pos, int v, std::uint32_t m) {
-        return profile.cell_mean(pos, v, m);
-      },
-      [&](int pos, int v, std::uint32_t) {
-        return profile.cell_count(pos, v);
+      [&](int pos, std::span<const std::uint32_t> slot, ClassTable& table) {
+        sum_probe_log(log, pos, slot, table);
       });
 }
 
-MatrixRanking score_evict_time(const EvictTimeProfile& profile,
+MatrixRanking score_evict_time(const EvictTimeLog& log,
                                const cache::Geometry& l1, Addr tables_base,
                                const crypto::Key& victim_key) {
   const std::uint32_t width = class_width(l1);
-  require_slots(profile.sets(), l1.sets(), "sets");
-  // Each trial evicts exactly one set, so only the trials whose sweep index
-  // matched the prediction carry weight.
+  require_slots(log.sets(), l1.sets(), "sets");
+  // Each trial evicts exactly one set, so it weighs only on the line
+  // classes that predict that set: the lines of set s are chained from
+  // first_line[s] through next_line.  Sets past the geometry (a log wider
+  // than l1) are predicted by no class.
+  constexpr std::uint32_t kNoLine = 256;
+  std::vector<std::uint32_t> first_line(l1.sets());
+  std::array<std::uint32_t, 256> next_line{};
   return score_line_classes(
       width, victim_key, modulo_slot(l1, tables_base),
-      [&](int pos, std::uint32_t s) { return profile.set_mean(pos, s); },
-      [&](int pos, int v, std::uint32_t s) {
-        return profile.cell_mean(pos, v, s);
-      },
-      [&](int pos, int v, std::uint32_t s) {
-        return profile.cell_count(pos, v, s);
+      [&](int pos, std::span<const std::uint32_t> slot, ClassTable& table) {
+        std::fill(first_line.begin(), first_line.end(), kNoLine);
+        for (auto line = static_cast<std::uint32_t>(slot.size()); line-- > 0;) {
+          next_line[line] = first_line[slot[line]];
+          first_line[slot[line]] = line;
+        }
+        const auto p = static_cast<std::size_t>(pos);
+        for (const EvictTimeLog::Trial& t : log.trials()) {
+          if (t.evicted_set >= first_line.size()) continue;
+          for (std::uint32_t line = first_line[t.evicted_set];
+               line != kNoLine; line = next_line[line]) {
+            const std::size_t i = table.idx(t.plaintext[p], line);
+            table.sums[i] += t.duration;
+            ++table.counts[i];
+          }
+        }
       });
 }
 

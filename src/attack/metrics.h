@@ -6,13 +6,20 @@
 // rank ~127.5 on average = the observable is key-independent noise.
 //
 // Both attackers score a guess by the same CONTRAST statistic over their
-// profile: how much the observable in the modulo-predicted set of the
+// trial log: how much the observable in the modulo-predicted set of the
 // guess's round-1 table line exceeded that set's overall mean, exactly when
 // the plaintext byte selected that line.  For Prime+Probe the observable is
 // the probe-miss count of every set per trial; for Evict+Time it is the
 // re-run duration of the one set evicted that trial.  The prediction uses
 // only the attacker's architectural (modulo) model of the victim binary -
 // precisely the model randomized placement invalidates.
+//
+// The scorers read a cell's merged log directly.  Only the sets (or
+// monitored lines) some line class predicts enter the contrast, so each
+// byte position sums just those - at most 256 values x 32 classes on the
+// paper L1 - into one reused table of integer sums and trial counts, never
+// the dense 16 x 256 x slots table (tests/reference_scoring.h keeps that
+// one as the oracle; the sums are the same integers).
 //
 // Because placement functions never see the low offset bits, both attacks
 // resolve key bytes at cache-line granularity only.  The entries_per_line
@@ -70,7 +77,7 @@ struct MatrixRanking {
 [[nodiscard]] ByteRanking rank_scores(const std::array<double, 256>& score,
                                       std::uint8_t truth);
 
-/// Score a Prime+Probe profile (one slot per modulo set).  For position p
+/// Score a Prime+Probe log (one slot per modulo set).  For position p
 /// and guess g the predicted victim set of value v is the modulo set of
 /// table (p mod 4)'s line (v ^ g) / entries_per_line under `l1` and
 /// `tables_base` (the attacker's architectural model of the victim binary).
@@ -79,30 +86,31 @@ struct MatrixRanking {
 ///
 /// All three scorers throw std::invalid_argument when `l1`'s line size is
 /// below 4 B or above SimAesLayout::kTableBytes (no line class to index),
-/// or when the profile holds fewer slots (sets / monitored lines) than `l1`
+/// or when the log holds fewer slots (sets / monitored lines) than `l1`
 /// addresses.
-[[nodiscard]] MatrixRanking score_prime_probe(const ProbeProfile& profile,
+[[nodiscard]] MatrixRanking score_prime_probe(const ProbeLog& log,
                                               const cache::Geometry& l1,
                                               Addr tables_base,
                                               const crypto::Key& victim_key);
 
-/// Score an Evict+Time profile by the same predicted-set contrast: for
+/// Score an Evict+Time log by the same predicted-set contrast: for
 /// position p and guess g, how much slower the re-run was on trials that
 /// evicted the predicted set of the plaintext byte's table line than that
-/// set's average re-run.
-[[nodiscard]] MatrixRanking score_evict_time(const EvictTimeProfile& profile,
+/// set's average re-run.  Trials that evicted a set no line class predicts
+/// weigh nowhere.
+[[nodiscard]] MatrixRanking score_evict_time(const EvictTimeLog& log,
                                              const cache::Geometry& l1,
                                              Addr tables_base,
                                              const crypto::Key& victim_key);
 
-/// Score a flush-channel profile (Flush+Reload or Flush+Flush - both
-/// accumulate the same touched-line observable).  The contrast is the same
+/// Score a flush-channel log (Flush+Reload or Flush+Flush - both record
+/// the same touched-line observable).  The contrast is the same
 /// statistic as the eviction attacks but over monitored LINES, not modulo
 /// sets: for position p and guess g the predicted observable of value v is
 /// monitored line (p mod 4) * lines_per_table + (v ^ g) / entries_per_line
 /// - no placement model at all, which is exactly why randomized placement
 /// does not degrade this channel.  `l1` supplies only the line size.
-[[nodiscard]] MatrixRanking score_flush(const ProbeProfile& profile,
+[[nodiscard]] MatrixRanking score_flush(const ProbeLog& log,
                                         const cache::Geometry& l1,
                                         const crypto::Key& victim_key);
 

@@ -18,9 +18,9 @@
 //
 // The observable per trial is the per-modulo-index probe-miss vector; an
 // AES campaign logs it with its plaintext in a ProbeLog (attack/profile.h),
-// one slot per modulo set, and the scorer reads the ProbeProfile summed
-// from the log per (plaintext byte position, byte value) - the Prime+Probe
-// analogue of the Bernstein TimingProfile.
+// one slot per modulo set, and the scorer sums the log's predicted sets
+// per (plaintext byte position, byte value) - the Prime+Probe analogue of
+// the Bernstein TimingProfile.
 #pragma once
 
 #include <cstdint>

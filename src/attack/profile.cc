@@ -66,45 +66,6 @@ void ProbeLog::merge(const ProbeLog& other) {
                        other.observations_.end());
 }
 
-ProbeProfile::ProbeProfile(std::uint32_t slots)
-    : slots_(slots),
-      sums_(static_cast<std::size_t>(kPositions) * kValues * slots, 0) {}
-
-ProbeProfile::ProbeProfile(const ProbeLog& log) : slots_(0) { assign(log); }
-
-void ProbeProfile::assign(const ProbeLog& log) {
-  slots_ = log.slots();
-  sums_.assign(static_cast<std::size_t>(kPositions) * kValues * slots_, 0);
-  counts_ = {};
-  total_trials_ = log.samples();
-  // Position-major: one position's 256 x slots rows stay in cache while
-  // every trial is summed into them.
-  for (int pos = 0; pos < kPositions; ++pos) {
-    const auto p = static_cast<std::size_t>(pos);
-    for (std::size_t t = 0; t < log.samples(); ++t) {
-      const std::uint8_t v = log.plaintext(t)[p];
-      const std::span<const std::uint8_t> obs = log.observations(t);
-      std::uint64_t* row = sums_.data() + idx(pos, v, 0);
-      for (std::uint32_t s = 0; s < slots_; ++s) row[s] += obs[s];
-      ++counts_[p][v];
-    }
-  }
-}
-
-double ProbeProfile::cell_mean(int pos, int value, std::uint32_t slot) const {
-  const std::uint64_t n = cell_count(pos, value);
-  if (n == 0) return 0.0;
-  return static_cast<double>(sums_[idx(pos, value, slot)]) /
-         static_cast<double>(n);
-}
-
-double ProbeProfile::slot_mean(int pos, std::uint32_t slot) const {
-  if (total_trials_ == 0) return 0.0;
-  std::uint64_t sum = 0;
-  for (int v = 0; v < kValues; ++v) sum += sums_[idx(pos, v, slot)];
-  return static_cast<double>(sum) / static_cast<double>(total_trials_);
-}
-
 ProbeOutcome::ProbeOutcome(std::uint32_t slots, std::size_t line_classes)
     : profile(slots), channel(line_classes, line_classes + 1) {}
 

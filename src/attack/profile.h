@@ -14,9 +14,10 @@
 // observable of every attack that infers the presence, or lack thereof, of
 // the victim's cache lines after each encryption.  Prime+Probe counts probe
 // misses per modulo set; Flush+Reload and Flush+Flush mark each monitored
-// table line touched (1) or not (0).  A ProbeProfile sums a log per
-// (position, value, slot) for the scorers.  The slot map is the scorer's
-// concern, not the profile's.
+// table line touched (1) or not (0).  The scorers (attack/metrics.h) read
+// a cell's merged log directly, summing per (position, value) only the
+// slots their line classes predict.  The slot map is the scorer's concern,
+// not the log's.
 #pragma once
 
 #include <algorithm>
@@ -86,8 +87,8 @@ class TimingProfile {
 /// observation per slot (a modulo set's probe misses, a monitored line's
 /// touched mark), each stored as one byte.  A shard's log is its checkpoint
 /// payload and dispatch frame, so those scale with the trials run rather
-/// than with the 16 x 256 x slots table the scorers read.  merge() appends
-/// in shard order; ProbeProfile builds the table from the merged log.
+/// than with a 16 x 256 x slots table.  merge() appends in shard order;
+/// the scorers read the merged log.
 class ProbeLog {
  public:
   /// The largest observation a log can hold: add() throws above it.
@@ -140,74 +141,6 @@ class ProbeLog {
   std::vector<std::uint8_t> observations_;  ///< [trial][slot]
 };
 
-/// Per-(position, value) aggregated per-slot counts: the mean count of
-/// every slot (a modulo set, a monitored line), conditioned on plaintext
-/// byte `pos` == value - the table the key-rank scorers read.  Cells are
-/// integer sums, so the table built from a merged log equals sequential
-/// add() of the same trials in any order, and the bytes are the same for
-/// any shard plan or worker count.
-class ProbeProfile {
- public:
-  static constexpr int kPositions = 16;
-  static constexpr int kValues = 256;
-
-  explicit ProbeProfile(std::uint32_t slots);
-
-  /// Build the table of `log`'s trials.  Not explicit: each attack outcome
-  /// carries a ProbeLog as its `profile`, and the scorers take this table,
-  /// so an outcome's profile passes straight to score_prime_probe or
-  /// score_flush.  A reduce that scores many cells calls assign() instead.
-  ProbeProfile(const ProbeLog& log);
-
-  /// Rebuild this table from `log`, reusing its storage.
-  void assign(const ProbeLog& log);
-
-  /// Record one trial: the plaintext encrypted and the per-slot counts
-  /// observed after it (at least slots() entries).
-  void add(const crypto::Block& plaintext,
-           std::span<const std::uint32_t> counts) {
-    assert(counts.size() >= slots_);
-    for (int pos = 0; pos < kPositions; ++pos) {
-      const auto v = static_cast<std::size_t>(
-          plaintext[static_cast<std::size_t>(pos)]);
-      std::uint64_t* row = sums_.data() + idx(pos, static_cast<int>(v), 0);
-      for (std::uint32_t s = 0; s < slots_; ++s) row[s] += counts[s];
-      ++counts_[static_cast<std::size_t>(pos)][v];
-    }
-    ++total_trials_;
-  }
-
-  /// Mean count in `slot` over trials with plaintext[pos] == value (0 when
-  /// the cell received no trials).
-  [[nodiscard]] double cell_mean(int pos, int value, std::uint32_t slot) const;
-
-  /// Mean count in `slot` over ALL trials, from position `pos`'s marginal
-  /// (every position sees every trial, so any position works).
-  [[nodiscard]] double slot_mean(int pos, std::uint32_t slot) const;
-
-  [[nodiscard]] std::uint64_t cell_count(int pos, int value) const {
-    return counts_[static_cast<std::size_t>(pos)]
-                  [static_cast<std::size_t>(value)];
-  }
-  [[nodiscard]] std::uint64_t samples() const { return total_trials_; }
-  [[nodiscard]] std::uint32_t slots() const { return slots_; }
-
-  bool operator==(const ProbeProfile&) const = default;
-
- private:
-  [[nodiscard]] std::size_t idx(int pos, int value, std::uint32_t slot) const {
-    return (static_cast<std::size_t>(pos) * kValues +
-            static_cast<std::size_t>(value)) *
-               slots_ +
-           slot;
-  }
-
-  std::uint32_t slots_;
-  std::vector<std::uint64_t> sums_;  ///< [pos][value][slot] count sums
-  std::array<std::array<std::uint64_t, kValues>, kPositions> counts_{};
-  std::uint64_t total_trials_ = 0;
-};
-
 /// One shard's worth of probe-channel measurements: the trial log, and the
 /// leakage diagnostic - a joint histogram of the victim's true round-1
 /// table-2 line for byte 2 (the secret class) against the attack's
@@ -215,8 +148,7 @@ class ProbeProfile {
 /// (each run_aes_* function defines its witness).  Its mutual information
 /// quantifies the per-trial channel independently of the key ranking.
 struct ProbeOutcome {
-  /// The trials (named for the table it converts to: the scorers take
-  /// `outcome.profile` directly).
+  /// The trials: the scorers take `outcome.profile` directly.
   ProbeLog profile;
   stats::JointHistogram channel;
 

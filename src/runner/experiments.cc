@@ -1087,8 +1087,8 @@ struct MatrixAttack {
 };
 
 /// A cell's two attacks, each merged over its completed shards in shard
-/// order (trial logs appended; the scored table is their exact integer
-/// sums, so worker-count invariant); nullopt for an attack none of whose
+/// order (trial logs appended; the scorers sum them into exact integer
+/// cells, so worker-count invariant); nullopt for an attack none of whose
 /// shards completed (--allow-partial only).
 template <typename A, typename B>
 struct CellOutcomes {
@@ -1195,10 +1195,6 @@ Json run_attack_matrix(const RunOptions& options, Campaign& campaign) {
     Json ordering = Json::object();
     bool modulo_strictly_best = true;
     double modulo_rank = 0;
-    // Each cell's merged logs are summed into these two tables in turn;
-    // assign() sizes them.
-    attack::ProbeProfile pp_table(0);
-    attack::EvictTimeProfile et_table(0);
     for (std::size_t c = 0; c < matrix_platforms().size(); ++c) {
       const auto [pp, et] = cells(c);
       const core::Platform& platform = matrix_platforms()[c];
@@ -1206,16 +1202,15 @@ Json run_attack_matrix(const RunOptions& options, Campaign& campaign) {
       Json et_json;
       double pp_mean_rank = 127.5;  // chance: an unmeasured cell leaks nothing
       if (pp) {
-        pp_table.assign(pp->profile);
         const attack::MatrixRanking rank = attack::score_prime_probe(
-            pp_table, l1, layout.tables, victim_key);
+            pp->profile, l1, layout.tables, victim_key);
         pp_mean_rank = rank.mean_true_rank();
         pp_json = ranking_json(rank, pp->channel);
       }
       if (et) {
-        et_table.assign(et->profile);
-        et_json = ranking_json(attack::score_evict_time(
-                                   et_table, l1, layout.tables, victim_key),
+        et_json = ranking_json(attack::score_evict_time(et->profile, l1,
+                                                        layout.tables,
+                                                        victim_key),
                                et->channel);
       }
       if (!platform.partitioned) {
@@ -1292,24 +1287,19 @@ Json run_flush_matrix(const RunOptions& options, Campaign& campaign) {
     Json rows = Json::array();
     std::vector<double> fr_rank(n_cells, 127.5);
     std::vector<double> ff_rank(n_cells, 127.5);
-    // Each merged log is summed into this one table in turn; assign()
-    // sizes it.
-    attack::ProbeProfile table(0);
     for (std::size_t c = 0; c < n_cells; ++c) {
       const auto [fr, ff] = cells(c);
       Json fr_json;  // null when the cell's attack never completed a shard
       Json ff_json;
       if (fr) {
-        table.assign(fr->profile);
         const attack::MatrixRanking rank =
-            attack::score_flush(table, l1, victim_key);
+            attack::score_flush(fr->profile, l1, victim_key);
         fr_rank[c] = rank.mean_true_rank();
         fr_json = ranking_json(rank, fr->channel);
       }
       if (ff) {
-        table.assign(ff->profile);
         const attack::MatrixRanking rank =
-            attack::score_flush(table, l1, victim_key);
+            attack::score_flush(ff->profile, l1, victim_key);
         ff_rank[c] = rank.mean_true_rank();
         ff_json = ranking_json(rank, ff->channel);
       }
@@ -1714,9 +1704,6 @@ Json run_pwcet_matrix(const RunOptions& options, Campaign& campaign) {
     bool modulo_never_applicable = true;
     bool randomized_ok = true;
     int randomized_applicable = 0;
-    // Each platform's merged log is summed into this one table in turn;
-    // assign() sizes it.
-    attack::ProbeProfile pp_table(0);
     for (std::size_t p = 0; p < platforms.size(); ++p) {
       std::optional<attack::ProbeOutcome> pp;
       for (std::size_t s = 0; s < pp_shards.size(); ++s) {
@@ -1736,9 +1723,8 @@ Json run_pwcet_matrix(const RunOptions& options, Campaign& campaign) {
       Json resolved_json;
       Json mi_json;
       if (pp) {
-        pp_table.assign(pp->profile);
         const attack::MatrixRanking rank = attack::score_prime_probe(
-            pp_table, l1, layout.tables, victim_key);
+            pp->profile, l1, layout.tables, victim_key);
         rank_json = rank.mean_true_rank();
         resolved_json = rank.line_resolved_bytes();
         mi_json = pp->channel.mi_bits_corrected();

@@ -10,8 +10,8 @@
 //     chi-square helper.
 //   * On a modulo cache, an Evict+Time eviction group must clear exactly
 //     its target set and nothing else.
-//   * A merged shard log builds exactly the table sequential accumulation
-//     does.
+//   * A merged shard log builds exactly the dense table (the scoring
+//     oracle's, tests/reference_scoring.h) sequential accumulation does.
 //   * End to end, the matrix scoring must rank the true key bytes at line
 //     granularity on modulo and at chance on random-modulo.
 #include <gtest/gtest.h>
@@ -25,6 +25,7 @@
 #include "attack/primeprobe.h"
 #include "core/policy.h"
 #include "crypto/sim_aes.h"
+#include "reference_scoring.h"
 #include "rng/rng.h"
 #include "stats/tests.h"
 
@@ -141,6 +142,7 @@ TEST(EvictTimeProperty, ModuloGroupEvictsExactlyTargetSet) {
 // A shard's log merged after another's builds the same table as adding
 // every trial to one profile in order.
 TEST(ProbeProfileTest, MergeMatchesSequentialAccumulationExactly) {
+  using reference::ProbeProfile;
   ProbeProfile whole(8);
   ProbeLog part_a(8);
   ProbeLog part_b(8);
@@ -187,6 +189,7 @@ TEST(ProbeLogTest, RefusesAnObservationPastOneByte) {
 }
 
 TEST(EvictTimeProfileTest, MergeMatchesSequentialAccumulationExactly) {
+  using reference::EvictTimeProfile;
   EvictTimeProfile whole(16);
   EvictTimeLog part_a(16);
   EvictTimeLog part_b(16);

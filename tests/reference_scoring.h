@@ -1,16 +1,25 @@
 // The straightforward guess x value scorers - the differential oracle for
-// the line-class kernel in src/attack/metrics.cc.
+// the line-class kernel in src/attack/metrics.cc - and the dense tables
+// they read.
 //
-// These are the original triple loops, kept deliberately naive: for every
-// position, EVERY one of the 256 guesses walks all 256 values and asks the
-// profile for the set (or line) marginal afresh, re-summing 256 cells per
-// call.  No hoisting, no line-class sharing.  The production kernel must
-// reproduce their score arrays bit for bit; tests/scoring_test.cc compares
-// the two with memcmp.
+// The production scorers read a cell's trial log and sum only the slots
+// their line classes predict.  The oracle first sums the whole log into
+// the dense 16 x 256 x slots table of every (position, value, slot) cell -
+// ProbeProfile for Prime+Probe and flush logs, EvictTimeProfile for
+// Evict+Time logs - and then runs the original triple loops, kept
+// deliberately naive: for every position, EVERY one of the 256 guesses
+// walks all 256 values and asks the table for the set (or line) marginal
+// afresh, re-summing 256 cells per call.  No hoisting, no line-class
+// sharing.  The production kernel must reproduce their score arrays bit
+// for bit; tests/scoring_test.cc compares the two with memcmp.
 #pragma once
 
 #include <array>
+#include <cassert>
+#include <cstddef>
 #include <cstdint>
+#include <span>
+#include <vector>
 
 #include "attack/evicttime.h"
 #include "attack/metrics.h"
@@ -21,6 +30,163 @@
 #include "crypto/sim_aes.h"
 
 namespace tsc::attack::reference {
+
+/// Per-(position, value) aggregated per-slot counts of a probe log: the
+/// mean count of every slot (a modulo set, a monitored line), conditioned
+/// on plaintext byte `pos` == value.  Cells are integer sums, so the table
+/// of a merged log equals sequential add() of the same trials.
+class ProbeProfile {
+ public:
+  static constexpr int kPositions = 16;
+  static constexpr int kValues = 256;
+
+  explicit ProbeProfile(std::uint32_t slots)
+      : slots_(slots),
+        sums_(static_cast<std::size_t>(kPositions) * kValues * slots, 0) {}
+
+  /// The table of `log`'s trials.
+  explicit ProbeProfile(const ProbeLog& log) : ProbeProfile(log.slots()) {
+    std::vector<std::uint32_t> counts(slots_);
+    for (std::size_t t = 0; t < log.samples(); ++t) {
+      const std::span<const std::uint8_t> obs = log.observations(t);
+      counts.assign(obs.begin(), obs.end());
+      add(log.plaintext(t), counts);
+    }
+  }
+
+  /// Record one trial: the plaintext encrypted and the per-slot counts
+  /// observed after it (at least slots() entries).
+  void add(const crypto::Block& plaintext,
+           std::span<const std::uint32_t> counts) {
+    assert(counts.size() >= slots_);
+    for (int pos = 0; pos < kPositions; ++pos) {
+      const int v = plaintext[static_cast<std::size_t>(pos)];
+      for (std::uint32_t s = 0; s < slots_; ++s) {
+        sums_[idx(pos, v, s)] += counts[s];
+      }
+      ++counts_[static_cast<std::size_t>(pos)][static_cast<std::size_t>(v)];
+    }
+    ++total_trials_;
+  }
+
+  /// Mean count in `slot` over trials with plaintext[pos] == value (0 when
+  /// the cell received no trials).
+  [[nodiscard]] double cell_mean(int pos, int value,
+                                 std::uint32_t slot) const {
+    const std::uint64_t n = cell_count(pos, value);
+    if (n == 0) return 0.0;
+    return static_cast<double>(sums_[idx(pos, value, slot)]) /
+           static_cast<double>(n);
+  }
+
+  /// Mean count in `slot` over ALL trials, from position `pos`'s marginal.
+  [[nodiscard]] double slot_mean(int pos, std::uint32_t slot) const {
+    if (total_trials_ == 0) return 0.0;
+    std::uint64_t sum = 0;
+    for (int v = 0; v < kValues; ++v) sum += sums_[idx(pos, v, slot)];
+    return static_cast<double>(sum) / static_cast<double>(total_trials_);
+  }
+
+  [[nodiscard]] std::uint64_t cell_count(int pos, int value) const {
+    return counts_[static_cast<std::size_t>(pos)]
+                  [static_cast<std::size_t>(value)];
+  }
+  [[nodiscard]] std::uint64_t samples() const { return total_trials_; }
+  [[nodiscard]] std::uint32_t slots() const { return slots_; }
+
+  bool operator==(const ProbeProfile&) const = default;
+
+ private:
+  [[nodiscard]] std::size_t idx(int pos, int value, std::uint32_t slot) const {
+    return (static_cast<std::size_t>(pos) * kValues +
+            static_cast<std::size_t>(value)) *
+               slots_ +
+           slot;
+  }
+
+  std::uint32_t slots_;
+  std::vector<std::uint64_t> sums_;  ///< [pos][value][slot] count sums
+  std::array<std::array<std::uint64_t, kValues>, kPositions> counts_{};
+  std::uint64_t total_trials_ = 0;
+};
+
+/// Per-(position, value, evicted set) aggregated re-run durations of an
+/// Evict+Time log.  Sums are integer cycle counts, so the table of a
+/// merged log equals sequential add() of its trials.
+class EvictTimeProfile {
+ public:
+  static constexpr int kPositions = 16;
+  static constexpr int kValues = 256;
+
+  explicit EvictTimeProfile(std::uint32_t sets)
+      : sets_(sets),
+        sums_(static_cast<std::size_t>(kPositions) * kValues * sets, 0),
+        counts_(sums_.size(), 0) {}
+
+  /// The table of `log`'s trials.
+  explicit EvictTimeProfile(const EvictTimeLog& log)
+      : EvictTimeProfile(log.sets()) {
+    for (const EvictTimeLog::Trial& t : log.trials()) {
+      add(t.plaintext, t.evicted_set, t.duration);
+    }
+  }
+
+  /// Record one trial: plaintext, the swept modulo index, the re-run time.
+  void add(const crypto::Block& plaintext, std::uint32_t evicted_set,
+           Cycles duration) {
+    assert(evicted_set < sets_);
+    for (int pos = 0; pos < kPositions; ++pos) {
+      const std::size_t i =
+          idx(pos, plaintext[static_cast<std::size_t>(pos)], evicted_set);
+      sums_[i] += duration;
+      ++counts_[i];
+    }
+    ++total_trials_;
+  }
+
+  /// Mean re-run duration over trials with plaintext[pos] == value that
+  /// evicted `set` (0 when the cell is empty).
+  [[nodiscard]] double cell_mean(int pos, int value, std::uint32_t set) const {
+    const std::size_t i = idx(pos, value, set);
+    if (counts_[i] == 0) return 0.0;
+    return static_cast<double>(sums_[i]) / static_cast<double>(counts_[i]);
+  }
+
+  /// Mean re-run duration over ALL trials that evicted `set`.
+  [[nodiscard]] double set_mean(int pos, std::uint32_t set) const {
+    std::uint64_t sum = 0;
+    std::uint64_t n = 0;
+    for (int v = 0; v < kValues; ++v) {
+      const std::size_t i = idx(pos, v, set);
+      sum += sums_[i];
+      n += counts_[i];
+    }
+    if (n == 0) return 0.0;
+    return static_cast<double>(sum) / static_cast<double>(n);
+  }
+
+  [[nodiscard]] std::uint64_t cell_count(int pos, int value,
+                                         std::uint32_t set) const {
+    return counts_[idx(pos, value, set)];
+  }
+  [[nodiscard]] std::uint64_t samples() const { return total_trials_; }
+  [[nodiscard]] std::uint32_t sets() const { return sets_; }
+
+  bool operator==(const EvictTimeProfile&) const = default;
+
+ private:
+  [[nodiscard]] std::size_t idx(int pos, int value, std::uint32_t set) const {
+    return (static_cast<std::size_t>(pos) * kValues +
+            static_cast<std::size_t>(value)) *
+               sets_ +
+           set;
+  }
+
+  std::uint32_t sets_;
+  std::vector<std::uint64_t> sums_;    ///< [pos][value][set] cycle sums
+  std::vector<std::uint64_t> counts_;  ///< [pos][value][set] trial counts
+  std::uint64_t total_trials_ = 0;
+};
 
 /// The predicted-set contrast, one guess at a time: the weighted mean excess
 /// of `cell_mean(pos, v, s)` over `set_mean(pos, s)` at the predicted set s

@@ -1,19 +1,22 @@
 // Differential tests for the key-rank scorers (attack/metrics.h).
 //
-// The production kernel scores one guess per LINE CLASS and hoists the
-// set / line marginals out of the guess loop.  Both are exact rewrites, so
+// The production kernel reads a cell's trial log, sums only the slots its
+// line classes predict, scores one guess per LINE CLASS and hoists the
+// set / line marginals out of the guess loop.  All are exact rewrites, so
 // every score must equal the naive guess x value loops of
-// reference_scoring.h bit for bit - compared with memcmp, never with a
-// tolerance - on seeded random Prime+Probe, Evict+Time and Flush profiles
-// (Prime+Probe and Flush are both ProbeProfiles, with per-set and
-// per-monitored-line slots):
+// reference_scoring.h over the dense table of the same log bit for bit -
+// compared with memcmp, never with a tolerance - on seeded random
+// Prime+Probe, Evict+Time and Flush logs (Prime+Probe and Flush are both
+// ProbeLogs, with per-set and per-monitored-line slots):
 //
-//   * empty, sparse (most (pos, value) cells empty), golden-sized and
-//     merged multi-shard profiles;
+//   * zero-trial, one-trial, sparse (most (pos, value) cells empty),
+//     golden-sized and merged multi-shard logs;
+//   * Evict+Time trials that evicted a set no line class predicts;
 //   * the table built from shard trial logs merged in shard order, against
 //     sequential accumulation of the same trials;
 //   * the paper L1 and non-paper geometries: 4 B to 1 KB lines, 16 to 256
-//     sets;
+//     sets, including caches with fewer sets than a table has lines (two
+//     line classes predict the same set);
 //   * the line-class invariant itself: every guess of a class scores the
 //     same double;
 //   * the class width reaching line_resolved_bytes() (pinned on 64 B lines,
@@ -39,6 +42,9 @@
 namespace tsc::attack {
 namespace {
 
+using reference::EvictTimeProfile;
+using reference::ProbeProfile;
+
 const Addr kTables = crypto::SimAesLayout{}.tables;
 
 /// A 4-way L1 with `sets` sets of `line_bytes` lines.
@@ -58,13 +64,10 @@ crypto::Key random_key(std::uint64_t seed) {
 // Observables are small integers, as in the real campaigns: a few probe
 // misses per set, cycle counts around a base, sparse touched bits.
 
-// Each generator fills either the scorers' table or a shard's trial log
-// (`Acc` is ProbeProfile / ProbeLog or EvictTimeProfile / EvictTimeLog).
-
-template <typename Acc = ProbeProfile>
-Acc random_pp(std::uint32_t sets, std::size_t trials, std::uint64_t seed) {
+ProbeLog random_pp(std::uint32_t sets, std::size_t trials,
+                   std::uint64_t seed) {
   rng::XorShift64Star r(seed);
-  Acc profile(sets);
+  ProbeLog profile(sets);
   std::vector<std::uint32_t> misses(sets);
   for (std::size_t t = 0; t < trials; ++t) {
     for (std::uint32_t& m : misses) {
@@ -75,10 +78,10 @@ Acc random_pp(std::uint32_t sets, std::size_t trials, std::uint64_t seed) {
   return profile;
 }
 
-template <typename Acc = EvictTimeProfile>
-Acc random_et(std::uint32_t sets, std::size_t trials, std::uint64_t seed) {
+EvictTimeLog random_et(std::uint32_t sets, std::size_t trials,
+                       std::uint64_t seed) {
   rng::XorShift64Star r(seed);
-  Acc profile(sets);
+  EvictTimeLog profile(sets);
   for (std::size_t t = 0; t < trials; ++t) {
     profile.add(crypto::random_block(r), static_cast<std::uint32_t>(t % sets),
                 900 + r.next_below(300));
@@ -86,10 +89,10 @@ Acc random_et(std::uint32_t sets, std::size_t trials, std::uint64_t seed) {
   return profile;
 }
 
-template <typename Acc = ProbeProfile>
-Acc random_flush(std::uint32_t lines, std::size_t trials, std::uint64_t seed) {
+ProbeLog random_flush(std::uint32_t lines, std::size_t trials,
+                      std::uint64_t seed) {
   rng::XorShift64Star r(seed);
-  Acc profile(lines);
+  ProbeLog profile(lines);
   std::vector<std::uint32_t> touched(lines);
   for (std::size_t t = 0; t < trials; ++t) {
     for (std::uint32_t& b : touched) b = r.next_bool(0.3) ? 1 : 0;
@@ -142,40 +145,54 @@ class ScoringDifferential : public testing::TestWithParam<GeometryCase> {
     return l1_with(GetParam().line_bytes, GetParam().sets);
   }
 
-  void check_prime_probe(const ProbeProfile& profile,
-                         const std::string& what) const {
+  void check_prime_probe(const ProbeLog& log, const std::string& what) const {
     const crypto::Key key = random_key(GetParam().line_bytes + 1);
-    const MatrixRanking fast = score_prime_probe(profile, l1(), kTables, key);
-    expect_bit_identical(
-        fast, reference::score_prime_probe(profile, l1(), kTables, key),
-        "prime+probe " + what);
+    const MatrixRanking fast = score_prime_probe(log, l1(), kTables, key);
+    expect_bit_identical(fast,
+                         reference::score_prime_probe(ProbeProfile(log), l1(),
+                                                      kTables, key),
+                         "prime+probe " + what);
     expect_line_classes_share_scores(fast, l1(), "prime+probe " + what);
   }
 
-  void check_evict_time(const EvictTimeProfile& profile,
-                        const std::string& what) const {
-    const crypto::Key key = random_key(GetParam().sets + 2);
-    const MatrixRanking fast = score_evict_time(profile, l1(), kTables, key);
-    expect_bit_identical(
-        fast, reference::score_evict_time(profile, l1(), kTables, key),
-        "evict+time " + what);
-    expect_line_classes_share_scores(fast, l1(), "evict+time " + what);
+  [[nodiscard]] crypto::Key evict_time_key() const {
+    return random_key(GetParam().sets + 2);
   }
 
-  void check_flush(const ProbeProfile& profile,
-                   const std::string& what) const {
+  MatrixRanking check_evict_time(const EvictTimeLog& log,
+                                 const std::string& what) const {
+    const crypto::Key key = evict_time_key();
+    const MatrixRanking fast = score_evict_time(log, l1(), kTables, key);
+    expect_bit_identical(fast,
+                         reference::score_evict_time(EvictTimeProfile(log),
+                                                     l1(), kTables, key),
+                         "evict+time " + what);
+    expect_line_classes_share_scores(fast, l1(), "evict+time " + what);
+    return fast;
+  }
+
+  void check_flush(const ProbeLog& log, const std::string& what) const {
     const crypto::Key key = random_key(3);
-    const MatrixRanking fast = score_flush(profile, l1(), key);
-    expect_bit_identical(fast, reference::score_flush(profile, l1(), key),
-                         "flush " + what);
+    const MatrixRanking fast = score_flush(log, l1(), key);
+    expect_bit_identical(
+        fast, reference::score_flush(ProbeProfile(log), l1(), key),
+        "flush " + what);
     expect_line_classes_share_scores(fast, l1(), "flush " + what);
   }
 };
 
 TEST_P(ScoringDifferential, ZeroTrialProfiles) {
-  check_prime_probe(ProbeProfile(l1().sets()), "empty");
-  check_evict_time(EvictTimeProfile(l1().sets()), "empty");
-  check_flush(ProbeProfile(monitored_lines(l1())), "empty");
+  check_prime_probe(ProbeLog(l1().sets()), "empty");
+  check_evict_time(EvictTimeLog(l1().sets()), "empty");
+  check_flush(ProbeLog(monitored_lines(l1())), "empty");
+}
+
+// One trial fills one value cell per position: every other cell is
+// skipped, and each slot's marginal is that trial's observation.
+TEST_P(ScoringDifferential, OneTrialLogs) {
+  check_prime_probe(random_pp(l1().sets(), 1, 31), "one trial");
+  check_evict_time(random_et(l1().sets(), 1, 32), "one trial");
+  check_flush(random_flush(monitored_lines(l1()), 1, 33), "one trial");
 }
 
 // 40 trials leave most of each position's 256 value cells (and nearly all
@@ -193,13 +210,34 @@ TEST_P(ScoringDifferential, DenseProfiles) {
   check_flush(random_flush(monitored_lines(l1()), 300, 23), "dense");
 }
 
+// A log twice as wide as the geometry: the trials that evicted a set past
+// l1's sets are predicted by no line class, so they must weigh nowhere -
+// the score equals the reference's and that of the log without them.
+TEST_P(ScoringDifferential, EvictTimeTrialsNoPositionPredicts) {
+  const std::uint32_t sets = l1().sets();
+  const EvictTimeLog wide = random_et(2 * sets, 1000, 41);
+  EvictTimeLog predicted(2 * sets);
+  for (const EvictTimeLog::Trial& t : wide.trials()) {
+    if (t.evicted_set < sets) {
+      predicted.add(t.plaintext, t.evicted_set, t.duration);
+    }
+  }
+  ASSERT_LT(predicted.samples(), wide.samples());
+  const MatrixRanking with = check_evict_time(wide, "unpredicted sets");
+  expect_bit_identical(
+      with, score_evict_time(predicted, l1(), kTables, evict_time_key()),
+      "unpredicted trials dropped");
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Geometries, ScoringDifferential,
     testing::Values(GeometryCase{32, 128},  // the paper's L1
                     GeometryCase{4, 128}, GeometryCase{16, 128},
                     GeometryCase{64, 128}, GeometryCase{128, 128},
                     GeometryCase{1024, 16}, GeometryCase{32, 64},
-                    GeometryCase{32, 256}),
+                    GeometryCase{32, 256},
+                    // Fewer sets than a table's lines: slots repeat.
+                    GeometryCase{32, 16}, GeometryCase{4, 16}),
     case_name);
 
 // A golden cell's shape: 1200 trials on the paper L1, merged from three
@@ -208,34 +246,34 @@ TEST(ScoringGoldenShape, MergedShardsMatchReference) {
   const cache::Geometry l1 = cache::l1_geometry_arm920t();
   const crypto::Key key = random_key(2018);
 
-  ProbeLog pp_log = random_pp<ProbeLog>(l1.sets(), 400, 100);
-  EvictTimeLog et_log = random_et<EvictTimeLog>(l1.sets(), 400, 200);
-  ProbeLog fl_log = random_flush<ProbeLog>(monitored_lines(l1), 400, 300);
+  ProbeLog pp_log = random_pp(l1.sets(), 400, 100);
+  EvictTimeLog et_log = random_et(l1.sets(), 400, 200);
+  ProbeLog fl_log = random_flush(monitored_lines(l1), 400, 300);
   for (std::uint64_t shard = 1; shard < 3; ++shard) {
-    pp_log.merge(random_pp<ProbeLog>(l1.sets(), 400, 100 + shard));
-    et_log.merge(random_et<EvictTimeLog>(l1.sets(), 400, 200 + shard));
-    fl_log.merge(random_flush<ProbeLog>(monitored_lines(l1), 400, 300 + shard));
+    pp_log.merge(random_pp(l1.sets(), 400, 100 + shard));
+    et_log.merge(random_et(l1.sets(), 400, 200 + shard));
+    fl_log.merge(random_flush(monitored_lines(l1), 400, 300 + shard));
   }
   const ProbeProfile pp(pp_log);
   const EvictTimeProfile et(et_log);
   const ProbeProfile fl(fl_log);
   ASSERT_EQ(pp.samples(), 1200u);
 
-  expect_bit_identical(score_prime_probe(pp, l1, kTables, key),
+  expect_bit_identical(score_prime_probe(pp_log, l1, kTables, key),
                        reference::score_prime_probe(pp, l1, kTables, key),
                        "merged prime+probe");
-  expect_bit_identical(score_evict_time(et, l1, kTables, key),
+  expect_bit_identical(score_evict_time(et_log, l1, kTables, key),
                        reference::score_evict_time(et, l1, kTables, key),
                        "merged evict+time");
-  expect_bit_identical(score_flush(fl, l1, key),
+  expect_bit_identical(score_flush(fl_log, l1, key),
                        reference::score_flush(fl, l1, key), "merged flush");
 }
 
-// The reduce scores the table built from shard logs merged in shard order.
-// It holds exact integer sums, so it must equal sequential add() of the
-// same trials cell for cell and score to the same bits - here for random
-// trials cut into uneven shards (an empty one included), and a table
-// reused across two builds.
+// The reduce scores the shard logs merged in shard order.  Their table
+// holds exact integer sums, so it must equal sequential add() of the same
+// trials cell for cell, and the merged log must score to the bits the
+// reference reads off the sequential table - here for random trials cut
+// into uneven shards (an empty one included).
 TEST(TrialLogExactness, MergedUnevenShardsBuildTheSequentialTable) {
   const cache::Geometry l1 = cache::l1_geometry_arm920t();
   const crypto::Key key = random_key(26);
@@ -280,26 +318,21 @@ TEST(TrialLogExactness, MergedUnevenShardsBuildTheSequentialTable) {
   }
   ASSERT_EQ(pp_shards.front().samples(), trial);
 
-  // One table per attack, first built from an unrelated log, then rebuilt
-  // from the merged one, as the matrix reduces reuse theirs.
-  ProbeProfile pp(random_pp<ProbeLog>(sets, 50, 1));
-  ProbeProfile fl(random_flush<ProbeLog>(lines, 50, 2));
-  EvictTimeProfile et(random_et<EvictTimeLog>(sets, 50, 3));
-  pp.assign(pp_shards.front());
-  fl.assign(fl_shards.front());
-  et.assign(et_shards.front());
-  EXPECT_TRUE(pp == pp_whole);
-  EXPECT_TRUE(fl == fl_whole);
-  EXPECT_TRUE(et == et_whole);
+  EXPECT_TRUE(ProbeProfile(pp_shards.front()) == pp_whole);
+  EXPECT_TRUE(ProbeProfile(fl_shards.front()) == fl_whole);
+  EXPECT_TRUE(EvictTimeProfile(et_shards.front()) == et_whole);
 
-  expect_bit_identical(score_prime_probe(pp, l1, kTables, key),
-                       score_prime_probe(pp_whole, l1, kTables, key),
-                       "log-built prime+probe");
-  expect_bit_identical(score_flush(fl, l1, key),
-                       score_flush(fl_whole, l1, key), "log-built flush");
-  expect_bit_identical(score_evict_time(et, l1, kTables, key),
-                       score_evict_time(et_whole, l1, kTables, key),
-                       "log-built evict+time");
+  expect_bit_identical(
+      score_prime_probe(pp_shards.front(), l1, kTables, key),
+      reference::score_prime_probe(pp_whole, l1, kTables, key),
+      "merged-log prime+probe");
+  expect_bit_identical(score_flush(fl_shards.front(), l1, key),
+                       reference::score_flush(fl_whole, l1, key),
+                       "merged-log flush");
+  expect_bit_identical(
+      score_evict_time(et_shards.front(), l1, kTables, key),
+      reference::score_evict_time(et_whole, l1, kTables, key),
+      "merged-log evict+time");
 }
 
 // Plant a noise-free Prime+Probe channel on 64 B lines (16 guesses per
@@ -320,7 +353,7 @@ TEST(LineResolvedBytes, CountsTheWholeClassOn64ByteLines) {
   }
 
   rng::XorShift64Star r(64);
-  ProbeProfile profile(l1.sets());
+  ProbeLog profile(l1.sets());
   std::vector<std::uint32_t> misses(l1.sets());
   for (int t = 0; t < 4000; ++t) {
     const crypto::Block pt = crypto::random_block(r);
@@ -359,15 +392,15 @@ TEST(ScoringPreconditions, RejectsUnindexableLineSizes) {
   for (const cache::Geometry& l1 :
        {cache::Geometry(2 * 128, 1, 2), cache::Geometry(2048 * 8, 1, 2048)}) {
     const crypto::Key key{};
-    EXPECT_THROW((void)score_prime_probe(ProbeProfile(l1.sets()), l1, kTables,
-                                         key),
-                 std::invalid_argument)
+    EXPECT_THROW(
+        (void)score_prime_probe(ProbeLog(l1.sets()), l1, kTables, key),
+        std::invalid_argument)
         << l1.line_bytes() << " B lines";
-    EXPECT_THROW((void)score_evict_time(EvictTimeProfile(l1.sets()), l1,
-                                        kTables, key),
-                 std::invalid_argument)
+    EXPECT_THROW(
+        (void)score_evict_time(EvictTimeLog(l1.sets()), l1, kTables, key),
+        std::invalid_argument)
         << l1.line_bytes() << " B lines";
-    EXPECT_THROW((void)score_flush(ProbeProfile(128), l1, key),
+    EXPECT_THROW((void)score_flush(ProbeLog(128), l1, key),
                  std::invalid_argument)
         << l1.line_bytes() << " B lines";
   }
@@ -376,13 +409,11 @@ TEST(ScoringPreconditions, RejectsUnindexableLineSizes) {
 TEST(ScoringPreconditions, RejectsProfilesSmallerThanTheGeometry) {
   const cache::Geometry l1 = cache::l1_geometry_arm920t();
   const crypto::Key key{};
-  EXPECT_THROW(
-      (void)score_prime_probe(ProbeProfile(64), l1, kTables, key),
-      std::invalid_argument);
-  EXPECT_THROW(
-      (void)score_evict_time(EvictTimeProfile(64), l1, kTables, key),
-      std::invalid_argument);
-  EXPECT_THROW((void)score_flush(ProbeProfile(64), l1, key),
+  EXPECT_THROW((void)score_prime_probe(ProbeLog(64), l1, kTables, key),
+               std::invalid_argument);
+  EXPECT_THROW((void)score_evict_time(EvictTimeLog(64), l1, kTables, key),
+               std::invalid_argument);
+  EXPECT_THROW((void)score_flush(ProbeLog(64), l1, key),
                std::invalid_argument);
 }
 
