@@ -65,6 +65,7 @@ Cache::Cache(CacheConfig config, std::unique_ptr<IndexMapper> mapper,
   assert(replacement_ != nullptr);
   repl_ = replacement_->fast();
   access_fn_ = pick_access_fn();
+  set_fn_ = pick_set_fn();
   line_shift_ = config_.geometry.offset_bits();
   sets_mask_ = config_.geometry.sets() - 1;
   ttl_enabled_ = config_.ttl_max > 0;
@@ -72,6 +73,7 @@ Cache::Cache(CacheConfig config, std::unique_ptr<IndexMapper> mapper,
   if (ttl_enabled_) {
     expiry_.assign(tagv_.size(), 0);
     ttl_.assign(tagv_.size(), 0);
+    ttl_floor_.assign(config_.geometry.sets(), 0);
   }
   assert((mapper_->mapping_kind() != MapperKind::kRpCache ||
           rng_ != nullptr) &&
@@ -83,11 +85,14 @@ Cache::Cache(CacheConfig config, std::unique_ptr<IndexMapper> mapper,
   assert(config_.ttl_min <= config_.ttl_max && "ttl range must be ordered");
 }
 
+const Cache::SetMemoEntry Cache::kUnbuiltSetMemo[kSetMemo] = {};
+
 const ResolvedMapping& Cache::resolve_context(ProcId proc) const {
   if (proc.value >= contexts_.size()) contexts_.resize(proc.value + 1);
   ResolvedMapping& ctx = contexts_[proc.value];
   mapper_->resolve(proc, ctx);
   ctx.valid = true;
+  bump_set_memo();
   // Refresh the inline hot views.  A resize above may have moved every
   // context, so rebuild all of them, not just this process's.
   const std::size_t n = std::min<std::size_t>(kHotCtx, contexts_.size());
@@ -162,6 +167,27 @@ template <MapperKind MK>
 
 }  // namespace
 
+template <MapperKind MK>
+std::uint32_t Cache::set_of(const Cache& self, ProcId proc, Addr line) {
+  if constexpr (MK == MapperKind::kModulo) {
+    return map_fast<MK>(self.sets_mask_, 0, nullptr, line);
+  } else {
+    const std::size_t pi = proc.value;
+    if (pi < kHotCtx) [[likely]] {
+      if (self.hot_[pi].ptr == nullptr) [[unlikely]] {
+        self.resolve_context(proc);
+      }
+      const HotCtx& hc = self.hot_[pi];
+      if constexpr (MK == MapperKind::kHashRp) {
+        return self.hashrp_memo_set(pi, line, hc.ptr);
+      } else {
+        return map_fast<MK>(self.sets_mask_, hc.word, hc.ptr, line);
+      }
+    }
+    return self.map_set(self.context(proc), line);
+  }
+}
+
 std::uint32_t Cache::map_set(const ResolvedMapping& ctx, Addr line) const {
   switch (ctx.kind) {
     case MapperKind::kModulo:
@@ -186,21 +212,7 @@ AccessResult Cache::access_impl(Cache& self, ProcId proc, Addr addr,
   // Resolve the mapping view.  Modulo is seedless (no probe at all); small
   // process ids - all of them, in practice - read the inline hot view;
   // anything else falls back to the full context path.
-  std::uint32_t set;
-  if constexpr (MK == MapperKind::kModulo) {
-    set = map_fast<MK>(self.sets_mask_, 0, nullptr, line);
-  } else {
-    const std::size_t pi = proc.value;
-    if (pi < kHotCtx) [[likely]] {
-      if (self.hot_[pi].ptr == nullptr) [[unlikely]] {
-        self.resolve_context(proc);
-      }
-      const HotCtx& hc = self.hot_[pi];
-      set = map_fast<MK>(self.sets_mask_, hc.word, hc.ptr, line);
-    } else {
-      set = self.map_set(self.context(proc), line);
-    }
-  }
+  const std::uint32_t set = set_of<MK>(self, proc, line);
   assert(set < geo.sets());
 
   ++self.stats_.accesses;
@@ -478,15 +490,17 @@ void Cache::fill_impl(const ResolvedMapping*, ProcId proc, Addr line,
   fill_spec<RK, WAYS>(repl_, set, way);
   // TTL draw LAST (after any victim/contention draw), a fixed per-fill
   // order the reference model replays.
-  if (ttl_enabled_) [[unlikely]] ttl_on_fill(di);
+  if (ttl_enabled_) [[unlikely]] ttl_on_fill(set, di);
 }
 
 void Cache::ttl_expire(std::uint32_t set, std::uint64_t now) {
   const std::uint32_t ways = config_.geometry.ways();
   const std::size_t base = static_cast<std::size_t>(set) * ways;
+  std::uint64_t floor = ~std::uint64_t{0};
   for (std::uint32_t w = 0; w < ways; ++w) {
     const std::size_t i = base + w;
-    if ((tagv_[i] & 1) != 0 && expiry_[i] <= now) {
+    if ((tagv_[i] & 1) == 0) continue;
+    if (expiry_[i] <= now) {
       // Time-based eviction: write back if dirty, then invalidate.  Counted
       // apart from capacity/conflict evictions - the decoupling of eviction
       // from contention is the design's point, and the stats should show it.
@@ -495,8 +509,11 @@ void Cache::ttl_expire(std::uint32_t set, std::uint64_t now) {
       tagv_[i] = 0;
       dirty_[i] = 0;
       ++epoch_;
+    } else {
+      floor = std::min(floor, expiry_[i]);
     }
   }
+  ttl_floor_[set] = floor;
 }
 
 bool Cache::ttl_latched_segment(const SegmentLine* lines, unsigned n,
@@ -513,18 +530,22 @@ bool Cache::ttl_latched_segment(const SegmentLine* lines, unsigned n,
   // Every probe hits, so the stretch changes a line only through its last
   // hit's refresh, its dirty bit and reclamation.  A line reclaimed by a
   // later probe of its set keeps the touches of its earlier hits, and the
-  // dirty bit of its writes, as under access().  In last-touch order, a
-  // set's last probe is its last line's.
+  // dirty bit of its writes, as under access().  So every line's hits and
+  // final expiry come first; then each touched set is reclaimed at its last
+  // probe.  In last-touch order, a set's last probe is its last line's, the
+  // first one a reverse pass meets; reclaiming the set again at an earlier
+  // line's probe finds nothing more (expiry is monotonic in the clock), and
+  // the floor, now past that probe, skips it.
   const std::uint64_t entry = ttl_clock_;
   for (unsigned k = 0; k < n; ++k) {
     const SegmentLine& l = lines[k];
     count_hits(l.set, l.way, l.hits, l.write);
     const std::size_t i = index(l);
     expiry_[i] = entry + l.last + 1 + ttl_[i];
-    const bool probed_later =
-        std::any_of(lines + k + 1, lines + n,
-                    [&l](const SegmentLine& o) { return o.set == l.set; });
-    if (!probed_later) ttl_expire(l.set, entry + l.last + 1);
+  }
+  for (unsigned k = n; k-- > 0;) {
+    const std::uint64_t now = entry + lines[k].last + 1;
+    if (ttl_floor_[lines[k].set] <= now) ttl_expire(lines[k].set, now);
   }
   ttl_clock_ = entry + probes;
   return true;
@@ -582,11 +603,20 @@ Cache::AccessFn Cache::pick_access_fn() const {
                                    config_.geometry.ways());
 }
 
-std::optional<Cache::Location> Cache::find(ProcId proc, Addr addr) const {
-  const std::uint32_t set = map_set(context(proc), addr >> line_shift_);
-  const std::optional<std::uint32_t> way = resident_way(set, addr);
-  if (!way) return std::nullopt;
-  return Location{set, *way};
+Cache::SetFn Cache::pick_set_fn() const {
+  switch (mapper_->mapping_kind()) {
+    case MapperKind::kModulo:
+      return &set_of<MapperKind::kModulo>;
+    case MapperKind::kXorIndex:
+      return &set_of<MapperKind::kXorIndex>;
+    case MapperKind::kHashRp:
+      return &set_of<MapperKind::kHashRp>;
+    case MapperKind::kRandomModulo:
+      return &set_of<MapperKind::kRandomModulo>;
+    case MapperKind::kRpCache:
+      return &set_of<MapperKind::kRpCache>;
+  }
+  return &set_of<MapperKind::kModulo>;
 }
 
 void Cache::evict(std::uint32_t set, std::uint32_t way, AccessResult& result) {
@@ -623,7 +653,7 @@ std::uint64_t Cache::flush() {
 
 Cache::FlushLineResult Cache::flush_line(ProcId proc, Addr addr) {
   const Addr line = addr >> line_shift_;
-  const std::uint32_t set = map_set(context(proc), line);
+  const std::uint32_t set = set_fn_(*this, proc, line);
   ++epoch_;
   // A flush probes the set like any other lookup: the TTL clock ticks and
   // expired lines are reclaimed BEFORE the scan, so a dead line reports
@@ -664,10 +694,12 @@ void Cache::reset() {
   // set_seed re-resolves against the mapper's default-seed state.
   for (ResolvedMapping& ctx : contexts_) ctx.valid = false;
   hot_.fill(HotCtx{});
+  bump_set_memo();
   partitions_.clear();
   std::fill(partition_rr_.begin(), partition_rr_.end(), 0u);
   std::fill(expiry_.begin(), expiry_.end(), std::uint64_t{0});
   std::fill(ttl_.begin(), ttl_.end(), 0u);
+  std::fill(ttl_floor_.begin(), ttl_floor_.end(), std::uint64_t{0});
   ttl_clock_ = 0;
   slow_fill_ = config_.random_fill_window > 0 || ttl_enabled_;
 }

@@ -12,7 +12,8 @@
 //  * the per-process mapping is a ResolvedMapping (mapping.h) - seed-derived
 //    constants and table pointers materialized at set_seed time, consulted
 //    through a plain enum switch; no virtual call and no hash lookup per
-//    access;
+//    access; a hashRP cache also memoizes each line's set for the current
+//    seed epoch, since its rotator tree costs more than the rest of a hit;
 //  * line state is structure-of-arrays: one packed (line_addr << 1 | valid)
 //    word per way, so the lookup is a branch-light equality scan and invalid
 //    ways can never match; dirty flags and owners live in side arrays only
@@ -30,6 +31,7 @@
 // contended on.  It applies exactly when the mapper's kind is kRpCache.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <memory>
@@ -134,8 +136,15 @@ class Cache {
   /// set `proc`'s mapping gives it), if resident.  Does not update
   /// replacement state or statistics.  On a TTL cache this may find a line
   /// whose TTL already elapsed but whose set has not been probed since
-  /// (expiry is lazy, and find() does not probe).
-  [[nodiscard]] std::optional<Location> find(ProcId proc, Addr addr) const;
+  /// (expiry is lazy, and find() does not probe).  The set comes from the
+  /// same mapping view access() reads (through a function pointer picked
+  /// per mapping kind at construction), hashRP's set memo included.
+  [[nodiscard]] std::optional<Location> find(ProcId proc, Addr addr) const {
+    const std::uint32_t set = set_fn_(*this, proc, addr >> line_shift_);
+    const std::optional<std::uint32_t> way = resident_way(set, addr);
+    if (!way) return std::nullopt;
+    return Location{set, *way};
+  }
 
   /// Does the cache currently hold the line containing `addr` for `proc`?
   /// (find(), with the same caveat on a TTL cache.)
@@ -256,8 +265,7 @@ class Cache {
   /// no partitions - while keeping every allocation (line arrays, RPCache
   /// table buffers, resolved-context storage).  With the shared rng
   /// reseeded to its construction value, a reset cache replays a freshly
-  /// built one bit-exactly; runner::MachinePool relies on this.  (Random
-  /// Modulo memo diagnostics accumulate across reset, like reset_stats.)
+  /// built one bit-exactly; runner::MachinePool relies on this.
   void reset();
 
   /// Change the placement seed of a process.  The caller (OS model) decides
@@ -333,6 +341,43 @@ class Cache {
   [[nodiscard]] std::uint32_t map_set(const ResolvedMapping& ctx,
                                       Addr line) const;
 
+  /// The set of line address `line` for `proc`, specialized per mapping
+  /// kind: modulo reads no context, process ids below kHotCtx read the
+  /// inline hot view (hashRP through its set memo), others the full
+  /// context.  access_impl inlines it; find() and flush_line() call it
+  /// through set_fn_.
+  using SetFn = std::uint32_t (*)(const Cache&, ProcId, Addr);
+  template <MapperKind MK>
+  static std::uint32_t set_of(const Cache& self, ProcId proc, Addr line);
+
+  /// hashRP's per-line set memo: the set of (`line`, hot process `pi`)
+  /// under the current generation, or hashrp_map over `ctx` stored there.
+  [[nodiscard]] std::uint32_t hashrp_memo_set(std::size_t pi, Addr line,
+                                              const void* ctx) const {
+    const std::size_t at = (line ^ (line >> 9)) & (kSetMemo - 1);
+    const SetMemoEntry& e = set_memo_view_[at];
+    if (e.line == line && e.gen == set_gen_ && e.proc == pi) [[likely]] {
+      return e.set;
+    }
+    const std::uint32_t set =
+        hashrp_map(*static_cast<const HashRpContext*>(ctx), line);
+    if (!set_memo_) [[unlikely]] {
+      set_memo_ = map_zeroed<SetMemoEntry>(kSetMemo);
+      set_memo_view_ = set_memo_.get();
+    }
+    set_memo_[at] =
+        SetMemoEntry{line, set, set_gen_, static_cast<std::uint16_t>(pi)};
+    return set;
+  }
+  /// Invalidate every set memo entry: a context may have changed.  On the
+  /// generation's wrap the entries are zeroed, so none can match again.
+  void bump_set_memo() const {
+    if (++set_gen_ == 0) [[unlikely]] {
+      if (set_memo_) std::fill_n(set_memo_.get(), kSetMemo, SetMemoEntry{});
+      set_gen_ = 1;
+    }
+  }
+
   void evict(std::uint32_t set, std::uint32_t way, AccessResult& result);
 
   /// The way of `set` holding line address `line`, if resident.  (Pure
@@ -389,9 +434,11 @@ class Cache {
   /// newly filled line.  Only called when ttl_enabled_.
   void ttl_advance_and_expire(std::uint32_t set) {
     ++ttl_clock_;
-    ttl_expire(set, ttl_clock_);
+    if (ttl_floor_[set] <= ttl_clock_) ttl_expire(set, ttl_clock_);
   }
-  /// Reclaim the lines of `set` whose TTL elapsed by clock value `now`.
+  /// Reclaim the lines of `set` whose TTL elapsed by clock value `now`,
+  /// then set the set's floor to its earliest remaining expiry.  Callers
+  /// skip it while ttl_floor_[set] > now: no line can have died.
   [[gnu::noinline]] void ttl_expire(std::uint32_t set, std::uint64_t now);
   /// The TTL survival rule: does the line at `index` hit on every probe
   /// of a stretch that probes it first `first` ticks after the current
@@ -410,15 +457,17 @@ class Cache {
   void ttl_refresh(std::size_t index) {
     expiry_[index] = ttl_clock_ + ttl_[index];
   }
-  void ttl_on_fill(std::size_t index) {
+  void ttl_on_fill(std::uint32_t set, std::size_t index) {
     const std::uint64_t span =
         std::uint64_t{config_.ttl_max} - config_.ttl_min + 1;
     const auto ttl = static_cast<std::uint32_t>(config_.ttl_min +
                                                 rng_->next_below(span));
     ttl_[index] = ttl;
     expiry_[index] = ttl_clock_ + ttl;
+    ttl_floor_[set] = std::min(ttl_floor_[set], expiry_[index]);
   }
   [[nodiscard]] AccessFn pick_access_fn() const;
+  [[nodiscard]] SetFn pick_set_fn() const;
   friend struct CacheAccessCompiler;  ///< instantiates the access_impl table
 
   CacheConfig config_;
@@ -443,6 +492,11 @@ class Cache {
   // statistic: reset() zeroes it, reset_stats() does not.
   std::vector<std::uint64_t> expiry_;  ///< clock value at which a line dies
   std::vector<std::uint32_t> ttl_;     ///< the line's drawn TTL (for refresh)
+  /// Per set, a lower bound on the expiries of its valid lines: lowered by
+  /// each fill, recomputed by ttl_expire, zero after reset().  Hits and
+  /// latched segments only raise expiries, and flushes only drop lines,
+  /// so neither needs to touch it.
+  std::vector<std::uint64_t> ttl_floor_;
   std::uint64_t ttl_clock_ = 0;
 
   mutable std::vector<ResolvedMapping> contexts_;  ///< per-process, dense
@@ -462,8 +516,29 @@ class Cache {
   static constexpr std::size_t kHotCtx = 16;
   mutable std::array<HotCtx, kHotCtx> hot_{};
 
+  /// hashRP's per-line set memo, exact by construction: set_gen_ moves
+  /// whenever any context is resolved and on reset(), and an entry counts
+  /// only under the generation it was stored in.  It starts at 1, so the
+  /// zeroed entries match nothing.  Indexed by the line XOR-folded
+  /// (line ^ line >> 9): low bits alone alias arrays 2^k lines apart.
+  /// The table is mapped at the first store (map_zeroed); until then, and
+  /// on every other design, which never reads it, set_memo_view_ reads a
+  /// shared all-zero table.
+  struct SetMemoEntry {
+    Addr line = 0;
+    std::uint32_t set = 0;
+    std::uint16_t gen = 0;
+    std::uint16_t proc = 0;  ///< hot process id (< kHotCtx)
+  };
+  static constexpr std::size_t kSetMemo = 1024;
+  static const SetMemoEntry kUnbuiltSetMemo[kSetMemo];
+  mutable MappedMemo<SetMemoEntry> set_memo_;
+  mutable const SetMemoEntry* set_memo_view_ = kUnbuiltSetMemo;
+  mutable std::uint16_t set_gen_ = 1;
+
   ReplacementFast repl_;          ///< raw view into *replacement_
   AccessFn access_fn_;            ///< specialized hot path
+  SetFn set_fn_;                  ///< set_of for this mapping kind
   bool ttl_enabled_ = false;      ///< config_.ttl_max > 0 (ClepsydraCache)
   /// random_fill_window > 0, TTL enabled, or any way partition installed:
   /// misses leave through the outlined slow path.  One flag, one test per

@@ -72,24 +72,21 @@ void HashRpPlacement::resolve(Seed seed, ResolvedMapping& out) const {
   hashrp_resolve(geo_, line_addr_bits_, seed, out.hashrp);
 }
 
+// An unbuilt LUT memo of any geometry: the widest slot (k = 8) times the
+// slot count, all unoccupied.
+alignas(16) const std::uint8_t RandomModuloPlacement::kUnbuiltLuts
+    [kMemoSlots * (kLutHeader + 256)] = {};
+
 RandomModuloPlacement::RandomModuloPlacement(const Geometry& g)
     : geo_(g), k_(g.index_bits()), idx_mask_(g.sets() - 1) {
   assert(g.index_bits() <= 16 &&
          "packed-permutation memo supports up to 16 index bits");
   if (k_ > 8) {
-    memo_.resize(8192);
+    memo_.resize(kMemoSlots);
   } else if (k_ > 0) {
     lut_stride_ = kLutHeader + (1u << k_);
-    const std::size_t bytes = std::size_t{8192} * lut_stride_;
-    void* memo = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
-                      MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-    if (memo == MAP_FAILED) throw std::bad_alloc();
-    lut_memo_ = {static_cast<std::uint8_t*>(memo), MemoUnmapper{bytes}};
+    lut_view_ = kUnbuiltLuts;
   }
-}
-
-void MemoUnmapper::operator()(std::uint8_t* p) const {
-  munmap(p, bytes);
 }
 
 void RandomModuloPlacement::rebuild_slot(Memo& slot,
@@ -104,19 +101,34 @@ void RandomModuloPlacement::rebuild_slot(Memo& slot,
   }
 }
 
-void RandomModuloPlacement::rebuild_lut_slot(std::uint8_t* slot,
-                                             std::uint64_t driver) const {
+void* map_zeroed_bytes(std::size_t bytes) {
+  void* p = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                 MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (p == MAP_FAILED) throw std::bad_alloc();
+  return p;
+}
+
+void MemoUnmapper::operator()(void* p) const { munmap(p, bytes); }
+
+const std::uint8_t* RandomModuloPlacement::rebuild_lut_slot(
+    std::size_t at, std::uint64_t driver) const {
+  if (!lut_memo_) {
+    lut_memo_ = map_zeroed<std::uint8_t>(kMemoSlots * lut_stride_);
+    lut_view_ = lut_memo_.get();
+  }
   const unsigned k = k_;
   const std::vector<std::uint32_t> perm = benes_permutation(k, driver);
   std::uint8_t srcs[16] = {};
   for (unsigned i = 0; i < k; ++i) {
     srcs[i] = static_cast<std::uint8_t>(perm[i] & 0xF);
   }
+  std::uint8_t* slot = lut_memo_.get() + at * lut_stride_;
   std::memcpy(slot, &driver, 8);
   slot[8] = 1;  // occupied
   for (std::uint32_t x = 0; x < (1u << k); ++x) {
     slot[kLutHeader + x] = static_cast<std::uint8_t>(permute_bits16(x, srcs, k));
   }
+  return slot;
 }
 
 std::unique_ptr<Placement> make_placement(MapperKind kind,

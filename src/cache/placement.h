@@ -134,11 +134,31 @@ class HashRpPlacement final : public Placement {
   mutable bool memo_valid_ = false;
 };
 
-/// Releases a memo table mapped by RandomModuloPlacement.
+/// Releases a memo table mapped by map_zeroed.
 struct MemoUnmapper {
   std::size_t bytes = 0;
-  void operator()(std::uint8_t* p) const;
+  void operator()(void* p) const;
 };
+template <class T>
+using MappedMemo = std::unique_ptr<T[], MemoUnmapper>;
+
+/// `bytes` of zeroed memory in an anonymous mapping of its own (throws
+/// std::bad_alloc when mapping fails).  The kernel zero-fills only the
+/// pages that are touched, so a memo whose slots a run uses sparsely costs
+/// resident memory only for those; a zeroed heap block is resident whole.
+[[nodiscard]] void* map_zeroed_bytes(std::size_t bytes);
+
+/// `count` zero-valued Ts (an all-zero T must be a valid, empty entry).
+/// The placement memos map their table on the first store and read a
+/// shared all-zero table until then, so building a machine costs no
+/// system call: mapping at construction made BM_MachineFresh/rm about
+/// 1.3x slower, zero-filling a heap table there about 1.7x.
+template <class T>
+[[nodiscard]] MappedMemo<T> map_zeroed(std::size_t count) {
+  const std::size_t bytes = count * sizeof(T);
+  return MappedMemo<T>(static_cast<T*>(map_zeroed_bytes(bytes)),
+                       MemoUnmapper{bytes});
+}
 
 /// Random Modulo placement [15][24] (paper Fig. 2b).
 ///
@@ -148,6 +168,12 @@ struct MemoUnmapper {
 /// in a small direct-mapped table.  The memo is invisible to callers: results
 /// are identical to recomputing the network.  Supports up to 16 index bits
 /// (65536 sets), far beyond the paper's 2048-set L2.
+///
+/// The memo is sized to one seed epoch.  MBPTA deploys a fresh seed per run,
+/// so every driver is dead one run later, and a run touches a few hundred
+/// tags at most.  A slot is therefore picked by the tag plus a per-seed
+/// offset (memo_slot): under one seed, up to kMemoSlots consecutive tags
+/// never collide, and two seeds' tags land at unrelated offsets.
 class RandomModuloPlacement final : public Placement {
  public:
   explicit RandomModuloPlacement(const Geometry& g);
@@ -187,22 +213,22 @@ class RandomModuloPlacement final : public Placement {
     const auto xored_idx =
         static_cast<std::uint32_t>(idx ^ mixed) & idx_mask_;
     const std::uint64_t driver = tag ^ (mixed >> k);
-    const std::uint64_t hash = driver * 0x9E3779B97F4A7C15ULL;
+    const std::size_t at = memo_slot(tag, mixed);
 
     if (k <= 8) {
       // Slots are (8-byte driver tag + 1-byte occupancy + padding +
       // 2^k-entry table), packed at runtime stride so the active footprint
       // stays as small as the geometry allows.
-      std::uint8_t* slot = lut_memo_.get() + (hash >> 51) * lut_stride_;
+      const std::uint8_t* slot = lut_view_ + at * lut_stride_;
       std::uint64_t slot_tag;
       std::memcpy(&slot_tag, slot, 8);
       if (slot_tag != driver || slot[8] == 0) [[unlikely]] {
-        rebuild_lut_slot(slot, driver);
+        slot = rebuild_lut_slot(at, driver);
       }
       return slot[kLutHeader + xored_idx];
     }
 
-    Memo& slot = memo_[hash >> 51];  // top 13 bits
+    Memo& slot = memo_[at];
     if (slot.driver != driver || slot.occupied == 0) [[unlikely]] {
       rebuild_slot(slot, driver);
     }
@@ -214,6 +240,16 @@ class RandomModuloPlacement final : public Placement {
   /// Occupancy is explicit in both layouts - a tag sentinel cannot work,
   /// every 64-bit value is a legal driver.
   static constexpr std::uint32_t kLutHeader = 16;
+  /// Slots per memo: 256 consecutive tags of one seed (the paper L1's 4 KB
+  /// pages: 1 MB of address space) never collide.
+  static constexpr std::size_t kMemoSlots = 256;
+
+  /// The memo slot of `tag` under the premixed seed `mixed`.  Any index
+  /// would be exact (a slot is checked against its driver); this one keeps
+  /// a seed's contiguous tags in distinct slots.
+  [[nodiscard]] static std::size_t memo_slot(Addr tag, std::uint64_t mixed) {
+    return static_cast<std::size_t>(tag + (mixed >> 40)) & (kMemoSlots - 1);
+  }
 
   struct Memo {
     std::uint64_t driver = 0;
@@ -224,7 +260,9 @@ class RandomModuloPlacement final : public Placement {
   /// Simulate the Benes network for `driver` and pack the realized bit
   /// permutation into the slot (the memo-miss slow path, kept out of line).
   void rebuild_slot(Memo& slot, std::uint64_t driver) const;
-  void rebuild_lut_slot(std::uint8_t* slot, std::uint64_t driver) const;
+  /// Returns the rebuilt slot `at`, allocating the table on first use.
+  const std::uint8_t* rebuild_lut_slot(std::size_t at,
+                                       std::uint64_t driver) const;
 
   Geometry geo_;
   unsigned k_;             ///< index_bits, flattened for the access path
@@ -232,12 +270,12 @@ class RandomModuloPlacement final : public Placement {
   // Exactly one of the two memo tables is populated (by k_); both are
   // direct-mapped and single-threaded by design (one Machine per worker).
   mutable std::vector<Memo> memo_;
-  /// Packed LutSlots in an anonymous mapping of their own: its zero pages
-  /// are not touched (nor faulted in) until a slot is used, so building a
-  /// machine does not pay for a 1.1 MB memset per L1.  (calloc gives that
-  /// only while glibc serves the size by mmap, which its dynamic mmap
-  /// threshold stops doing once a block that large has been freed.)
-  mutable std::unique_ptr<std::uint8_t[], MemoUnmapper> lut_memo_;
+  /// Packed LUT slots (36 KB on the paper L1), mapped when the first slot
+  /// is built (map_zeroed); until then lut_view_ reads a shared all-zero
+  /// table, in which every slot is unoccupied.
+  static const std::uint8_t kUnbuiltLuts[];
+  mutable MappedMemo<std::uint8_t> lut_memo_;
+  mutable const std::uint8_t* lut_view_ = nullptr;  ///< lut_memo_ or zeros
   std::uint32_t lut_stride_ = 0;                ///< 8 + 2^k bytes per slot
 };
 

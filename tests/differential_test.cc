@@ -20,11 +20,15 @@
 // specialization.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <functional>
+#include <iterator>
 #include <memory>
+#include <optional>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "cache/builder.h"
 #include "core/policy.h"
@@ -321,6 +325,136 @@ TEST(DifferentialTtl, PartitionedAndCombinedWithRandomFill) {
   // victim draw, which precedes the TTL draw - the full draw-order chain.
   spec.config.random_fill_window = 8;
   run_differential(spec, /*partitioned=*/false, 0xC1EA0081, kExtStreamLength);
+}
+
+TEST(DifferentialTtl, ExpiryFloorKeepsEveryLineDyingOnItsTick) {
+  // The cache skips reclaiming a set while a per-set lower bound on its
+  // lines' expiries lies past the clock.  Every way that bound could go
+  // stale - a refresh, a latched segment extending lines, a line flush, a
+  // reset - is followed here by probes of the same sets, compared against
+  // the reference after every one.  A fixed lifetime of 10 probes makes
+  // each death's tick known: a stale bound would let a dead line hit, or
+  // die a tick late.
+  CacheSpec spec;
+  spec.config.geometry = Geometry(512, 4, 16);  // 8 sets, 4 ways
+  spec.config.ttl_min = 10;
+  spec.config.ttl_max = 10;
+  spec.mapper = MapperKind::kModulo;
+  spec.replacement = ReplacementKind::kLru;
+  const ProcId proc{1};
+  const auto addr = [](std::uint32_t set, Addr tag) {
+    return (tag * 8 + set) * 16;
+  };
+  auto fast_rng = std::make_shared<rng::XorShift64Star>(0x77F1);
+  const std::unique_ptr<Cache> fast = build_cache(spec, fast_rng);
+  auto ref = std::make_unique<ReferenceCache>(
+      spec, std::make_shared<rng::XorShift64Star>(0x77F1));
+
+  std::uint64_t tick = 0;  // the TTL clock: one per probe
+  const auto expect_same_state = [&] {
+    ASSERT_EQ(fast->stats().ttl_expirations, ref->stats().ttl_expirations)
+        << "tick " << tick;
+    ASSERT_EQ(fast->stats().writebacks, ref->stats().writebacks)
+        << "tick " << tick;
+    ASSERT_EQ(fast->stats().hits, ref->stats().hits) << "tick " << tick;
+    ASSERT_EQ(fast->valid_lines(), ref->valid_lines()) << "tick " << tick;
+  };
+  const auto both = [&](Addr a, bool write) {
+    ++tick;
+    const AccessResult got = fast->access(proc, a, write);
+    const ReferenceCache::Result want = ref->access(proc, a, write);
+    ASSERT_EQ(got.hit, want.hit) << "tick " << tick;
+    ASSERT_EQ(got.evicted, want.evicted) << "tick " << tick;
+    ASSERT_EQ(got.writeback, want.writeback) << "tick " << tick;
+    expect_same_state();
+  };
+  const Addr a = addr(0, 1);
+  const Addr b = addr(1, 1);
+  const Addr c = addr(0, 2);
+  const Addr d = addr(0, 3);
+  const Addr e = addr(0, 4);
+  // Probe set 0 with e (a hit after its fill) through tick `until`; `dies`
+  // is the tick that must reclaim `line`.
+  const auto probe_until = [&](std::uint64_t until, Addr line,
+                               std::uint64_t dies) {
+    while (tick < until) {
+      both(e, false);
+      if (::testing::Test::HasFatalFailure()) return;
+      ASSERT_EQ(fast->contains(proc, line), tick < dies) << "tick " << tick;
+    }
+  };
+
+  both(a, true);   // tick 1: expiry 11
+  both(c, false);  // 2: 12
+  both(b, false);  // 3 (set 1): 13
+  for (int i = 0; i < 2; ++i) {
+    both(a, false);  // refreshes: a to 14, then 16
+    both(b, false);
+  }
+  both(c, false);  // 8: 18
+  both(a, false);  // 9: 19
+  both(d, true);   // 10: dirty, expiry 20
+  for (int i = 0; i < 3; ++i) both(b, false);  // 11-13, set 1 only
+  both(c, false);  // 14: 24
+  both(a, false);  // 15: 25
+  ASSERT_FALSE(::testing::Test::HasFatalFailure());
+  ASSERT_EQ(tick, 15u);
+  ASSERT_EQ(fast->stats().ttl_expirations, 0u);
+
+  // A latched segment over a, b and c at ticks 16-22; the reference takes
+  // its probes one by one.  d dies at tick 21 (c's probe) there, and at
+  // set 0's last probe (tick 22) here: the same writeback either way.
+  // Last-touch order: b (last 4), c (last 5), a (last 6).
+  const Addr seq[] = {a, b, c, a, b, c, a};
+  const std::uint64_t probes = std::size(seq);
+  std::vector<Cache::SegmentLine> lines;
+  for (const Addr line : {b, c, a}) {
+    const std::optional<Cache::Location> at = fast->find(proc, line);
+    ASSERT_TRUE(at.has_value());
+    Cache::SegmentLine l{at->set, at->way, 0, 0, 0, 0, line == a};
+    std::uint64_t prev = 0;
+    for (std::uint64_t t = 0; t < probes; ++t) {
+      if (seq[t] != line) continue;
+      if (l.hits == 0) {
+        l.first = t;
+      } else {
+        l.gap = std::max(l.gap, t - prev);
+      }
+      l.last = prev = t;
+      ++l.hits;
+    }
+    lines.push_back(l);
+  }
+  ASSERT_TRUE(fast->latched_segment(lines.data(),
+                                    static_cast<unsigned>(lines.size()),
+                                    probes));
+  for (const Addr line : seq) {
+    ASSERT_TRUE(ref->access(proc, line, line == a).hit);
+  }
+  tick += probes;
+  expect_same_state();
+  ASSERT_FALSE(::testing::Test::HasFatalFailure());
+  EXPECT_EQ(fast->stats().ttl_expirations, 1u) << "d must die in the segment";
+  EXPECT_FALSE(fast->contains(proc, d));
+
+  // The segment left a's expiry at 22 + 10 = 32.  A line flush of c (tick
+  // 23), then e's fill (tick 24) and hits: a must die on tick 32 exactly.
+  ++tick;
+  const Cache::FlushLineResult got_flush = fast->flush_line(proc, c);
+  ASSERT_TRUE(got_flush.present);
+  ASSERT_EQ(got_flush.present, ref->flush_line(proc, c).present);
+  expect_same_state();
+  probe_until(40, a, 32);
+  ASSERT_FALSE(::testing::Test::HasFatalFailure());
+
+  // reset() zeroes the clock and the bounds; the reference restarts fresh.
+  fast->reset();
+  fast_rng->reseed(0x77F2);
+  ref = std::make_unique<ReferenceCache>(
+      spec, std::make_shared<rng::XorShift64Star>(0x77F2));
+  tick = 0;
+  both(a, true);  // tick 1: expiry 11
+  probe_until(14, a, 11);
 }
 
 // Write-policy variants are orthogonal to the matrix dimensions; cover them

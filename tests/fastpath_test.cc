@@ -1,7 +1,8 @@
 // Tests for the devirtualized access path introduced by the hot-path
 // overhaul: resolved mapping contexts, SoA line storage, specialized
-// replacement kernels, the RM Benes-memo diagnostics, RPCache in-place
-// reseeding, and the batched Machine::run entry point.
+// replacement kernels, the seeded-placement memos (RM's Benes memo and
+// hashRP's per-line set memo), RPCache in-place reseeding, and trace
+// replay through Machine::replay.
 //
 // The placement-equivalence tests pin the resolved-context math against
 // independent re-implementations of the ORIGINAL seed formulas (written out
@@ -10,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "cache/benes.h"
@@ -145,6 +147,121 @@ TEST(FastPathEquivalence, CacheAccessSetMatchesMapperMap) {
       const Addr line = spec.config.geometry.line_addr(addr);
       ASSERT_EQ(c->access(kP1, addr, false).set, c->mapper().map(line, kP1))
           << to_string(mk);
+    }
+  }
+}
+
+// --- seeded-placement memos ------------------------------------------------
+
+/// The line addresses memcpy's arrays start at (0x40000 and 0x60000, 32-byte
+/// lines): 4096 lines apart, equal in their low 12 bits.
+constexpr Addr kAliasedLines[] = {0x40000 >> 5, 0x60000 >> 5};
+
+/// access(), find() and flush_line() of `c` must all give `line` the set
+/// `want`.  Lines that access() fills are resident for find(); the flush
+/// drops the line again (its probe resolves the set the same way).
+void expect_every_lookup_sets(Cache& c, ProcId proc, Addr line,
+                              std::uint32_t want, const char* what) {
+  const Addr addr = line << c.geometry().offset_bits();
+  ASSERT_EQ(c.access(proc, addr, false).set, want) << what << " line " << line;
+  const std::optional<Cache::Location> at = c.find(proc, addr);
+  ASSERT_TRUE(at.has_value()) << what << " line " << line;
+  ASSERT_EQ(at->set, want) << what << " line " << line;
+  ASSERT_EQ(c.flush_line(proc, addr).set, want) << what << " line " << line;
+}
+
+TEST(SetMemo, HashRpLookupsMatchReferenceAcrossReseedResetAndProcesses) {
+  // kP1 and kP2 read the hot view (and so the memo); ProcId 20 has no hot
+  // view and must map the same lines through the full context.
+  const ProcId cold{20};
+  for (const Geometry& g : {l1_geometry_arm920t(), l2_geometry_arm920t()}) {
+    CacheSpec spec;
+    spec.config.geometry = g;
+    spec.mapper = MapperKind::kHashRp;
+    spec.replacement = ReplacementKind::kLru;
+    auto c = build_cache(spec, test_rng());
+    const unsigned bits = 32 - g.offset_bits();
+    rng::SplitMix64 r(23);
+    std::vector<Addr> lines(kAliasedLines, kAliasedLines + 2);
+    for (int i = 0; i < 300; ++i) lines.push_back(r.next_u64() & low_mask(bits));
+    const auto check_all = [&](const ProcId (&procs)[3],
+                               const Seed (&seeds)[3], const char* what) {
+      // Alternate processes line by line: the same lines under three seeds.
+      for (const Addr line : lines) {
+        for (int p = 0; p < 3; ++p) {
+          expect_every_lookup_sets(*c, procs[p], line,
+                                   ref_hashrp(g, bits, line, seeds[p]), what);
+        }
+      }
+    };
+    const ProcId procs[3] = {kP1, kP2, cold};
+    for (std::uint64_t round = 0; round < 4; ++round) {
+      const Seed seeds[3] = {Seed{r.next_u64()}, Seed{r.next_u64()},
+                             Seed{r.next_u64()}};
+      for (int p = 0; p < 3; ++p) c->set_seed(procs[p], seeds[p]);
+      check_all(procs, seeds, "reseed");
+      check_all(procs, seeds, "memoized");
+    }
+    // reset() returns every process to the default seed.
+    c->reset();
+    const Seed defaults[3] = {Seed{}, Seed{}, Seed{}};
+    check_all(procs, defaults, "reset");
+  }
+}
+
+TEST(SetMemo, HashRpEntriesDieWhenTheGenerationWraps) {
+  // A line memoized under one seed, then left alone for a whole number of
+  // generation periods (any count near 2^16 reseeds), must still map under
+  // the seed installed last.
+  const Geometry g = l2_geometry_arm920t();
+  const unsigned bits = 32 - g.offset_bits();
+  CacheSpec spec;
+  spec.config.geometry = g;
+  spec.mapper = MapperKind::kHashRp;
+  spec.replacement = ReplacementKind::kLru;
+  for (const std::uint64_t reseeds : {65534u, 65535u, 65536u, 65537u}) {
+    auto c = build_cache(spec, test_rng());
+    c->set_seed(kP1, Seed{1});
+    for (Addr line = 0; line < 64; ++line) {
+      ASSERT_EQ(c->access(kP1, line << 5, false).set,
+                ref_hashrp(g, bits, line, Seed{1}));
+    }
+    for (std::uint64_t i = 0; i < reseeds; ++i) c->set_seed(kP1, Seed{2 + i});
+    const Seed last{1 + reseeds};
+    for (Addr line = 0; line < 64; ++line) {
+      expect_every_lookup_sets(*c, kP1, line, ref_hashrp(g, bits, line, last),
+                               "wrapped");
+    }
+  }
+}
+
+TEST(SetMemo, RandomModuloSlotsStayExactPastTheirCount) {
+  // More tags than the memo has slots, swept twice, under two processes
+  // with their own seeds touching the same tags alternately: every set
+  // must equal the restated network, on both memo layouts (k <= 8 LUT
+  // slots, the L1; k > 8 source-index slots, the L2).
+  for (const Geometry& g : {l1_geometry_arm920t(), l2_geometry_arm920t()}) {
+    CacheSpec spec;
+    spec.config.geometry = g;
+    spec.mapper = MapperKind::kRandomModulo;
+    spec.replacement = ReplacementKind::kLru;
+    auto c = build_cache(spec, test_rng());
+    const Seed s1{0x5EED1};
+    const Seed s2{0x5EED2};
+    c->set_seed(kP1, s1);
+    c->set_seed(kP2, s2);
+    const unsigned k = g.index_bits();
+    for (int sweep = 0; sweep < 2; ++sweep) {
+      for (Addr tag = 0; tag < 1024; ++tag) {
+        const Addr line = (tag << k) | ((tag * 37) & (g.sets() - 1));
+        const Addr addr = line << g.offset_bits();
+        ASSERT_EQ(c->access(kP1, addr, false).set,
+                  ref_random_modulo(g, line, s1))
+            << "tag " << tag << " sweep " << sweep;
+        ASSERT_EQ(c->access(kP2, addr, false).set,
+                  ref_random_modulo(g, line, s2))
+            << "tag " << tag << " sweep " << sweep;
+      }
     }
   }
 }
